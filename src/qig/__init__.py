@@ -13,7 +13,6 @@ from .errors import DomainError, FileFormatError, InvariantViolation, Verificati
 from .functions import (
     DiscreteMeasure,
     ScalarFunctionSpec,
-    catalog,
     covariance_kernel,
     extremal_kernel,
     extremal_metric,
@@ -28,6 +27,7 @@ from .functions import (
 )
 from .linalg import (
     SpectralDecomposition,
+    State,
     Superoperator,
     apply_matrix_function,
     as_density,
@@ -39,6 +39,7 @@ from .linalg import (
     pinch_decompose,
     relmod_apply,
     relmod_dense,
+    state,
 )
 from .channels import (
     KrausChannel,

@@ -62,12 +62,7 @@ def random_channel(n_in: int, n_out: int, kraus_count: int, seed) -> KrausChanne
             f"infeasible dimensions: {kraus_count} Kraus operators with output "
             f"dimension {n_out} cannot carry input dimension {n_in}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    total = kraus_count * n_out
-    G = rng.standard_normal((total, n_in)) + 1j * rng.standard_normal((total, n_in))
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    Q = Q * (d / np.abs(d))
+    Q = linalg.haar_unitary(n_in, np.random.default_rng(seed), rows=kraus_count * n_out)
     return KrausChannel(tuple(Q[i * n_out : (i + 1) * n_out, :] for i in range(kraus_count)))
 
 
@@ -127,10 +122,10 @@ def monotonicity_margin(F, A, D1, D2, ch: KrausChannel) -> float:
     sampling harness can resample.
     """
     _require_monotone_kernel(F)
-    D1 = linalg.as_density(D1)
-    D2 = linalg.as_density(D2)
-    E1 = linalg.as_density(apply_state(ch, D1))
-    E2 = linalg.as_density(apply_state(ch, D2))
+    D1 = linalg.state(D1)
+    D2 = linalg.state(D2)
+    E1 = linalg.state(apply_state(ch, D1.matrix))
+    E2 = linalg.state(apply_state(ch, D2.matrix))
     lhs = quantities.quasi_entropy(F, A, E1, E2).value.real
     rhs = quantities.quasi_entropy(F, apply_dual(ch, A), D1, D2).value.real
     return float(lhs - rhs)
@@ -146,10 +141,10 @@ def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
     _require_monotone_kernel(F)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    a1, a2 = (linalg.as_density(M) for M in pair_a)
-    b1, b2 = (linalg.as_density(M) for M in pair_b)
-    mix1 = lam * a1 + (1.0 - lam) * b1
-    mix2 = lam * a2 + (1.0 - lam) * b2
+    a1, a2 = (linalg.state(M) for M in pair_a)
+    b1, b2 = (linalg.state(M) for M in pair_b)
+    mix1 = lam * a1.matrix + (1.0 - lam) * b1.matrix
+    mix2 = lam * a2.matrix + (1.0 - lam) * b2.matrix
 
     def s(d1, d2):
         return quantities.quasi_entropy(F, A, d1, d2).value.real
@@ -165,10 +160,10 @@ def data_processing_margin(F, D1, D2, ch: KrausChannel) -> float:
     identity operand only; kept strictly separate from
     :func:`monotonicity_margin` so the two directions are never conflated.
     """
-    D1 = linalg.as_density(D1)
-    D2 = linalg.as_density(D2)
-    E1 = linalg.as_density(apply_state(ch, D1))
-    E2 = linalg.as_density(apply_state(ch, D2))
+    D1 = linalg.state(D1)
+    D2 = linalg.state(D2)
+    E1 = linalg.state(apply_state(ch, D1.matrix))
+    E2 = linalg.state(apply_state(ch, D2.matrix))
     before = quantities.quasi_entropy(F, np.eye(ch.dim_in), D1, D2).value.real
     after = quantities.quasi_entropy(F, np.eye(ch.dim_out), E1, E2).value.real
     return float(before - after)

@@ -2,8 +2,9 @@
 
 Matrices travel as JSON files ``{"n": ..., "data": [[[re, im], ...], ...]}``
 with row-major data and complex entries as [re, im] pairs.  Logarithms are
-natural throughout.  Exit codes: 0 success, 1 suite failures, 2 malformed
-files or usage errors, 3 invariant violations, 4 domain errors.
+natural throughout.  Exit codes: 0 success, 1 suite failures or a
+verification step that could not complete, 2 malformed files or usage
+errors, 3 invariant violations, 4 domain errors.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__, functions, linalg, quantities, verify
-from .errors import DomainError, FileFormatError, InvariantViolation
+from .errors import DomainError, FileFormatError, InvariantViolation, VerificationError
 
+_EXIT_CODES = {VerificationError: 1, FileFormatError: 2, InvariantViolation: 3, DomainError: 4}
 _QUANTITIES = ("quasi-entropy", "umegaki", "renyi", "cov", "gen-cov", "fisher", "skew", "wyd")
 
 
-def read_matrix(path: str, kind: str = "complex") -> np.ndarray:
-    """Read a matrix file and validate it as complex / hermitian / density."""
+def read_matrix(path: str, kind: str = "complex") -> np.ndarray | linalg.State:
+    """Read a matrix file as complex / hermitian / density (a validated State)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -52,7 +54,7 @@ def read_matrix(path: str, kind: str = "complex") -> np.ndarray:
     if kind == "hermitian":
         return linalg.as_hermitian(M)
     if kind == "density":
-        return linalg.as_density(M)
+        return linalg.state(M)
     return M
 
 
@@ -276,15 +278,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_list()
-    except FileFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -279,26 +279,6 @@ def renyi_kernel(alpha: float) -> ScalarFunctionSpec:
     )
 
 
-def catalog(name: str, **params) -> ScalarFunctionSpec:
-    """Look up a catalog function by name; ``wyd`` needs p, ``extremal`` lam."""
-    key = name.replace("-", "_").lower()
-    if key == "sld":
-        return sld()
-    if key == "harmonic":
-        return harmonic()
-    if key == "kubo_mori":
-        return kubo_mori()
-    if key == "wyd":
-        if "p" not in params:
-            raise DomainError("wyd needs the parameter p")
-        return wyd(float(params["p"]))
-    if key in ("extremal", "extremal_inverse"):
-        if "lam" not in params:
-            raise DomainError("extremal needs the parameter lam")
-        return extremal_metric(float(params["lam"]))
-    raise DomainError(f"unknown function name {name!r}")
-
-
 @dataclass(frozen=True)
 class StandardnessReport:
     """Worst grid violations of the standardness contract."""
@@ -399,7 +379,7 @@ def check_operator_monotone(
         if np.all(np.isfinite(vals)):
             pick_margin = float(np.min(vals.imag))
             skipped = False
-    except Exception:
+    except (TypeError, ValueError):
         pick_margin = None
     passed = (trials <= 0 or loewner >= -loewner_tol) and (
         skipped or pick_margin >= -pick_tol

@@ -55,22 +55,28 @@ def as_hermitian(M) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
+def _check_density(H: np.ndarray, wmin: float) -> None:
+    # negated comparisons, so that NaN entries fail the checks
+    tr = float(np.trace(H).real)
+    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
+        raise InvariantViolation(f"density matrix must have unit trace, got {tr!r}")
+    if not wmin >= DENSITY_EIG_FLOOR:
+        raise InvariantViolation(
+            f"density matrix must be invertible: smallest eigenvalue "
+            f"{wmin:.3e} is below {DENSITY_EIG_FLOOR:.0e}"
+        )
+
+
 def as_density(M) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, invertible.
 
     The smallest eigenvalue must be at least 1e-10; no automatic
     regularization happens here, rank-deficient input is an error.
     """
+    if isinstance(M, State):
+        return M.matrix
     H = as_hermitian(M)
-    tr = float(np.trace(H).real)
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise InvariantViolation(f"density matrix must have unit trace, got {tr!r}")
-    wmin = float(np.linalg.eigvalsh(H)[0])
-    if wmin < DENSITY_EIG_FLOOR:
-        raise InvariantViolation(
-            f"density matrix must be invertible: smallest eigenvalue "
-            f"{wmin:.3e} is below {DENSITY_EIG_FLOOR:.0e}"
-        )
+    _check_density(H, float(np.linalg.eigvalsh(H)[0]))
     return H
 
 
@@ -82,16 +88,41 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(H, label: str = "matrix") -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    H = as_hermitian(H)
+@dataclass(frozen=True)
+class State(SpectralDecomposition):
+    """Validated density matrix with its eigendecomposition, built by :func:`state`."""
+
+    matrix: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+
+def _eigh(H: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     try:
-        w, U = np.linalg.eigh(H)
+        return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition did not converge for {label} with shape {H.shape}"
         ) from exc
-    return SpectralDecomposition(w, U)
+
+
+def state(D, label: str = "state") -> State:
+    """Validate a density as :func:`as_density` does, keeping its eigendecomposition."""
+    if isinstance(D, State):
+        return D
+    H = as_hermitian(D)
+    w, U = _eigh(H, label)
+    _check_density(H, float(w[0]))
+    return State(w, U, H)
+
+
+def eig_hermitian(H, label: str = "matrix") -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix (or a given one), eigenvalues ascending."""
+    if isinstance(H, SpectralDecomposition):
+        return H
+    return SpectralDecomposition(*_eigh(as_hermitian(H), label))
 
 
 def eval_scalar(h, x) -> np.ndarray:
@@ -122,6 +153,17 @@ def apply_matrix_function(h, H) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
+    """Kernel grid and rotated operands shared by every spectral double sum.
+
+    With spectral data ``(lam, V)`` of ``s1`` and ``(mu, U)`` of ``s2``
+    returns ``W_ij = F(mu_i / lam_j)`` and ``[U* A V for A in operands]``.
+    """
+    W = eval_scalar(F, s2.eigenvalues[:, None] / s1.eigenvalues[None, :])
+    U2h = s2.eigenvectors.conj().T
+    return W, [U2h @ A @ s1.eigenvectors for A in operands]
+
+
 def relmod_apply(F, D1, D2, A) -> np.ndarray:
     """Apply the scalar function F of the relative modular map of (D1, D2) to A.
 
@@ -130,16 +172,13 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     ``sum_ij F(mu_i / lam_j) <u_i, A v_j> u_i v_j*``.  F = identity recovers
     ``D2 A D1^{-1}``.
     """
-    D1 = as_density(D1)
-    D2 = as_density(D2)
-    _same_dim(D1, D2)
+    s1 = state(D1, "first density")
+    s2 = state(D2, "second density")
+    _same_dim(s1, s2)
     A = _square(A, "operand")
-    _same_dim(A, D1)
-    d1 = eig_hermitian(D1, "first density")
-    d2 = eig_hermitian(D2, "second density")
-    W = eval_scalar(F, d2.eigenvalues[:, None] / d1.eigenvalues[None, :])
-    M = d2.eigenvectors.conj().T @ A @ d1.eigenvectors
-    return d2.eigenvectors @ (W * M) @ d1.eigenvectors.conj().T
+    _same_dim(A, s1)
+    W, (M,) = relmod_grid(F, s1, s2, A)
+    return s2.eigenvectors @ (W * M) @ s1.eigenvectors.conj().T
 
 
 def vec(A) -> np.ndarray:
@@ -177,15 +216,15 @@ def relmod_dense(F, D1, D2) -> Superoperator:
     Hilbert-Schmidt pairing), so F is applied through one big
     eigendecomposition instead of the structured double sum.
     """
-    D1 = as_density(D1)
+    s1 = state(D1, "first density")
     D2 = as_density(D2)
-    _same_dim(D1, D2)
-    n = D1.shape[0]
+    _same_dim(s1, D2)
+    n = s1.shape[0]
     if n > DENSE_DIM_LIMIT:
         raise InvariantViolation(
             f"dense superoperator is limited to dimension {DENSE_DIM_LIMIT}, got {n}"
         )
-    D1_inv = apply_matrix_function(lambda x: 1.0 / x, D1)
+    D1_inv = apply_matrix_function(lambda x: 1.0 / x, s1)
     delta = np.kron(D1_inv.T, D2)
     delta = (delta + delta.conj().T) / 2
     w, V = np.linalg.eigh(delta)
@@ -215,9 +254,13 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def haar_unitary(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix.
+
+    With ``rows >= n`` the result is a Haar-random ``rows x n`` isometry.
+    """
+    shape = (n if rows is None else rows, n)
+    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     Q, R = np.linalg.qr(G)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
@@ -239,11 +282,10 @@ def pinch_decompose(D, B) -> tuple[np.ndarray, np.ndarray]:
     clustered together so the division never sees a vanishing gap.  The two
     parts are Hilbert-Schmidt orthogonal.
     """
-    D = as_density(D)
+    D = state(D)
     B = as_hermitian(B)
     _same_dim(D, B)
-    dec = eig_hermitian(D, "state")
-    w, U = dec.eigenvalues, dec.eigenvectors
+    w, U = D.eigenvalues, D.eigenvectors
     spread = float(w[-1] - w[0])
     ids = _cluster_ids(w, DEGENERACY_TOL * (1.0 + spread))
     same = ids[:, None] == ids[None, :]

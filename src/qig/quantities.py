@@ -2,6 +2,8 @@
 
 Every quantity is evaluated as a double sum over the eigenbasis of the
 state(s); the dense superoperator route exists only as a test oracle.
+A density given as a :class:`~qig.linalg.State` is neither validated nor
+decomposed again.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
 cheap numerical diagnostic instead of being discarded.
@@ -46,13 +48,40 @@ def _kernel_name(F) -> str:
     return getattr(F, "name", getattr(F, "__name__", "kernel"))
 
 
-def _operand(A, like: np.ndarray, what: str = "operand") -> np.ndarray:
+def _operand(A, like, what: str = "operand") -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != like.shape:
         raise InvariantViolation(
             f"{what} shape {A.shape} does not match state shape {like.shape}"
         )
     return A
+
+
+def _states(D1, D2) -> tuple[linalg.State, linalg.State]:
+    s1 = linalg.state(D1, "first state")
+    s2 = linalg.state(D2, "second state")
+    if s1.shape != s2.shape:
+        raise InvariantViolation(f"state dimensions differ: {s1.shape} vs {s2.shape}")
+    return s1, s2
+
+
+def _observable(X, s: linalg.State) -> np.ndarray:
+    X = linalg.as_hermitian(X)
+    if X.shape != s.shape:
+        raise InvariantViolation(f"observable shape {X.shape} does not match state {s.shape}")
+    return X
+
+
+def _require_standard(f, what: str) -> None:
+    if not getattr(f, "claims_standard", False):
+        raise DomainError(f"{what} needs a standard kernel")
+
+
+def _metric_denominator(w: np.ndarray, W: np.ndarray) -> np.ndarray:
+    denom = w[None, :] * W
+    if float(np.min(denom)) <= 0.0:
+        raise DomainError("singular metric: the kernel vanishes on a spectrum ratio")
+    return denom
 
 
 def quasi_entropy(F, A, D1, D2) -> QuantityResult:
@@ -62,30 +91,21 @@ def quasi_entropy(F, A, D1, D2) -> QuantityResult:
     ``sum_ij F(mu_i/lam_j) |<u_i, A v_j>|^2 lam_j`` over the eigenbases of
     D2 (mu, u) and D1 (lam, v).
     """
-    D1 = linalg.as_density(D1)
-    D2 = linalg.as_density(D2)
-    if D1.shape != D2.shape:
-        raise InvariantViolation(f"state dimensions differ: {D1.shape} vs {D2.shape}")
-    A = _operand(A, D1)
-    d1 = linalg.eig_hermitian(D1, "first state")
-    d2 = linalg.eig_hermitian(D2, "second state")
-    W = linalg.eval_scalar(F, d2.eigenvalues[:, None] / d1.eigenvalues[None, :])
-    M = d2.eigenvectors.conj().T @ A @ d1.eigenvectors
-    value = np.sum(W * (np.abs(M) ** 2) * d1.eigenvalues[None, :])
+    s1, s2 = _states(D1, D2)
+    A = _operand(A, s1)
+    W, (M,) = linalg.relmod_grid(F, s1, s2, A)
+    value = np.sum(W * (np.abs(M) ** 2) * s1.eigenvalues[None, :])
     return QuantityResult(
-        complex(value), "quasi-entropy", digest_inputs(_kernel_name(F), A, D1, D2)
+        complex(value), "quasi-entropy", digest_inputs(_kernel_name(F), A, s1.matrix, s2.matrix)
     )
 
 
 def umegaki(D1, D2) -> float:
     """Relative entropy ``Tr D1 (log D1 - log D2)`` (natural logarithm)."""
-    D1 = linalg.as_density(D1)
-    D2 = linalg.as_density(D2)
-    if D1.shape != D2.shape:
-        raise InvariantViolation(f"state dimensions differ: {D1.shape} vs {D2.shape}")
-    L1 = linalg.apply_matrix_function(np.log, D1)
-    L2 = linalg.apply_matrix_function(np.log, D2)
-    return float(np.trace(D1 @ (L1 - L2)).real)
+    s1, s2 = _states(D1, D2)
+    L1 = linalg.apply_matrix_function(np.log, s1)
+    L2 = linalg.apply_matrix_function(np.log, s2)
+    return float(np.trace(s1.matrix @ (L1 - L2)).real)
 
 
 def renyi(alpha: float, D1, D2) -> float:
@@ -96,12 +116,9 @@ def renyi(alpha: float, D1, D2) -> float:
     """
     if not -1.0 < alpha < 1.0 or alpha == 0.0:
         raise DomainError("alpha must be nonzero and lie inside (-1, 1)")
-    D1 = linalg.as_density(D1)
-    D2 = linalg.as_density(D2)
-    if D1.shape != D2.shape:
-        raise InvariantViolation(f"state dimensions differ: {D1.shape} vs {D2.shape}")
-    D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
-    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
+    s1, s2 = _states(D1, D2)
+    D2a = linalg.apply_matrix_function(lambda x: x ** alpha, s2)
+    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), s1)
     return float((1.0 - np.trace(D2a @ D1b).real) / (alpha * (1.0 - alpha)))
 
 
@@ -123,16 +140,12 @@ def gen_cov(f, D, A, B) -> complex:
     sesquilinear (conjugate-linear in A, linear in B), and f-independent on
     operators commuting with D.
     """
-    if not getattr(f, "claims_standard", False):
-        raise DomainError("generalized covariance needs a standard kernel")
-    D = linalg.as_density(D)
-    A = _operand(A, D, "first observable")
-    B = _operand(B, D, "second observable")
-    dec = linalg.eig_hermitian(D, "state")
-    w, U = dec.eigenvalues, dec.eigenvectors
-    At = U.conj().T @ A @ U
-    Bt = U.conj().T @ B @ U
-    W = linalg.eval_scalar(f, w[:, None] / w[None, :])
+    _require_standard(f, "generalized covariance")
+    s = linalg.state(D)
+    A = _operand(A, s, "first observable")
+    B = _operand(B, s, "second observable")
+    W, (At, Bt) = linalg.relmod_grid(f, s, s, A, B)
+    w = s.eigenvalues
     quad = np.sum(np.conj(At) * Bt * (w[None, :] * W))
     mean_a = np.sum(w * np.conj(np.diagonal(At)))
     mean_b = np.sum(w * np.diagonal(Bt))
@@ -145,19 +158,12 @@ def fisher(f, D, A, B) -> complex:
     Positive definite in ``A = B`` and f-independent (equal to
     ``Tr D^{-1} A* B``) on operators commuting with D.
     """
-    if not getattr(f, "claims_standard", False):
-        raise DomainError("the quantum Fisher information needs a standard kernel")
-    D = linalg.as_density(D)
-    A = _operand(A, D, "first direction")
-    B = _operand(B, D, "second direction")
-    dec = linalg.eig_hermitian(D, "state")
-    w, U = dec.eigenvalues, dec.eigenvectors
-    At = U.conj().T @ A @ U
-    Bt = U.conj().T @ B @ U
-    W = linalg.eval_scalar(f, w[:, None] / w[None, :])
-    denom = w[None, :] * W
-    if float(np.min(denom)) <= 0.0:
-        raise DomainError("singular metric: the kernel vanishes on a spectrum ratio")
+    _require_standard(f, "the quantum Fisher information")
+    s = linalg.state(D)
+    A = _operand(A, s, "first direction")
+    B = _operand(B, s, "second direction")
+    W, (At, Bt) = linalg.relmod_grid(f, s, s, A, B)
+    denom = _metric_denominator(s.eigenvalues, W)
     return complex(np.sum(np.conj(At) * Bt / denom))
 
 
@@ -168,19 +174,12 @@ def skew_info(f, D, X) -> float:
     ``(f(0)/2) sum_ij (w_i - w_j)^2 / (w_j f(w_i/w_j)) |Xt_ij|^2``, equal to
     ``(f(0)/2) fisher(f, D, 1j[D,X], 1j[D,X])``.
     """
-    if not getattr(f, "claims_standard", False):
-        raise DomainError("skew information needs a standard kernel")
-    D = linalg.as_density(D)
-    X = linalg.as_hermitian(X)
-    if X.shape != D.shape:
-        raise InvariantViolation(f"observable shape {X.shape} does not match state {D.shape}")
-    dec = linalg.eig_hermitian(D, "state")
-    w, U = dec.eigenvalues, dec.eigenvectors
-    Xt = U.conj().T @ X @ U
-    W = linalg.eval_scalar(f, w[:, None] / w[None, :])
-    denom = w[None, :] * W
-    if float(np.min(denom)) <= 0.0:
-        raise DomainError("singular metric: the kernel vanishes on a spectrum ratio")
+    _require_standard(f, "skew information")
+    s = linalg.state(D)
+    X = _observable(X, s)
+    W, (Xt,) = linalg.relmod_grid(f, s, s, X)
+    w = s.eigenvalues
+    denom = _metric_denominator(w, W)
     num = (w[:, None] - w[None, :]) ** 2
     return float(0.5 * f.value_at_zero * np.sum(num / denom * np.abs(Xt) ** 2))
 
@@ -189,12 +188,10 @@ def wyd_direct(p: float, D, X) -> float:
     """Commutator form ``-Tr [D^p, X][D^{1-p}, X] / 2`` for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie inside (0, 1), got {p!r}")
-    D = linalg.as_density(D)
-    X = linalg.as_hermitian(X)
-    if X.shape != D.shape:
-        raise InvariantViolation(f"observable shape {X.shape} does not match state {D.shape}")
-    Dp = linalg.apply_matrix_function(lambda x: x ** p, D)
-    Dq = linalg.apply_matrix_function(lambda x: x ** (1.0 - p), D)
+    s = linalg.state(D)
+    X = _observable(X, s)
+    Dp = linalg.apply_matrix_function(lambda x: x ** p, s)
+    Dq = linalg.apply_matrix_function(lambda x: x ** (1.0 - p), s)
     Cp = linalg.commutator(Dp, X)
     Cq = linalg.commutator(Dq, X)
     return float(-0.5 * np.trace(Cp @ Cq).real)
@@ -209,17 +206,15 @@ def skew_identity_residual(f, D, X) -> float:
        + 2 gen_cov(cov_kernel(f), D, X, X) |``,
     which vanishes in exact arithmetic.
     """
-    D = linalg.as_density(D)
-    X = linalg.as_hermitian(X)
-    if X.shape != D.shape:
-        raise InvariantViolation(f"observable shape {X.shape} does not match state {D.shape}")
-    if abs(complex(np.trace(D @ X))) > 1e-10:
+    s = linalg.state(D)
+    X = _observable(X, s)
+    if abs(complex(np.trace(s.matrix @ X))) > 1e-10:
         raise InvariantViolation("observable must be centered: Tr(D X) = 0")
     if f.value_at_zero == 0.0:
         raise DomainError("the identity needs f(0) != 0")
-    B = 1j * linalg.commutator(D, X)
+    B = 1j * linalg.commutator(s.matrix, X)
     B = (B + B.conj().T) / 2
-    lhs = f.value_at_zero * fisher(f, D, B, B)
-    c = sym_cov(D, X, X)
-    q = gen_cov(covariance_kernel(f), D, X, X)
+    lhs = f.value_at_zero * fisher(f, s, B, B)
+    c = sym_cov(s, X, X)
+    q = gen_cov(covariance_kernel(f), s, X, X)
     return float(abs(lhs - 2.0 * c + 2.0 * q))

@@ -78,12 +78,6 @@ class TrialReport:
         }
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_density(n: int, floor: float = 0.01, seed=0) -> np.ndarray:
     """Random invertible density: normalized Ginibre square mixed with identity.
 
@@ -92,7 +86,7 @@ def random_density(n: int, floor: float = 0.01, seed=0) -> np.ndarray:
     """
     if not 0.0 < floor < 1.0 / n:
         raise DomainError(f"floor must lie in (0, 1/{n}), got {floor!r}")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     if n == 1:
         return np.array([[1.0 + 0.0j]])
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -127,6 +121,8 @@ def center_observable(D, A) -> np.ndarray:
 
 def _centered_unit(D, rng: np.random.Generator) -> np.ndarray:
     n = D.shape[0]
+    if n < 2:
+        raise DomainError("a nonzero centered observable needs dimension at least 2")
     while True:
         X = center_observable(D, random_hermitian(n, rng, unit=False))
         nrm = linalg.hs_norm(X)
@@ -141,9 +137,9 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     with Richardson extrapolation across the schedule (directions are
     normalized to unit Hilbert-Schmidt norm internally and the result
     rescaled, so tolerances are scale-free).  Returns the value and an
-    error estimate from the two finest steps.  Steps that break positive
-    definiteness of the perturbed states are rejected; if the schedule is
-    exhausted, raises.
+    error estimate, the gap between the last two extrapolation levels.
+    Steps that break positive definiteness of the perturbed states are
+    rejected; if the schedule is exhausted, raises.
     """
     D = linalg.as_density(D)
     A = linalg.as_hermitian(A)
@@ -179,21 +175,29 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
             raise VerificationError("step schedule exhausted before extrapolation")
         usable.append(h)
 
-    def g(t: float, s: float) -> float:
-        return quantities.quasi_entropy(F, eye, D + t * An, D + s * Bn).value.real
-
     def stencil(h: float) -> float:
+        first = {t: linalg.state(D + t * An) for t in (h, -h)}
+        second = {s: linalg.state(D + s * Bn) for s in (h, -h)}
+
+        def g(t: float, s: float) -> float:
+            return quantities.quasi_entropy(F, eye, first[t], second[s]).value.real
+
         return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4.0 * h * h)
 
-    vals = [stencil(h) for h in usable]
-    # Neville extrapolation to h = 0 of a polynomial in h^2.
-    x = [h * h for h in usable]
+    value, err = _neville([h * h for h in usable], [stencil(h) for h in usable])
+    return float(value * na * nb), float(err * na * nb)
+
+
+def _neville(x: list, vals: list) -> tuple[float, float]:
+    """Neville extrapolation to x = 0 of a polynomial through ``(x_i, vals_i)``.
+
+    The error estimate is the gap between the last two extrapolation levels.
+    """
     r = list(vals)
     for j in range(1, len(r)):
         for i in range(len(r) - j):
-            r[i] = (x[i + j] * r[i] - x[i] * r[i + j]) / (x[i + j] - x[i])
-    err = abs(r[0] - vals[-1])
-    return float(r[0] * na * nb), float(err * na * nb)
+            r[i] = (x[i + j] * r[i] - x[i] * r[i + 1]) / (x[i + j] - x[i])
+    return r[0], abs(r[0] - r[1])
 
 
 def _require_commuting(D, A) -> None:
@@ -210,11 +214,11 @@ def lemma_commuting_residual(F, D, A, B, schedule: StepSchedule | None = None) -
     equals ``-F''(1) Tr D^{-1} A B``; returns the absolute difference
     between the finite-difference value and that spectral formula.
     """
-    D = linalg.as_density(D)
+    D = linalg.state(D)
     A = linalg.as_hermitian(A)
     B = linalg.as_hermitian(B)
-    _require_commuting(D, A)
-    _require_commuting(D, B)
+    _require_commuting(D.matrix, A)
+    _require_commuting(D.matrix, B)
     fd, _ = mixed_second_derivative(F, D, A, B, schedule)
     d2 = functions.second_derivative_at_one(F)
     D_inv = linalg.apply_matrix_function(lambda x: 1.0 / x, D)
@@ -227,11 +231,11 @@ def lemma_cross_residual(F, D, A, X, schedule: StepSchedule | None = None) -> fl
 
     The exact value is zero; returns the absolute finite-difference value.
     """
-    D = linalg.as_density(D)
+    D = linalg.state(D)
     A = linalg.as_hermitian(A)
     X = linalg.as_hermitian(X)
-    _require_commuting(D, A)
-    B = 1j * linalg.commutator(D, X)
+    _require_commuting(D.matrix, A)
+    B = 1j * linalg.commutator(D.matrix, X)
     B = (B + B.conj().T) / 2
     fd, _ = mixed_second_derivative(F, D, A, B, schedule)
     return abs(fd)
@@ -244,15 +248,14 @@ def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None) -> f
     equals ``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``; returns the absolute
     difference between the finite-difference value and that trace formula.
     """
-    D = linalg.as_density(D)
+    D = linalg.state(D)
     X = linalg.as_hermitian(X)
-    B = 1j * linalg.commutator(D, X)
+    B = 1j * linalg.commutator(D.matrix, X)
     B = (B + B.conj().T) / 2
     fd, _ = mixed_second_derivative(F, D, B, B, schedule)
     f1 = float(linalg.eval_scalar(F, np.asarray(1.0)))
-    trace_form = 2.0 * f1 * float(np.trace(D @ X @ X).real) - 2.0 * quantities.quasi_entropy(
-        F, X, D, D
-    ).value.real
+    trace_form = 2.0 * f1 * float(np.trace(D.matrix @ X @ X).real)
+    trace_form -= 2.0 * quantities.quasi_entropy(F, X, D, D).value.real
     return abs(fd - trace_form)
 
 
@@ -270,19 +273,18 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
         raise DomainError("the Hessian identity needs a standard function")
     if f.value_at_zero == 0.0:
         raise DomainError("the Hessian identity needs f(0) != 0")
-    D = linalg.as_density(D)
+    D = linalg.state(D)
     X = linalg.as_hermitian(X)
-    if abs(complex(np.trace(D @ X))) > 1e-10:
+    if abs(complex(np.trace(D.matrix @ X))) > 1e-10:
         raise InvariantViolation("observable must be centered: Tr(D X) = 0")
     ft = functions.covariance_kernel(f)
-    B = 1j * linalg.commutator(D, X)
+    B = 1j * linalg.commutator(D.matrix, X)
     B = (B + B.conj().T) / 2
     lhs, err = mixed_second_derivative(ft, D, B, B, schedule)
     rhs = f.value_at_zero * quantities.fisher(f, D, B, B).real
     relerr = abs(lhs - rhs) / (1.0 + abs(rhs))
-    trace_form = 2.0 * float(np.trace(D @ X @ X).real) - 2.0 * quantities.quasi_entropy(
-        ft, X, D, D
-    ).value.real
+    trace_form = 2.0 * float(np.trace(D.matrix @ X @ X).real)
+    trace_form -= 2.0 * quantities.quasi_entropy(ft, X, D, D).value.real
     if abs(lhs - trace_form) > max(1e-6, 10.0 * err):
         raise VerificationError(
             f"finite difference disagrees with the quadratic trace identity: "
@@ -303,8 +305,8 @@ def _check_centered(D, observables) -> list[np.ndarray]:
 
 def cov_gram(g, D, observables) -> np.ndarray:
     """Gram matrix of generalized covariances of centered observables."""
-    D = linalg.as_density(D)
-    obs = _check_centered(D, observables)
+    D = linalg.state(D)
+    obs = _check_centered(D.matrix, observables)
     m = len(obs)
     G = np.empty((m, m), dtype=complex)
     for i in range(m):
@@ -318,8 +320,8 @@ def skew_gram(f, D, observables) -> np.ndarray:
 
     The diagonal reproduces the skew informations of the observables.
     """
-    D = linalg.as_density(D)
-    obs = _check_centered(D, observables)
+    D = linalg.state(D)
+    obs = _check_centered(D.matrix, observables)
     ft = functions.covariance_kernel(f)
     m = len(obs)
     S = np.empty((m, m), dtype=complex)
@@ -341,6 +343,7 @@ def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
     """
     if not (getattr(f, "claims_standard", False) and getattr(g, "claims_standard", False)):
         raise DomainError("determinant margins are stated for standard functions")
+    D = linalg.state(D)
     C = cov_gram(g, D, observables)
     S = skew_gram(f, D, observables)
     f0, g0 = f.value_at_zero, g.value_at_zero
@@ -472,19 +475,19 @@ def _run_skew_identity(rng, dims):
         f = functions.wyd(0.5)
     else:
         f = functions.hansen_mixture(_random_measure(rng, min_atom=0.05))
-    D = random_density(n, floor=min(0.02, 0.5 / n), seed=rng)
+    D = linalg.state(random_density(n, floor=min(0.02, 0.5 / n), seed=rng))
     X = _centered_unit(D, rng)
     r = quantities.skew_identity_residual(f, D, X)
-    return None, r, digest_inputs(f.name, D, X)
+    return None, r, digest_inputs(f.name, D.matrix, X)
 
 
 def _run_hessian(rng, dims):
     n = _dim(rng, dims)
     f = _standard_pool(rng, positive_at_zero=True)
-    D = random_density(n, floor=_fd_floor(n), seed=rng)
+    D = linalg.state(random_density(n, floor=_fd_floor(n), seed=rng))
     X = _centered_unit(D, rng)
     _, _, relerr = hessian_vs_skew(f, D, X)
-    return None, relerr, digest_inputs(f.name, D, X)
+    return None, relerr, digest_inputs(f.name, D.matrix, X)
 
 
 def _commuting_traceless(D, rng: np.random.Generator) -> np.ndarray:
@@ -500,22 +503,22 @@ def _commuting_traceless(D, rng: np.random.Generator) -> np.ndarray:
 def _run_lemma_commuting(rng, dims):
     n = _dim(rng, dims)
     F = _smooth_kernel(rng)
-    D = random_density(n, floor=_fd_floor(n), seed=rng)
+    D = linalg.state(random_density(n, floor=_fd_floor(n), seed=rng))
     A = _commuting_traceless(D, rng)
     B = _commuting_traceless(D, rng)
     r = lemma_commuting_residual(F, D, A, B)
-    return None, r, digest_inputs(F.name, D, A, B)
+    return None, r, digest_inputs(F.name, D.matrix, A, B)
 
 
 def _run_lemma_cross(rng, dims):
     n = _dim(rng, dims)
     F = _smooth_kernel(rng)
-    D = random_density(n, floor=_fd_floor(n), seed=rng)
+    D = linalg.state(random_density(n, floor=_fd_floor(n), seed=rng))
     A = _commuting_traceless(D, rng)
     X = random_hermitian(n, rng)
     r_cross = lemma_cross_residual(F, D, A, X)
     r_quad = lemma_quadratic_residual(F, D, X)
-    return None, max(r_cross, r_quad), digest_inputs(F.name, D, A, X)
+    return None, max(r_cross, r_quad), digest_inputs(F.name, D.matrix, A, X)
 
 
 def _run_monotonicity(rng, dims):
@@ -558,7 +561,7 @@ def _run_det_uncertainty(rng, dims):
     m = int(rng.integers(1, 4))
     f = _standard_pool(rng)
     g = _standard_pool(rng)
-    D = random_density(n, floor=min(0.05, 0.5 / n), seed=rng)
+    D = linalg.state(random_density(n, floor=min(0.05, 0.5 / n), seed=rng))
     obs = orthonormal_centered_observables(D, m, rng)
     m1, m2 = det_inequality_margins(f, g, D, obs)
     C = cov_gram(g, D, obs)
@@ -570,7 +573,7 @@ def _run_det_uncertainty(rng, dims):
         abs(float(np.linalg.det(f0 * g0 * S).real)),
         abs(float(np.linalg.det(2.0 * g0 * S).real)),
     )
-    return min(m1, m2) / scale, None, digest_inputs(f.name, g.name, D, *obs)
+    return min(m1, m2) / scale, None, digest_inputs(f.name, g.name, D.matrix, *obs)
 
 
 def _run_oracle_equivalence(rng, dims):
@@ -587,8 +590,8 @@ def _run_oracle_equivalence(rng, dims):
     else:
         F = functions.sld()
     floor = min(0.05, 0.5 / n)
-    D1 = random_density(n, floor=floor, seed=rng)
-    D2 = random_density(n, floor=floor, seed=rng)
+    D1 = linalg.state(random_density(n, floor=floor, seed=rng))
+    D2 = linalg.state(random_density(n, floor=floor, seed=rng))
     A = _random_complex(n, rng)
     dense = linalg.relmod_dense(F, D1, D2)
     r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - dense(A))))
@@ -598,62 +601,47 @@ def _run_oracle_equivalence(rng, dims):
     D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
     direct = complex(np.trace(A.conj().T @ D2a @ A @ D1b))
     r2 = abs(q - direct)
-    return None, max(r1, r2), digest_inputs(F.name, alpha, D1, D2, A)
+    return None, max(r1, r2), digest_inputs(F.name, alpha, D1.matrix, D2.matrix, A)
 
 
 def _run_wyd_consistency(rng, dims):
     n = _dim(rng, dims)
     p = float(rng.uniform(0.05, 0.95))
-    D = random_density(n, floor=min(0.03, 0.5 / n), seed=rng)
+    D = linalg.state(random_density(n, floor=min(0.03, 0.5 / n), seed=rng))
     X = random_hermitian(n, rng)
     r = abs(quantities.skew_info(functions.wyd(p), D, X) - quantities.wyd_direct(p, D, X))
-    return None, r, digest_inputs(p, D, X)
+    return None, r, digest_inputs(p, D.matrix, X)
 
 
 def _run_renyi_limit(rng, dims):
     n = _dim(rng, dims)
     floor = min(0.03, 0.5 / n)
-    D1 = random_density(n, floor=floor, seed=rng)
-    D2 = random_density(n, floor=floor, seed=rng)
+    D1 = linalg.state(random_density(n, floor=floor, seed=rng))
+    D2 = linalg.state(random_density(n, floor=floor, seed=rng))
     u = quantities.umegaki(D1, D2)
     gaps = [abs(quantities.renyi(a, D1, D2) - u) for a in _RENYI_ALPHAS]
     margin = min(gaps[0] - gaps[1], gaps[1] - gaps[2])
-    return margin, gaps[-1], digest_inputs(D1, D2)
+    return margin, gaps[-1], digest_inputs(D1.matrix, D2.matrix)
 
 
-_SUITE_RUNNERS = {
-    "standardness": _run_standardness,
-    "operator-monotone": _run_operator_monotone,
-    "scalar-gibi": _run_scalar_gibi,
-    "skew-identity": _run_skew_identity,
-    "hessian": _run_hessian,
-    "lemma-commuting": _run_lemma_commuting,
-    "lemma-cross": _run_lemma_cross,
-    "monotonicity": _run_monotonicity,
-    "concavity": _run_concavity,
-    "det-uncertainty": _run_det_uncertainty,
-    "oracle-equivalence": _run_oracle_equivalence,
-    "wyd-consistency": _run_wyd_consistency,
-    "renyi-limit": _run_renyi_limit,
+#: name -> (trial runner, default margin tolerance, default residual tolerance)
+_SUITES = {
+    "standardness": (_run_standardness, math.inf, 1e-9),
+    "operator-monotone": (_run_operator_monotone, 1e-8, 1e-10),
+    "scalar-gibi": (_run_scalar_gibi, 1e-10, math.inf),
+    "skew-identity": (_run_skew_identity, math.inf, 1e-9),
+    "hessian": (_run_hessian, math.inf, 1e-5),
+    "lemma-commuting": (_run_lemma_commuting, math.inf, 1e-6),
+    "lemma-cross": (_run_lemma_cross, math.inf, 1e-6),
+    "monotonicity": (_run_monotonicity, 1e-8, math.inf),
+    "concavity": (_run_concavity, 1e-8, math.inf),
+    "det-uncertainty": (_run_det_uncertainty, 1e-9, math.inf),
+    "oracle-equivalence": (_run_oracle_equivalence, math.inf, 1e-10),
+    "wyd-consistency": (_run_wyd_consistency, math.inf, 1e-9),
+    "renyi-limit": (_run_renyi_limit, 1e-12, 1e-2),
 }
 
-SUITE_NAMES = tuple(_SUITE_RUNNERS)
-
-_DEFAULT_TOLERANCES = {
-    "standardness": {"margin": math.inf, "residual": 1e-9},
-    "operator-monotone": {"margin": 1e-8, "residual": 1e-10},
-    "scalar-gibi": {"margin": 1e-10, "residual": math.inf},
-    "skew-identity": {"margin": math.inf, "residual": 1e-9},
-    "hessian": {"margin": math.inf, "residual": 1e-5},
-    "lemma-commuting": {"margin": math.inf, "residual": 1e-6},
-    "lemma-cross": {"margin": math.inf, "residual": 1e-6},
-    "monotonicity": {"margin": 1e-8, "residual": math.inf},
-    "concavity": {"margin": 1e-8, "residual": math.inf},
-    "det-uncertainty": {"margin": 1e-9, "residual": math.inf},
-    "oracle-equivalence": {"margin": math.inf, "residual": 1e-10},
-    "wyd-consistency": {"margin": math.inf, "residual": 1e-9},
-    "renyi-limit": {"margin": 1e-12, "residual": 1e-2},
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances=None) -> TrialReport:
@@ -665,11 +653,12 @@ def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances
     tolerance; failures record the derived trial seed, an input digest,
     and the offending value.
     """
-    if name not in _SUITE_RUNNERS:
+    if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
     if int(seed) < 0:
         raise DomainError("suite seed must be nonnegative")
-    tol = dict(_DEFAULT_TOLERANCES[name])
+    runner, margin_tol, residual_tol = _SUITES[name]
+    tol = {"margin": margin_tol, "residual": residual_tol}
     if tolerances:
         for key, value in tolerances.items():
             if key not in ("margin", "residual"):
@@ -678,7 +667,6 @@ def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DomainError(f"dims must be positive integers, got {dims!r}")
-    runner = _SUITE_RUNNERS[name]
     margins: list[float] = []
     residuals: list[float] = []
     failures: list[dict] = []

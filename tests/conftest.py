@@ -12,3 +12,18 @@ def qubit_state():
 def flip():
     """Off-diagonal Hermitian observable, centered for any diagonal state."""
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts of ``np.linalg.eigh`` / ``eigvalsh`` calls made during the test."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qig import cli
+from qig import cli, verify
+from qig.errors import VerificationError
 from qig.verify import SUITE_NAMES
 
 
@@ -39,6 +41,14 @@ def test_compute_skew_golden(matrix_files, capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip() == "0.25"
+
+
+def test_compute_decomposes_each_state_file_once(matrix_files, eig_calls, capsys):
+    rc = cli.main(
+        ["compute", "skew", "--fn", "sld", "--state", matrix_files["d2"], "--obs", matrix_files["x"]]
+    )
+    assert rc == 0 and capsys.readouterr().out.strip() == "0.25"
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_compute_gen_cov_and_fisher(matrix_files, capsys):
@@ -189,6 +199,25 @@ def test_verify_tolerance_override_failure_exit_1(capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "FAIL wyd-consistency" in err
+
+
+@pytest.mark.parametrize("suite", ["skew-identity", "hessian"])
+def test_verify_dimension_one_centered_observable_exit_4(suite, capsys):
+    rc = cli.main(["verify", suite, "--trials", "1", "--dim", "1"])
+    assert rc == 4
+    assert "dimension at least 2" in capsys.readouterr().err
+
+
+def test_verify_incomplete_step_exit_1(monkeypatch, capsys):
+    def runner(rng, dims):
+        raise VerificationError("no finite-difference step keeps the states positive definite")
+
+    monkeypatch.setitem(verify._SUITES, "hessian", (runner, math.inf, 1e-5))
+    rc = cli.main(["verify", "hessian", "--trials", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: no finite-difference step keeps the states positive definite\n"
+    )
 
 
 def test_verify_markdown_format(capsys):

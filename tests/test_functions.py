@@ -218,6 +218,15 @@ def test_check_operator_monotone_pick_skip_flag():
     rep = fn.check_operator_monotone(spec, seed=0, trials=5, dim=2)
     assert rep.pick_skipped and rep.pick_margin is None
 
+    def broken(x):
+        if np.iscomplexobj(np.asarray(x)):
+            raise RuntimeError("a fault, not a real-only function")
+        return (1.0 + x) / 2.0
+
+    spec = fn.ScalarFunctionSpec("broken", broken, 0.5, 0.0, True, True)
+    with pytest.raises(RuntimeError, match="a fault"):
+        fn.check_operator_monotone(spec, seed=0, trials=5, dim=2)
+
 
 def test_scalar_inequality_sld_pair():
     rep = fn.scalar_inequality_check(fn.sld(), fn.sld())
@@ -260,17 +269,6 @@ def test_wyd_symmetry_property(p):
     f = fn.wyd(p)
     x = fn.probe_grid()
     assert np.max(np.abs(x * f(1.0 / x) - f(x))) < 1e-10
-
-
-def test_catalog_dispatch():
-    assert fn.catalog("sld").name == "sld"
-    assert fn.catalog("kubo-mori").name == "kubo-mori"
-    assert fn.catalog("wyd", p=0.4).name == "wyd:0.4"
-    assert fn.catalog("extremal_inverse", lam=0.5).name == "extremal:0.5"
-    with pytest.raises(DomainError):
-        fn.catalog("unknown")
-    with pytest.raises(DomainError):
-        fn.catalog("wyd")
 
 
 def test_parse_function_spec_tokens(tmp_path):

@@ -28,6 +28,35 @@ def test_as_density_trace_and_floor():
     assert_allclose(np.trace(D).real, 1.0)
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.diag([0.6, 0.6]),
+        np.diag([1.0, 0.0]),
+        np.diag([np.nan, 0.5]),
+    ],
+    ids=["non-hermitian", "non-unit-trace", "below-floor", "nan"],
+)
+def test_state_rejects_like_as_density(M):
+    with pytest.raises(InvariantViolation) as expected:
+        linalg.as_density(M)
+    with pytest.raises(InvariantViolation) as got:
+        linalg.state(M)
+    assert str(got.value) == str(expected.value)
+
+
+def test_state_holds_validated_density_and_its_decomposition():
+    D = random_density(3, 0.05, 4)
+    s = linalg.state(D)
+    assert np.array_equal(s.matrix, linalg.as_density(D)) and s.shape == (3, 3)
+    dec = linalg.eig_hermitian(D)
+    assert np.array_equal(s.eigenvalues, dec.eigenvalues)
+    assert np.array_equal(s.eigenvectors, dec.eigenvectors)
+    assert linalg.state(s) is s and linalg.eig_hermitian(s) is s
+    assert linalg.as_density(s) is s.matrix
+
+
 def test_eig_identity():
     dec = linalg.eig_hermitian(np.eye(2))
     assert_allclose(dec.eigenvalues, [1.0, 1.0])

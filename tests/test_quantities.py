@@ -348,3 +348,57 @@ def test_center_observable_values(qubit_state):
     assert_allclose(center_observable(qubit_state, np.eye(2)), np.zeros((2, 2)), atol=1e-14)
     already = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     assert_allclose(center_observable(qubit_state, already), already, atol=1e-14)
+
+
+def _quantity_calls(D1, D2, X, A):
+    f = fn.wyd(0.3)
+    return {
+        "skew_info": lambda: qt.skew_info(f, D1, X),
+        "gen_cov": lambda: qt.gen_cov(f, D1, X, A),
+        "fisher": lambda: qt.fisher(f, D1, X, A),
+        "quasi_entropy": lambda: qt.quasi_entropy(fn.power_kernel(0.5), A, D1, D2),
+        "umegaki": lambda: qt.umegaki(D1, D2),
+        "renyi": lambda: qt.renyi(0.4, D1, D2),
+        "sym_cov": lambda: qt.sym_cov(D1, X, A),
+        "wyd_direct": lambda: qt.wyd_direct(0.3, D1, X),
+        "skew_identity_residual": lambda: qt.skew_identity_residual(
+            f, D1, center_observable(D1, X)
+        ),
+        "relmod_apply": lambda: linalg.relmod_apply(np.sqrt, D1, D2, A),
+    }
+
+
+_rng = np.random.default_rng(8)
+_INSTANCE = (
+    random_density(3, 0.05, _rng),
+    random_density(3, 0.05, _rng),
+    random_hermitian(3, _rng),
+    _rng.standard_normal((3, 3)) + 1j * _rng.standard_normal((3, 3)),
+)
+
+
+@pytest.mark.parametrize(
+    "name, eighs", [("skew_info", 1), ("gen_cov", 1), ("fisher", 1), ("quasi_entropy", 2)]
+)
+def test_pairings_decompose_each_state_once(name, eighs, eig_calls):
+    _quantity_calls(*_INSTANCE)[name]()
+    assert eig_calls == {"eigh": eighs, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("name", list(_quantity_calls(*_INSTANCE)))
+def test_state_input_is_bit_identical_and_skips_decomposition(name, monkeypatch):
+    D1, D2, X, A = _INSTANCE
+    expected = _quantity_calls(D1, D2, X, A)[name]()
+    S1, S2 = linalg.state(D1), linalg.state(D2)
+    call = _quantity_calls(S1, S2, X, A)[name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a State must not be decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = call()
+    if isinstance(expected, qt.QuantityResult):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)

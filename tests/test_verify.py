@@ -104,6 +104,27 @@ def test_mixed_stencil_is_second_order():
     assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
 
+def test_neville_three_steps_exact_on_polynomial_in_h2():
+    steps = (0.5, 0.25, 0.125)
+    x = [h * h for h in steps]
+    value, err = vf._neville(x, [1.0 + 2.0 * t + 3.0 * t * t for t in x])
+    assert value == pytest.approx(1.0, abs=1e-12)
+    # the two-point extrapolation through the finer steps leaves 3 h1^2 h2^2
+    assert err == pytest.approx(3.0 * x[1] * x[2], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "F", [fn.power_kernel(2.0), fn.power_kernel(0.5), fn.neglog_kernel()], ids=lambda F: F.name
+)
+def test_lemma_commuting_three_step_schedule(F):
+    D = vf.random_density(4, 0.2, 5)
+    rng = np.random.default_rng(1)
+    A = vf._commuting_traceless(D, rng)
+    B = vf._commuting_traceless(D, rng)
+    sched = vf.StepSchedule((1e-2, 5e-3, 2.5e-3))
+    assert vf.lemma_commuting_residual(F, D, A, B, sched) <= 1e-9
+
+
 def test_lemma_commuting_residual_examples():
     D = np.diag([0.5, 0.5]).astype(complex)
     A = np.diag([1.0, -1.0]).astype(complex)
