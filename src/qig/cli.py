@@ -181,8 +181,6 @@ def _parse_tolerances(entries) -> dict:
         name, sep, value = entry.partition("=")
         if not sep:
             raise DomainError(f"tolerance override must look like margin=1e-8, got {entry!r}")
-        if name not in ("margin", "residual"):
-            raise DomainError(f"unknown tolerance {name!r}")
         try:
             tol[name] = float(value)
         except ValueError as exc:

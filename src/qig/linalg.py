@@ -47,7 +47,7 @@ def as_hermitian(M) -> np.ndarray:
     M = _square(M, "Hermitian matrix")
     scale = 1.0 + float(np.max(np.abs(M)))
     dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > HERMITIAN_TOL * scale:
+    if not dev <= HERMITIAN_TOL * scale:  # negated, so that NaN entries fail
         raise InvariantViolation(
             f"matrix is not Hermitian: max asymmetry {dev:.3e} exceeds "
             f"{HERMITIAN_TOL * scale:.3e}"
@@ -90,13 +90,19 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class State(SpectralDecomposition):
-    """Validated density matrix with its eigendecomposition, built by :func:`state`."""
+    """Validated density matrix with its eigendecomposition, built by :func:`state`.
+
+    numpy functions, and arithmetic with an array operand, read a State as its ``matrix``.
+    """
 
     matrix: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def _eigh(H: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:

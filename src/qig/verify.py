@@ -78,22 +78,23 @@ class TrialReport:
         }
 
 
-def random_density(n: int, floor: float = 0.01, seed=0) -> np.ndarray:
+def random_density(n: int, floor: float = 0.01, seed=0) -> linalg.State:
     """Random invertible density: normalized Ginibre square mixed with identity.
 
     ``(1 - n*floor) * G G^*/Tr(G G^*) + floor * I`` keeps the smallest
-    eigenvalue at or above ``floor``; requires ``0 < floor < 1/n``.
+    eigenvalue at or above ``floor``; requires ``0 < floor < 1/n``.  Returns
+    the validated :class:`~qig.linalg.State`, which numpy reads as its matrix.
     """
     if not 0.0 < floor < 1.0 / n:
         raise DomainError(f"floor must lie in (0, 1/{n}), got {floor!r}")
     rng = np.random.default_rng(seed)
     if n == 1:
-        return np.array([[1.0 + 0.0j]])
+        return linalg.state(np.array([[1.0 + 0.0j]]))
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
     rho = (1.0 - n * floor) * rho + floor * np.eye(n)
-    return linalg.as_density(rho)
+    return linalg.state(rho)
 
 
 def random_hermitian(n: int, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
@@ -138,8 +139,8 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     normalized to unit Hilbert-Schmidt norm internally and the result
     rescaled, so tolerances are scale-free).  Returns the value and an
     error estimate, the gap between the last two extrapolation levels.
-    Steps that break positive definiteness of the perturbed states are
-    rejected; if the schedule is exhausted, raises.
+    Steps that push a perturbed state's smallest eigenvalue below 1e-9
+    are rejected; if the schedule is exhausted, raises.
     """
     D = linalg.as_density(D)
     A = linalg.as_hermitian(A)
@@ -154,37 +155,36 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     na, nb = linalg.hs_norm(A), linalg.hs_norm(B)
     if na == 0.0 or nb == 0.0:
         return 0.0, 0.0
-    An = A - (np.trace(A).real / n) * np.eye(n)
-    Bn = B - (np.trace(B).real / n) * np.eye(n)
-    An, Bn = An / na, Bn / nb
     eye = np.eye(n)
+    An = (A - (np.trace(A).real / n) * eye) / na
+    Bn = (B - (np.trace(B).real / n) * eye) / nb
 
-    def positive(h: float) -> bool:
-        for M in (An, Bn):
-            for s in (h, -h):
-                if float(np.linalg.eigvalsh(D + s * M)[0]) < 1e-9:
-                    return False
-        return True
+    def points(h: float) -> list[dict]:
+        return [{t: linalg.state(D + t * M) for t in (h, -h)} for M in (An, Bn)]
 
-    usable = [h for h in sched.steps if positive(h)]
+    usable = []
+    for h in sched.steps:
+        try:
+            pts = points(h)
+        except InvariantViolation:  # a point below the density floor
+            continue
+        if all(p.eigenvalues[0] >= 1e-9 for pt in pts for p in pt.values()):
+            usable.append((h, pts))
     if not usable:
         raise VerificationError("no finite-difference step keeps the states positive definite")
     while len(usable) < 2:
-        h = usable[-1] / 2.0
+        h = usable[-1][0] / 2.0
         if h < MIN_STEP:
             raise VerificationError("step schedule exhausted before extrapolation")
-        usable.append(h)
+        usable.append((h, points(h)))
 
-    def stencil(h: float) -> float:
-        first = {t: linalg.state(D + t * An) for t in (h, -h)}
-        second = {s: linalg.state(D + s * Bn) for s in (h, -h)}
-
+    def stencil(h: float, first: dict, second: dict) -> float:
         def g(t: float, s: float) -> float:
             return quantities.quasi_entropy(F, eye, first[t], second[s]).value.real
 
         return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4.0 * h * h)
 
-    value, err = _neville([h * h for h in usable], [stencil(h) for h in usable])
+    value, err = _neville([h * h for h, _ in usable], [stencil(h, *pts) for h, pts in usable])
     return float(value * na * nb), float(err * na * nb)
 
 
@@ -253,10 +253,14 @@ def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None) -> f
     B = 1j * linalg.commutator(D.matrix, X)
     B = (B + B.conj().T) / 2
     fd, _ = mixed_second_derivative(F, D, B, B, schedule)
+    return abs(fd - _quadratic_trace_form(F, D, X))
+
+
+def _quadratic_trace_form(F, D: linalg.State, X: np.ndarray) -> float:
+    """``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``, the exact commutator-direction derivative."""
     f1 = float(linalg.eval_scalar(F, np.asarray(1.0)))
-    trace_form = 2.0 * f1 * float(np.trace(D.matrix @ X @ X).real)
-    trace_form -= 2.0 * quantities.quasi_entropy(F, X, D, D).value.real
-    return abs(fd - trace_form)
+    quad = quantities.quasi_entropy(F, X, D, D).value.real
+    return 2.0 * f1 * float(np.trace(D.matrix @ X @ X).real) - 2.0 * quad
 
 
 def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
@@ -283,8 +287,7 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     lhs, err = mixed_second_derivative(ft, D, B, B, schedule)
     rhs = f.value_at_zero * quantities.fisher(f, D, B, B).real
     relerr = abs(lhs - rhs) / (1.0 + abs(rhs))
-    trace_form = 2.0 * float(np.trace(D.matrix @ X @ X).real)
-    trace_form -= 2.0 * quantities.quasi_entropy(ft, X, D, D).value.real
+    trace_form = _quadratic_trace_form(ft, D, X)
     if abs(lhs - trace_form) > max(1e-6, 10.0 * err):
         raise VerificationError(
             f"finite difference disagrees with the quadratic trace identity: "
@@ -293,26 +296,25 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     return float(lhs), float(rhs), float(relerr)
 
 
-def _check_centered(D, observables) -> list[np.ndarray]:
+def _gram(D, observables, pairing) -> np.ndarray:
+    """Hermitian part of ``[pairing(D, A_i, A_j)]_ij`` over centered observables A_i."""
+    D = linalg.state(D)
     obs = [linalg.as_hermitian(A) for A in observables]
     for A in obs:
         if A.shape != D.shape:
             raise InvariantViolation("observable dimension does not match the state")
-        if abs(np.trace(D @ A).real) > 1e-10:
+        if abs(np.trace(D.matrix @ A).real) > 1e-10:
             raise InvariantViolation("observables must be centered: Tr(D A) = 0")
-    return obs
+    G = np.empty((len(obs), len(obs)), dtype=complex)
+    for i, a in enumerate(obs):
+        for j, b in enumerate(obs):
+            G[i, j] = pairing(D, a, b)
+    return (G + G.conj().T) / 2
 
 
 def cov_gram(g, D, observables) -> np.ndarray:
     """Gram matrix of generalized covariances of centered observables."""
-    D = linalg.state(D)
-    obs = _check_centered(D.matrix, observables)
-    m = len(obs)
-    G = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            G[i, j] = quantities.gen_cov(g, D, obs[i], obs[j])
-    return (G + G.conj().T) / 2
+    return _gram(D, observables, lambda s, a, b: quantities.gen_cov(g, s, a, b))
 
 
 def skew_gram(f, D, observables) -> np.ndarray:
@@ -320,17 +322,10 @@ def skew_gram(f, D, observables) -> np.ndarray:
 
     The diagonal reproduces the skew informations of the observables.
     """
-    D = linalg.state(D)
-    obs = _check_centered(D.matrix, observables)
     ft = functions.covariance_kernel(f)
-    m = len(obs)
-    S = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            S[i, j] = quantities.sym_cov(D, obs[i], obs[j]) - quantities.gen_cov(
-                ft, D, obs[i], obs[j]
-            )
-    return (S + S.conj().T) / 2
+    return _gram(
+        D, observables, lambda s, a, b: quantities.sym_cov(s, a, b) - quantities.gen_cov(ft, s, a, b)
+    )
 
 
 def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
@@ -341,16 +336,19 @@ def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
     The two scalings are intentionally computed and reported separately;
     since f(0) <= 1/2, the second is the stronger statement.
     """
+    det_c, det_fg, det_2g = _gram_determinants(f, g, D, observables)
+    return det_c - det_fg, det_c - det_2g
+
+
+def _gram_determinants(f, g, D, observables) -> tuple[float, float, float]:
+    """``(det C, det(f(0) g(0) S), det(2 g(0) S))`` from one Gram pair."""
     if not (getattr(f, "claims_standard", False) and getattr(g, "claims_standard", False)):
         raise DomainError("determinant margins are stated for standard functions")
     D = linalg.state(D)
     C = cov_gram(g, D, observables)
     S = skew_gram(f, D, observables)
     f0, g0 = f.value_at_zero, g.value_at_zero
-    det_c = float(np.linalg.det(C).real)
-    m1 = det_c - float(np.linalg.det(f0 * g0 * S).real)
-    m2 = det_c - float(np.linalg.det(2.0 * g0 * S).real)
-    return m1, m2
+    return tuple(float(np.linalg.det(M).real) for M in (C, f0 * g0 * S, 2.0 * g0 * S))
 
 
 def orthonormal_centered_observables(D, m: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -359,7 +357,7 @@ def orthonormal_centered_observables(D, m: int, rng: np.random.Generator) -> lis
     Orthonormalization keeps the Gram matrices well away from singular so
     determinant margins test more than 0 >= 0.
     """
-    D = linalg.as_density(D)
+    D = linalg.state(D)
     n = D.shape[0]
     if m > n * n - 1:
         raise DomainError(f"at most {n * n - 1} independent centered observables exist, got m={m}")
@@ -475,7 +473,7 @@ def _run_skew_identity(rng, dims):
         f = functions.wyd(0.5)
     else:
         f = functions.hansen_mixture(_random_measure(rng, min_atom=0.05))
-    D = linalg.state(random_density(n, floor=min(0.02, 0.5 / n), seed=rng))
+    D = random_density(n, floor=min(0.02, 0.5 / n), seed=rng)
     X = _centered_unit(D, rng)
     r = quantities.skew_identity_residual(f, D, X)
     return None, r, digest_inputs(f.name, D.matrix, X)
@@ -484,17 +482,17 @@ def _run_skew_identity(rng, dims):
 def _run_hessian(rng, dims):
     n = _dim(rng, dims)
     f = _standard_pool(rng, positive_at_zero=True)
-    D = linalg.state(random_density(n, floor=_fd_floor(n), seed=rng))
+    D = random_density(n, floor=_fd_floor(n), seed=rng)
     X = _centered_unit(D, rng)
     _, _, relerr = hessian_vs_skew(f, D, X)
     return None, relerr, digest_inputs(f.name, D.matrix, X)
 
 
 def _commuting_traceless(D, rng: np.random.Generator) -> np.ndarray:
-    dec = linalg.eig_hermitian(D)
+    U = linalg.state(D).eigenvectors
     a = rng.standard_normal(D.shape[0])
     a -= a.mean()
-    A = (dec.eigenvectors * a) @ dec.eigenvectors.conj().T
+    A = (U * a) @ U.conj().T
     A = (A + A.conj().T) / 2
     nrm = linalg.hs_norm(A)
     return A if nrm < 1e-12 else A / nrm
@@ -503,7 +501,7 @@ def _commuting_traceless(D, rng: np.random.Generator) -> np.ndarray:
 def _run_lemma_commuting(rng, dims):
     n = _dim(rng, dims)
     F = _smooth_kernel(rng)
-    D = linalg.state(random_density(n, floor=_fd_floor(n), seed=rng))
+    D = random_density(n, floor=_fd_floor(n), seed=rng)
     A = _commuting_traceless(D, rng)
     B = _commuting_traceless(D, rng)
     r = lemma_commuting_residual(F, D, A, B)
@@ -513,7 +511,7 @@ def _run_lemma_commuting(rng, dims):
 def _run_lemma_cross(rng, dims):
     n = _dim(rng, dims)
     F = _smooth_kernel(rng)
-    D = linalg.state(random_density(n, floor=_fd_floor(n), seed=rng))
+    D = random_density(n, floor=_fd_floor(n), seed=rng)
     A = _commuting_traceless(D, rng)
     X = random_hermitian(n, rng)
     r_cross = lemma_cross_residual(F, D, A, X)
@@ -537,8 +535,7 @@ def _run_monotonicity(rng, dims):
             margin = channels.monotonicity_margin(F, A, D1, D2, ch)
         except InvariantViolation:
             continue
-        digest = digest_inputs(F.name, A, D1, D2, *ch.kraus_ops)
-        return margin, None, digest
+        return margin, None, digest_inputs(F.name, A, D1.matrix, D2.matrix, *ch.kraus_ops)
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
@@ -553,7 +550,7 @@ def _run_concavity(rng, dims):
     b1 = random_density(n, floor=floor, seed=rng)
     b2 = random_density(n, floor=floor, seed=rng)
     margin = channels.concavity_margin(F, A, (a1, a2), (b1, b2), lam)
-    return margin, None, digest_inputs(F.name, lam, A, a1, a2, b1, b2)
+    return margin, None, digest_inputs(F.name, lam, A, *(d.matrix for d in (a1, a2, b1, b2)))
 
 
 def _run_det_uncertainty(rng, dims):
@@ -561,19 +558,12 @@ def _run_det_uncertainty(rng, dims):
     m = int(rng.integers(1, 4))
     f = _standard_pool(rng)
     g = _standard_pool(rng)
-    D = linalg.state(random_density(n, floor=min(0.05, 0.5 / n), seed=rng))
+    D = random_density(n, floor=min(0.05, 0.5 / n), seed=rng)
     obs = orthonormal_centered_observables(D, m, rng)
-    m1, m2 = det_inequality_margins(f, g, D, obs)
-    C = cov_gram(g, D, obs)
-    S = skew_gram(f, D, obs)
-    f0, g0 = f.value_at_zero, g.value_at_zero
-    scale = max(
-        1.0,
-        abs(float(np.linalg.det(C).real)),
-        abs(float(np.linalg.det(f0 * g0 * S).real)),
-        abs(float(np.linalg.det(2.0 * g0 * S).real)),
-    )
-    return min(m1, m2) / scale, None, digest_inputs(f.name, g.name, D.matrix, *obs)
+    det_c, det_fg, det_2g = _gram_determinants(f, g, D, obs)
+    scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
+    margin = min(det_c - det_fg, det_c - det_2g) / scale
+    return margin, None, digest_inputs(f.name, g.name, D.matrix, *obs)
 
 
 def _run_oracle_equivalence(rng, dims):
@@ -590,8 +580,8 @@ def _run_oracle_equivalence(rng, dims):
     else:
         F = functions.sld()
     floor = min(0.05, 0.5 / n)
-    D1 = linalg.state(random_density(n, floor=floor, seed=rng))
-    D2 = linalg.state(random_density(n, floor=floor, seed=rng))
+    D1 = random_density(n, floor=floor, seed=rng)
+    D2 = random_density(n, floor=floor, seed=rng)
     A = _random_complex(n, rng)
     dense = linalg.relmod_dense(F, D1, D2)
     r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - dense(A))))
@@ -607,7 +597,7 @@ def _run_oracle_equivalence(rng, dims):
 def _run_wyd_consistency(rng, dims):
     n = _dim(rng, dims)
     p = float(rng.uniform(0.05, 0.95))
-    D = linalg.state(random_density(n, floor=min(0.03, 0.5 / n), seed=rng))
+    D = random_density(n, floor=min(0.03, 0.5 / n), seed=rng)
     X = random_hermitian(n, rng)
     r = abs(quantities.skew_info(functions.wyd(p), D, X) - quantities.wyd_direct(p, D, X))
     return None, r, digest_inputs(p, D.matrix, X)
@@ -616,8 +606,8 @@ def _run_wyd_consistency(rng, dims):
 def _run_renyi_limit(rng, dims):
     n = _dim(rng, dims)
     floor = min(0.03, 0.5 / n)
-    D1 = linalg.state(random_density(n, floor=floor, seed=rng))
-    D2 = linalg.state(random_density(n, floor=floor, seed=rng))
+    D1 = random_density(n, floor=floor, seed=rng)
+    D2 = random_density(n, floor=floor, seed=rng)
     u = quantities.umegaki(D1, D2)
     gaps = [abs(quantities.renyi(a, D1, D2) - u) for a in _RENYI_ALPHAS]
     margin = min(gaps[0] - gaps[1], gaps[1] - gaps[2])

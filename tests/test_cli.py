@@ -120,6 +120,18 @@ def test_compute_non_hermitian_obs_exit_3(tmp_path, matrix_files):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "args", [["skew", "--fn", "sld"], ["wyd", "--p", "0.5"]], ids=["skew", "wyd"]
+)
+def test_compute_nan_observable_exit_3(tmp_path, matrix_files, args, capsys):
+    nan_obs = tmp_path / "nan.json"
+    cli.write_matrix(nan_obs, np.array([[np.nan, 1.0], [1.0, 0.0]], dtype=complex))
+    rc = cli.main(["compute", *args, "--state", matrix_files["d2"], "--obs", str(nan_obs)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert "not Hermitian" in err
+
+
 def test_compute_missing_required_flag_is_usage_error(matrix_files):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "umegaki", "--state", matrix_files["d1"]])
@@ -218,6 +230,14 @@ def test_verify_incomplete_step_exit_1(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: no finite-difference step keeps the states positive definite\n"
     )
+
+
+def test_verify_unknown_tolerance_exit_4_without_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = cli.main(["verify", "all", "--trials", "1", "--tol", "bogus=1", "--report", str(report)])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: unknown tolerance 'bogus'\n"
+    assert not report.exists()
 
 
 def test_verify_markdown_format(capsys):

@@ -19,6 +19,12 @@ def test_as_hermitian_rejects_asymmetry():
         linalg.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_as_hermitian_rejects_nan():
+    # a NaN asymmetry compares false against any tolerance
+    with pytest.raises(InvariantViolation):
+        linalg.as_hermitian(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+
 def test_as_density_trace_and_floor():
     with pytest.raises(InvariantViolation):
         linalg.as_density(np.diag([0.6, 0.6]))

@@ -370,10 +370,10 @@ def _quantity_calls(D1, D2, X, A):
 
 _rng = np.random.default_rng(8)
 _INSTANCE = (
-    random_density(3, 0.05, _rng),
-    random_density(3, 0.05, _rng),
-    random_hermitian(3, _rng),
-    _rng.standard_normal((3, 3)) + 1j * _rng.standard_normal((3, 3)),
+    np.asarray(random_density(3, 0.05, _rng)),
+    np.asarray(random_density(3, 0.05, _rng)),
+    np.asarray(random_hermitian(3, _rng)),
+    np.asarray(_rng.standard_normal((3, 3)) + 1j * _rng.standard_normal((3, 3))),
 )
 
 

@@ -18,6 +18,14 @@ def test_random_density_floor_and_determinism():
     assert np.array_equal(vf.random_density(3, 0.02, 7), vf.random_density(3, 0.02, 7))
 
 
+def test_random_density_returns_its_state():
+    for n in (1, 3):
+        D = vf.random_density(n, 0.05, 2)
+        assert isinstance(D, linalg.State)
+        assert linalg.state(D) is D
+        assert np.array_equal(np.asarray(D), D.matrix)
+
+
 def test_random_density_floor_domain():
     with pytest.raises(DomainError):
         vf.random_density(4, 0.3, 0)
@@ -72,6 +80,19 @@ def test_mixed_second_derivative_rejects_positivity_breaking_steps():
     val, _ = vf.mixed_second_derivative(
         fn.power_kernel(2.0), D, A, A, vf.StepSchedule((0.5, 1e-2))
     )
+    exact = -2.0 * np.trace(np.linalg.inv(D) @ A @ A).real
+    assert val == pytest.approx(exact, abs=1e-5)
+
+
+def test_mixed_second_derivative_rejects_steps_grazing_the_floor():
+    # the first step leaves a smallest eigenvalue of 5e-10: a valid density,
+    # but below the 1e-9 the stencil needs, so only the second step is used
+    D = np.diag([0.6, 0.2, 0.2]).astype(complex)
+    A = np.diag([1.0, -0.5, -0.5]).astype(complex)
+    A /= np.linalg.norm(A)
+    h = 2.0 * np.sqrt(1.5) * (0.2 - 5e-10)
+    assert 1e-10 < np.linalg.eigvalsh(D + h * A)[0] < 1e-9
+    val, _ = vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A, vf.StepSchedule((h, 1e-2)))
     exact = -2.0 * np.trace(np.linalg.inv(D) @ A @ A).real
     assert val == pytest.approx(exact, abs=1e-5)
 
@@ -370,3 +391,30 @@ def test_trial_report_to_dict_round_trips_infinite_tolerances():
 def test_every_suite_passes_briefly(name):
     rep = vf.run_suite(name, trials=8, seed=5, dims=(2, 3))
     assert rep.passed, (name, rep.failures)
+
+
+DENSITY_SUITES = (
+    "skew-identity", "hessian", "lemma-commuting", "lemma-cross", "monotonicity", "concavity",
+    "det-uncertainty", "oracle-equivalence", "wyd-consistency", "renyi-limit",
+)
+
+
+@pytest.mark.parametrize("name", DENSITY_SUITES)
+def test_density_suites_validate_each_state_by_its_decomposition(name, eig_calls):
+    # every drawn or perturbed density is decomposed once and never re-probed with eigvalsh
+    vf.run_suite(name, trials=3, seed=0, dims=(2, 3))
+    assert eig_calls["eigvalsh"] == 0 and eig_calls["eigh"] > 0
+
+
+def test_det_uncertainty_builds_each_gram_pair_once(monkeypatch):
+    calls = {"cov_gram": 0, "skew_gram": 0}
+    for name in calls:
+        original = getattr(vf, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(vf, name, counted)
+    vf.run_suite("det-uncertainty", trials=3, seed=0, dims=(2, 3))
+    assert calls == {"cov_gram": 3, "skew_gram": 3}
