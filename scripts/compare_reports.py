@@ -3,8 +3,7 @@
 
 Reads two JSON reports written by ``qig verify ... --report`` or by
 ``scripts/run_full_verification.py --report``.  Exits 0 when they match
-apart from timing; otherwise prints the differing suites (and top-level
-fields) and exits 1.
+apart from timing; otherwise prints the suites that differ and exits 1.
 
     python3 scripts/compare_reports.py before.json after.json
 """
@@ -22,23 +21,9 @@ def _drop_elapsed(obj):
     return obj
 
 
-def differences(a: dict, b: dict) -> list[str]:
-    """Names of the suites and top-level fields that differ apart from ``elapsed``."""
-    a, b = _drop_elapsed(a), _drop_elapsed(b)
-
-    def same(x, y) -> bool:
-        # canonical text, so that NaN equals NaN and key order does not matter
-        return json.dumps(x, sort_keys=True) == json.dumps(y, sort_keys=True)
-
-    fields = sorted((set(a) | set(b)) - {"suites"})
-    out = [k for k in fields if not same(a.get(k), b.get(k))]
-    suites_a = {s["suite"]: s for s in a.get("suites", [])}
-    suites_b = {s["suite"]: s for s in b.get("suites", [])}
-    names = list(dict.fromkeys([*suites_a, *suites_b]))
-    out += [name for name in names if not same(suites_a.get(name), suites_b.get(name))]
-    if not out and list(suites_a) != list(suites_b):
-        out.append("suite order")
-    return out
+def _canonical(obj) -> str:
+    # canonical text, so that NaN equals NaN and key order does not matter
+    return json.dumps(_drop_elapsed(obj), sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -50,12 +35,15 @@ def main(argv=None) -> int:
     for path in (args.first, args.second):
         with open(path, "r", encoding="utf-8") as fh:
             reports.append(json.load(fh))
-    diff = differences(*reports)
-    if diff:
-        print("differ: " + ", ".join(diff))
-        return 1
-    print("reports match apart from elapsed")
-    return 0
+    a, b = reports
+    if _canonical(a) == _canonical(b):
+        print("reports match apart from elapsed")
+        return 0
+    suites_a = {s["suite"]: _canonical(s) for s in a.get("suites", [])}
+    suites_b = {s["suite"]: _canonical(s) for s in b.get("suites", [])}
+    names = [n for n in dict.fromkeys([*suites_a, *suites_b]) if suites_a.get(n) != suites_b.get(n)]
+    print("differ: " + (", ".join(names) or "outside the suites"))
+    return 1
 
 
 if __name__ == "__main__":

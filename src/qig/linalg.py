@@ -92,7 +92,7 @@ class SpectralDecomposition:
 class State(SpectralDecomposition):
     """Validated density matrix with its eigendecomposition, built by :func:`state`.
 
-    numpy functions, and arithmetic with an array operand, read a State as its ``matrix``.
+    numpy functions and array arithmetic read a State as a copy of its ``matrix``.
     """
 
     matrix: np.ndarray
@@ -102,7 +102,9 @@ class State(SpectralDecomposition):
         return self.matrix.shape
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype, copy=copy)
+        # a fresh array unless copy=False; numpy 1.x passes no copy argument
+        dtype = self.matrix.dtype if dtype is None else dtype
+        return self.matrix.astype(dtype, copy=copy is not False)
 
 
 def _eigh(H: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:

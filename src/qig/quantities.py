@@ -34,9 +34,11 @@ class QuantityResult:
 
 
 def digest_inputs(*parts) -> str:
-    """Short stable hash of arrays and parameters, for reports and replays."""
+    """Short stable hash of arrays, states (as their matrix) and parameters, for reports."""
     h = hashlib.sha256()
     for p in parts:
+        if isinstance(p, linalg.State):
+            p = p.matrix
         if isinstance(p, np.ndarray):
             h.update(np.ascontiguousarray(p).tobytes())
         else:

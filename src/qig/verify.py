@@ -155,9 +155,10 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     na, nb = linalg.hs_norm(A), linalg.hs_norm(B)
     if na == 0.0 or nb == 0.0:
         return 0.0, 0.0
+    An = A - (np.trace(A).real / n) * np.eye(n)
+    Bn = B - (np.trace(B).real / n) * np.eye(n)
+    An, Bn = An / na, Bn / nb
     eye = np.eye(n)
-    An = (A - (np.trace(A).real / n) * eye) / na
-    Bn = (B - (np.trace(B).real / n) * eye) / nb
 
     def points(h: float) -> list[dict]:
         return [{t: linalg.state(D + t * M) for t in (h, -h)} for M in (An, Bn)]
@@ -476,7 +477,7 @@ def _run_skew_identity(rng, dims):
     D = random_density(n, floor=min(0.02, 0.5 / n), seed=rng)
     X = _centered_unit(D, rng)
     r = quantities.skew_identity_residual(f, D, X)
-    return None, r, digest_inputs(f.name, D.matrix, X)
+    return None, r, digest_inputs(f.name, D, X)
 
 
 def _run_hessian(rng, dims):
@@ -485,7 +486,7 @@ def _run_hessian(rng, dims):
     D = random_density(n, floor=_fd_floor(n), seed=rng)
     X = _centered_unit(D, rng)
     _, _, relerr = hessian_vs_skew(f, D, X)
-    return None, relerr, digest_inputs(f.name, D.matrix, X)
+    return None, relerr, digest_inputs(f.name, D, X)
 
 
 def _commuting_traceless(D, rng: np.random.Generator) -> np.ndarray:
@@ -505,7 +506,7 @@ def _run_lemma_commuting(rng, dims):
     A = _commuting_traceless(D, rng)
     B = _commuting_traceless(D, rng)
     r = lemma_commuting_residual(F, D, A, B)
-    return None, r, digest_inputs(F.name, D.matrix, A, B)
+    return None, r, digest_inputs(F.name, D, A, B)
 
 
 def _run_lemma_cross(rng, dims):
@@ -516,7 +517,7 @@ def _run_lemma_cross(rng, dims):
     X = random_hermitian(n, rng)
     r_cross = lemma_cross_residual(F, D, A, X)
     r_quad = lemma_quadratic_residual(F, D, X)
-    return None, max(r_cross, r_quad), digest_inputs(F.name, D.matrix, A, X)
+    return None, max(r_cross, r_quad), digest_inputs(F.name, D, A, X)
 
 
 def _run_monotonicity(rng, dims):
@@ -535,7 +536,7 @@ def _run_monotonicity(rng, dims):
             margin = channels.monotonicity_margin(F, A, D1, D2, ch)
         except InvariantViolation:
             continue
-        return margin, None, digest_inputs(F.name, A, D1.matrix, D2.matrix, *ch.kraus_ops)
+        return margin, None, digest_inputs(F.name, A, D1, D2, *ch.kraus_ops)
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
@@ -550,7 +551,7 @@ def _run_concavity(rng, dims):
     b1 = random_density(n, floor=floor, seed=rng)
     b2 = random_density(n, floor=floor, seed=rng)
     margin = channels.concavity_margin(F, A, (a1, a2), (b1, b2), lam)
-    return margin, None, digest_inputs(F.name, lam, A, *(d.matrix for d in (a1, a2, b1, b2)))
+    return margin, None, digest_inputs(F.name, lam, A, a1, a2, b1, b2)
 
 
 def _run_det_uncertainty(rng, dims):
@@ -563,7 +564,7 @@ def _run_det_uncertainty(rng, dims):
     det_c, det_fg, det_2g = _gram_determinants(f, g, D, obs)
     scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
     margin = min(det_c - det_fg, det_c - det_2g) / scale
-    return margin, None, digest_inputs(f.name, g.name, D.matrix, *obs)
+    return margin, None, digest_inputs(f.name, g.name, D, *obs)
 
 
 def _run_oracle_equivalence(rng, dims):
@@ -591,7 +592,7 @@ def _run_oracle_equivalence(rng, dims):
     D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
     direct = complex(np.trace(A.conj().T @ D2a @ A @ D1b))
     r2 = abs(q - direct)
-    return None, max(r1, r2), digest_inputs(F.name, alpha, D1.matrix, D2.matrix, A)
+    return None, max(r1, r2), digest_inputs(F.name, alpha, D1, D2, A)
 
 
 def _run_wyd_consistency(rng, dims):
@@ -600,7 +601,7 @@ def _run_wyd_consistency(rng, dims):
     D = random_density(n, floor=min(0.03, 0.5 / n), seed=rng)
     X = random_hermitian(n, rng)
     r = abs(quantities.skew_info(functions.wyd(p), D, X) - quantities.wyd_direct(p, D, X))
-    return None, r, digest_inputs(p, D.matrix, X)
+    return None, r, digest_inputs(p, D, X)
 
 
 def _run_renyi_limit(rng, dims):
@@ -611,7 +612,7 @@ def _run_renyi_limit(rng, dims):
     u = quantities.umegaki(D1, D2)
     gaps = [abs(quantities.renyi(a, D1, D2) - u) for a in _RENYI_ALPHAS]
     margin = min(gaps[0] - gaps[1], gaps[1] - gaps[2])
-    return margin, gaps[-1], digest_inputs(D1.matrix, D2.matrix)
+    return margin, gaps[-1], digest_inputs(D1, D2)
 
 
 #: name -> (trial runner, default margin tolerance, default residual tolerance)

@@ -2,8 +2,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 from qig import verify
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
@@ -40,18 +38,3 @@ def test_differing_suites_are_named(tmp_path, capsys):
     b = _write(tmp_path / "b.json", second)
     assert compare_reports.main([a, b]) == 1
     assert capsys.readouterr().out.strip() == "differ: renyi-limit"
-
-
-@pytest.mark.parametrize(
-    "mutate, named",
-    [
-        (lambda r: r.update(seed=6), ["seed"]),
-        (lambda r: r["suites"].pop(), ["renyi-limit"]),
-        (lambda r: r["suites"].reverse(), ["suite order"]),
-    ],
-    ids=["top-level", "missing-suite", "order"],
-)
-def test_differences(mutate, named):
-    second = _report(1)
-    mutate(second)
-    assert compare_reports.differences(_report(1), second) == named

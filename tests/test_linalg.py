@@ -53,7 +53,7 @@ def test_state_rejects_like_as_density(M):
 
 
 def test_state_holds_validated_density_and_its_decomposition():
-    D = random_density(3, 0.05, 4)
+    D = np.asarray(random_density(3, 0.05, 4))
     s = linalg.state(D)
     assert np.array_equal(s.matrix, linalg.as_density(D)) and s.shape == (3, 3)
     dec = linalg.eig_hermitian(D)
@@ -61,6 +61,17 @@ def test_state_holds_validated_density_and_its_decomposition():
     assert np.array_equal(s.eigenvectors, dec.eigenvectors)
     assert linalg.state(s) is s and linalg.eig_hermitian(s) is s
     assert linalg.as_density(s) is s.matrix
+
+
+def test_state_reads_as_a_fresh_copy_of_its_matrix():
+    s = linalg.state(np.diag([0.25, 0.75]).astype(complex))
+    a = np.asarray(s)
+    a[0, 0] = 7.0
+    assert s.matrix[0, 0] == 0.25
+    # numpy 1.x calls __array__ with no copy argument
+    b = s.__array__()
+    assert np.array_equal(b, s.matrix) and b is not s.matrix
+    assert s.__array__(copy=False) is s.matrix
 
 
 def test_eig_identity():

@@ -64,6 +64,11 @@ def test_quasi_entropy_propagates_kernel_domain_errors(qubit_state):
         qt.quasi_entropy(lambda x: np.log(x - 2.0), np.eye(2), qubit_state, qubit_state)
 
 
+def test_digest_hashes_a_state_as_its_matrix():
+    D = random_density(3, 0.05, 1)
+    assert qt.digest_inputs("f", D, 0.5) == qt.digest_inputs("f", D.matrix, 0.5)
+
+
 def test_quasi_entropy_digest_is_stable(qubit_state):
     a = qt.quasi_entropy(fn.sld(), np.eye(2), qubit_state, qubit_state)
     b = qt.quasi_entropy(fn.sld(), np.eye(2), qubit_state, qubit_state)
@@ -372,8 +377,8 @@ _rng = np.random.default_rng(8)
 _INSTANCE = (
     np.asarray(random_density(3, 0.05, _rng)),
     np.asarray(random_density(3, 0.05, _rng)),
-    np.asarray(random_hermitian(3, _rng)),
-    np.asarray(_rng.standard_normal((3, 3)) + 1j * _rng.standard_normal((3, 3))),
+    random_hermitian(3, _rng),
+    _rng.standard_normal((3, 3)) + 1j * _rng.standard_normal((3, 3)),
 )
 
 
