@@ -246,12 +246,11 @@ def _cmd_verify(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    failing = [(rep.suite, fail["seed"]) for rep in reports for fail in rep.failures]
-    if failing:
-        for suite, seed in failing:
-            print(f"FAIL {suite} seed {seed}", file=sys.stderr)
-        return 1
-    return 0
+    failing = [(rep.suite, fail) for rep in reports for fail in rep.failures]
+    for suite, fail in failing:
+        raised = f": {fail['error']}: {fail['message']}" if "error" in fail else ""
+        print(f"FAIL {suite} seed {fail['seed']}{raised}", file=sys.stderr)
+    return 1 if failing else 0
 
 
 def _cmd_list() -> int:

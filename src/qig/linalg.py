@@ -7,6 +7,15 @@ Hilbert-Schmidt geometry, and the splitting of an observable into a part
 commuting with a state plus a commutator part are all spectral calculus
 on top of it.
 
+The spectral core works on stacks: :func:`as_hermitian`,
+:func:`as_density`, :func:`state` and :func:`relmod_grid` take arrays of
+shape ``(..., n, n)``, treat the leading axes as a batch of independent
+matrices (broadcast against each other where two are combined) and
+validate and decompose the whole batch with one ``np.linalg.eigh`` call.
+A 2-D input is a batch of none and behaves as a single matrix.  Validation
+raises on the first rejected member; :func:`screened_state` instead
+returns the per-matrix mask of the same checks.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
@@ -26,9 +35,9 @@ DEGENERACY_TOL = 1e-9
 DENSE_DIM_LIMIT = 32
 
 
-def _square(M, what: str = "matrix") -> np.ndarray:
+def _square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if (M.ndim != 2 and not (stack and M.ndim > 2)) or M.shape[-1] != M.shape[-2]:
         raise InvariantViolation(f"{what} must be square, got shape {M.shape}")
     return M
 
@@ -38,37 +47,77 @@ def _same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise InvariantViolation(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
+def dagger(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return M.swapaxes(-1, -2).conj()
+
+
+def _all(mask) -> bool:
+    # a numpy bool scalar's .all() costs microseconds; bool() does not
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
+def _first_rejected(ok) -> tuple:
+    """Index of the first False entry of a per-matrix mask."""
+    return np.unravel_index(np.argmin(ok), np.shape(ok))
+
+
+def _hermitian_mask(M: np.ndarray):
+    """Symmetrized stack and per-matrix ``(passes, max asymmetry, allowance)``.
+
+    A member with a non-finite entry fails with a non-finite allowance and
+    is zeroed in the symmetrized stack, before any arithmetic can warn.
+    """
+    scale = 1.0 + np.abs(M).max(axis=(-2, -1))
+    finite = scale < np.inf  # false when an entry is infinite or NaN (or its modulus overflows)
+    if not _all(finite):
+        M = np.where(finite[..., None, None], M, 0.0)
+    Mh = dagger(M)
+    dev = np.abs(M - Mh).max(axis=(-2, -1))
+    allowed = HERMITIAN_TOL * scale
+    return (M + Mh) / 2, finite & (dev <= allowed), dev, allowed
+
+
 def as_hermitian(M) -> np.ndarray:
     """Validate Hermiticity up to roundoff and return the symmetrized matrix.
 
     Asymmetry within ``1e-12 * (1 + max|entry|)`` is absorbed by averaging
-    with the conjugate transpose; anything larger raises.
+    with the conjugate transpose; anything larger, and any non-finite
+    entry, raises.  Accepts a ``(..., n, n)`` stack.
     """
-    M = _square(M, "Hermitian matrix")
-    scale = 1.0 + float(np.max(np.abs(M)))
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if not dev <= HERMITIAN_TOL * scale:  # negated, so that NaN entries fail
+    H, ok, dev, allowed = _hermitian_mask(_square(M, "Hermitian matrix", stack=True))
+    if not _all(ok):
+        i = _first_rejected(ok)
+        if not allowed[i] < np.inf:
+            raise InvariantViolation("matrix has non-finite entries")
         raise InvariantViolation(
-            f"matrix is not Hermitian: max asymmetry {dev:.3e} exceeds "
-            f"{HERMITIAN_TOL * scale:.3e}"
+            f"matrix is not Hermitian: max asymmetry {dev[i]:.3e} exceeds {allowed[i]:.3e}"
         )
-    return (M + M.conj().T) / 2
+    return H
 
 
-def _check_density(H: np.ndarray, wmin: float) -> None:
-    # negated comparisons, so that NaN entries fail the checks
-    tr = float(np.trace(H).real)
-    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
-        raise InvariantViolation(f"density matrix must have unit trace, got {tr!r}")
-    if not wmin >= DENSITY_EIG_FLOOR:
-        raise InvariantViolation(
-            f"density matrix must be invertible: smallest eigenvalue "
-            f"{wmin:.3e} is below {DENSITY_EIG_FLOOR:.0e}"
-        )
+def _density_mask(H: np.ndarray, wmin) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix ``(passes, trace)`` of the unit-trace and eigenvalue-floor checks."""
+    tr = H.trace(axis1=-2, axis2=-1).real
+    # comparisons with NaN are false, so NaN entries fail the checks
+    return (abs(tr - 1.0) <= DENSITY_TRACE_TOL) & (wmin >= DENSITY_EIG_FLOOR), tr
+
+
+def _check_density(H: np.ndarray, wmin) -> None:
+    ok, tr = _density_mask(H, wmin)
+    if _all(ok):
+        return
+    i = _first_rejected(ok)
+    if not abs(tr[i] - 1.0) <= DENSITY_TRACE_TOL:
+        raise InvariantViolation(f"density matrix must have unit trace, got {float(tr[i])!r}")
+    raise InvariantViolation(
+        f"density matrix must be invertible: smallest eigenvalue "
+        f"{float(wmin[i]):.3e} is below {DENSITY_EIG_FLOOR:.0e}"
+    )
 
 
 def as_density(M) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, invertible.
+    """Validate a density matrix (or a stack): Hermitian, unit trace, invertible.
 
     The smallest eigenvalue must be at least 1e-10; no automatic
     regularization happens here, rank-deficient input is an error.
@@ -76,7 +125,7 @@ def as_density(M) -> np.ndarray:
     if isinstance(M, State):
         return M.matrix
     H = as_hermitian(M)
-    _check_density(H, float(np.linalg.eigvalsh(H)[0]))
+    _check_density(H, np.linalg.eigvalsh(H)[..., 0])
     return H
 
 
@@ -92,14 +141,21 @@ class SpectralDecomposition:
 class State(SpectralDecomposition):
     """Validated density matrix with its eigendecomposition, built by :func:`state`.
 
-    numpy functions and array arithmetic read a State as a copy of its ``matrix``.
+    A stack of densities is one State whose arrays carry the same leading
+    axes; indexing a State indexes those axes.  numpy functions and array
+    arithmetic read a State as a copy of its ``matrix``.
     """
 
     matrix: np.ndarray
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.matrix.shape
+
+    def __getitem__(self, index) -> "State":
+        if self.matrix.ndim == 2:
+            raise InvariantViolation("only a stack of states can be indexed")
+        return State(self.eigenvalues[index], self.eigenvectors[index], self.matrix[index])
 
     def __array__(self, dtype=None, copy=None):
         # a fresh array unless copy=False; numpy 1.x passes no copy argument
@@ -117,13 +173,27 @@ def _eigh(H: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def state(D, label: str = "state") -> State:
-    """Validate a density as :func:`as_density` does, keeping its eigendecomposition."""
+    """Validate a density or a stack like :func:`as_density`, keeping the eigendecomposition."""
     if isinstance(D, State):
         return D
     H = as_hermitian(D)
     w, U = _eigh(H, label)
-    _check_density(H, float(w[0]))
+    _check_density(H, w[..., 0])
     return State(w, U, H)
+
+
+def screened_state(D, label: str = "state") -> tuple[State, np.ndarray]:
+    """Decompose a stack of candidate densities without raising on rejected members.
+
+    Returns the State of the whole stack and the per-matrix mask of the
+    members :func:`state` accepts.  A member with a non-finite entry is
+    decomposed as the zero matrix instead, so the State's entries are
+    meaningful only where the mask is true.
+    """
+    H, herm, _, _ = _hermitian_mask(_square(D, "Hermitian matrix", stack=True))
+    w, U = _eigh(H, label)
+    ok, _ = _density_mask(H, w[..., 0])
+    return State(w, U, H), herm & ok
 
 
 def eig_hermitian(H, label: str = "matrix") -> SpectralDecomposition:
@@ -166,9 +236,10 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
 
     With spectral data ``(lam, V)`` of ``s1`` and ``(mu, U)`` of ``s2``
     returns ``W_ij = F(mu_i / lam_j)`` and ``[U* A V for A in operands]``.
+    Stacked states and operands broadcast over their leading axes.
     """
-    W = eval_scalar(F, s2.eigenvalues[:, None] / s1.eigenvalues[None, :])
-    U2h = s2.eigenvectors.conj().T
+    W = eval_scalar(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
+    U2h = dagger(s2.eigenvectors)
     return W, [U2h @ A @ s1.eigenvectors for A in operands]
 
 

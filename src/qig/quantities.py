@@ -3,7 +3,10 @@
 Every quantity is evaluated as a double sum over the eigenbasis of the
 state(s); the dense superoperator route exists only as a test oracle.
 A density given as a :class:`~qig.linalg.State` is neither validated nor
-decomposed again.
+decomposed again.  :func:`quasi_entropy_array`, :func:`gen_cov` and
+:func:`sym_cov` also take ``(..., n, n)`` stacks of states and operands,
+broadcast over their leading axes, and reduce over the last two axes only;
+a single matrix gives a scalar, a stack the array of its members' values.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
 cheap numerical diagnostic instead of being discarded.
@@ -52,7 +55,7 @@ def _kernel_name(F) -> str:
 
 def _operand(A, like, what: str = "operand") -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if A.shape != like.shape:
+    if A.shape[-2:] != like.shape[-2:]:
         raise InvariantViolation(
             f"{what} shape {A.shape} does not match state shape {like.shape}"
         )
@@ -62,7 +65,7 @@ def _operand(A, like, what: str = "operand") -> np.ndarray:
 def _states(D1, D2) -> tuple[linalg.State, linalg.State]:
     s1 = linalg.state(D1, "first state")
     s2 = linalg.state(D2, "second state")
-    if s1.shape != s2.shape:
+    if s1.shape[-1] != s2.shape[-1]:
         raise InvariantViolation(f"state dimensions differ: {s1.shape} vs {s2.shape}")
     return s1, s2
 
@@ -86,6 +89,33 @@ def _metric_denominator(w: np.ndarray, W: np.ndarray) -> np.ndarray:
     return denom
 
 
+def _product(a, b):
+    """``a * b`` of complex scalars or arrays, rounded as the scalar product is.
+
+    numpy's array loop for complex multiplication may fuse a multiply into
+    an add and round differently from the product of two complex scalars;
+    spelled out, a stack member's value stays bit-identical to the 2-D call.
+    """
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _scalar(value):
+    """A Python complex for one matrix, the complex array of a stack's members."""
+    return complex(value) if value.ndim == 0 else value.astype(complex)
+
+
+def quasi_entropy_array(F, A, D1, D2) -> np.ndarray:
+    """Value of :func:`quasi_entropy`, without a digest.
+
+    A real numpy scalar for 2-D input, or an array over the broadcast
+    leading axes of stacked states and operands.
+    """
+    s1, s2 = _states(D1, D2)
+    A = _operand(A, s1)
+    W, (M,) = linalg.relmod_grid(F, s1, s2, A)
+    return (W * (np.abs(M) ** 2) * s1.eigenvalues[..., None, :]).sum(axis=(-2, -1))
+
+
 def quasi_entropy(F, A, D1, D2) -> QuantityResult:
     """``<A D1^{1/2}, F(relative modular map of (D1, D2))(A D1^{1/2})>``.
 
@@ -95,10 +125,10 @@ def quasi_entropy(F, A, D1, D2) -> QuantityResult:
     """
     s1, s2 = _states(D1, D2)
     A = _operand(A, s1)
-    W, (M,) = linalg.relmod_grid(F, s1, s2, A)
-    value = np.sum(W * (np.abs(M) ** 2) * s1.eigenvalues[None, :])
     return QuantityResult(
-        complex(value), "quasi-entropy", digest_inputs(_kernel_name(F), A, s1.matrix, s2.matrix)
+        _scalar(quasi_entropy_array(F, A, s1, s2)),
+        "quasi-entropy",
+        digest_inputs(_kernel_name(F), A, s1.matrix, s2.matrix),
     )
 
 
@@ -124,17 +154,18 @@ def renyi(alpha: float, D1, D2) -> float:
     return float((1.0 - np.trace(D2a @ D1b).real) / (alpha * (1.0 - alpha)))
 
 
-def sym_cov(D, A, B) -> complex:
+def sym_cov(D, A, B):
     """Symmetrized covariance ``Tr(D(A*B + BA*))/2 - (Tr DA*)(Tr DB)``."""
     D = linalg.as_density(D)
     A = _operand(A, D, "first observable")
     B = _operand(B, D, "second observable")
-    Ah = A.conj().T
-    quad = 0.5 * np.trace(D @ (Ah @ B + B @ Ah))
-    return complex(quad - np.trace(D @ Ah) * np.trace(D @ B))
+    Ah = linalg.dagger(A)
+    quad = 0.5 * (D @ (Ah @ B + B @ Ah)).trace(axis1=-2, axis2=-1)
+    means = _product((D @ Ah).trace(axis1=-2, axis2=-1), (D @ B).trace(axis1=-2, axis2=-1))
+    return _scalar(quad - means)
 
 
-def gen_cov(f, D, A, B) -> complex:
+def gen_cov(f, D, A, B):
     """Generalized covariance with standard kernel f.
 
     In the eigenbasis ``(w, U)`` of D the quadratic part is
@@ -148,10 +179,10 @@ def gen_cov(f, D, A, B) -> complex:
     B = _operand(B, s, "second observable")
     W, (At, Bt) = linalg.relmod_grid(f, s, s, A, B)
     w = s.eigenvalues
-    quad = np.sum(np.conj(At) * Bt * (w[None, :] * W))
-    mean_a = np.sum(w * np.conj(np.diagonal(At)))
-    mean_b = np.sum(w * np.diagonal(Bt))
-    return complex(quad - mean_a * mean_b)
+    quad = (np.conj(At) * Bt * (w[..., None, :] * W)).sum(axis=(-2, -1))
+    mean_a = (w * np.conj(At.diagonal(axis1=-2, axis2=-1))).sum(axis=-1)
+    mean_b = (w * Bt.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    return _scalar(quad - _product(mean_a, mean_b))
 
 
 def fisher(f, D, A, B) -> complex:

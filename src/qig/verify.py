@@ -139,8 +139,12 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     normalized to unit Hilbert-Schmidt norm internally and the result
     rescaled, so tolerances are scale-free).  Returns the value and an
     error estimate, the gap between the last two extrapolation levels.
-    Steps that push a perturbed state's smallest eigenvalue below 1e-9
-    are rejected; if the schedule is exhausted, raises.
+    Steps that push a perturbed state's smallest eigenvalue below 1e-9, or
+    out of the densities, are rejected; a single usable step is halved once
+    to get a second, and if that falls below 1e-5 or none is usable, raises.
+    The ``4 S`` points of an ``S``-step schedule are validated and
+    decomposed as one stack, and the four corners of every usable step are
+    paired in one call.
     """
     D = linalg.as_density(D)
     A = linalg.as_hermitian(A)
@@ -160,32 +164,28 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     An, Bn = An / na, Bn / nb
     eye = np.eye(n)
 
-    def points(h: float) -> list[dict]:
-        return [{t: linalg.state(D + t * M) for t in (h, -h)} for M in (An, Bn)]
+    def points(hs: np.ndarray) -> np.ndarray:
+        """``D + t M`` stacked as ``[step, direction (An, Bn), sign (+h, -h)]``."""
+        t = np.stack([hs, -hs], axis=-1)
+        return D + t[:, None, :, None, None] * np.stack([An, Bn])[None, :, None]
 
-    usable = []
-    for h in sched.steps:
-        try:
-            pts = points(h)
-        except InvariantViolation:  # a point below the density floor
-            continue
-        if all(p.eigenvalues[0] >= 1e-9 for pt in pts for p in pt.values()):
-            usable.append((h, pts))
-    if not usable:
+    def stencil(hs: np.ndarray, pts: linalg.State) -> np.ndarray:
+        # g[k, a, b] = S_F(first point a, second point b) at step k
+        g = quantities.quasi_entropy_array(F, eye, pts[:, 0, :, None], pts[:, 1, None, :])
+        return (g[:, 0, 0] - g[:, 0, 1] - g[:, 1, 0] + g[:, 1, 1]) / (4.0 * hs * hs)
+
+    hs = np.asarray(sched.steps)
+    pts, ok = linalg.screened_state(points(hs))
+    keep = (ok & (pts.eigenvalues[..., 0] >= 1e-9)).all(axis=(1, 2))
+    if not keep.any():
         raise VerificationError("no finite-difference step keeps the states positive definite")
-    while len(usable) < 2:
-        h = usable[-1][0] / 2.0
-        if h < MIN_STEP:
+    hs, values = hs[keep], stencil(hs[keep], pts[keep])
+    if len(hs) < 2:
+        h = hs[-1:] / 2.0
+        if h[0] < MIN_STEP:
             raise VerificationError("step schedule exhausted before extrapolation")
-        usable.append((h, points(h)))
-
-    def stencil(h: float, first: dict, second: dict) -> float:
-        def g(t: float, s: float) -> float:
-            return quantities.quasi_entropy(F, eye, first[t], second[s]).value.real
-
-        return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4.0 * h * h)
-
-    value, err = _neville([h * h for h, _ in usable], [stencil(h, *pts) for h, pts in usable])
+        hs, values = np.append(hs, h), np.append(values, stencil(h, linalg.state(points(h))))
+    value, err = _neville(hs * hs, values)
     return float(value * na * nb), float(err * na * nb)
 
 
@@ -260,8 +260,8 @@ def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None) -> f
 def _quadratic_trace_form(F, D: linalg.State, X: np.ndarray) -> float:
     """``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``, the exact commutator-direction derivative."""
     f1 = float(linalg.eval_scalar(F, np.asarray(1.0)))
-    quad = quantities.quasi_entropy(F, X, D, D).value.real
-    return 2.0 * f1 * float(np.trace(D.matrix @ X @ X).real) - 2.0 * quad
+    quad = quantities.quasi_entropy_array(F, X, D, D)
+    return float(2.0 * f1 * float(np.trace(D.matrix @ X @ X).real) - 2.0 * quad)
 
 
 def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
@@ -297,25 +297,23 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     return float(lhs), float(rhs), float(relerr)
 
 
-def _gram(D, observables, pairing) -> np.ndarray:
-    """Hermitian part of ``[pairing(D, A_i, A_j)]_ij`` over centered observables A_i."""
+def _observable_stack(D, observables) -> tuple[linalg.State, np.ndarray]:
+    """The state and the ``(m, n, n)`` stack of validated centered observables."""
     D = linalg.state(D)
-    obs = [linalg.as_hermitian(A) for A in observables]
-    for A in obs:
-        if A.shape != D.shape:
-            raise InvariantViolation("observable dimension does not match the state")
-        if abs(np.trace(D.matrix @ A).real) > 1e-10:
-            raise InvariantViolation("observables must be centered: Tr(D A) = 0")
-    G = np.empty((len(obs), len(obs)), dtype=complex)
-    for i, a in enumerate(obs):
-        for j, b in enumerate(obs):
-            G[i, j] = pairing(D, a, b)
-    return (G + G.conj().T) / 2
+    obs = [np.asarray(A, dtype=complex) for A in observables]
+    if any(A.shape != D.shape for A in obs):
+        raise InvariantViolation("observable dimension does not match the state")
+    obs = linalg.as_hermitian(np.reshape(obs, (len(obs),) + D.shape))
+    if np.any(np.abs(np.trace(D.matrix @ obs, axis1=-2, axis2=-1).real) > 1e-10):
+        raise InvariantViolation("observables must be centered: Tr(D A) = 0")
+    return D, obs
 
 
 def cov_gram(g, D, observables) -> np.ndarray:
     """Gram matrix of generalized covariances of centered observables."""
-    return _gram(D, observables, lambda s, a, b: quantities.gen_cov(g, s, a, b))
+    D, obs = _observable_stack(D, observables)
+    G = quantities.gen_cov(g, D, obs[:, None], obs[None, :])
+    return (G + G.conj().T) / 2
 
 
 def skew_gram(f, D, observables) -> np.ndarray:
@@ -324,9 +322,10 @@ def skew_gram(f, D, observables) -> np.ndarray:
     The diagonal reproduces the skew informations of the observables.
     """
     ft = functions.covariance_kernel(f)
-    return _gram(
-        D, observables, lambda s, a, b: quantities.sym_cov(s, a, b) - quantities.gen_cov(ft, s, a, b)
-    )
+    D, obs = _observable_stack(D, observables)
+    A, B = obs[:, None], obs[None, :]
+    G = quantities.sym_cov(D, A, B) - quantities.gen_cov(ft, D, A, B)
+    return (G + G.conj().T) / 2
 
 
 def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
@@ -433,8 +432,13 @@ def _smooth_kernel(rng: np.random.Generator):
     return functions.sld()
 
 
+def _pick(rng: np.random.Generator, seq):
+    """Uniform draw from a sequence; the same stream as ``rng.choice`` on it."""
+    return seq[int(rng.integers(len(seq)))]
+
+
 def _dim(rng: np.random.Generator, dims) -> int:
-    return int(rng.choice(np.asarray(dims)))
+    return int(_pick(rng, dims))
 
 
 def _fd_floor(n: int) -> float:
@@ -525,7 +529,7 @@ def _run_monotonicity(rng, dims):
     n_out = _dim(rng, dims)
     k = int(rng.integers(1, 4))
     k = max(k, -(-n_in // n_out), -(-n_out // n_in))
-    F = functions.power_kernel(float(rng.choice(np.asarray(_ALPHAS))))
+    F = functions.power_kernel(_pick(rng, _ALPHAS))
     A = _random_complex(n_out, rng)
     floor = min(0.03, 0.5 / n_in)
     for _ in range(40):
@@ -542,8 +546,8 @@ def _run_monotonicity(rng, dims):
 
 def _run_concavity(rng, dims):
     n = _dim(rng, dims)
-    F = functions.power_kernel(float(rng.choice(np.asarray(_ALPHAS))))
-    lam = float(rng.choice(np.asarray(_MIX_WEIGHTS)))
+    F = functions.power_kernel(_pick(rng, _ALPHAS))
+    lam = _pick(rng, _MIX_WEIGHTS)
     A = _random_complex(n, rng)
     floor = min(0.03, 0.5 / n)
     a1 = random_density(n, floor=floor, seed=rng)
@@ -587,7 +591,7 @@ def _run_oracle_equivalence(rng, dims):
     dense = linalg.relmod_dense(F, D1, D2)
     r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - dense(A))))
     alpha = float(rng.uniform(0.1, 0.9))
-    q = quantities.quasi_entropy(functions.power_kernel(alpha), A, D1, D2).value
+    q = complex(quantities.quasi_entropy_array(functions.power_kernel(alpha), A, D1, D2))
     D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
     D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
     direct = complex(np.trace(A.conj().T @ D2a @ A @ D1b))
@@ -642,7 +646,9 @@ def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances
     ``margin`` and/or ``residual``.  A trial fails when its margin drops
     below ``-margin_tolerance`` or its residual exceeds the residual
     tolerance; failures record the derived trial seed, an input digest,
-    and the offending value.
+    and the offending value.  A trial that raises ``VerificationError`` or
+    ``InvariantViolation`` is a failure recording its seed, the exception
+    class (``error``) and its message; the remaining trials still run.
     """
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
@@ -664,7 +670,13 @@ def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances
     start = time.perf_counter()
     for i in range(int(trials)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        margin, residual, digest = runner(rng, dims)
+        try:
+            margin, residual, digest = runner(rng, dims)
+        except (VerificationError, InvariantViolation) as exc:
+            failures.append(
+                {"seed": f"{seed}:{i}", "error": type(exc).__name__, "message": str(exc)}
+            )
+            continue
         offending = None
         if margin is not None:
             margins.append(float(margin))

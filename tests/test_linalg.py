@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,76 @@ def test_as_hermitian_rejects_nan():
     # a NaN asymmetry compares false against any tolerance
     with pytest.raises(InvariantViolation):
         linalg.as_hermitian(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "-inf", "inf-j"]
+)
+def test_as_hermitian_names_non_finite_entries_without_warning(bad):
+    M = np.array([[bad, 1.0], [1.0, 0.0]], dtype=complex)
+    stack = np.stack([np.eye(2), M, np.eye(2)]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for given in (M, stack):
+            with pytest.raises(InvariantViolation, match="^matrix has non-finite entries$"):
+                linalg.as_hermitian(given)
+
+
+def _densities(k: int, n: int) -> np.ndarray:
+    return np.stack([np.asarray(random_density(n, 0.5 / n, seed)) for seed in range(k)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_state_of_a_stack_equals_per_matrix_state(n, eig_calls):
+    Ds = _densities(6, n).reshape(2, 3, n, n)
+    before = eig_calls["eigh"]
+    stacked = linalg.state(Ds)
+    assert eig_calls["eigh"] - before == 1
+    assert stacked.shape == (2, 3, n, n) and stacked.eigenvalues.shape == (2, 3, n)
+    for i in range(2):
+        for j in range(3):
+            single = linalg.state(Ds[i, j])
+            member = stacked[i, j]
+            assert np.array_equal(member.eigenvalues, single.eigenvalues)
+            assert np.array_equal(member.eigenvectors, single.eigenvectors)
+            assert np.array_equal(member.matrix, single.matrix)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.diag([0.6, 0.6]),
+        np.diag([1.0, 0.0]),
+        np.diag([np.nan, 0.5]),
+    ],
+    ids=["non-hermitian", "non-unit-trace", "below-floor", "nan"],
+)
+def test_stack_with_one_bad_member_is_rejected_like_the_member(bad):
+    Ds = _densities(3, 2)
+    Ds[1] = bad
+    with pytest.raises(InvariantViolation) as single:
+        linalg.state(bad)
+    for validate in (linalg.state, linalg.as_density):
+        with pytest.raises(InvariantViolation) as got:
+            validate(Ds)
+        assert str(got.value) == str(single.value)
+    _, ok = linalg.screened_state(Ds)
+    assert ok.tolist() == [True, False, True]
+
+
+def test_screened_state_accepts_what_state_accepts():
+    Ds = _densities(4, 3)
+    screened, ok = linalg.screened_state(Ds)
+    s = linalg.state(Ds)
+    assert ok.all()
+    assert np.array_equal(screened.eigenvectors, s.eigenvectors)
+    assert np.array_equal(screened.matrix, s.matrix)
+
+
+def test_only_a_stack_of_states_is_indexed():
+    with pytest.raises(InvariantViolation):
+        linalg.state(np.diag([0.5, 0.5]))[0]
 
 
 def test_as_density_trace_and_floor():

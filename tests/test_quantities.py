@@ -407,3 +407,38 @@ def test_state_input_is_bit_identical_and_skips_decomposition(name, monkeypatch)
         assert got == expected
     else:
         assert np.array_equal(got, expected)
+
+
+def _two_d_sums(F, f, s1, s2, A, B):
+    """quasi-entropy, gen_cov and sym_cov of one member as plain 2-D numpy sums."""
+    W, (M,) = linalg.relmod_grid(F, s1, s2, A)
+    quasi = np.sum(W * (np.abs(M) ** 2) * s1.eigenvalues[None, :])
+    Wf, (At, Bt) = linalg.relmod_grid(f, s1, s1, A, B)
+    w = s1.eigenvalues
+    quad = np.sum(np.conj(At) * Bt * (w[None, :] * Wf))
+    cov = quad - np.sum(w * np.conj(np.diagonal(At))) * np.sum(w * np.diagonal(Bt))
+    D, Ah = s1.matrix, A.conj().T
+    sym = 0.5 * np.trace(D @ (Ah @ B + B @ Ah)) - np.trace(D @ Ah) * np.trace(D @ B)
+    return complex(quasi), complex(cov), complex(sym)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_sums_equal_the_two_d_sums_member_by_member(n):
+    rng = np.random.default_rng(n)
+    s1 = linalg.state(np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(3)]))
+    s2 = linalg.state(np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(2)]))
+    A = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)])
+    B = random_hermitian(n, rng)
+    F, f = fn.power_kernel(0.3), fn.wyd(0.4)
+    # (3, 1) states against (1, 2) states; operands broadcast over the first axis
+    quasi = qt.quasi_entropy_array(F, A[:, None], s1[:, None], s2[None, :])
+    cov = qt.gen_cov(f, s1, A, B)
+    sym = qt.sym_cov(s1, A, B)
+    assert quasi.shape == (3, 2) and cov.shape == sym.shape == (3,)
+    for i in range(3):
+        for j in range(2):
+            q, c, s = _two_d_sums(F, f, s1[i], s2[j], A[i], B)
+            assert quasi[i, j] == q.real
+            assert cov[i] == c and sym[i] == s
+            assert qt.gen_cov(f, s1[i], A[i], B) == c and qt.sym_cov(s1[i], A[i], B) == s
+            assert qt.quasi_entropy(F, A[i], s1[i], s2[j]).value == q

@@ -105,6 +105,37 @@ def test_mixed_second_derivative_schedule_exhausted():
         vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A)
 
 
+def test_mixed_second_derivative_decomposes_the_schedule_in_one_call(eig_calls):
+    # all 4 points of both default steps go through one eigh; the value equals
+    # the stencil written out with 8 quasi-entropy calls, bit for bit
+    F = fn.power_kernel(0.5)
+    D = vf.random_density(3, 0.2, 5)
+    rng = np.random.default_rng(6)
+    A = vf._commuting_traceless(D, rng)
+    B = 1j * linalg.commutator(D.matrix, vf.random_hermitian(3, rng))
+    B = (B + B.conj().T) / 2
+    before = eig_calls["eigh"]
+    val, err = vf.mixed_second_derivative(F, D, A, B)
+    assert eig_calls["eigh"] - before == 1
+
+    # the normalization mixed_second_derivative applies to its directions
+    na, nb = linalg.hs_norm(A), linalg.hs_norm(B)
+    An = (A - (np.trace(A).real / 3) * np.eye(3)) / na
+    Bn = (B - (np.trace(B).real / 3) * np.eye(3)) / nb
+
+    def stencil(h):
+        def g(t, s):
+            return qt.quasi_entropy(F, np.eye(3), D.matrix + t * An, D.matrix + s * Bn).value.real
+
+        return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4.0 * h * h)
+
+    (h1, h2), (s1, s2) = vf.StepSchedule().steps, (stencil(1e-2), stencil(1e-3))
+    x1, x2 = h1 * h1, h2 * h2
+    expected = (x2 * s1 - x1 * s2) / (x2 - x1)
+    assert val == float(expected * na * nb)
+    assert err == float(abs(expected - s2) * na * nb)
+
+
 def test_mixed_stencil_is_second_order():
     # halving the step shrinks the raw stencil error by about 4x
     D = np.diag([0.5, 0.3, 0.2]).astype(complex)
@@ -319,6 +350,18 @@ def test_det_margins_random_instances():
         assert m_two <= m_prod + 1e-12  # the factor-2 bound is the stronger one
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 3), (4, 2)])
+def test_gram_matrices_equal_the_elementwise_pairings(n, m):
+    D = vf.random_density(n, 0.5 / n, 9)
+    obs = vf.orthonormal_centered_observables(D, m, np.random.default_rng(m))
+    g, f = fn.wyd(0.3), fn.extremal_metric(0.4)
+    ft = fn.covariance_kernel(f)
+    C = np.array([[qt.gen_cov(g, D, a, b) for b in obs] for a in obs])
+    S = np.array([[qt.sym_cov(D, a, b) - qt.gen_cov(ft, D, a, b) for b in obs] for a in obs])
+    assert (vf.cov_gram(g, D, obs) == (C + C.conj().T) / 2).all()
+    assert (vf.skew_gram(f, D, obs) == (S + S.conj().T) / 2).all()
+
+
 def test_scalar_case_of_det_bound_on_probe_grid():
     # pointwise, g >= 2 g(0) ((1+x)/2 - transformed f) backs the 1x1 case
     x = fn.probe_grid()
@@ -367,6 +410,56 @@ def test_run_suite_tolerance_override_triggers_failures():
         assert set(fail) == {"seed", "digest", "value"}
     with pytest.raises(DomainError):
         vf.run_suite("wyd-consistency", trials=1, tolerances={"bogus": 1.0})
+
+
+@pytest.mark.parametrize("error", [VerificationError, InvariantViolation])
+def test_run_suite_records_a_raising_trial_and_runs_the_rest(error, monkeypatch):
+    runner, margin_tol, residual_tol = vf._SUITES["wyd-consistency"]
+    seen = []
+
+    def raising(rng, dims):
+        seen.append(len(seen))
+        if len(seen) == 2:
+            raise error("no finite-difference step keeps the states positive definite")
+        return runner(rng, dims)
+
+    clean = vf.run_suite("wyd-consistency", trials=4, seed=3, dims=(2, 3))
+    monkeypatch.setitem(vf._SUITES, "wyd-consistency", (raising, margin_tol, residual_tol))
+    rep = vf.run_suite("wyd-consistency", trials=4, seed=3, dims=(2, 3))
+    assert seen == [0, 1, 2, 3] and rep.trials == 4 and not rep.passed
+    assert rep.failures == [
+        {
+            "seed": "3:1",
+            "error": error.__name__,
+            "message": "no finite-difference step keeps the states positive definite",
+        }
+    ]
+    assert rep.max_residual <= clean.max_residual
+
+
+def test_pick_draws_the_stream_of_choice():
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for seq in ((2, 3, 4), (2, 3, 4, 5), vf._ALPHAS, vf._MIX_WEIGHTS):
+            assert vf._pick(a, seq) == b.choice(np.asarray(seq))
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "name", ["hessian", "lemma-commuting", "lemma-cross", "monotonicity", "concavity", "oracle-equivalence"]
+)
+def test_suites_digest_once_per_trial(name, monkeypatch):
+    calls = []
+    original = qt.digest_inputs
+
+    def counted(*parts):
+        calls.append(parts)
+        return original(*parts)
+
+    monkeypatch.setattr(qt, "digest_inputs", counted)
+    monkeypatch.setattr(vf, "digest_inputs", counted)
+    vf.run_suite(name, trials=3, seed=0, dims=(2, 3))
+    assert len(calls) == 3
 
 
 def test_trial_report_failure_invariant():
