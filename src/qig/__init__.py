@@ -36,7 +36,6 @@ from .linalg import (
     eig_hermitian,
     hs_inner,
     hs_norm,
-    pinch_decompose,
     relmod_apply,
     relmod_dense,
     state,
@@ -50,7 +49,6 @@ from .channels import (
     random_channel,
 )
 from .quantities import (
-    QuantityResult,
     fisher,
     gen_cov,
     quasi_entropy,

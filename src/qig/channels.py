@@ -126,8 +126,8 @@ def monotonicity_margin(F, A, D1, D2, ch: KrausChannel) -> float:
     D2 = linalg.state(D2)
     E1 = linalg.state(apply_state(ch, D1.matrix))
     E2 = linalg.state(apply_state(ch, D2.matrix))
-    lhs = quantities.quasi_entropy_array(F, A, E1, E2)
-    rhs = quantities.quasi_entropy_array(F, apply_dual(ch, A), D1, D2)
+    lhs = quantities.quasi_entropy(F, A, E1, E2)
+    rhs = quantities.quasi_entropy(F, apply_dual(ch, A), D1, D2)
     return float(lhs - rhs)
 
 
@@ -147,7 +147,7 @@ def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
     mix2 = lam * a2.matrix + (1.0 - lam) * b2.matrix
 
     def s(d1, d2):
-        return quantities.quasi_entropy_array(F, A, d1, d2)
+        return quantities.quasi_entropy(F, A, d1, d2)
 
     return float(s(mix1, mix2) - lam * s(a1, a2) - (1.0 - lam) * s(b1, b2))
 
@@ -164,6 +164,6 @@ def data_processing_margin(F, D1, D2, ch: KrausChannel) -> float:
     D2 = linalg.state(D2)
     E1 = linalg.state(apply_state(ch, D1.matrix))
     E2 = linalg.state(apply_state(ch, D2.matrix))
-    before = quantities.quasi_entropy_array(F, np.eye(ch.dim_in), D1, D2)
-    after = quantities.quasi_entropy_array(F, np.eye(ch.dim_out), E1, E2)
+    before = quantities.quasi_entropy(F, np.eye(ch.dim_in), D1, D2)
+    after = quantities.quasi_entropy(F, np.eye(ch.dim_out), E1, E2)
     return float(before - after)

@@ -3,9 +3,7 @@
 Everything rests on a single primitive, the eigendecomposition of a
 Hermitian matrix.  Matrix functions, the relative modular map
 ``A -> D2 A D1^{-1}`` together with scalar functions of it,
-Hilbert-Schmidt geometry, and the splitting of an observable into a part
-commuting with a state plus a commutator part are all spectral calculus
-on top of it.
+and Hilbert-Schmidt geometry are all spectral calculus on top of it.
 
 The spectral core works on stacks: :func:`as_hermitian`,
 :func:`as_density`, :func:`state` and :func:`relmod_grid` take arrays of
@@ -31,7 +29,6 @@ from .errors import DomainError, InvariantViolation
 HERMITIAN_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIG_FLOOR = 1e-10
-DEGENERACY_TOL = 1e-9
 DENSE_DIM_LIMIT = 32
 
 
@@ -343,35 +340,3 @@ def haar_unitary(n: int, rng: np.random.Generator, rows: int | None = None) -> n
     Q, R = np.linalg.qr(G)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
-
-
-def _cluster_ids(w: np.ndarray, tol: float) -> np.ndarray:
-    ids = np.zeros(len(w), dtype=int)
-    for k in range(1, len(w)):
-        ids[k] = ids[k - 1] + (1 if w[k] - w[k - 1] > tol else 0)
-    return ids
-
-
-def pinch_decompose(D, B) -> tuple[np.ndarray, np.ndarray]:
-    """Split Hermitian B as ``B = B_c + 1j*[D, X]`` with ``[D, B_c] = 0``.
-
-    In the eigenbasis of D, B_c keeps the blocks inside eigenvalue clusters
-    (spectral pinching) and X carries the cross-cluster entries divided by
-    ``1j (w_i - w_j)``.  Eigenvalues closer than ``1e-9 (1 + spread)`` are
-    clustered together so the division never sees a vanishing gap.  The two
-    parts are Hilbert-Schmidt orthogonal.
-    """
-    D = state(D)
-    B = as_hermitian(B)
-    _same_dim(D, B)
-    w, U = D.eigenvalues, D.eigenvectors
-    spread = float(w[-1] - w[0])
-    ids = _cluster_ids(w, DEGENERACY_TOL * (1.0 + spread))
-    same = ids[:, None] == ids[None, :]
-    Bt = U.conj().T @ B @ U
-    gaps = w[:, None] - w[None, :]
-    denom = np.where(same, 1.0, 1j * gaps)
-    Xt = np.where(same, 0.0, Bt / denom)
-    Bc = U @ np.where(same, Bt, 0.0) @ U.conj().T
-    X = U @ Xt @ U.conj().T
-    return (Bc + Bc.conj().T) / 2, (X + X.conj().T) / 2

@@ -3,37 +3,30 @@
 Every quantity is evaluated as a double sum over the eigenbasis of the
 state(s); the dense superoperator route exists only as a test oracle.
 A density given as a :class:`~qig.linalg.State` is neither validated nor
-decomposed again.  :func:`quasi_entropy_array`, :func:`gen_cov` and
+decomposed again.  :func:`quasi_entropy`, :func:`gen_cov` and
 :func:`sym_cov` also take ``(..., n, n)`` stacks of states and operands,
 broadcast over their leading axes, and reduce over the last two axes only;
 a single matrix gives a scalar, a stack the array of its members' values.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
-cheap numerical diagnostic instead of being discarded.
+cheap numerical diagnostic instead of being discarded; the quasi-entropy
+sum is real term by term and is returned real.
 
 Centering is the caller's job: operations that require ``Tr D X = 0``
-check the precondition and refuse, they never center silently.
+check the precondition and refuse, they never center silently.  The
+commutator direction ``1j [D, X]`` of every skew and Hessian identity is
+built by :func:`commutator_direction`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError, InvariantViolation
 from .functions import covariance_kernel
-
-
-@dataclass(frozen=True)
-class QuantityResult:
-    """Scalar result with provenance: quantity name and input digest."""
-
-    value: complex
-    quantity: str
-    inputs_digest: str
 
 
 def digest_inputs(*parts) -> str:
@@ -47,10 +40,6 @@ def digest_inputs(*parts) -> str:
         else:
             h.update(repr(p).encode())
     return h.hexdigest()[:12]
-
-
-def _kernel_name(F) -> str:
-    return getattr(F, "name", getattr(F, "__name__", "kernel"))
 
 
 def _operand(A, like, what: str = "operand") -> np.ndarray:
@@ -82,6 +71,18 @@ def _require_standard(f, what: str) -> None:
         raise DomainError(f"{what} needs a standard kernel")
 
 
+def _require_centered(s: linalg.State, X: np.ndarray) -> None:
+    """Refuse an observable, or any member of a stack, with ``Tr D X != 0``."""
+    if (np.abs(np.trace(s.matrix @ X, axis1=-2, axis2=-1)) > 1e-10).any():
+        raise InvariantViolation("observable must be centered: Tr(D X) = 0")
+
+
+def commutator_direction(D, X) -> np.ndarray:
+    """Hermitian part of ``1j [D, X]``, the tangent of ``D`` along the unitary orbit of X."""
+    B = 1j * linalg.commutator(linalg.state(D).matrix, X)
+    return (B + linalg.dagger(B)) / 2
+
+
 def _metric_denominator(w: np.ndarray, W: np.ndarray) -> np.ndarray:
     denom = w[None, :] * W
     if float(np.min(denom)) <= 0.0:
@@ -104,32 +105,18 @@ def _scalar(value):
     return complex(value) if value.ndim == 0 else value.astype(complex)
 
 
-def quasi_entropy_array(F, A, D1, D2) -> np.ndarray:
-    """Value of :func:`quasi_entropy`, without a digest.
+def quasi_entropy(F, A, D1, D2) -> np.ndarray:
+    """``<A D1^{1/2}, F(relative modular map of (D1, D2))(A D1^{1/2})>``.
 
-    A real numpy scalar for 2-D input, or an array over the broadcast
-    leading axes of stacked states and operands.
+    Computed as the spectral double sum
+    ``sum_ij F(mu_i/lam_j) |<u_i, A v_j>|^2 lam_j`` over the eigenbases of
+    D2 (mu, u) and D1 (lam, v).  A real numpy scalar for 2-D input, or an
+    array over the broadcast leading axes of stacked states and operands.
     """
     s1, s2 = _states(D1, D2)
     A = _operand(A, s1)
     W, (M,) = linalg.relmod_grid(F, s1, s2, A)
     return (W * (np.abs(M) ** 2) * s1.eigenvalues[..., None, :]).sum(axis=(-2, -1))
-
-
-def quasi_entropy(F, A, D1, D2) -> QuantityResult:
-    """``<A D1^{1/2}, F(relative modular map of (D1, D2))(A D1^{1/2})>``.
-
-    Computed as the spectral double sum
-    ``sum_ij F(mu_i/lam_j) |<u_i, A v_j>|^2 lam_j`` over the eigenbases of
-    D2 (mu, u) and D1 (lam, v).
-    """
-    s1, s2 = _states(D1, D2)
-    A = _operand(A, s1)
-    return QuantityResult(
-        _scalar(quasi_entropy_array(F, A, s1, s2)),
-        "quasi-entropy",
-        digest_inputs(_kernel_name(F), A, s1.matrix, s2.matrix),
-    )
 
 
 def umegaki(D1, D2) -> float:
@@ -241,12 +228,10 @@ def skew_identity_residual(f, D, X) -> float:
     """
     s = linalg.state(D)
     X = _observable(X, s)
-    if abs(complex(np.trace(s.matrix @ X))) > 1e-10:
-        raise InvariantViolation("observable must be centered: Tr(D X) = 0")
+    _require_centered(s, X)
     if f.value_at_zero == 0.0:
         raise DomainError("the identity needs f(0) != 0")
-    B = 1j * linalg.commutator(s.matrix, X)
-    B = (B + B.conj().T) / 2
+    B = commutator_direction(s, X)
     lhs = f.value_at_zero * fisher(f, s, B, B)
     c = sym_cov(s, X, X)
     q = gen_cov(covariance_kernel(f), s, X, X)

@@ -171,7 +171,7 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
 
     def stencil(hs: np.ndarray, pts: linalg.State) -> np.ndarray:
         # g[k, a, b] = S_F(first point a, second point b) at step k
-        g = quantities.quasi_entropy_array(F, eye, pts[:, 0, :, None], pts[:, 1, None, :])
+        g = quantities.quasi_entropy(F, eye, pts[:, 0, :, None], pts[:, 1, None, :])
         return (g[:, 0, 0] - g[:, 0, 1] - g[:, 1, 0] + g[:, 1, 1]) / (4.0 * hs * hs)
 
     hs = np.asarray(sched.steps)
@@ -236,8 +236,7 @@ def lemma_cross_residual(F, D, A, X, schedule: StepSchedule | None = None) -> fl
     A = linalg.as_hermitian(A)
     X = linalg.as_hermitian(X)
     _require_commuting(D.matrix, A)
-    B = 1j * linalg.commutator(D.matrix, X)
-    B = (B + B.conj().T) / 2
+    B = quantities.commutator_direction(D, X)
     fd, _ = mixed_second_derivative(F, D, A, B, schedule)
     return abs(fd)
 
@@ -251,8 +250,7 @@ def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None) -> f
     """
     D = linalg.state(D)
     X = linalg.as_hermitian(X)
-    B = 1j * linalg.commutator(D.matrix, X)
-    B = (B + B.conj().T) / 2
+    B = quantities.commutator_direction(D, X)
     fd, _ = mixed_second_derivative(F, D, B, B, schedule)
     return abs(fd - _quadratic_trace_form(F, D, X))
 
@@ -260,7 +258,7 @@ def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None) -> f
 def _quadratic_trace_form(F, D: linalg.State, X: np.ndarray) -> float:
     """``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``, the exact commutator-direction derivative."""
     f1 = float(linalg.eval_scalar(F, np.asarray(1.0)))
-    quad = quantities.quasi_entropy_array(F, X, D, D)
+    quad = quantities.quasi_entropy(F, X, D, D)
     return float(2.0 * f1 * float(np.trace(D.matrix @ X @ X).real) - 2.0 * quad)
 
 
@@ -274,17 +272,14 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     ``relerr = |lhs - rhs| / (1 + |rhs|)``; the finite-difference value is
     also cross-checked against the quadratic trace identity.
     """
-    if not getattr(f, "claims_standard", False):
-        raise DomainError("the Hessian identity needs a standard function")
+    quantities._require_standard(f, "the Hessian identity")
     if f.value_at_zero == 0.0:
         raise DomainError("the Hessian identity needs f(0) != 0")
     D = linalg.state(D)
     X = linalg.as_hermitian(X)
-    if abs(complex(np.trace(D.matrix @ X))) > 1e-10:
-        raise InvariantViolation("observable must be centered: Tr(D X) = 0")
+    quantities._require_centered(D, X)
     ft = functions.covariance_kernel(f)
-    B = 1j * linalg.commutator(D.matrix, X)
-    B = (B + B.conj().T) / 2
+    B = quantities.commutator_direction(D, X)
     lhs, err = mixed_second_derivative(ft, D, B, B, schedule)
     rhs = f.value_at_zero * quantities.fisher(f, D, B, B).real
     relerr = abs(lhs - rhs) / (1.0 + abs(rhs))
@@ -304,8 +299,7 @@ def _observable_stack(D, observables) -> tuple[linalg.State, np.ndarray]:
     if any(A.shape != D.shape for A in obs):
         raise InvariantViolation("observable dimension does not match the state")
     obs = linalg.as_hermitian(np.reshape(obs, (len(obs),) + D.shape))
-    if np.any(np.abs(np.trace(D.matrix @ obs, axis1=-2, axis2=-1).real) > 1e-10):
-        raise InvariantViolation("observables must be centered: Tr(D A) = 0")
+    quantities._require_centered(D, obs)
     return D, obs
 
 
@@ -342,8 +336,8 @@ def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
 
 def _gram_determinants(f, g, D, observables) -> tuple[float, float, float]:
     """``(det C, det(f(0) g(0) S), det(2 g(0) S))`` from one Gram pair."""
-    if not (getattr(f, "claims_standard", False) and getattr(g, "claims_standard", False)):
-        raise DomainError("determinant margins are stated for standard functions")
+    quantities._require_standard(f, "a determinant margin")
+    quantities._require_standard(g, "a determinant margin")
     D = linalg.state(D)
     C = cov_gram(g, D, observables)
     S = skew_gram(f, D, observables)
@@ -591,7 +585,7 @@ def _run_oracle_equivalence(rng, dims):
     dense = linalg.relmod_dense(F, D1, D2)
     r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - dense(A))))
     alpha = float(rng.uniform(0.1, 0.9))
-    q = complex(quantities.quasi_entropy_array(functions.power_kernel(alpha), A, D1, D2))
+    q = complex(quantities.quasi_entropy(functions.power_kernel(alpha), A, D1, D2))
     D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
     D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
     direct = complex(np.trace(A.conj().T @ D2a @ A @ D1b))

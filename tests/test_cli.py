@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,9 @@ def test_compute_schema_violations_exit_2(tmp_path, matrix_files):
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"n": 2, "data": [[[1, 0]], [[0, 0], [1, 0]]]}')
     assert cli.main(["compute", "umegaki", "--state", str(wrong), "--state2", matrix_files["d2"]]) == 2
+    boolean = tmp_path / "bool.json"
+    boolean.write_text('{"n": true, "data": [[[1, 0]]]}')
+    assert cli.main(["compute", "umegaki", "--state", str(boolean), "--state2", str(boolean)]) == 2
 
 
 def test_compute_non_density_exit_3(tmp_path, matrix_files, capsys):
@@ -120,16 +124,32 @@ def test_compute_non_hermitian_obs_exit_3(tmp_path, matrix_files):
     assert rc == 3
 
 
+_OBSERVABLE_QUANTITIES = {
+    "skew": ["skew", "--fn", "sld"],
+    "wyd": ["wyd", "--p", "0.5"],
+    "cov": ["cov"],
+    "gen-cov": ["gen-cov", "--fn", "sld"],
+    "fisher": ["fisher", "--fn", "sld"],
+    "quasi-entropy": ["quasi-entropy", "--kernel", "power:0.5"],
+}
+
+
 @pytest.mark.parametrize(
-    "args", [["skew", "--fn", "sld"], ["wyd", "--p", "0.5"]], ids=["skew", "wyd"]
+    "args, entry",
+    [(args, np.nan) for args in _OBSERVABLE_QUANTITIES.values()]
+    + [(args, np.inf) for args in _OBSERVABLE_QUANTITIES.values()],
+    ids=[*_OBSERVABLE_QUANTITIES, *(f"{q}-inf" for q in _OBSERVABLE_QUANTITIES)],
 )
-def test_compute_nan_observable_exit_3(tmp_path, matrix_files, args, capsys):
-    nan_obs = tmp_path / "nan.json"
-    cli.write_matrix(nan_obs, np.array([[np.nan, 1.0], [1.0, 0.0]], dtype=complex))
-    rc = cli.main(["compute", *args, "--state", matrix_files["d2"], "--obs", str(nan_obs)])
+def test_compute_nan_observable_exit_3(tmp_path, matrix_files, args, entry, capsys):
+    bad_obs = tmp_path / "bad.json"
+    cli.write_matrix(bad_obs, np.array([[entry, 1.0], [1.0, 0.0]], dtype=complex))
+    argv = ["compute", *args, "--state", matrix_files["d2"], "--state2", matrix_files["d1"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([*argv, "--obs", str(bad_obs)])
     out, err = capsys.readouterr()
     assert rc == 3 and out == ""
-    assert "non-finite entries" in err
+    assert err == "error: matrix has non-finite entries\n"
 
 
 def test_compute_missing_required_flag_is_usage_error(matrix_files):
@@ -231,6 +251,14 @@ def test_verify_incomplete_step_exit_1(monkeypatch, capsys):
         "FAIL hessian seed 0:0: VerificationError: "
         "no finite-difference step keeps the states positive definite\n"
     )
+
+
+def test_verify_nonpositive_dimension_exit_4_without_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = cli.main(["verify", "all", "--trials", "1", "--dim", "0,2", "--report", str(report)])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: dims must be positive integers, got (0, 2)\n"
+    assert not report.exists()
 
 
 def test_verify_unknown_tolerance_exit_4_without_report(tmp_path, capsys):

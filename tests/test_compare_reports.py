@@ -38,3 +38,22 @@ def test_differing_suites_are_named(tmp_path, capsys):
     b = _write(tmp_path / "b.json", second)
     assert compare_reports.main([a, b]) == 1
     assert capsys.readouterr().out.strip() == "differ: renyi-limit"
+
+
+_GOLDEN = Path(__file__).resolve().parent / "data" / "quick_seed17.json"
+_VERIFICATION = _SCRIPT.with_name("run_full_verification.py")
+
+
+def test_quick_verification_report_matches_the_golden_file(tmp_path, monkeypatch):
+    # The golden file holds the last bits of every margin and residual, so it is
+    # pinned to the numpy / OpenBLAS build it was written with (numpy 2.4,
+    # OpenBLAS 0.3.31, x86-64); regenerate it with
+    #   python3 scripts/run_full_verification.py --quick --seed 17 --report tests/data/quick_seed17.json
+    # on a commit whose reports are known good before comparing another build.
+    spec = importlib.util.spec_from_file_location("run_full_verification", _VERIFICATION)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    report = tmp_path / "quick.json"
+    monkeypatch.setattr("sys.argv", ["run_full_verification.py", "--quick", "--seed", "17", "--report", str(report)])
+    assert script.main() == 0
+    assert compare_reports.main([str(_GOLDEN), str(report)]) == 0

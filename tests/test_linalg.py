@@ -294,42 +294,6 @@ def test_commutator_times_i_is_hermitian():
     assert_allclose(C, C.conj().T, atol=1e-12)
 
 
-def test_pinch_commuting_input(qubit_state):
-    B = np.diag([1.0, -2.0]).astype(complex)
-    Bc, X = linalg.pinch_decompose(qubit_state, B)
-    assert_allclose(Bc, B, atol=1e-12)
-    assert_allclose(X, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_pinch_hand_case(qubit_state):
-    # i[D, X] with X the flip matrix gives [[0, i/2], [-i/2, 0]]
-    B = np.array([[0.0, 0.5j], [-0.5j, 0.0]])
-    Bc, X = linalg.pinch_decompose(qubit_state, B)
-    assert_allclose(Bc, np.zeros((2, 2)), atol=1e-12)
-    assert_allclose(X, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-
-
-def test_pinch_degenerate_spectrum_keeps_block():
-    D = np.eye(2) / 2
-    B = np.array([[1.0, 0.7], [0.7, -0.3]])
-    Bc, X = linalg.pinch_decompose(D, B)
-    assert_allclose(Bc, B, atol=1e-12)
-    assert_allclose(X, np.zeros((2, 2)), atol=1e-12)
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
-@settings(max_examples=25, deadline=None)
-def test_pinch_reconstruction_and_orthogonality(seed, n):
-    rng = np.random.default_rng(seed)
-    D = random_density(n, 0.02, rng)
-    B = random_hermitian(n, rng)
-    Bc, X = linalg.pinch_decompose(D, B)
-    comm_part = 1j * linalg.commutator(D, X)
-    assert_allclose(Bc + comm_part, B, atol=1e-10)
-    assert np.max(np.abs(linalg.commutator(D, Bc))) < 1e-10
-    assert abs(linalg.hs_inner(Bc, comm_part)) < 1e-10
-
-
 def test_superoperator_apply_matches_vec_convention():
     rng = np.random.default_rng(9)
     D1 = random_density(2, 0.05, rng)

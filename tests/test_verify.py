@@ -125,7 +125,7 @@ def test_mixed_second_derivative_decomposes_the_schedule_in_one_call(eig_calls):
 
     def stencil(h):
         def g(t, s):
-            return qt.quasi_entropy(F, np.eye(3), D.matrix + t * An, D.matrix + s * Bn).value.real
+            return qt.quasi_entropy(F, np.eye(3), D.matrix + t * An, D.matrix + s * Bn)
 
         return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4.0 * h * h)
 
@@ -147,7 +147,7 @@ def test_mixed_stencil_is_second_order():
 
     def stencil(h):
         def g(t, s):
-            return qt.quasi_entropy(fn.power_kernel(2.0), np.eye(3), D + t * A, D + s * A).value.real
+            return qt.quasi_entropy(fn.power_kernel(2.0), np.eye(3), D + t * A, D + s * A)
 
         return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4 * h * h)
 
@@ -282,9 +282,10 @@ def test_cov_gram_duplicate_observables_singular(qubit_state, flip):
     assert abs(np.linalg.det(G)) <= 1e-12
 
 
-def test_cov_gram_rejects_uncentered(qubit_state):
-    with pytest.raises(InvariantViolation):
-        vf.cov_gram(fn.sld(), qubit_state, [np.diag([1.0, 0.0])])
+def test_cov_gram_rejects_uncentered(qubit_state, flip):
+    for observables in ([np.diag([1.0, 0.0])], [flip, np.diag([1.0, 0.0])]):
+        with pytest.raises(InvariantViolation, match="centered"):
+            vf.cov_gram(fn.sld(), qubit_state, observables)
 
 
 def test_gram_matrices_positive_semidefinite():
