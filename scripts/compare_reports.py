@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare two verification reports, ignoring every ``elapsed`` field.
 
-Reads two JSON reports written by ``qig verify ... --report`` or by
-``scripts/run_full_verification.py --report``.  Exits 0 when they match
-apart from timing; otherwise prints the suites that differ and exits 1.
+Reads two JSON reports written by ``qig verify ... --report``; every key
+counts, so two ``qig verify`` reports must also agree on their top-level
+``trials`` and ``dims``.  Exits 0 when they match apart from timing;
+otherwise prints the suites that differ and exits 1.
 
     python3 scripts/compare_reports.py before.json after.json
 """

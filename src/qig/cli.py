@@ -44,13 +44,11 @@ def read_matrix(path: str, kind: str = "complex") -> np.ndarray | linalg.State:
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(f"{path}: row {i} must hold {n} entries")
         for j, entry in enumerate(row):
-            try:
-                re, im = entry
-                M[i, j] = complex(float(re), float(im))
-            except (TypeError, ValueError) as exc:
-                raise FileFormatError(
-                    f"{path}: entry ({i},{j}) must be a [re, im] pair"
-                ) from exc
+            # type() rather than isinstance(): JSON true/false arrive as bool, an int subclass
+            pair = isinstance(entry, list) and len(entry) == 2
+            if not (pair and all(type(x) in (int, float) for x in entry)):
+                raise FileFormatError(f"{path}: entry ({i},{j}) must be a [re, im] pair of numbers")
+            M[i, j] = complex(*entry)
     if not np.isfinite(M).all():
         raise InvariantViolation("matrix has non-finite entries")
     if kind == "hermitian":
@@ -104,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a property suite and emit a report")
     ver.add_argument("suite", choices=(*verify.SUITE_NAMES, "all"))
-    ver.add_argument("--trials", type=int, default=200)
+    ver.add_argument("--trials", type=int, help="trials per suite (default: each suite's own)")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--dim", default="4", help="dimension, or comma list like 2,3,4")
+    ver.add_argument("--dim", help="dimension, or comma list like 2,3,4 (default: each suite's own)")
     ver.add_argument(
         "--tol",
         action="append",
@@ -190,7 +188,9 @@ def _parse_tolerances(entries) -> dict:
     return tol
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_dims(text: str | None) -> tuple[int, ...] | None:
+    if text is None:
+        return None
     try:
         return tuple(int(part) for part in str(text).split(","))
     except ValueError as exc:
@@ -203,8 +203,8 @@ def _markdown_report(payload: dict) -> str:
         "",
         f"- version: {payload['version']}",
         f"- seed: {payload['seed']}",
-        f"- trials: {payload['trials']}",
-        f"- dims: {', '.join(str(d) for d in payload['dims'])}",
+        f"- trials: {'per suite' if payload['trials'] is None else payload['trials']}",
+        f"- dims: {'per suite' if payload['dims'] is None else ', '.join(map(str, payload['dims']))}",
         "",
         "| suite | trials | min margin | max residual | failures | elapsed (s) |",
         "|---|---|---|---|---|---|",
@@ -233,7 +233,7 @@ def _cmd_verify(args) -> int:
         "version": __version__,
         "seed": args.seed,
         "trials": args.trials,
-        "dims": list(dims),
+        "dims": None if dims is None else list(dims),
         "suites": [rep.to_dict() for rep in reports],
     }
     if args.format == "json":
@@ -253,12 +253,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list() -> int:
-    print("standard functions:")
-    for name, f0 in functions.CATALOG_SUMMARY:
-        print(f"  {name} {f0}")
-    print("kernels:")
-    for name, desc in functions.KERNEL_SUMMARY:
-        print(f"  {name}  {desc}")
+    for heading, kernels, gap in (("standard functions:", False, " "), ("kernels:", True, "  ")):
+        print(heading)
+        for name, spec in functions.SPECS.items():
+            if spec.kernel_only == kernels:
+                label = name if spec.param is None else f"{name}:<{spec.param}>"
+                print(f"  {label}{gap}{spec.summary}")
     print("suites:")
     for name in verify.SUITE_NAMES:
         print(f"  {name}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -450,64 +450,60 @@ def load_measure(path) -> DiscreteMeasure:
         raise FileFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        pairs = [(float(a), float(w)) for a, w in raw]
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: expected a JSON list of [atom, weight] pairs") from exc
-    return DiscreteMeasure.from_pairs(pairs)
+    # type() rather than isinstance(): JSON true/false arrive as bool, an int subclass
+    if not isinstance(raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
+        for pair in raw
+    ):
+        raise FileFormatError(f"{path}: expected a JSON list of [atom, weight] pairs of numbers")
+    return DiscreteMeasure.from_pairs(raw)
 
 
-def _param(arg: str, base: str, what: str) -> float:
-    if not arg:
-        raise DomainError(f"{base} spec needs a parameter, e.g. {base}:<{what}>")
-    try:
-        return float(arg)
-    except ValueError as exc:
-        raise DomainError(f"invalid {what} in {base!r} spec: {arg!r}") from exc
+class _Spec(NamedTuple):
+    """One spec name: its parameter (None if it takes none), constructor and listing."""
+
+    param: str | None
+    build: Callable
+    summary: str
+    kernel_only: bool = False
+
+
+#: spec name -> parameter, constructor, ``qig list`` text, kernel only; a ``file``
+#: parameter is passed through as a path, every other one parsed as a float
+SPECS = {
+    "sld": _Spec(None, sld, "f(0)=0.5"),
+    "harmonic": _Spec(None, harmonic, "f(0)=0"),
+    "kubo-mori": _Spec(None, kubo_mori, "f(0)=0"),
+    "wyd": _Spec("p", wyd, "f(0)=p(1-p)"),
+    "extremal": _Spec("lambda", extremal_metric, "f(0)=2*lambda/(1+lambda)^2"),
+    "hansen": _Spec(
+        "file", lambda path: hansen_mixture(load_measure(path)), "f(0)=1/sum_k w_k*(1+a_k)^2/(2*a_k)"
+    ),
+    "neglog": _Spec(None, neglog_kernel, "relative-entropy kernel -log x", True),
+    "power": _Spec("alpha", power_kernel, "x^alpha, operator monotone for alpha in (0,1]", True),
+    "identity": _Spec(None, lambda: power_kernel(1.0), "shorthand for power:1", True),
+}
 
 
 def parse_function_spec(token: str, allow_kernels: bool = False) -> ScalarFunctionSpec:
     """Parse ``sld | harmonic | kubo-mori | wyd:<p> | extremal:<lambda> |
     hansen:<file>``; with ``allow_kernels`` also ``neglog | power:<alpha> |
     identity``."""
-    base, _, arg = token.partition(":")
+    base, sep, arg = token.partition(":")
     key = base.strip().lower().replace("_", "-")
-    if key == "sld":
-        return sld()
-    if key == "harmonic":
-        return harmonic()
-    if key == "kubo-mori":
-        return kubo_mori()
-    if key == "wyd":
-        return wyd(_param(arg, "wyd", "p"))
-    if key == "extremal":
-        return extremal_metric(_param(arg, "extremal", "lambda"))
-    if key == "hansen":
-        if not arg:
-            raise DomainError("hansen spec needs a measure file, e.g. hansen:mu.json")
-        return hansen_mixture(load_measure(arg))
-    if allow_kernels:
-        if key == "neglog":
-            return neglog_kernel()
-        if key == "power":
-            return power_kernel(_param(arg, "power", "alpha"))
-        if key == "identity":
-            return power_kernel(1.0)
-    raise DomainError(f"unknown function spec {token!r}")
-
-
-#: rows for the CLI catalog listing
-CATALOG_SUMMARY = (
-    ("sld", "f(0)=0.5"),
-    ("harmonic", "f(0)=0"),
-    ("kubo-mori", "f(0)=0"),
-    ("wyd:<p>", "f(0)=p(1-p)"),
-    ("extremal:<lambda>", "f(0)=2*lambda/(1+lambda)^2"),
-    ("hansen:<file>", "f(0)=1/sum_k w_k*(1+a_k)^2/(2*a_k)"),
-)
-
-KERNEL_SUMMARY = (
-    ("neglog", "relative-entropy kernel -log x"),
-    ("power:<alpha>", "x^alpha, operator monotone for alpha in (0,1]"),
-    ("identity", "shorthand for power:1"),
-)
+    spec = SPECS.get(key)
+    if spec is None or (spec.kernel_only and not allow_kernels):
+        raise DomainError(f"unknown function spec {token!r}")
+    if spec.param is None:
+        if sep:
+            raise DomainError(f"{key} spec takes no parameter, got {token!r}")
+        return spec.build()
+    if not arg:
+        raise DomainError(f"{key} spec needs a parameter, e.g. {key}:<{spec.param}>")
+    if spec.param == "file":
+        return spec.build(arg)
+    try:
+        value = float(arg)
+    except ValueError as exc:
+        raise DomainError(f"invalid {spec.param} in {key!r} spec: {arg!r}") from exc
+    return spec.build(value)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -613,29 +614,39 @@ def _run_renyi_limit(rng, dims):
     return margin, gaps[-1], digest_inputs(D1, D2)
 
 
-#: name -> (trial runner, default margin tolerance, default residual tolerance)
+class _Suite(NamedTuple):
+    """A suite's trial runner, default tolerances and acceptance-scale run."""
+
+    runner: Callable
+    margin_tol: float
+    residual_tol: float
+    trials: int
+    dims: tuple[int, ...]
+
+
 _SUITES = {
-    "standardness": (_run_standardness, math.inf, 1e-9),
-    "operator-monotone": (_run_operator_monotone, 1e-8, 1e-10),
-    "scalar-gibi": (_run_scalar_gibi, 1e-10, math.inf),
-    "skew-identity": (_run_skew_identity, math.inf, 1e-9),
-    "hessian": (_run_hessian, math.inf, 1e-5),
-    "lemma-commuting": (_run_lemma_commuting, math.inf, 1e-6),
-    "lemma-cross": (_run_lemma_cross, math.inf, 1e-6),
-    "monotonicity": (_run_monotonicity, 1e-8, math.inf),
-    "concavity": (_run_concavity, 1e-8, math.inf),
-    "det-uncertainty": (_run_det_uncertainty, 1e-9, math.inf),
-    "oracle-equivalence": (_run_oracle_equivalence, math.inf, 1e-10),
-    "wyd-consistency": (_run_wyd_consistency, math.inf, 1e-9),
-    "renyi-limit": (_run_renyi_limit, 1e-12, 1e-2),
+    "standardness": _Suite(_run_standardness, math.inf, 1e-9, 200, (2, 3, 4)),
+    "operator-monotone": _Suite(_run_operator_monotone, 1e-8, 1e-10, 100, (2, 3, 4)),
+    "scalar-gibi": _Suite(_run_scalar_gibi, 1e-10, math.inf, 200, (2, 3, 4)),
+    "skew-identity": _Suite(_run_skew_identity, math.inf, 1e-9, 200, (2, 3, 4, 5)),
+    "hessian": _Suite(_run_hessian, math.inf, 1e-5, 100, (2, 3, 4)),
+    "lemma-commuting": _Suite(_run_lemma_commuting, math.inf, 1e-6, 50, (2, 3, 4)),
+    "lemma-cross": _Suite(_run_lemma_cross, math.inf, 1e-6, 50, (2, 3, 4)),
+    "monotonicity": _Suite(_run_monotonicity, 1e-8, math.inf, 500, (2, 3, 4)),
+    "concavity": _Suite(_run_concavity, 1e-8, math.inf, 500, (2, 3, 4)),
+    "det-uncertainty": _Suite(_run_det_uncertainty, 1e-9, math.inf, 200, (2, 3, 4)),
+    "oracle-equivalence": _Suite(_run_oracle_equivalence, math.inf, 1e-10, 100, (2, 3, 4, 5)),
+    "wyd-consistency": _Suite(_run_wyd_consistency, math.inf, 1e-9, 100, (2, 3, 4)),
+    "renyi-limit": _Suite(_run_renyi_limit, 1e-12, 1e-2, 20, (2, 3, 4)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances=None) -> TrialReport:
+def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, tolerances=None) -> TrialReport:
     """Run a named property suite; deterministic in ``(seed, trials, dims)``.
 
+    ``trials`` and ``dims`` default to the suite's acceptance-scale run.
     ``tolerances`` may override the per-suite defaults with keys
     ``margin`` and/or ``residual``.  A trial fails when its margin drops
     below ``-margin_tolerance`` or its residual exceeds the residual
@@ -648,24 +659,27 @@ def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances
         raise DomainError(f"unknown suite {name!r}")
     if int(seed) < 0:
         raise DomainError("suite seed must be nonnegative")
-    runner, margin_tol, residual_tol = _SUITES[name]
-    tol = {"margin": margin_tol, "residual": residual_tol}
+    suite = _SUITES[name]
+    trials = suite.trials if trials is None else int(trials)
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
+    tol = {"margin": suite.margin_tol, "residual": suite.residual_tol}
     if tolerances:
         for key, value in tolerances.items():
             if key not in ("margin", "residual"):
                 raise DomainError(f"unknown tolerance {key!r}")
             tol[key] = float(value)
-    dims = tuple(int(d) for d in dims)
+    dims = suite.dims if dims is None else tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DomainError(f"dims must be positive integers, got {dims!r}")
     margins: list[float] = []
     residuals: list[float] = []
     failures: list[dict] = []
     start = time.perf_counter()
-    for i in range(int(trials)):
+    for i in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         try:
-            margin, residual, digest = runner(rng, dims)
+            margin, residual, digest = suite.runner(rng, dims)
         except (VerificationError, InvariantViolation) as exc:
             failures.append(
                 {"seed": f"{seed}:{i}", "error": type(exc).__name__, "message": str(exc)}
@@ -685,7 +699,7 @@ def run_suite(name: str, trials: int = 200, seed: int = 0, dims=(4,), tolerances
     elapsed = time.perf_counter() - start
     return TrialReport(
         suite=name,
-        trials=int(trials),
+        trials=trials,
         min_margin=min(margins) if margins else None,
         max_residual=max(residuals) if residuals else None,
         failures=failures,

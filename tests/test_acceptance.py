@@ -23,23 +23,23 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_skew_identity_suite():
-    rep = vf.run_suite("skew-identity", trials=200, seed=11, dims=(2, 3, 4, 5))
+    rep = vf.run_suite("skew-identity", seed=11)
     ok = rep.passed and rep.max_residual <= 1e-9
-    _report(1, "skew-identity: 200 trials, n in 2..5, max residual <= 1e-9", ok,
+    _report(1, f"skew-identity: {rep.trials} trials, max residual <= 1e-9", ok,
             f"max residual {rep.max_residual:.3e}")
 
 
 def test_criterion_2_hessian_theorem():
-    rep = vf.run_suite("hessian", trials=100, seed=7, dims=(2, 3, 4))
+    rep = vf.run_suite("hessian", seed=7)
     lhs, rhs, _ = vf.hessian_vs_skew(fn.sld(), QUBIT, FLIP)
     golden = abs(lhs - 0.5) <= 1e-6 and abs(rhs - 0.5) <= 1e-6
     ok = rep.passed and rep.max_residual <= 1e-5 and golden
-    _report(2, "Hessian identity: 100 trials relative error <= 1e-5, qubit golden 0.5 within 1e-6",
+    _report(2, f"Hessian identity: {rep.trials} trials relative error <= 1e-5, qubit golden 0.5 within 1e-6",
             ok, f"max relerr {rep.max_residual:.3e}, golden lhs {lhs:.8f}")
 
 
 def test_criterion_3_wyd_consistency():
-    rep = vf.run_suite("wyd-consistency", trials=100, seed=3, dims=(2, 3, 4))
+    rep = vf.run_suite("wyd-consistency", seed=3)
     golden = 1.0 - np.sqrt(3.0) / 2.0
     direct = qt.wyd_direct(0.5, QUBIT, FLIP)
     spectral = qt.skew_info(fn.wyd(0.5), QUBIT, FLIP)
@@ -50,7 +50,7 @@ def test_criterion_3_wyd_consistency():
 
 
 def test_criterion_4_monotonicity_suite():
-    rep = vf.run_suite("monotonicity", trials=500, seed=5, dims=(2, 3, 4))
+    rep = vf.run_suite("monotonicity", seed=5)
     ident = ch.KrausChannel((np.eye(2, dtype=complex),))
     rng = np.random.default_rng(0)
     A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -58,29 +58,30 @@ def test_criterion_4_monotonicity_suite():
     D2 = vf.random_density(2, 0.05, 2)
     identity_margin = ch.monotonicity_margin(fn.power_kernel(0.5), A, D1, D2, ident)
     ok = rep.passed and rep.min_margin >= -1e-8 and abs(identity_margin) <= 1e-10
-    _report(4, "monotonicity under channels: 500 trials margin >= -1e-8, identity channel margin 0",
+    _report(4, f"monotonicity under channels: {rep.trials} trials margin >= -1e-8, identity channel margin 0",
             ok, f"min margin {rep.min_margin:.3e}, identity {identity_margin:.1e}")
 
 
 def test_criterion_5_joint_concavity_suite():
-    rep = vf.run_suite("concavity", trials=500, seed=6, dims=(2, 3, 4))
+    rep = vf.run_suite("concavity", seed=6)
     ok = rep.passed and rep.min_margin >= -1e-8
-    _report(5, "joint concavity: 500 trials, mixing weights 0.1..0.9, margin >= -1e-8",
+    _report(5, f"joint concavity: {rep.trials} trials, mixing weights 0.1..0.9, margin >= -1e-8",
             ok, f"min margin {rep.min_margin:.3e}")
 
 
 def test_criterion_6_determinant_uncertainty():
-    rep = vf.run_suite("det-uncertainty", trials=200, seed=8, dims=(2, 3, 4))
+    rep = vf.run_suite("det-uncertainty", seed=8)
     _, m_two = vf.det_inequality_margins(fn.sld(), fn.sld(), QUBIT, [FLIP])
     golden_ok = abs(m_two - 0.75) <= 1e-10
     ok = rep.passed and rep.min_margin >= -1e-9 and golden_ok
-    _report(6, "determinant uncertainty: 200 trials, m in 1..3, scaled margins >= -1e-9, qubit golden 0.75",
+    _report(6, f"determinant uncertainty: {rep.trials} trials, m in 1..3, scaled margins >= -1e-9, "
+               "qubit golden 0.75",
             ok, f"min scaled margin {rep.min_margin:.3e}, golden {m_two:.12f}")
 
 
 def test_criterion_7_derivative_lemmas():
-    rep_comm = vf.run_suite("lemma-commuting", trials=50, seed=9, dims=(2, 3, 4))
-    rep_cross = vf.run_suite("lemma-cross", trials=50, seed=10, dims=(2, 3, 4))
+    rep_comm = vf.run_suite("lemma-commuting", seed=9)
+    rep_cross = vf.run_suite("lemma-cross", seed=10)
     # the quadratic commutator identity, standalone over 50 instances
     worst_quad = 0.0
     for i in range(50):
@@ -95,7 +96,8 @@ def test_criterion_7_derivative_lemmas():
         and rep_cross.passed and rep_cross.max_residual <= 1e-6
         and worst_quad <= 1e-6
     )
-    _report(7, "derivative lemmas: commuting, cross, and quadratic residuals <= 1e-6 over 50 instances each",
+    _report(7, f"derivative lemmas: commuting, cross, and quadratic residuals <= 1e-6 over "
+               f"{rep_comm.trials}, {rep_cross.trials} and 50 instances",
             ok, f"{rep_comm.max_residual:.2e} / {rep_cross.max_residual:.2e} / {worst_quad:.2e}")
 
 
@@ -154,14 +156,14 @@ def test_criterion_8_function_theory():
 
 
 def test_criterion_9_oracle_equivalence():
-    rep = vf.run_suite("oracle-equivalence", trials=100, seed=12, dims=(2, 3, 4, 5))
+    rep = vf.run_suite("oracle-equivalence", seed=12)
     ok = rep.passed and rep.max_residual <= 1e-10
     _report(9, "structured vs dense modular calculus and power-kernel trace identity <= 1e-10",
             ok, f"max deviation {rep.max_residual:.3e}")
 
 
 def test_criterion_10_renyi_limit():
-    rep = vf.run_suite("renyi-limit", trials=20, seed=17, dims=(2, 3, 4))
+    rep = vf.run_suite("renyi-limit", seed=17)
     ok = rep.passed and rep.min_margin >= -1e-12 and rep.max_residual <= 1e-2
     _report(10, "Renyi order -> 0 limit: gaps to the relative entropy decreasing, final gap <= 1e-2",
             ok, f"final gap {rep.max_residual:.3e}")

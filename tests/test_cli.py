@@ -1,5 +1,4 @@
 import json
-import math
 import warnings
 
 import numpy as np
@@ -105,6 +104,11 @@ def test_compute_schema_violations_exit_2(tmp_path, matrix_files):
     boolean = tmp_path / "bool.json"
     boolean.write_text('{"n": true, "data": [[[1, 0]]]}')
     assert cli.main(["compute", "umegaki", "--state", str(boolean), "--state2", str(boolean)]) == 2
+    for entry in ('["0.75", "0"]', "[true, false]"):
+        not_numbers = tmp_path / "not_numbers.json"
+        not_numbers.write_text(f'{{"n": 2, "data": [[{entry}, [0, 0]], [[0, 0], [0.25, 0]]]}}')
+        args = ["compute", "umegaki", "--state", str(not_numbers), "--state2", matrix_files["d2"]]
+        assert cli.main(args) == 2
 
 
 def test_compute_non_density_exit_3(tmp_path, matrix_files, capsys):
@@ -244,7 +248,7 @@ def test_verify_incomplete_step_exit_1(monkeypatch, capsys):
     def runner(rng, dims):
         raise VerificationError("no finite-difference step keeps the states positive definite")
 
-    monkeypatch.setitem(verify._SUITES, "hessian", (runner, math.inf, 1e-5))
+    monkeypatch.setitem(verify._SUITES, "hessian", verify._SUITES["hessian"]._replace(runner=runner))
     rc = cli.main(["verify", "hessian", "--trials", "1"])
     assert rc == 1
     assert capsys.readouterr().err == (
@@ -259,6 +263,25 @@ def test_verify_nonpositive_dimension_exit_4_without_report(tmp_path, capsys):
     assert rc == 4
     assert capsys.readouterr().err == "error: dims must be positive integers, got (0, 2)\n"
     assert not report.exists()
+
+
+def test_verify_negative_trials_exit_4_without_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = cli.main(["verify", "wyd-consistency", "--trials", "-3", "--report", str(report)])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: trials must be nonnegative, got -3\n"
+    assert not report.exists()
+
+
+def test_verify_defaults_to_each_suites_own_trials_and_dims(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "renyi-limit", "--seed", "17", "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["trials"] is None and payload["dims"] is None
+    assert payload["suites"][0]["trials"] == verify._SUITES["renyi-limit"].trials
+    assert cli.main(["verify", "renyi-limit", "--seed", "17", "--format", "markdown"]) == 0
+    out = capsys.readouterr().out
+    assert "- trials: per suite\n- dims: per suite\n" in out
 
 
 def test_verify_unknown_tolerance_exit_4_without_report(tmp_path, capsys):

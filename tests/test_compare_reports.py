@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from qig import verify
+from qig import cli, verify
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 _spec = importlib.util.spec_from_file_location("compare_reports", _SCRIPT)
@@ -41,19 +41,16 @@ def test_differing_suites_are_named(tmp_path, capsys):
 
 
 _GOLDEN = Path(__file__).resolve().parent / "data" / "quick_seed17.json"
-_VERIFICATION = _SCRIPT.with_name("run_full_verification.py")
 
 
-def test_quick_verification_report_matches_the_golden_file(tmp_path, monkeypatch):
+def test_quick_verification_report_matches_the_golden_file(tmp_path):
     # The golden file holds the last bits of every margin and residual, so it is
     # pinned to the numpy / OpenBLAS build it was written with (numpy 2.4,
-    # OpenBLAS 0.3.31, x86-64); regenerate it with
-    #   python3 scripts/run_full_verification.py --quick --seed 17 --report tests/data/quick_seed17.json
+    # OpenBLAS 0.3.31, x86-64); regenerate it from the "seed" and "suites" keys of
+    #   qig verify all --trials 10 --seed 17 --report quick.json
     # on a commit whose reports are known good before comparing another build.
-    spec = importlib.util.spec_from_file_location("run_full_verification", _VERIFICATION)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    report = tmp_path / "quick.json"
-    monkeypatch.setattr("sys.argv", ["run_full_verification.py", "--quick", "--seed", "17", "--report", str(report)])
-    assert script.main() == 0
-    assert compare_reports.main([str(_GOLDEN), str(report)]) == 0
+    full = tmp_path / "full.json"
+    assert cli.main(["verify", "all", "--trials", "10", "--seed", "17", "--report", str(full)]) == 0
+    payload = json.loads(full.read_text())
+    quick = _write(tmp_path / "quick.json", {key: payload[key] for key in ("seed", "suites")})
+    assert compare_reports.main([str(_GOLDEN), quick]) == 0

@@ -288,6 +288,9 @@ def test_parse_function_spec_tokens(tmp_path):
         fn.parse_function_spec("wyd")
     with pytest.raises(DomainError):
         fn.parse_function_spec("nope")
+    for token in ("sld:3", "harmonic:abc", "neglog:2", "identity:7"):
+        with pytest.raises(DomainError, match="takes no parameter"):
+            fn.parse_function_spec(token, allow_kernels=True)
 
 
 def test_load_measure_errors(tmp_path):
@@ -299,6 +302,11 @@ def test_load_measure_errors(tmp_path):
     wrong.write_text('{"a": 1}')
     with pytest.raises(FileFormatError):
         fn.load_measure(wrong)
+    for text in ('[["1.0", true]]', '[["1.0", 1.0]]', "[[1.0, true]]"):
+        not_numbers = tmp_path / "not_numbers.json"
+        not_numbers.write_text(text)  # loaded as a point mass at 1 when strings and bools were cast
+        with pytest.raises(FileFormatError):
+            fn.load_measure(not_numbers)
     unnorm = tmp_path / "unnorm.json"
     unnorm.write_text("[[0.5, 0.4]]")
     with pytest.raises(InvariantViolation):

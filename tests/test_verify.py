@@ -415,17 +415,17 @@ def test_run_suite_tolerance_override_triggers_failures():
 
 @pytest.mark.parametrize("error", [VerificationError, InvariantViolation])
 def test_run_suite_records_a_raising_trial_and_runs_the_rest(error, monkeypatch):
-    runner, margin_tol, residual_tol = vf._SUITES["wyd-consistency"]
+    row = vf._SUITES["wyd-consistency"]
     seen = []
 
     def raising(rng, dims):
         seen.append(len(seen))
         if len(seen) == 2:
             raise error("no finite-difference step keeps the states positive definite")
-        return runner(rng, dims)
+        return row.runner(rng, dims)
 
     clean = vf.run_suite("wyd-consistency", trials=4, seed=3, dims=(2, 3))
-    monkeypatch.setitem(vf._SUITES, "wyd-consistency", (raising, margin_tol, residual_tol))
+    monkeypatch.setitem(vf._SUITES, "wyd-consistency", row._replace(runner=raising))
     rep = vf.run_suite("wyd-consistency", trials=4, seed=3, dims=(2, 3))
     assert seen == [0, 1, 2, 3] and rep.trials == 4 and not rep.passed
     assert rep.failures == [
