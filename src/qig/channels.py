@@ -6,6 +6,15 @@ trace-preserving action on densities, ``apply_dual`` the unital dual on
 observables of the output space; unital completely positive maps satisfy
 the Schwarz inequality, which makes these duals a rich valid family for
 the monotonicity and joint-concavity margins of quasi-entropies.
+
+Stacks: a channel's Kraus operators may carry leading axes, shape
+``(..., n_out, n_in)`` with the same leading axes for every operator, and
+then describe one channel per member.  :func:`apply_state`,
+:func:`apply_dual`, :func:`monotonicity_margin` and
+:func:`concavity_margin` broadcast such a channel, stacked states and
+operands (and an array of mixing weights) over their leading axes, and
+return an array over them; the Kraus sum runs over the operators in order,
+so every member equals the 2-D call bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +41,11 @@ class KrausChannel:
         if not ops:
             raise InvariantViolation("a channel needs at least one Kraus operator")
         shape = ops[0].shape
-        if len(shape) != 2 or any(K.shape != shape for K in ops):
+        if len(shape) < 2 or any(K.shape != shape for K in ops):
             raise InvariantViolation("Kraus operators must share one (n_out, n_in) shape")
         object.__setattr__(self, "kraus_ops", ops)
-        acc = sum(K.conj().T @ K for K in ops)
-        dev = float(np.max(np.abs(acc - np.eye(shape[1]))))
+        acc = sum(linalg.dagger(K) @ K for K in ops)
+        dev = float(np.max(np.abs(acc - np.eye(shape[-1]))))
         if dev > KRAUS_TOL:
             raise InvariantViolation(
                 f"Kraus operators must satisfy sum K*K = I (trace preservation); "
@@ -45,11 +54,11 @@ class KrausChannel:
 
     @property
     def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.kraus_ops[0].shape[-1]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops[0].shape[-2]
 
 
 def random_channel(n_in: int, n_out: int, kraus_count: int, seed) -> KrausChannel:
@@ -74,22 +83,22 @@ def apply_state(ch: KrausChannel, D) -> np.ndarray:
     sampling harness resamples).
     """
     D = np.asarray(D, dtype=complex)
-    if D.shape != (ch.dim_in, ch.dim_in):
+    if D.shape[-2:] != (ch.dim_in, ch.dim_in):
         raise InvariantViolation(
             f"state shape {D.shape} does not match channel input dimension {ch.dim_in}"
         )
-    out = sum(K @ D @ K.conj().T for K in ch.kraus_ops)
-    return (out + out.conj().T) / 2
+    out = sum(K @ D @ linalg.dagger(K) for K in ch.kraus_ops)
+    return (out + linalg.dagger(out)) / 2
 
 
 def apply_dual(ch: KrausChannel, A) -> np.ndarray:
     """Unital dual ``sum_i K_i* A K_i`` on observables of the output space."""
     A = np.asarray(A, dtype=complex)
-    if A.shape != (ch.dim_out, ch.dim_out):
+    if A.shape[-2:] != (ch.dim_out, ch.dim_out):
         raise InvariantViolation(
             f"operand shape {A.shape} does not match channel output dimension {ch.dim_out}"
         )
-    return sum(K.conj().T @ A @ K for K in ch.kraus_ops)
+    return sum(linalg.dagger(K) @ A @ K for K in ch.kraus_ops)
 
 
 def schwarz_margin(ch: KrausChannel, B) -> float:
@@ -100,6 +109,11 @@ def schwarz_margin(ch: KrausChannel, B) -> float:
     gap = lhs - rhs
     gap = (gap + gap.conj().T) / 2
     return float(np.linalg.eigvalsh(gap)[0])
+
+
+def _real(value):
+    """A float for one matrix, the array of a stack's members."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _require_monotone_kernel(F) -> None:
@@ -119,16 +133,16 @@ def monotonicity_margin(F, A, D1, D2, ch: KrausChannel) -> float:
     nonnegative for operator monotone increasing kernels with F(0) >= 0.
     A lives on the channel output space.  Kernels without the monotone
     flag are refused; channel outputs that lose invertibility raise, so a
-    sampling harness can resample.
+    sampling harness can resample.  A float for 2-D input, an array over
+    the leading axes of a stacked channel, states and operand.
     """
     _require_monotone_kernel(F)
     D1 = linalg.state(D1)
     D2 = linalg.state(D2)
-    E1 = linalg.state(apply_state(ch, D1.matrix))
-    E2 = linalg.state(apply_state(ch, D2.matrix))
-    lhs = quantities.quasi_entropy(F, A, E1, E2)
+    E = linalg.state(apply_state(ch, np.stack(np.broadcast_arrays(D1.matrix, D2.matrix))))
+    lhs = quantities.quasi_entropy(F, A, E[0], E[1])
     rhs = quantities.quasi_entropy(F, apply_dual(ch, A), D1, D2)
-    return float(lhs - rhs)
+    return _real(lhs - rhs)
 
 
 def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
@@ -136,20 +150,23 @@ def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
 
     ``S_F^A(lam a1 + (1-lam) b1, lam a2 + (1-lam) b2)
       - lam S_F^A(a1, a2) - (1-lam) S_F^A(b1, b2)``; nonnegative under the
-    same kernel hypotheses as :func:`monotonicity_margin`.
+    same kernel hypotheses as :func:`monotonicity_margin`.  With stacked
+    states lam may be an array over their leading axes, one weight each.
     """
     _require_monotone_kernel(F)
-    if not 0.0 <= lam <= 1.0:
+    weights = np.asarray(lam, dtype=float)
+    if not ((0.0 <= weights) & (weights <= 1.0)).all():
         raise DomainError(f"mixing weight must lie in [0, 1], got {lam!r}")
     a1, a2 = (linalg.state(M) for M in pair_a)
     b1, b2 = (linalg.state(M) for M in pair_b)
-    mix1 = lam * a1.matrix + (1.0 - lam) * b1.matrix
-    mix2 = lam * a2.matrix + (1.0 - lam) * b2.matrix
+    w = weights[..., None, None]
+    mix1 = w * a1.matrix + (1.0 - w) * b1.matrix
+    mix2 = w * a2.matrix + (1.0 - w) * b2.matrix
 
     def s(d1, d2):
         return quantities.quasi_entropy(F, A, d1, d2)
 
-    return float(s(mix1, mix2) - lam * s(a1, a2) - (1.0 - lam) * s(b1, b2))
+    return _real(s(mix1, mix2) - weights * s(a1, a2) - (1.0 - weights) * s(b1, b2))
 
 
 def data_processing_margin(F, D1, D2, ch: KrausChannel) -> float:

@@ -48,7 +48,10 @@ def read_matrix(path: str, kind: str = "complex") -> np.ndarray | linalg.State:
             pair = isinstance(entry, list) and len(entry) == 2
             if not (pair and all(type(x) in (int, float) for x in entry)):
                 raise FileFormatError(f"{path}: entry ({i},{j}) must be a [re, im] pair of numbers")
-            M[i, j] = complex(*entry)
+            try:
+                M[i, j] = complex(*entry)
+            except OverflowError:  # an integer literal beyond the float range
+                M[i, j] = np.inf
     if not np.isfinite(M).all():
         raise InvariantViolation("matrix has non-finite entries")
     if kind == "hermitian":

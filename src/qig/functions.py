@@ -174,16 +174,20 @@ class DiscreteMeasure:
     def __post_init__(self):
         if not self.atoms or len(self.atoms) != len(self.weights):
             raise InvariantViolation("measure needs matching, nonempty atom and weight lists")
-        if any(a < 0.0 or a > 1.0 for a in self.atoms):
+        # negated comparisons: every comparison with NaN is false, so NaN fails
+        if not all(0.0 <= a <= 1.0 for a in self.atoms):
             raise InvariantViolation("measure atoms must lie in [0, 1]")
-        if any(w < 0.0 for w in self.weights):
+        if not all(w >= 0.0 for w in self.weights):
             raise InvariantViolation("measure weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise InvariantViolation("measure weights must sum to one")
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteMeasure":
-        return cls(tuple(float(a) for a, _ in pairs), tuple(float(w) for _, w in pairs))
+        try:
+            return cls(tuple(float(a) for a, _ in pairs), tuple(float(w) for _, w in pairs))
+        except OverflowError as exc:
+            raise InvariantViolation(f"measure entry too large for a float: {exc}") from exc
 
 
 def dirac(lam: float) -> DiscreteMeasure:

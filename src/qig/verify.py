@@ -8,11 +8,19 @@ skew information) are then checked against their spectral counterparts.
 Determinant uncertainty margins and all sampling suites live here too.
 
 Suites are deterministic in ``(seed, trials, dims)``: every trial derives
-its generator from the suite seed and the trial index.
+its generator from the suite seed and the trial index.  :func:`run_suite`
+draws every trial first, then groups the drawn trials by shape key and
+evaluates each group in stacked calls; results go back in trial order.
+``monotonicity`` (key ``(n_in, n_out, k, alpha)``) and ``concavity`` (key
+``(n, alpha)``) validate, decompose and pair a whole group at once; the
+other suites compute each trial as they draw it.  A group whose stacked
+evaluation raises ``VerificationError`` or ``InvariantViolation`` is rerun
+one trial at a time, so the failure lands on the trial that raised.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -86,16 +94,23 @@ def random_density(n: int, floor: float = 0.01, seed=0) -> linalg.State:
     eigenvalue at or above ``floor``; requires ``0 < floor < 1/n``.  Returns
     the validated :class:`~qig.linalg.State`, which numpy reads as its matrix.
     """
+    return linalg.state(_draw_density(n, floor, np.random.default_rng(seed)))
+
+
+def _draw_density(n: int, floor: float, rng: np.random.Generator) -> np.ndarray:
+    """The matrix :func:`random_density` validates, drawn from ``rng``.
+
+    Batched suites stack these draws and validate a whole group in one
+    :func:`~qig.linalg.state` call.
+    """
     if not 0.0 < floor < 1.0 / n:
         raise DomainError(f"floor must lie in (0, 1/{n}), got {floor!r}")
-    rng = np.random.default_rng(seed)
     if n == 1:
-        return linalg.state(np.array([[1.0 + 0.0j]]))
+        return np.array([[1.0 + 0.0j]])
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
-    rho = (1.0 - n * floor) * rho + floor * np.eye(n)
-    return linalg.state(rho)
+    return (1.0 - n * floor) * rho + floor * np.eye(n)
 
 
 def random_hermitian(n: int, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
@@ -519,38 +534,100 @@ def _run_lemma_cross(rng, dims):
     return None, max(r_cross, r_quad), digest_inputs(F.name, D, A, X)
 
 
-def _run_monotonicity(rng, dims):
+class _MonotonicityDraw(NamedTuple):
+    """One drawn monotonicity trial: operand, channel, raw densities, generator."""
+
+    A: np.ndarray
+    channel: channels.KrausChannel
+    D1: np.ndarray
+    D2: np.ndarray
+    rng: np.random.Generator
+
+
+def _draw_attempt(A, rng, n_in: int, n_out: int, k: int) -> _MonotonicityDraw:
+    """One sampling attempt of a monotonicity trial: a channel and two raw densities."""
+    floor = min(0.03, 0.5 / n_in)
+    ch = channels.random_channel(n_in, n_out, k, seed=rng)
+    D1, D2 = (_draw_density(n_in, floor, rng) for _ in range(2))
+    return _MonotonicityDraw(A, ch, D1, D2, rng)
+
+
+def _draw_monotonicity(rng, dims):
     n_in = _dim(rng, dims)
     n_out = _dim(rng, dims)
     k = int(rng.integers(1, 4))
     k = max(k, -(-n_in // n_out), -(-n_out // n_in))
-    F = functions.power_kernel(_pick(rng, _ALPHAS))
+    alpha = _pick(rng, _ALPHAS)
     A = _random_complex(n_out, rng)
-    floor = min(0.03, 0.5 / n_in)
+    return (n_in, n_out, k, alpha), _draw_attempt(A, rng, n_in, n_out, k)
+
+
+def _stacked_channel(chs) -> channels.KrausChannel:
+    """One channel whose Kraus operators stack those of ``chs``."""
+    return channels.KrausChannel(tuple(np.stack(ops) for ops in zip(*(c.kraus_ops for c in chs))))
+
+
+def _evaluate_monotonicity(key, trials):
+    """Margins of one ``(n_in, n_out, k, alpha)`` group, validated and paired as stacks.
+
+    A trial whose channel outputs fail the density checks resamples its
+    channel and densities from a copy of its own generator, continuing the
+    stream where its last draw stopped, for at most 40 attempts in all.
+    """
+    n_in, n_out, k, alpha = key
+    F = functions.power_kernel(alpha)
+    results = [None] * len(trials)
+    pending = dict(enumerate(trials))
     for _ in range(40):
-        ch = channels.random_channel(n_in, n_out, k, seed=rng)
-        D1 = random_density(n_in, floor=floor, seed=rng)
-        D2 = random_density(n_in, floor=floor, seed=rng)
+        idx, drawn = list(pending), list(pending.values())
+        D = linalg.state(np.stack([[c.D1 for c in drawn], [c.D2 for c in drawn]]))
+        A = np.stack([c.A for c in drawn])
+        ch = _stacked_channel(c.channel for c in drawn)
+        keep = np.arange(len(drawn))
         try:
-            margin = channels.monotonicity_margin(F, A, D1, D2, ch)
+            margins = channels.monotonicity_margin(F, A, D[0], D[1], ch)
         except InvariantViolation:
-            continue
-        return margin, None, digest_inputs(F.name, A, D1, D2, *ch.kraus_ops)
+            # some outputs lose invertibility: pair the other trials, resample these
+            _, ok = linalg.screened_state(channels.apply_state(ch, D.matrix))
+            keep = np.flatnonzero(ok.all(axis=0))
+            margins = ()
+            if keep.size:
+                ch = channels.KrausChannel(tuple(K[keep] for K in ch.kraus_ops))
+                margins = channels.monotonicity_margin(F, A[keep], D[0, keep], D[1, keep], ch)
+        for margin, j in zip(margins, keep):
+            c = pending.pop(idx[j])
+            D1, D2 = D.matrix[:, j]
+            results[idx[j]] = (
+                float(margin), None, digest_inputs(F.name, c.A, D1, D2, *c.channel.kraus_ops)
+            )
+        if not pending:
+            return results
+        for t, c in pending.items():
+            pending[t] = _draw_attempt(c.A, copy.deepcopy(c.rng), n_in, n_out, k)
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
-def _run_concavity(rng, dims):
+def _draw_concavity(rng, dims):
     n = _dim(rng, dims)
-    F = functions.power_kernel(_pick(rng, _ALPHAS))
+    alpha = _pick(rng, _ALPHAS)
     lam = _pick(rng, _MIX_WEIGHTS)
     A = _random_complex(n, rng)
     floor = min(0.03, 0.5 / n)
-    a1 = random_density(n, floor=floor, seed=rng)
-    a2 = random_density(n, floor=floor, seed=rng)
-    b1 = random_density(n, floor=floor, seed=rng)
-    b2 = random_density(n, floor=floor, seed=rng)
-    margin = channels.concavity_margin(F, A, (a1, a2), (b1, b2), lam)
-    return margin, None, digest_inputs(F.name, lam, A, a1, a2, b1, b2)
+    return (n, alpha), (lam, A, [_draw_density(n, floor, rng) for _ in range(4)])
+
+
+def _evaluate_concavity(key, trials):
+    """Margins of one ``(n, alpha)`` group; its ``4 m`` densities are validated in one call."""
+    F = functions.power_kernel(key[1])
+    S = linalg.state(np.stack([rhos for _, _, rhos in trials], axis=1))
+    margins = channels.concavity_margin(
+        F, np.stack([A for _, A, _ in trials]), (S[0], S[1]), (S[2], S[3]),
+        np.array([lam for lam, _, _ in trials]),
+    )
+    return [
+        (float(margin), None, digest_inputs(F.name, lam, A, *S.matrix[:, j]))
+        for j, (margin, (lam, A, _)) in enumerate(zip(margins, trials))
+    ]
 
 
 def _run_det_uncertainty(rng, dims):
@@ -614,33 +691,64 @@ def _run_renyi_limit(rng, dims):
     return margin, gaps[-1], digest_inputs(D1, D2)
 
 
-class _Suite(NamedTuple):
-    """A suite's trial runner, default tolerances and acceptance-scale run."""
+def _per_trial(runner):
+    """``draw`` of a suite that computes each trial as it draws it (with :func:`_drawn`)."""
+    return lambda rng, dims: (None, runner(rng, dims))
 
-    runner: Callable
+
+def _drawn(key, results):
+    """``evaluate`` of a per-trial suite: its draws are already the results."""
+    return results
+
+
+class _Suite(NamedTuple):
+    """A suite's draw and group evaluator, default tolerances and acceptance-scale run.
+
+    ``draw(rng, dims)`` takes everything a trial needs from the trial's
+    generator and returns ``(shape key, inputs)``; ``evaluate(key, inputs)``
+    maps a list of one key's inputs to their ``(margin, residual, digest)``.
+    """
+
+    draw: Callable
     margin_tol: float
     residual_tol: float
     trials: int
     dims: tuple[int, ...]
+    evaluate: Callable = _drawn
 
 
 _SUITES = {
-    "standardness": _Suite(_run_standardness, math.inf, 1e-9, 200, (2, 3, 4)),
-    "operator-monotone": _Suite(_run_operator_monotone, 1e-8, 1e-10, 100, (2, 3, 4)),
-    "scalar-gibi": _Suite(_run_scalar_gibi, 1e-10, math.inf, 200, (2, 3, 4)),
-    "skew-identity": _Suite(_run_skew_identity, math.inf, 1e-9, 200, (2, 3, 4, 5)),
-    "hessian": _Suite(_run_hessian, math.inf, 1e-5, 100, (2, 3, 4)),
-    "lemma-commuting": _Suite(_run_lemma_commuting, math.inf, 1e-6, 50, (2, 3, 4)),
-    "lemma-cross": _Suite(_run_lemma_cross, math.inf, 1e-6, 50, (2, 3, 4)),
-    "monotonicity": _Suite(_run_monotonicity, 1e-8, math.inf, 500, (2, 3, 4)),
-    "concavity": _Suite(_run_concavity, 1e-8, math.inf, 500, (2, 3, 4)),
-    "det-uncertainty": _Suite(_run_det_uncertainty, 1e-9, math.inf, 200, (2, 3, 4)),
-    "oracle-equivalence": _Suite(_run_oracle_equivalence, math.inf, 1e-10, 100, (2, 3, 4, 5)),
-    "wyd-consistency": _Suite(_run_wyd_consistency, math.inf, 1e-9, 100, (2, 3, 4)),
-    "renyi-limit": _Suite(_run_renyi_limit, 1e-12, 1e-2, 20, (2, 3, 4)),
+    "standardness": _Suite(_per_trial(_run_standardness), math.inf, 1e-9, 200, (2, 3, 4)),
+    "operator-monotone": _Suite(_per_trial(_run_operator_monotone), 1e-8, 1e-10, 100, (2, 3, 4)),
+    "scalar-gibi": _Suite(_per_trial(_run_scalar_gibi), 1e-10, math.inf, 200, (2, 3, 4)),
+    "skew-identity": _Suite(_per_trial(_run_skew_identity), math.inf, 1e-9, 200, (2, 3, 4, 5)),
+    "hessian": _Suite(_per_trial(_run_hessian), math.inf, 1e-5, 100, (2, 3, 4)),
+    "lemma-commuting": _Suite(_per_trial(_run_lemma_commuting), math.inf, 1e-6, 50, (2, 3, 4)),
+    "lemma-cross": _Suite(_per_trial(_run_lemma_cross), math.inf, 1e-6, 50, (2, 3, 4)),
+    "monotonicity": _Suite(
+        _draw_monotonicity, 1e-8, math.inf, 500, (2, 3, 4), _evaluate_monotonicity
+    ),
+    "concavity": _Suite(_draw_concavity, 1e-8, math.inf, 500, (2, 3, 4), _evaluate_concavity),
+    "det-uncertainty": _Suite(_per_trial(_run_det_uncertainty), 1e-9, math.inf, 200, (2, 3, 4)),
+    "oracle-equivalence": _Suite(
+        _per_trial(_run_oracle_equivalence), math.inf, 1e-10, 100, (2, 3, 4, 5)
+    ),
+    "wyd-consistency": _Suite(_per_trial(_run_wyd_consistency), math.inf, 1e-9, 100, (2, 3, 4)),
+    "renyi-limit": _Suite(_per_trial(_run_renyi_limit), 1e-12, 1e-2, 20, (2, 3, 4)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
+
+
+_TRIAL_ERRORS = (VerificationError, InvariantViolation)
+
+
+def _evaluate_alone(evaluate, key, inputs):
+    """One trial's result, or the exception it raised."""
+    try:
+        return evaluate(key, [inputs])[0]
+    except _TRIAL_ERRORS as exc:
+        return exc
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, tolerances=None) -> TrialReport:
@@ -654,6 +762,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     and the offending value.  A trial that raises ``VerificationError`` or
     ``InvariantViolation`` is a failure recording its seed, the exception
     class (``error``) and its message; the remaining trials still run.
+    Every trial is drawn before any is evaluated, and trials are evaluated
+    one shape group at a time; a group that raises is rerun trial by trial.
     """
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
@@ -676,15 +786,31 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     residuals: list[float] = []
     failures: list[dict] = []
     start = time.perf_counter()
+    outcomes: list = [None] * trials
+    groups: dict = {}
     for i in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         try:
-            margin, residual, digest = suite.runner(rng, dims)
-        except (VerificationError, InvariantViolation) as exc:
+            key, inputs = suite.draw(rng, dims)
+        except _TRIAL_ERRORS as exc:
+            outcomes[i] = exc
+            continue
+        groups.setdefault(key, []).append((i, inputs))
+    for key, group in groups.items():
+        idx, inputs = zip(*group)
+        try:
+            results = suite.evaluate(key, inputs)
+        except _TRIAL_ERRORS:
+            results = [_evaluate_alone(suite.evaluate, key, x) for x in inputs]
+        for i, result in zip(idx, results):
+            outcomes[i] = result
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
             failures.append(
-                {"seed": f"{seed}:{i}", "error": type(exc).__name__, "message": str(exc)}
+                {"seed": f"{seed}:{i}", "error": type(outcome).__name__, "message": str(outcome)}
             )
             continue
+        margin, residual, digest = outcome
         offending = None
         if margin is not None:
             margins.append(float(margin))

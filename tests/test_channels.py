@@ -195,3 +195,42 @@ def test_data_processing_direction_for_decreasing_kernels():
         for F in kernels:
             worst = min(worst, ch.data_processing_margin(F, D1, D2, c))
     assert worst >= -1e-8
+
+
+def test_stacked_channel_calls_equal_the_two_d_calls_member_by_member():
+    rng = np.random.default_rng(21)
+    n_in, n_out, k, m = 3, 2, 2, 5
+    chans = [ch.random_channel(n_in, n_out, k, seed=rng) for _ in range(m)]
+    stack = ch.KrausChannel(tuple(np.stack(ops) for ops in zip(*(c.kraus_ops for c in chans))))
+    assert (stack.dim_in, stack.dim_out) == (n_in, n_out)
+
+    def densities():
+        return linalg.state(np.stack([random_density(n_in, 0.05, rng) for _ in range(m)]))
+
+    D1, D2 = densities(), densities()
+    A = rng.standard_normal((m, n_out, n_out)) + 1j * rng.standard_normal((m, n_out, n_out))
+    F = fn.power_kernel(0.5)
+    out, dual = ch.apply_state(stack, D1.matrix), ch.apply_dual(stack, A)
+    margins = ch.monotonicity_margin(F, A, D1, D2, stack)
+    pairs = [densities() for _ in range(4)]
+    B = rng.standard_normal((m, n_in, n_in)) + 1j * rng.standard_normal((m, n_in, n_in))
+    lam = rng.uniform(size=m)
+    mixes = ch.concavity_margin(F, B, pairs[:2], pairs[2:], lam)
+    assert margins.shape == mixes.shape == (m,)
+    for j, c in enumerate(chans):
+        assert np.array_equal(out[j], ch.apply_state(c, D1.matrix[j]))
+        assert np.array_equal(dual[j], ch.apply_dual(c, A[j]))
+        assert margins[j] == ch.monotonicity_margin(F, A[j], D1[j], D2[j], c)
+        a, b = (pairs[0][j], pairs[1][j]), (pairs[2][j], pairs[3][j])
+        assert mixes[j] == ch.concavity_margin(F, B[j], a, b, float(lam[j]))
+
+
+def test_stacked_channel_validates_every_member():
+    good = ch.random_channel(2, 2, 1, seed=0).kraus_ops[0]
+    with pytest.raises(InvariantViolation, match="trace preservation"):
+        ch.KrausChannel((np.stack([good, 0.5 * good]),))
+    with pytest.raises(DomainError, match="mixing weight"):
+        ch.concavity_margin(
+            fn.power_kernel(0.5), np.eye(2), (np.eye(2) / 2,) * 2, (np.eye(2) / 2,) * 2,
+            np.array([0.5, 1.5]),
+        )

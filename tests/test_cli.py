@@ -179,6 +179,30 @@ def test_compute_hansen_function_from_file(tmp_path, matrix_files, capsys):
     assert capsys.readouterr().out.strip() == "0.25"
 
 
+@pytest.mark.parametrize(
+    "text", ["[[0.5, NaN]]", "[[NaN, 1.0]]", "[[0.5, 1" + "0" * 400 + "]]"],
+    ids=["nan-weight", "nan-atom", "huge-integer"],
+)
+def test_compute_hansen_non_finite_measure_exit_3(tmp_path, matrix_files, text, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(text)
+    rc = cli.main(
+        ["compute", "skew", "--fn", f"hansen:{mu}", "--state", matrix_files["d2"], "--obs", matrix_files["x"]]
+    )
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("error: measure ")
+
+
+def test_compute_integer_beyond_float_range_exit_3(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"n": 1, "data": [[[1' + "0" * 400 + ", 0]]]}")
+    rc = cli.main(["compute", "umegaki", "--state", str(big), "--state2", str(big)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == "error: matrix has non-finite entries\n"
+
+
 def test_verify_writes_report_and_exit_zero(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc = cli.main(
@@ -248,7 +272,7 @@ def test_verify_incomplete_step_exit_1(monkeypatch, capsys):
     def runner(rng, dims):
         raise VerificationError("no finite-difference step keeps the states positive definite")
 
-    monkeypatch.setitem(verify._SUITES, "hessian", verify._SUITES["hessian"]._replace(runner=runner))
+    monkeypatch.setitem(verify._SUITES, "hessian", verify._SUITES["hessian"]._replace(draw=runner))
     rc = cli.main(["verify", "hessian", "--trials", "1"])
     assert rc == 1
     assert capsys.readouterr().err == (

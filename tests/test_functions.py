@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,3 +312,22 @@ def test_load_measure_errors(tmp_path):
     unnorm.write_text("[[0.5, 0.4]]")
     with pytest.raises(InvariantViolation):
         fn.load_measure(unnorm)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[[0.5, NaN]]", "measure weights must be nonnegative"),
+        ("[[NaN, 1.0]]", "measure atoms must lie in [0, 1]"),
+        ("[[0.5, 0.5], [0.2, NaN]]", "measure weights must be nonnegative"),
+        ("[[0.5, Infinity]]", "measure weights must sum to one"),
+        ("[[0.5, 1" + "0" * 400 + "]]", "measure entry too large for a float"),
+    ],
+    ids=["nan-weight", "nan-atom", "nan-second-weight", "inf-weight", "huge-integer"],
+)
+def test_load_measure_rejects_non_finite_entries(tmp_path, text, message):
+    # every comparison with NaN is false, so checks must be written to fail on it
+    path = tmp_path / "mu.json"
+    path.write_text(text)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        fn.load_measure(path)

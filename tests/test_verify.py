@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qig import functions as fn, linalg, quantities as qt, verify as vf
+from qig import channels, functions as fn, linalg, quantities as qt, verify as vf
 from qig.errors import DomainError, InvariantViolation, VerificationError
 
 
@@ -422,10 +424,10 @@ def test_run_suite_records_a_raising_trial_and_runs_the_rest(error, monkeypatch)
         seen.append(len(seen))
         if len(seen) == 2:
             raise error("no finite-difference step keeps the states positive definite")
-        return row.runner(rng, dims)
+        return row.draw(rng, dims)
 
     clean = vf.run_suite("wyd-consistency", trials=4, seed=3, dims=(2, 3))
-    monkeypatch.setitem(vf._SUITES, "wyd-consistency", row._replace(runner=raising))
+    monkeypatch.setitem(vf._SUITES, "wyd-consistency", row._replace(draw=raising))
     rep = vf.run_suite("wyd-consistency", trials=4, seed=3, dims=(2, 3))
     assert seen == [0, 1, 2, 3] and rep.trials == 4 and not rep.passed
     assert rep.failures == [
@@ -512,3 +514,155 @@ def test_det_uncertainty_builds_each_gram_pair_once(monkeypatch):
         monkeypatch.setattr(vf, name, counted)
     vf.run_suite("det-uncertainty", trials=3, seed=0, dims=(2, 3))
     assert calls == {"cov_gram": 3, "skew_gram": 3}
+
+
+# ---------------------------------------------------------------------------
+# batched suites against the per-trial 2-D computation
+
+
+def _trial_records(name, **kwargs) -> dict:
+    """Every trial's failure record, keyed by its seed.
+
+    With a margin tolerance of -inf every trial that returns a margin
+    fails, so its record carries that margin (``value``) and the digest.
+    """
+    rep = vf.run_suite(name, tolerances={"margin": -math.inf}, **kwargs)
+    assert len(rep.failures) == rep.trials
+    return {f["seed"]: f for f in rep.failures}
+
+
+def _trial_rng(seed: int, i: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, i]))
+
+
+def _concavity_by_trial(rng, dims):
+    """One concavity trial drawn and evaluated alone, with the public 2-D margin."""
+    n = vf._dim(rng, dims)
+    F = fn.power_kernel(vf._pick(rng, vf._ALPHAS))
+    lam = vf._pick(rng, vf._MIX_WEIGHTS)
+    A = vf._random_complex(n, rng)
+    floor = min(0.03, 0.5 / n)
+    a1, a2, b1, b2 = (vf.random_density(n, floor, rng) for _ in range(4))
+    margin = channels.concavity_margin(F, A, (a1, a2), (b1, b2), lam)
+    return margin, qt.digest_inputs(F.name, lam, A, a1, a2, b1, b2)
+
+
+def _monotonicity_by_trial(rng, dims):
+    """One monotonicity trial drawn and evaluated alone, resampling as the suite does."""
+    n_in = vf._dim(rng, dims)
+    n_out = vf._dim(rng, dims)
+    k = int(rng.integers(1, 4))
+    k = max(k, -(-n_in // n_out), -(-n_out // n_in))
+    F = fn.power_kernel(vf._pick(rng, vf._ALPHAS))
+    A = vf._random_complex(n_out, rng)
+    floor = min(0.03, 0.5 / n_in)
+    for _ in range(40):
+        c = channels.random_channel(n_in, n_out, k, seed=rng)
+        D1 = vf.random_density(n_in, floor, rng)
+        D2 = vf.random_density(n_in, floor, rng)
+        try:
+            margin = channels.monotonicity_margin(F, A, D1, D2, c)
+        except InvariantViolation:
+            continue
+        return margin, qt.digest_inputs(F.name, A, D1, D2, *c.kraus_ops)
+    raise VerificationError("could not sample a channel instance with invertible outputs")
+
+
+_BY_TRIAL = {"monotonicity": _monotonicity_by_trial, "concavity": _concavity_by_trial}
+
+
+def _assert_batched_equals_by_trial(name, seed, trials, dims):
+    batched = _trial_records(name, trials=trials, seed=seed, dims=dims)
+    for i in range(trials):
+        key = f"{seed}:{i}"
+        try:
+            margin, digest = _BY_TRIAL[name](_trial_rng(seed, i), dims)
+        except (VerificationError, InvariantViolation) as exc:
+            assert batched[key] == {"seed": key, "error": type(exc).__name__, "message": str(exc)}
+            continue
+        assert type(margin) is float
+        assert batched[key] == {"seed": key, "digest": digest, "value": margin}
+    return batched
+
+
+@pytest.mark.parametrize("name", sorted(_BY_TRIAL))
+@pytest.mark.parametrize("dims", [(2, 3, 4), (2, 3, 4, 5, 6, 7, 8)], ids=["2-4", "2-8"])
+def test_batched_margins_and_digests_equal_the_two_d_ones(name, dims):
+    _assert_batched_equals_by_trial(name, seed=7, trials=120, dims=dims)
+
+
+def _collapsing_channels(monkeypatch, always: bool = False, fault: float = 0.0) -> list:
+    """Let ``random_channel`` return a channel with singular outputs where the shape allows.
+
+    Kraus block ``i // r`` sends input direction i to output direction
+    ``i % r``, so every output lives on the first ``r`` directions.  Such a
+    channel replaces about half of the drawn ones (all, with ``always``),
+    and a ``fault`` share of draws raises instead; the coin comes from the
+    trial's own stream.  Returns the call log.
+    """
+    original = channels.random_channel
+    calls = []
+
+    def draw(n_in, n_out, k, seed):
+        calls.append((n_in, n_out, k))
+        c = original(n_in, n_out, k, seed=seed)
+        coin = seed.random()
+        if coin < fault:
+            raise InvariantViolation("the drawn channel is rejected")
+        r = -(-n_in // k)
+        if r < n_out and (always or coin < 0.5):
+            K = np.zeros((k, n_out, n_in), dtype=complex)
+            for i in range(n_in):
+                K[i // r, i % r, i] = 1.0
+            return channels.KrausChannel(tuple(K))
+        return c
+
+    monkeypatch.setattr(channels, "random_channel", draw)
+    return calls
+
+
+def test_monotonicity_resamples_from_each_trials_own_stream(monkeypatch):
+    # a channel draw that raises on a later attempt makes its group rerun trial
+    # by trial, and each rerun must resample the same stream again
+    calls = _collapsing_channels(monkeypatch, fault=0.05)
+    records = _assert_batched_equals_by_trial("monotonicity", seed=3, trials=60, dims=(2,))
+    assert any("error" in r for r in records.values())
+    assert len(calls) > 2 * 60 + 20  # reference and batched runs, and resamples
+
+
+def test_monotonicity_records_each_trial_that_exhausts_its_attempts(monkeypatch):
+    _collapsing_channels(monkeypatch, always=True)
+    records = _assert_batched_equals_by_trial("monotonicity", seed=3, trials=6, dims=(2, 4))
+    exhausted = [r for r in records.values() if r.get("error") == "VerificationError"]
+    assert 0 < len(exhausted) < len(records)
+    assert {r["message"] for r in exhausted} == {
+        "could not sample a channel instance with invertible outputs"
+    }
+
+
+def test_a_raising_trial_inside_a_batched_group_fails_alone(monkeypatch):
+    # one dimension and three alphas: the broken trial shares its group with others
+    seed, trials, dims, broken = 4, 40, (2,), 5
+    row = vf._SUITES["concavity"]
+    seen = []
+    bad = []
+
+    def draw(rng, dims):
+        key, (lam, A, rhos) = row.draw(rng, dims)
+        seen.append(key)
+        if len(seen) == broken + 1:
+            rhos[2] = 2.0 * rhos[2]
+            bad.append(rhos[2])
+        return key, (lam, A, rhos)
+
+    clean = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
+    monkeypatch.setitem(vf._SUITES, "concavity", row._replace(draw=draw))
+    rep = vf.run_suite("concavity", trials=trials, seed=seed, dims=dims)
+    with pytest.raises(InvariantViolation) as exc:
+        linalg.state(bad[0])
+    failure = {"seed": f"{seed}:{broken}", "error": "InvariantViolation", "message": str(exc.value)}
+    assert seen.count(seen[broken]) > 1
+    assert rep.failures == [failure]
+    seen.clear()
+    records = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
+    assert records == {**clean, failure["seed"]: failure}
