@@ -14,7 +14,10 @@ then describe one channel per member.  :func:`apply_state`,
 :func:`concavity_margin` broadcast such a channel, stacked states and
 operands (and an array of mixing weights) over their leading axes, and
 return an array over them; the Kraus sum runs over the operators in order,
-so every member equals the 2-D call bit for bit.
+so every member equals the 2-D call bit for bit.  :func:`random_channel`
+is :func:`isometry_channel` applied to one :func:`draw_channel` draw; a
+sampling harness stacks such draws and builds one stacked channel from
+them with one QR call.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
         acc = sum(linalg.dagger(K) @ K for K in ops)
         dev = float(np.max(np.abs(acc - np.eye(shape[-1]))))
-        if dev > KRAUS_TOL:
+        if not dev <= KRAUS_TOL:  # NaN entries fail too
             raise InvariantViolation(
                 f"Kraus operators must satisfy sum K*K = I (trace preservation); "
                 f"deviation {dev:.3e}"
@@ -61,18 +64,40 @@ class KrausChannel:
         return self.kraus_ops[0].shape[-2]
 
 
-def random_channel(n_in: int, n_out: int, kraus_count: int, seed) -> KrausChannel:
-    """Kraus blocks of a Haar-random isometry from n_in into kraus_count * n_out.
+def draw_channel(n_in: int, n_out: int, kraus_count: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw draw of the Ginibre matrix :func:`random_channel` builds its channel from.
 
-    Deterministic for a fixed integer seed; also accepts a Generator.
+    See :func:`~qig.linalg.draw_ginibre`; raises before drawing when
+    ``kraus_count * n_out < n_in``.
     """
     if kraus_count * n_out < n_in:
         raise InvariantViolation(
             f"infeasible dimensions: {kraus_count} Kraus operators with output "
             f"dimension {n_out} cannot carry input dimension {n_in}"
         )
-    Q = linalg.haar_unitary(n_in, np.random.default_rng(seed), rows=kraus_count * n_out)
-    return KrausChannel(tuple(Q[i * n_out : (i + 1) * n_out, :] for i in range(kraus_count)))
+    return linalg.draw_ginibre(rng, (kraus_count * n_out, n_in))
+
+
+def isometry_channel(raw, kraus_count: int) -> KrausChannel:
+    """Channel whose Kraus operators are the row blocks of a Haar isometry.
+
+    ``raw`` is a :func:`draw_channel` draw or a stack of them, shape
+    ``(..., 2, kraus_count * n_out, n_in)``.  The phase-fixed QR factors of
+    its Ginibre matrices are cut into ``kraus_count`` blocks of ``n_out``
+    rows, one stacked channel per member.
+    """
+    Q = linalg.phase_fixed_qr(linalg.ginibre(raw))
+    n_out = Q.shape[-2] // kraus_count
+    return KrausChannel(tuple(Q[..., i * n_out : (i + 1) * n_out, :] for i in range(kraus_count)))
+
+
+def random_channel(n_in: int, n_out: int, kraus_count: int, seed) -> KrausChannel:
+    """Kraus blocks of a Haar-random isometry from n_in into kraus_count * n_out.
+
+    Deterministic for a fixed integer seed; also accepts a Generator.
+    """
+    raw = draw_channel(n_in, n_out, kraus_count, np.random.default_rng(seed))
+    return isometry_channel(raw, kraus_count)
 
 
 def apply_state(ch: KrausChannel, D) -> np.ndarray:

@@ -352,9 +352,11 @@ def check_operator_monotone(
 ) -> MonotonicityReport:
     """Sample the matrix-order and upper-half-plane behaviour of f.
 
-    Loewner sub-check: draws pairs ``A <= B`` of Hermitian matrices with
-    spectra inside [1e-3, 10] (``B = A + P`` with P positive semidefinite)
-    and records the smallest eigenvalue of ``f(B) - f(A)``.  Pick
+    Loewner sub-check: draws ``trials`` pairs ``A <= B`` of Hermitian
+    matrices with spectra inside [1e-3, 10] (``B = A + P`` with P positive
+    semidefinite), in order from the seed's generator, then builds and
+    checks them as one stack and records the smallest eigenvalue of
+    ``f(B) - f(A)`` over the pairs.  Pick
     sub-check: evaluates f on a fixed grid in the open upper half-plane
     and records the smallest imaginary part; it is skipped and flagged
     when f does not evaluate on complex arguments.  Numerics can only
@@ -362,19 +364,29 @@ def check_operator_monotone(
     """
     rng = np.random.default_rng(seed)
     loewner = math.inf
-    for _ in range(max(0, int(trials))):
-        w = rng.uniform(1e-3, 4.5, size=dim)
-        U = linalg.haar_unitary(dim, rng)
-        A = (U * w) @ U.conj().T
-        A = (A + A.conj().T) / 2
-        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        P = G @ G.conj().T
-        headroom = 10.0 - float(np.max(w))
-        P *= rng.uniform(0.05, 1.0) * headroom / float(np.linalg.eigvalsh(P)[-1])
-        B = (A + P + (A + P).conj().T) / 2
-        diff = linalg.apply_matrix_function(f, B) - linalg.apply_matrix_function(f, A)
-        diff = (diff + diff.conj().T) / 2
-        loewner = min(loewner, float(np.linalg.eigvalsh(diff)[0]))
+    draws = [
+        (
+            rng.uniform(1e-3, 4.5, size=dim),
+            linalg.draw_ginibre(rng, (dim, dim)),
+            linalg.draw_ginibre(rng, (dim, dim)),
+            rng.uniform(0.05, 1.0),
+        )
+        for _ in range(max(0, int(trials)))
+    ]
+    if draws:
+        w, raw_u, raw_p, shrink = (np.array(x) for x in zip(*draws))
+        U = linalg.phase_fixed_qr(linalg.ginibre(raw_u))
+        A = (U * w[:, None, :]) @ linalg.dagger(U)
+        A = (A + linalg.dagger(A)) / 2
+        G = linalg.ginibre(raw_p)
+        P = G @ linalg.dagger(G)
+        headroom = 10.0 - np.max(w, axis=-1)
+        P *= (shrink * headroom / np.linalg.eigvalsh(P)[:, -1])[:, None, None]
+        B = (A + P + linalg.dagger(A + P)) / 2
+        fB, fA = linalg.apply_matrix_function(f, np.stack([B, A]))
+        diff = fB - fA
+        diff = (diff + linalg.dagger(diff)) / 2
+        loewner = min(np.linalg.eigvalsh(diff)[:, 0].tolist())
     pick_margin = None
     skipped = True
     try:

@@ -14,6 +14,13 @@ A 2-D input is a batch of none and behaves as a single matrix.  Validation
 raises on the first rejected member; :func:`screened_state` instead
 returns the per-matrix mask of the same checks.
 
+:func:`apply_matrix_function` takes stacks too, through that one ``eigh``
+call, and so does :func:`phase_fixed_qr`, the QR behind
+:func:`haar_unitary`: it turns a stack of Ginibre matrices (built by
+:func:`ginibre` from raw :func:`draw_ginibre` draws) into Haar isometries
+in one ``np.linalg.qr`` call.  Every member equals the 2-D call bit for
+bit.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
@@ -220,12 +227,12 @@ def eval_scalar(h, x) -> np.ndarray:
 
 
 def apply_matrix_function(h, H) -> np.ndarray:
-    """``U diag(h(w)) U*`` for the spectral data ``(w, U)`` of Hermitian ``H``."""
+    """``U diag(h(w)) U*`` for the spectral data ``(w, U)`` of Hermitian ``H`` (or a stack)."""
     dec = eig_hermitian(H)
     vals = eval_scalar(h, dec.eigenvalues)
     U = dec.eigenvectors
-    out = (U * vals) @ U.conj().T
-    return (out + out.conj().T) / 2
+    out = (U * vals[..., None, :]) @ U.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
@@ -330,13 +337,34 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
+def draw_ginibre(rng: np.random.Generator, shape) -> np.ndarray:
+    """Raw draw of a complex Ginibre matrix of the 2-D ``shape``, for :func:`ginibre`.
+
+    One standard normal array of shape ``(2, *shape)``: the real parts,
+    then the imaginary parts, the stream of two draws of ``shape``.
+    """
+    return rng.standard_normal((2, *shape))
+
+
+def ginibre(raw) -> np.ndarray:
+    """Complex Ginibre matrices from a raw draw or a ``(..., 2, rows, cols)`` stack of them."""
+    return raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+
+
+def phase_fixed_qr(G) -> np.ndarray:
+    """Q factor of G with the phases of R's diagonal moved into it.
+
+    For a complex Ginibre G of shape ``(..., rows, n)`` with ``rows >= n``
+    each member is a Haar-random ``rows x n`` isometry.
+    """
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix.
 
     With ``rows >= n`` the result is a Haar-random ``rows x n`` isometry.
     """
-    shape = (n if rows is None else rows, n)
-    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    return phase_fixed_qr(ginibre(draw_ginibre(rng, (n if rows is None else rows, n))))

@@ -12,10 +12,13 @@ its generator from the suite seed and the trial index.  :func:`run_suite`
 draws every trial first, then groups the drawn trials by shape key and
 evaluates each group in stacked calls; results go back in trial order.
 ``monotonicity`` (key ``(n_in, n_out, k, alpha)``) and ``concavity`` (key
-``(n, alpha)``) validate, decompose and pair a whole group at once; the
-other suites compute each trial as they draw it.  A group whose stacked
-evaluation raises ``VerificationError`` or ``InvariantViolation`` is rerun
-one trial at a time, so the failure lands on the trial that raised.
+``(n, alpha)``) draw only their random numbers, the raw Ginibre arrays in
+stream order; a group builds its densities, unit operands and channel
+isometries from those arrays as stacks, then validates, decomposes and
+pairs them at once.  The other suites compute each trial as they draw it.
+A group whose stacked evaluation raises ``VerificationError`` or
+``InvariantViolation`` is rerun one trial at a time, so the failure lands
+on the trial that raised.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ class StepSchedule:
     def __post_init__(self):
         if not self.steps:
             raise InvariantViolation("step schedule must be nonempty")
-        if any(h <= 0.0 for h in self.steps):
+        # negated comparisons, so that a NaN step fails them
+        if not all(h > 0.0 for h in self.steps):
             raise InvariantViolation("steps must be positive")
-        if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
+        if not all(a > b for a, b in zip(self.steps, self.steps[1:])):
             raise InvariantViolation("steps must be strictly decreasing")
-        if self.steps[-1] < MIN_STEP:
+        if not self.steps[-1] >= MIN_STEP:
             raise InvariantViolation(f"smallest step must be at least {MIN_STEP:g}")
 
 
@@ -94,37 +98,51 @@ def random_density(n: int, floor: float = 0.01, seed=0) -> linalg.State:
     eigenvalue at or above ``floor``; requires ``0 < floor < 1/n``.  Returns
     the validated :class:`~qig.linalg.State`, which numpy reads as its matrix.
     """
-    return linalg.state(_draw_density(n, floor, np.random.default_rng(seed)))
+    return linalg.state(_densities(_draw_density(n, floor, np.random.default_rng(seed)), floor))
 
 
 def _draw_density(n: int, floor: float, rng: np.random.Generator) -> np.ndarray:
-    """The matrix :func:`random_density` validates, drawn from ``rng``.
+    """Raw draw of the Ginibre square :func:`random_density` builds from.
 
-    Batched suites stack these draws and validate a whole group in one
-    :func:`~qig.linalg.state` call.
+    See :func:`~qig.linalg.draw_ginibre`.  Checks the floor first; for
+    ``n = 1`` draws nothing and returns zeros.
     """
     if not 0.0 < floor < 1.0 / n:
         raise DomainError(f"floor must lie in (0, 1/{n}), got {floor!r}")
     if n == 1:
-        return np.array([[1.0 + 0.0j]])
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = G @ G.conj().T
-    rho /= np.trace(rho).real
+        return np.zeros((2, 1, 1))
+    return linalg.draw_ginibre(rng, (n, n))
+
+
+def _densities(raw: np.ndarray, floor: float) -> np.ndarray:
+    """``(1 - n*floor) G G*/Tr(G G*) + floor I`` from a raw density draw or a stack of them."""
+    G = linalg.ginibre(raw)
+    n = G.shape[-1]
+    if n == 1:
+        return np.ones_like(G)
+    rho = G @ linalg.dagger(G)
+    rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
     return (1.0 - n * floor) * rho + floor * np.eye(n)
 
 
 def random_hermitian(n: int, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
     """Random Hermitian matrix, unit Hilbert-Schmidt norm by default."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = linalg.ginibre(linalg.draw_ginibre(rng, (n, n)))
     H = (G + G.conj().T) / 2
     if unit:
         H = H / linalg.hs_norm(H)
     return H
 
 
+def _unit_operands(raw: np.ndarray) -> np.ndarray:
+    """Ginibre matrices of a raw draw or a stack of them, scaled to unit Hilbert-Schmidt norm."""
+    G = linalg.ginibre(raw)
+    norms = np.sqrt(np.sum(np.abs(G) ** 2, axis=(-2, -1)))
+    return G / norms[..., None, None]
+
+
 def _random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return A / linalg.hs_norm(A)
+    return _unit_operands(linalg.draw_ginibre(rng, (n, n)))
 
 
 def center_observable(D, A) -> np.ndarray:
@@ -535,21 +553,26 @@ def _run_lemma_cross(rng, dims):
 
 
 class _MonotonicityDraw(NamedTuple):
-    """One drawn monotonicity trial: operand, channel, raw densities, generator."""
+    """One drawn monotonicity trial: raw operand, channel and densities, generator."""
 
     A: np.ndarray
-    channel: channels.KrausChannel
+    channel: np.ndarray
     D1: np.ndarray
     D2: np.ndarray
     rng: np.random.Generator
 
 
+def _margin_floor(n: int) -> float:
+    """Density floor of the monotonicity and concavity suites."""
+    return min(0.03, 0.5 / n)
+
+
 def _draw_attempt(A, rng, n_in: int, n_out: int, k: int) -> _MonotonicityDraw:
-    """One sampling attempt of a monotonicity trial: a channel and two raw densities."""
-    floor = min(0.03, 0.5 / n_in)
-    ch = channels.random_channel(n_in, n_out, k, seed=rng)
+    """One sampling attempt of a monotonicity trial: a raw channel and two raw densities."""
+    floor = _margin_floor(n_in)
+    raw = channels.draw_channel(n_in, n_out, k, rng)
     D1, D2 = (_draw_density(n_in, floor, rng) for _ in range(2))
-    return _MonotonicityDraw(A, ch, D1, D2, rng)
+    return _MonotonicityDraw(A, raw, D1, D2, rng)
 
 
 def _draw_monotonicity(rng, dims):
@@ -558,31 +581,30 @@ def _draw_monotonicity(rng, dims):
     k = int(rng.integers(1, 4))
     k = max(k, -(-n_in // n_out), -(-n_out // n_in))
     alpha = _pick(rng, _ALPHAS)
-    A = _random_complex(n_out, rng)
+    A = linalg.draw_ginibre(rng, (n_out, n_out))
     return (n_in, n_out, k, alpha), _draw_attempt(A, rng, n_in, n_out, k)
 
 
-def _stacked_channel(chs) -> channels.KrausChannel:
-    """One channel whose Kraus operators stack those of ``chs``."""
-    return channels.KrausChannel(tuple(np.stack(ops) for ops in zip(*(c.kraus_ops for c in chs))))
-
-
 def _evaluate_monotonicity(key, trials):
-    """Margins of one ``(n_in, n_out, k, alpha)`` group, validated and paired as stacks.
+    """Margins of one ``(n_in, n_out, k, alpha)`` group, built, validated and paired as stacks.
 
+    The group's channels are one stacked :func:`~qig.channels.isometry_channel`.
     A trial whose channel outputs fail the density checks resamples its
     channel and densities from a copy of its own generator, continuing the
     stream where its last draw stopped, for at most 40 attempts in all.
     """
     n_in, n_out, k, alpha = key
     F = functions.power_kernel(alpha)
+    floor = _margin_floor(n_in)
+    operands = _unit_operands(np.stack([c.A for c in trials]))
     results = [None] * len(trials)
     pending = dict(enumerate(trials))
     for _ in range(40):
         idx, drawn = list(pending), list(pending.values())
-        D = linalg.state(np.stack([[c.D1 for c in drawn], [c.D2 for c in drawn]]))
-        A = np.stack([c.A for c in drawn])
-        ch = _stacked_channel(c.channel for c in drawn)
+        raw = np.stack([[c.D1 for c in drawn], [c.D2 for c in drawn]])
+        D = linalg.state(_densities(raw, floor))
+        A = operands[idx]
+        ch = channels.isometry_channel(np.stack([c.channel for c in drawn]), k)
         keep = np.arange(len(drawn))
         try:
             margins = channels.monotonicity_margin(F, A, D[0], D[1], ch)
@@ -592,14 +614,13 @@ def _evaluate_monotonicity(key, trials):
             keep = np.flatnonzero(ok.all(axis=0))
             margins = ()
             if keep.size:
-                ch = channels.KrausChannel(tuple(K[keep] for K in ch.kraus_ops))
-                margins = channels.monotonicity_margin(F, A[keep], D[0, keep], D[1, keep], ch)
+                kept = channels.KrausChannel(tuple(K[keep] for K in ch.kraus_ops))
+                margins = channels.monotonicity_margin(F, A[keep], D[0, keep], D[1, keep], kept)
         for margin, j in zip(margins, keep):
-            c = pending.pop(idx[j])
+            del pending[idx[j]]
             D1, D2 = D.matrix[:, j]
-            results[idx[j]] = (
-                float(margin), None, digest_inputs(F.name, c.A, D1, D2, *c.channel.kraus_ops)
-            )
+            kraus = (K[j] for K in ch.kraus_ops)
+            results[idx[j]] = (float(margin), None, digest_inputs(F.name, A[j], D1, D2, *kraus))
         if not pending:
             return results
         for t, c in pending.items():
@@ -611,22 +632,22 @@ def _draw_concavity(rng, dims):
     n = _dim(rng, dims)
     alpha = _pick(rng, _ALPHAS)
     lam = _pick(rng, _MIX_WEIGHTS)
-    A = _random_complex(n, rng)
-    floor = min(0.03, 0.5 / n)
+    A = linalg.draw_ginibre(rng, (n, n))
+    floor = _margin_floor(n)
     return (n, alpha), (lam, A, [_draw_density(n, floor, rng) for _ in range(4)])
 
 
 def _evaluate_concavity(key, trials):
-    """Margins of one ``(n, alpha)`` group; its ``4 m`` densities are validated in one call."""
-    F = functions.power_kernel(key[1])
-    S = linalg.state(np.stack([rhos for _, _, rhos in trials], axis=1))
-    margins = channels.concavity_margin(
-        F, np.stack([A for _, A, _ in trials]), (S[0], S[1]), (S[2], S[3]),
-        np.array([lam for lam, _, _ in trials]),
-    )
+    """Margins of one ``(n, alpha)`` group; its ``4 m`` densities are built and validated together."""
+    n, alpha = key
+    F = functions.power_kernel(alpha)
+    lams, raw_operands, raw_densities = zip(*trials)
+    A = _unit_operands(np.stack(raw_operands))
+    S = linalg.state(_densities(np.stack(raw_densities, axis=1), _margin_floor(n)))
+    margins = channels.concavity_margin(F, A, (S[0], S[1]), (S[2], S[3]), np.array(lams))
     return [
-        (float(margin), None, digest_inputs(F.name, lam, A, *S.matrix[:, j]))
-        for j, (margin, (lam, A, _)) in enumerate(zip(margins, trials))
+        (float(margin), None, digest_inputs(F.name, lam, A[j], *S.matrix[:, j]))
+        for j, (margin, lam) in enumerate(zip(margins, lams))
     ]
 
 

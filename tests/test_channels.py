@@ -20,6 +20,18 @@ def test_channel_construction_validates_trace_preservation():
         ch.KrausChannel((0.5 * np.eye(2, dtype=complex),))
     with pytest.raises(InvariantViolation):
         ch.KrausChannel(())
+    with pytest.raises(InvariantViolation, match="trace preservation"):
+        ch.KrausChannel((np.full((2, 2), np.nan, dtype=complex),))
+
+
+def test_isometry_channel_stacks_random_channel():
+    rng = np.random.default_rng(8)
+    G = np.stack([ch.draw_channel(3, 2, 2, rng) for _ in range(5)])
+    stack = ch.isometry_channel(G, 2)
+    rng = np.random.default_rng(8)
+    for j in range(5):
+        one = ch.random_channel(3, 2, 2, seed=rng)
+        assert all(np.array_equal(K[j], K1) for K, K1 in zip(stack.kraus_ops, one.kraus_ops))
 
 
 def test_random_channel_is_trace_preserving_and_unital():
@@ -229,6 +241,8 @@ def test_stacked_channel_validates_every_member():
     good = ch.random_channel(2, 2, 1, seed=0).kraus_ops[0]
     with pytest.raises(InvariantViolation, match="trace preservation"):
         ch.KrausChannel((np.stack([good, 0.5 * good]),))
+    with pytest.raises(InvariantViolation, match="trace preservation"):
+        ch.KrausChannel((np.stack([good, np.full((2, 2), np.nan, dtype=complex)]),))
     with pytest.raises(DomainError, match="mixing weight"):
         ch.concavity_margin(
             fn.power_kernel(0.5), np.eye(2), (np.eye(2) / 2,) * 2, (np.eye(2) / 2,) * 2,

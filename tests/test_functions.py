@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qig import functions as fn
+from qig import functions as fn, linalg
 from qig.errors import DomainError, FileFormatError, InvariantViolation, VerificationError
 
 
@@ -207,6 +207,37 @@ def test_check_operator_monotone_passes_transformed_extremal():
     ft = fn.covariance_kernel(fn.extremal_metric(0.5))
     rep = fn.check_operator_monotone(ft, seed=1, trials=30, dim=3)
     assert rep.passed, rep
+
+
+def _loewner_margin_pair_by_pair(f, seed, trials, dim):
+    """The Loewner sub-check computed one 2-D pair at a time."""
+    rng = np.random.default_rng(seed)
+    loewner = math.inf
+    for _ in range(trials):
+        w = rng.uniform(1e-3, 4.5, size=dim)
+        U = linalg.haar_unitary(dim, rng)
+        A = (U * w) @ U.conj().T
+        A = (A + A.conj().T) / 2
+        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        P = G @ G.conj().T
+        headroom = 10.0 - float(np.max(w))
+        P *= rng.uniform(0.05, 1.0) * headroom / float(np.linalg.eigvalsh(P)[-1])
+        B = (A + P + (A + P).conj().T) / 2
+        diff = linalg.apply_matrix_function(f, B) - linalg.apply_matrix_function(f, A)
+        diff = (diff + diff.conj().T) / 2
+        loewner = min(loewner, float(np.linalg.eigvalsh(diff)[0]))
+    return loewner
+
+
+@pytest.mark.parametrize("trials, seeds", [(0, 200), (4, 200), (40, 50)])
+def test_check_operator_monotone_stack_equals_the_pair_by_pair_check(trials, seeds):
+    # dims 2..6 in turn; power:2 is not operator monotone, so margins go negative too
+    kernels = (fn.sld(), fn.kubo_mori(), fn.wyd(0.3), fn.power_kernel(2.0))
+    for seed in range(seeds):
+        dim = 2 + seed % 5
+        f = kernels[seed % len(kernels)]
+        rep = fn.check_operator_monotone(f, seed=seed, trials=trials, dim=dim)
+        assert rep.loewner_margin == _loewner_margin_pair_by_pair(f, seed, trials, dim)
 
 
 def test_check_operator_monotone_pick_skip_flag():

@@ -201,6 +201,29 @@ def test_apply_matrix_function_domain_error():
         linalg.apply_matrix_function(np.log, np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_stacked_apply_matrix_function_equals_the_two_d_call(n):
+    stack = _densities(6, n).reshape(2, 3, n, n)
+    for h in (np.log, np.sqrt, lambda x: x**0.3):
+        out = linalg.apply_matrix_function(h, stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], linalg.apply_matrix_function(h, stack[idx]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_phase_fixed_qr_equals_haar_unitary_member_by_member(n):
+    for rows in (n, n + 1, 3 * n):
+        rng = np.random.default_rng(10 * n + rows)
+        raw = np.stack([linalg.draw_ginibre(rng, (rows, n)) for _ in range(4)])
+        Q = linalg.phase_fixed_qr(linalg.ginibre(raw))
+        assert Q.shape == (4, rows, n)
+        assert_allclose(linalg.dagger(Q) @ Q, np.broadcast_to(np.eye(n), (4, n, n)), atol=1e-12)
+        rng = np.random.default_rng(10 * n + rows)
+        for member in Q:
+            assert np.array_equal(member, linalg.haar_unitary(n, rng, rows=rows))
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
 @settings(max_examples=25, deadline=None)
 def test_spectral_mapping(seed, n):

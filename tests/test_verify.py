@@ -45,6 +45,57 @@ def test_step_schedule_validation():
         vf.StepSchedule(())
 
 
+@pytest.mark.parametrize("steps", [(math.nan,), (1e-2, math.nan), (math.nan, 1e-3)])
+def test_step_schedule_rejects_nan_steps(steps):
+    with pytest.raises(InvariantViolation):
+        vf.StepSchedule(steps)
+
+
+def _ginibre_as_drawn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_draws_build_the_per_matrix_values_and_leave_the_generator_there(n):
+    # the per-matrix construction written out: a Ginibre square per density,
+    # a Ginibre matrix per unit operand and per channel isometry
+    floor = 0.5 / n
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        D = vf.random_density(n, floor, rng)
+        if n == 1:
+            expected = np.array([[1.0 + 0.0j]])
+        else:
+            G = _ginibre_as_drawn(ref, (n, n))
+            rho = G @ G.conj().T
+            rho /= np.trace(rho).real
+            expected = (1.0 - n * floor) * rho + floor * np.eye(n)
+        assert np.array_equal(D.matrix, linalg.as_hermitian(expected))
+        A = vf._random_complex(n, rng)
+        G = _ginibre_as_drawn(ref, (n, n))
+        assert np.array_equal(A, G / linalg.hs_norm(G))
+        c = channels.random_channel(n, 2, n, seed=rng)
+        Q = linalg.haar_unitary(n, ref, rows=2 * n)
+        assert all(np.array_equal(K, Q[2 * i : 2 * i + 2]) for i, K in enumerate(c.kraus_ops))
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_stacked_builders_equal_the_one_draw_builders(n):
+    rng = np.random.default_rng(n)
+    floor = vf._margin_floor(n)
+    raw_rho = np.stack([vf._draw_density(n, floor, rng) for _ in range(6)]).reshape(2, 3, 2, n, n)
+    built = vf._densities(raw_rho, floor)
+    assert built.shape == (2, 3, n, n)
+    raw = np.stack([linalg.draw_ginibre(rng, (n, n)) for _ in range(5)])
+    units = vf._unit_operands(raw)
+    A = linalg.ginibre(raw)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(built[idx], vf._densities(raw_rho[idx], floor))
+    for j in range(5):
+        assert np.array_equal(units[j], A[j] / linalg.hs_norm(A[j]))
+
+
 def test_mixed_second_derivative_zero_direction(qubit_state):
     val, err = vf.mixed_second_derivative(fn.power_kernel(2.0), qubit_state, np.zeros((2, 2)), np.zeros((2, 2)))
     assert val == 0.0 and err == 0.0
@@ -592,42 +643,50 @@ def test_batched_margins_and_digests_equal_the_two_d_ones(name, dims):
 
 
 def _collapsing_channels(monkeypatch, always: bool = False, fault: float = 0.0) -> list:
-    """Let ``random_channel`` return a channel with singular outputs where the shape allows.
+    """Let ``isometry_channel`` build channels with singular outputs where the shape allows.
 
     Kraus block ``i // r`` sends input direction i to output direction
     ``i % r``, so every output lives on the first ``r`` directions.  Such a
-    channel replaces about half of the drawn ones (all, with ``always``),
-    and a ``fault`` share of draws raises instead; the coin comes from the
-    trial's own stream.  Returns the call log.
+    channel replaces about half of the built members (all, with
+    ``always``), and a build that holds a member in the ``fault`` share
+    raises instead.  A member's coin is the phase of its first raw Ginibre
+    entry, uniform on [0, 1), so it comes from the trial's own stream both
+    in the stacked build and in :func:`~qig.channels.random_channel`.
+    Returns the number of members of every build.
     """
-    original = channels.random_channel
+    original = channels.isometry_channel
     calls = []
 
-    def draw(n_in, n_out, k, seed):
-        calls.append((n_in, n_out, k))
-        c = original(n_in, n_out, k, seed=seed)
-        coin = seed.random()
-        if coin < fault:
+    def build(raw, k):
+        c = original(raw, k)
+        first = linalg.ginibre(raw)[..., 0, 0]
+        calls.append(first.size)
+        coin = (np.angle(first) + np.pi) / (2.0 * np.pi)
+        if (coin < fault).any():
             raise InvariantViolation("the drawn channel is rejected")
+        n_out, n_in = c.dim_out, c.dim_in
         r = -(-n_in // k)
-        if r < n_out and (always or coin < 0.5):
+        collapse = always | (coin < 0.5)
+        if r < n_out and collapse.any():
             K = np.zeros((k, n_out, n_in), dtype=complex)
             for i in range(n_in):
                 K[i // r, i % r, i] = 1.0
-            return channels.KrausChannel(tuple(K))
+            mask = collapse[..., None, None]
+            ops = (np.where(mask, Kc, Ko) for Kc, Ko in zip(K, c.kraus_ops))
+            return channels.KrausChannel(tuple(ops))
         return c
 
-    monkeypatch.setattr(channels, "random_channel", draw)
+    monkeypatch.setattr(channels, "isometry_channel", build)
     return calls
 
 
 def test_monotonicity_resamples_from_each_trials_own_stream(monkeypatch):
-    # a channel draw that raises on a later attempt makes its group rerun trial
+    # a channel build that raises on a later attempt makes its group rerun trial
     # by trial, and each rerun must resample the same stream again
     calls = _collapsing_channels(monkeypatch, fault=0.05)
     records = _assert_batched_equals_by_trial("monotonicity", seed=3, trials=60, dims=(2,))
     assert any("error" in r for r in records.values())
-    assert len(calls) > 2 * 60 + 20  # reference and batched runs, and resamples
+    assert sum(calls) > 2 * 60 + 20  # reference and batched runs, and resamples
 
 
 def test_monotonicity_records_each_trial_that_exhausts_its_attempts(monkeypatch):
@@ -651,18 +710,21 @@ def test_a_raising_trial_inside_a_batched_group_fails_alone(monkeypatch):
         key, (lam, A, rhos) = row.draw(rng, dims)
         seen.append(key)
         if len(seen) == broken + 1:
-            rhos[2] = 2.0 * rhos[2]
+            # a NaN in one raw density makes the group's state call raise
+            rhos[2][0, 1] = np.nan
             bad.append(rhos[2])
         return key, (lam, A, rhos)
 
     clean = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
     monkeypatch.setitem(vf._SUITES, "concavity", row._replace(draw=draw))
-    rep = vf.run_suite("concavity", trials=trials, seed=seed, dims=dims)
-    with pytest.raises(InvariantViolation) as exc:
-        linalg.state(bad[0])
+    with np.errstate(invalid="ignore"):  # the normalization divides by the NaN trace
+        rep = vf.run_suite("concavity", trials=trials, seed=seed, dims=dims)
+        with pytest.raises(InvariantViolation, match="non-finite") as exc:
+            linalg.state(vf._densities(bad[0], vf._margin_floor(2)))
     failure = {"seed": f"{seed}:{broken}", "error": "InvariantViolation", "message": str(exc.value)}
     assert seen.count(seen[broken]) > 1
     assert rep.failures == [failure]
     seen.clear()
-    records = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
+    with np.errstate(invalid="ignore"):
+        records = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
     assert records == {**clean, failure["seed"]: failure}
