@@ -360,8 +360,11 @@ def check_operator_monotone(
     sub-check: evaluates f on a fixed grid in the open upper half-plane
     and records the smallest imaginary part; it is skipped and flagged
     when f does not evaluate on complex arguments.  Numerics can only
-    falsify monotonicity, never prove it.
+    falsify monotonicity, never prove it.  A ``dim`` below 1 raises
+    ``DomainError`` before anything is drawn.
     """
+    if not dim >= 1:
+        raise DomainError(f"dimension must be at least 1, got {dim!r}")
     rng = np.random.default_rng(seed)
     loewner = math.inf
     draws = [

@@ -12,7 +12,10 @@ matrices (broadcast against each other where two are combined) and
 validate and decompose the whole batch with one ``np.linalg.eigh`` call.
 A 2-D input is a batch of none and behaves as a single matrix.  Validation
 raises on the first rejected member; :func:`screened_state` instead
-returns the per-matrix mask of the same checks.
+returns the per-matrix mask of the same checks.  :func:`relmod_grid`, the
+one place kernels are evaluated, also takes a tuple of kernels, one per
+member of the leading axis, so a stack may pair each member with its own
+kernel; :func:`commutator` takes equal-shape stacks.
 
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
 call, and so does :func:`phase_fixed_qr`, the QR behind
@@ -235,14 +238,27 @@ def apply_matrix_function(h, H) -> np.ndarray:
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
+def _kernel_grid(F, x: np.ndarray) -> np.ndarray:
+    """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel."""
+    if not isinstance(F, tuple):
+        return eval_scalar(F, x)
+    if x.ndim < 3 or len(F) != len(x):
+        raise InvariantViolation(
+            f"{len(F)} kernels do not match the leading axis of a grid of shape {x.shape}"
+        )
+    return np.stack([eval_scalar(f, x_t) for f, x_t in zip(F, x)])
+
+
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
     """Kernel grid and rotated operands shared by every spectral double sum.
 
     With spectral data ``(lam, V)`` of ``s1`` and ``(mu, U)`` of ``s2``
     returns ``W_ij = F(mu_i / lam_j)`` and ``[U* A V for A in operands]``.
-    Stacked states and operands broadcast over their leading axes.
+    Stacked states and operands broadcast over their leading axes.  F is
+    one kernel, or a tuple of kernels with one per member of the grid's
+    leading axis; each member's grid then equals that kernel's own grid.
     """
-    W = eval_scalar(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
+    W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
     U2h = dagger(s2.eigenvectors)
     return W, [U2h @ A @ s1.eigenvectors for A in operands]
 
@@ -330,9 +346,9 @@ def hs_norm(A) -> float:
 
 
 def commutator(A, B) -> np.ndarray:
-    """``AB - BA``; for Hermitian A, B the result times 1j is Hermitian."""
-    A = _square(A)
-    B = _square(B)
+    """``AB - BA`` (of each member of equal-shape stacks); 1j times it is Hermitian for Hermitian A, B."""
+    A = _square(A, stack=True)
+    B = _square(B, stack=True)
     _same_dim(A, B)
     return A @ B - B @ A
 
@@ -365,6 +381,10 @@ def phase_fixed_qr(G) -> np.ndarray:
 def haar_unitary(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix.
 
-    With ``rows >= n`` the result is a Haar-random ``rows x n`` isometry.
+    With ``rows >= n`` the result is a Haar-random ``rows x n`` isometry;
+    fewer rows raise before drawing.
     """
-    return phase_fixed_qr(ginibre(draw_ginibre(rng, (n if rows is None else rows, n))))
+    rows = n if rows is None else rows
+    if rows < n:
+        raise DomainError(f"an isometry into {rows} rows cannot carry dimension {n}")
+    return phase_fixed_qr(ginibre(draw_ginibre(rng, (rows, n))))

@@ -3,10 +3,12 @@
 Every quantity is evaluated as a double sum over the eigenbasis of the
 state(s); the dense superoperator route exists only as a test oracle.
 A density given as a :class:`~qig.linalg.State` is neither validated nor
-decomposed again.  :func:`quasi_entropy`, :func:`gen_cov` and
-:func:`sym_cov` also take ``(..., n, n)`` stacks of states and operands,
-broadcast over their leading axes, and reduce over the last two axes only;
-a single matrix gives a scalar, a stack the array of its members' values.
+decomposed again.  :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
+and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
+operands, broadcast over their leading axes, and reduce over the last two
+axes only; a single matrix gives a scalar, a stack the array of its
+members' values.  Their kernel may be a tuple with one kernel per member
+of the leading axis (see :func:`~qig.linalg.relmod_grid`).
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
 cheap numerical diagnostic instead of being discarded; the quasi-entropy
@@ -67,8 +69,10 @@ def _observable(X, s: linalg.State) -> np.ndarray:
 
 
 def _require_standard(f, what: str) -> None:
-    if not getattr(f, "claims_standard", False):
-        raise DomainError(f"{what} needs a standard kernel")
+    """Refuse a kernel, or any kernel of a per-member tuple, that does not claim standardness."""
+    for g in f if isinstance(f, tuple) else (f,):
+        if not getattr(g, "claims_standard", False):
+            raise DomainError(f"{what} needs a standard kernel")
 
 
 def _require_centered(s: linalg.State, X: np.ndarray) -> None:
@@ -84,7 +88,7 @@ def commutator_direction(D, X) -> np.ndarray:
 
 
 def _metric_denominator(w: np.ndarray, W: np.ndarray) -> np.ndarray:
-    denom = w[None, :] * W
+    denom = w[..., None, :] * W
     if float(np.min(denom)) <= 0.0:
         raise DomainError("singular metric: the kernel vanishes on a spectrum ratio")
     return denom
@@ -172,11 +176,12 @@ def gen_cov(f, D, A, B):
     return _scalar(quad - _product(mean_a, mean_b))
 
 
-def fisher(f, D, A, B) -> complex:
+def fisher(f, D, A, B):
     """Monotone-metric pairing ``sum_ij conj(At_ij) Bt_ij / (w_j f(w_i/w_j))``.
 
     Positive definite in ``A = B`` and f-independent (equal to
-    ``Tr D^{-1} A* B``) on operators commuting with D.
+    ``Tr D^{-1} A* B``) on operators commuting with D.  A complex for one
+    matrix, the complex array of a stack's members otherwise.
     """
     _require_standard(f, "the quantum Fisher information")
     s = linalg.state(D)
@@ -184,7 +189,7 @@ def fisher(f, D, A, B) -> complex:
     B = _operand(B, s, "second direction")
     W, (At, Bt) = linalg.relmod_grid(f, s, s, A, B)
     denom = _metric_denominator(s.eigenvalues, W)
-    return complex(np.sum(np.conj(At) * Bt / denom))
+    return _scalar((np.conj(At) * Bt / denom).sum(axis=(-2, -1)))
 
 
 def skew_info(f, D, X) -> float:

@@ -54,6 +54,15 @@ def test_random_channel_is_deterministic():
         assert np.array_equal(Ka, Kb)
 
 
+@pytest.mark.parametrize("n_in, n_out, k", [(4, 2, 2), (3, 3, 1), (2, 3, 1)])
+def test_channels_at_the_smallest_isometry_are_unaffected_by_the_row_check(n_in, n_out, k):
+    # k * n_out rows may equal n_in: the isometry is then square
+    raw = ch.draw_channel(n_in, n_out, k, np.random.default_rng(5))
+    assert raw.shape == (2, k * n_out, n_in)
+    c = ch.isometry_channel(raw, k)
+    assert_allclose(sum(K.conj().T @ K for K in c.kraus_ops), np.eye(n_in), atol=1e-10)
+
+
 def test_random_channel_infeasible_dimensions():
     with pytest.raises(InvariantViolation):
         ch.random_channel(5, 2, 2, seed=0)

@@ -209,6 +209,16 @@ def test_check_operator_monotone_passes_transformed_extremal():
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_check_operator_monotone_rejects_a_dimension_below_one(dim, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be drawn for an invalid dimension")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(DomainError, match="dimension must be at least 1"):
+        fn.check_operator_monotone(fn.sld(), seed=0, trials=4, dim=dim)
+
+
 def _loewner_margin_pair_by_pair(f, seed, trials, dim):
     """The Loewner sub-check computed one 2-D pair at a time."""
     rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qig import linalg
+from qig import functions as fn, linalg
 from qig.errors import DomainError, InvariantViolation
 from qig.verify import random_density, random_hermitian
 
@@ -224,6 +224,16 @@ def test_stacked_phase_fixed_qr_equals_haar_unitary_member_by_member(n):
             assert np.array_equal(member, linalg.haar_unitary(n, rng, rows=rows))
 
 
+@pytest.mark.parametrize("n, rows", [(3, 2), (2, 1), (4, 0)])
+def test_haar_unitary_refuses_fewer_rows_than_columns(n, rows):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="cannot carry"):
+        linalg.haar_unitary(n, rng, rows=rows)
+    # raised before drawing: the generator is where it started
+    assert rng.random() == np.random.default_rng(0).random()
+    assert linalg.haar_unitary(n, rng, rows=n).shape == (n, n)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
 @settings(max_examples=25, deadline=None)
 def test_spectral_mapping(seed, n):
@@ -307,6 +317,23 @@ def test_commutator_examples():
     assert_allclose(linalg.commutator(A, X), [[0.0, -3.0], [3.0, 0.0]], atol=1e-12)
     assert_allclose(linalg.commutator(X, X), np.zeros((2, 2)), atol=1e-15)
     assert_allclose(linalg.commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_relmod_grid_with_a_kernel_per_member_equals_each_kernels_grid(n):
+    kernels = (fn.wyd(0.3), fn.power_kernel(0.5), fn.covariance_kernel(fn.extremal_metric(0.4)))
+    s1 = linalg.state(_densities(3, n))
+    s2 = linalg.state(_densities(6, n)[3:])
+    A = np.random.default_rng(n).standard_normal((3, n, n)) + 0j
+    W, (M,) = linalg.relmod_grid(kernels, s1, s2, A)
+    assert W.shape == (3, n, n)
+    for j, f in enumerate(kernels):
+        Wj, (Mj,) = linalg.relmod_grid(f, s1[j], s2[j], A[j])
+        assert np.array_equal(W[j], Wj) and np.array_equal(M[j], Mj)
+    with pytest.raises(InvariantViolation, match="2 kernels"):
+        linalg.relmod_grid(kernels[:2], s1, s2)
+    with pytest.raises(InvariantViolation, match="3 kernels"):
+        linalg.relmod_grid(kernels, s1[0], s2[0])
 
 
 def test_commutator_times_i_is_hermitian():

@@ -407,7 +407,7 @@ def test_state_input_is_bit_identical_and_skips_decomposition(name, monkeypatch)
 
 
 def _two_d_sums(F, f, s1, s2, A, B):
-    """quasi-entropy, gen_cov and sym_cov of one member as plain 2-D numpy sums."""
+    """quasi-entropy, gen_cov, sym_cov and fisher of one member as plain 2-D numpy sums."""
     W, (M,) = linalg.relmod_grid(F, s1, s2, A)
     quasi = np.sum(W * (np.abs(M) ** 2) * s1.eigenvalues[None, :])
     Wf, (At, Bt) = linalg.relmod_grid(f, s1, s1, A, B)
@@ -416,7 +416,8 @@ def _two_d_sums(F, f, s1, s2, A, B):
     cov = quad - np.sum(w * np.conj(np.diagonal(At))) * np.sum(w * np.diagonal(Bt))
     D, Ah = s1.matrix, A.conj().T
     sym = 0.5 * np.trace(D @ (Ah @ B + B @ Ah)) - np.trace(D @ Ah) * np.trace(D @ B)
-    return complex(quasi), complex(cov), complex(sym)
+    metric = np.sum(np.conj(At) * Bt / (w[None, :] * Wf))
+    return complex(quasi), complex(cov), complex(sym), complex(metric)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -431,11 +432,28 @@ def test_stacked_sums_equal_the_two_d_sums_member_by_member(n):
     quasi = qt.quasi_entropy(F, A[:, None], s1[:, None], s2[None, :])
     cov = qt.gen_cov(f, s1, A, B)
     sym = qt.sym_cov(s1, A, B)
-    assert quasi.shape == (3, 2) and cov.shape == sym.shape == (3,)
+    metric = qt.fisher(f, s1, A, B)
+    # one kernel per member of the stack
+    kernels = (f, fn.sld(), fn.covariance_kernel(fn.extremal_metric(0.6)))
+    per_member = qt.fisher(kernels, s1, A, B)
+    comm = linalg.commutator(s1.matrix, A)
+    assert quasi.shape == (3, 2) and cov.shape == sym.shape == metric.shape == (3,)
+    assert per_member.shape == (3,) and per_member.dtype == complex
     for i in range(3):
         for j in range(2):
-            q, c, s = _two_d_sums(F, f, s1[i], s2[j], A[i], B)
+            q, c, s, m = _two_d_sums(F, f, s1[i], s2[j], A[i], B)
             assert quasi[i, j] == q.real
-            assert cov[i] == c and sym[i] == s
+            assert cov[i] == c and sym[i] == s and metric[i] == m
             assert qt.gen_cov(f, s1[i], A[i], B) == c and qt.sym_cov(s1[i], A[i], B) == s
             assert qt.quasi_entropy(F, A[i], s1[i], s2[j]) == q
+            assert qt.fisher(f, s1[i], A[i], B) == m
+        assert np.array_equal(comm[i], linalg.commutator(s1[i].matrix, A[i]))
+        assert per_member[i] == qt.fisher(kernels[i], s1[i], A[i], B)
+        assert per_member[i] == _two_d_sums(F, kernels[i], s1[i], s2[0], A[i], B)[3]
+
+
+def test_a_tuple_of_kernels_is_refused_when_any_is_not_standard():
+    s = linalg.state(np.stack([np.asarray(random_density(2, 0.1, k)) for k in range(2)]))
+    X = np.stack([np.eye(2, dtype=complex)] * 2)
+    with pytest.raises(DomainError, match="standard kernel"):
+        qt.fisher((fn.sld(), fn.power_kernel(0.5)), s, X, X)

@@ -574,10 +574,10 @@ def test_det_uncertainty_builds_each_gram_pair_once(monkeypatch):
 def _trial_records(name, **kwargs) -> dict:
     """Every trial's failure record, keyed by its seed.
 
-    With a margin tolerance of -inf every trial that returns a margin
-    fails, so its record carries that margin (``value``) and the digest.
+    With margin and residual tolerances of -inf every trial fails, so its
+    record carries its margin or residual (``value``) and the digest.
     """
-    rep = vf.run_suite(name, tolerances={"margin": -math.inf}, **kwargs)
+    rep = vf.run_suite(name, tolerances={"margin": -math.inf, "residual": -math.inf}, **kwargs)
     assert len(rep.failures) == rep.trials
     return {f["seed"]: f for f in rep.failures}
 
@@ -619,7 +619,61 @@ def _monotonicity_by_trial(rng, dims):
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
-_BY_TRIAL = {"monotonicity": _monotonicity_by_trial, "concavity": _concavity_by_trial}
+def _hessian_by_trial(rng, dims):
+    """One hessian trial drawn and evaluated alone, with the public 2-D functions."""
+    n = vf._dim(rng, dims)
+    f = vf._standard_pool(rng, positive_at_zero=True)
+    D = vf.random_density(n, vf._fd_floor(n), rng)
+    while True:
+        X = vf.center_observable(D, vf.random_hermitian(n, rng, unit=False))
+        nrm = linalg.hs_norm(X)
+        if nrm > 1e-8:
+            break
+    X = X / nrm
+    _, _, relerr = vf.hessian_vs_skew(f, D, X)
+    return relerr, qt.digest_inputs(f.name, D, X)
+
+
+def _commuting_by_hand(D, rng):
+    """Unit traceless observable diagonal in D's eigenbasis, written out for one state."""
+    U = D.eigenvectors
+    a = rng.standard_normal(D.shape[0])
+    a -= a.mean()
+    A = (U * a) @ U.conj().T
+    A = (A + A.conj().T) / 2
+    nrm = linalg.hs_norm(A)
+    return A if nrm < 1e-12 else A / nrm
+
+
+def _smooth_trial(rng, dims):
+    """Dimension, smooth kernel and density of a lemma trial, drawn in the suites' order."""
+    n = vf._dim(rng, dims)
+    F = vf._smooth_kernel(rng)
+    return n, F, vf.random_density(n, vf._fd_floor(n), rng)
+
+
+def _lemma_commuting_by_trial(rng, dims):
+    _, F, D = _smooth_trial(rng, dims)
+    A = _commuting_by_hand(D, rng)
+    B = _commuting_by_hand(D, rng)
+    return vf.lemma_commuting_residual(F, D, A, B), qt.digest_inputs(F.name, D, A, B)
+
+
+def _lemma_cross_by_trial(rng, dims):
+    n, F, D = _smooth_trial(rng, dims)
+    A = _commuting_by_hand(D, rng)
+    X = vf.random_hermitian(n, rng)
+    r = max(vf.lemma_cross_residual(F, D, A, X), vf.lemma_quadratic_residual(F, D, X))
+    return r, qt.digest_inputs(F.name, D, A, X)
+
+
+_BY_TRIAL = {
+    "monotonicity": _monotonicity_by_trial,
+    "concavity": _concavity_by_trial,
+    "hessian": _hessian_by_trial,
+    "lemma-commuting": _lemma_commuting_by_trial,
+    "lemma-cross": _lemma_cross_by_trial,
+}
 
 
 def _assert_batched_equals_by_trial(name, seed, trials, dims):
@@ -728,3 +782,108 @@ def test_a_raising_trial_inside_a_batched_group_fails_alone(monkeypatch):
     with np.errstate(invalid="ignore"):
         records = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
     assert records == {**clean, failure["seed"]: failure}
+
+
+def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member(monkeypatch):
+    # member 2 sits near the density floor, so the schedule's first step breaks it
+    # and the halved second step stands in; member 3 has a zero direction
+    rng = np.random.default_rng(12)
+    D = np.stack(
+        [np.asarray(vf.random_density(3, 0.2, rng)) for _ in range(2)]
+        + [np.diag([0.96, 0.02, 0.02]).astype(complex), np.asarray(vf.random_density(3, 0.2, rng))]
+    )
+    S = linalg.state(D)
+    A = np.stack([vf.random_hermitian(3, rng) for _ in range(4)])
+    A -= np.trace(A, axis1=1, axis2=2).real[:, None, None] * np.eye(3) / 3
+    B = qt.commutator_direction(S, np.stack([vf.random_hermitian(3, rng) for _ in range(4)]))
+    B[3] = 0.0
+    kernels = (fn.power_kernel(0.5), fn.neglog_kernel(), fn.covariance_kernel(fn.wyd(0.3)), fn.sld())
+    sched = vf.StepSchedule((0.05, 1e-2))
+    calls = []
+    original = vf.mixed_second_derivative
+
+    def counted(F, D, A, B, schedule=None):
+        calls.append(np.shape(D))
+        return original(F, D, A, B, schedule)
+
+    monkeypatch.setattr(vf, "mixed_second_derivative", counted)
+    for F in (kernels, kernels[0]):
+        calls.clear()
+        value, err = vf.mixed_second_derivative(F, S, A, B, sched)
+        assert value.shape == err.shape == (4,)
+        # the stacked call, then one 2-D call for each of members 2 and 3
+        assert calls == [(4, 3, 3), (3, 3), (3, 3)]
+        for j in range(4):
+            Fj = F[j] if isinstance(F, tuple) else F
+            assert (value[j], err[j]) == original(Fj, S[j], A[j], B[j], sched)
+    assert (value[3], err[3]) == (0.0, 0.0)
+    # member 2's first step is unusable: with 1.5e-5 as its second, the halved step is too small
+    with pytest.raises(VerificationError, match="exhausted"):
+        original(kernels[2], S[2], A[2], B[2], vf.StepSchedule((0.05, 1.5e-5)))
+
+
+def test_stacked_identities_equal_the_two_d_calls_member_by_member():
+    rng = np.random.default_rng(21)
+    S = linalg.state(np.stack([np.asarray(vf.random_density(4, 0.2, rng)) for _ in range(3)]))
+    A = np.stack([vf._commuting_traceless(S[j], rng) for j in range(3)])
+    B = np.stack([vf._commuting_traceless(S[j], rng) for j in range(3)])
+    X = np.stack([vf._centered_unit(S[j], rng) for j in range(3)])
+    F = (fn.power_kernel(2.0), fn.neglog_kernel(), fn.sld())
+    f = (fn.wyd(0.4), fn.extremal_metric(0.3), fn.sld())
+    commuting = vf.lemma_commuting_residual(F, S, A, B)
+    cross = vf.lemma_cross_residual(F, S, A, X)
+    quadratic = vf.lemma_quadratic_residual(F, S, X)
+    hessian = vf.hessian_vs_skew(f, S, X)
+    for j in range(3):
+        assert commuting[j] == vf.lemma_commuting_residual(F[j], S[j], A[j], B[j])
+        assert cross[j] == vf.lemma_cross_residual(F[j], S[j], A[j], X[j])
+        assert quadratic[j] == vf.lemma_quadratic_residual(F[j], S[j], X[j])
+        assert tuple(h[j] for h in hessian) == vf.hessian_vs_skew(f[j], S[j], X[j])
+    with pytest.raises(InvariantViolation, match="commute"):
+        vf.lemma_commuting_residual(F, S, A, np.stack([A[0], A[1], X[2]]))
+
+
+def test_a_hessian_trial_whose_trace_identity_fails_is_recorded_alone(monkeypatch):
+    # one dimension: every trial shares the broken trial's group
+    seed, trials, dims, broken = 6, 12, (3,), 4
+    clean = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
+    key, (_, raw, _, _) = vf._draw_hessian(_trial_rng(seed, broken), dims)
+    target = linalg.state(vf._densities(raw, vf._fd_floor(key))).matrix
+    original = vf._quadratic_trace_form
+
+    def skewed(F, D, X):
+        hit = np.all(D.matrix == target, axis=(-2, -1))
+        return original(F, D, X) + np.where(hit, 1.0, 0.0)
+
+    monkeypatch.setattr(vf, "_quadratic_trace_form", skewed)
+    with pytest.raises(VerificationError, match="quadratic trace identity") as exc:
+        _hessian_by_trial(_trial_rng(seed, broken), dims)
+    failure = {"seed": f"{seed}:{broken}", "error": "VerificationError", "message": str(exc.value)}
+    records = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
+    assert records == {**clean, failure["seed"]: failure}
+
+
+def test_a_rejected_centered_observable_is_redrawn_from_the_trials_own_stream(monkeypatch):
+    # about a third of all centered draws collapse to zero; both the stacked
+    # builder and the written-out loop must go on drawing from the same stream
+    original = vf.center_observable
+    rejected = []
+
+    def collapsing(D, A):
+        X = original(D, A)
+        coin = (np.angle(np.asarray(A)[..., 0, 1]) + np.pi) / (2.0 * np.pi)
+        rejected.append(int(np.sum(coin < 0.35)))
+        return np.where((coin < 0.35)[..., None, None], 0.0, X)
+
+    monkeypatch.setattr(vf, "center_observable", collapsing)
+    # each group is evaluated twice, as a group that raises is rerun: the
+    # redraws must leave the drawn generators as they were
+    row = vf._SUITES["hessian"]
+
+    def twice(key, trials):
+        row.evaluate(key, trials)
+        return row.evaluate(key, trials)
+
+    monkeypatch.setitem(vf._SUITES, "hessian", row._replace(evaluate=twice))
+    _assert_batched_equals_by_trial("hessian", seed=9, trials=40, dims=(2, 3))
+    assert sum(rejected) > 10
