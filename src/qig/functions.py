@@ -52,9 +52,13 @@ class ScalarFunctionSpec:
         return self.fn(x)
 
 
+_PROBE_GRID = np.sort(np.append(np.geomspace(1e-3, 1e3, 60), 1.0))
+_PROBE_GRID.flags.writeable = False
+
+
 def probe_grid() -> np.ndarray:
-    """60 log-spaced points spanning [1e-3, 1e3] plus the symmetry pivot 1."""
-    return np.sort(np.append(np.geomspace(1e-3, 1e3, 60), 1.0))
+    """60 log-spaced points spanning [1e-3, 1e3] plus the symmetry pivot 1 (a fresh copy)."""
+    return _PROBE_GRID.copy()
 
 
 def _with_series(direct, series, x):
@@ -306,7 +310,7 @@ def check_standard(f, grid=None, threshold: float = 1e-9) -> StandardnessReport:
     every violation stays at or below ``threshold``.
     """
     if grid is None:
-        grid = probe_grid()
+        grid = _PROBE_GRID
     x = np.asarray(grid, dtype=float)
     if x.size == 0 or np.any(x <= 0.0):
         raise DomainError("probe grid must be nonempty and strictly positive")
@@ -419,7 +423,7 @@ def scalar_inequality_check(f, g, grid=None, threshold: float = 1e-10) -> Scalar
     if not (f.claims_standard and g.claims_standard):
         raise DomainError("the scalar inequality is stated for standard functions only")
     if grid is None:
-        grid = probe_grid()
+        grid = _PROBE_GRID
     x = np.asarray(grid, dtype=float)
     margin = (
         np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)
@@ -453,7 +457,7 @@ def second_derivative_at_one(F, agree_tol: float = 1e-6) -> float:
         return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
     e1, e2 = richardson(1e-2), richardson(5e-3)
-    if abs(e1 - e2) > agree_tol:
+    if not abs(e1 - e2) <= agree_tol:  # negated, so that a NaN estimate raises too
         raise VerificationError(
             f"second-derivative estimates disagree ({e1!r} vs {e2!r}): function too noisy near 1"
         )

@@ -15,7 +15,8 @@ raises on the first rejected member; :func:`screened_state` instead
 returns the per-matrix mask of the same checks.  :func:`relmod_grid`, the
 one place kernels are evaluated, also takes a tuple of kernels, one per
 member of the leading axis, so a stack may pair each member with its own
-kernel; :func:`commutator` takes equal-shape stacks.
+kernel; :func:`relmod_apply`, the dense oracle :func:`relmod_dense` and
+:func:`commutator` take equal-shape stacks.
 
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
 call, and so does :func:`phase_fixed_qr`, the QR behind
@@ -238,11 +239,14 @@ def apply_matrix_function(h, H) -> np.ndarray:
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-def _kernel_grid(F, x: np.ndarray) -> np.ndarray:
-    """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel."""
+def _kernel_grid(F, x: np.ndarray, core: int = 2) -> np.ndarray:
+    """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel.
+
+    ``core`` is the number of trailing axes of one member's grid.
+    """
     if not isinstance(F, tuple):
         return eval_scalar(F, x)
-    if x.ndim < 3 or len(F) != len(x):
+    if x.ndim <= core or len(F) != len(x):
         raise InvariantViolation(
             f"{len(F)} kernels do not match the leading axis of a grid of shape {x.shape}"
         )
@@ -269,41 +273,48 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     With spectral data ``D2 = sum_i mu_i u_i u_i*`` and
     ``D1 = sum_j lam_j v_j v_j*`` the result is
     ``sum_ij F(mu_i / lam_j) <u_i, A v_j> u_i v_j*``.  F = identity recovers
-    ``D2 A D1^{-1}``.
+    ``D2 A D1^{-1}``.  Takes equal-shape stacks of states and operands, with
+    F one kernel or a tuple of one per member, like :func:`relmod_grid`.
     """
     s1 = state(D1, "first density")
     s2 = state(D2, "second density")
     _same_dim(s1, s2)
-    A = _square(A, "operand")
+    A = _square(A, "operand", stack=True)
     _same_dim(A, s1)
     W, (M,) = relmod_grid(F, s1, s2, A)
-    return s2.eigenvectors @ (W * M) @ s1.eigenvectors.conj().T
+    return s2.eigenvectors @ (W * M) @ dagger(s1.eigenvectors)
 
 
 def vec(A) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(A, dtype=complex).reshape(-1, order="F")
+    """Column-stack a matrix (each member of a stack) into a vector."""
+    A = np.asarray(A, dtype=complex)
+    return A.swapaxes(-1, -2).reshape(A.shape[:-2] + (-1,))
 
 
 def unvec(v, n: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix of a linear map on matrices, acting on column-stacked input."""
+    """Dense matrix of a linear map on matrices, acting on column-stacked input.
+
+    ``matrix`` may be a stack, one map per member; it then acts on an
+    equal-length stack of operands, member by member.
+    """
 
     dim: int
     matrix: np.ndarray
 
     def __call__(self, A) -> np.ndarray:
-        A = _square(A, "operand")
-        if A.shape[0] != self.dim:
+        A = _square(A, "operand", stack=True)
+        if A.shape[-1] != self.dim:
             raise InvariantViolation(
-                f"operand dimension {A.shape[0]} does not match superoperator dimension {self.dim}"
+                f"operand dimension {A.shape[-1]} does not match superoperator dimension {self.dim}"
             )
-        return unvec(self.matrix @ vec(A), self.dim)
+        return unvec((self.matrix @ vec(A)[..., None])[..., 0], self.dim)
 
 
 def relmod_dense(F, D1, D2) -> Superoperator:
@@ -313,22 +324,27 @@ def relmod_dense(F, D1, D2) -> Superoperator:
     ``A -> D2 A D1^{-1}`` is a Kronecker product in the column-stacking
     convention (and Hermitian, since the map is self-adjoint for the
     Hilbert-Schmidt pairing), so F is applied through one big
-    eigendecomposition instead of the structured double sum.
+    eigendecomposition instead of the structured double sum.  Equal-shape
+    stacks of states give a stack of maps, decomposed in one call, with F
+    one kernel or a tuple of one per member.
     """
     s1 = state(D1, "first density")
     D2 = as_density(D2)
     _same_dim(s1, D2)
-    n = s1.shape[0]
+    n = s1.shape[-1]
     if n > DENSE_DIM_LIMIT:
         raise InvariantViolation(
             f"dense superoperator is limited to dimension {DENSE_DIM_LIMIT}, got {n}"
         )
-    D1_inv = apply_matrix_function(lambda x: 1.0 / x, s1)
-    delta = np.kron(D1_inv.T, D2)
-    delta = (delta + delta.conj().T) / 2
+    D1_inv_t = apply_matrix_function(lambda x: 1.0 / x, s1).swapaxes(-1, -2)
+    # the Kronecker product D1^{-T} (x) D2 of each member
+    delta = (D1_inv_t[..., :, None, :, None] * D2[..., None, :, None, :]).reshape(
+        D2.shape[:-2] + (n * n, n * n)
+    )
+    delta = (delta + dagger(delta)) / 2
     w, V = np.linalg.eigh(delta)
-    vals = eval_scalar(F, w)
-    return Superoperator(dim=n, matrix=(V * vals) @ V.conj().T)
+    vals = _kernel_grid(F, w, core=1)
+    return Superoperator(dim=n, matrix=(V * vals[..., None, :]) @ dagger(V))
 
 
 def hs_inner(A, B) -> complex:

@@ -6,9 +6,14 @@ A density given as a :class:`~qig.linalg.State` is neither validated nor
 decomposed again.  :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two
-axes only; a single matrix gives a scalar, a stack the array of its
-members' values.  Their kernel may be a tuple with one kernel per member
-of the leading axis (see :func:`~qig.linalg.relmod_grid`).
+axes only; :func:`skew_info`, :func:`skew_identity_residual` and
+:func:`wyd_direct` take equal-shape stacks of states and observables.  A
+single matrix gives a scalar, a stack the array of its members' values,
+each equal bit for bit to the 2-D call.  The kernel may be a tuple with
+one kernel per member of the leading axis (see
+:func:`~qig.linalg.relmod_grid`), and :func:`wyd_direct`'s exponent an
+array with one per member.  :func:`umegaki` and :func:`renyi` take 2-D
+input only.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
 cheap numerical diagnostic instead of being discarded; the quasi-entropy
@@ -109,6 +114,21 @@ def _scalar(value):
     return complex(value) if value.ndim == 0 else value.astype(complex)
 
 
+def _real(value):
+    """A Python float for one matrix, the float array of a stack's members."""
+    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+
+
+def _each(get, F):
+    """``get(F)`` for one kernel, the tuple of ``get(f)`` for a per-member tuple of kernels."""
+    return tuple(get(f) for f in F) if isinstance(F, tuple) else get(F)
+
+
+def _at_zero(f):
+    """``f(0)`` of one kernel, the array of the members' ``f(0)`` for a per-member tuple."""
+    return np.array([g.value_at_zero for g in f]) if isinstance(f, tuple) else f.value_at_zero
+
+
 def quasi_entropy(F, A, D1, D2) -> np.ndarray:
     """``<A D1^{1/2}, F(relative modular map of (D1, D2))(A D1^{1/2})>``.
 
@@ -192,7 +212,7 @@ def fisher(f, D, A, B):
     return _scalar((np.conj(At) * Bt / denom).sum(axis=(-2, -1)))
 
 
-def skew_info(f, D, X) -> float:
+def skew_info(f, D, X):
     """Skew information ``(f(0)/2)`` times the metric on the commutator direction.
 
     Diagonal formula in the eigenbasis of D:
@@ -205,24 +225,37 @@ def skew_info(f, D, X) -> float:
     W, (Xt,) = linalg.relmod_grid(f, s, s, X)
     w = s.eigenvalues
     denom = _metric_denominator(w, W)
-    num = (w[:, None] - w[None, :]) ** 2
-    return float(0.5 * f.value_at_zero * np.sum(num / denom * np.abs(Xt) ** 2))
+    num = (w[..., :, None] - w[..., None, :]) ** 2
+    return _real(0.5 * _at_zero(f) * (num / denom * np.abs(Xt) ** 2).sum(axis=(-2, -1)))
 
 
-def wyd_direct(p: float, D, X) -> float:
-    """Commutator form ``-Tr [D^p, X][D^{1-p}, X] / 2`` for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
+def wyd_direct(p, D, X):
+    """Commutator form ``-Tr [D^p, X][D^{1-p}, X] / 2`` for p in (0, 1).
+
+    For stacked states and observables p may also be an array with one
+    exponent per member; a member's value then equals the 2-D call's,
+    except that a scalar p of exactly 0.5 goes through numpy's square root
+    where a per-member 0.5 goes through ``pow`` (the last bit may differ).
+    """
+    if np.isscalar(p):
+        # a scalar exponent is kept as given: numpy raises an array to a scalar power by its
+        # own fast paths (sqrt for 0.5), which a per-member exponent array does not take
+        e, ok = p, 0.0 < p < 1.0
+    else:
+        e = np.asarray(p, dtype=float)[..., None]
+        ok = ((0.0 < e) & (e < 1.0)).all()
+    if not ok:
         raise DomainError(f"p must lie inside (0, 1), got {p!r}")
     s = linalg.state(D)
     X = _observable(X, s)
-    Dp = linalg.apply_matrix_function(lambda x: x ** p, s)
-    Dq = linalg.apply_matrix_function(lambda x: x ** (1.0 - p), s)
+    Dp = linalg.apply_matrix_function(lambda x: x ** e, s)
+    Dq = linalg.apply_matrix_function(lambda x: x ** (1.0 - e), s)
     Cp = linalg.commutator(Dp, X)
     Cq = linalg.commutator(Dq, X)
-    return float(-0.5 * np.trace(Cp @ Cq).real)
+    return _real(-0.5 * (Cp @ Cq).trace(axis1=-2, axis2=-1).real)
 
 
-def skew_identity_residual(f, D, X) -> float:
+def skew_identity_residual(f, D, X):
     """Defect of the covariance representation of skew information.
 
     For centered Hermitian X (``Tr D X = 0``) and standard f with
@@ -234,10 +267,13 @@ def skew_identity_residual(f, D, X) -> float:
     s = linalg.state(D)
     X = _observable(X, s)
     _require_centered(s, X)
-    if f.value_at_zero == 0.0:
+    f0 = _at_zero(f)
+    if np.any(f0 == 0.0):
         raise DomainError("the identity needs f(0) != 0")
     B = commutator_direction(s, X)
-    lhs = f.value_at_zero * fisher(f, s, B, B)
+    lhs = f0 * fisher(f, s, B, B)
     c = sym_cov(s, X, X)
-    q = gen_cov(covariance_kernel(f), s, X, X)
-    return float(abs(lhs - 2.0 * c + 2.0 * q))
+    q = gen_cov(_each(covariance_kernel, f), s, X, X)
+    z = lhs - 2.0 * c + 2.0 * q
+    # hypot rounds as abs() of a Python complex does; np.abs of a complex array need not
+    return _real(np.hypot(z.real, z.imag))

@@ -11,15 +11,19 @@ Suites are deterministic in ``(seed, trials, dims)``: every trial derives
 its generator from the suite seed and the trial index.  :func:`run_suite`
 draws every trial first, then groups the drawn trials by shape key and
 evaluates each group in stacked calls; results go back in trial order.
-``monotonicity`` (key ``(n_in, n_out, k, alpha)``), ``concavity`` (key
-``(n, alpha)``) and the finite-difference suites ``hessian``,
-``lemma-commuting`` and ``lemma-cross`` (key ``n``) draw only their random
-numbers, the raw Ginibre arrays and commuting-direction coefficients in
-stream order; a group builds its densities, unit operands, observables and
-channel isometries from those arrays as stacks, then validates, decomposes
-and pairs them at once.  The finite-difference functions take stacks of
-states and directions with one kernel per member, so a group's stencil is
-one ``eigh`` call.  The other suites compute each trial as they draw it.
+The batched suites and their keys: ``monotonicity`` ``(n_in, n_out, k,
+alpha)``, ``concavity`` ``(n, alpha)``, ``det-uncertainty`` ``(n, m)``,
+and ``n`` for ``skew-identity``, ``oracle-equivalence``,
+``wyd-consistency`` and the finite-difference suites ``hessian``,
+``lemma-commuting`` and ``lemma-cross``.  Their trials draw only random
+numbers, the raw Ginibre arrays, commuting-direction coefficients and
+kernel parameters in stream order; a group builds its densities, unit
+operands, observables and channel isometries from those arrays as stacks,
+then validates, decomposes and pairs them at once, one state ``eigh`` per
+group.  The finite-difference functions take stacks of states and
+directions with one kernel per member, so a group's stencil is one
+``eigh`` call.  ``standardness``, ``operator-monotone``, ``scalar-gibi``
+and ``renyi-limit`` compute each trial as they draw it.
 A group whose stacked evaluation raises ``VerificationError`` or
 ``InvariantViolation`` is rerun one trial at a time, so the failure lands
 on the trial that raised.
@@ -28,6 +32,7 @@ on the trial that raised.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -37,7 +42,7 @@ import numpy as np
 
 from . import channels, functions, linalg, quantities
 from .errors import DomainError, InvariantViolation, VerificationError
-from .quantities import digest_inputs
+from .quantities import _each, _real, digest_inputs
 
 MIN_STEP = 1e-5
 
@@ -200,16 +205,6 @@ def _members(F, index):
     if not isinstance(F, tuple):
         return F
     return F[index] if np.ndim(index) == 0 else tuple(F[i] for i in index)
-
-
-def _each(get, F):
-    """``get(F)`` for one kernel, the tuple of ``get(f)`` for a per-member tuple of kernels."""
-    return tuple(get(f) for f in F) if isinstance(F, tuple) else get(F)
-
-
-def _real(value):
-    """A Python float for one matrix, the float array of a stack's members."""
-    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
 
 
 def _first(values, bad) -> float:
@@ -398,8 +393,8 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     arrays; a member that fails the cross-check makes the call raise.
     """
     quantities._require_standard(f, "the Hessian identity")
-    f0 = np.asarray(_each(lambda g: g.value_at_zero, f))
-    if (f0 == 0.0).any():
+    f0 = quantities._at_zero(f)
+    if np.any(f0 == 0.0):
         raise DomainError("the Hessian identity needs f(0) != 0")
     D = linalg.state(D)
     X = linalg.as_hermitian(X)
@@ -419,34 +414,49 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     return _real(lhs), _real(rhs), _real(relerr)
 
 
-def _observable_stack(D, observables) -> tuple[linalg.State, np.ndarray]:
-    """The state and the ``(m, n, n)`` stack of validated centered observables."""
+def _gram_operands(D, observables) -> tuple[linalg.State, np.ndarray, np.ndarray]:
+    """The state and the observables ``(A_a, B_b)`` of every Gram entry, validated, centered and broadcast.
+
+    One state takes a sequence of m observables; a stack of states takes a
+    ``(..., m, n, n)`` array with the same leading axes.  The state gets two
+    unit axes before each member's matrix, ``A_a`` one after the ``m`` axis
+    and ``B_b`` one before it.
+    """
     D = linalg.state(D)
+    if D.matrix.ndim > 2:
+        observables = np.moveaxis(observables, -3, 0)
     obs = [np.asarray(A, dtype=complex) for A in observables]
     if any(A.shape != D.shape for A in obs):
         raise InvariantViolation("observable dimension does not match the state")
-    obs = linalg.as_hermitian(np.reshape(obs, (len(obs),) + D.shape))
-    quantities._require_centered(D, obs)
-    return D, obs
+    obs = linalg.as_hermitian(np.moveaxis(np.reshape(obs, (len(obs),) + D.shape), 0, -3))
+    parts = ((D.eigenvalues, 1), (D.eigenvectors, 2), (D.matrix, 2))
+    Dx = linalg.State(*(np.expand_dims(a, (-core - 2, -core - 1)) for a, core in parts))
+    A = obs[..., :, None, :, :]
+    quantities._require_centered(Dx, A)
+    return Dx, A, obs[..., None, :, :, :]
 
 
 def cov_gram(g, D, observables) -> np.ndarray:
-    """Gram matrix of generalized covariances of centered observables."""
-    D, obs = _observable_stack(D, observables)
-    G = quantities.gen_cov(g, D, obs[:, None], obs[None, :])
-    return (G + G.conj().T) / 2
+    """Gram matrix of generalized covariances of centered observables.
+
+    A stack of states with a ``(..., m, n, n)`` stack of observables gives
+    the ``(..., m, m)`` stack of Gram matrices; g may then be a tuple of one
+    kernel per member.
+    """
+    G = quantities.gen_cov(g, *_gram_operands(D, observables))
+    return (G + linalg.dagger(G)) / 2
 
 
 def skew_gram(f, D, observables) -> np.ndarray:
     """Gram matrix of covariance deficits: symmetric minus covariance-kernel form.
 
     The diagonal reproduces the skew informations of the observables.
+    Takes stacks as :func:`cov_gram` does.
     """
-    ft = functions.covariance_kernel(f)
-    D, obs = _observable_stack(D, observables)
-    A, B = obs[:, None], obs[None, :]
+    ft = _each(functions.covariance_kernel, f)
+    D, A, B = _gram_operands(D, observables)
     G = quantities.sym_cov(D, A, B) - quantities.gen_cov(ft, D, A, B)
-    return (G + G.conj().T) / 2
+    return (G + linalg.dagger(G)) / 2
 
 
 def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
@@ -455,46 +465,88 @@ def det_inequality_margins(f, g, D, observables) -> tuple[float, float]:
     Returns ``(det C - det(f(0) g(0) S), det C - det(2 g(0) S))`` where C
     is the covariance Gram matrix of g and S the skew Gram matrix of f.
     The two scalings are intentionally computed and reported separately;
-    since f(0) <= 1/2, the second is the stronger statement.
+    since f(0) <= 1/2, the second is the stronger statement.  Stacks, as
+    :func:`cov_gram` takes them, give arrays.
     """
     det_c, det_fg, det_2g = _gram_determinants(f, g, D, observables)
     return det_c - det_fg, det_c - det_2g
 
 
-def _gram_determinants(f, g, D, observables) -> tuple[float, float, float]:
-    """``(det C, det(f(0) g(0) S), det(2 g(0) S))`` from one Gram pair."""
+def _gram_determinants(f, g, D, observables) -> tuple:
+    """``(det C, det(f(0) g(0) S), det(2 g(0) S))`` from one Gram pair (of each member of a stack)."""
     quantities._require_standard(f, "a determinant margin")
     quantities._require_standard(g, "a determinant margin")
     D = linalg.state(D)
     C = cov_gram(g, D, observables)
     S = skew_gram(f, D, observables)
-    f0, g0 = f.value_at_zero, g.value_at_zero
-    return tuple(float(np.linalg.det(M).real) for M in (C, f0 * g0 * S, 2.0 * g0 * S))
+    f0, g0 = quantities._at_zero(f), quantities._at_zero(g)
+    scaled = (np.asarray(f0 * g0)[..., None, None] * S, np.asarray(2.0 * g0)[..., None, None] * S)
+    return tuple(_real(np.linalg.det(M).real) for M in (C, *scaled))
+
+
+def _draw_observables(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw Ginibre draws ``(m, 2, n, n)`` of m candidate observables; refuses more than ``n^2 - 1``."""
+    if m > n * n - 1:
+        raise DomainError(f"at most {n * n - 1} independent centered observables exist, got m={m}")
+    if m < 1:
+        raise DomainError(f"m must be positive, got m={m}")
+    return np.stack([linalg.draw_ginibre(rng, (n, n)) for _ in range(m)])
+
+
+def _orthogonalized(D, H: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+    """H centered for D, less its Hilbert-Schmidt projections on the unit observables of basis, and its norm."""
+    X = center_observable(D, H)
+    for P in basis:
+        X = X - np.sum(np.conj(P) * X, axis=(-2, -1)).real[..., None, None] * P
+    return X, _norms(X)
+
+
+def _orthonormal_observables(D, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt in draw order over the centered Hermitian parts of raw draws, for a state or a stack.
+
+    ``raw`` holds each state's m draws, ``(..., m, 2, n, n)``.  Returns the
+    ``(..., m, n, n)`` observables and the mask of the members whose every
+    candidate kept a norm above 1e-6; the other members are not orthonormal.
+    """
+    H = _hermitians(raw, unit=False)
+    obs, ok = [], True
+    for k in range(H.shape[-3]):
+        X, nrm = _orthogonalized(D, H[..., k, :, :], obs)
+        ok = ok & (nrm > 1e-6)
+        obs.append(X / np.where(nrm > 1e-6, nrm, 1.0)[..., None, None])
+    return np.stack(obs, axis=-3), ok
+
+
+def _orthonormal_sequence(D, m: int, raw: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Gram-Schmidt that replaces a candidate of norm at most 1e-6 by the next one.
+
+    Takes the candidates of ``raw`` first, then draws from rng; gives up
+    after ``100 m`` candidates.
+    """
+    n = D.shape[-1]
+    draws = itertools.chain(raw, (linalg.draw_ginibre(rng, (n, n)) for _ in itertools.count()))
+    obs: list[np.ndarray] = []
+    for draw in itertools.islice(draws, 100 * m):
+        X, nrm = _orthogonalized(D, _hermitians(draw, unit=False), obs)
+        if nrm > 1e-6:
+            obs.append(X / nrm)
+            if len(obs) == m:
+                return obs
+    raise VerificationError("could not orthonormalize the requested observables")
 
 
 def orthonormal_centered_observables(D, m: int, rng: np.random.Generator) -> list[np.ndarray]:
     """m centered Hermitian observables, orthonormal in the HS inner product.
 
     Orthonormalization keeps the Gram matrices well away from singular so
-    determinant margins test more than 0 >= 0.
+    determinant margins test more than 0 >= 0.  A candidate whose norm
+    after centering and projection is at most 1e-6 is replaced by the next
+    draw from rng.
     """
     D = linalg.state(D)
-    n = D.shape[0]
-    if m > n * n - 1:
-        raise DomainError(f"at most {n * n - 1} independent centered observables exist, got m={m}")
-    obs: list[np.ndarray] = []
-    attempts = 0
-    while len(obs) < m:
-        attempts += 1
-        if attempts > 100 * m:
-            raise VerificationError("could not orthonormalize the requested observables")
-        H = center_observable(D, random_hermitian(n, rng, unit=False))
-        for prev in obs:
-            H = H - linalg.hs_inner(prev, H).real * prev
-        nrm = linalg.hs_norm(H)
-        if nrm > 1e-6:
-            obs.append(H / nrm)
-    return obs
+    raw = _draw_observables(D.shape[-1], m, rng)
+    obs, ok = _orthonormal_observables(D, raw)
+    return list(obs) if ok else _orthonormal_sequence(D, m, raw, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -588,23 +640,6 @@ def _run_scalar_gibi(rng, dims):
     return rep.min_margin, None, digest_inputs(f.name, g.name)
 
 
-def _run_skew_identity(rng, dims):
-    n = _dim(rng, dims)
-    k = int(rng.integers(0, 4))
-    if k == 0:
-        f = functions.sld()
-    elif k == 1:
-        f = functions.wyd(0.3)
-    elif k == 2:
-        f = functions.wyd(0.5)
-    else:
-        f = functions.hansen_mixture(_random_measure(rng, min_atom=0.05))
-    D = random_density(n, floor=min(0.02, 0.5 / n), seed=rng)
-    X = _centered_unit(D, rng)
-    r = quantities.skew_identity_residual(f, D, X)
-    return None, r, digest_inputs(f.name, D, X)
-
-
 def _draw_fd(rng, dims, pool):
     """Dimension, kernel (from ``pool``) and raw density, the first draws of every FD trial."""
     n = _dim(rng, dims)
@@ -612,17 +647,30 @@ def _draw_fd(rng, dims, pool):
     return n, F, _draw_density(n, _fd_floor(n), rng)
 
 
-def _fd_densities(n: int, raw_densities) -> linalg.State:
-    """The validated stack of an FD group's densities, from their raw draws."""
-    return linalg.state(_densities(np.stack(raw_densities), _fd_floor(n)))
+def _group_states(raw_densities, floor: float) -> linalg.State:
+    """The validated stack of a group's densities, from their raw draws."""
+    return linalg.state(_densities(np.stack(raw_densities), floor))
 
 
-def _fd_results(kernels, residuals, D: linalg.State, *operands) -> list:
-    """Each trial's ``(None, residual, digest)``; the digest hashes its kernel's name, density and operands."""
-    return [
-        (None, float(r), digest_inputs(F.name, D.matrix[j], *(M[j] for M in operands)))
-        for j, (F, r) in enumerate(zip(kernels, residuals))
-    ]
+def _names(kernels) -> list[str]:
+    return [F.name for F in kernels]
+
+
+def _residual_results(residuals, *parts) -> list:
+    """Each trial's ``(None, residual, digest)``; trial j's digest hashes the j-th entry of every part."""
+    return [(None, float(r), digest_inputs(*(p[j] for p in parts))) for j, r in enumerate(residuals)]
+
+
+def _centered_observables(D: linalg.State, raw_X, rngs) -> np.ndarray:
+    """Unit centered observables of a group's states, from one raw draw each.
+
+    A member whose centered part is too small to normalize redraws it from
+    a copy of its own generator, so a rerun of the group draws the same.
+    """
+    X, ok = _centered_units(D, np.stack(raw_X))
+    for j in np.flatnonzero(~ok):
+        X[j] = _centered_unit(D[j], copy.deepcopy(rngs[j]))
+    return X
 
 
 def _draw_hessian(rng, dims):
@@ -631,14 +679,11 @@ def _draw_hessian(rng, dims):
 
 
 def _evaluate_hessian(n, trials):
-    """Relative errors of one dimension group; a member whose centered part is
-    too small to normalize redraws it from a copy of its own generator."""
+    """Relative errors of one dimension group."""
     fs, raw_D, raw_X, rngs = zip(*trials)
-    D = _fd_densities(n, raw_D)
-    X, ok = _centered_units(D, np.stack(raw_X))
-    for j in np.flatnonzero(~ok):
-        X[j] = _centered_unit(D[j], copy.deepcopy(rngs[j]))
-    return _fd_results(fs, hessian_vs_skew(fs, D, X)[2], D, X)
+    D = _group_states(raw_D, _fd_floor(n))
+    X = _centered_observables(D, raw_X, rngs)
+    return _residual_results(hessian_vs_skew(fs, D, X)[2], _names(fs), D.matrix, X)
 
 
 def _commuting_units(D, coeffs: np.ndarray) -> np.ndarray:
@@ -666,9 +711,9 @@ def _draw_lemma_commuting(rng, dims):
 
 def _evaluate_lemma_commuting(n, trials):
     Fs, raw_D, coeffs = zip(*trials)
-    D = _fd_densities(n, raw_D)
+    D = _group_states(raw_D, _fd_floor(n))
     A, B = (_commuting_units(D, c) for c in np.stack(coeffs, axis=1))
-    return _fd_results(Fs, lemma_commuting_residual(Fs, D, A, B), D, A, B)
+    return _residual_results(lemma_commuting_residual(Fs, D, A, B), _names(Fs), D.matrix, A, B)
 
 
 def _draw_lemma_cross(rng, dims):
@@ -678,11 +723,11 @@ def _draw_lemma_cross(rng, dims):
 
 def _evaluate_lemma_cross(n, trials):
     Fs, raw_D, coeffs, raw_X = zip(*trials)
-    D = _fd_densities(n, raw_D)
+    D = _group_states(raw_D, _fd_floor(n))
     A = _commuting_units(D, np.stack(coeffs))
     X = _hermitians(np.stack(raw_X))
     pairs = zip(lemma_cross_residual(Fs, D, A, X), lemma_quadratic_residual(Fs, D, X))
-    return _fd_results(Fs, [max(float(a), float(b)) for a, b in pairs], D, A, X)
+    return _residual_results([max(float(a), float(b)) for a, b in pairs], _names(Fs), D.matrix, A, X)
 
 
 class _MonotonicityDraw(NamedTuple):
@@ -784,20 +829,60 @@ def _evaluate_concavity(key, trials):
     ]
 
 
-def _run_det_uncertainty(rng, dims):
+def _draw_skew_identity(rng, dims):
+    n = _dim(rng, dims)
+    k = int(rng.integers(0, 4))
+    if k == 0:
+        f = functions.sld()
+    elif k == 1:
+        f = functions.wyd(0.3)
+    elif k == 2:
+        f = functions.wyd(0.5)
+    else:
+        f = functions.hansen_mixture(_random_measure(rng, min_atom=0.05))
+    D = _draw_density(n, min(0.02, 0.5 / n), rng)
+    return n, (f, D, linalg.draw_ginibre(rng, (n, n)), rng)
+
+
+def _evaluate_skew_identity(n, trials):
+    fs, raw_D, raw_X, rngs = zip(*trials)
+    D = _group_states(raw_D, min(0.02, 0.5 / n))
+    X = _centered_observables(D, raw_X, rngs)
+    return _residual_results(quantities.skew_identity_residual(fs, D, X), _names(fs), D.matrix, X)
+
+
+def _draw_det_uncertainty(rng, dims):
     n = _dim(rng, dims)
     m = int(rng.integers(1, 4))
     f = _standard_pool(rng)
     g = _standard_pool(rng)
-    D = random_density(n, floor=min(0.05, 0.5 / n), seed=rng)
-    obs = orthonormal_centered_observables(D, m, rng)
-    det_c, det_fg, det_2g = _gram_determinants(f, g, D, obs)
-    scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
-    margin = min(det_c - det_fg, det_c - det_2g) / scale
-    return margin, None, digest_inputs(f.name, g.name, D, *obs)
+    D = _draw_density(n, min(0.05, 0.5 / n), rng)
+    return (n, m), (f, g, D, _draw_observables(n, m, rng), rng)
 
 
-def _run_oracle_equivalence(rng, dims):
+def _evaluate_det_uncertainty(key, trials):
+    """Margins of one ``(n, m)`` group, from one stacked Gram-Schmidt and one Gram pair per member.
+
+    A member whose Gram-Schmidt meets a candidate of norm at most 1e-6
+    reruns it sequentially, taking the next draw from a copy of its own
+    generator in place of that candidate.
+    """
+    n, m = key
+    fs, gs, raw_D, raw_obs, rngs = zip(*trials)
+    D = _group_states(raw_D, min(0.05, 0.5 / n))
+    obs, ok = _orthonormal_observables(D, np.stack(raw_obs))
+    for j in np.flatnonzero(~ok):
+        obs[j] = _orthonormal_sequence(D[j], m, raw_obs[j], copy.deepcopy(rngs[j]))
+    results = []
+    for j, dets in enumerate(zip(*_gram_determinants(fs, gs, D, obs))):
+        det_c, det_fg, det_2g = (float(d) for d in dets)
+        scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
+        margin = min(det_c - det_fg, det_c - det_2g) / scale
+        results.append((margin, None, digest_inputs(fs[j].name, gs[j].name, D.matrix[j], *obs[j])))
+    return results
+
+
+def _draw_oracle_equivalence(rng, dims):
     n = _dim(rng, dims)
     k = int(rng.integers(0, 5))
     if k == 0:
@@ -811,27 +896,45 @@ def _run_oracle_equivalence(rng, dims):
     else:
         F = functions.sld()
     floor = min(0.05, 0.5 / n)
-    D1 = random_density(n, floor=floor, seed=rng)
-    D2 = random_density(n, floor=floor, seed=rng)
-    A = _random_complex(n, rng)
-    dense = linalg.relmod_dense(F, D1, D2)
-    r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - dense(A))))
-    alpha = float(rng.uniform(0.1, 0.9))
-    q = complex(quantities.quasi_entropy(functions.power_kernel(alpha), A, D1, D2))
-    D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
-    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
-    direct = complex(np.trace(A.conj().T @ D2a @ A @ D1b))
-    r2 = abs(q - direct)
-    return None, max(r1, r2), digest_inputs(F.name, alpha, D1, D2, A)
+    D = [_draw_density(n, floor, rng) for _ in range(2)]
+    A = linalg.draw_ginibre(rng, (n, n))
+    return n, (F, D, A, float(rng.uniform(0.1, 0.9)))
 
 
-def _run_wyd_consistency(rng, dims):
+def _evaluate_oracle_equivalence(n, trials):
+    """Residuals of one dimension group, each the larger of two oracle gaps.
+
+    The structured relative modular map against its dense superoperator,
+    and the quasi-entropy of ``x^alpha`` against ``Tr A* D2^alpha A D1^(1-alpha)``.
+    """
+    Fs, raw_D, raw_A, alphas = zip(*trials)
+    S = linalg.state(_densities(np.stack(raw_D, axis=1), min(0.05, 0.5 / n)))
+    D1, D2 = S[0], S[1]
+    A = _unit_operands(np.stack(raw_A))
+    gap = linalg.relmod_apply(Fs, D1, D2, A) - linalg.relmod_dense(Fs, D1, D2)(A)
+    r1 = np.abs(gap).max(axis=(-2, -1))
+    q = quantities.quasi_entropy(tuple(functions.power_kernel(a) for a in alphas), A, D1, D2)
+    a = np.array(alphas)[:, None]
+    D2a = linalg.apply_matrix_function(lambda x: x ** a, D2)
+    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - a), D1)
+    d = q - (linalg.dagger(A) @ D2a @ A @ D1b).trace(axis1=-2, axis2=-1)
+    r2 = np.hypot(d.real, d.imag)
+    return _residual_results(np.maximum(r1, r2), _names(Fs), alphas, D1.matrix, D2.matrix, A)
+
+
+def _draw_wyd_consistency(rng, dims):
     n = _dim(rng, dims)
     p = float(rng.uniform(0.05, 0.95))
-    D = random_density(n, floor=min(0.03, 0.5 / n), seed=rng)
-    X = random_hermitian(n, rng)
-    r = abs(quantities.skew_info(functions.wyd(p), D, X) - quantities.wyd_direct(p, D, X))
-    return None, r, digest_inputs(p, D, X)
+    D = _draw_density(n, min(0.03, 0.5 / n), rng)
+    return n, (p, D, linalg.draw_ginibre(rng, (n, n)))
+
+
+def _evaluate_wyd_consistency(n, trials):
+    ps, raw_D, raw_X = zip(*trials)
+    D = _group_states(raw_D, min(0.03, 0.5 / n))
+    X = _hermitians(np.stack(raw_X))
+    skew = quantities.skew_info(tuple(functions.wyd(p) for p in ps), D, X)
+    return _residual_results(np.abs(skew - quantities.wyd_direct(np.array(ps), D, X)), ps, D.matrix, X)
 
 
 def _run_renyi_limit(rng, dims):
@@ -875,7 +978,9 @@ _SUITES = {
     "standardness": _Suite(_per_trial(_run_standardness), math.inf, 1e-9, 200, (2, 3, 4)),
     "operator-monotone": _Suite(_per_trial(_run_operator_monotone), 1e-8, 1e-10, 100, (2, 3, 4)),
     "scalar-gibi": _Suite(_per_trial(_run_scalar_gibi), 1e-10, math.inf, 200, (2, 3, 4)),
-    "skew-identity": _Suite(_per_trial(_run_skew_identity), math.inf, 1e-9, 200, (2, 3, 4, 5)),
+    "skew-identity": _Suite(
+        _draw_skew_identity, math.inf, 1e-9, 200, (2, 3, 4, 5), _evaluate_skew_identity
+    ),
     "hessian": _Suite(_draw_hessian, math.inf, 1e-5, 100, (2, 3, 4), _evaluate_hessian),
     "lemma-commuting": _Suite(
         _draw_lemma_commuting, math.inf, 1e-6, 50, (2, 3, 4), _evaluate_lemma_commuting
@@ -885,11 +990,15 @@ _SUITES = {
         _draw_monotonicity, 1e-8, math.inf, 500, (2, 3, 4), _evaluate_monotonicity
     ),
     "concavity": _Suite(_draw_concavity, 1e-8, math.inf, 500, (2, 3, 4), _evaluate_concavity),
-    "det-uncertainty": _Suite(_per_trial(_run_det_uncertainty), 1e-9, math.inf, 200, (2, 3, 4)),
-    "oracle-equivalence": _Suite(
-        _per_trial(_run_oracle_equivalence), math.inf, 1e-10, 100, (2, 3, 4, 5)
+    "det-uncertainty": _Suite(
+        _draw_det_uncertainty, 1e-9, math.inf, 200, (2, 3, 4), _evaluate_det_uncertainty
     ),
-    "wyd-consistency": _Suite(_per_trial(_run_wyd_consistency), math.inf, 1e-9, 100, (2, 3, 4)),
+    "oracle-equivalence": _Suite(
+        _draw_oracle_equivalence, math.inf, 1e-10, 100, (2, 3, 4, 5), _evaluate_oracle_equivalence
+    ),
+    "wyd-consistency": _Suite(
+        _draw_wyd_consistency, math.inf, 1e-9, 100, (2, 3, 4), _evaluate_wyd_consistency
+    ),
     "renyi-limit": _Suite(_per_trial(_run_renyi_limit), 1e-12, 1e-2, 20, (2, 3, 4)),
 }
 
@@ -970,11 +1079,11 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
         offending = None
         if margin is not None:
             margins.append(float(margin))
-            if margin < -tol["margin"]:
+            if not margin >= -tol["margin"]:  # negated, so that a NaN margin fails
                 offending = float(margin)
         if residual is not None:
             residuals.append(float(residual))
-            if residual > tol["residual"] and offending is None:
+            if not residual <= tol["residual"] and offending is None:
                 offending = float(residual)
         if offending is not None:
             failures.append({"seed": f"{seed}:{i}", "digest": digest, "value": offending})

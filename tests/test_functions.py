@@ -15,6 +15,8 @@ def test_probe_grid_shape():
     assert grid.size == 61
     assert 1.0 in grid
     assert grid.min() == pytest.approx(1e-3) and grid.max() == pytest.approx(1e3)
+    grid[0] = 5.0  # every call returns its own copy
+    assert fn.probe_grid()[0] == pytest.approx(1e-3)
 
 
 def test_sld_values():
@@ -303,6 +305,12 @@ def test_second_derivative_noisy_function_rejected():
     kink = fn.ScalarFunctionSpec("kink", lambda x: np.abs(x - 1.0), 1.0, None, False, False)
     with pytest.raises(VerificationError):
         fn.second_derivative_at_one(kink)
+
+
+def test_second_derivative_nan_estimates_are_rejected():
+    # NaN estimates compare false both ways; they must raise, not pass on as the value
+    with pytest.raises(VerificationError, match="disagree"):
+        fn.second_derivative_at_one(lambda x: x * np.nan)
 
 
 @given(st.floats(0.05, 0.95))

@@ -452,6 +452,43 @@ def test_stacked_sums_equal_the_two_d_sums_member_by_member(n):
         assert per_member[i] == _two_d_sums(F, kernels[i], s1[i], s2[0], A[i], B)[3]
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_skew_quantities_and_relmod_maps_equal_the_two_d_calls_member_by_member(n):
+    rng = np.random.default_rng(40 + n)
+    s1, s2 = (
+        linalg.state(np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(3)]))
+        for _ in range(2)
+    )
+    X = np.stack([random_hermitian(n, rng) for _ in range(3)])
+    Xc = center_observable(s1, X)
+    A = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)])
+    f = (fn.wyd(0.3), fn.sld(), fn.hansen_mixture(fn.DiscreteMeasure((0.2, 0.7), (0.6, 0.4))))
+    F = (fn.power_kernel(0.3), fn.neglog_kernel(), fn.sld())
+    p = np.array([0.2, 0.45, 0.85])
+    skew, shared = qt.skew_info(f, s1, X), qt.skew_info(f[0], s1, X)
+    residual = qt.skew_identity_residual(f, s1, Xc)
+    wyd, wyd_shared = qt.wyd_direct(p, s1, X), qt.wyd_direct(0.3, s1, X)
+    mapped, dense = linalg.relmod_apply(F, s1, s2, A), linalg.relmod_dense(F, s1, s2)
+    oracle = dense(A)
+    for values in (skew, shared, residual, wyd, wyd_shared):
+        assert values.shape == (3,) and values.dtype == float
+    assert mapped.shape == oracle.shape == (3, n, n) and dense.matrix.shape == (3, n * n, n * n)
+    for j in range(3):
+        assert skew[j] == qt.skew_info(f[j], s1[j], X[j])
+        assert shared[j] == qt.skew_info(f[0], s1[j], X[j])
+        assert residual[j] == qt.skew_identity_residual(f[j], s1[j], Xc[j])
+        assert wyd[j] == qt.wyd_direct(float(p[j]), s1[j], X[j])
+        assert wyd_shared[j] == qt.wyd_direct(0.3, s1[j], X[j])
+        assert np.array_equal(mapped[j], linalg.relmod_apply(F[j], s1[j], s2[j], A[j]))
+        one = linalg.relmod_dense(F[j], s1[j], s2[j])
+        assert np.array_equal(dense.matrix[j], one.matrix)
+        assert np.array_equal(oracle[j], one(A[j]))
+    with pytest.raises(DomainError, match="p must lie inside"):
+        qt.wyd_direct(np.array([0.3, 1.0, 0.5]), s1, X)
+    with pytest.raises(DomainError, match="f\\(0\\) != 0"):
+        qt.skew_identity_residual((f[0], fn.harmonic(), f[2]), s1, Xc)
+
+
 def test_a_tuple_of_kernels_is_refused_when_any_is_not_standard():
     s = linalg.state(np.stack([np.asarray(random_density(2, 0.1, k)) for k in range(2)]))
     X = np.stack([np.eye(2, dtype=complex)] * 2)

@@ -563,8 +563,11 @@ def test_det_uncertainty_builds_each_gram_pair_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(vf, name, counted)
-    vf.run_suite("det-uncertainty", trials=3, seed=0, dims=(2, 3))
-    assert calls == {"cov_gram": 3, "skew_gram": 3}
+    # one Gram pair per (n, m) group of trials, built as one stack
+    vf.run_suite("det-uncertainty", trials=12, seed=0, dims=(2, 3))
+    groups = {vf._draw_det_uncertainty(_trial_rng(0, i), (2, 3))[0] for i in range(12)}
+    assert len(groups) < 12
+    assert calls == {"cov_gram": len(groups), "skew_gram": len(groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +622,22 @@ def _monotonicity_by_trial(rng, dims):
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
+def _centered_by_hand(D, rng):
+    """Unit centered observable for D, drawn again while its centered part has norm at most 1e-8."""
+    n = D.shape[0]
+    while True:
+        X = vf.center_observable(D, vf.random_hermitian(n, rng, unit=False))
+        nrm = linalg.hs_norm(X)
+        if nrm > 1e-8:
+            return X / nrm
+
+
 def _hessian_by_trial(rng, dims):
     """One hessian trial drawn and evaluated alone, with the public 2-D functions."""
     n = vf._dim(rng, dims)
     f = vf._standard_pool(rng, positive_at_zero=True)
     D = vf.random_density(n, vf._fd_floor(n), rng)
-    while True:
-        X = vf.center_observable(D, vf.random_hermitian(n, rng, unit=False))
-        nrm = linalg.hs_norm(X)
-        if nrm > 1e-8:
-            break
-    X = X / nrm
+    X = _centered_by_hand(D, rng)
     _, _, relerr = vf.hessian_vs_skew(f, D, X)
     return relerr, qt.digest_inputs(f.name, D, X)
 
@@ -667,12 +675,83 @@ def _lemma_cross_by_trial(rng, dims):
     return r, qt.digest_inputs(F.name, D, A, X)
 
 
+def _skew_identity_by_trial(rng, dims):
+    n = vf._dim(rng, dims)
+    k = int(rng.integers(0, 4))
+    if k < 3:
+        f = (fn.sld(), fn.wyd(0.3), fn.wyd(0.5))[k]
+    else:
+        f = fn.hansen_mixture(vf._random_measure(rng, min_atom=0.05))
+    D = vf.random_density(n, min(0.02, 0.5 / n), rng)
+    X = _centered_by_hand(D, rng)
+    return qt.skew_identity_residual(f, D, X), qt.digest_inputs(f.name, D, X)
+
+
+def _orthonormal_by_hand(D, m, rng):
+    """Sequential Gram-Schmidt over fresh draws, skipping a candidate of norm at most 1e-6."""
+    obs = []
+    while len(obs) < m:
+        H = vf.center_observable(D, vf.random_hermitian(D.shape[0], rng, unit=False))
+        for prev in obs:
+            H = H - linalg.hs_inner(prev, H).real * prev
+        nrm = linalg.hs_norm(H)
+        if nrm > 1e-6:
+            obs.append(H / nrm)
+    return obs
+
+
+def _det_uncertainty_by_trial(rng, dims):
+    n = vf._dim(rng, dims)
+    m = int(rng.integers(1, 4))
+    f = vf._standard_pool(rng)
+    g = vf._standard_pool(rng)
+    D = vf.random_density(n, min(0.05, 0.5 / n), rng)
+    obs = _orthonormal_by_hand(D, m, rng)
+    C, S = vf.cov_gram(g, D, obs), vf.skew_gram(f, D, obs)
+    scaled = (f.value_at_zero * g.value_at_zero * S, 2.0 * g.value_at_zero * S)
+    det_c, det_fg, det_2g = (float(np.linalg.det(M).real) for M in (C, *scaled))
+    assert vf.det_inequality_margins(f, g, D, obs) == (det_c - det_fg, det_c - det_2g)
+    scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
+    margin = min(det_c - det_fg, det_c - det_2g) / scale
+    return margin, qt.digest_inputs(f.name, g.name, D, *obs)
+
+
+def _oracle_equivalence_by_trial(rng, dims):
+    n = vf._dim(rng, dims)
+    k = int(rng.integers(0, 5))
+    if k == 2:
+        F = fn.power_kernel(float(rng.uniform(0.1, 0.9)))
+    else:
+        F = {0: fn.power_kernel(1.0), 1: fn.power_kernel(0.5), 3: fn.neglog_kernel(), 4: fn.sld()}[k]
+    D1, D2 = (vf.random_density(n, min(0.05, 0.5 / n), rng) for _ in range(2))
+    A = vf._random_complex(n, rng)
+    r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - linalg.relmod_dense(F, D1, D2)(A))))
+    alpha = float(rng.uniform(0.1, 0.9))
+    q = complex(qt.quasi_entropy(fn.power_kernel(alpha), A, D1, D2))
+    D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
+    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
+    r2 = abs(q - complex(np.trace(A.conj().T @ D2a @ A @ D1b)))
+    return max(r1, r2), qt.digest_inputs(F.name, alpha, D1, D2, A)
+
+
+def _wyd_consistency_by_trial(rng, dims):
+    n = vf._dim(rng, dims)
+    p = float(rng.uniform(0.05, 0.95))
+    D = vf.random_density(n, min(0.03, 0.5 / n), rng)
+    X = vf.random_hermitian(n, rng)
+    return abs(qt.skew_info(fn.wyd(p), D, X) - qt.wyd_direct(p, D, X)), qt.digest_inputs(p, D, X)
+
+
 _BY_TRIAL = {
     "monotonicity": _monotonicity_by_trial,
     "concavity": _concavity_by_trial,
     "hessian": _hessian_by_trial,
     "lemma-commuting": _lemma_commuting_by_trial,
     "lemma-cross": _lemma_cross_by_trial,
+    "skew-identity": _skew_identity_by_trial,
+    "det-uncertainty": _det_uncertainty_by_trial,
+    "oracle-equivalence": _oracle_equivalence_by_trial,
+    "wyd-consistency": _wyd_consistency_by_trial,
 }
 
 
@@ -753,35 +832,51 @@ def test_monotonicity_records_each_trial_that_exhausts_its_attempts(monkeypatch)
     }
 
 
-def test_a_raising_trial_inside_a_batched_group_fails_alone(monkeypatch):
-    # one dimension and three alphas: the broken trial shares its group with others
-    seed, trials, dims, broken = 4, 40, (2,), 5
-    row = vf._SUITES["concavity"]
+#: where each batched sampling suite's drawn inputs keep a raw density
+_RAW_DENSITY = {
+    "concavity": lambda inputs: inputs[2][2],
+    "skew-identity": lambda inputs: inputs[1],
+    "det-uncertainty": lambda inputs: inputs[2],
+    "oracle-equivalence": lambda inputs: inputs[1][1],
+    "wyd-consistency": lambda inputs: inputs[1],
+}
+
+
+def _assert_a_raising_trial_fails_alone(monkeypatch, name, seed, trials, dims, broken):
+    row = vf._SUITES[name]
     seen = []
-    bad = []
 
     def draw(rng, dims):
-        key, (lam, A, rhos) = row.draw(rng, dims)
+        key, inputs = row.draw(rng, dims)
         seen.append(key)
         if len(seen) == broken + 1:
             # a NaN in one raw density makes the group's state call raise
-            rhos[2][0, 1] = np.nan
-            bad.append(rhos[2])
-        return key, (lam, A, rhos)
+            _RAW_DENSITY[name](inputs)[0, 0, 1] = np.nan
+        return key, inputs
 
-    clean = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
-    monkeypatch.setitem(vf._SUITES, "concavity", row._replace(draw=draw))
+    clean = _trial_records(name, trials=trials, seed=seed, dims=dims)
+    monkeypatch.setitem(vf._SUITES, name, row._replace(draw=draw))
     with np.errstate(invalid="ignore"):  # the normalization divides by the NaN trace
-        rep = vf.run_suite("concavity", trials=trials, seed=seed, dims=dims)
-        with pytest.raises(InvariantViolation, match="non-finite") as exc:
-            linalg.state(vf._densities(bad[0], vf._margin_floor(2)))
+        rep = vf.run_suite(name, trials=trials, seed=seed, dims=dims)
+    with pytest.raises(InvariantViolation, match="non-finite") as exc:
+        linalg.as_hermitian(np.full((2, 2), np.nan))
     failure = {"seed": f"{seed}:{broken}", "error": "InvariantViolation", "message": str(exc.value)}
     assert seen.count(seen[broken]) > 1
     assert rep.failures == [failure]
     seen.clear()
     with np.errstate(invalid="ignore"):
-        records = _trial_records("concavity", trials=trials, seed=seed, dims=dims)
+        records = _trial_records(name, trials=trials, seed=seed, dims=dims)
     assert records == {**clean, failure["seed"]: failure}
+
+
+def test_a_raising_trial_inside_a_batched_group_fails_alone(monkeypatch):
+    # one dimension and three alphas: the broken trial shares its group with others
+    _assert_a_raising_trial_fails_alone(monkeypatch, "concavity", seed=4, trials=40, dims=(2,), broken=5)
+
+
+@pytest.mark.parametrize("name", ["skew-identity", "det-uncertainty", "oracle-equivalence", "wyd-consistency"])
+def test_a_raising_trial_fails_alone_in_the_batched_sampling_suites(monkeypatch, name):
+    _assert_a_raising_trial_fails_alone(monkeypatch, name, seed=8, trials=30, dims=(3,), broken=7)
 
 
 def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member(monkeypatch):
@@ -863,7 +958,7 @@ def test_a_hessian_trial_whose_trace_identity_fails_is_recorded_alone(monkeypatc
     assert records == {**clean, failure["seed"]: failure}
 
 
-def test_a_rejected_centered_observable_is_redrawn_from_the_trials_own_stream(monkeypatch):
+def _assert_rejected_centered_draws_are_redrawn(monkeypatch, name):
     # about a third of all centered draws collapse to zero; both the stacked
     # builder and the written-out loop must go on drawing from the same stream
     original = vf.center_observable
@@ -878,12 +973,52 @@ def test_a_rejected_centered_observable_is_redrawn_from_the_trials_own_stream(mo
     monkeypatch.setattr(vf, "center_observable", collapsing)
     # each group is evaluated twice, as a group that raises is rerun: the
     # redraws must leave the drawn generators as they were
-    row = vf._SUITES["hessian"]
+    row = vf._SUITES[name]
 
     def twice(key, trials):
         row.evaluate(key, trials)
         return row.evaluate(key, trials)
 
-    monkeypatch.setitem(vf._SUITES, "hessian", row._replace(evaluate=twice))
-    _assert_batched_equals_by_trial("hessian", seed=9, trials=40, dims=(2, 3))
+    monkeypatch.setitem(vf._SUITES, name, row._replace(evaluate=twice))
+    _assert_batched_equals_by_trial(name, seed=9, trials=40, dims=(2, 3))
     assert sum(rejected) > 10
+
+
+def test_a_rejected_centered_observable_is_redrawn_from_the_trials_own_stream(monkeypatch):
+    _assert_rejected_centered_draws_are_redrawn(monkeypatch, "hessian")
+
+
+def test_a_rejected_skew_identity_observable_is_redrawn_from_the_trials_own_stream(monkeypatch):
+    _assert_rejected_centered_draws_are_redrawn(monkeypatch, "skew-identity")
+
+
+def test_a_det_uncertainty_rejection_reruns_the_sequential_loop(monkeypatch):
+    # a member whose Gram-Schmidt meets a collapsed candidate reruns it one
+    # candidate at a time, the next draw of its stream taking that one's place
+    _assert_rejected_centered_draws_are_redrawn(monkeypatch, "det-uncertainty")
+    # the public builder takes the same sequence from its generator
+    D = vf.random_density(3, 0.1, 5)
+    a, b = np.random.default_rng(6), np.random.default_rng(6)
+    got = vf.orthonormal_centered_observables(D, 3, a)
+    assert all(np.array_equal(x, y) for x, y in zip(got, _orthonormal_by_hand(D, 3, b), strict=True))
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("field", ["margin", "residual"])
+def test_a_nan_margin_or_residual_fails_its_trial(monkeypatch, field):
+    name = "concavity" if field == "margin" else "wyd-consistency"
+    row = vf._SUITES[name]
+
+    def poisoned(key, trials):
+        results = row.evaluate(key, trials)
+        margin, residual, digest = results[0]
+        nan = (math.nan, residual) if field == "margin" else (margin, math.nan)
+        return [(*nan, digest)] + results[1:]
+
+    monkeypatch.setitem(vf._SUITES, name, row._replace(evaluate=poisoned))
+    rep = vf.run_suite(name, trials=12, seed=2, dims=(2, 3))
+    assert not rep.passed and 0 < len(rep.failures) < rep.trials
+    assert all(math.isnan(f["value"]) for f in rep.failures)
+    # with -inf tolerances every trial still fails, the NaN ones among them
+    records = _trial_records(name, trials=12, seed=2, dims=(2, 3))
+    assert sum(math.isnan(r["value"]) for r in records.values()) == len(rep.failures)
