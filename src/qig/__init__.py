@@ -28,14 +28,11 @@ from .functions import (
 from .linalg import (
     SpectralDecomposition,
     State,
-    Superoperator,
     apply_matrix_function,
     as_density,
     as_hermitian,
     commutator,
     eig_hermitian,
-    hs_inner,
-    hs_norm,
     relmod_apply,
     relmod_dense,
     state,

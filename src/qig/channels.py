@@ -126,21 +126,6 @@ def apply_dual(ch: KrausChannel, A) -> np.ndarray:
     return sum(linalg.dagger(K) @ A @ K for K in ch.kraus_ops)
 
 
-def schwarz_margin(ch: KrausChannel, B) -> float:
-    """Smallest eigenvalue of ``dual(B*B) - dual(B*) dual(B)`` (>= 0 for CP duals)."""
-    B = np.asarray(B, dtype=complex)
-    lhs = apply_dual(ch, B.conj().T @ B)
-    rhs = apply_dual(ch, B.conj().T) @ apply_dual(ch, B)
-    gap = lhs - rhs
-    gap = (gap + gap.conj().T) / 2
-    return float(np.linalg.eigvalsh(gap)[0])
-
-
-def _real(value):
-    """A float for one matrix, the array of a stack's members."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _require_monotone_kernel(F) -> None:
     if not getattr(F, "claims_operator_monotone", False):
         raise DomainError(
@@ -167,7 +152,7 @@ def monotonicity_margin(F, A, D1, D2, ch: KrausChannel) -> float:
     E = linalg.state(apply_state(ch, np.stack(np.broadcast_arrays(D1.matrix, D2.matrix))))
     lhs = quantities.quasi_entropy(F, A, E[0], E[1])
     rhs = quantities.quasi_entropy(F, apply_dual(ch, A), D1, D2)
-    return _real(lhs - rhs)
+    return quantities._real(lhs - rhs)
 
 
 def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
@@ -191,7 +176,7 @@ def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
     def s(d1, d2):
         return quantities.quasi_entropy(F, A, d1, d2)
 
-    return _real(s(mix1, mix2) - weights * s(a1, a2) - (1.0 - weights) * s(b1, b2))
+    return quantities._real(s(mix1, mix2) - weights * s(a1, a2) - (1.0 - weights) * s(b1, b2))
 
 
 def data_processing_margin(F, D1, D2, ch: KrausChannel) -> float:

@@ -1,9 +1,9 @@
 """Hermitian matrix algebra on finite-dimensional state spaces.
 
 Everything rests on a single primitive, the eigendecomposition of a
-Hermitian matrix.  Matrix functions, the relative modular map
-``A -> D2 A D1^{-1}`` together with scalar functions of it,
-and Hilbert-Schmidt geometry are all spectral calculus on top of it.
+Hermitian matrix.  Matrix functions and the relative modular map
+``A -> D2 A D1^{-1}`` together with scalar functions of it are spectral
+calculus on top of it.
 
 The spectral core works on stacks: :func:`as_hermitian`,
 :func:`as_density`, :func:`state` and :func:`relmod_grid` take arrays of
@@ -15,15 +15,14 @@ raises on the first rejected member; :func:`screened_state` instead
 returns the per-matrix mask of the same checks.  :func:`relmod_grid`, the
 one place kernels are evaluated, also takes a tuple of kernels, one per
 member of the leading axis, so a stack may pair each member with its own
-kernel; :func:`relmod_apply`, the dense oracle :func:`relmod_dense` and
-:func:`commutator` take equal-shape stacks.
+kernel; :func:`relmod_apply`, the dense oracle :func:`relmod_dense` (same
+arguments, same result) and :func:`commutator` take equal-shape stacks.
 
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
-call, and so does :func:`phase_fixed_qr`, the QR behind
-:func:`haar_unitary`: it turns a stack of Ginibre matrices (built by
-:func:`ginibre` from raw :func:`draw_ginibre` draws) into Haar isometries
-in one ``np.linalg.qr`` call.  Every member equals the 2-D call bit for
-bit.
+call, and so does :func:`phase_fixed_qr`: it turns a stack of Ginibre
+matrices (built by :func:`ginibre` from raw :func:`draw_ginibre` draws)
+into Haar isometries in one ``np.linalg.qr`` call.  Every member equals
+the 2-D call bit for bit.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -285,52 +284,22 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     return s2.eigenvectors @ (W * M) @ dagger(s1.eigenvectors)
 
 
-def vec(A) -> np.ndarray:
-    """Column-stack a matrix (each member of a stack) into a vector."""
-    A = np.asarray(A, dtype=complex)
-    return A.swapaxes(-1, -2).reshape(A.shape[:-2] + (-1,))
+def relmod_dense(F, D1, D2, A) -> np.ndarray:
+    """Brute-force oracle for :func:`relmod_apply`: the same arguments, the same result.
 
-
-def unvec(v, n: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=complex)
-    return v.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Dense matrix of a linear map on matrices, acting on column-stacked input.
-
-    ``matrix`` may be a stack, one map per member; it then acts on an
-    equal-length stack of operands, member by member.
-    """
-
-    dim: int
-    matrix: np.ndarray
-
-    def __call__(self, A) -> np.ndarray:
-        A = _square(A, "operand", stack=True)
-        if A.shape[-1] != self.dim:
-            raise InvariantViolation(
-                f"operand dimension {A.shape[-1]} does not match superoperator dimension {self.dim}"
-            )
-        return unvec((self.matrix @ vec(A)[..., None])[..., 0], self.dim)
-
-
-def relmod_dense(F, D1, D2) -> Superoperator:
-    """Dense n^2 x n^2 representation of F(relative modular map).
-
-    Brute-force oracle for :func:`relmod_apply`: the matrix of
-    ``A -> D2 A D1^{-1}`` is a Kronecker product in the column-stacking
-    convention (and Hermitian, since the map is self-adjoint for the
-    Hilbert-Schmidt pairing), so F is applied through one big
-    eigendecomposition instead of the structured double sum.  Equal-shape
-    stacks of states give a stack of maps, decomposed in one call, with F
-    one kernel or a tuple of one per member.
+    The matrix of ``A -> D2 A D1^{-1}`` is a Kronecker product in the
+    column-stacking convention (and Hermitian, since the map is
+    self-adjoint for the Hilbert-Schmidt pairing), so F is applied through
+    one big ``n^2 x n^2`` eigendecomposition instead of the structured
+    double sum, and the resulting matrix acts on the column-stacked A.
+    Equal-shape stacks of states and operands are decomposed in one call,
+    with F one kernel or a tuple of one per member.
     """
     s1 = state(D1, "first density")
     D2 = as_density(D2)
     _same_dim(s1, D2)
+    A = _square(A, "operand", stack=True)
+    _same_dim(A, s1)
     n = s1.shape[-1]
     if n > DENSE_DIM_LIMIT:
         raise InvariantViolation(
@@ -344,21 +313,9 @@ def relmod_dense(F, D1, D2) -> Superoperator:
     delta = (delta + dagger(delta)) / 2
     w, V = np.linalg.eigh(delta)
     vals = _kernel_grid(F, w, core=1)
-    return Superoperator(dim=n, matrix=(V * vals[..., None, :]) @ dagger(V))
-
-
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt pairing ``Tr A* B``."""
-    A = _square(A)
-    B = _square(B)
-    _same_dim(A, B)
-    return complex(np.sum(np.conj(A) * B))
-
-
-def hs_norm(A) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    A = _square(A)
-    return float(np.sqrt(np.sum(np.abs(A) ** 2).real))
+    a = A.swapaxes(-1, -2).reshape(A.shape[:-2] + (-1,))
+    b = (((V * vals[..., None, :]) @ dagger(V)) @ a[..., None])[..., 0]
+    return b.reshape(b.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
 
 def commutator(A, B) -> np.ndarray:
@@ -392,15 +349,3 @@ def phase_fixed_qr(G) -> np.ndarray:
     Q, R = np.linalg.qr(G)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(n: int, rng: np.random.Generator, rows: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Ginibre matrix.
-
-    With ``rows >= n`` the result is a Haar-random ``rows x n`` isometry;
-    fewer rows raise before drawing.
-    """
-    rows = n if rows is None else rows
-    if rows < n:
-        raise DomainError(f"an isometry into {rows} rows cannot carry dimension {n}")
-    return phase_fixed_qr(ginibre(draw_ginibre(rng, (rows, n))))

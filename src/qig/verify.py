@@ -20,10 +20,14 @@ numbers, the raw Ginibre arrays, commuting-direction coefficients and
 kernel parameters in stream order; a group builds its densities, unit
 operands, observables and channel isometries from those arrays as stacks,
 then validates, decomposes and pairs them at once, one state ``eigh`` per
-group.  The finite-difference functions take stacks of states and
-directions with one kernel per member, so a group's stencil is one
-``eigh`` call.  ``standardness``, ``operator-monotone``, ``scalar-gibi``
-and ``renyi-limit`` compute each trial as they draw it.
+group.  One builder, :func:`_orthonormal_group`, makes the centered
+observables of ``hessian``, ``skew-identity`` (one each) and
+``det-uncertainty`` (m each): a stacked Gram-Schmidt in draw order, rerun
+sequentially for a member that meets a candidate of norm at most 1e-6.
+The finite-difference functions take stacks of states and directions
+with one kernel per member, so a group's stencil is one ``eigh`` call.
+``standardness``, ``operator-monotone``, ``scalar-gibi`` and
+``renyi-limit`` compute each trial as they draw it.
 A group whose stacked evaluation raises ``VerificationError`` or
 ``InvariantViolation`` is rerun one trial at a time, so the failure lands
 on the trial that raised.
@@ -157,10 +161,6 @@ def _unit_operands(raw: np.ndarray) -> np.ndarray:
     return G / _norms(G)[..., None, None]
 
 
-def _random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _unit_operands(linalg.draw_ginibre(rng, (n, n)))
-
-
 def center_observable(D, A) -> np.ndarray:
     """Subtract the mean: ``A - (Tr D A) I`` so that ``Tr D (result) = 0``.
 
@@ -172,29 +172,6 @@ def center_observable(D, A) -> np.ndarray:
         raise InvariantViolation(f"observable shape {A.shape} does not match state {D.shape}")
     means = (D @ A).trace(axis1=-2, axis2=-1).real
     return A - means[..., None, None] * np.eye(D.shape[-1])
-
-
-def _centered_units(D: linalg.State, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit centered observables of a state or a stack, from raw Ginibre draws of equal shape.
-
-    Returns the observables and the mask of the members whose centered
-    part has norm above 1e-8; the others are left unnormalized.
-    """
-    if D.shape[-1] < 2:
-        raise DomainError("a nonzero centered observable needs dimension at least 2")
-    X = center_observable(D, _hermitians(raw, unit=False))
-    nrm = _norms(X)
-    ok = nrm > 1e-8
-    return X / np.where(ok, nrm, 1.0)[..., None, None], ok
-
-
-def _centered_unit(D, rng: np.random.Generator) -> np.ndarray:
-    """One unit centered observable for D, drawn again from rng while its norm is at most 1e-8."""
-    n = D.shape[-1]
-    while True:
-        X, ok = _centered_units(D, linalg.draw_ginibre(rng, (n, n)))
-        if ok:
-            return X
 
 
 def _members(F, index):
@@ -549,6 +526,22 @@ def orthonormal_centered_observables(D, m: int, rng: np.random.Generator) -> lis
     return list(obs) if ok else _orthonormal_sequence(D, m, raw, rng)
 
 
+def _orthonormal_group(D: linalg.State, raw: np.ndarray, rngs) -> np.ndarray:
+    """Observables ``(T, m, n, n)`` of a group's T states from raw draws ``(T, m, 2, n, n)``.
+
+    One stacked Gram-Schmidt; a member that meets a candidate of norm at
+    most 1e-6 reruns it sequentially, taking the next draw from a copy of
+    its own generator in place of that candidate, so a rerun of the group
+    draws the same.
+    """
+    if D.shape[-1] < 2:
+        raise DomainError("a nonzero centered observable needs dimension at least 2")
+    obs, ok = _orthonormal_observables(D, raw)
+    for j in np.flatnonzero(~ok):
+        obs[j] = _orthonormal_sequence(D[j], raw.shape[1], raw[j], copy.deepcopy(rngs[j]))
+    return obs
+
+
 # ---------------------------------------------------------------------------
 # suite runners
 
@@ -565,44 +558,47 @@ def _random_measure(rng: np.random.Generator, min_atom: float = 0.0) -> function
     return functions.DiscreteMeasure(tuple(float(a) for a in atoms), tuple(float(w) for w in weights))
 
 
+#: kernel pools: one constructor of the kernel and its random parameters per entry
+_STANDARD_POOL = (
+    lambda rng: functions.sld(),
+    lambda rng: functions.harmonic(),
+    lambda rng: functions.kubo_mori(),
+    lambda rng: functions.wyd(float(rng.uniform(0.05, 0.95))),
+    lambda rng: functions.extremal_metric(float(rng.uniform(0.0, 1.0))),
+    lambda rng: functions.hansen_mixture(_random_measure(rng)),
+    lambda rng: functions.covariance_kernel(functions.wyd(float(rng.uniform(0.1, 0.9)))),
+    lambda rng: functions.covariance_kernel(functions.extremal_metric(float(rng.uniform(0.0, 1.0)))),
+)
+_POSITIVE_AT_ZERO_POOL = (
+    lambda rng: functions.sld(),
+    lambda rng: functions.wyd(float(rng.uniform(0.08, 0.92))),
+    lambda rng: functions.extremal_metric(float(rng.uniform(0.05, 1.0))),
+    lambda rng: functions.hansen_mixture(_random_measure(rng, min_atom=0.05)),
+)
+_SMOOTH_POOL = (
+    lambda rng: functions.power_kernel(2.0),
+    lambda rng: functions.power_kernel(0.5),
+    lambda rng: functions.neglog_kernel(),
+    lambda rng: functions.sld(),
+)
+_SKEW_IDENTITY_POOL = (
+    lambda rng: functions.sld(),
+    lambda rng: functions.wyd(0.3),
+    lambda rng: functions.wyd(0.5),
+    lambda rng: functions.hansen_mixture(_random_measure(rng, min_atom=0.05)),
+)
+_ORACLE_POOL = (
+    lambda rng: functions.power_kernel(1.0),
+    lambda rng: functions.power_kernel(0.5),
+    lambda rng: functions.power_kernel(float(rng.uniform(0.1, 0.9))),
+    lambda rng: functions.neglog_kernel(),
+    lambda rng: functions.sld(),
+)
+
+
 def _standard_pool(rng: np.random.Generator, positive_at_zero: bool = False):
     """Draw a catalog standard function with randomized parameters."""
-    if positive_at_zero:
-        k = int(rng.integers(0, 4))
-        if k == 0:
-            return functions.sld()
-        if k == 1:
-            return functions.wyd(float(rng.uniform(0.08, 0.92)))
-        if k == 2:
-            return functions.extremal_metric(float(rng.uniform(0.05, 1.0)))
-        return functions.hansen_mixture(_random_measure(rng, min_atom=0.05))
-    k = int(rng.integers(0, 8))
-    if k == 0:
-        return functions.sld()
-    if k == 1:
-        return functions.harmonic()
-    if k == 2:
-        return functions.kubo_mori()
-    if k == 3:
-        return functions.wyd(float(rng.uniform(0.05, 0.95)))
-    if k == 4:
-        return functions.extremal_metric(float(rng.uniform(0.0, 1.0)))
-    if k == 5:
-        return functions.hansen_mixture(_random_measure(rng))
-    if k == 6:
-        return functions.covariance_kernel(functions.wyd(float(rng.uniform(0.1, 0.9))))
-    return functions.covariance_kernel(functions.extremal_metric(float(rng.uniform(0.0, 1.0))))
-
-
-def _smooth_kernel(rng: np.random.Generator):
-    k = int(rng.integers(0, 4))
-    if k == 0:
-        return functions.power_kernel(2.0)
-    if k == 1:
-        return functions.power_kernel(0.5)
-    if k == 2:
-        return functions.neglog_kernel()
-    return functions.sld()
+    return _pick(rng, _POSITIVE_AT_ZERO_POOL if positive_at_zero else _STANDARD_POOL)(rng)
 
 
 def _pick(rng: np.random.Generator, seq):
@@ -641,9 +637,9 @@ def _run_scalar_gibi(rng, dims):
 
 
 def _draw_fd(rng, dims, pool):
-    """Dimension, kernel (from ``pool``) and raw density, the first draws of every FD trial."""
+    """Dimension, kernel (picked from the table ``pool``) and raw density, an FD trial's first draws."""
     n = _dim(rng, dims)
-    F = pool(rng)
+    F = _pick(rng, pool)(rng)
     return n, F, _draw_density(n, _fd_floor(n), rng)
 
 
@@ -661,20 +657,8 @@ def _residual_results(residuals, *parts) -> list:
     return [(None, float(r), digest_inputs(*(p[j] for p in parts))) for j, r in enumerate(residuals)]
 
 
-def _centered_observables(D: linalg.State, raw_X, rngs) -> np.ndarray:
-    """Unit centered observables of a group's states, from one raw draw each.
-
-    A member whose centered part is too small to normalize redraws it from
-    a copy of its own generator, so a rerun of the group draws the same.
-    """
-    X, ok = _centered_units(D, np.stack(raw_X))
-    for j in np.flatnonzero(~ok):
-        X[j] = _centered_unit(D[j], copy.deepcopy(rngs[j]))
-    return X
-
-
 def _draw_hessian(rng, dims):
-    n, f, D = _draw_fd(rng, dims, lambda rng: _standard_pool(rng, positive_at_zero=True))
+    n, f, D = _draw_fd(rng, dims, _POSITIVE_AT_ZERO_POOL)
     return n, (f, D, linalg.draw_ginibre(rng, (n, n)), rng)
 
 
@@ -682,7 +666,7 @@ def _evaluate_hessian(n, trials):
     """Relative errors of one dimension group."""
     fs, raw_D, raw_X, rngs = zip(*trials)
     D = _group_states(raw_D, _fd_floor(n))
-    X = _centered_observables(D, raw_X, rngs)
+    X = _orthonormal_group(D, np.stack(raw_X)[:, None], rngs)[:, 0]
     return _residual_results(hessian_vs_skew(fs, D, X)[2], _names(fs), D.matrix, X)
 
 
@@ -700,12 +684,8 @@ def _commuting_units(D, coeffs: np.ndarray) -> np.ndarray:
     return A / np.where(nrm < 1e-12, 1.0, nrm)[..., None, None]
 
 
-def _commuting_traceless(D, rng: np.random.Generator) -> np.ndarray:
-    return _commuting_units(D, rng.standard_normal(D.shape[-1]))
-
-
 def _draw_lemma_commuting(rng, dims):
-    n, F, D = _draw_fd(rng, dims, _smooth_kernel)
+    n, F, D = _draw_fd(rng, dims, _SMOOTH_POOL)
     return n, (F, D, rng.standard_normal((2, n)))
 
 
@@ -717,7 +697,7 @@ def _evaluate_lemma_commuting(n, trials):
 
 
 def _draw_lemma_cross(rng, dims):
-    n, F, D = _draw_fd(rng, dims, _smooth_kernel)
+    n, F, D = _draw_fd(rng, dims, _SMOOTH_POOL)
     return n, (F, D, rng.standard_normal(n), linalg.draw_ginibre(rng, (n, n)))
 
 
@@ -831,15 +811,7 @@ def _evaluate_concavity(key, trials):
 
 def _draw_skew_identity(rng, dims):
     n = _dim(rng, dims)
-    k = int(rng.integers(0, 4))
-    if k == 0:
-        f = functions.sld()
-    elif k == 1:
-        f = functions.wyd(0.3)
-    elif k == 2:
-        f = functions.wyd(0.5)
-    else:
-        f = functions.hansen_mixture(_random_measure(rng, min_atom=0.05))
+    f = _pick(rng, _SKEW_IDENTITY_POOL)(rng)
     D = _draw_density(n, min(0.02, 0.5 / n), rng)
     return n, (f, D, linalg.draw_ginibre(rng, (n, n)), rng)
 
@@ -847,7 +819,7 @@ def _draw_skew_identity(rng, dims):
 def _evaluate_skew_identity(n, trials):
     fs, raw_D, raw_X, rngs = zip(*trials)
     D = _group_states(raw_D, min(0.02, 0.5 / n))
-    X = _centered_observables(D, raw_X, rngs)
+    X = _orthonormal_group(D, np.stack(raw_X)[:, None], rngs)[:, 0]
     return _residual_results(quantities.skew_identity_residual(fs, D, X), _names(fs), D.matrix, X)
 
 
@@ -861,18 +833,11 @@ def _draw_det_uncertainty(rng, dims):
 
 
 def _evaluate_det_uncertainty(key, trials):
-    """Margins of one ``(n, m)`` group, from one stacked Gram-Schmidt and one Gram pair per member.
-
-    A member whose Gram-Schmidt meets a candidate of norm at most 1e-6
-    reruns it sequentially, taking the next draw from a copy of its own
-    generator in place of that candidate.
-    """
-    n, m = key
+    """Margins of one ``(n, m)`` group, from one stacked Gram-Schmidt and one Gram pair per member."""
+    n, _ = key
     fs, gs, raw_D, raw_obs, rngs = zip(*trials)
     D = _group_states(raw_D, min(0.05, 0.5 / n))
-    obs, ok = _orthonormal_observables(D, np.stack(raw_obs))
-    for j in np.flatnonzero(~ok):
-        obs[j] = _orthonormal_sequence(D[j], m, raw_obs[j], copy.deepcopy(rngs[j]))
+    obs = _orthonormal_group(D, np.stack(raw_obs), rngs)
     results = []
     for j, dets in enumerate(zip(*_gram_determinants(fs, gs, D, obs))):
         det_c, det_fg, det_2g = (float(d) for d in dets)
@@ -884,17 +849,7 @@ def _evaluate_det_uncertainty(key, trials):
 
 def _draw_oracle_equivalence(rng, dims):
     n = _dim(rng, dims)
-    k = int(rng.integers(0, 5))
-    if k == 0:
-        F = functions.power_kernel(1.0)
-    elif k == 1:
-        F = functions.power_kernel(0.5)
-    elif k == 2:
-        F = functions.power_kernel(float(rng.uniform(0.1, 0.9)))
-    elif k == 3:
-        F = functions.neglog_kernel()
-    else:
-        F = functions.sld()
+    F = _pick(rng, _ORACLE_POOL)(rng)
     floor = min(0.05, 0.5 / n)
     D = [_draw_density(n, floor, rng) for _ in range(2)]
     A = linalg.draw_ginibre(rng, (n, n))
@@ -911,7 +866,7 @@ def _evaluate_oracle_equivalence(n, trials):
     S = linalg.state(_densities(np.stack(raw_D, axis=1), min(0.05, 0.5 / n)))
     D1, D2 = S[0], S[1]
     A = _unit_operands(np.stack(raw_A))
-    gap = linalg.relmod_apply(Fs, D1, D2, A) - linalg.relmod_dense(Fs, D1, D2)(A)
+    gap = linalg.relmod_apply(Fs, D1, D2, A) - linalg.relmod_dense(Fs, D1, D2, A)
     r1 = np.abs(gap).max(axis=(-2, -1))
     q = quantities.quasi_entropy(tuple(functions.power_kernel(a) for a in alphas), A, D1, D2)
     a = np.array(alphas)[:, None]
@@ -1008,6 +963,17 @@ SUITE_NAMES = tuple(_SUITES)
 _TRIAL_ERRORS = (VerificationError, InvariantViolation)
 
 
+def _extreme(pick, values) -> float | None:
+    """``pick`` (``min`` or ``max``) of the values, NaN if any is NaN, None for none.
+
+    Python's ``min`` and ``max`` keep or skip a NaN depending on where it
+    sits, so a NaN is looked for first.
+    """
+    if not values:
+        return None
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+
+
 def _evaluate_alone(evaluate, key, inputs):
     """One trial's result, or the exception it raised."""
     try:
@@ -1029,6 +995,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     class (``error``) and its message; the remaining trials still run.
     Every trial is drawn before any is evaluated, and trials are evaluated
     one shape group at a time; a group that raises is rerun trial by trial.
+    A NaN margin or residual makes ``min_margin`` or ``max_residual`` NaN.
     """
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
@@ -1091,8 +1058,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     return TrialReport(
         suite=name,
         trials=trials,
-        min_margin=min(margins) if margins else None,
-        max_residual=max(residuals) if residuals else None,
+        min_margin=_extreme(min, margins),
+        max_residual=_extreme(max, residuals),
         failures=failures,
         elapsed=elapsed,
         margin_tolerance=tol["margin"],

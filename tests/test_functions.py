@@ -227,7 +227,7 @@ def _loewner_margin_pair_by_pair(f, seed, trials, dim):
     loewner = math.inf
     for _ in range(trials):
         w = rng.uniform(1e-3, 4.5, size=dim)
-        U = linalg.haar_unitary(dim, rng)
+        U = linalg.phase_fixed_qr(linalg.ginibre(linalg.draw_ginibre(rng, (dim, dim))))
         A = (U * w) @ U.conj().T
         A = (A + A.conj().T) / 2
         G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

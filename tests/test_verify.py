@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,11 @@ def _ginibre_as_drawn(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _random_complex(n, rng):
+    """A unit operand drawn as the suites draw one."""
+    return vf._unit_operands(linalg.draw_ginibre(rng, (n, n)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_draws_build_the_per_matrix_values_and_leave_the_generator_there(n):
     # the per-matrix construction written out: a Ginibre square per density,
@@ -71,11 +77,11 @@ def test_draws_build_the_per_matrix_values_and_leave_the_generator_there(n):
             rho /= np.trace(rho).real
             expected = (1.0 - n * floor) * rho + floor * np.eye(n)
         assert np.array_equal(D.matrix, linalg.as_hermitian(expected))
-        A = vf._random_complex(n, rng)
+        A = _random_complex(n, rng)
         G = _ginibre_as_drawn(ref, (n, n))
-        assert np.array_equal(A, G / linalg.hs_norm(G))
+        assert np.array_equal(A, G / vf._norms(G))
         c = channels.random_channel(n, 2, n, seed=rng)
-        Q = linalg.haar_unitary(n, ref, rows=2 * n)
+        Q = linalg.phase_fixed_qr(_ginibre_as_drawn(ref, (2 * n, n)))
         assert all(np.array_equal(K, Q[2 * i : 2 * i + 2]) for i, K in enumerate(c.kraus_ops))
         assert rng.random() == ref.random()
 
@@ -93,7 +99,7 @@ def test_stacked_builders_equal_the_one_draw_builders(n):
     for idx in np.ndindex(2, 3):
         assert np.array_equal(built[idx], vf._densities(raw_rho[idx], floor))
     for j in range(5):
-        assert np.array_equal(units[j], A[j] / linalg.hs_norm(A[j]))
+        assert np.array_equal(units[j], A[j] / vf._norms(A[j]))
 
 
 def test_mixed_second_derivative_zero_direction(qubit_state):
@@ -164,7 +170,7 @@ def test_mixed_second_derivative_decomposes_the_schedule_in_one_call(eig_calls):
     F = fn.power_kernel(0.5)
     D = vf.random_density(3, 0.2, 5)
     rng = np.random.default_rng(6)
-    A = vf._commuting_traceless(D, rng)
+    A = vf._commuting_units(D, rng.standard_normal(3))
     B = 1j * linalg.commutator(D.matrix, vf.random_hermitian(3, rng))
     B = (B + B.conj().T) / 2
     before = eig_calls["eigh"]
@@ -172,7 +178,7 @@ def test_mixed_second_derivative_decomposes_the_schedule_in_one_call(eig_calls):
     assert eig_calls["eigh"] - before == 1
 
     # the normalization mixed_second_derivative applies to its directions
-    na, nb = linalg.hs_norm(A), linalg.hs_norm(B)
+    na, nb = vf._norms(A), vf._norms(B)
     An = (A - (np.trace(A).real / 3) * np.eye(3)) / na
     Bn = (B - (np.trace(B).real / 3) * np.eye(3)) / nb
 
@@ -224,8 +230,7 @@ def test_neville_three_steps_exact_on_polynomial_in_h2():
 def test_lemma_commuting_three_step_schedule(F):
     D = vf.random_density(4, 0.2, 5)
     rng = np.random.default_rng(1)
-    A = vf._commuting_traceless(D, rng)
-    B = vf._commuting_traceless(D, rng)
+    A, B = vf._commuting_units(D, rng.standard_normal((2, 4)))
     sched = vf.StepSchedule((1e-2, 5e-3, 2.5e-3))
     assert vf.lemma_commuting_residual(F, D, A, B, sched) <= 1e-9
 
@@ -434,7 +439,94 @@ def test_orthonormal_centered_observables_properties():
         assert abs(np.trace(D @ A)) <= 1e-10
         for j, B in enumerate(obs):
             expected = 1.0 if i == j else 0.0
-            assert linalg.hs_inner(A, B).real == pytest.approx(expected, abs=1e-10)
+            assert np.sum(np.conj(A) * B).real == pytest.approx(expected, abs=1e-10)
+
+
+# the kernel pools as if-chains on one integer draw, written out
+def _standard_chain(rng):
+    k = int(rng.integers(0, 8))
+    if k == 0:
+        return fn.sld()
+    if k == 1:
+        return fn.harmonic()
+    if k == 2:
+        return fn.kubo_mori()
+    if k == 3:
+        return fn.wyd(float(rng.uniform(0.05, 0.95)))
+    if k == 4:
+        return fn.extremal_metric(float(rng.uniform(0.0, 1.0)))
+    if k == 5:
+        return fn.hansen_mixture(vf._random_measure(rng))
+    if k == 6:
+        return fn.covariance_kernel(fn.wyd(float(rng.uniform(0.1, 0.9))))
+    return fn.covariance_kernel(fn.extremal_metric(float(rng.uniform(0.0, 1.0))))
+
+
+def _positive_at_zero_chain(rng):
+    k = int(rng.integers(0, 4))
+    if k == 0:
+        return fn.sld()
+    if k == 1:
+        return fn.wyd(float(rng.uniform(0.08, 0.92)))
+    if k == 2:
+        return fn.extremal_metric(float(rng.uniform(0.05, 1.0)))
+    return fn.hansen_mixture(vf._random_measure(rng, min_atom=0.05))
+
+
+def _smooth_chain(rng):
+    k = int(rng.integers(0, 4))
+    if k == 0:
+        return fn.power_kernel(2.0)
+    if k == 1:
+        return fn.power_kernel(0.5)
+    if k == 2:
+        return fn.neglog_kernel()
+    return fn.sld()
+
+
+def _skew_identity_chain(rng):
+    k = int(rng.integers(0, 4))
+    if k == 0:
+        return fn.sld()
+    if k == 1:
+        return fn.wyd(0.3)
+    if k == 2:
+        return fn.wyd(0.5)
+    return fn.hansen_mixture(vf._random_measure(rng, min_atom=0.05))
+
+
+def _oracle_chain(rng):
+    k = int(rng.integers(0, 5))
+    if k == 0:
+        return fn.power_kernel(1.0)
+    if k == 1:
+        return fn.power_kernel(0.5)
+    if k == 2:
+        return fn.power_kernel(float(rng.uniform(0.1, 0.9)))
+    if k == 3:
+        return fn.neglog_kernel()
+    return fn.sld()
+
+
+@pytest.mark.parametrize(
+    "draw, chain, size",
+    [
+        (vf._standard_pool, _standard_chain, 8),
+        (lambda rng: vf._standard_pool(rng, positive_at_zero=True), _positive_at_zero_chain, 4),
+        (lambda rng: vf._pick(rng, vf._SMOOTH_POOL)(rng), _smooth_chain, 4),
+        (lambda rng: vf._pick(rng, vf._SKEW_IDENTITY_POOL)(rng), _skew_identity_chain, 4),
+        (lambda rng: vf._pick(rng, vf._ORACLE_POOL)(rng), _oracle_chain, 5),
+    ],
+    ids=["standard", "positive-at-zero", "smooth", "skew-identity", "oracle"],
+)
+def test_kernel_pool_tables_draw_the_if_chains_stream(draw, chain, size):
+    seeds = range(256)
+    # every branch of the chain is taken by some seed
+    assert {int(np.random.default_rng(s).integers(0, size)) for s in seeds} == set(range(size))
+    for seed in seeds:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw(a).name == chain(b).name
+        assert a.random() == b.random()
 
 
 def test_run_suite_unknown_name():
@@ -594,7 +686,7 @@ def _concavity_by_trial(rng, dims):
     n = vf._dim(rng, dims)
     F = fn.power_kernel(vf._pick(rng, vf._ALPHAS))
     lam = vf._pick(rng, vf._MIX_WEIGHTS)
-    A = vf._random_complex(n, rng)
+    A = _random_complex(n, rng)
     floor = min(0.03, 0.5 / n)
     a1, a2, b1, b2 = (vf.random_density(n, floor, rng) for _ in range(4))
     margin = channels.concavity_margin(F, A, (a1, a2), (b1, b2), lam)
@@ -608,7 +700,7 @@ def _monotonicity_by_trial(rng, dims):
     k = int(rng.integers(1, 4))
     k = max(k, -(-n_in // n_out), -(-n_out // n_in))
     F = fn.power_kernel(vf._pick(rng, vf._ALPHAS))
-    A = vf._random_complex(n_out, rng)
+    A = _random_complex(n_out, rng)
     floor = min(0.03, 0.5 / n_in)
     for _ in range(40):
         c = channels.random_channel(n_in, n_out, k, seed=rng)
@@ -622,22 +714,12 @@ def _monotonicity_by_trial(rng, dims):
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
-def _centered_by_hand(D, rng):
-    """Unit centered observable for D, drawn again while its centered part has norm at most 1e-8."""
-    n = D.shape[0]
-    while True:
-        X = vf.center_observable(D, vf.random_hermitian(n, rng, unit=False))
-        nrm = linalg.hs_norm(X)
-        if nrm > 1e-8:
-            return X / nrm
-
-
 def _hessian_by_trial(rng, dims):
     """One hessian trial drawn and evaluated alone, with the public 2-D functions."""
     n = vf._dim(rng, dims)
     f = vf._standard_pool(rng, positive_at_zero=True)
     D = vf.random_density(n, vf._fd_floor(n), rng)
-    X = _centered_by_hand(D, rng)
+    (X,) = _orthonormal_by_hand(D, 1, rng)
     _, _, relerr = vf.hessian_vs_skew(f, D, X)
     return relerr, qt.digest_inputs(f.name, D, X)
 
@@ -649,14 +731,14 @@ def _commuting_by_hand(D, rng):
     a -= a.mean()
     A = (U * a) @ U.conj().T
     A = (A + A.conj().T) / 2
-    nrm = linalg.hs_norm(A)
+    nrm = vf._norms(A)
     return A if nrm < 1e-12 else A / nrm
 
 
 def _smooth_trial(rng, dims):
     """Dimension, smooth kernel and density of a lemma trial, drawn in the suites' order."""
     n = vf._dim(rng, dims)
-    F = vf._smooth_kernel(rng)
+    F = vf._pick(rng, vf._SMOOTH_POOL)(rng)
     return n, F, vf.random_density(n, vf._fd_floor(n), rng)
 
 
@@ -683,7 +765,7 @@ def _skew_identity_by_trial(rng, dims):
     else:
         f = fn.hansen_mixture(vf._random_measure(rng, min_atom=0.05))
     D = vf.random_density(n, min(0.02, 0.5 / n), rng)
-    X = _centered_by_hand(D, rng)
+    (X,) = _orthonormal_by_hand(D, 1, rng)
     return qt.skew_identity_residual(f, D, X), qt.digest_inputs(f.name, D, X)
 
 
@@ -693,8 +775,8 @@ def _orthonormal_by_hand(D, m, rng):
     while len(obs) < m:
         H = vf.center_observable(D, vf.random_hermitian(D.shape[0], rng, unit=False))
         for prev in obs:
-            H = H - linalg.hs_inner(prev, H).real * prev
-        nrm = linalg.hs_norm(H)
+            H = H - np.sum(np.conj(prev) * H).real * prev
+        nrm = vf._norms(H)
         if nrm > 1e-6:
             obs.append(H / nrm)
     return obs
@@ -724,8 +806,8 @@ def _oracle_equivalence_by_trial(rng, dims):
     else:
         F = {0: fn.power_kernel(1.0), 1: fn.power_kernel(0.5), 3: fn.neglog_kernel(), 4: fn.sld()}[k]
     D1, D2 = (vf.random_density(n, min(0.05, 0.5 / n), rng) for _ in range(2))
-    A = vf._random_complex(n, rng)
-    r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - linalg.relmod_dense(F, D1, D2)(A))))
+    A = _random_complex(n, rng)
+    r1 = float(np.max(np.abs(linalg.relmod_apply(F, D1, D2, A) - linalg.relmod_dense(F, D1, D2, A))))
     alpha = float(rng.uniform(0.1, 0.9))
     q = complex(qt.quasi_entropy(fn.power_kernel(alpha), A, D1, D2))
     D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
@@ -920,9 +1002,8 @@ def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member
 def test_stacked_identities_equal_the_two_d_calls_member_by_member():
     rng = np.random.default_rng(21)
     S = linalg.state(np.stack([np.asarray(vf.random_density(4, 0.2, rng)) for _ in range(3)]))
-    A = np.stack([vf._commuting_traceless(S[j], rng) for j in range(3)])
-    B = np.stack([vf._commuting_traceless(S[j], rng) for j in range(3)])
-    X = np.stack([vf._centered_unit(S[j], rng) for j in range(3)])
+    A, B = vf._commuting_units(S, rng.standard_normal((2, 3, 4)))
+    X = np.stack([_orthonormal_by_hand(S[j], 1, rng)[0] for j in range(3)])
     F = (fn.power_kernel(2.0), fn.neglog_kernel(), fn.sld())
     f = (fn.wyd(0.4), fn.extremal_metric(0.3), fn.sld())
     commuting = vf.lemma_commuting_residual(F, S, A, B)
@@ -1008,17 +1089,34 @@ def test_a_det_uncertainty_rejection_reruns_the_sequential_loop(monkeypatch):
 def test_a_nan_margin_or_residual_fails_its_trial(monkeypatch, field):
     name = "concavity" if field == "margin" else "wyd-consistency"
     row = vf._SUITES[name]
+    clean = vf.run_suite(name, trials=10, seed=2, dims=(2,))
+    clean_records = _trial_records(name, trials=10, seed=2, dims=(2,))
+    values = [r["value"] for r in clean_records.values()]
+    assert clean.passed
+    assert (clean.min_margin, clean.max_residual) == (
+        (min(values), None) if field == "margin" else (None, max(values))
+    )
+    summaries = []
+    for broken in (0, 5, 9):
+        # one trial of the single group returns NaN, first, inside or last
+        digest = clean_records[f"2:{broken}"]["digest"]
 
-    def poisoned(key, trials):
-        results = row.evaluate(key, trials)
-        margin, residual, digest = results[0]
-        nan = (math.nan, residual) if field == "margin" else (margin, math.nan)
-        return [(*nan, digest)] + results[1:]
+        def poisoned(key, trials, _digest=digest):
+            out = []
+            for m, r, d in row.evaluate(key, trials):
+                if d == _digest:
+                    m, r = (math.nan, r) if field == "margin" else (m, math.nan)
+                out.append((m, r, d))
+            return out
 
-    monkeypatch.setitem(vf._SUITES, name, row._replace(evaluate=poisoned))
-    rep = vf.run_suite(name, trials=12, seed=2, dims=(2, 3))
-    assert not rep.passed and 0 < len(rep.failures) < rep.trials
-    assert all(math.isnan(f["value"]) for f in rep.failures)
-    # with -inf tolerances every trial still fails, the NaN ones among them
-    records = _trial_records(name, trials=12, seed=2, dims=(2, 3))
-    assert sum(math.isnan(r["value"]) for r in records.values()) == len(rep.failures)
+        monkeypatch.setitem(vf._SUITES, name, row._replace(evaluate=poisoned))
+        rep = vf.run_suite(name, trials=10, seed=2, dims=(2,))
+        assert [f["seed"] for f in rep.failures] == [f"2:{broken}"]
+        assert math.isnan(rep.failures[0]["value"])
+        # with -inf tolerances every trial still fails, the NaN one among them
+        records = _trial_records(name, trials=10, seed=2, dims=(2,))
+        assert [k for k, r in records.items() if math.isnan(r["value"])] == [f"2:{broken}"]
+        summaries.append(json.dumps((rep.min_margin, rep.max_residual)))
+        monkeypatch.setitem(vf._SUITES, name, row)
+    # the summary does not depend on where the NaN sits: NaN for the poisoned value
+    assert summaries == [json.dumps((math.nan, None) if field == "margin" else (None, math.nan))] * 3
