@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Per-dimension times of the spectral layers, one JSON document on stdout.
+
+For each n in {2, 4, 8, 16, 64, 256} it times, on a seeded random density
+and observable:
+
+- validation: ``linalg.as_hermitian`` and ``linalg.as_density``;
+- ``np.linalg.eigh`` of the density;
+- kernel evaluation on the ratio grid ``w_i / w_j``: one kernel
+  (``wyd:0.3``), and a tuple of 8 kernels from mixed families on a stack
+  of 8 grids, both grouped (``linalg._kernel_grid``, one call per family)
+  and member by member (one ``eval_scalar`` call each);
+- the eigenbasis contraction ``sum_ij W_ij |(U* A U)_ij|^2 w_j``.
+
+Each figure is the median over 7 timings of one call, where a timing runs
+the call enough times to last at least 20 ms.  BLAS runs on one thread, as
+in the benchmark.
+
+    PYTHONPATH=src python3 scripts/layer_times.py --seed 0 > layer_times.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the thread pinning)
+
+from qig import functions, linalg, verify  # noqa: E402
+
+DIMS = (2, 4, 8, 16, 64, 256)
+MIN_SECONDS = 0.02
+REPEATS = 7
+
+
+def _mixed_kernels() -> tuple:
+    """8 kernels from 6 families, two families with two members each."""
+    return (
+        functions.sld(),
+        functions.kubo_mori(),
+        functions.wyd(0.3),
+        functions.wyd(0.7),
+        functions.extremal_metric(0.4),
+        functions.extremal_metric(0.8),
+        functions.hansen_mixture(functions.DiscreteMeasure((0.2, 0.6), (0.3, 0.7))),
+        functions.covariance_kernel(functions.wyd(0.4)),
+    )
+
+
+def _per_call(fn) -> float:
+    """Median seconds of one call of fn over ``REPEATS`` timings."""
+    fn()
+    number = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        if time.perf_counter() - start >= MIN_SECONDS:
+            break
+        number *= 2
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - start) / number)
+    return statistics.median(samples)
+
+
+def layer_times(n: int, seed: int) -> dict:
+    rng = np.random.default_rng([seed, n])
+    D = np.asarray(verify.random_density(n, 0.5 / n, rng))
+    A = verify.random_hermitian(n, rng)
+    w, U = np.linalg.eigh(D)
+    x = w[:, None] / w[None, :]
+    kernels = _mixed_kernels()
+    x8 = np.stack([x] * len(kernels))
+    W = linalg.eval_scalar(functions.wyd(0.3), x)
+    one = functions.wyd(0.3)
+
+    def contraction():
+        M = U.conj().T @ A @ U
+        return (W * np.abs(M) ** 2 * w[None, :]).sum()
+
+    return {
+        "as_hermitian_s": _per_call(lambda: linalg.as_hermitian(D)),
+        "as_density_s": _per_call(lambda: linalg.as_density(D)),
+        "eigh_s": _per_call(lambda: np.linalg.eigh(D)),
+        "kernel_one_s": _per_call(lambda: linalg._kernel_grid(one, x)),
+        "kernel_tuple8_grouped_s": _per_call(lambda: linalg._kernel_grid(kernels, x8)),
+        "kernel_tuple8_per_member_s": _per_call(lambda: [linalg.eval_scalar(f, x) for f in kernels]),
+        "contraction_s": _per_call(contraction),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    out = {
+        "command": "python3 scripts/layer_times.py " + " ".join(sys.argv[1:] if argv is None else argv),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "blas_threads": 1,
+        },
+        "unit": "seconds per call, median",
+        "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
+    }
+    json.dump(out, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

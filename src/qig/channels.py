@@ -127,13 +127,15 @@ def apply_dual(ch: KrausChannel, A) -> np.ndarray:
 
 
 def _require_monotone_kernel(F) -> None:
-    if not getattr(F, "claims_operator_monotone", False):
-        raise DomainError(
-            "this margin is stated for operator monotone increasing kernels; "
-            f"{getattr(F, 'name', 'kernel')!r} is not flagged as one"
-        )
-    if not getattr(F, "value_at_zero", -math.inf) >= 0.0:
-        raise DomainError("this margin needs a kernel with F(0) >= 0")
+    """Refuse a kernel, or any kernel of a per-member tuple, outside the margins' hypotheses."""
+    for G in F if isinstance(F, tuple) else (F,):
+        if not getattr(G, "claims_operator_monotone", False):
+            raise DomainError(
+                "this margin is stated for operator monotone increasing kernels; "
+                f"{getattr(G, 'name', 'kernel')!r} is not flagged as one"
+            )
+        if not getattr(G, "value_at_zero", -math.inf) >= 0.0:
+            raise DomainError("this margin needs a kernel with F(0) >= 0")
 
 
 def monotonicity_margin(F, A, D1, D2, ch: KrausChannel) -> float:

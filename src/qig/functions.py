@@ -16,6 +16,7 @@ by limit sampling: they multiply whole identities, so they must be exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +40,12 @@ class ScalarFunctionSpec:
     the analytic value when known and None when it has to be estimated
     numerically.  The ``claims_*`` flags record what the construction
     guarantees; validators can only falsify them.
+
+    A parametric constructor's ``fn`` is ``functools.partial(family,
+    **params)`` of a module-level family function that is vectorized in
+    its parameters: called with ``(m, 1, ...)`` parameter arrays it
+    evaluates m members at once, each element as its scalar call does
+    (``linalg._kernel_grid`` groups a tuple of kernels this way).
     """
 
     name: str
@@ -72,11 +79,63 @@ def _with_series(direct, series, x):
     return out[()]
 
 
+def _sld(x):
+    return (1.0 + x) / 2.0
+
+
+def _harmonic(x):
+    return 2.0 * x / (x + 1.0)
+
+
+def _log_mean(x):
+    return _with_series(lambda s: (s - 1.0) / np.log(s), lambda t: 1.0 + t / 2.0 - t * t / 12.0, x)
+
+
+def _wyd(x, p, c0, c2):
+    return _with_series(
+        lambda s: c0 * (s - 1.0) ** 2 / ((s ** p - 1.0) * (s ** (1.0 - p) - 1.0)),
+        lambda t: 1.0 + t / 2.0 + c2 * t * t,
+        x,
+    )
+
+
+def _extremal_kernel(x, lam):
+    return 0.5 * (1.0 + lam) * (1.0 / (x + lam) + 1.0 / (1.0 + x * lam))
+
+
+def _extremal_metric(x, lam, scale):
+    return 2.0 * (x + lam) * (1.0 + x * lam) / (scale * (1.0 + x))
+
+
+def _hansen(x, atoms, weights):
+    """``1 / sum_k w_k g_{a_k}(x)`` over the charged atoms, summed in order."""
+    acc = weights[0] * _extremal_kernel(x, atoms[0])
+    for a, w in zip(atoms[1:], weights[1:]):
+        acc = acc + w * _extremal_kernel(x, a)
+    return 1.0 / acc
+
+
+def _covariance(x, f0, base):
+    return 0.5 * ((x + 1.0) - (x - 1.0) ** 2 * f0 / base(x))
+
+
+def _power(x, alpha):
+    return x ** alpha
+
+
+def _neglog(x):
+    return -np.log(x)
+
+
+def _renyi(x, alpha, c):
+    return (1.0 - x ** alpha) / c
+
+
 def sld() -> ScalarFunctionSpec:
     """Arithmetic-mean function ``(1+x)/2``, the largest standard function."""
     return ScalarFunctionSpec(
         name="sld",
-        fn=lambda x: (1.0 + x) / 2.0,
+        fn=_sld,
         value_at_zero=0.5,
         second_derivative_at_one=0.0,
         claims_standard=True,
@@ -88,7 +147,7 @@ def harmonic() -> ScalarFunctionSpec:
     """Harmonic-mean function ``2x/(x+1)``, the smallest standard function."""
     return ScalarFunctionSpec(
         name="harmonic",
-        fn=lambda x: 2.0 * x / (x + 1.0),
+        fn=_harmonic,
         value_at_zero=0.0,
         second_derivative_at_one=-0.5,
         claims_standard=True,
@@ -103,15 +162,7 @@ def kubo_mori() -> ScalarFunctionSpec:
     ``1 + t/2 - t^2/12`` inside ``|x-1| < 1e-4`` to dodge catastrophic
     cancellation.
     """
-
-    def fn(x):
-        return _with_series(
-            lambda s: (s - 1.0) / np.log(s),
-            lambda t: 1.0 + t / 2.0 - t * t / 12.0,
-            x,
-        )
-
-    return ScalarFunctionSpec("kubo-mori", fn, 0.0, -1.0 / 6.0, True, True)
+    return ScalarFunctionSpec("kubo-mori", _log_mean, 0.0, -1.0 / 6.0, True, True)
 
 
 def wyd(p: float) -> ScalarFunctionSpec:
@@ -124,15 +175,7 @@ def wyd(p: float) -> ScalarFunctionSpec:
     if not 0.0 < p < 1.0:
         raise DomainError(f"wyd parameter must lie inside (0, 1), got {p!r}")
     c0 = p * (1.0 - p)
-    c2 = (p - p * p - 1.0) / 12.0
-
-    def fn(x):
-        return _with_series(
-            lambda s: c0 * (s - 1.0) ** 2 / ((s ** p - 1.0) * (s ** (1.0 - p) - 1.0)),
-            lambda t: 1.0 + t / 2.0 + c2 * t * t,
-            x,
-        )
-
+    fn = functools.partial(_wyd, p=p, c0=c0, c2=(p - p * p - 1.0) / 12.0)
     return ScalarFunctionSpec(f"wyd:{p:g}", fn, c0, -(p * p - p + 1.0) / 6.0, True, True)
 
 
@@ -144,11 +187,7 @@ def extremal_kernel(lam: float) -> Callable:
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"extremal parameter must lie in [0, 1], got {lam!r}")
-
-    def g(x):
-        return 0.5 * (1.0 + lam) * (1.0 / (x + lam) + 1.0 / (1.0 + x * lam))
-
-    return g
+    return functools.partial(_extremal_kernel, lam=lam)
 
 
 def extremal_metric(lam: float) -> ScalarFunctionSpec:
@@ -161,10 +200,7 @@ def extremal_metric(lam: float) -> ScalarFunctionSpec:
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"extremal parameter must lie in [0, 1], got {lam!r}")
     scale = (1.0 + lam) ** 2
-
-    def fn(x):
-        return 2.0 * (x + lam) * (1.0 + x * lam) / (scale * (1.0 + x))
-
+    fn = functools.partial(_extremal_metric, lam=lam, scale=scale)
     return ScalarFunctionSpec(f"extremal:{lam:g}", fn, 2.0 * lam / scale, None, True, True)
 
 
@@ -206,18 +242,9 @@ def hansen_mixture(measure: DiscreteMeasure) -> ScalarFunctionSpec:
     zero comes analytically from ``g_a(0) = (1+a)^2 / (2a)``: it vanishes
     exactly when the measure charges the atom 0.
     """
-    kernels = [(w, extremal_kernel(a)) for a, w in zip(measure.atoms, measure.weights)]
-
-    def fn(x):
-        acc = None
-        for w, g in kernels:
-            if w == 0.0:
-                continue
-            term = w * g(x)
-            acc = term if acc is None else acc + term
-        return 1.0 / acc
-
     charged = [(a, w) for a, w in zip(measure.atoms, measure.weights) if w > 0.0]
+    atoms, weights = zip(*charged)
+    fn = functools.partial(_hansen, atoms=atoms, weights=weights)
     if any(a == 0.0 for a, _ in charged):
         f0 = 0.0
     else:
@@ -241,12 +268,8 @@ def covariance_kernel(f: ScalarFunctionSpec) -> ScalarFunctionSpec:
     f0 = f.value_at_zero
     name = f"cov[{f.name}]"
     if f0 == 0.0:
-        return ScalarFunctionSpec(name, lambda x: (1.0 + x) / 2.0, 0.5, 0.0, True, True)
-    base = f.fn
-
-    def fn(x):
-        return 0.5 * ((x + 1.0) - (x - 1.0) ** 2 * f0 / base(x))
-
+        return ScalarFunctionSpec(name, _sld, 0.5, 0.0, True, True)
+    fn = functools.partial(_covariance, f0=f0, base=f.fn)
     return ScalarFunctionSpec(name, fn, 0.0, -f0, True, True)
 
 
@@ -256,7 +279,7 @@ def power_kernel(alpha: float) -> ScalarFunctionSpec:
         raise DomainError(f"power kernel needs a positive exponent, got {alpha!r}")
     return ScalarFunctionSpec(
         name=f"power:{alpha:g}",
-        fn=lambda x: x ** alpha,
+        fn=functools.partial(_power, alpha=alpha),
         value_at_zero=0.0,
         second_derivative_at_one=alpha * (alpha - 1.0),
         claims_standard=False,
@@ -266,7 +289,7 @@ def power_kernel(alpha: float) -> ScalarFunctionSpec:
 
 def neglog_kernel() -> ScalarFunctionSpec:
     """``-log x``, the relative-entropy kernel (operator monotone decreasing)."""
-    return ScalarFunctionSpec("neglog", lambda x: -np.log(x), math.inf, 1.0, False, False)
+    return ScalarFunctionSpec("neglog", _neglog, math.inf, 1.0, False, False)
 
 
 def renyi_kernel(alpha: float) -> ScalarFunctionSpec:
@@ -279,7 +302,7 @@ def renyi_kernel(alpha: float) -> ScalarFunctionSpec:
     c = alpha * (1.0 - alpha)
     return ScalarFunctionSpec(
         name=f"renyi:{alpha:g}",
-        fn=lambda x: (1.0 - x ** alpha) / c,
+        fn=functools.partial(_renyi, alpha=alpha, c=c),
         value_at_zero=math.inf if alpha < 0.0 else 1.0 / c,
         second_derivative_at_one=None,
         claims_standard=False,
@@ -287,9 +310,38 @@ def renyi_kernel(alpha: float) -> ScalarFunctionSpec:
     )
 
 
+def _in_order_max(*values):
+    """Elementwise ``max(*values)`` as Python picks it: a later value wins only when larger.
+
+    So a NaN is kept in first place and skipped after it, as for floats.
+    """
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _unstacked(values: np.ndarray, stacked: bool):
+    """The array of a stack's members, or the Python float (or bool) of one function's one member."""
+    return values if stacked else values[0].item()
+
+
+def _grid_values(fs: tuple, x: np.ndarray, dtype=float) -> np.ndarray:
+    """``(m, len(x))`` values of the functions fs on the 1-D grid x, one kernel call per family.
+
+    Unlike :func:`~qig.linalg.eval_scalar` the values are not checked.
+    """
+
+    def evaluate(fn, points):
+        # a constant function may return one number for the whole grid
+        return np.broadcast_to(np.asarray(getattr(fn, "fn", fn)(points), dtype=dtype), points.shape)
+
+    return linalg._kernel_grid(fs, np.tile(x, (len(fs), 1)), core=1, evaluate=evaluate)
+
+
 @dataclass(frozen=True)
 class StandardnessReport:
-    """Worst grid violations of the standardness contract."""
+    """Worst grid violations of the standardness contract (arrays for a tuple of functions)."""
 
     symmetry: float
     normalization: float
@@ -299,7 +351,8 @@ class StandardnessReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.symmetry, self.normalization, self.lower_bound, self.upper_bound)
+        worst = _in_order_max(self.symmetry, self.normalization, self.lower_bound, self.upper_bound)
+        return worst if np.ndim(worst) else worst.item()
 
 
 def check_standard(f, grid=None, threshold: float = 1e-9) -> StandardnessReport:
@@ -307,23 +360,27 @@ def check_standard(f, grid=None, threshold: float = 1e-9) -> StandardnessReport:
 
     Checks the symmetry ``x f(1/x) = f(x)``, the normalization f(1) = 1,
     and the two-sided bound ``2x/(x+1) <= f(x) <= (1+x)/2``; passes when
-    every violation stays at or below ``threshold``.
+    every violation stays at or below ``threshold``.  A tuple of functions
+    is checked with one kernel call per family and gives arrays of the
+    members' fields, each equal to the member's own call.
     """
     if grid is None:
         grid = _PROBE_GRID
-    x = np.asarray(grid, dtype=float)
+    x = np.asarray(grid, dtype=float).reshape(-1)
     if x.size == 0 or np.any(x <= 0.0):
         raise DomainError("probe grid must be nonempty and strictly positive")
     if not (np.any(x < 1.0) and np.any(x > 1.0)):
         raise DomainError("probe grid must contain points below and above 1")
-    fx = np.asarray(f(x), dtype=float)
-    finv = np.asarray(f(1.0 / x), dtype=float)
-    symmetry = float(np.max(np.abs(x * finv - fx)))
-    normalization = abs(float(np.asarray(f(np.asarray(1.0)))) - 1.0)
-    lower = max(0.0, float(np.max(2.0 * x / (x + 1.0) - fx)))
-    upper = max(0.0, float(np.max(fx - (1.0 + x) / 2.0)))
-    passed = max(symmetry, normalization, lower, upper) <= threshold
-    return StandardnessReport(symmetry, normalization, lower, upper, passed)
+    stacked = isinstance(f, tuple)
+    vals = _grid_values(f if stacked else (f,), np.concatenate([x, 1.0 / x, [1.0]]))
+    fx, finv = vals[:, : x.size], vals[:, x.size : -1]
+    symmetry = np.max(np.abs(x * finv - fx), axis=-1)
+    normalization = np.abs(vals[:, -1] - 1.0)
+    lower = _in_order_max(0.0, np.max(2.0 * x / (x + 1.0) - fx, axis=-1))
+    upper = _in_order_max(0.0, np.max(fx - (1.0 + x) / 2.0, axis=-1))
+    passed = _in_order_max(symmetry, normalization, lower, upper) <= threshold
+    fields = (symmetry, normalization, lower, upper, passed)
+    return StandardnessReport(*(_unstacked(v, stacked) for v in fields))
 
 
 #: fixed upper half-plane grid for the analytic (Pick) sub-check
@@ -338,7 +395,11 @@ _PICK_GRID = np.array(
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    """Sampled margins for the matrix order and half-plane sub-checks."""
+    """Sampled margins for the matrix order and half-plane sub-checks.
+
+    For a tuple of functions every field is an array over the members, with
+    a NaN ``pick_margin`` where the sub-check is skipped.
+    """
 
     loewner_margin: float
     pick_margin: float | None
@@ -346,9 +407,21 @@ class MonotonicityReport:
     passed: bool
 
 
+def _pick_margins(fs: tuple) -> list:
+    """Smallest imaginary part of each function on the Pick grid, None where it does not evaluate there."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = _grid_values(fs, _PICK_GRID, complex)
+    except (TypeError, ValueError):
+        if len(fs) == 1:
+            return [None]
+        return [m for f in fs for m in _pick_margins((f,))]
+    return [float(np.min(v.imag)) if np.all(np.isfinite(v)) else None for v in vals]
+
+
 def check_operator_monotone(
     f,
-    seed: int = 0,
+    seed=0,
     trials: int = 40,
     dim: int = 3,
     loewner_tol: float = 1e-8,
@@ -366,11 +439,19 @@ def check_operator_monotone(
     when f does not evaluate on complex arguments.  Numerics can only
     falsify monotonicity, never prove it.  A ``dim`` below 1 raises
     ``DomainError`` before anything is drawn.
+
+    A tuple of functions takes a sequence of seeds, one per member: the
+    pairs of all members are built and checked as one stack, with one
+    kernel call per family, and every field is an array over the members,
+    each equal to the member's own call.
     """
     if not dim >= 1:
         raise DomainError(f"dimension must be at least 1, got {dim!r}")
-    rng = np.random.default_rng(seed)
-    loewner = math.inf
+    stacked = isinstance(f, tuple)
+    fs, seeds = (f, tuple(seed)) if stacked else ((f,), (seed,))
+    if len(seeds) != len(fs):
+        raise DomainError(f"{len(fs)} functions need as many seeds, got {len(seeds)}")
+    loewner = [math.inf] * len(fs)
     draws = [
         (
             rng.uniform(1e-3, 4.5, size=dim),
@@ -378,6 +459,7 @@ def check_operator_monotone(
             linalg.draw_ginibre(rng, (dim, dim)),
             rng.uniform(0.05, 1.0),
         )
+        for rng in map(np.random.default_rng, seeds)
         for _ in range(max(0, int(trials)))
     ]
     if draws:
@@ -390,47 +472,52 @@ def check_operator_monotone(
         headroom = 10.0 - np.max(w, axis=-1)
         P *= (shrink * headroom / np.linalg.eigvalsh(P)[:, -1])[:, None, None]
         B = (A + P + linalg.dagger(A + P)) / 2
-        fB, fA = linalg.apply_matrix_function(f, np.stack([B, A]))
-        diff = fB - fA
+        # each function's pairs as (f, [B, A], pair): one eigh for all of them
+        shape = (len(fs), -1, dim, dim)
+        fBA = linalg.apply_matrix_function(fs, np.stack([B.reshape(shape), A.reshape(shape)], axis=1))
+        diff = fBA[:, 0] - fBA[:, 1]
         diff = (diff + linalg.dagger(diff)) / 2
-        loewner = min(np.linalg.eigvalsh(diff)[:, 0].tolist())
-    pick_margin = None
-    skipped = True
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(f(_PICK_GRID), dtype=complex)
-        if np.all(np.isfinite(vals)):
-            pick_margin = float(np.min(vals.imag))
-            skipped = False
-    except (TypeError, ValueError):
-        pick_margin = None
-    passed = (trials <= 0 or loewner >= -loewner_tol) and (
-        skipped or pick_margin >= -pick_tol
-    )
-    return MonotonicityReport(loewner, pick_margin, skipped, passed)
+        loewner = [min(row) for row in np.linalg.eigvalsh(diff)[..., 0].tolist()]
+    pick = _pick_margins(fs)
+    passed = [
+        (trials <= 0 or lo >= -loewner_tol) and (pm is None or pm >= -pick_tol)
+        for lo, pm in zip(loewner, pick)
+    ]
+    if not stacked:
+        return MonotonicityReport(loewner[0], pick[0], pick[0] is None, passed[0])
+    skipped = np.array([pm is None for pm in pick])
+    margins = np.array([math.nan if pm is None else pm for pm in pick])
+    return MonotonicityReport(np.array(loewner), margins, skipped, np.array(passed))
 
 
 @dataclass(frozen=True)
 class ScalarInequalityReport:
-    """Minimum of ``f g - f(0) g(0) (x-1)^2`` over the grid."""
+    """Minimum of ``f g - f(0) g(0) (x-1)^2`` over the grid (arrays for tuples of functions)."""
 
     min_margin: float
     passed: bool
 
 
 def scalar_inequality_check(f, g, grid=None, threshold: float = 1e-10) -> ScalarInequalityReport:
-    """Grid check of ``f(x) g(x) >= f(0) g(0) (x-1)^2`` for standard f, g."""
-    if not (f.claims_standard and g.claims_standard):
+    """Grid check of ``f(x) g(x) >= f(0) g(0) (x-1)^2`` for standard f, g.
+
+    Equal-length tuples of functions check the pairs ``(f_k, g_k)`` with one
+    kernel call per family and give arrays, each member equal to its own call.
+    """
+    stacked = isinstance(f, tuple)
+    fs, gs = (f, g) if stacked else ((f,), (g,))
+    if len(fs) != len(gs):
+        raise DomainError(f"{len(fs)} functions f need as many functions g, got {len(gs)}")
+    if not all(h.claims_standard for h in fs + gs):
         raise DomainError("the scalar inequality is stated for standard functions only")
     if grid is None:
         grid = _PROBE_GRID
-    x = np.asarray(grid, dtype=float)
-    margin = (
-        np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)
-        - f.value_at_zero * g.value_at_zero * (x - 1.0) ** 2
-    )
-    m = float(np.min(margin))
-    return ScalarInequalityReport(m, m >= -threshold)
+    x = np.asarray(grid, dtype=float).reshape(-1)
+    vals = _grid_values(fs + gs, x)
+    at_zero = np.array([a.value_at_zero * b.value_at_zero for a, b in zip(fs, gs)])
+    margin = vals[: len(fs)] * vals[len(fs) :] - at_zero[:, None] * (x - 1.0) ** 2
+    m = np.min(margin, axis=-1)
+    return ScalarInequalityReport(_unstacked(m, stacked), _unstacked(m >= -threshold, stacked))
 
 
 def second_derivative_at_one(F, agree_tol: float = 1e-6) -> float:

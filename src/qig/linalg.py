@@ -15,11 +15,16 @@ raises on the first rejected member; :func:`screened_state` instead
 returns the per-matrix mask of the same checks.  :func:`relmod_grid`, the
 one place kernels are evaluated, also takes a tuple of kernels, one per
 member of the leading axis, so a stack may pair each member with its own
-kernel; :func:`relmod_apply`, the dense oracle :func:`relmod_dense` (same
-arguments, same result) and :func:`commutator` take equal-shape stacks.
+kernel.  Such a tuple is evaluated with one call per group of members:
+repeats of one function share a call, and the members of one parametric
+family (``wyd``, ``extremal``, Hansen mixtures of one atom count,
+covariance kernels of one family, ``x^alpha``, ...) share a call with
+their parameters stacked.  :func:`relmod_apply`, the dense oracle
+:func:`relmod_dense` (same arguments, same result) and :func:`commutator`
+take equal-shape stacks.
 
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
-call, and so does :func:`phase_fixed_qr`: it turns a stack of Ginibre
+call and with a tuple of functions as :func:`relmod_grid`, and so does :func:`phase_fixed_qr`: it turns a stack of Ginibre
 matrices (built by :func:`ginibre` from raw :func:`draw_ginibre` draws)
 into Haar isometries in one ``np.linalg.qr`` call.  Every member equals
 the 2-D call bit for bit.
@@ -30,6 +35,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,9 @@ HERMITIAN_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIG_FLOOR = 1e-10
 DENSE_DIM_LIMIT = 32
+#: exponents that numpy applies by sqrt, square, copy or reciprocal when the
+#: exponent is a scalar; as elements of an exponent array they go through pow
+_FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
 
 
 def _square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -230,26 +239,108 @@ def eval_scalar(h, x) -> np.ndarray:
 
 
 def apply_matrix_function(h, H) -> np.ndarray:
-    """``U diag(h(w)) U*`` for the spectral data ``(w, U)`` of Hermitian ``H`` (or a stack)."""
+    """``U diag(h(w)) U*`` for the spectral data ``(w, U)`` of Hermitian ``H`` (or a stack).
+
+    h may be a tuple of functions, one per member of the stack's leading
+    axis, evaluated as :func:`relmod_grid` evaluates a tuple of kernels.
+    """
     dec = eig_hermitian(H)
-    vals = eval_scalar(h, dec.eigenvalues)
+    vals = _kernel_grid(h, dec.eigenvalues, core=1)
     U = dec.eigenvectors
     out = (U * vals[..., None, :]) @ U.conj().swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-def _kernel_grid(F, x: np.ndarray, core: int = 2) -> np.ndarray:
+def _kernel_keys(fn) -> tuple:
+    """``(exact, family)`` group keys of a kernel function.
+
+    Functions with equal exact keys compute the same values: the same
+    object, or partials of one function with equal parameters.  A
+    ``functools.partial`` whose keyword parameters are floats, tuples of
+    floats or such partials also has a family key, shared by every partial
+    of the same function with the same parameter names and tuple lengths.
+    It is None for any other function, and for a parameter at one of
+    numpy's scalar-exponent fast paths, which keeps its scalar.
+    """
+    if not isinstance(fn, functools.partial) or fn.args:
+        return id(fn), None
+    exact, family, stackable = [fn.func], [fn.func], True
+    for name, v in fn.keywords.items():
+        if isinstance(v, float):
+            f = None
+            stackable = stackable and v not in _FAST_EXPONENTS
+        elif isinstance(v, functools.partial):
+            v, f = _kernel_keys(v)
+            stackable = stackable and f is not None
+        elif isinstance(v, tuple) and all(isinstance(a, float) for a in v):
+            f = len(v)
+            stackable = stackable and not any(a in _FAST_EXPONENTS for a in v)
+        else:
+            return id(fn), None
+        exact.append((name, v))
+        family.append((name, f))
+    return tuple(exact), (tuple(family) if stackable else None)
+
+
+def _stacked(fns, shape: tuple):
+    """One partial of the family of ``fns`` with every parameter stacked to ``shape``, in member order."""
+    params = {}
+    for name, v in fns[0].keywords.items():
+        vals = [f.keywords[name] for f in fns]
+        if isinstance(v, functools.partial):
+            params[name] = _stacked(vals, shape)
+        elif isinstance(v, tuple):
+            params[name] = tuple(np.array(c).reshape(shape) for c in zip(*vals))
+        else:
+            params[name] = np.array(vals).reshape(shape)
+    return functools.partial(fns[0].func, **params)
+
+
+def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel.
 
-    ``core`` is the number of trailing axes of one member's grid.
+    ``core`` is the number of trailing axes of one member's grid, and
+    ``evaluate(fn, x)`` evaluates one function, :func:`eval_scalar` by
+    default.  A tuple takes one call per group of members: members whose
+    kernels compute the same values share a call with the scalar
+    parameters, and members of one parametric family (see
+    :class:`~qig.functions.ScalarFunctionSpec`) share a call with their
+    parameters stacked as ``(m, 1, ...)`` arrays (see
+    :func:`_kernel_keys`).  Each member's grid equals its own kernel's call
+    bit for bit.
     """
+    evaluate = eval_scalar if evaluate is None else evaluate
     if not isinstance(F, tuple):
-        return eval_scalar(F, x)
+        return evaluate(F, x)
     if x.ndim <= core or len(F) != len(x):
         raise InvariantViolation(
             f"{len(F)} kernels do not match the leading axis of a grid of shape {x.shape}"
         )
-    return np.stack([eval_scalar(f, x_t) for f, x_t in zip(F, x)])
+    groups: dict = {}
+    for i, f in enumerate(F):
+        fn = getattr(f, "fn", f)
+        exact, family = _kernel_keys(fn)
+        # an exact group computes one function, a family group stacks its parameters
+        idx, fns = groups.setdefault((family is None, exact if family is None else family), ([], []))
+        idx.append(i)
+        fns.append(fn)
+
+    def group_function(key: tuple, fns: list):
+        if key[0] or len(fns) == 1:
+            return fns[0]
+        return _stacked(fns, (len(fns),) + (1,) * (x.ndim - 1))
+
+    if len(groups) == 1:
+        key, (_, fns) = groups.popitem()
+        return evaluate(group_function(key, fns), x)
+    parts = []
+    for key, (idx, fns) in groups.items():
+        idx = idx[0] if len(idx) == 1 else idx  # a lone member's grid is a view, as in its own call
+        parts.append((idx, evaluate(group_function(key, fns), x[idx])))
+    out = np.empty(x.shape, np.result_type(*(vals for _, vals in parts)))
+    for idx, vals in parts:
+        out[idx] = vals
+    return out
 
 
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):

@@ -11,11 +11,14 @@ Suites are deterministic in ``(seed, trials, dims)``: every trial derives
 its generator from the suite seed and the trial index.  :func:`run_suite`
 draws every trial first, then groups the drawn trials by shape key and
 evaluates each group in stacked calls; results go back in trial order.
-The batched suites and their keys: ``monotonicity`` ``(n_in, n_out, k,
-alpha)``, ``concavity`` ``(n, alpha)``, ``det-uncertainty`` ``(n, m)``,
-and ``n`` for ``skew-identity``, ``oracle-equivalence``,
+The batched suites and their keys: ``monotonicity`` ``(n_in, n_out, k)``,
+``det-uncertainty`` ``(n, m)``, ``n`` for ``concavity``,
+``operator-monotone``, ``skew-identity``, ``oracle-equivalence``,
 ``wyd-consistency`` and the finite-difference suites ``hessian``,
-``lemma-commuting`` and ``lemma-cross``.  Their trials draw only random
+``lemma-commuting`` and ``lemma-cross``, and one group for all trials of
+``standardness`` and ``scalar-gibi``.  Each trial keeps its own kernel
+(a group's tuple of kernels is evaluated with one call per kernel family,
+see :func:`~qig.linalg.relmod_grid`).  Their trials draw only random
 numbers, the raw Ginibre arrays, commuting-direction coefficients and
 kernel parameters in stream order; a group builds its densities, unit
 operands, observables and channel isometries from those arrays as stacks,
@@ -26,8 +29,11 @@ observables of ``hessian``, ``skew-identity`` (one each) and
 sequentially for a member that meets a candidate of norm at most 1e-6.
 The finite-difference functions take stacks of states and directions
 with one kernel per member, so a group's stencil is one ``eigh`` call.
-``standardness``, ``operator-monotone``, ``scalar-gibi`` and
-``renyi-limit`` compute each trial as they draw it.
+The three probe-grid suites hand a group's tuple of functions to one
+``check_standard``, ``scalar_inequality_check`` or
+``check_operator_monotone`` call; the last builds the Loewner pairs of all
+its trials as one stack.  ``renyi-limit`` computes each trial as it draws
+it.
 A group whose stacked evaluation raises ``VerificationError`` or
 ``InvariantViolation`` is rerun one trial at a time, so the failure lands
 on the trial that raised.
@@ -135,7 +141,9 @@ def _densities(raw: np.ndarray, floor: float) -> np.ndarray:
         return np.ones_like(G)
     rho = G @ linalg.dagger(G)
     rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return (1.0 - n * floor) * rho + floor * np.eye(n)
+    rho *= 1.0 - n * floor  # in place: a group's stack is the largest array a suite holds
+    rho += floor * np.eye(n)
+    return rho
 
 
 def _norms(M: np.ndarray) -> np.ndarray:
@@ -352,7 +360,8 @@ def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None):
 
 def _quadratic_trace_form(F, D: linalg.State, X: np.ndarray):
     """``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``, the exact commutator-direction derivative."""
-    f1 = np.asarray(_each(lambda f: float(linalg.eval_scalar(f, np.asarray(1.0))), F))
+    ones = np.ones((len(F), 1) if isinstance(F, tuple) else 1)
+    f1 = linalg._kernel_grid(F, ones, core=1)[..., 0]
     quad = quantities.quasi_entropy(F, X, D, D)
     return _real(2.0 * f1 * (D.matrix @ X @ X).trace(axis1=-2, axis2=-1).real - 2.0 * quad)
 
@@ -462,7 +471,13 @@ def _gram_determinants(f, g, D, observables) -> tuple:
 
 
 def _draw_observables(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw Ginibre draws ``(m, 2, n, n)`` of m candidate observables; refuses more than ``n^2 - 1``."""
+    """Raw Ginibre draws ``(m, 2, n, n)`` of m candidate observables.
+
+    Refuses dimension 1, where every centered observable is zero, and more
+    than ``n^2 - 1`` observables.
+    """
+    if n < 2:
+        raise DomainError("a nonzero centered observable needs dimension at least 2")
     if m > n * n - 1:
         raise DomainError(f"at most {n * n - 1} independent centered observables exist, got m={m}")
     if m < 1:
@@ -534,8 +549,6 @@ def _orthonormal_group(D: linalg.State, raw: np.ndarray, rngs) -> np.ndarray:
     its own generator in place of that candidate, so a rerun of the group
     draws the same.
     """
-    if D.shape[-1] < 2:
-        raise DomainError("a nonzero centered observable needs dimension at least 2")
     obs, ok = _orthonormal_observables(D, raw)
     for j in np.flatnonzero(~ok):
         obs[j] = _orthonormal_sequence(D[j], raw.shape[1], raw[j], copy.deepcopy(rngs[j]))
@@ -614,26 +627,42 @@ def _fd_floor(n: int) -> float:
     return min(0.2, 0.8 / n)
 
 
-def _run_standardness(rng, dims):
+def _draw_standardness(rng, dims):
+    return None, _standard_pool(rng)
+
+
+def _evaluate_standardness(key, fs):
+    """Worst violations of all trials, from one probe-grid check."""
+    worst = functions.check_standard(tuple(fs)).max_violation
+    return [(None, float(v), digest_inputs(f.name)) for f, v in zip(fs, worst)]
+
+
+def _draw_operator_monotone(rng, dims):
     f = _standard_pool(rng)
-    rep = functions.check_standard(f)
-    return None, rep.max_violation, digest_inputs(f.name)
+    seed = int(rng.integers(2**32))
+    return _dim(rng, dims), (f, seed)
 
 
-def _run_operator_monotone(rng, dims):
-    f = _standard_pool(rng)
-    rep = functions.check_operator_monotone(
-        f, seed=int(rng.integers(2**32)), trials=4, dim=_dim(rng, dims)
-    )
-    residual = 0.0 if rep.pick_margin is None else max(0.0, -rep.pick_margin)
-    return rep.loewner_margin, residual, digest_inputs(f.name)
+def _evaluate_operator_monotone(n, trials):
+    """Loewner margins and Pick residuals of one dimension group, its pairs checked as one stack."""
+    fs, seeds = zip(*trials)
+    rep = functions.check_operator_monotone(fs, seed=seeds, trials=4, dim=n)
+    picks = zip(rep.loewner_margin.tolist(), rep.pick_margin.tolist(), rep.pick_skipped.tolist())
+    return [
+        (margin, 0.0 if skipped else max(0.0, -pick), digest_inputs(f.name))
+        for f, (margin, pick, skipped) in zip(fs, picks)
+    ]
 
 
-def _run_scalar_gibi(rng, dims):
-    f = _standard_pool(rng)
-    g = _standard_pool(rng)
-    rep = functions.scalar_inequality_check(f, g)
-    return rep.min_margin, None, digest_inputs(f.name, g.name)
+def _draw_scalar_gibi(rng, dims):
+    return None, (_standard_pool(rng), _standard_pool(rng))
+
+
+def _evaluate_scalar_gibi(key, trials):
+    """Margins of all trials, from one probe-grid check of the pairs."""
+    fs, gs = zip(*trials)
+    margins = functions.scalar_inequality_check(fs, gs).min_margin
+    return [(float(m), None, digest_inputs(f.name, g.name)) for f, g, m in zip(fs, gs, margins)]
 
 
 def _draw_fd(rng, dims, pool):
@@ -659,14 +688,14 @@ def _residual_results(residuals, *parts) -> list:
 
 def _draw_hessian(rng, dims):
     n, f, D = _draw_fd(rng, dims, _POSITIVE_AT_ZERO_POOL)
-    return n, (f, D, linalg.draw_ginibre(rng, (n, n)), rng)
+    return n, (f, D, _draw_observables(n, 1, rng), rng)
 
 
 def _evaluate_hessian(n, trials):
     """Relative errors of one dimension group."""
     fs, raw_D, raw_X, rngs = zip(*trials)
     D = _group_states(raw_D, _fd_floor(n))
-    X = _orthonormal_group(D, np.stack(raw_X)[:, None], rngs)[:, 0]
+    X = _orthonormal_group(D, np.stack(raw_X), rngs)[:, 0]
     return _residual_results(hessian_vs_skew(fs, D, X)[2], _names(fs), D.matrix, X)
 
 
@@ -711,13 +740,14 @@ def _evaluate_lemma_cross(n, trials):
 
 
 class _MonotonicityDraw(NamedTuple):
-    """One drawn monotonicity trial: raw operand, channel and densities, generator."""
+    """One drawn monotonicity trial: raw operand, channel and densities, generator, kernel exponent."""
 
     A: np.ndarray
     channel: np.ndarray
     D1: np.ndarray
     D2: np.ndarray
     rng: np.random.Generator
+    alpha: float
 
 
 def _margin_floor(n: int) -> float:
@@ -725,12 +755,12 @@ def _margin_floor(n: int) -> float:
     return min(0.03, 0.5 / n)
 
 
-def _draw_attempt(A, rng, n_in: int, n_out: int, k: int) -> _MonotonicityDraw:
+def _draw_attempt(A, rng, n_in: int, n_out: int, k: int, alpha: float) -> _MonotonicityDraw:
     """One sampling attempt of a monotonicity trial: a raw channel and two raw densities."""
     floor = _margin_floor(n_in)
     raw = channels.draw_channel(n_in, n_out, k, rng)
     D1, D2 = (_draw_density(n_in, floor, rng) for _ in range(2))
-    return _MonotonicityDraw(A, raw, D1, D2, rng)
+    return _MonotonicityDraw(A, raw, D1, D2, rng, alpha)
 
 
 def _draw_monotonicity(rng, dims):
@@ -740,25 +770,27 @@ def _draw_monotonicity(rng, dims):
     k = max(k, -(-n_in // n_out), -(-n_out // n_in))
     alpha = _pick(rng, _ALPHAS)
     A = linalg.draw_ginibre(rng, (n_out, n_out))
-    return (n_in, n_out, k, alpha), _draw_attempt(A, rng, n_in, n_out, k)
+    return (n_in, n_out, k), _draw_attempt(A, rng, n_in, n_out, k, alpha)
 
 
 def _evaluate_monotonicity(key, trials):
-    """Margins of one ``(n_in, n_out, k, alpha)`` group, built, validated and paired as stacks.
+    """Margins of one ``(n_in, n_out, k)`` group, built, validated and paired as stacks.
 
-    The group's channels are one stacked :func:`~qig.channels.isometry_channel`.
+    The group's channels are one stacked :func:`~qig.channels.isometry_channel`,
+    and each trial keeps its own kernel ``x^alpha``.
     A trial whose channel outputs fail the density checks resamples its
     channel and densities from a copy of its own generator, continuing the
     stream where its last draw stopped, for at most 40 attempts in all.
     """
-    n_in, n_out, k, alpha = key
-    F = functions.power_kernel(alpha)
+    n_in, n_out, k = key
     floor = _margin_floor(n_in)
+    kernels = [functions.power_kernel(c.alpha) for c in trials]
     operands = _unit_operands(np.stack([c.A for c in trials]))
     results = [None] * len(trials)
     pending = dict(enumerate(trials))
     for _ in range(40):
         idx, drawn = list(pending), list(pending.values())
+        F = tuple(kernels[t] for t in idx)
         raw = np.stack([[c.D1 for c in drawn], [c.D2 for c in drawn]])
         D = linalg.state(_densities(raw, floor))
         A = operands[idx]
@@ -773,16 +805,18 @@ def _evaluate_monotonicity(key, trials):
             margins = ()
             if keep.size:
                 kept = channels.KrausChannel(tuple(K[keep] for K in ch.kraus_ops))
-                margins = channels.monotonicity_margin(F, A[keep], D[0, keep], D[1, keep], kept)
+                margins = channels.monotonicity_margin(
+                    _members(F, keep), A[keep], D[0, keep], D[1, keep], kept
+                )
         for margin, j in zip(margins, keep):
             del pending[idx[j]]
             D1, D2 = D.matrix[:, j]
             kraus = (K[j] for K in ch.kraus_ops)
-            results[idx[j]] = (float(margin), None, digest_inputs(F.name, A[j], D1, D2, *kraus))
+            results[idx[j]] = (float(margin), None, digest_inputs(F[j].name, A[j], D1, D2, *kraus))
         if not pending:
             return results
         for t, c in pending.items():
-            pending[t] = _draw_attempt(c.A, copy.deepcopy(c.rng), n_in, n_out, k)
+            pending[t] = _draw_attempt(c.A, copy.deepcopy(c.rng), n_in, n_out, k, c.alpha)
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
@@ -792,19 +826,18 @@ def _draw_concavity(rng, dims):
     lam = _pick(rng, _MIX_WEIGHTS)
     A = linalg.draw_ginibre(rng, (n, n))
     floor = _margin_floor(n)
-    return (n, alpha), (lam, A, [_draw_density(n, floor, rng) for _ in range(4)])
+    return n, (lam, A, np.stack([_draw_density(n, floor, rng) for _ in range(4)]), alpha)
 
 
-def _evaluate_concavity(key, trials):
-    """Margins of one ``(n, alpha)`` group; its ``4 m`` densities are built and validated together."""
-    n, alpha = key
-    F = functions.power_kernel(alpha)
-    lams, raw_operands, raw_densities = zip(*trials)
+def _evaluate_concavity(n, trials):
+    """Margins of one dimension group, one kernel per trial; its ``4 m`` densities are validated together."""
+    lams, raw_operands, raw_densities, alphas = zip(*trials)
+    Fs = tuple(functions.power_kernel(a) for a in alphas)
     A = _unit_operands(np.stack(raw_operands))
     S = linalg.state(_densities(np.stack(raw_densities, axis=1), _margin_floor(n)))
-    margins = channels.concavity_margin(F, A, (S[0], S[1]), (S[2], S[3]), np.array(lams))
+    margins = channels.concavity_margin(Fs, A, (S[0], S[1]), (S[2], S[3]), np.array(lams))
     return [
-        (float(margin), None, digest_inputs(F.name, lam, A[j], *S.matrix[:, j]))
+        (float(margin), None, digest_inputs(Fs[j].name, lam, A[j], *S.matrix[:, j]))
         for j, (margin, lam) in enumerate(zip(margins, lams))
     ]
 
@@ -813,13 +846,13 @@ def _draw_skew_identity(rng, dims):
     n = _dim(rng, dims)
     f = _pick(rng, _SKEW_IDENTITY_POOL)(rng)
     D = _draw_density(n, min(0.02, 0.5 / n), rng)
-    return n, (f, D, linalg.draw_ginibre(rng, (n, n)), rng)
+    return n, (f, D, _draw_observables(n, 1, rng), rng)
 
 
 def _evaluate_skew_identity(n, trials):
     fs, raw_D, raw_X, rngs = zip(*trials)
     D = _group_states(raw_D, min(0.02, 0.5 / n))
-    X = _orthonormal_group(D, np.stack(raw_X)[:, None], rngs)[:, 0]
+    X = _orthonormal_group(D, np.stack(raw_X), rngs)[:, 0]
     return _residual_results(quantities.skew_identity_residual(fs, D, X), _names(fs), D.matrix, X)
 
 
@@ -930,9 +963,13 @@ class _Suite(NamedTuple):
 
 
 _SUITES = {
-    "standardness": _Suite(_per_trial(_run_standardness), math.inf, 1e-9, 200, (2, 3, 4)),
-    "operator-monotone": _Suite(_per_trial(_run_operator_monotone), 1e-8, 1e-10, 100, (2, 3, 4)),
-    "scalar-gibi": _Suite(_per_trial(_run_scalar_gibi), 1e-10, math.inf, 200, (2, 3, 4)),
+    "standardness": _Suite(
+        _draw_standardness, math.inf, 1e-9, 200, (2, 3, 4), _evaluate_standardness
+    ),
+    "operator-monotone": _Suite(
+        _draw_operator_monotone, 1e-8, 1e-10, 100, (2, 3, 4), _evaluate_operator_monotone
+    ),
+    "scalar-gibi": _Suite(_draw_scalar_gibi, 1e-10, math.inf, 200, (2, 3, 4), _evaluate_scalar_gibi),
     "skew-identity": _Suite(
         _draw_skew_identity, math.inf, 1e-9, 200, (2, 3, 4, 5), _evaluate_skew_identity
     ),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qig import cli, verify
-from qig.errors import VerificationError
+from qig.errors import DomainError, VerificationError
 from qig.verify import SUITE_NAMES
 
 
@@ -266,6 +266,16 @@ def test_verify_dimension_one_centered_observable_exit_4(suite, capsys):
     rc = cli.main(["verify", suite, "--trials", "1", "--dim", "1"])
     assert rc == 4
     assert "dimension at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["det-uncertainty", "hessian", "skew-identity"])
+def test_verify_dimension_one_gives_one_message_for_every_observable_suite(suite, capsys):
+    rc = cli.main(["verify", suite, "--dim", "1,2", "--seed", "4", "--trials", "30"])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: a nonzero centered observable needs dimension at least 2\n"
+    one = verify.random_density(1)
+    with pytest.raises(DomainError, match="^a nonzero centered observable needs dimension at least 2$"):
+        verify.orthonormal_centered_observables(one, 1, np.random.default_rng(0))
 
 
 def test_verify_incomplete_step_exit_1(monkeypatch, capsys):

@@ -333,6 +333,94 @@ def test_relmod_grid_with_a_kernel_per_member_equals_each_kernels_grid(n):
         linalg.relmod_grid(kernels, s1[0], s2[0])
 
 
+def _catalog_kernels():
+    """Every catalog family, the scalar-exponent fast paths and repeats, for the grouped grids."""
+    rng = np.random.default_rng(21)
+
+    def hansen(k):
+        atoms = tuple(float(a) for a in rng.uniform(0.05, 1.0, size=k))
+        return fn.hansen_mixture(fn.DiscreteMeasure(atoms, tuple(float(w) for w in rng.dirichlet(np.ones(k)))))
+
+    return (
+        fn.sld(), fn.harmonic(), fn.kubo_mori(), fn.wyd(0.5), fn.wyd(0.3), fn.wyd(0.71),
+        fn.extremal_metric(0.2), fn.extremal_metric(0.9), fn.extremal_metric(1.0),
+        hansen(1), hansen(2), hansen(3), hansen(4), hansen(2), fn.hansen_mixture(fn.dirac(0.0)),
+        fn.covariance_kernel(fn.wyd(0.4)), fn.covariance_kernel(fn.wyd(0.62)),
+        fn.covariance_kernel(fn.extremal_metric(0.3)), fn.covariance_kernel(fn.extremal_metric(0.8)),
+        fn.covariance_kernel(fn.harmonic()), fn.covariance_kernel(hansen(3)),
+        fn.power_kernel(0.5), fn.power_kernel(1.0), fn.power_kernel(2.0), fn.power_kernel(0.3),
+        fn.power_kernel(0.77), fn.neglog_kernel(), fn.renyi_kernel(0.5), fn.renyi_kernel(-0.4),
+        fn.renyi_kernel(0.2), fn.wyd(0.3), fn.power_kernel(0.5), fn.sld(), fn.kubo_mori(),
+        fn.extremal_kernel(0.4), fn.extremal_kernel(0.6), np.sqrt, lambda x: x * x,
+    )
+
+
+def _ratio_grids(m, n, rng):
+    """``w_i / w_j`` grids with an exact diagonal of 1 and a pair of eigenvalues inside the series window."""
+    w = rng.uniform(0.01, 1.0, size=(m, n))
+    w[:, 1] = w[:, 0] * (1.0 + 3e-5)
+    return w[:, :, None] / w[:, None, :]
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_grouped_kernel_grid_equals_each_kernels_call_bit_for_bit(order, monkeypatch):
+    rng = np.random.default_rng(order)
+    kernels = _catalog_kernels()
+    if order:
+        kernels = tuple(kernels[i] for i in rng.permutation(len(kernels)))
+    x = _ratio_grids(len(kernels), 4, rng)
+    assert np.all(np.diagonal(x, axis1=-2, axis2=-1) == 1.0)
+    calls = []
+    original = linalg.eval_scalar
+
+    def counted(h, points):
+        # a lone member's grid comes as it is, a group's as a stack
+        calls.append(len(points) if np.ndim(points) == x.ndim else 1)
+        return original(h, points)
+
+    monkeypatch.setattr(linalg, "eval_scalar", counted)
+    W = linalg._kernel_grid(kernels, x)
+    # fewer calls than members: each family, and each repeated function, is one call
+    assert sum(calls) == len(kernels) and len(calls) < len(kernels) - 12
+    for j, f in enumerate(kernels):
+        assert _bits(W[j]) == _bits(original(f, x[j])), getattr(f, "name", f)
+    # a stack of matrices with one function per member, through the same groups
+    H = np.stack([np.asarray(random_density(3, 0.05, rng)) for _ in kernels])
+    out = linalg.apply_matrix_function(kernels, H)
+    for j, f in enumerate(kernels):
+        assert out[j].tobytes() == linalg.apply_matrix_function(f, H[j]).tobytes()
+
+
+def test_grouped_kernel_grid_evaluates_a_family_in_one_call(monkeypatch):
+    calls = []
+    original = linalg.eval_scalar
+    monkeypatch.setattr(linalg, "eval_scalar", lambda h, x: calls.append(len(x)) or original(h, x))
+    ps = np.random.default_rng(2).uniform(0.05, 0.95, size=8)
+    linalg._kernel_grid(tuple(fn.wyd(float(p)) for p in ps), _ratio_grids(8, 3, np.random.default_rng(3)))
+    assert calls == [8]
+    calls.clear()
+    # equal parameters at a fast path keep their scalar: one call for the repeats, one for the rest
+    kernels = (fn.power_kernel(0.5), fn.power_kernel(0.3), fn.power_kernel(0.5), fn.power_kernel(0.8))
+    linalg._kernel_grid(kernels, _ratio_grids(4, 3, np.random.default_rng(4)))
+    assert sorted(calls) == [2, 2]
+
+
+def test_grouped_kernel_grid_raises_each_members_domain_error():
+    x = _ratio_grids(3, 3, np.random.default_rng(5))
+    x[1, 0, 2] = -0.5
+    for bad in (fn.neglog_kernel(), fn.power_kernel(0.3), fn.renyi_kernel(0.4)):
+        with pytest.raises(DomainError) as alone:
+            linalg.eval_scalar(bad, x[1])
+        kernels = (fn.power_kernel(0.7), bad, fn.sld())
+        with pytest.raises(DomainError) as grouped:
+            linalg._kernel_grid(kernels, x)
+        assert str(grouped.value) == str(alone.value) == "scalar function is undefined on part of the spectrum"
+
+
 def test_commutator_times_i_is_hermitian():
     rng = np.random.default_rng(3)
     A = random_hermitian(4, rng)

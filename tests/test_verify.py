@@ -824,7 +824,33 @@ def _wyd_consistency_by_trial(rng, dims):
     return abs(qt.skew_info(fn.wyd(p), D, X) - qt.wyd_direct(p, D, X)), qt.digest_inputs(p, D, X)
 
 
+def _standardness_by_trial(rng, dims):
+    f = vf._standard_pool(rng)
+    return fn.check_standard(f).max_violation, qt.digest_inputs(f.name)
+
+
+def _operator_monotone_report(rng, dims):
+    """One operator-monotone trial's function and its 2-D report, drawn in the suite's order."""
+    f = vf._standard_pool(rng)
+    seed = int(rng.integers(2**32))
+    return f, fn.check_operator_monotone(f, seed=seed, trials=4, dim=vf._dim(rng, dims))
+
+
+def _operator_monotone_by_trial(rng, dims):
+    f, rep = _operator_monotone_report(rng, dims)
+    return rep.loewner_margin, qt.digest_inputs(f.name)
+
+
+def _scalar_gibi_by_trial(rng, dims):
+    f = vf._standard_pool(rng)
+    g = vf._standard_pool(rng)
+    return fn.scalar_inequality_check(f, g).min_margin, qt.digest_inputs(f.name, g.name)
+
+
 _BY_TRIAL = {
+    "standardness": _standardness_by_trial,
+    "operator-monotone": _operator_monotone_by_trial,
+    "scalar-gibi": _scalar_gibi_by_trial,
     "monotonicity": _monotonicity_by_trial,
     "concavity": _concavity_by_trial,
     "hessian": _hessian_by_trial,
@@ -855,6 +881,50 @@ def _assert_batched_equals_by_trial(name, seed, trials, dims):
 @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 3, 4, 5, 6, 7, 8)], ids=["2-4", "2-8"])
 def test_batched_margins_and_digests_equal_the_two_d_ones(name, dims):
     _assert_batched_equals_by_trial(name, seed=7, trials=120, dims=dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (2, 3, 4, 5, 6, 7, 8)], ids=["2-4", "2-8"])
+def test_batched_pick_residuals_equal_the_two_d_ones(dims):
+    # with the margin bound open, every trial's record carries its Pick residual
+    seed, trials = 7, 120
+    rep = vf.run_suite(
+        "operator-monotone", trials=trials, seed=seed, dims=dims,
+        tolerances={"margin": math.inf, "residual": -math.inf},
+    )
+    assert len(rep.failures) == trials
+    for i, record in enumerate(rep.failures):
+        f, two_d = _operator_monotone_report(_trial_rng(seed, i), dims)
+        residual = 0.0 if two_d.pick_margin is None else max(0.0, -two_d.pick_margin)
+        assert record == {"seed": f"{seed}:{i}", "digest": qt.digest_inputs(f.name), "value": residual}
+
+
+def test_stacked_checks_flag_exactly_the_member_that_is_not_operator_monotone():
+    # x^2 is neither standard nor operator monotone; the other members share families
+    fs = (
+        fn.sld(), fn.wyd(0.3), fn.extremal_metric(0.4), fn.power_kernel(2.0), fn.wyd(0.6),
+        fn.extremal_metric(0.9), fn.covariance_kernel(fn.wyd(0.4)), fn.kubo_mori(),
+    )
+    seeds = tuple(range(30, 30 + len(fs)))
+    mono = fn.check_operator_monotone(fs, seed=seeds, trials=6, dim=3)
+    std = fn.check_standard(fs)
+    flagged = [f.name == "power:2" for f in fs]
+    assert (~mono.passed).tolist() == flagged and (~std.passed).tolist() == flagged
+    assert mono.loewner_margin[3] < -1e-8 and mono.pick_margin[3] < -1e-10
+    for j, f in enumerate(fs):
+        one = fn.check_operator_monotone(f, seed=seeds[j], trials=6, dim=3)
+        assert (mono.loewner_margin[j], mono.pick_margin[j], mono.passed[j]) == (
+            one.loewner_margin, one.pick_margin, one.passed
+        )
+        alone = fn.check_standard(f)
+        assert (std.symmetry[j], std.normalization[j], std.max_violation[j], std.passed[j]) == (
+            alone.symmetry, alone.normalization, alone.max_violation, alone.passed
+        )
+    # the standard members paired with themselves in reverse order
+    pairs_f = tuple(f for f, bad in zip(fs, flagged) if not bad)
+    pairs_g = pairs_f[::-1]
+    gibi = fn.scalar_inequality_check(pairs_f, pairs_g)
+    for j, (f, g) in enumerate(zip(pairs_f, pairs_g)):
+        assert gibi.min_margin[j] == fn.scalar_inequality_check(f, g).min_margin
 
 
 def _collapsing_channels(monkeypatch, always: bool = False, fault: float = 0.0) -> list:
