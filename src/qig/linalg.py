@@ -223,11 +223,13 @@ def eval_scalar(h, x) -> np.ndarray:
     """Evaluate a scalar function (plain callable or spec carrying .fn) on an array.
 
     Non-finite or non-real results mean the argument left the function's
-    domain and raise accordingly.
+    domain and raise accordingly.  A function that returns one value for
+    all the points (a constant) gives an array of the points' shape.
     """
     fn = getattr(h, "fn", h)
+    x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        vals = np.asarray(fn(np.asarray(x, dtype=float)))
+        vals = np.asarray(fn(x))
     if np.iscomplexobj(vals):
         scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
         if vals.size and float(np.max(np.abs(vals.imag))) > 1e-12 * scale:
@@ -235,7 +237,7 @@ def eval_scalar(h, x) -> np.ndarray:
         vals = vals.real
     if not np.all(np.isfinite(vals)):
         raise DomainError("scalar function is undefined on part of the spectrum")
-    return vals
+    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape).copy()
 
 
 def apply_matrix_function(h, H) -> np.ndarray:

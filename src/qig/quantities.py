@@ -12,8 +12,8 @@ single matrix gives a scalar, a stack the array of its members' values,
 each equal bit for bit to the 2-D call.  The kernel may be a tuple with
 one kernel per member of the leading axis (see
 :func:`~qig.linalg.relmod_grid`), and :func:`wyd_direct`'s exponent an
-array with one per member.  :func:`umegaki` and :func:`renyi` take 2-D
-input only.
+array with one per member.  :func:`umegaki` and :func:`renyi` are
+quasi-entropies of the identity operand and take stacks of states too.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
 cheap numerical diagnostic instead of being discarded; the quasi-entropy
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, InvariantViolation
-from .functions import covariance_kernel
+from .functions import covariance_kernel, neglog_kernel, renyi_kernel
 
 
 def digest_inputs(*parts) -> str:
@@ -143,26 +143,22 @@ def quasi_entropy(F, A, D1, D2) -> np.ndarray:
     return (W * (np.abs(M) ** 2) * s1.eigenvalues[..., None, :]).sum(axis=(-2, -1))
 
 
-def umegaki(D1, D2) -> float:
-    """Relative entropy ``Tr D1 (log D1 - log D2)`` (natural logarithm)."""
+def umegaki(D1, D2):
+    """Relative entropy ``Tr D1 (log D1 - log D2)`` (natural log), the quasi-entropy of ``-log x``."""
     s1, s2 = _states(D1, D2)
-    L1 = linalg.apply_matrix_function(np.log, s1)
-    L2 = linalg.apply_matrix_function(np.log, s2)
-    return float(np.trace(s1.matrix @ (L1 - L2)).real)
+    return _real(quasi_entropy(neglog_kernel(), np.eye(s1.shape[-1]), s1, s2))
 
 
-def renyi(alpha: float, D1, D2) -> float:
-    """``Tr (I - D2^a D1^{-a}) D1 / (a(1-a))`` for a in (-1, 1) without 0.
+def renyi(alpha: float, D1, D2):
+    """``Tr (I - D2^a D1^{-a}) D1 / (a(1-a))``, the quasi-entropy of ``renyi_kernel(a)``.
 
-    The boundary a = 0 is rejected rather than special-cased: conflating it
-    with the relative-entropy limit would hide convergence behaviour.
+    The boundary a = 0 of (-1, 1) is rejected rather than special-cased:
+    conflating it with the relative-entropy limit would hide convergence
+    behaviour.
     """
-    if not -1.0 < alpha < 1.0 or alpha == 0.0:
-        raise DomainError("alpha must be nonzero and lie inside (-1, 1)")
+    F = renyi_kernel(alpha)
     s1, s2 = _states(D1, D2)
-    D2a = linalg.apply_matrix_function(lambda x: x ** alpha, s2)
-    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), s1)
-    return float((1.0 - np.trace(D2a @ D1b).real) / (alpha * (1.0 - alpha)))
+    return _real(quasi_entropy(F, np.eye(s1.shape[-1]), s1, s2))
 
 
 def sym_cov(D, A, B):

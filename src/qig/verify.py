@@ -11,29 +11,26 @@ Suites are deterministic in ``(seed, trials, dims)``: every trial derives
 its generator from the suite seed and the trial index.  :func:`run_suite`
 draws every trial first, then groups the drawn trials by shape key and
 evaluates each group in stacked calls; results go back in trial order.
-The batched suites and their keys: ``monotonicity`` ``(n_in, n_out, k)``,
-``det-uncertainty`` ``(n, m)``, ``n`` for ``concavity``,
-``operator-monotone``, ``skew-identity``, ``oracle-equivalence``,
-``wyd-consistency`` and the finite-difference suites ``hessian``,
-``lemma-commuting`` and ``lemma-cross``, and one group for all trials of
-``standardness`` and ``scalar-gibi``.  Each trial keeps its own kernel
-(a group's tuple of kernels is evaluated with one call per kernel family,
-see :func:`~qig.linalg.relmod_grid`).  Their trials draw only random
-numbers, the raw Ginibre arrays, commuting-direction coefficients and
-kernel parameters in stream order; a group builds its densities, unit
-operands, observables and channel isometries from those arrays as stacks,
-then validates, decomposes and pairs them at once, one state ``eigh`` per
-group.  One builder, :func:`_orthonormal_group`, makes the centered
-observables of ``hessian``, ``skew-identity`` (one each) and
-``det-uncertainty`` (m each): a stacked Gram-Schmidt in draw order, rerun
-sequentially for a member that meets a candidate of norm at most 1e-6.
+The shape keys: ``monotonicity`` ``(n_in, n_out, k)``,
+``det-uncertainty`` ``(n, m)``, one group for all trials of
+``standardness`` and ``scalar-gibi``, and ``n`` for the other nine suites.
+Each trial keeps its own kernel (a group's tuple of kernels is evaluated
+with one call per kernel family, see :func:`~qig.linalg.relmod_grid`).
+Trials draw only random numbers, the raw Ginibre arrays,
+commuting-direction coefficients and kernel parameters in stream order; a
+group builds its densities, unit operands, observables and channel
+isometries from those arrays as stacks, then validates, decomposes and
+pairs them at once, one state ``eigh`` per group.
+:func:`_orthonormal_group` makes the centered observables of ``hessian``,
+``skew-identity`` (one each) and ``det-uncertainty`` (m each): a stacked
+Gram-Schmidt in draw order, rerun sequentially for a member that meets a
+candidate of norm at most 1e-6.
 The finite-difference functions take stacks of states and directions
 with one kernel per member, so a group's stencil is one ``eigh`` call.
 The three probe-grid suites hand a group's tuple of functions to one
 ``check_standard``, ``scalar_inequality_check`` or
 ``check_operator_monotone`` call; the last builds the Loewner pairs of all
-its trials as one stack.  ``renyi-limit`` computes each trial as it draws
-it.
+its trials as one stack.
 A group whose stacked evaluation raises ``VerificationError`` or
 ``InvariantViolation`` is rerun one trial at a time, so the failure lands
 on the trial that raised.
@@ -213,11 +210,11 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     or a tuple of one kernel per member (in C order); the values and
     estimates are then arrays over the leading axes.  The ``4 S`` points of
     every member's ``S``-step schedule are validated and decomposed as one
-    stack, and the four corners of every step are paired in one call.  A
-    member with a zero direction or a partly usable schedule goes through
-    this function again as a 2-D call, and gets the value that call returns.
+    stack, and the members are grouped by their usable steps: the four
+    corners of every step of a group are paired in one call.  A member
+    with a zero direction gets ``(0, 0)``.  Each member's value equals its
+    2-D call's.
     """
-    given = D
     D = linalg.as_density(D)
     A = linalg.as_hermitian(A)
     B = linalg.as_hermitian(B)
@@ -231,8 +228,6 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     D, A, B = (M.reshape(-1, n, n) for M in (D, A, B))
     na, nb = _norms(A), _norms(B)
     nonzero = (na != 0.0) & (nb != 0.0)
-    if not batch and not nonzero[0]:
-        return 0.0, 0.0
     eye = np.eye(n)
 
     def unit(M: np.ndarray, nrm: np.ndarray) -> np.ndarray:
@@ -254,23 +249,19 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
         return (g[..., 0, 0] - g[..., 0, 1] - g[..., 1, 0] + g[..., 1, 1]) / (4.0 * hs * hs)
 
     value, err = np.zeros(len(D)), np.zeros(len(D))
-    hs = np.asarray(sched.steps)
+    steps = np.asarray(sched.steps)
     live = np.flatnonzero(nonzero)
-    pts, ok = linalg.screened_state(points(hs, live))
+    pts, ok = linalg.screened_state(points(steps, live))
     keep = (ok & (pts.eigenvalues[..., 0] >= 1e-9)).all(axis=(2, 3))
-    if batch:
-        sel, steps = keep.all(axis=1), np.full(len(hs), True)
-    else:
-        sel, steps = np.full(1, True), keep[0]
-        if not steps.any():
-            raise VerificationError("no finite-difference step keeps the states positive definite")
-    rows, hs = live[sel], hs[steps]
-    if not (sel.all() and steps.all()):
-        pts = pts[np.ix_(sel, steps)]
-    if rows.size:
-        values = stencil(hs, pts, rows)
+    if not keep.any(axis=1).all():
+        raise VerificationError("no finite-difference step keeps the states positive definite")
+    for mask in dict.fromkeys(map(tuple, keep.tolist())):
+        sel = (keep == mask).all(axis=1)
+        rows, hs = live[sel], steps[list(mask)]
+        group = pts if sel.all() and all(mask) else pts[np.ix_(sel, mask)]
+        values = stencil(hs, group, rows)
         if len(hs) < 2:
-            h = hs[-1:] / 2.0
+            h = hs / 2.0
             if h[0] < MIN_STEP:
                 raise VerificationError("step schedule exhausted before extrapolation")
             hs = np.append(hs, h)
@@ -279,10 +270,6 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
         value[rows], err[rows] = v * na[rows] * nb[rows], e * na[rows] * nb[rows]
     if not batch:
         return float(value[0]), float(err[0])
-    for j in np.setdiff1d(np.arange(len(D)), rows):
-        i = np.unravel_index(j, batch)
-        Dj = given[i] if isinstance(given, linalg.State) else D[j]
-        value[j], err[j] = mixed_second_derivative(_members(F, j), Dj, A[j], B[j], sched)
     return value.reshape(batch), err.reshape(batch)
 
 
@@ -561,7 +548,6 @@ def _orthonormal_group(D: linalg.State, raw: np.ndarray, rngs) -> np.ndarray:
 
 _ALPHAS = (0.25, 0.5, 0.75)
 _MIX_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-_RENYI_ALPHAS = (0.1, 0.01, 0.001)
 
 
 def _random_measure(rng: np.random.Generator, min_atom: float = 0.0) -> functions.DiscreteMeasure:
@@ -925,25 +911,36 @@ def _evaluate_wyd_consistency(n, trials):
     return _residual_results(np.abs(skew - quantities.wyd_direct(np.array(ps), D, X)), ps, D.matrix, X)
 
 
-def _run_renyi_limit(rng, dims):
+def _draw_renyi_limit(rng, dims):
     n = _dim(rng, dims)
-    floor = min(0.03, 0.5 / n)
-    D1 = random_density(n, floor=floor, seed=rng)
-    D2 = random_density(n, floor=floor, seed=rng)
-    u = quantities.umegaki(D1, D2)
-    gaps = [abs(quantities.renyi(a, D1, D2) - u) for a in _RENYI_ALPHAS]
-    margin = min(gaps[0] - gaps[1], gaps[1] - gaps[2])
-    return margin, gaps[-1], digest_inputs(D1, D2)
+    return n, np.stack([_draw_density(n, min(0.03, 0.5 / n), rng) for _ in range(2)])
 
 
-def _per_trial(runner):
-    """``draw`` of a suite that computes each trial as it draws it (with :func:`_drawn`)."""
-    return lambda rng, dims: (None, runner(rng, dims))
+def _log_squared(x):
+    return np.log(x) ** 2
 
 
-def _drawn(key, results):
-    """``evaluate`` of a per-trial suite: its draws are already the results."""
-    return results
+def _evaluate_renyi_limit(n, trials):
+    """Remainders of the first-order expansion ``R_a = S + a c1 + O(a^2)`` of one dimension group.
+
+    ``S`` is the relative entropy and ``c1 = S - V/2``, with ``V`` the
+    quasi-entropy of ``(log x)^2`` on the same pair.  The remainder
+    ``rem(a) = |R_a - S - a c1|`` shrinks 100-fold from a = 0.01 to 0.001
+    when c1 is right and 10-fold when it is not; the margin
+    ``rem(0.01) - 10^1.5 rem(0.001)`` sits between the two, and the
+    residual is ``|R_0.001 - S|``.
+    """
+    pair = linalg.state(_densities(np.stack(trials, axis=1), min(0.03, 0.5 / n)))
+    D1, D2 = pair[0], pair[1]
+    S = quantities.umegaki(D1, D2)
+    c1 = S - quantities.quasi_entropy(_log_squared, np.eye(n), D1, D2) / 2.0
+    R = {a: quantities.renyi(a, D1, D2) for a in (0.01, 0.001)}
+    rem = {a: abs(R[a] - S - a * c1) for a in R}
+    margins = rem[0.01] - 10.0 ** 1.5 * rem[0.001]
+    return [
+        (float(m), float(g), digest_inputs(D1.matrix[j], D2.matrix[j]))
+        for j, (m, g) in enumerate(zip(margins, abs(R[0.001] - S)))
+    ]
 
 
 class _Suite(NamedTuple):
@@ -959,7 +956,7 @@ class _Suite(NamedTuple):
     residual_tol: float
     trials: int
     dims: tuple[int, ...]
-    evaluate: Callable = _drawn
+    evaluate: Callable
 
 
 _SUITES = {
@@ -991,7 +988,7 @@ _SUITES = {
     "wyd-consistency": _Suite(
         _draw_wyd_consistency, math.inf, 1e-9, 100, (2, 3, 4), _evaluate_wyd_consistency
     ),
-    "renyi-limit": _Suite(_per_trial(_run_renyi_limit), 1e-12, 1e-2, 20, (2, 3, 4)),
+    "renyi-limit": _Suite(_draw_renyi_limit, 1e-12, 1e-2, 20, (2, 3, 4), _evaluate_renyi_limit),
 }
 
 SUITE_NAMES = tuple(_SUITES)

@@ -165,5 +165,6 @@ def test_criterion_9_oracle_equivalence():
 def test_criterion_10_renyi_limit():
     rep = vf.run_suite("renyi-limit", seed=17)
     ok = rep.passed and rep.min_margin >= -1e-12 and rep.max_residual <= 1e-2
-    _report(10, "Renyi order -> 0 limit: gaps to the relative entropy decreasing, final gap <= 1e-2",
+    _report(10, "Renyi order -> 0 limit: first-order remainder rem(0.01) > 10^1.5 rem(0.001), "
+                "final gap <= 1e-2",
             ok, f"final gap {rep.max_residual:.3e}")

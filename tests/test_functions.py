@@ -380,3 +380,11 @@ def test_load_measure_rejects_non_finite_entries(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         fn.load_measure(path)
+
+
+def test_check_operator_monotone_accepts_a_constant_function():
+    # a constant is operator monotone: f(B) - f(A) = 0 and its Pick values are real
+    rep = fn.check_operator_monotone(lambda x: 1.0, seed=3, trials=5)
+    assert rep.passed and abs(rep.loewner_margin) <= 1e-12 and rep.pick_margin == 0.0
+    both = fn.check_operator_monotone((lambda x: 1.0, fn.sld()), seed=(3, 4), trials=5)
+    assert both.passed.tolist() == [True, True] and both.loewner_margin[0] == rep.loewner_margin

@@ -201,6 +201,18 @@ def test_apply_matrix_function_domain_error():
         linalg.apply_matrix_function(np.log, np.diag([1.0, -1.0]))
 
 
+def test_a_constant_function_gives_an_array_of_the_points_shape():
+    x = np.array([[0.5, 2.0], [1.0, 3.0]])
+    vals = linalg.eval_scalar(lambda x: 1.0, x)
+    assert vals.shape == x.shape and vals.dtype == float and (vals == 1.0).all()
+    assert np.array_equal(linalg.apply_matrix_function(lambda x: 1.0, np.eye(2)), np.eye(2))
+    stack = np.stack([np.eye(3), np.diag([0.2, 0.3, 0.5])])
+    out = linalg.apply_matrix_function((lambda x: 2.0, lambda x: 3.0), stack)
+    assert np.array_equal(out, np.stack([2.0 * np.eye(3), 3.0 * np.eye(3)]))
+    with pytest.raises(DomainError):
+        linalg.eval_scalar(lambda x: np.nan, x)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_stacked_apply_matrix_function_equals_the_two_d_call(n):
     stack = _densities(6, n).reshape(2, 3, n, n)

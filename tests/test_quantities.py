@@ -119,6 +119,45 @@ def test_renyi_limit_approaches_umegaki():
     assert gaps[2] <= 1e-2
 
 
+_RENYI_TEST_ALPHAS = (-0.9, -0.5, 0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_stacked_divergences_equal_the_two_d_calls_bit_for_bit(n):
+    rng = np.random.default_rng(60 + n)
+    s1, s2 = (
+        linalg.state(np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(4)]))
+        for _ in range(2)
+    )
+    u = qt.umegaki(s1, s2)
+    assert u.shape == (4,) and u.dtype == float
+    for alpha in _RENYI_TEST_ALPHAS + (0.01, 0.001):
+        r = qt.renyi(alpha, s1.matrix, s2)
+        assert r.shape == (4,)
+        for j in range(4):
+            assert r[j] == qt.renyi(alpha, s1[j], s2[j].matrix)
+    for j in range(4):
+        two_d = qt.umegaki(s1.matrix[j], s2[j])
+        assert type(two_d) is float and u[j] == two_d
+
+
+def test_divergences_match_the_matrix_function_trace_formulas():
+    # the formulas umegaki and renyi computed before they became quasi-entropies
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        D1, D2 = (random_density(n, 0.2 / n, rng) for _ in range(2))
+        L1 = linalg.apply_matrix_function(np.log, D1)
+        L2 = linalg.apply_matrix_function(np.log, D2)
+        relative_entropy = float(np.trace(D1.matrix @ (L1 - L2)).real)
+        assert qt.umegaki(D1, D2) == pytest.approx(relative_entropy, rel=1e-13, abs=0.0)
+        for alpha in _RENYI_TEST_ALPHAS:
+            D2a = linalg.apply_matrix_function(lambda x: x ** alpha, D2)
+            D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - alpha), D1)
+            expected = float((1.0 - np.trace(D2a @ D1b).real) / (alpha * (1.0 - alpha)))
+            assert qt.renyi(alpha, D1, D2) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_sym_cov_examples(qubit_state, flip):
     assert qt.sym_cov(qubit_state, np.eye(2), np.eye(2)) == pytest.approx(0.0, abs=1e-14)
     assert qt.sym_cov(qubit_state, flip, flip).real == pytest.approx(1.0, abs=1e-14)

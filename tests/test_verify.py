@@ -847,6 +847,16 @@ def _scalar_gibi_by_trial(rng, dims):
     return fn.scalar_inequality_check(f, g).min_margin, qt.digest_inputs(f.name, g.name)
 
 
+def _renyi_limit_by_trial(rng, dims):
+    """One renyi-limit trial drawn and evaluated alone: the first-order remainders of R_a at 0."""
+    n = vf._dim(rng, dims)
+    D1, D2 = (vf.random_density(n, min(0.03, 0.5 / n), rng) for _ in range(2))
+    s = qt.umegaki(D1, D2)
+    c1 = s - qt.quasi_entropy(lambda x: np.log(x) ** 2, np.eye(n), D1, D2) / 2.0
+    rem = {a: abs(qt.renyi(a, D1, D2) - s - a * c1) for a in (0.01, 0.001)}
+    return float(rem[0.01] - 10.0 ** 1.5 * rem[0.001]), qt.digest_inputs(D1, D2)
+
+
 _BY_TRIAL = {
     "standardness": _standardness_by_trial,
     "operator-monotone": _operator_monotone_by_trial,
@@ -860,6 +870,7 @@ _BY_TRIAL = {
     "det-uncertainty": _det_uncertainty_by_trial,
     "oracle-equivalence": _oracle_equivalence_by_trial,
     "wyd-consistency": _wyd_consistency_by_trial,
+    "renyi-limit": _renyi_limit_by_trial,
 }
 
 
@@ -881,6 +892,39 @@ def _assert_batched_equals_by_trial(name, seed, trials, dims):
 @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 3, 4, 5, 6, 7, 8)], ids=["2-4", "2-8"])
 def test_batched_margins_and_digests_equal_the_two_d_ones(name, dims):
     _assert_batched_equals_by_trial(name, seed=7, trials=120, dims=dims)
+
+
+def test_batched_renyi_residuals_equal_the_two_d_gaps():
+    # with the margin bound open, every trial's record carries |R_0.001 - S|
+    seed, trials, dims = 7, 120, (1, 2, 3, 4, 5, 6, 7, 8)
+    rep = vf.run_suite(
+        "renyi-limit", trials=trials, seed=seed, dims=dims,
+        tolerances={"margin": math.inf, "residual": -math.inf},
+    )
+    assert len(rep.failures) == trials
+    for i, record in enumerate(rep.failures):
+        rng = _trial_rng(seed, i)
+        n = vf._dim(rng, dims)
+        D1, D2 = (vf.random_density(n, min(0.03, 0.5 / n), rng) for _ in range(2))
+        gap = abs(qt.renyi(0.001, D1, D2) - qt.umegaki(D1, D2))
+        assert record == {"seed": f"{seed}:{i}", "digest": qt.digest_inputs(D1, D2), "value": gap}
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.9, 1.1, 2.0])
+def test_renyi_limit_fails_every_trial_when_the_first_order_term_is_wrong(monkeypatch, scale):
+    # a wrong c1 leaves a remainder that shrinks only 10-fold from a = 0.01 to 0.001
+    log_squared = vf._log_squared
+    monkeypatch.setattr(vf, "_log_squared", lambda x: scale * log_squared(x))
+    for seed in (3, 17):
+        rep = vf.run_suite("renyi-limit", seed=seed)
+        assert len(rep.failures) == rep.trials and rep.min_margin < -5e-5
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_renyi_limit_passes_at_ten_times_its_trials_and_dims_up_to_eight(seed):
+    row = vf._SUITES["renyi-limit"]
+    rep = vf.run_suite("renyi-limit", trials=10 * row.trials, seed=seed, dims=tuple(range(2, 9)))
+    assert rep.passed, rep.failures
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 3, 4, 5, 6, 7, 8)], ids=["2-4", "2-8"])
@@ -1058,8 +1102,8 @@ def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member
         calls.clear()
         value, err = vf.mixed_second_derivative(F, S, A, B, sched)
         assert value.shape == err.shape == (4,)
-        # the stacked call, then one 2-D call for each of members 2 and 3
-        assert calls == [(4, 3, 3), (3, 3), (3, 3)]
+        # one stacked call: member 2's halved step and member 3's zero direction stay inside it
+        assert calls == [(4, 3, 3)]
         for j in range(4):
             Fj = F[j] if isinstance(F, tuple) else F
             assert (value[j], err[j]) == original(Fj, S[j], A[j], B[j], sched)
