@@ -275,8 +275,8 @@ def covariance_kernel(f: ScalarFunctionSpec) -> ScalarFunctionSpec:
 
 def power_kernel(alpha: float) -> ScalarFunctionSpec:
     """``x^alpha``; operator monotone increasing exactly for alpha in (0, 1]."""
-    if alpha <= 0.0:
-        raise DomainError(f"power kernel needs a positive exponent, got {alpha!r}")
+    if not 0.0 < alpha < math.inf:  # negated, so that NaN fails
+        raise DomainError(f"power kernel needs a positive finite exponent, got {alpha!r}")
     return ScalarFunctionSpec(
         name=f"power:{alpha:g}",
         fn=functools.partial(_power, alpha=alpha),
@@ -339,6 +339,14 @@ def _grid_values(fs: tuple, x: np.ndarray, dtype=float) -> np.ndarray:
     return linalg._kernel_grid(fs, np.tile(x, (len(fs), 1)), core=1, evaluate=evaluate)
 
 
+def _probe_points(grid) -> np.ndarray:
+    """The grid (the default probe grid for None), flat; refuses an empty, non-positive or NaN grid."""
+    x = np.asarray(_PROBE_GRID if grid is None else grid, dtype=float).reshape(-1)
+    if x.size == 0 or not np.all(x > 0.0):  # negated, so that NaN fails
+        raise DomainError("probe grid must be nonempty and strictly positive")
+    return x
+
+
 @dataclass(frozen=True)
 class StandardnessReport:
     """Worst grid violations of the standardness contract (arrays for a tuple of functions)."""
@@ -364,11 +372,7 @@ def check_standard(f, grid=None, threshold: float = 1e-9) -> StandardnessReport:
     is checked with one kernel call per family and gives arrays of the
     members' fields, each equal to the member's own call.
     """
-    if grid is None:
-        grid = _PROBE_GRID
-    x = np.asarray(grid, dtype=float).reshape(-1)
-    if x.size == 0 or np.any(x <= 0.0):
-        raise DomainError("probe grid must be nonempty and strictly positive")
+    x = _probe_points(grid)
     if not (np.any(x < 1.0) and np.any(x > 1.0)):
         raise DomainError("probe grid must contain points below and above 1")
     stacked = isinstance(f, tuple)
@@ -510,9 +514,7 @@ def scalar_inequality_check(f, g, grid=None, threshold: float = 1e-10) -> Scalar
         raise DomainError(f"{len(fs)} functions f need as many functions g, got {len(gs)}")
     if not all(h.claims_standard for h in fs + gs):
         raise DomainError("the scalar inequality is stated for standard functions only")
-    if grid is None:
-        grid = _PROBE_GRID
-    x = np.asarray(grid, dtype=float).reshape(-1)
+    x = _probe_points(grid)
     vals = _grid_values(fs + gs, x)
     at_zero = np.array([a.value_at_zero * b.value_at_zero for a, b in zip(fs, gs)])
     margin = vals[: len(fs)] * vals[len(fs) :] - at_zero[:, None] * (x - 1.0) ** 2

@@ -51,9 +51,9 @@ DENSE_DIM_LIMIT = 32
 _FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
 
 
-def _square(M, what: str = "matrix", stack: bool = False) -> np.ndarray:
+def _square(M, what: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if (M.ndim != 2 and not (stack and M.ndim > 2)) or M.shape[-1] != M.shape[-2]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvariantViolation(f"{what} must be square, got shape {M.shape}")
     return M
 
@@ -101,7 +101,7 @@ def as_hermitian(M) -> np.ndarray:
     with the conjugate transpose; anything larger, and any non-finite
     entry, raises.  Accepts a ``(..., n, n)`` stack.
     """
-    H, ok, dev, allowed = _hermitian_mask(_square(M, "Hermitian matrix", stack=True))
+    H, ok, dev, allowed = _hermitian_mask(_square(M, "Hermitian matrix"))
     if not _all(ok):
         i = _first_rejected(ok)
         if not allowed[i] < np.inf:
@@ -206,7 +206,7 @@ def screened_state(D, label: str = "state") -> tuple[State, np.ndarray]:
     decomposed as the zero matrix instead, so the State's entries are
     meaningful only where the mask is true.
     """
-    H, herm, _, _ = _hermitian_mask(_square(D, "Hermitian matrix", stack=True))
+    H, herm, _, _ = _hermitian_mask(_square(D, "Hermitian matrix"))
     w, U = _eigh(H, label)
     ok, _ = _density_mask(H, w[..., 0])
     return State(w, U, H), herm & ok
@@ -371,7 +371,7 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     s1 = state(D1, "first density")
     s2 = state(D2, "second density")
     _same_dim(s1, s2)
-    A = _square(A, "operand", stack=True)
+    A = _square(A, "operand")
     _same_dim(A, s1)
     W, (M,) = relmod_grid(F, s1, s2, A)
     return s2.eigenvectors @ (W * M) @ dagger(s1.eigenvectors)
@@ -391,7 +391,7 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
     s1 = state(D1, "first density")
     D2 = as_density(D2)
     _same_dim(s1, D2)
-    A = _square(A, "operand", stack=True)
+    A = _square(A, "operand")
     _same_dim(A, s1)
     n = s1.shape[-1]
     if n > DENSE_DIM_LIMIT:
@@ -413,8 +413,8 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
 
 def commutator(A, B) -> np.ndarray:
     """``AB - BA`` (of each member of equal-shape stacks); 1j times it is Hermitian for Hermitian A, B."""
-    A = _square(A, stack=True)
-    B = _square(B, stack=True)
+    A = _square(A)
+    B = _square(B)
     _same_dim(A, B)
     return A @ B - B @ A
 

@@ -230,17 +230,11 @@ def wyd_direct(p, D, X):
 
     For stacked states and observables p may also be an array with one
     exponent per member; a member's value then equals the 2-D call's,
-    except that a scalar p of exactly 0.5 goes through numpy's square root
-    where a per-member 0.5 goes through ``pow`` (the last bit may differ).
+    except that a per-member exponent of exactly 0.5 may differ in the last
+    bit (numpy's power is a square root only for one exponent for the call).
     """
-    if np.isscalar(p):
-        # a scalar exponent is kept as given: numpy raises an array to a scalar power by its
-        # own fast paths (sqrt for 0.5), which a per-member exponent array does not take
-        e, ok = p, 0.0 < p < 1.0
-    else:
-        e = np.asarray(p, dtype=float)[..., None]
-        ok = ((0.0 < e) & (e < 1.0)).all()
-    if not ok:
+    e = np.asarray(p, dtype=float)[..., None]
+    if not all(0.0 < v < 1.0 for v in e.ravel().tolist()):  # NaN fails too
         raise DomainError(f"p must lie inside (0, 1), got {p!r}")
     s = linalg.state(D)
     X = _observable(X, s)

@@ -179,16 +179,6 @@ def center_observable(D, A) -> np.ndarray:
     return A - means[..., None, None] * np.eye(D.shape[-1])
 
 
-def _members(F, index):
-    """The kernels of the members ``index`` (one index or an index array) of a per-member tuple.
-
-    A single kernel serves every member and is returned as it is.
-    """
-    if not isinstance(F, tuple):
-        return F
-    return F[index] if np.ndim(index) == 0 else tuple(F[i] for i in index)
-
-
 def _first(values, bad) -> float:
     """The value of the first member flagged by ``bad``, the value itself for one matrix."""
     return float(np.asarray(values)[bad].flat[0])
@@ -244,7 +234,7 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
 
     def stencil(hs: np.ndarray, pts: linalg.State, rows: np.ndarray) -> np.ndarray:
         # g[r, k, a, b] = S_F(first point a, second point b) of member r at step k
-        F_rows = _members(F, rows)
+        F_rows = tuple(F[i] for i in rows) if isinstance(F, tuple) else F
         g = quantities.quasi_entropy(F_rows, eye, pts[:, :, 0, :, None], pts[:, :, 1, None, :])
         return (g[..., 0, 0] - g[..., 0, 1] - g[..., 1, 0] + g[..., 1, 1]) / (4.0 * hs * hs)
 
@@ -523,9 +513,7 @@ def orthonormal_centered_observables(D, m: int, rng: np.random.Generator) -> lis
     draw from rng.
     """
     D = linalg.state(D)
-    raw = _draw_observables(D.shape[-1], m, rng)
-    obs, ok = _orthonormal_observables(D, raw)
-    return list(obs) if ok else _orthonormal_sequence(D, m, raw, rng)
+    return _orthonormal_sequence(D, m, _draw_observables(D.shape[-1], m, rng), rng)
 
 
 def _orthonormal_group(D: linalg.State, raw: np.ndarray, rngs) -> np.ndarray:
@@ -763,46 +751,31 @@ def _evaluate_monotonicity(key, trials):
     """Margins of one ``(n_in, n_out, k)`` group, built, validated and paired as stacks.
 
     The group's channels are one stacked :func:`~qig.channels.isometry_channel`,
-    and each trial keeps its own kernel ``x^alpha``.
-    A trial whose channel outputs fail the density checks resamples its
-    channel and densities from a copy of its own generator, continuing the
-    stream where its last draw stopped, for at most 40 attempts in all.
+    and each trial keeps its own kernel ``x^alpha``.  A group whose channel
+    outputs fail the density checks raises, and :func:`run_suite` reruns it
+    trial by trial; a lone trial resamples its channel and densities from a
+    copy of its own generator, continuing the stream where its last draw
+    stopped, for at most 40 attempts in all.
     """
     n_in, n_out, k = key
-    floor = _margin_floor(n_in)
-    kernels = [functions.power_kernel(c.alpha) for c in trials]
-    operands = _unit_operands(np.stack([c.A for c in trials]))
-    results = [None] * len(trials)
-    pending = dict(enumerate(trials))
+    F = tuple(functions.power_kernel(c.alpha) for c in trials)
+    A = _unit_operands(np.stack([c.A for c in trials]))
     for _ in range(40):
-        idx, drawn = list(pending), list(pending.values())
-        F = tuple(kernels[t] for t in idx)
-        raw = np.stack([[c.D1 for c in drawn], [c.D2 for c in drawn]])
-        D = linalg.state(_densities(raw, floor))
-        A = operands[idx]
-        ch = channels.isometry_channel(np.stack([c.channel for c in drawn]), k)
-        keep = np.arange(len(drawn))
+        raw = np.stack([[c.D1 for c in trials], [c.D2 for c in trials]])
+        D = linalg.state(_densities(raw, _margin_floor(n_in)))
+        ch = channels.isometry_channel(np.stack([c.channel for c in trials]), k)
         try:
             margins = channels.monotonicity_margin(F, A, D[0], D[1], ch)
         except InvariantViolation:
-            # some outputs lose invertibility: pair the other trials, resample these
-            _, ok = linalg.screened_state(channels.apply_state(ch, D.matrix))
-            keep = np.flatnonzero(ok.all(axis=0))
-            margins = ()
-            if keep.size:
-                kept = channels.KrausChannel(tuple(K[keep] for K in ch.kraus_ops))
-                margins = channels.monotonicity_margin(
-                    _members(F, keep), A[keep], D[0, keep], D[1, keep], kept
-                )
-        for margin, j in zip(margins, keep):
-            del pending[idx[j]]
-            D1, D2 = D.matrix[:, j]
-            kraus = (K[j] for K in ch.kraus_ops)
-            results[idx[j]] = (float(margin), None, digest_inputs(F[j].name, A[j], D1, D2, *kraus))
-        if not pending:
-            return results
-        for t, c in pending.items():
-            pending[t] = _draw_attempt(c.A, copy.deepcopy(c.rng), n_in, n_out, k, c.alpha)
+            if len(trials) > 1:
+                raise
+            (c,) = trials
+            trials = [_draw_attempt(c.A, copy.deepcopy(c.rng), n_in, n_out, k, c.alpha)]
+        else:
+            return [
+                (float(margin), None, digest_inputs(F[j].name, A[j], *D.matrix[:, j], *kraus))
+                for j, (margin, kraus) in enumerate(zip(margins, zip(*ch.kraus_ops)))
+            ]
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 

@@ -89,6 +89,17 @@ def test_compute_renyi_zero_alpha_is_domain_error(matrix_files, capsys):
     assert "alpha must be nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_compute_power_kernel_with_a_non_finite_exponent_exit_4(matrix_files, alpha, capsys):
+    # the maximally mixed pair once printed 1 for these exponents
+    rc = cli.main(
+        ["compute", "quasi-entropy", "--kernel", f"power:{alpha}",
+         "--state", matrix_files["d1"], "--state2", matrix_files["d1"]]
+    )
+    assert rc == 4
+    assert "power kernel needs a positive finite exponent" in capsys.readouterr().err
+
+
 def test_compute_malformed_file_exit_2(tmp_path, matrix_files, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

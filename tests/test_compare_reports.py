@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from qig import cli, verify
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
@@ -40,17 +42,23 @@ def test_differing_suites_are_named(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "differ: renyi-limit"
 
 
-_GOLDEN = Path(__file__).resolve().parent / "data" / "quick_seed17.json"
+_DATA = Path(__file__).resolve().parent / "data"
 
 
-def test_quick_verification_report_matches_the_golden_file(tmp_path):
-    # The golden file holds the last bits of every margin and residual, so it is
-    # pinned to the numpy / OpenBLAS build it was written with (numpy 2.4,
-    # OpenBLAS 0.3.31, x86-64); regenerate it from the "seed" and "suites" keys of
+@pytest.mark.parametrize(
+    "golden, trials",
+    [("quick_seed17.json", ["--trials", "10"]), ("acceptance_seed17.json", [])],
+    ids=["quick", "acceptance"],
+)
+def test_quick_verification_report_matches_the_golden_file(tmp_path, golden, trials):
+    # The golden files hold the last bits of every margin and residual, so they are
+    # pinned to the numpy / OpenBLAS build they were written with (numpy 2.4,
+    # OpenBLAS 0.3.31, x86-64); regenerate one from the "seed" and "suites" keys of
     #   qig verify all --trials 10 --seed 17 --report quick.json
-    # on a commit whose reports are known good before comparing another build.
+    # (no --trials for the acceptance-scale file) on a commit whose reports are
+    # known good before comparing another build.
     full = tmp_path / "full.json"
-    assert cli.main(["verify", "all", "--trials", "10", "--seed", "17", "--report", str(full)]) == 0
+    assert cli.main(["verify", "all", *trials, "--seed", "17", "--report", str(full)]) == 0
     payload = json.loads(full.read_text())
     quick = _write(tmp_path / "quick.json", {key: payload[key] for key in ("seed", "suites")})
-    assert compare_reports.main([str(_GOLDEN), quick]) == 0
+    assert compare_reports.main([str(_DATA / golden), quick]) == 0

@@ -189,6 +189,13 @@ def test_check_standard_grid_validation():
         fn.check_standard(fn.sld(), grid=[2.0, 3.0])
     with pytest.raises(DomainError):
         fn.check_standard(fn.sld(), grid=[-1.0, 2.0])
+    with pytest.raises(DomainError):
+        fn.check_standard(fn.sld(), grid=[math.nan, 0.5, 2.0])
+    # the scalar inequality refuses the same grids, and needs no points on either side of 1
+    for grid in ([], [0.0, 2.0], [-1.0, 2.0], [math.nan, 2.0]):
+        with pytest.raises(DomainError, match="probe grid must be nonempty and strictly positive"):
+            fn.scalar_inequality_check(fn.sld(), fn.sld(), grid=grid)
+    assert fn.scalar_inequality_check(fn.sld(), fn.sld(), grid=[2.0, 3.0]).passed
 
 
 def test_check_operator_monotone_passes_affine():
@@ -270,6 +277,33 @@ def test_check_operator_monotone_pick_skip_flag():
     spec = fn.ScalarFunctionSpec("broken", broken, 0.5, 0.0, True, True)
     with pytest.raises(RuntimeError, match="a fault"):
         fn.check_operator_monotone(spec, seed=0, trials=5, dim=2)
+
+
+def test_pick_margins_skip_only_the_member_that_refuses_complex_arguments():
+    def real_only(x):
+        if np.iscomplexobj(np.asarray(x)):
+            raise TypeError("real arguments only")
+        return (1.0 + x) / 2.0
+
+    opaque = fn.ScalarFunctionSpec("opaque", real_only, 0.5, 0.0, True, True)
+    fs = (fn.sld(), fn.wyd(0.3), opaque, fn.power_kernel(2.0), fn.kubo_mori())
+    seeds = tuple(range(len(fs)))
+    rep = fn.check_operator_monotone(fs, seed=seeds, trials=3, dim=2)
+    assert rep.pick_skipped.tolist() == [False, False, True, False, False]
+    assert math.isnan(rep.pick_margin[2])
+    for j, f in enumerate(fs):
+        if j == 2:
+            continue
+        one = fn.check_operator_monotone(f, seed=seeds[j], trials=3, dim=2)
+        assert (rep.pick_margin[j], rep.loewner_margin[j], rep.passed[j]) == (
+            one.pick_margin, one.loewner_margin, one.passed
+        )
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_power_kernel_refuses_a_non_positive_or_non_finite_exponent(alpha):
+    with pytest.raises(DomainError, match="power kernel needs a positive finite exponent"):
+        fn.power_kernel(alpha)
 
 
 def test_scalar_inequality_sld_pair():

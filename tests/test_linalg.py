@@ -213,6 +213,14 @@ def test_a_constant_function_gives_an_array_of_the_points_shape():
         linalg.eval_scalar(lambda x: np.nan, x)
 
 
+def test_eval_scalar_drops_roundoff_imaginary_parts_and_refuses_larger_ones():
+    x = np.array([0.5, 1.0, 2.0])
+    vals = linalg.eval_scalar(lambda x: x + 1e-12j, x)
+    assert vals.dtype == float and np.array_equal(vals, x)
+    with pytest.raises(DomainError, match="must be real-valued"):
+        linalg.eval_scalar(lambda x: x + 1e-3j, x)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_stacked_apply_matrix_function_equals_the_two_d_call(n):
     stack = _densities(6, n).reshape(2, 3, n, n)

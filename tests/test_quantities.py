@@ -525,6 +525,21 @@ def test_stacked_skew_quantities_and_relmod_maps_equal_the_two_d_calls_member_by
         qt.skew_identity_residual((f[0], fn.harmonic(), f[2]), s1, Xc)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_wyd_direct_takes_every_spelling_of_a_scalar_exponent_alike(n):
+    rng = np.random.default_rng(60 + n)
+    s = linalg.state(np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(3)]))
+    X = np.stack([random_hermitian(n, rng) for _ in range(3)])
+    for p in (0.5, 0.3):
+        two_d = [qt.wyd_direct(p, s[j], X[j]) for j in range(3)]
+        for spelling in (p, np.float64(p), np.array(p)):
+            assert qt.wyd_direct(spelling, s, X).tolist() == two_d
+            assert qt.wyd_direct(spelling, s[0], X[0]) == two_d[0]
+    for bad in (np.nan, np.array([0.5, np.nan, 0.5])):
+        with pytest.raises(DomainError, match="p must lie inside"):
+            qt.wyd_direct(bad, s, X)
+
+
 def test_a_tuple_of_kernels_is_refused_when_any_is_not_standard():
     s = linalg.state(np.stack([np.asarray(random_density(2, 0.1, k)) for k in range(2)]))
     X = np.stack([np.eye(2, dtype=complex)] * 2)

@@ -1018,6 +1018,13 @@ def test_monotonicity_resamples_from_each_trials_own_stream(monkeypatch):
     assert sum(calls) > 2 * 60 + 20  # reference and batched runs, and resamples
 
 
+def test_monotonicity_group_with_some_collapsed_outputs_equals_the_trial_by_trial_records(monkeypatch):
+    # about half the channels collapse, so a group holds members with good and with
+    # singular outputs; the group is rerun one trial at a time and each trial resamples
+    _collapsing_channels(monkeypatch)
+    _assert_batched_equals_by_trial("monotonicity", seed=3, trials=60, dims=(2, 3))
+
+
 def test_monotonicity_records_each_trial_that_exhausts_its_attempts(monkeypatch):
     _collapsing_channels(monkeypatch, always=True)
     records = _assert_batched_equals_by_trial("monotonicity", seed=3, trials=6, dims=(2, 4))
