@@ -10,7 +10,10 @@ and observable:
   (``wyd:0.3``), and a tuple of 8 kernels from mixed families on a stack
   of 8 grids, both grouped (``linalg._kernel_grid``, one call per family)
   and member by member (one ``eval_scalar`` call each);
-- the eigenbasis contraction ``sum_ij W_ij |(U* A U)_ij|^2 w_j``.
+- the eigenbasis contraction ``sum_ij W_ij |(U* A U)_ij|^2 w_j``;
+- two whole quantities on validated states (``linalg.State``), where only
+  per-call work is left: ``quantities.umegaki`` of two states (the
+  identity operand) and ``quantities.skew_info`` with ``wyd:0.3``.
 
 Each figure is the median over 7 timings of one call, where a timing runs
 the call enough times to last at least 20 ms.  BLAS runs on one thread, as
@@ -32,7 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 
-from qig import functions, linalg, verify  # noqa: E402
+from qig import functions, linalg, quantities, verify  # noqa: E402
 
 DIMS = (2, 4, 8, 16, 64, 256)
 MIN_SECONDS = 0.02
@@ -77,6 +80,7 @@ def layer_times(n: int, seed: int) -> dict:
     rng = np.random.default_rng([seed, n])
     D = np.asarray(verify.random_density(n, 0.5 / n, rng))
     A = verify.random_hermitian(n, rng)
+    s1, s2 = linalg.state(D), verify.random_density(n, 0.5 / n, rng)
     w, U = np.linalg.eigh(D)
     x = w[:, None] / w[None, :]
     kernels = _mixed_kernels()
@@ -96,6 +100,8 @@ def layer_times(n: int, seed: int) -> dict:
         "kernel_tuple8_grouped_s": _per_call(lambda: linalg._kernel_grid(kernels, x8)),
         "kernel_tuple8_per_member_s": _per_call(lambda: [linalg.eval_scalar(f, x) for f in kernels]),
         "contraction_s": _per_call(contraction),
+        "umegaki_states_s": _per_call(lambda: quantities.umegaki(s1, s2)),
+        "skew_info_state_s": _per_call(lambda: quantities.skew_info(one, s1, A)),
     }
 
 

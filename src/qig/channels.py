@@ -193,6 +193,6 @@ def data_processing_margin(F, D1, D2, ch: KrausChannel) -> float:
     D2 = linalg.state(D2)
     E1 = linalg.state(apply_state(ch, D1.matrix))
     E2 = linalg.state(apply_state(ch, D2.matrix))
-    before = quantities.quasi_entropy(F, np.eye(ch.dim_in), D1, D2)
-    after = quantities.quasi_entropy(F, np.eye(ch.dim_out), E1, E2)
+    before = quantities.quasi_entropy(F, None, D1, D2)
+    after = quantities.quasi_entropy(F, None, E1, E2)
     return float(before - after)

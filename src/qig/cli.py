@@ -145,7 +145,7 @@ def _cmd_compute(args, parser) -> int:
         )
         d1 = read_matrix(_require(parser, args.state, "--state"), "density")
         d2 = read_matrix(_require(parser, args.state2, "--state2"), "density")
-        A = read_matrix(args.obs) if args.obs else np.eye(d1.shape[0])
+        A = read_matrix(args.obs) if args.obs else None
         value = quantities.quasi_entropy(F, A, d1, d2)
     elif q == "cov":
         d = read_matrix(_require(parser, args.state, "--state"), "density")

@@ -45,7 +45,8 @@ class ScalarFunctionSpec:
     **params)`` of a module-level family function that is vectorized in
     its parameters: called with ``(m, 1, ...)`` parameter arrays it
     evaluates m members at once, each element as its scalar call does
-    (``linalg._kernel_grid`` groups a tuple of kernels this way).
+    (``linalg._kernel_grid`` groups kernels so; see :func:`_family`).
+    ``fn`` leaves floating-point errors to its caller, which ignores them.
     """
 
     name: str
@@ -56,7 +57,8 @@ class ScalarFunctionSpec:
     claims_operator_monotone: bool = False
 
     def __call__(self, x):
-        return self.fn(x)
+        with np.errstate(all="ignore"):
+            return self.fn(x)
 
 
 _PROBE_GRID = np.sort(np.append(np.geomspace(1e-3, 1e3, 60), 1.0))
@@ -73,10 +75,12 @@ def _with_series(direct, series, x):
     x = np.asarray(x)
     t = x - 1.0
     near = np.abs(t) < _SERIES_WINDOW
-    safe = np.where(near, 2.0, x)
-    with np.errstate(all="ignore"):
-        out = np.where(near, series(t), direct(safe))
-    return out[()]
+    return np.where(near, series(t), direct(np.where(near, 2.0, x)))[()]
+
+
+def _family(*exponents: str):
+    """Declare a kernel family and the names of its exponent parameters (read by ``linalg._kernel_keys``)."""
+    return lambda func: setattr(func, "exponents", exponents) or func
 
 
 def _sld(x):
@@ -91,6 +95,7 @@ def _log_mean(x):
     return _with_series(lambda s: (s - 1.0) / np.log(s), lambda t: 1.0 + t / 2.0 - t * t / 12.0, x)
 
 
+@_family("p")
 def _wyd(x, p, c0, c2):
     return _with_series(
         lambda s: c0 * (s - 1.0) ** 2 / ((s ** p - 1.0) * (s ** (1.0 - p) - 1.0)),
@@ -99,14 +104,17 @@ def _wyd(x, p, c0, c2):
     )
 
 
+@_family()
 def _extremal_kernel(x, lam):
     return 0.5 * (1.0 + lam) * (1.0 / (x + lam) + 1.0 / (1.0 + x * lam))
 
 
+@_family()
 def _extremal_metric(x, lam, scale):
     return 2.0 * (x + lam) * (1.0 + x * lam) / (scale * (1.0 + x))
 
 
+@_family()
 def _hansen(x, atoms, weights):
     """``1 / sum_k w_k g_{a_k}(x)`` over the charged atoms, summed in order."""
     acc = weights[0] * _extremal_kernel(x, atoms[0])
@@ -115,10 +123,12 @@ def _hansen(x, atoms, weights):
     return 1.0 / acc
 
 
+@_family()
 def _covariance(x, f0, base):
     return 0.5 * ((x + 1.0) - (x - 1.0) ** 2 * f0 / base(x))
 
 
+@_family("alpha")
 def _power(x, alpha):
     return x ** alpha
 
@@ -127,6 +137,7 @@ def _neglog(x):
     return -np.log(x)
 
 
+@_family("alpha")
 def _renyi(x, alpha, c):
     return (1.0 - x ** alpha) / c
 
@@ -334,7 +345,9 @@ def _grid_values(fs: tuple, x: np.ndarray, dtype=float) -> np.ndarray:
 
     def evaluate(fn, points):
         # a constant function may return one number for the whole grid
-        return np.broadcast_to(np.asarray(getattr(fn, "fn", fn)(points), dtype=dtype), points.shape)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(getattr(fn, "fn", fn)(points), dtype=dtype)
+        return np.broadcast_to(vals, points.shape)
 
     return linalg._kernel_grid(fs, np.tile(x, (len(fs), 1)), core=1, evaluate=evaluate)
 

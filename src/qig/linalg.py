@@ -70,27 +70,32 @@ def dagger(M: np.ndarray) -> np.ndarray:
 
 def _all(mask) -> bool:
     # a numpy bool scalar's .all() costs microseconds; bool() does not
-    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+    return mask if type(mask) is bool else bool(mask) if mask.ndim == 0 else bool(mask.all())
 
 
-def _first_rejected(ok) -> tuple:
-    """Index of the first False entry of a per-matrix mask."""
-    return np.unravel_index(np.argmin(ok), np.shape(ok))
+def _first_rejected(ok, *values) -> list:
+    """Each of ``values`` at the first False entry of a per-matrix mask (one matrix: a scalar mask)."""
+    i = np.unravel_index(np.argmin(ok), np.shape(ok))
+    return [np.asarray(v)[i] for v in values]
+
+
+def _matrix_max(A: np.ndarray):
+    """Maximum over the last two axes: a Python float for one matrix, an array for a stack."""
+    return float(A.max()) if A.ndim == 2 else A.max(axis=(-2, -1))
 
 
 def _hermitian_mask(M: np.ndarray):
     """Symmetrized stack and per-matrix ``(passes, max asymmetry, allowance)``.
 
-    A member with a non-finite entry fails with a non-finite allowance and
-    is zeroed in the symmetrized stack, before any arithmetic can warn.
+    Python scalars for one matrix.  A member with a non-finite entry fails
+    with a non-finite allowance and is zeroed, before any arithmetic warns.
     """
-    scale = 1.0 + np.abs(M).max(axis=(-2, -1))
-    finite = scale < np.inf  # false when an entry is infinite or NaN (or its modulus overflows)
+    allowed = HERMITIAN_TOL * (1.0 + _matrix_max(np.abs(M)))
+    finite = allowed < np.inf  # false when an entry is infinite or NaN (or its modulus overflows)
     if not _all(finite):
-        M = np.where(finite[..., None, None], M, 0.0)
+        M = np.where(np.expand_dims(finite, (-2, -1)), M, 0.0)
     Mh = dagger(M)
-    dev = np.abs(M - Mh).max(axis=(-2, -1))
-    allowed = HERMITIAN_TOL * scale
+    dev = _matrix_max(np.abs(M - Mh))
     return (M + Mh) / 2, finite & (dev <= allowed), dev, allowed
 
 
@@ -99,22 +104,25 @@ def as_hermitian(M) -> np.ndarray:
 
     Asymmetry within ``1e-12 * (1 + max|entry|)`` is absorbed by averaging
     with the conjugate transpose; anything larger, and any non-finite
-    entry, raises.  Accepts a ``(..., n, n)`` stack.
+    entry, raises.  Accepts a ``(..., n, n)`` stack; a single matrix is
+    decided on Python floats, with the same checks and messages.
     """
     H, ok, dev, allowed = _hermitian_mask(_square(M, "Hermitian matrix"))
     if not _all(ok):
-        i = _first_rejected(ok)
-        if not allowed[i] < np.inf:
+        dev, allowed = _first_rejected(ok, dev, allowed)
+        if not allowed < np.inf:
             raise InvariantViolation("matrix has non-finite entries")
         raise InvariantViolation(
-            f"matrix is not Hermitian: max asymmetry {dev[i]:.3e} exceeds {allowed[i]:.3e}"
+            f"matrix is not Hermitian: max asymmetry {dev:.3e} exceeds {allowed:.3e}"
         )
     return H
 
 
 def _density_mask(H: np.ndarray, wmin) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix ``(passes, trace)`` of the unit-trace and eigenvalue-floor checks."""
+    """Per-matrix ``(passes, trace)`` of the unit-trace and eigenvalue-floor checks (scalars for one matrix)."""
     tr = H.trace(axis1=-2, axis2=-1).real
+    if H.ndim == 2:
+        tr, wmin = float(tr), float(wmin)
     # comparisons with NaN are false, so NaN entries fail the checks
     return (abs(tr - 1.0) <= DENSITY_TRACE_TOL) & (wmin >= DENSITY_EIG_FLOOR), tr
 
@@ -123,12 +131,12 @@ def _check_density(H: np.ndarray, wmin) -> None:
     ok, tr = _density_mask(H, wmin)
     if _all(ok):
         return
-    i = _first_rejected(ok)
-    if not abs(tr[i] - 1.0) <= DENSITY_TRACE_TOL:
-        raise InvariantViolation(f"density matrix must have unit trace, got {float(tr[i])!r}")
+    tr, wmin = _first_rejected(ok, tr, wmin)
+    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
+        raise InvariantViolation(f"density matrix must have unit trace, got {float(tr)!r}")
     raise InvariantViolation(
         f"density matrix must be invertible: smallest eigenvalue "
-        f"{float(wmin[i]):.3e} is below {DENSITY_EIG_FLOOR:.0e}"
+        f"{float(wmin):.3e} is below {DENSITY_EIG_FLOOR:.0e}"
     )
 
 
@@ -235,7 +243,7 @@ def eval_scalar(h, x) -> np.ndarray:
         if vals.size and float(np.max(np.abs(vals.imag))) > 1e-12 * scale:
             raise DomainError("scalar function must be real-valued on the given points")
         vals = vals.real
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("scalar function is undefined on part of the spectrum")
     return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape).copy()
 
@@ -259,24 +267,27 @@ def _kernel_keys(fn) -> tuple:
     Functions with equal exact keys compute the same values: the same
     object, or partials of one function with equal parameters.  A
     ``functools.partial`` whose keyword parameters are floats, tuples of
-    floats or such partials also has a family key, shared by every partial
-    of the same function with the same parameter names and tuple lengths.
-    It is None for any other function, and for a parameter at one of
-    numpy's scalar-exponent fast paths, which keeps its scalar.
+    floats, functions or such partials also has a family key, shared by
+    every partial of the same function with the same parameter names,
+    tuple lengths and functions.  It is None for any other function, and
+    for an exponent (``functions._family``; any float if undeclared) at one
+    of numpy's scalar-exponent fast paths, which keeps its scalar.
     """
     if not isinstance(fn, functools.partial) or fn.args:
         return id(fn), None
+    exponents = getattr(fn.func, "exponents", None)
     exact, family, stackable = [fn.func], [fn.func], True
     for name, v in fn.keywords.items():
-        if isinstance(v, float):
-            f = None
-            stackable = stackable and v not in _FAST_EXPONENTS
+        floats = v if isinstance(v, tuple) else (v,)
+        if all(isinstance(a, float) for a in floats):
+            f = len(v) if isinstance(v, tuple) else None
+            if exponents is None or name in exponents:
+                stackable = stackable and not any(a in _FAST_EXPONENTS for a in floats)
         elif isinstance(v, functools.partial):
             v, f = _kernel_keys(v)
             stackable = stackable and f is not None
-        elif isinstance(v, tuple) and all(isinstance(a, float) for a in v):
-            f = len(v)
-            stackable = stackable and not any(a in _FAST_EXPONENTS for a in v)
+        elif callable(v):
+            f = v
         else:
             return id(fn), None
         exact.append((name, v))
@@ -293,8 +304,10 @@ def _stacked(fns, shape: tuple):
             params[name] = _stacked(vals, shape)
         elif isinstance(v, tuple):
             params[name] = tuple(np.array(c).reshape(shape) for c in zip(*vals))
-        else:
+        elif isinstance(v, float):
             params[name] = np.array(vals).reshape(shape)
+        else:  # a function parameter, the same object for the whole family
+            params[name] = v
     return functools.partial(fns[0].func, **params)
 
 
@@ -350,13 +363,14 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
 
     With spectral data ``(lam, V)`` of ``s1`` and ``(mu, U)`` of ``s2``
     returns ``W_ij = F(mu_i / lam_j)`` and ``[U* A V for A in operands]``.
-    Stacked states and operands broadcast over their leading axes.  F is
-    one kernel, or a tuple of kernels with one per member of the grid's
-    leading axis; each member's grid then equals that kernel's own grid.
+    An operand None is the identity, rotated as ``U* V`` (bit for bit
+    ``U* I V``).  Stacked states and operands broadcast over their leading
+    axes.  F is one kernel, or a tuple of kernels with one per member of the
+    grid's leading axis; each member's grid then equals that kernel's own.
     """
     W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
-    U2h = dagger(s2.eigenvectors)
-    return W, [U2h @ A @ s1.eigenvectors for A in operands]
+    U2h, V = dagger(s2.eigenvectors), s1.eigenvectors
+    return W, [U2h @ V if A is None else U2h @ A @ V for A in operands]
 
 
 def relmod_apply(F, D1, D2, A) -> np.ndarray:

@@ -35,6 +35,8 @@ from . import linalg
 from .errors import DomainError, InvariantViolation
 from .functions import covariance_kernel, neglog_kernel, renyi_kernel
 
+_NEGLOG = neglog_kernel()
+
 
 def digest_inputs(*parts) -> str:
     """Short stable hash of arrays, states (as their matrix) and parameters, for reports."""
@@ -94,7 +96,7 @@ def commutator_direction(D, X) -> np.ndarray:
 
 def _metric_denominator(w: np.ndarray, W: np.ndarray) -> np.ndarray:
     denom = w[..., None, :] * W
-    if float(np.min(denom)) <= 0.0:
+    if float(denom.min()) <= 0.0:
         raise DomainError("singular metric: the kernel vanishes on a spectrum ratio")
     return denom
 
@@ -136,17 +138,18 @@ def quasi_entropy(F, A, D1, D2) -> np.ndarray:
     ``sum_ij F(mu_i/lam_j) |<u_i, A v_j>|^2 lam_j`` over the eigenbases of
     D2 (mu, u) and D1 (lam, v).  A real numpy scalar for 2-D input, or an
     array over the broadcast leading axes of stacked states and operands.
+    ``A = None`` is the one spelling of the identity operand: the values of
+    ``A = I`` bit for bit, with no identity matrix built or multiplied.
     """
     s1, s2 = _states(D1, D2)
-    A = _operand(A, s1)
+    A = None if A is None else _operand(A, s1)
     W, (M,) = linalg.relmod_grid(F, s1, s2, A)
     return (W * (np.abs(M) ** 2) * s1.eigenvalues[..., None, :]).sum(axis=(-2, -1))
 
 
 def umegaki(D1, D2):
     """Relative entropy ``Tr D1 (log D1 - log D2)`` (natural log), the quasi-entropy of ``-log x``."""
-    s1, s2 = _states(D1, D2)
-    return _real(quasi_entropy(neglog_kernel(), np.eye(s1.shape[-1]), s1, s2))
+    return _real(quasi_entropy(_NEGLOG, None, D1, D2))
 
 
 def renyi(alpha: float, D1, D2):
@@ -156,9 +159,7 @@ def renyi(alpha: float, D1, D2):
     conflating it with the relative-entropy limit would hide convergence
     behaviour.
     """
-    F = renyi_kernel(alpha)
-    s1, s2 = _states(D1, D2)
-    return _real(quasi_entropy(F, np.eye(s1.shape[-1]), s1, s2))
+    return _real(quasi_entropy(renyi_kernel(alpha), None, D1, D2))
 
 
 def sym_cov(D, A, B):
@@ -236,6 +237,8 @@ def wyd_direct(p, D, X):
     e = np.asarray(p, dtype=float)[..., None]
     if not all(0.0 < v < 1.0 for v in e.ravel().tolist()):  # NaN fails too
         raise DomainError(f"p must lie inside (0, 1), got {p!r}")
+    if e.ndim > 1 and e.shape[:-1] != np.shape(D)[:-2]:
+        raise DomainError(f"exponents of shape {e.shape[:-1]} do not match stack shape {np.shape(D)[:-2]}")
     s = linalg.state(D)
     X = _observable(X, s)
     Dp = linalg.apply_matrix_function(lambda x: x ** e, s)

@@ -235,7 +235,7 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     def stencil(hs: np.ndarray, pts: linalg.State, rows: np.ndarray) -> np.ndarray:
         # g[r, k, a, b] = S_F(first point a, second point b) of member r at step k
         F_rows = tuple(F[i] for i in rows) if isinstance(F, tuple) else F
-        g = quantities.quasi_entropy(F_rows, eye, pts[:, :, 0, :, None], pts[:, :, 1, None, :])
+        g = quantities.quasi_entropy(F_rows, None, pts[:, :, 0, :, None], pts[:, :, 1, None, :])
         return (g[..., 0, 0] - g[..., 0, 1] - g[..., 1, 0] + g[..., 1, 1]) / (4.0 * hs * hs)
 
     value, err = np.zeros(len(D)), np.zeros(len(D))
@@ -906,7 +906,7 @@ def _evaluate_renyi_limit(n, trials):
     pair = linalg.state(_densities(np.stack(trials, axis=1), min(0.03, 0.5 / n)))
     D1, D2 = pair[0], pair[1]
     S = quantities.umegaki(D1, D2)
-    c1 = S - quantities.quasi_entropy(_log_squared, np.eye(n), D1, D2) / 2.0
+    c1 = S - quantities.quasi_entropy(_log_squared, None, D1, D2) / 2.0
     R = {a: quantities.renyi(a, D1, D2) for a in (0.01, 0.001)}
     rem = {a: abs(R[a] - S - a * c1) for a in R}
     margins = rem[0.01] - 10.0 ** 1.5 * rem[0.001]

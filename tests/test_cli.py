@@ -358,3 +358,22 @@ def test_list_output(capsys):
     for name in SUITE_NAMES:
         assert name in out
     assert len(SUITE_NAMES) == 13
+
+
+@pytest.mark.parametrize("kernel", ["neglog", "power:0.5", "power:2", "identity"])
+def test_compute_quasi_entropy_without_obs_prints_the_identity_operands_value(tmp_path, kernel, capsys):
+    rng = np.random.default_rng(5)
+    paths = {}
+    for name, M in (
+        ("d1", np.asarray(verify.random_density(3, 0.05, rng))),
+        ("d2", np.asarray(verify.random_density(3, 0.05, rng))),
+        ("eye", np.eye(3, dtype=complex)),
+    ):
+        paths[name] = str(tmp_path / f"{name}.json")
+        cli.write_matrix(paths[name], M)
+    args = ["compute", "quasi-entropy", "--kernel", kernel, "--state", paths["d1"], "--state2", paths["d2"]]
+    printed = []
+    for extra in ([], ["--obs", paths["eye"]]):
+        assert cli.main(args + extra) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].strip()

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -422,3 +423,24 @@ def test_check_operator_monotone_accepts_a_constant_function():
     assert rep.passed and abs(rep.loewner_margin) <= 1e-12 and rep.pick_margin == 0.0
     both = fn.check_operator_monotone((lambda x: 1.0, fn.sld()), seed=(3, 4), trials=5)
     assert both.passed.tolist() == [True, True] and both.loewner_margin[0] == rep.loewner_margin
+
+
+def test_series_kernel_values_away_from_one_do_not_depend_on_a_point_in_the_window():
+    # a point inside the window is evaluated by the series; the others must not move
+    x = np.geomspace(0.05, 20.0, 13)
+    for f in (fn.kubo_mori(), fn.wyd(0.3), fn.wyd(0.5), fn.covariance_kernel(fn.wyd(0.7))):
+        far = linalg.eval_scalar(f, x)
+        near = linalg.eval_scalar(f, np.append(x, 1.0 + 5e-5))
+        assert far.tobytes() == near[:-1].tobytes(), f.name
+
+
+def test_kernel_calls_outside_eval_scalar_do_not_warn():
+    # (x - 1)^2 overflows at 1e200: ignored by every path that calls a kernel's fn
+    x = np.array([1e-200, 0.5, 1.0, 2.0, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (fn.wyd(0.3), fn.kubo_mori(), fn.neglog_kernel()):
+            f(np.append(x, 0.0))
+        fn.check_standard(fn.wyd(0.3), grid=x)
+        with pytest.raises(DomainError, match="undefined"):
+            linalg.eval_scalar(fn.wyd(0.3), x)

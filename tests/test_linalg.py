@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -459,3 +460,126 @@ def test_superoperator_apply_matches_vec_convention():
     A = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
     expected = D2.matrix @ A @ np.linalg.inv(D1.matrix)
     assert_allclose(linalg.relmod_dense(lambda x: x, D1, D2, A), expected, atol=1e-10)
+
+
+def _outcome(check, M):
+    """What ``check(M)`` does: the exception type and message, or the bytes of its arrays."""
+    try:
+        out = check(M)
+    except Exception as exc:  # noqa: BLE001  (the refusal itself is compared)
+        return "raised", type(exc), str(exc)
+    if isinstance(out, linalg.State):
+        return "accepted", out.eigenvalues.tobytes(), out.eigenvectors.tobytes(), out.matrix.tobytes()
+    return "accepted", out.tobytes()
+
+
+def _member(check):
+    """``check`` of a one-member stack, reduced to its member like a 2-D call."""
+    return lambda M: check(M[None])[0]
+
+
+_SINGLE_MATRICES = {
+    "asymmetric": np.array([[0.5, 1e-3], [0.0, 0.5]]),
+    "within-roundoff": np.array([[0.5, 0.1 + 1e-14j], [0.1 - 3e-14j, 0.5]]),
+    "inf": np.array([[np.inf, 0.0], [0.0, 0.5]]),
+    "imaginary-inf": np.array([[0.5, complex(0.0, np.inf)], [0.0, 0.5]]),
+    "nan": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    "off-trace": np.diag([0.6, 0.5]),
+    "nan-trace": np.diag([np.nan, 0.5]),
+    "below-floor": np.diag([1.0 - 1e-11, 1e-11]),
+    "negative": np.diag([1.5, -0.5]),
+    "density": np.asarray(random_density(4, 0.05, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SINGLE_MATRICES))
+@pytest.mark.parametrize("check", [linalg.as_hermitian, linalg.as_density, linalg.state])
+def test_a_single_matrix_is_decided_as_a_one_member_stack(check, name):
+    # one matrix is decided on Python floats, by the stack's checks and with its messages
+    M = _SINGLE_MATRICES[name].astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(check, M) == _outcome(_member(check), M)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_accepted_single_matrices_equal_the_stack_path_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        D = np.asarray(random_density(n, 0.5 / n, rng))
+        # roundoff asymmetry that both paths absorb
+        D = D + 1e-15 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for check in (linalg.as_hermitian, linalg.as_density, linalg.state):
+            single = _outcome(check, D)
+            assert single[0] == "accepted" and single == _outcome(_member(check), D)
+
+
+def test_relmod_grid_spells_the_identity_operand_none():
+    s1 = linalg.state(_densities(3, 4))
+    s2 = linalg.state(_densities(6, 4)[3:])
+    for F in (fn.power_kernel(0.5), (fn.sld(), fn.wyd(0.3), fn.harmonic())):
+        W, (M,) = linalg.relmod_grid(F, s1, s2, None)
+        W_eye, (M_eye,) = linalg.relmod_grid(F, s1, s2, np.eye(4))
+        assert W.tobytes() == W_eye.tobytes() and M.tobytes() == M_eye.tobytes()
+
+
+def test_multiplicative_and_function_parameters_stack_and_exponents_keep_fast_scalars(monkeypatch):
+    kernels = (
+        fn.covariance_kernel(fn.sld()),  # f0 = 0.5 and the function base=_sld
+        fn.hansen_mixture(fn.dirac(0.3)),  # weight 1.0
+        fn.wyd(0.5),
+        fn.extremal_metric(0.5),
+        fn.power_kernel(0.5),
+        fn.covariance_kernel(fn.sld()),
+        fn.hansen_mixture(fn.dirac(0.8)),
+        fn.wyd(0.3),
+        fn.extremal_metric(0.25),
+        fn.power_kernel(2.0),
+        fn.power_kernel(0.3),
+        fn.hansen_mixture(fn.DiscreteMeasure((0.2, 0.7), (0.5, 0.5))),
+        fn.hansen_mixture(fn.DiscreteMeasure((0.4, 0.9), (0.25, 0.75))),
+    )
+    x = _ratio_grids(len(kernels), 4, np.random.default_rng(11))
+    calls = []
+    original = linalg.eval_scalar
+
+    def counted(h, points):
+        calls.append((h, len(points) if np.ndim(points) == x.ndim else 1))
+        return original(h, points)
+
+    monkeypatch.setattr(linalg, "eval_scalar", counted)
+    W = linalg._kernel_grid(kernels, x)
+    for j, f in enumerate(kernels):
+        assert _bits(W[j]) == _bits(original(f, x[j])), f.name
+    # cov[sld], the Dirac mixtures, the extremal pair and the two-atom mixtures are one call each
+    assert sorted(size for _, size in calls) == [1, 1, 1, 1, 1, 2, 2, 2, 2]
+    # exponents at numpy's fast values keep their scalar: each is its own kernel's call
+    lone = [h for h, size in calls if size == 1]
+    for f in (fn.wyd(0.5), fn.power_kernel(0.5), fn.power_kernel(2.0)):
+        assert any(h.func is f.fn.func and h.keywords == f.fn.keywords for h in lone), f.name
+
+
+@fn._family("q")
+def _declared(x, q, k):
+    return k * x ** q
+
+
+def _undeclared(x, q, k):
+    return k * x ** q
+
+
+def test_only_declared_exponents_keep_fast_scalars_and_undeclared_families_keep_every_one():
+    keys = linalg._kernel_keys
+    assert keys(functools.partial(_declared, q=0.5, k=1.5))[1] is None
+    assert keys(functools.partial(_declared, q=0.3, k=0.5))[1] is not None
+    # without a declaration any float parameter may be an exponent
+    assert keys(functools.partial(_undeclared, q=0.3, k=0.5))[1] is None
+    assert keys(functools.partial(_undeclared, q=0.3, k=1.5))[1] is not None
+    catalog = (fn._wyd, fn._extremal_kernel, fn._extremal_metric, fn._hansen, fn._covariance, fn._power, fn._renyi)
+    assert [f.exponents for f in catalog] == [("p",), (), (), (), (), ("alpha",), ("alpha",)]
+    # the stacked family call equals each member's own call bit for bit
+    kernels = tuple(functools.partial(_declared, q=q, k=k) for q, k in ((0.3, 0.5), (0.7, 1.0), (1.5, 2.0)))
+    x = _ratio_grids(len(kernels), 4, np.random.default_rng(5))
+    W = linalg._kernel_grid(kernels, x)
+    for j, f in enumerate(kernels):
+        assert _bits(W[j]) == _bits(linalg.eval_scalar(f, x[j]))

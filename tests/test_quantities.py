@@ -545,3 +545,46 @@ def test_a_tuple_of_kernels_is_refused_when_any_is_not_standard():
     X = np.stack([np.eye(2, dtype=complex)] * 2)
     with pytest.raises(DomainError, match="standard kernel"):
         qt.fisher((fn.sld(), fn.power_kernel(0.5)), s, X, X)
+
+
+def _bytes(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_identity_operand_none_equals_the_identity_matrix_bit_for_bit(n):
+    rng = np.random.default_rng(80 + n)
+
+    def densities(*shape):
+        k = int(np.prod(shape))
+        return np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(k)]).reshape(*shape, n, n)
+
+    eye = np.eye(n)
+    D1, D2 = densities(4), densities(4)
+    kernels = (fn.neglog_kernel(), fn.renyi_kernel(-0.4), fn.power_kernel(0.5), fn.wyd(0.3), np.sqrt)
+    for F in kernels:
+        assert _bytes(qt.quasi_entropy(F, None, D1[0], D2[0])) == _bytes(qt.quasi_entropy(F, eye, D1[0], D2[0]))
+        assert _bytes(qt.quasi_entropy(F, None, D1, D2)) == _bytes(qt.quasi_entropy(F, eye, D1, D2))
+    per_member = kernels[:4]
+    assert _bytes(qt.quasi_entropy(per_member, None, D1, D2)) == _bytes(qt.quasi_entropy(per_member, eye, D1, D2))
+    # the finite-difference stencil's broadcast: (m, S, 2, 1, n, n) x (m, S, 1, 2, n, n)
+    pts = linalg.state(densities(3, 2, 2, 2))
+    first, second = pts[:, :, 0, :, None], pts[:, :, 1, None, :]
+    for F in (fn.power_kernel(2.0), (fn.neglog_kernel(), fn.wyd(0.3), fn.power_kernel(0.7))):
+        g = qt.quasi_entropy(F, None, first, second)
+        assert g.shape == (3, 2, 2, 2)
+        assert _bytes(g) == _bytes(qt.quasi_entropy(F, eye, first, second))
+
+
+def test_wyd_direct_refuses_an_exponent_array_that_does_not_match_the_stack():
+    rng = np.random.default_rng(31)
+    D, X = random_density(3, 0.1, rng), random_hermitian(3, rng)
+    with pytest.raises(DomainError, match=r"exponents of shape \(1,\) do not match stack shape \(\)"):
+        qt.wyd_direct(np.array([0.5]), D, X)
+    s = linalg.state(np.stack([np.asarray(random_density(3, 0.1, rng)) for _ in range(2)]))
+    Xs = np.stack([random_hermitian(3, rng) for _ in range(2)])
+    with pytest.raises(DomainError, match=r"exponents of shape \(3,\) do not match stack shape \(2,\)"):
+        qt.wyd_direct(np.array([0.3, 0.4, 0.6]), s, Xs)
+    with pytest.raises(DomainError, match="do not match"):
+        qt.wyd_direct(np.array([[0.3, 0.4]]), s, Xs)
+    assert qt.wyd_direct(np.array([0.3, 0.4]), s, Xs).shape == (2,)
