@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Per-dimension times of the spectral layers, one JSON document on stdout.
 
-For each n in {2, 4, 8, 16, 64, 256} it times, on a seeded random density
-and observable:
+For each n in {2, 4, 8, 16, 32, 48, 64, 256} it times, on a seeded random
+density and observable:
 
 - validation: ``linalg.as_hermitian`` and ``linalg.as_density``;
 - ``np.linalg.eigh`` of the density;
@@ -13,11 +13,18 @@ and observable:
 - the eigenbasis contraction ``sum_ij W_ij |(U* A U)_ij|^2 w_j``;
 - two whole quantities on validated states (``linalg.State``), where only
   per-call work is left: ``quantities.umegaki`` of two states (the
-  identity operand) and ``quantities.skew_info`` with ``wyd:0.3``.
+  identity operand) and ``quantities.skew_info`` with ``wyd:0.3``;
+- ``quantities.umegaki`` of two arrays, which validates and decomposes
+  them as a pair (``linalg.state_pair``; concurrently from
+  ``linalg.PAIR_THREAD_DIM`` on), and, as a ratio, its time with the pair
+  decomposed concurrently at every n over that of the same call after two
+  sequential ``linalg.state`` calls.  The ratio per n is the measurement
+  behind ``PAIR_THREAD_DIM``: below 1 the thread wins.
 
-Each figure is the median over 7 timings of one call, where a timing runs
-the call enough times to last at least 20 ms.  BLAS runs on one thread, as
-in the benchmark.
+Each time is the median over 7 timings of one call, where a timing runs
+the call enough times to last at least 20 ms; the ratio is the median
+over 25 rounds that time the two calls back to back.  BLAS runs on one
+thread, as in the benchmark.
 
     PYTHONPATH=src python3 scripts/layer_times.py --seed 0 > layer_times.json
 """
@@ -37,9 +44,10 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 
 from qig import functions, linalg, quantities, verify  # noqa: E402
 
-DIMS = (2, 4, 8, 16, 64, 256)
+DIMS = (2, 4, 8, 16, 32, 48, 64, 256)
 MIN_SECONDS = 0.02
 REPEATS = 7
+RATIO_ROUNDS = 25
 
 
 def _mixed_kernels() -> tuple:
@@ -56,24 +64,45 @@ def _mixed_kernels() -> tuple:
     )
 
 
-def _per_call(fn) -> float:
-    """Median seconds of one call of fn over ``REPEATS`` timings."""
+def _timing(fn, number: int) -> float:
+    """Seconds per call of fn over ``number`` calls in a row."""
+    start = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return (time.perf_counter() - start) / number
+
+
+def _number(fn) -> int:
+    """Calls of fn (a power of two) that last at least ``MIN_SECONDS``."""
     fn()
     number = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        if time.perf_counter() - start >= MIN_SECONDS:
-            break
+    while _timing(fn, number) * number < MIN_SECONDS:
         number *= 2
-    samples = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        samples.append((time.perf_counter() - start) / number)
-    return statistics.median(samples)
+    return number
+
+
+def _per_call(fn) -> float:
+    """Median seconds of one call of fn over ``REPEATS`` timings."""
+    number = _number(fn)
+    return statistics.median(_timing(fn, number) for _ in range(REPEATS))
+
+
+def _threaded_ratio(D1, D2) -> float:
+    """``umegaki`` of two arrays decomposed as a threaded pair at any n, over two sequential ``state`` calls.
+
+    The median over ``RATIO_ROUNDS`` rounds that time the two back to back,
+    which keeps a drift in machine speed out of the ratio.
+    """
+    threaded = lambda: quantities.umegaki(D1, D2)
+    sequential = lambda: quantities.umegaki(linalg.state(D1), linalg.state(D2))
+    crossover, linalg.PAIR_THREAD_DIM = linalg.PAIR_THREAD_DIM, 1
+    try:
+        number = _number(sequential)
+        return statistics.median(
+            _timing(threaded, number) / _timing(sequential, number) for _ in range(RATIO_ROUNDS)
+        )
+    finally:
+        linalg.PAIR_THREAD_DIM = crossover
 
 
 def layer_times(n: int, seed: int) -> dict:
@@ -81,6 +110,7 @@ def layer_times(n: int, seed: int) -> dict:
     D = np.asarray(verify.random_density(n, 0.5 / n, rng))
     A = verify.random_hermitian(n, rng)
     s1, s2 = linalg.state(D), verify.random_density(n, 0.5 / n, rng)
+    D2 = np.asarray(s2)
     w, U = np.linalg.eigh(D)
     x = w[:, None] / w[None, :]
     kernels = _mixed_kernels()
@@ -102,6 +132,8 @@ def layer_times(n: int, seed: int) -> dict:
         "contraction_s": _per_call(contraction),
         "umegaki_states_s": _per_call(lambda: quantities.umegaki(s1, s2)),
         "skew_info_state_s": _per_call(lambda: quantities.skew_info(one, s1, A)),
+        "umegaki_arrays_s": _per_call(lambda: quantities.umegaki(D, D2)),
+        "umegaki_arrays_threaded_over_sequential": _threaded_ratio(D, D2),
     }
 
 
@@ -118,7 +150,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median",
+        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
     }
     json.dump(out, sys.stdout, indent=1)

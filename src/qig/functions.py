@@ -352,11 +352,22 @@ def _grid_values(fs: tuple, x: np.ndarray, dtype=float) -> np.ndarray:
     return linalg._kernel_grid(fs, np.tile(x, (len(fs), 1)), core=1, evaluate=evaluate)
 
 
+#: probe points must lie in [1/PROBE_LIMIT, PROBE_LIMIT]: there ``(x - 1)^2``,
+#: ``1/x`` and products of two standard kernels' values stay finite
+PROBE_LIMIT = 1e150
+
+
 def _probe_points(grid) -> np.ndarray:
-    """The grid (the default probe grid for None), flat; refuses an empty, non-positive or NaN grid."""
+    """The grid (the default probe grid for None), flat.
+
+    Refuses an empty, non-positive or NaN grid, and points outside
+    ``[1/PROBE_LIMIT, PROBE_LIMIT]``, where the checks would overflow.
+    """
     x = np.asarray(_PROBE_GRID if grid is None else grid, dtype=float).reshape(-1)
     if x.size == 0 or not np.all(x > 0.0):  # negated, so that NaN fails
         raise DomainError("probe grid must be nonempty and strictly positive")
+    if not np.all((x >= 1.0 / PROBE_LIMIT) & (x <= PROBE_LIMIT)):
+        raise DomainError(f"probe grid points must lie in [{1.0 / PROBE_LIMIT:.0e}, {PROBE_LIMIT:.0e}]")
     return x
 
 

@@ -23,6 +23,14 @@ their parameters stacked.  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
+Every two-state quantity (:func:`relmod_apply` here, and the
+quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
+its densities through :func:`state_pair`.  From dimension
+:data:`PAIR_THREAD_DIM` on, and when the environment pins BLAS to one
+thread, it decomposes the two concurrently, D2 on a thread that is joined
+before the call returns or raises; the values, exceptions and messages are
+those of two sequential :func:`state` calls.
+
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
 call and with a tuple of functions as :func:`relmod_grid`, and so does :func:`phase_fixed_qr`: it turns a stack of Ginibre
 matrices (built by :func:`ginibre` from raw :func:`draw_ginibre` draws)
@@ -36,6 +44,8 @@ function of its inputs.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +56,14 @@ HERMITIAN_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIG_FLOOR = 1e-10
 DENSE_DIM_LIMIT = 32
+#: from this dimension on, :func:`state_pair` decomposes its two densities
+#: concurrently; below it, starting a thread costs more than the overlap saves
+#: (``umegaki_arrays_threaded_over_sequential`` of ``scripts/layer_times.py``,
+#: with BLAS on one thread)
+PAIR_THREAD_DIM = 48
+#: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`state_pair`
+#: overlaps its decompositions only when all of them are "1"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: exponents that numpy applies by sqrt, square, copy or reciprocal when the
 #: exponent is a scalar; as elements of an exponent array they go through pow
 _FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
@@ -55,6 +73,8 @@ def _square(M, what: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvariantViolation(f"{what} must be square, got shape {M.shape}")
+    if M.shape[-1] == 0:
+        raise InvariantViolation(f"{what} must have a nonzero dimension, got shape {M.shape}")
     return M
 
 
@@ -204,6 +224,46 @@ def state(D, label: str = "state") -> State:
     w, U = _eigh(H, label)
     _check_density(H, w[..., 0])
     return State(w, U, H)
+
+
+def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
+    """``(state(D1, label1), state(D2, label2))``: the same States, exceptions and messages.
+
+    When D1 is an array of dimension :data:`PAIR_THREAD_DIM` or more, D2 is
+    not a State and the environment pins BLAS to one thread (every one of
+    :data:`BLAS_THREAD_VARIABLES` set to ``"1"``), ``state(D2, label2)`` runs
+    on a thread of its own while ``state(D1, label1)`` runs on the caller's
+    (numpy releases the GIL inside LAPACK).  The thread is joined before
+    anything is returned or raised, and D1's exception, if any, is raised
+    before D2's, as two sequential calls would.  Otherwise the two calls run
+    in turn: with a multi-threaded BLAS the two decompositions compete with
+    BLAS's own threads and the overlap loses.
+    """
+    if (
+        isinstance(D2, State)
+        or not isinstance(D1, np.ndarray)
+        or D1.ndim < 2
+        or D1.shape[-1] < PAIR_THREAD_DIM
+        or any(os.environ.get(name) != "1" for name in BLAS_THREAD_VARIABLES)
+    ):
+        return state(D1, label1), state(D2, label2)
+    second = []
+
+    def decompose_second():
+        try:
+            second.append(state(D2, label2))
+        except BaseException as exc:  # raised on the caller's thread after D1's outcome
+            second.append(exc)
+
+    worker = threading.Thread(target=decompose_second)
+    worker.start()
+    try:
+        first = state(D1, label1)
+    finally:
+        worker.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return first, second[0]
 
 
 def screened_state(D, label: str = "state") -> tuple[State, np.ndarray]:
@@ -382,8 +442,7 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     ``D2 A D1^{-1}``.  Takes equal-shape stacks of states and operands, with
     F one kernel or a tuple of one per member, like :func:`relmod_grid`.
     """
-    s1 = state(D1, "first density")
-    s2 = state(D2, "second density")
+    s1, s2 = state_pair(D1, D2, "first density", "second density")
     _same_dim(s1, s2)
     A = _square(A, "operand")
     _same_dim(A, s1)

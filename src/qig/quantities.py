@@ -61,8 +61,7 @@ def _operand(A, like, what: str = "operand") -> np.ndarray:
 
 
 def _states(D1, D2) -> tuple[linalg.State, linalg.State]:
-    s1 = linalg.state(D1, "first state")
-    s2 = linalg.state(D2, "second state")
+    s1, s2 = linalg.state_pair(D1, D2, "first state", "second state")
     if s1.shape[-1] != s2.shape[-1]:
         raise InvariantViolation(f"state dimensions differ: {s1.shape} vs {s2.shape}")
     return s1, s2

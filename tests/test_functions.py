@@ -199,6 +199,19 @@ def test_check_standard_grid_validation():
     assert fn.scalar_inequality_check(fn.sld(), fn.sld(), grid=[2.0, 3.0]).passed
 
 
+def test_probe_points_where_the_checks_overflow_are_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape("probe grid points must lie in [1e-150, 1e+150]")):
+            fn.scalar_inequality_check(fn.sld(), fn.sld(), grid=[0.5, 2.0, 1e200])
+        with pytest.raises(DomainError, match=re.escape("probe grid points must lie in [1e-150, 1e+150]")):
+            fn.check_standard(fn.wyd(0.3), grid=[1e-200, 0.5, 2.0, 1e200])
+        # the ends of the range are probe points
+        edges = [1.0 / fn.PROBE_LIMIT, 0.5, 2.0, fn.PROBE_LIMIT]
+        assert fn.scalar_inequality_check(fn.sld(), fn.sld(), grid=edges).min_margin == 0.0
+        assert np.isfinite(fn.check_standard(fn.wyd(0.3), grid=edges).symmetry)
+
+
 def test_check_operator_monotone_passes_affine():
     rep = fn.check_operator_monotone(fn.sld(), seed=0, trials=20, dim=3)
     assert rep.passed
@@ -441,6 +454,7 @@ def test_kernel_calls_outside_eval_scalar_do_not_warn():
         warnings.simplefilter("error")
         for f in (fn.wyd(0.3), fn.kubo_mori(), fn.neglog_kernel()):
             f(np.append(x, 0.0))
-        fn.check_standard(fn.wyd(0.3), grid=x)
+        with pytest.raises(DomainError, match="probe grid points must lie in"):
+            fn.check_standard(fn.wyd(0.3), grid=x)
         with pytest.raises(DomainError, match="undefined"):
             linalg.eval_scalar(fn.wyd(0.3), x)

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qig import functions as fn, linalg
+from qig import functions as fn, linalg, quantities
 from qig.errors import DomainError, InvariantViolation
 from qig.verify import random_density, random_hermitian
 
@@ -583,3 +585,67 @@ def test_only_declared_exponents_keep_fast_scalars_and_undeclared_families_keep_
     W = linalg._kernel_grid(kernels, x)
     for j, f in enumerate(kernels):
         assert _bits(W[j]) == _bits(linalg.eval_scalar(f, x[j]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+@pytest.mark.parametrize("check", [linalg.as_hermitian, linalg.as_density, linalg.state])
+def test_a_zero_dimension_is_refused(check, shape):
+    with pytest.raises(InvariantViolation, match=r"must have a nonzero dimension, got shape \(.*0, 0\)"):
+        check(np.zeros(shape))
+
+
+def _pair_inputs(n: int) -> dict:
+    """A density, one whose ``eigh`` the test makes fail, and one rejected input of each kind."""
+    rng = np.random.default_rng(80 + n)
+    good, stuck = (np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(2))
+    asymmetric, nan = good.copy(), good.copy()
+    asymmetric[0, 1] += 1e-3
+    nan[0, 1] = nan[1, 0] = np.nan
+    below_floor = np.diag(np.r_[1e-11, np.full(n - 1, (1.0 - 1e-11) / (n - 1))])
+    return {
+        "good": good, "stuck": stuck, "asymmetric": asymmetric, "nan": nan,
+        "off-trace": 1.1 * good, "below-floor": below_floor, "not-square": good[:, :-1],
+        "empty": np.zeros((0, 0)), "text": "x", "ragged": [[1.0, 0.0], [0.0]],
+    }
+
+
+def _pair_outcome(call, D1, D2):
+    """What ``call(D1, D2)`` does: the exception type and message, or the bytes of its States or array."""
+    try:
+        out = call(D1, D2)
+    except Exception as exc:  # noqa: BLE001  (the refusal itself is compared)
+        return "raised", type(exc), str(exc)
+    if isinstance(out, tuple):
+        return "accepted", [(s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), s.matrix.tobytes()) for s in out]
+    return "accepted", np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, linalg.PAIR_THREAD_DIM])
+def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeypatch):
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    inputs = _pair_inputs(n)
+    original = np.linalg.eigh
+
+    def eigh(H):
+        if np.array_equal(H, inputs["stuck"]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    F, A = fn.power_kernel(0.5), np.eye(n)
+    calls = [
+        (lambda D1, D2: linalg.state_pair(D1, D2, "first", "second"),
+         lambda D1, D2: (linalg.state(D1, "first"), linalg.state(D2, "second"))),
+        (lambda D1, D2: linalg.relmod_apply(F, D1, D2, A),
+         lambda D1, D2: linalg.relmod_apply(F, linalg.state(D1, "first density"), linalg.state(D2, "second density"), A)),
+        (quantities.umegaki,
+         lambda D1, D2: quantities.umegaki(linalg.state(D1, "first state"), linalg.state(D2, "second state"))),
+    ]
+    threads = threading.active_count()
+    for (k1, D1), (k2, D2) in itertools.product(inputs.items(), repeat=2):
+        for call, sequential in calls:
+            outcome = _pair_outcome(call, D1, D2)
+            assert outcome == _pair_outcome(sequential, D1, D2), (k1, k2)
+            assert outcome[0] == ("accepted" if k1 == k2 == "good" else "raised")
+            assert threading.active_count() == threads

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -588,3 +590,56 @@ def test_wyd_direct_refuses_an_exponent_array_that_does_not_match_the_stack():
     with pytest.raises(DomainError, match="do not match"):
         qt.wyd_direct(np.array([[0.3, 0.4]]), s, Xs)
     assert qt.wyd_direct(np.array([0.3, 0.4]), s, Xs).shape == (2,)
+
+
+def _record_threads(monkeypatch) -> list:
+    """The threads started from now on, through ``threading.Thread``."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("n", [linalg.PAIR_THREAD_DIM - 1, linalg.PAIR_THREAD_DIM, 64, 256])
+def test_two_state_quantities_of_arrays_equal_two_sequential_state_calls_bit_for_bit(n, monkeypatch):
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    started = _record_threads(monkeypatch)
+    rng = np.random.default_rng(90 + n)
+    D1, D2 = (np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(2))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s1, s2 = linalg.state(D1, "first state"), linalg.state(D2, "second state")
+    F = fn.power_kernel(0.5)
+    threads = threading.active_count()
+    for arrays, states in (
+        (lambda: qt.quasi_entropy(F, A, D1, D2), lambda: qt.quasi_entropy(F, A, s1, s2)),
+        (lambda: qt.umegaki(D1, D2), lambda: qt.umegaki(s1, s2)),
+        (lambda: qt.renyi(-0.4, D1, D2), lambda: qt.renyi(-0.4, s1, s2)),
+        (lambda: linalg.relmod_apply(F, D1, D2, A), lambda: linalg.relmod_apply(F, s1, s2, A)),
+    ):
+        assert _bytes(arrays()) == _bytes(states())
+        assert threading.active_count() == threads
+    # from the crossover on, each call on two arrays decomposed D2 on one thread of its own
+    assert len(started) == (4 if n >= linalg.PAIR_THREAD_DIM else 0)
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("threads", [None, "2", "0", ""])
+def test_two_states_are_decomposed_in_turn_unless_every_blas_variable_pins_one_thread(threads, monkeypatch):
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    # one variable that is unset or not "1" leaves BLAS free to run threads of its own
+    if threads is None:
+        monkeypatch.delenv(linalg.BLAS_THREAD_VARIABLES[1])
+    else:
+        monkeypatch.setenv(linalg.BLAS_THREAD_VARIABLES[1], threads)
+    started = _record_threads(monkeypatch)
+    rng = np.random.default_rng(7)
+    D1, D2 = (np.asarray(random_density(64, 0.5 / 64, rng)) for _ in range(2))
+    assert _bytes(qt.umegaki(D1, D2)) == _bytes(qt.umegaki(linalg.state(D1), linalg.state(D2)))
+    assert started == []
