@@ -179,20 +179,3 @@ def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
         return quantities.quasi_entropy(F, A, d1, d2)
 
     return quantities._real(s(mix1, mix2) - weights * s(a1, a2) - (1.0 - weights) * s(b1, b2))
-
-
-def data_processing_margin(F, D1, D2, ch: KrausChannel) -> float:
-    """Reversed-direction margin for operator convex *decreasing* kernels.
-
-    For relative-entropy-like kernels the inequality runs the other way:
-    coarse-graining cannot increase the divergence.  Checked with the
-    identity operand only; kept strictly separate from
-    :func:`monotonicity_margin` so the two directions are never conflated.
-    """
-    D1 = linalg.state(D1)
-    D2 = linalg.state(D2)
-    E1 = linalg.state(apply_state(ch, D1.matrix))
-    E2 = linalg.state(apply_state(ch, D2.matrix))
-    before = quantities.quasi_entropy(F, None, D1, D2)
-    after = quantities.quasi_entropy(F, None, E1, E2)
-    return float(before - after)

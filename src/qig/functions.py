@@ -7,11 +7,13 @@ arithmetic-mean kernel ``(1+x)/2``.  This module holds the named catalog
 (the CLI grammar ``sld | harmonic | kubo-mori | wyd:<p> | extremal:<lambda>
 | hansen:<file>``), the extremal kernel family and its probability
 mixtures, the transform sending a metric function to its covariance
-kernel, and grid/sampling validators for standardness, operator
-monotonicity, and the scalar uncertainty inequality.
+kernel, the Hessian kernel of a quasi-entropy, and grid/sampling
+validators for standardness, operator monotonicity, and the scalar
+uncertainty inequality.
 
-Values at zero are stored analytically per catalog entry, never estimated
-by limit sampling: they multiply whole identities, so they must be exact.
+Values at zero and second derivatives at 1 are stored analytically per
+catalog entry, never estimated numerically: they enter whole identities
+and the exact Hessian reference, so they must be exact.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, FileFormatError, InvariantViolation, VerificationError
+from .errors import DomainError, FileFormatError, InvariantViolation
 
 #: half-width of the window around x = 1 where removable singularities are
 #: evaluated by a second-order expansion instead of the raw formula
@@ -37,9 +39,10 @@ class ScalarFunctionSpec:
     """A scalar function on the positive half-line with exact metadata.
 
     ``value_at_zero`` is the limit at 0+; ``second_derivative_at_one`` is
-    the analytic value when known and None when it has to be estimated
-    numerically.  The ``claims_*`` flags record what the construction
-    guarantees; validators can only falsify them.
+    the analytic value, carried by every catalog kernel; a spec without it
+    (None) has no exact Hessian reference (:func:`hessian_kernel`).  The
+    ``claims_*`` flags record what the construction guarantees; validators
+    can only falsify them.
 
     A parametric constructor's ``fn`` is ``functools.partial(family,
     **params)`` of a module-level family function that is vectorized in
@@ -128,6 +131,15 @@ def _covariance(x, f0, base):
     return 0.5 * ((x + 1.0) - (x - 1.0) ** 2 * f0 / base(x))
 
 
+@_family()
+def _hessian(x, base, d2):
+    return _with_series(
+        lambda r: -(r * base(1.0 / r) + base(r) - (r + 1.0) * base(1.0)) / (r - 1.0) ** 2,
+        lambda t: -d2 * (1.0 - t / 2.0),
+        x,
+    )
+
+
 @_family("alpha")
 def _power(x, alpha):
     return x ** alpha
@@ -212,7 +224,8 @@ def extremal_metric(lam: float) -> ScalarFunctionSpec:
         raise DomainError(f"extremal parameter must lie in [0, 1], got {lam!r}")
     scale = (1.0 + lam) ** 2
     fn = functools.partial(_extremal_metric, lam=lam, scale=scale)
-    return ScalarFunctionSpec(f"extremal:{lam:g}", fn, 2.0 * lam / scale, None, True, True)
+    d2 = -((1.0 - lam) ** 2) / (2.0 * scale)
+    return ScalarFunctionSpec(f"extremal:{lam:g}", fn, 2.0 * lam / scale, d2, True, True)
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,8 @@ def hansen_mixture(measure: DiscreteMeasure) -> ScalarFunctionSpec:
 
     The reciprocal of the result is ``sum_k w_k g_{a_k}``.  The value at
     zero comes analytically from ``g_a(0) = (1+a)^2 / (2a)``: it vanishes
-    exactly when the measure charges the atom 0.
+    exactly when the measure charges the atom 0.  Its second derivative at
+    1 is ``sum_k w_k f_{a_k}''(1)`` over the extremal metrics ``f_{a_k}``.
     """
     charged = [(a, w) for a, w in zip(measure.atoms, measure.weights) if w > 0.0]
     atoms, weights = zip(*charged)
@@ -260,8 +274,9 @@ def hansen_mixture(measure: DiscreteMeasure) -> ScalarFunctionSpec:
         f0 = 0.0
     else:
         f0 = 1.0 / sum(w * (1.0 + a) ** 2 / (2.0 * a) for a, w in charged)
+    d2 = sum(-w * (1.0 - a) ** 2 / (2.0 * (1.0 + a) ** 2) for a, w in charged)
     label = ",".join(f"{a:g}:{w:g}" for a, w in zip(measure.atoms, measure.weights))
-    return ScalarFunctionSpec(f"hansen[{label}]", fn, f0, None, True, True)
+    return ScalarFunctionSpec(f"hansen[{label}]", fn, f0, d2, True, True)
 
 
 def covariance_kernel(f: ScalarFunctionSpec) -> ScalarFunctionSpec:
@@ -282,6 +297,22 @@ def covariance_kernel(f: ScalarFunctionSpec) -> ScalarFunctionSpec:
         return ScalarFunctionSpec(name, _sld, 0.5, 0.0, True, True)
     fn = functools.partial(_covariance, f0=f0, base=f.fn)
     return ScalarFunctionSpec(name, fn, 0.0, -f0, True, True)
+
+
+def hessian_kernel(F: ScalarFunctionSpec) -> ScalarFunctionSpec:
+    """Ratio kernel ``g(r) = -(r F(1/r) + F(r) - (r+1) F(1)) / (r-1)^2`` of the Hessian of ``S_F``.
+
+    The mixed second derivative of ``(t, s) -> S_F(D + tA, D + sB)`` at 0 is
+    ``sum_ab g(w_a/w_b) / w_b conj(At_ab) Bt_ab`` in D's eigenbasis (see
+    :func:`~qig.verify.exact_mixed_derivative`).  Inside ``|r-1| < 1e-4``
+    the kernel is the expansion ``-F''(1) (1 - t/2)``, ``t = r - 1``, which
+    dodges the cancellation of the direct formula; a kernel without a
+    carried ``F''(1)`` is refused.  ``F(1)`` is evaluated inside each call,
+    and the limit at 0 is not tracked (NaN).
+    """
+    d2 = second_derivative_at_one(F)
+    fn = functools.partial(_hessian, base=F.fn, d2=d2)
+    return ScalarFunctionSpec(f"hessian[{F.name}]", fn, math.nan)
 
 
 def power_kernel(alpha: float) -> ScalarFunctionSpec:
@@ -315,7 +346,7 @@ def renyi_kernel(alpha: float) -> ScalarFunctionSpec:
         name=f"renyi:{alpha:g}",
         fn=functools.partial(_renyi, alpha=alpha, c=c),
         value_at_zero=math.inf if alpha < 0.0 else 1.0 / c,
-        second_derivative_at_one=None,
+        second_derivative_at_one=1.0,
         claims_standard=False,
         claims_operator_monotone=False,
     )
@@ -546,35 +577,12 @@ def scalar_inequality_check(f, g, grid=None, threshold: float = 1e-10) -> Scalar
     return ScalarInequalityReport(_unstacked(m, stacked), _unstacked(m >= -threshold, stacked))
 
 
-def second_derivative_at_one(F, agree_tol: float = 1e-6) -> float:
-    """Second derivative of F at 1.
-
-    Returns the stored analytic value when the spec carries one; otherwise
-    Richardson-extrapolated central differences anchored at steps 1e-2 and
-    5e-3, which must agree within ``agree_tol``.
-    """
+def second_derivative_at_one(F) -> float:
+    """The analytic second derivative of F at 1 that the spec carries; a kernel without one is refused."""
     carried = getattr(F, "second_derivative_at_one", None)
-    if carried is not None:
-        return float(carried)
-    fn = getattr(F, "fn", F)
-
-    def val(x: float) -> float:
-        return float(np.asarray(fn(np.asarray(float(x)))))
-
-    f1 = val(1.0)
-
-    def central(h: float) -> float:
-        return (val(1.0 + h) - 2.0 * f1 + val(1.0 - h)) / (h * h)
-
-    def richardson(h: float) -> float:
-        return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-    e1, e2 = richardson(1e-2), richardson(5e-3)
-    if not abs(e1 - e2) <= agree_tol:  # negated, so that a NaN estimate raises too
-        raise VerificationError(
-            f"second-derivative estimates disagree ({e1!r} vs {e2!r}): function too noisy near 1"
-        )
-    return e2
+    if carried is None:
+        raise DomainError(f"kernel {getattr(F, 'name', F)!r} carries no second derivative at 1")
+    return float(carried)
 
 
 def load_measure(path) -> DiscreteMeasure:

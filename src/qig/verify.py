@@ -2,9 +2,11 @@
 
 The mixed second derivative of the quasi-entropy along state perturbations
 is estimated by a central stencil with Richardson extrapolation across a
-step schedule; derivative identities (commuting directions, cross
-directions, the quadratic commutator identity, and the Hessian form of
-skew information) are then checked against their spectral counterparts.
+step schedule, and computed exactly by :func:`exact_mixed_derivative`, the
+Daleckii-Krein double sum over the state's eigenbasis.  The derivative
+identities (commuting directions, cross directions, the quadratic
+commutator identity) are each the gap between the two, and the Hessian
+form of skew information cross-checks its estimate against the exact value.
 Determinant uncertainty margins and all sampling suites live here too.
 
 Suites are deterministic in ``(seed, trials, dims)``: every trial derives
@@ -286,61 +288,59 @@ def _require_commuting(D, A) -> None:
         )
 
 
-def lemma_commuting_residual(F, D, A, B, schedule: StepSchedule | None = None):
-    """Defect of the commuting-direction derivative identity.
+def exact_mixed_derivative(F, D, A, B):
+    """Exact mixed second derivative of ``(t, s) -> S_F(D + tA, D + sB)`` at 0.
 
-    For traceless Hermitian A, B commuting with D the mixed derivative
-    equals ``-F''(1) Tr D^{-1} A B``; returns the absolute difference
-    between the finite-difference value and that spectral formula.  Like
-    every identity below it takes stacks as :func:`mixed_second_derivative`
-    does, and then returns the array of its members' values.
+    The Daleckii-Krein double sum ``sum_ab g(w_a/w_b) / w_b conj(At_ab) Bt_ab``
+    over D's eigenbasis ``(w, U)``, with ``At = U* A U`` and g the
+    :func:`~qig.functions.hessian_kernel` of F (Bhatia, *Matrix Analysis*,
+    ch. V); one decomposition and one ratio grid.  It holds for any
+    Hermitian A, B; F must carry ``F''(1)``.  Takes stacks and per-member
+    kernel tuples as :func:`mixed_second_derivative` does.
     """
     D = linalg.state(D)
-    A = linalg.as_hermitian(A)
-    B = linalg.as_hermitian(B)
-    _require_commuting(D.matrix, A)
-    _require_commuting(D.matrix, B)
+    A, B = (quantities._observable(M, D) for M in (A, B))
+    W, (At, Bt) = linalg.relmod_grid(_each(functions.hessian_kernel, F), D, D, A, B)
+    return _real((np.conj(At) * Bt * (W / D.eigenvalues[..., None, :])).sum(axis=(-2, -1)).real)
+
+
+def _fd_defect(F, D, A, B, schedule: StepSchedule | None):
+    """``|FD - exact|`` along ``(A, B)`` per member; a kernel without ``F''(1)`` fails before the stencil."""
+    exact = exact_mixed_derivative(F, D, A, B)
     fd, _ = mixed_second_derivative(F, D, A, B, schedule)
-    d2 = np.asarray(_each(functions.second_derivative_at_one, F))
-    D_inv = linalg.apply_matrix_function(lambda x: 1.0 / x, D)
-    expected = -d2 * (D_inv @ A @ B).trace(axis1=-2, axis2=-1).real
-    return _real(abs(fd - expected))
+    return _real(abs(fd - exact))
+
+
+def lemma_commuting_residual(F, D, A, B, schedule: StepSchedule | None = None):
+    """Defect of the mixed derivative along directions commuting with D.
+
+    For traceless Hermitian A, B commuting with D the exact value is
+    ``-F''(1) Tr D^{-1} A B``; returns ``|FD - exact|`` against
+    :func:`exact_mixed_derivative`.  Like every identity below it takes
+    stacks as :func:`mixed_second_derivative` does, and then returns the
+    array of its members' values.
+    """
+    D = linalg.state(D)
+    A, B = (linalg.as_hermitian(M) for M in (A, B))
+    for M in (A, B):
+        _require_commuting(D.matrix, M)
+    return _fd_defect(F, D, A, B, schedule)
 
 
 def lemma_cross_residual(F, D, A, X, schedule: StepSchedule | None = None):
-    """Mixed derivative along a commuting direction and a commutator direction.
-
-    The exact value is zero; returns the absolute finite-difference value.
-    """
+    """``|FD - exact|`` along a direction A commuting with D and ``1j[D,X]``; the exact value is zero."""
     D = linalg.state(D)
     A = linalg.as_hermitian(A)
-    X = linalg.as_hermitian(X)
     _require_commuting(D.matrix, A)
-    B = quantities.commutator_direction(D, X)
-    fd, _ = mixed_second_derivative(F, D, A, B, schedule)
-    return _real(abs(fd))
+    B = quantities.commutator_direction(D, linalg.as_hermitian(X))
+    return _fd_defect(F, D, A, B, schedule)
 
 
 def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None):
-    """Defect of the commutator-direction quadratic identity.
-
-    For Hermitian X the mixed derivative along ``(1j[D,X], 1j[D,X])``
-    equals ``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``; returns the absolute
-    difference between the finite-difference value and that trace formula.
-    """
+    """``|FD - exact|`` along ``(1j[D,X], 1j[D,X])``; exact: ``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``."""
     D = linalg.state(D)
-    X = linalg.as_hermitian(X)
-    B = quantities.commutator_direction(D, X)
-    fd, _ = mixed_second_derivative(F, D, B, B, schedule)
-    return _real(abs(fd - _quadratic_trace_form(F, D, X)))
-
-
-def _quadratic_trace_form(F, D: linalg.State, X: np.ndarray):
-    """``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``, the exact commutator-direction derivative."""
-    ones = np.ones((len(F), 1) if isinstance(F, tuple) else 1)
-    f1 = linalg._kernel_grid(F, ones, core=1)[..., 0]
-    quad = quantities.quasi_entropy(F, X, D, D)
-    return _real(2.0 * f1 * (D.matrix @ X @ X).trace(axis1=-2, axis2=-1).real - 2.0 * quad)
+    B = quantities.commutator_direction(D, linalg.as_hermitian(X))
+    return _fd_defect(F, D, B, B, schedule)
 
 
 def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
@@ -351,7 +351,7 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     ``f(0)`` times the metric on that commutator direction.  Returns
     ``(lhs, rhs, relative error)`` with
     ``relerr = |lhs - rhs| / (1 + |rhs|)``; the finite-difference value is
-    also cross-checked against the quadratic trace identity.  Stacks of
+    also cross-checked against :func:`exact_mixed_derivative`.  Stacks of
     states and observables, with f one function or one per member, give
     arrays; a member that fails the cross-check makes the call raise.
     """
@@ -367,12 +367,12 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     lhs, err = mixed_second_derivative(ft, D, B, B, schedule)
     rhs = f0 * quantities.fisher(f, D, B, B).real
     relerr = abs(lhs - rhs) / (1.0 + abs(rhs))
-    trace_form = _quadratic_trace_form(ft, D, X)
-    bad = abs(lhs - trace_form) > np.maximum(1e-6, 10.0 * err)
+    exact = exact_mixed_derivative(ft, D, B, B)
+    bad = abs(lhs - exact) > np.maximum(1e-6, 10.0 * err)
     if bad.any():
         raise VerificationError(
-            f"finite difference disagrees with the quadratic trace identity: "
-            f"{_first(lhs, bad)!r} vs {_first(trace_form, bad)!r}"
+            f"finite difference disagrees with the exact mixed derivative: "
+            f"{_first(lhs, bad)!r} vs {_first(exact, bad)!r}"
         )
     return _real(lhs), _real(rhs), _real(relerr)
 
@@ -583,9 +583,9 @@ _ORACLE_POOL = (
 )
 
 
-def _standard_pool(rng: np.random.Generator, positive_at_zero: bool = False):
+def _standard_pool(rng: np.random.Generator):
     """Draw a catalog standard function with randomized parameters."""
-    return _pick(rng, _POSITIVE_AT_ZERO_POOL if positive_at_zero else _STANDARD_POOL)(rng)
+    return _pick(rng, _STANDARD_POOL)(rng)
 
 
 def _pick(rng: np.random.Generator, seq):
@@ -705,12 +705,17 @@ def _draw_lemma_cross(rng, dims):
 
 
 def _evaluate_lemma_cross(n, trials):
+    """The larger of each trial's cross and quadratic defects, both pairs in one stacked FD call."""
     Fs, raw_D, coeffs, raw_X = zip(*trials)
     D = _group_states(raw_D, _fd_floor(n))
     A = _commuting_units(D, np.stack(coeffs))
     X = _hermitians(np.stack(raw_X))
-    pairs = zip(lemma_cross_residual(Fs, D, A, X), lemma_quadratic_residual(Fs, D, X))
-    return _residual_results([max(float(a), float(b)) for a, b in pairs], _names(Fs), D.matrix, A, X)
+    _require_commuting(D.matrix, A)
+    B = quantities.commutator_direction(D, X)
+    twice = linalg.State(*(np.concatenate([a, a]) for a in (D.eigenvalues, D.eigenvectors, D.matrix)))
+    pairs = _fd_defect(Fs + Fs, twice, np.concatenate([A, B]), np.concatenate([B, B]), None)
+    worst = [max(float(a), float(b)) for a, b in zip(*pairs.reshape(2, -1))]
+    return _residual_results(worst, _names(Fs), D.matrix, A, X)
 
 
 class _MonotonicityDraw(NamedTuple):

@@ -193,21 +193,6 @@ def test_concavity_rejects_bad_weight(qubit_state):
         )
 
 
-def test_data_processing_direction_for_decreasing_kernels():
-    # reversed inequality, identity operand: coarse-graining cannot increase
-    # the divergence for operator convex decreasing kernels
-    rng = np.random.default_rng(20)
-    worst = np.inf
-    kernels = (fn.neglog_kernel(), fn.renyi_kernel(0.5), fn.renyi_kernel(-0.5))
-    for seed in range(50):
-        c = ch.random_channel(3, 3, 2, seed=seed)
-        D1 = random_density(3, 0.05, rng)
-        D2 = random_density(3, 0.05, rng)
-        for F in kernels:
-            worst = min(worst, ch.data_processing_margin(F, D1, D2, c))
-    assert worst >= -1e-8
-
-
 def test_stacked_channel_calls_equal_the_two_d_calls_member_by_member():
     rng = np.random.default_rng(21)
     n_in, n_out, k, m = 3, 2, 2, 5

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qig import functions as fn, linalg
-from qig.errors import DomainError, FileFormatError, InvariantViolation, VerificationError
+from qig.errors import DomainError, FileFormatError, InvariantViolation
 
 
 def test_probe_grid_shape():
@@ -341,24 +341,52 @@ def test_scalar_inequality_needs_standard():
         fn.scalar_inequality_check(fn.sld(), fn.power_kernel(0.5))
 
 
-def test_second_derivative_analytic_and_numeric():
+_CARRIED = (
+    fn.sld(),
+    fn.harmonic(),
+    fn.kubo_mori(),
+    fn.wyd(0.3),
+    fn.extremal_metric(0.0),
+    fn.extremal_metric(0.4),
+    fn.extremal_metric(1.0),
+    fn.hansen_mixture(fn.DiscreteMeasure((0.2, 0.7), (0.4, 0.6))),
+    fn.hansen_mixture(fn.DiscreteMeasure((0.0, 0.5, 1.0), (0.2, 0.3, 0.5))),
+    fn.covariance_kernel(fn.wyd(0.3)),
+    fn.power_kernel(0.5),
+    fn.neglog_kernel(),
+    fn.renyi_kernel(0.5),
+    fn.renyi_kernel(-0.5),
+)
+
+
+@pytest.mark.parametrize("F", _CARRIED, ids=lambda F: F.name)
+def test_carried_second_derivative_matches_a_central_difference_of_the_kernel(F):
+    def central(h):
+        return (F(1.0 + h) - 2.0 * F(1.0) + F(1.0 - h)) / (h * h)
+
+    # Richardson over h = 1e-2, 5e-3: truncation O(h^4), rounding ~1e-11
+    estimate = (4.0 * central(5e-3) - central(1e-2)) / 3.0
+    assert fn.second_derivative_at_one(F) == pytest.approx(float(estimate), abs=1e-8)
+
+
+def test_second_derivative_at_one_is_carried_or_refused():
     assert fn.second_derivative_at_one(fn.power_kernel(2.0)) == 2.0
     assert fn.second_derivative_at_one(fn.power_kernel(1.0)) == 0.0
-    neglog_numeric = fn.ScalarFunctionSpec("nl", lambda x: -np.log(x), math.inf, None, False, False)
-    assert fn.second_derivative_at_one(neglog_numeric) == pytest.approx(1.0, abs=1e-6)
-    assert fn.second_derivative_at_one(lambda x: x**3) == pytest.approx(6.0, abs=1e-6)
+    bare = fn.ScalarFunctionSpec("nl", lambda x: -np.log(x), math.inf, None, False, False)
+    for F in (bare, lambda x: x**3):
+        with pytest.raises(DomainError, match="no second derivative"):
+            fn.second_derivative_at_one(F)
+    with pytest.raises(DomainError, match="no second derivative"):
+        fn.hessian_kernel(bare)
 
 
-def test_second_derivative_noisy_function_rejected():
-    kink = fn.ScalarFunctionSpec("kink", lambda x: np.abs(x - 1.0), 1.0, None, False, False)
-    with pytest.raises(VerificationError):
-        fn.second_derivative_at_one(kink)
-
-
-def test_second_derivative_nan_estimates_are_rejected():
-    # NaN estimates compare false both ways; they must raise, not pass on as the value
-    with pytest.raises(VerificationError, match="disagree"):
-        fn.second_derivative_at_one(lambda x: x * np.nan)
+def test_hessian_kernel_series_meets_the_direct_formula():
+    # g(r) of x^2 is -(r+1)/r in closed form; the window edge sits at |r-1| = 1e-4
+    g = fn.hessian_kernel(fn.power_kernel(2.0))
+    r = 1.0 + np.array([-2e-4, -1e-4 - 1e-12, -1e-4 + 1e-12, 0.0, 1e-4 - 1e-12, 1e-4 + 1e-12, 2e-4])
+    assert_allclose(g(r), -(r + 1.0) / r, rtol=1e-7)
+    assert g(1.0) == -2.0
+    assert fn.hessian_kernel(fn.sld())(np.geomspace(0.1, 10.0, 9)).tolist() == [0.0] * 9
 
 
 @given(st.floats(0.05, 0.95))

@@ -316,6 +316,79 @@ def test_hessian_vs_skew_preconditions(qubit_state, flip):
         vf.hessian_vs_skew(fn.sld(), qubit_state, np.diag([1.0, 0.0]))  # uncentered
 
 
+_HESSIAN_KERNELS = (
+    fn.power_kernel(0.5),
+    fn.power_kernel(2.0),
+    fn.neglog_kernel(),
+    fn.sld(),
+    fn.kubo_mori(),
+    fn.wyd(0.3),
+    fn.extremal_metric(0.4),
+    fn.hansen_mixture(fn.DiscreteMeasure((0.2, 0.7), (0.4, 0.6))),
+    fn.covariance_kernel(fn.wyd(0.3)),
+    fn.renyi_kernel(0.5),
+)
+
+
+def _traceless_stack(m, n, rng):
+    H = np.stack([vf.random_hermitian(n, rng) for _ in range(m)])
+    return H - (np.trace(H, axis1=-2, axis2=-1).real / n)[:, None, None] * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exact_mixed_derivative_equals_the_finite_difference_value(n):
+    rng = np.random.default_rng(40 + n)
+    m = len(_HESSIAN_KERNELS)
+    S = linalg.state(np.stack([np.asarray(vf.random_density(n, vf._fd_floor(n), rng)) for _ in range(m)]))
+    A, B = _traceless_stack(m, n, rng), _traceless_stack(m, n, rng)
+    exact = vf.exact_mixed_derivative(_HESSIAN_KERNELS, S, A, B)
+    fd, _ = vf.mixed_second_derivative(_HESSIAN_KERNELS, S, A, B, vf.StepSchedule((1e-2, 5e-3, 2.5e-3)))
+    assert np.all(np.abs(fd - exact) <= 1e-6 * np.maximum(1.0, np.abs(exact)))
+    for j, F in enumerate(_HESSIAN_KERNELS):
+        assert exact[j] == vf.exact_mixed_derivative(F, S[j], A[j], B[j])
+
+
+@pytest.mark.parametrize("F", _HESSIAN_KERNELS, ids=lambda F: F.name)
+def test_exact_mixed_derivative_along_commuting_directions_is_the_diagonal_formula(F):
+    rng = np.random.default_rng(9)
+    D = vf.random_density(4, 0.1, rng)
+    A, B = vf._commuting_units(D, rng.standard_normal((2, 4)))
+    D_inv = linalg.apply_matrix_function(lambda x: 1.0 / x, D)
+    expected = -fn.second_derivative_at_one(F) * np.trace(D_inv @ A @ B).real
+    assert vf.exact_mixed_derivative(F, D, A, B) == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("F", _HESSIAN_KERNELS, ids=lambda F: F.name)
+def test_exact_mixed_derivative_along_commutator_directions_is_the_trace_form(F):
+    # 2 F(1) Tr D X^2 - 2 S_F^X(D, D) for B = 1j[D, X]
+    rng = np.random.default_rng(10)
+    D = vf.random_density(4, 0.1, rng)
+    X = vf.random_hermitian(4, rng)
+    B = qt.commutator_direction(D, X)
+    f1 = float(np.asarray(F(1.0)))
+    expected = 2.0 * f1 * np.trace(D @ X @ X).real - 2.0 * float(qt.quasi_entropy(F, X, D, D))
+    assert vf.exact_mixed_derivative(F, D, B, B) == pytest.approx(expected, rel=1e-10, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_exact_mixed_derivative_of_a_covariance_kernel_is_f0_times_fisher(n):
+    rng = np.random.default_rng(n)
+    D = vf.random_density(n, 0.1 / n, rng)
+    X = vf.center_observable(D, vf.random_hermitian(n, rng))
+    B = qt.commutator_direction(D, X)
+    for f in (fn.sld(), fn.wyd(0.3), fn.extremal_metric(0.4), _HESSIAN_KERNELS[7]):
+        exact = vf.exact_mixed_derivative(fn.covariance_kernel(f), D, B, B)
+        assert exact == pytest.approx(f.value_at_zero * qt.fisher(f, D, B, B).real, rel=1e-12)
+
+
+def test_exact_mixed_derivative_refuses_a_kernel_without_second_derivative(qubit_state, flip):
+    bare = fn.ScalarFunctionSpec("x^3", lambda x: x**3, 0.0)
+    with pytest.raises(DomainError, match="no second derivative"):
+        vf.exact_mixed_derivative(bare, qubit_state, flip, flip)
+    with pytest.raises(DomainError, match="no second derivative"):
+        vf.lemma_quadratic_residual(bare, qubit_state, flip)
+
+
 def test_cov_gram_single_observable(qubit_state, flip):
     G = vf.cov_gram(fn.sld(), qubit_state, [flip])
     assert_allclose(G, [[1.0]], atol=1e-12)
@@ -512,7 +585,7 @@ def _oracle_chain(rng):
     "draw, chain, size",
     [
         (vf._standard_pool, _standard_chain, 8),
-        (lambda rng: vf._standard_pool(rng, positive_at_zero=True), _positive_at_zero_chain, 4),
+        (lambda rng: vf._pick(rng, vf._POSITIVE_AT_ZERO_POOL)(rng), _positive_at_zero_chain, 4),
         (lambda rng: vf._pick(rng, vf._SMOOTH_POOL)(rng), _smooth_chain, 4),
         (lambda rng: vf._pick(rng, vf._SKEW_IDENTITY_POOL)(rng), _skew_identity_chain, 4),
         (lambda rng: vf._pick(rng, vf._ORACLE_POOL)(rng), _oracle_chain, 5),
@@ -717,7 +790,7 @@ def _monotonicity_by_trial(rng, dims):
 def _hessian_by_trial(rng, dims):
     """One hessian trial drawn and evaluated alone, with the public 2-D functions."""
     n = vf._dim(rng, dims)
-    f = vf._standard_pool(rng, positive_at_zero=True)
+    f = vf._pick(rng, vf._POSITIVE_AT_ZERO_POOL)(rng)
     D = vf.random_density(n, vf._fd_floor(n), rng)
     (X,) = _orthonormal_by_hand(D, 1, rng)
     _, _, relerr = vf.hessian_vs_skew(f, D, X)
@@ -1146,14 +1219,14 @@ def test_a_hessian_trial_whose_trace_identity_fails_is_recorded_alone(monkeypatc
     clean = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
     key, (_, raw, _, _) = vf._draw_hessian(_trial_rng(seed, broken), dims)
     target = linalg.state(vf._densities(raw, vf._fd_floor(key))).matrix
-    original = vf._quadratic_trace_form
+    original = vf.exact_mixed_derivative
 
-    def skewed(F, D, X):
+    def skewed(F, D, A, B):
         hit = np.all(D.matrix == target, axis=(-2, -1))
-        return original(F, D, X) + np.where(hit, 1.0, 0.0)
+        return original(F, D, A, B) + np.where(hit, 1.0, 0.0)
 
-    monkeypatch.setattr(vf, "_quadratic_trace_form", skewed)
-    with pytest.raises(VerificationError, match="quadratic trace identity") as exc:
+    monkeypatch.setattr(vf, "exact_mixed_derivative", skewed)
+    with pytest.raises(VerificationError, match="exact mixed derivative") as exc:
         _hessian_by_trial(_trial_rng(seed, broken), dims)
     failure = {"seed": f"{seed}:{broken}", "error": "VerificationError", "message": str(exc.value)}
     records = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
