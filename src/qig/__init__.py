@@ -62,7 +62,6 @@ from .verify import (
     TrialReport,
     center_observable,
     cov_gram,
-    det_inequality_margins,
     hessian_vs_skew,
     mixed_second_derivative,
     random_density,

@@ -383,6 +383,13 @@ def _grid_values(fs: tuple, x: np.ndarray, dtype=float) -> np.ndarray:
     return linalg._kernel_grid(fs, np.tile(x, (len(fs), 1)), core=1, evaluate=evaluate)
 
 
+#: pass thresholds of the probe checks (and of their suites in ``qig.verify``): the worst
+#: standardness violation, the Loewner and Pick margins, the scalar uncertainty margin
+STANDARD_TOL = 1e-9
+LOEWNER_TOL = 1e-8
+PICK_TOL = 1e-10
+SCALAR_INEQUALITY_TOL = 1e-10
+
 #: probe points must lie in [1/PROBE_LIMIT, PROBE_LIMIT]: there ``(x - 1)^2``,
 #: ``1/x`` and products of two standard kernels' values stay finite
 PROBE_LIMIT = 1e150
@@ -418,12 +425,12 @@ class StandardnessReport:
         return worst if np.ndim(worst) else worst.item()
 
 
-def check_standard(f, grid=None, threshold: float = 1e-9) -> StandardnessReport:
+def check_standard(f, grid=None) -> StandardnessReport:
     """Probe the standardness contract of f on a grid.
 
     Checks the symmetry ``x f(1/x) = f(x)``, the normalization f(1) = 1,
     and the two-sided bound ``2x/(x+1) <= f(x) <= (1+x)/2``; passes when
-    every violation stays at or below ``threshold``.  A tuple of functions
+    every violation stays at or below :data:`STANDARD_TOL`.  A tuple of functions
     is checked with one kernel call per family and gives arrays of the
     members' fields, each equal to the member's own call.
     """
@@ -437,7 +444,7 @@ def check_standard(f, grid=None, threshold: float = 1e-9) -> StandardnessReport:
     normalization = np.abs(vals[:, -1] - 1.0)
     lower = _in_order_max(0.0, np.max(2.0 * x / (x + 1.0) - fx, axis=-1))
     upper = _in_order_max(0.0, np.max(fx - (1.0 + x) / 2.0, axis=-1))
-    passed = _in_order_max(symmetry, normalization, lower, upper) <= threshold
+    passed = _in_order_max(symmetry, normalization, lower, upper) <= STANDARD_TOL
     fields = (symmetry, normalization, lower, upper, passed)
     return StandardnessReport(*(_unstacked(v, stacked) for v in fields))
 
@@ -478,14 +485,7 @@ def _pick_margins(fs: tuple) -> list:
     return [float(np.min(v.imag)) if np.all(np.isfinite(v)) else None for v in vals]
 
 
-def check_operator_monotone(
-    f,
-    seed=0,
-    trials: int = 40,
-    dim: int = 3,
-    loewner_tol: float = 1e-8,
-    pick_tol: float = 1e-10,
-) -> MonotonicityReport:
+def check_operator_monotone(f, seed=0, trials: int = 40, dim: int = 3) -> MonotonicityReport:
     """Sample the matrix-order and upper-half-plane behaviour of f.
 
     Loewner sub-check: draws ``trials`` pairs ``A <= B`` of Hermitian
@@ -495,17 +495,17 @@ def check_operator_monotone(
     ``f(B) - f(A)`` over the pairs.  Pick
     sub-check: evaluates f on a fixed grid in the open upper half-plane
     and records the smallest imaginary part; it is skipped and flagged
-    when f does not evaluate on complex arguments.  Numerics can only
-    falsify monotonicity, never prove it.  A ``dim`` below 1 raises
-    ``DomainError`` before anything is drawn.
+    when f does not evaluate on complex arguments.  Passes at margins of at
+    least ``-LOEWNER_TOL`` and (unless skipped) ``-PICK_TOL``; numerics can
+    only falsify monotonicity, never prove it.  A ``dim`` that is not an
+    integer of at least 1 raises ``DomainError`` before anything is drawn.
 
     A tuple of functions takes a sequence of seeds, one per member: the
     pairs of all members are built and checked as one stack, with one
     kernel call per family, and every field is an array over the members,
     each equal to the member's own call.
     """
-    if not dim >= 1:
-        raise DomainError(f"dimension must be at least 1, got {dim!r}")
+    linalg.require_dimension(dim)
     stacked = isinstance(f, tuple)
     fs, seeds = (f, tuple(seed)) if stacked else ((f,), (seed,))
     if len(seeds) != len(fs):
@@ -539,7 +539,7 @@ def check_operator_monotone(
         loewner = [min(row) for row in np.linalg.eigvalsh(diff)[..., 0].tolist()]
     pick = _pick_margins(fs)
     passed = [
-        (trials <= 0 or lo >= -loewner_tol) and (pm is None or pm >= -pick_tol)
+        (trials <= 0 or lo >= -LOEWNER_TOL) and (pm is None or pm >= -PICK_TOL)
         for lo, pm in zip(loewner, pick)
     ]
     if not stacked:
@@ -557,8 +557,8 @@ class ScalarInequalityReport:
     passed: bool
 
 
-def scalar_inequality_check(f, g, grid=None, threshold: float = 1e-10) -> ScalarInequalityReport:
-    """Grid check of ``f(x) g(x) >= f(0) g(0) (x-1)^2`` for standard f, g.
+def scalar_inequality_check(f, g, grid=None) -> ScalarInequalityReport:
+    """Grid check of ``f(x) g(x) >= f(0) g(0) (x-1)^2`` for standard f, g, to ``SCALAR_INEQUALITY_TOL``.
 
     Equal-length tuples of functions check the pairs ``(f_k, g_k)`` with one
     kernel call per family and give arrays, each member equal to its own call.
@@ -574,7 +574,7 @@ def scalar_inequality_check(f, g, grid=None, threshold: float = 1e-10) -> Scalar
     at_zero = np.array([a.value_at_zero * b.value_at_zero for a, b in zip(fs, gs)])
     margin = vals[: len(fs)] * vals[len(fs) :] - at_zero[:, None] * (x - 1.0) ** 2
     m = np.min(margin, axis=-1)
-    return ScalarInequalityReport(_unstacked(m, stacked), _unstacked(m >= -threshold, stacked))
+    return ScalarInequalityReport(_unstacked(m, stacked), _unstacked(m >= -SCALAR_INEQUALITY_TOL, stacked))
 
 
 def second_derivative_at_one(F) -> float:

@@ -492,6 +492,12 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
+def require_dimension(n) -> None:
+    """Refuse, with ``DomainError``, a matrix dimension that is not an integer of at least 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"dimension must be at least 1 and an integer, got {n!r}")
+
+
 def draw_ginibre(rng: np.random.Generator, shape) -> np.ndarray:
     """Raw draw of a complex Ginibre matrix of the 2-D ``shape``, for :func:`ginibre`.
 

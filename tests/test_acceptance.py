@@ -71,7 +71,8 @@ def test_criterion_5_joint_concavity_suite():
 
 def test_criterion_6_determinant_uncertainty():
     rep = vf.run_suite("det-uncertainty", seed=8)
-    _, m_two = vf.det_inequality_margins(fn.sld(), fn.sld(), QUBIT, [FLIP])
+    det_c, _, det_2g = vf._gram_determinants(fn.sld(), fn.sld(), QUBIT, [FLIP])
+    m_two = det_c - det_2g
     golden_ok = abs(m_two - 0.75) <= 1e-10
     ok = rep.passed and rep.min_margin >= -1e-9 and golden_ok
     _report(6, f"determinant uncertainty: {rep.trials} trials, m in 1..3, scaled margins >= -1e-9, "

@@ -29,11 +29,18 @@ def test_random_density_returns_its_state():
         assert np.array_equal(np.asarray(D), D.matrix)
 
 
-def test_random_density_floor_domain():
+def test_random_density_floor_domain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be drawn for an invalid size or floor")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(DomainError):
         vf.random_density(4, 0.3, 0)
     with pytest.raises(DomainError):
         vf.random_density(4, 0.0, 0)
+    for n in (0, -2, 2.5):
+        with pytest.raises(DomainError, match="dimension must be at least 1"):
+            vf.random_density(n)
 
 
 def test_step_schedule_validation():
@@ -90,7 +97,7 @@ def test_draws_build_the_per_matrix_values_and_leave_the_generator_there(n):
 def test_stacked_builders_equal_the_one_draw_builders(n):
     rng = np.random.default_rng(n)
     floor = vf._margin_floor(n)
-    raw_rho = np.stack([vf._draw_density(n, floor, rng) for _ in range(6)]).reshape(2, 3, 2, n, n)
+    raw_rho = np.stack([vf._draw_density(n, rng) for _ in range(6)]).reshape(2, 3, 2, n, n)
     built = vf._densities(raw_rho, floor)
     assert built.shape == (2, 3, n, n)
     raw = np.stack([linalg.draw_ginibre(rng, (n, n)) for _ in range(5)])
@@ -370,7 +377,7 @@ def test_exact_mixed_derivative_along_commutator_directions_is_the_trace_form(F)
     assert vf.exact_mixed_derivative(F, D, B, B) == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
 
-@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
 def test_exact_mixed_derivative_of_a_covariance_kernel_is_f0_times_fisher(n):
     rng = np.random.default_rng(n)
     D = vf.random_density(n, 0.1 / n, rng)
@@ -457,17 +464,17 @@ def test_skew_gram_duplicated_observable_rank_one(qubit_state, flip):
 
 
 def test_det_margins_golden_qubit(qubit_state, flip):
-    m_prod, m_two = vf.det_inequality_margins(fn.sld(), fn.sld(), qubit_state, [flip])
-    assert m_two == pytest.approx(0.75, abs=1e-10)
-    assert m_prod == pytest.approx(15.0 / 16.0, abs=1e-10)
+    det_c, det_fg, det_2g = vf._gram_determinants(fn.sld(), fn.sld(), qubit_state, [flip])
+    assert det_c - det_2g == pytest.approx(0.75, abs=1e-10)
+    assert det_c - det_fg == pytest.approx(15.0 / 16.0, abs=1e-10)
 
 
 def test_det_margins_zero_at_zero_kernel(qubit_state, flip):
     # g(0) = 0 zeroes both right-hand determinants
-    m_prod, m_two = vf.det_inequality_margins(fn.wyd(0.3), fn.harmonic(), qubit_state, [flip])
+    det_c, det_fg, det_2g = vf._gram_determinants(fn.wyd(0.3), fn.harmonic(), qubit_state, [flip])
     C = vf.cov_gram(fn.harmonic(), qubit_state, [flip])
-    assert m_prod == pytest.approx(np.linalg.det(C).real, abs=1e-12)
-    assert m_two == pytest.approx(np.linalg.det(C).real, abs=1e-12)
+    assert det_c - det_fg == pytest.approx(np.linalg.det(C).real, abs=1e-12)
+    assert det_c - det_2g == pytest.approx(np.linalg.det(C).real, abs=1e-12)
 
 
 def test_det_margins_random_instances():
@@ -477,7 +484,8 @@ def test_det_margins_random_instances():
         m = int(rng.integers(1, 4))
         D = vf.random_density(n, 0.05, rng)
         obs = vf.orthonormal_centered_observables(D, m, rng)
-        m_prod, m_two = vf.det_inequality_margins(fn.wyd(0.4), fn.sld(), D, obs)
+        det_c, det_fg, det_2g = vf._gram_determinants(fn.wyd(0.4), fn.sld(), D, obs)
+        m_prod, m_two = det_c - det_fg, det_c - det_2g
         assert m_prod >= -1e-9 and m_two >= -1e-9
         assert m_two <= m_prod + 1e-12  # the factor-2 bound is the stronger one
 
@@ -865,7 +873,7 @@ def _det_uncertainty_by_trial(rng, dims):
     C, S = vf.cov_gram(g, D, obs), vf.skew_gram(f, D, obs)
     scaled = (f.value_at_zero * g.value_at_zero * S, 2.0 * g.value_at_zero * S)
     det_c, det_fg, det_2g = (float(np.linalg.det(M).real) for M in (C, *scaled))
-    assert vf.det_inequality_margins(f, g, D, obs) == (det_c - det_fg, det_c - det_2g)
+    assert vf._gram_determinants(f, g, D, obs) == (det_c, det_fg, det_2g)
     scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
     margin = min(det_c - det_fg, det_c - det_2g) / scale
     return margin, qt.digest_inputs(f.name, g.name, D, *obs)
@@ -1219,14 +1227,14 @@ def test_a_hessian_trial_whose_trace_identity_fails_is_recorded_alone(monkeypatc
     clean = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
     key, (_, raw, _, _) = vf._draw_hessian(_trial_rng(seed, broken), dims)
     target = linalg.state(vf._densities(raw, vf._fd_floor(key))).matrix
-    original = vf.exact_mixed_derivative
+    original = qt.fisher
 
-    def skewed(F, D, A, B):
+    def skewed(f, D, A, B):
         hit = np.all(D.matrix == target, axis=(-2, -1))
-        return original(F, D, A, B) + np.where(hit, 1.0, 0.0)
+        return original(f, D, A, B) + np.where(hit, 1.0, 0.0)
 
-    monkeypatch.setattr(vf, "exact_mixed_derivative", skewed)
-    with pytest.raises(VerificationError, match="exact mixed derivative") as exc:
+    monkeypatch.setattr(qt, "fisher", skewed)
+    with pytest.raises(VerificationError, match=r"f\(0\) times the metric") as exc:
         _hessian_by_trial(_trial_rng(seed, broken), dims)
     failure = {"seed": f"{seed}:{broken}", "error": "VerificationError", "message": str(exc.value)}
     records = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
