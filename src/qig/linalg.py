@@ -266,7 +266,7 @@ def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
     return first, second[0]
 
 
-def screened_state(D, label: str = "state") -> tuple[State, np.ndarray]:
+def screened_state(D) -> tuple[State, np.ndarray]:
     """Decompose a stack of candidate densities without raising on rejected members.
 
     Returns the State of the whole stack and the per-matrix mask of the
@@ -275,16 +275,16 @@ def screened_state(D, label: str = "state") -> tuple[State, np.ndarray]:
     meaningful only where the mask is true.
     """
     H, herm, _, _ = _hermitian_mask(_square(D, "Hermitian matrix"))
-    w, U = _eigh(H, label)
+    w, U = _eigh(H, "state")
     ok, _ = _density_mask(H, w[..., 0])
     return State(w, U, H), herm & ok
 
 
-def eig_hermitian(H, label: str = "matrix") -> SpectralDecomposition:
+def eig_hermitian(H) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (or a given one), eigenvalues ascending."""
     if isinstance(H, SpectralDecomposition):
         return H
-    return SpectralDecomposition(*_eigh(as_hermitian(H), label))
+    return SpectralDecomposition(*_eigh(as_hermitian(H), "matrix"))
 
 
 def eval_scalar(h, x) -> np.ndarray:

@@ -12,31 +12,27 @@ probe suites' pass thresholds are the constants of :mod:`~qig.functions`.
 
 Suites are deterministic in ``(seed, trials, dims)``: every trial derives
 its generator from the suite seed and the trial index.  :func:`run_suite`
-draws every trial first, then groups the drawn trials by shape key and
-evaluates each group in stacked calls; results go back in trial order.
-The shape keys: ``monotonicity`` ``(n_in, n_out, k)``,
-``det-uncertainty`` ``(n, m)``, one group for all trials of
-``standardness`` and ``scalar-gibi``, and ``n`` for the other nine suites.
-Each trial keeps its own kernel (a group's tuple of kernels is evaluated
-with one call per kernel family, see :func:`~qig.linalg.relmod_grid`).
-Trials draw only random numbers, the raw Ginibre arrays,
-commuting-direction coefficients and kernel parameters in stream order; a
-group builds its densities, unit operands, observables and channel
-isometries from those arrays as stacks, then validates, decomposes and
-pairs them at once, one state ``eigh`` per group.
+draws every trial first, then groups the drawn trials by shape key:
+``monotonicity`` ``(n_in, n_out, k)``, ``det-uncertainty`` ``(n, m)``, one
+group for all trials of ``standardness`` and ``scalar-gibi``, and ``n``
+for the other nine suites.  Each trial keeps its own kernel (a group's
+tuple of kernels is evaluated with one call per kernel family, see
+:func:`~qig.linalg.relmod_grid`).  Trials draw only random numbers, the
+raw Ginibre arrays, commuting-direction coefficients and kernel parameters
+in stream order; a group builds its densities, unit operands, observables
+and channel isometries from those arrays as stacks, then validates,
+decomposes and pairs them at once, one state ``eigh`` per group.
 :func:`_orthonormal_group` makes the centered observables of ``hessian``,
 ``skew-identity`` (one each) and ``det-uncertainty`` (m each): a stacked
 Gram-Schmidt in draw order, rerun sequentially for a member that meets a
-candidate of norm at most :data:`MIN_CANDIDATE_NORM`.
-The finite-difference functions take stacks of states and directions
-with one kernel per member, so a group's stencil is one ``eigh`` call.
-The three probe-grid suites hand a group's tuple of functions to one
-``check_standard``, ``scalar_inequality_check`` or
-``check_operator_monotone`` call; the last builds the Loewner pairs of all
-its trials as one stack.
-A group whose stacked evaluation raises ``VerificationError`` or
-``InvariantViolation`` is rerun one trial at a time, so the failure lands
-on the trial that raised.
+candidate of norm at most :data:`MIN_CANDIDATE_NORM`.  A group's
+finite-difference stencil is one ``eigh`` call, and each probe-grid suite
+hands a group's tuple of functions to one probe check.
+An evaluator returns its group's margins, residuals and digest parts, and
+:func:`run_suite` alone builds the trial records, in trial order, digesting
+the inputs of failing trials only.  A group whose evaluation raises
+``VerificationError`` or ``InvariantViolation`` is rerun one trial at a
+time, so the failure lands on the trial that raised.
 """
 
 from __future__ import annotations
@@ -44,8 +40,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -599,8 +597,7 @@ def _draw_standardness(rng, dims):
 
 def _evaluate_standardness(key, fs):
     """Worst violations of all trials, from one probe-grid check."""
-    worst = functions.check_standard(tuple(fs)).max_violation
-    return [(None, float(v), digest_inputs(f.name)) for f, v in zip(fs, worst)]
+    return None, functions.check_standard(tuple(fs)).max_violation, (_names(fs),)
 
 
 def _draw_operator_monotone(rng, dims):
@@ -613,11 +610,9 @@ def _evaluate_operator_monotone(n, trials):
     """Loewner margins and Pick residuals of one dimension group, its pairs checked as one stack."""
     fs, seeds = zip(*trials)
     rep = functions.check_operator_monotone(fs, seed=seeds, trials=4, dim=n)
-    picks = zip(rep.loewner_margin.tolist(), rep.pick_margin.tolist(), rep.pick_skipped.tolist())
-    return [
-        (margin, 0.0 if skipped else max(0.0, -pick), digest_inputs(f.name))
-        for f, (margin, pick, skipped) in zip(fs, picks)
-    ]
+    # -pick first: np.maximum(-0.0, 0.0) is 0.0, as Python's max(0.0, -0.0) is
+    residuals = np.where(rep.pick_skipped, 0.0, np.maximum(-rep.pick_margin, 0.0))
+    return rep.loewner_margin, residuals, (_names(fs),)
 
 
 def _draw_scalar_gibi(rng, dims):
@@ -627,12 +622,11 @@ def _draw_scalar_gibi(rng, dims):
 def _evaluate_scalar_gibi(key, trials):
     """Margins of all trials, from one probe-grid check of the pairs."""
     fs, gs = zip(*trials)
-    margins = functions.scalar_inequality_check(fs, gs).min_margin
-    return [(float(m), None, digest_inputs(f.name, g.name)) for f, g, m in zip(fs, gs, margins)]
+    return functions.scalar_inequality_check(fs, gs).min_margin, None, (_names(fs), _names(gs))
 
 
 def _draw_fd(rng, dims, pool):
-    """Dimension, kernel (picked from the table ``pool``) and raw density, an FD trial's first draws."""
+    """Dimension, kernel (picked from the table ``pool``) and raw density, a density trial's first draws."""
     n = _dim(rng, dims)
     F = _pick(rng, pool)(rng)
     return n, F, _draw_density(n, rng)
@@ -647,13 +641,9 @@ def _names(kernels) -> list[str]:
     return [F.name for F in kernels]
 
 
-def _residual_results(residuals, *parts) -> list:
-    """Each trial's ``(None, residual, digest)``; trial j's digest hashes the j-th entry of every part."""
-    return [(None, float(r), digest_inputs(*(p[j] for p in parts))) for j, r in enumerate(residuals)]
-
-
-def _draw_hessian(rng, dims):
-    n, f, D = _draw_fd(rng, dims, _POSITIVE_AT_ZERO_POOL)
+def _draw_centered(pool, rng, dims):
+    """A ``hessian`` or ``skew-identity`` trial: kernel from ``pool``, raw density, one raw observable."""
+    n, f, D = _draw_fd(rng, dims, pool)
     return n, (f, D, _draw_observables(n, 1, rng), rng)
 
 
@@ -662,7 +652,7 @@ def _evaluate_hessian(n, trials):
     fs, raw_D, raw_X, rngs = zip(*trials)
     D = _group_states(raw_D, _fd_floor(n))
     X = _orthonormal_group(D, np.stack(raw_X), rngs)[:, 0]
-    return _residual_results(hessian_vs_skew(fs, D, X)[2], _names(fs), D.matrix, X)
+    return None, hessian_vs_skew(fs, D, X)[2], (_names(fs), D.matrix, X)
 
 
 def _commuting_units(D, coeffs: np.ndarray) -> np.ndarray:
@@ -688,7 +678,7 @@ def _evaluate_lemma_commuting(n, trials):
     Fs, raw_D, coeffs = zip(*trials)
     D = _group_states(raw_D, _fd_floor(n))
     A, B = (_commuting_units(D, c) for c in np.stack(coeffs, axis=1))
-    return _residual_results(lemma_commuting_residual(Fs, D, A, B), _names(Fs), D.matrix, A, B)
+    return None, lemma_commuting_residual(Fs, D, A, B), (_names(Fs), D.matrix, A, B)
 
 
 def _draw_lemma_cross(rng, dims):
@@ -706,8 +696,7 @@ def _evaluate_lemma_cross(n, trials):
     B = quantities.commutator_direction(D, X)
     twice = linalg.State(*(np.concatenate([a, a]) for a in (D.eigenvalues, D.eigenvectors, D.matrix)))
     pairs = _fd_defect(Fs + Fs, twice, np.concatenate([A, B]), np.concatenate([B, B]), None)
-    worst = [max(float(a), float(b)) for a, b in zip(*pairs.reshape(2, -1))]
-    return _residual_results(worst, _names(Fs), D.matrix, A, X)
+    return None, np.maximum(*pairs.reshape(2, -1)), (_names(Fs), D.matrix, A, X)
 
 
 class _MonotonicityDraw(NamedTuple):
@@ -768,10 +757,7 @@ def _evaluate_monotonicity(key, trials):
             (c,) = trials
             trials = [_draw_attempt(c.A, copy.deepcopy(c.rng), n_in, n_out, k, c.alpha)]
         else:
-            return [
-                (float(margin), None, digest_inputs(F[j].name, A[j], *D.matrix[:, j], *kraus))
-                for j, (margin, kraus) in enumerate(zip(margins, zip(*ch.kraus_ops)))
-            ]
+            return margins, None, (_names(F), A, *D.matrix, *ch.kraus_ops)
     raise VerificationError("could not sample a channel instance with invertible outputs")
 
 
@@ -790,24 +776,14 @@ def _evaluate_concavity(n, trials):
     A = _unit_operands(np.stack(raw_operands))
     S = linalg.state(_densities(np.stack(raw_densities, axis=1), _margin_floor(n)))
     margins = channels.concavity_margin(Fs, A, (S[0], S[1]), (S[2], S[3]), np.array(lams))
-    return [
-        (float(margin), None, digest_inputs(Fs[j].name, lam, A[j], *S.matrix[:, j]))
-        for j, (margin, lam) in enumerate(zip(margins, lams))
-    ]
-
-
-def _draw_skew_identity(rng, dims):
-    n = _dim(rng, dims)
-    f = _pick(rng, _SKEW_IDENTITY_POOL)(rng)
-    D = _draw_density(n, rng)
-    return n, (f, D, _draw_observables(n, 1, rng), rng)
+    return margins, None, (_names(Fs), lams, A, *S.matrix)
 
 
 def _evaluate_skew_identity(n, trials):
     fs, raw_D, raw_X, rngs = zip(*trials)
     D = _group_states(raw_D, min(0.02, 0.5 / n))
     X = _orthonormal_group(D, np.stack(raw_X), rngs)[:, 0]
-    return _residual_results(quantities.skew_identity_residual(fs, D, X), _names(fs), D.matrix, X)
+    return None, quantities.skew_identity_residual(fs, D, X), (_names(fs), D.matrix, X)
 
 
 def _draw_det_uncertainty(rng, dims):
@@ -825,13 +801,10 @@ def _evaluate_det_uncertainty(key, trials):
     fs, gs, raw_D, raw_obs, rngs = zip(*trials)
     D = _group_states(raw_D, min(0.05, 0.5 / n))
     obs = _orthonormal_group(D, np.stack(raw_obs), rngs)
-    results = []
-    for j, dets in enumerate(zip(*_gram_determinants(fs, gs, D, obs))):
-        det_c, det_fg, det_2g = (float(d) for d in dets)
-        scale = max(1.0, abs(det_c), abs(det_fg), abs(det_2g))
-        margin = min(det_c - det_fg, det_c - det_2g) / scale
-        results.append((margin, None, digest_inputs(fs[j].name, gs[j].name, D.matrix[j], *obs[j])))
-    return results
+    det_c, det_fg, det_2g = _gram_determinants(fs, gs, D, obs)
+    scale = np.max([np.ones_like(det_c), abs(det_c), abs(det_fg), abs(det_2g)], axis=0)
+    margins = np.minimum(det_c - det_fg, det_c - det_2g) / scale
+    return margins, None, (_names(fs), _names(gs), D.matrix, *obs.swapaxes(0, 1))
 
 
 def _draw_oracle_equivalence(rng, dims):
@@ -860,7 +833,7 @@ def _evaluate_oracle_equivalence(n, trials):
     D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - a), D1)
     d = q - (linalg.dagger(A) @ D2a @ A @ D1b).trace(axis1=-2, axis2=-1)
     r2 = np.hypot(d.real, d.imag)
-    return _residual_results(np.maximum(r1, r2), _names(Fs), alphas, D1.matrix, D2.matrix, A)
+    return None, np.maximum(r1, r2), (_names(Fs), alphas, D1.matrix, D2.matrix, A)
 
 
 def _draw_wyd_consistency(rng, dims):
@@ -875,7 +848,7 @@ def _evaluate_wyd_consistency(n, trials):
     D = _group_states(raw_D, min(0.03, 0.5 / n))
     X = _hermitians(np.stack(raw_X))
     skew = quantities.skew_info(tuple(functions.wyd(p) for p in ps), D, X)
-    return _residual_results(np.abs(skew - quantities.wyd_direct(np.array(ps), D, X)), ps, D.matrix, X)
+    return None, np.abs(skew - quantities.wyd_direct(np.array(ps), D, X)), (ps, D.matrix, X)
 
 
 def _draw_renyi_limit(rng, dims):
@@ -903,19 +876,19 @@ def _evaluate_renyi_limit(n, trials):
     c1 = S - quantities.quasi_entropy(_log_squared, None, D1, D2) / 2.0
     R = {a: quantities.renyi(a, D1, D2) for a in (0.01, 0.001)}
     rem = {a: abs(R[a] - S - a * c1) for a in R}
-    margins = rem[0.01] - 10.0 ** 1.5 * rem[0.001]
-    return [
-        (float(m), float(g), digest_inputs(D1.matrix[j], D2.matrix[j]))
-        for j, (m, g) in enumerate(zip(margins, abs(R[0.001] - S)))
-    ]
+    return rem[0.01] - 10.0 ** 1.5 * rem[0.001], abs(R[0.001] - S), (D1.matrix, D2.matrix)
 
 
 class _Suite(NamedTuple):
     """A suite's draw and group evaluator, default tolerances and acceptance-scale run.
 
     ``draw(rng, dims)`` takes everything a trial needs from the trial's
-    generator and returns ``(shape key, inputs)``; ``evaluate(key, inputs)``
-    maps a list of one key's inputs to their ``(margin, residual, digest)``.
+    generator and returns ``(shape key, inputs)``.  ``evaluate(key, inputs)``
+    takes a sequence of one key's inputs and returns ``(margins, residuals,
+    parts)``: the margins and the residuals one value per input, in input
+    order, or None where the suite has none, and ``parts`` a tuple of
+    sequences indexed like the inputs.  A failing trial j's digest is
+    ``digest_inputs(*(p[j] for p in parts))``.
     """
 
     draw: Callable
@@ -938,9 +911,12 @@ _SUITES = {
         _draw_scalar_gibi, functions.SCALAR_INEQUALITY_TOL, math.inf, 200, (2, 3, 4), _evaluate_scalar_gibi
     ),
     "skew-identity": _Suite(
-        _draw_skew_identity, math.inf, 1e-9, 200, (2, 3, 4, 5), _evaluate_skew_identity
+        partial(_draw_centered, _SKEW_IDENTITY_POOL), math.inf, 1e-9, 200, (2, 3, 4, 5),
+        _evaluate_skew_identity,
     ),
-    "hessian": _Suite(_draw_hessian, math.inf, 1e-5, 100, (2, 3, 4), _evaluate_hessian),
+    "hessian": _Suite(
+        partial(_draw_centered, _POSITIVE_AT_ZERO_POOL), math.inf, 1e-5, 100, (2, 3, 4), _evaluate_hessian
+    ),
     "lemma-commuting": _Suite(
         _draw_lemma_commuting, math.inf, 1e-6, 50, (2, 3, 4), _evaluate_lemma_commuting
     ),
@@ -978,12 +954,20 @@ def _extreme(pick, values) -> float | None:
     return math.nan if any(math.isnan(v) for v in values) else pick(values)
 
 
-def _evaluate_alone(evaluate, key, inputs):
-    """One trial's result, or the exception it raised."""
+def _group_outcomes(evaluate, key, inputs) -> list:
+    """Each trial's ``(margins, residuals, parts, j)``, its group's values and its place j, or its exception.
+
+    A group whose evaluation raises ``VerificationError`` or
+    ``InvariantViolation`` is rerun one trial at a time; a lone trial's
+    exception is its outcome.
+    """
     try:
-        return evaluate(key, [inputs])[0]
+        values = evaluate(key, inputs)
     except _TRIAL_ERRORS as exc:
-        return exc
+        if len(inputs) == 1:
+            return [exc]
+        return [outcome for x in inputs for outcome in _group_outcomes(evaluate, key, [x])]
+    return [(*values, j) for j in range(len(inputs))]
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, tolerances=None) -> TrialReport:
@@ -991,10 +975,14 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
 
     ``trials`` and ``dims`` default to the suite's acceptance-scale run.
     ``tolerances`` may override the per-suite defaults with keys
-    ``margin`` and/or ``residual``.  A trial fails when its margin drops
-    below ``-margin_tolerance`` or its residual exceeds the residual
-    tolerance; failures record the derived trial seed, an input digest,
-    and the offending value.  A trial that raises ``VerificationError`` or
+    ``margin`` and/or ``residual``.  Before drawing, refuses with
+    ``DomainError`` a seed or trial count that is not a nonnegative integer
+    (``int`` or ``np.integer``), dims that are not a nonempty sequence of
+    positive integers, and a NaN or non-numeric tolerance.  A trial fails
+    when its margin drops below ``-margin_tolerance`` or its residual
+    exceeds the residual tolerance; failures record the derived trial seed,
+    an input digest (taken for failing trials only), and the offending
+    value.  A trial that raises ``VerificationError`` or
     ``InvariantViolation`` is a failure recording its seed, the exception
     class (``error``) and its message; the remaining trials still run.
     Every trial is drawn before any is evaluated, and trials are evaluated
@@ -1003,21 +991,29 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     """
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
-    if int(seed) < 0:
-        raise DomainError("suite seed must be nonnegative")
     suite = _SUITES[name]
-    trials = suite.trials if trials is None else int(trials)
-    if trials < 0:
-        raise DomainError(f"trials must be nonnegative, got {trials}")
+    trials = suite.trials if trials is None else trials
+    for what, value in (("suite seed", seed), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{what} must be an integer, got {value!r}")
+        if value < 0:
+            raise DomainError(f"{what} must be nonnegative, got {value!r}")
     tol = {"margin": suite.margin_tol, "residual": suite.residual_tol}
     if tolerances:
         for key, value in tolerances.items():
             if key not in ("margin", "residual"):
                 raise DomainError(f"unknown tolerance {key!r}")
+            if not isinstance(value, numbers.Real) or math.isnan(value):
+                raise DomainError(f"tolerance {key!r} must be a real number or infinite, got {value!r}")
             tol[key] = float(value)
-    dims = suite.dims if dims is None else tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise DomainError(f"dims must be positive integers, got {dims!r}")
+    dims = suite.dims if dims is None else dims
+    try:
+        if not len(dims):
+            raise DomainError("no dimensions")
+        for d in dims:
+            linalg.require_dimension(d)
+    except (TypeError, DomainError):
+        raise DomainError(f"dims must be positive integers, got {dims!r}") from None
     margins: list[float] = []
     residuals: list[float] = []
     failures: list[dict] = []
@@ -1034,34 +1030,33 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
         groups.setdefault(key, []).append((i, inputs))
     for key, group in groups.items():
         idx, inputs = zip(*group)
-        try:
-            results = suite.evaluate(key, inputs)
-        except _TRIAL_ERRORS:
-            results = [_evaluate_alone(suite.evaluate, key, x) for x in inputs]
-        for i, result in zip(idx, results):
-            outcomes[i] = result
+        for i, outcome in zip(idx, _group_outcomes(suite.evaluate, key, inputs)):
+            outcomes[i] = outcome
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             failures.append(
                 {"seed": f"{seed}:{i}", "error": type(outcome).__name__, "message": str(outcome)}
             )
             continue
-        margin, residual, digest = outcome
+        group_margins, group_residuals, parts, j = outcome
         offending = None
-        if margin is not None:
-            margins.append(float(margin))
+        if group_margins is not None:
+            margin = float(group_margins[j])
+            margins.append(margin)
             if not margin >= -tol["margin"]:  # negated, so that a NaN margin fails
-                offending = float(margin)
-        if residual is not None:
-            residuals.append(float(residual))
+                offending = margin
+        if group_residuals is not None:
+            residual = float(group_residuals[j])
+            residuals.append(residual)
             if not residual <= tol["residual"] and offending is None:
-                offending = float(residual)
+                offending = residual
         if offending is not None:
+            digest = digest_inputs(*(p[j] for p in parts))
             failures.append({"seed": f"{seed}:{i}", "digest": digest, "value": offending})
     elapsed = time.perf_counter() - start
     return TrialReport(
         suite=name,
-        trials=trials,
+        trials=int(trials),
         min_margin=_extreme(min, margins),
         max_residual=_extreme(max, residuals),
         failures=failures,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,12 @@ def test_channel_construction_validates_trace_preservation():
         ch.KrausChannel(())
     with pytest.raises(InvariantViolation, match="trace preservation"):
         ch.KrausChannel((np.full((2, 2), np.nan, dtype=complex),))
+
+
+def test_channel_construction_refuses_operators_of_mixed_shapes():
+    for ops in ((np.eye(2), np.eye(3)), (np.eye(2), np.eye(2)[:1]), (np.ones(2),)):
+        with pytest.raises(InvariantViolation, match=r"^Kraus operators must share one \(n_out, n_in\) shape$"):
+            ch.KrausChannel(ops)
 
 
 def test_isometry_channel_stacks_random_channel():
@@ -98,6 +106,14 @@ def test_apply_dual_unitary_channel():
     assert_allclose(ch.apply_dual(c, A), U.conj().T @ A @ U, atol=1e-12)
 
 
+def test_channel_actions_refuse_a_matrix_of_another_dimension():
+    c = ch.random_channel(3, 2, 2, seed=0)
+    with pytest.raises(InvariantViolation, match=r"^state shape \(2, 2\) does not match channel input dimension 3$"):
+        ch.apply_state(c, np.eye(2) / 2)
+    with pytest.raises(InvariantViolation, match=r"^operand shape \(3, 3\) does not match channel output"):
+        ch.apply_dual(c, np.eye(3))
+
+
 def test_duality_of_state_and_dual_actions():
     rng = np.random.default_rng(14)
     for seed in range(20):
@@ -155,6 +171,17 @@ def test_monotonicity_refuses_unflagged_kernels(qubit_state):
     ident = ch.KrausChannel((np.eye(2, dtype=complex),))
     with pytest.raises(DomainError):
         ch.monotonicity_margin(fn.neglog_kernel(), np.eye(2), qubit_state, qubit_state, ident)
+
+
+def test_margins_refuse_a_kernel_negative_at_zero(qubit_state):
+    F = dataclasses.replace(fn.power_kernel(0.5), value_at_zero=-1.0)
+    assert F.claims_operator_monotone
+    ident = ch.KrausChannel((np.eye(2, dtype=complex),))
+    pair = (qubit_state, qubit_state)
+    with pytest.raises(DomainError, match=r"^this margin needs a kernel with F\(0\) >= 0$"):
+        ch.monotonicity_margin(F, np.eye(2), qubit_state, qubit_state, ident)
+    with pytest.raises(DomainError, match=r"^this margin needs a kernel with F\(0\) >= 0$"):
+        ch.concavity_margin(F, np.eye(2), pair, pair, 0.5)
 
 
 def test_concavity_margin_degenerate_weights():

@@ -64,6 +64,31 @@ def test_compute_gen_cov_and_fisher(matrix_files, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "args, printed",
+    [
+        (["fisher", "--fn", "sld"], "4"),
+        (["wyd", "--p", "0.5"], "0.133974596216"),  # 1 - sqrt(3)/2
+    ],
+)
+def test_compute_fisher_and_wyd_on_the_flip(matrix_files, args, printed, capsys):
+    rc = cli.main(["compute", *args, "--state", matrix_files["d2"], "--obs", matrix_files["x"]])
+    assert rc == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.parametrize("quantity, printed", [("gen-cov", "0+0.5j"), ("fisher", "0+2j")])
+def test_compute_second_observable_prints_a_complex_value(tmp_path, matrix_files, quantity, printed, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    cli.write_matrix(a, np.array([[1, 1], [0, 0]], dtype=complex))
+    cli.write_matrix(b, np.array([[0, 1j], [0, 0]], dtype=complex))
+    rc = cli.main(
+        ["compute", quantity, "--fn", "sld", "--state", matrix_files["d2"], "--obs", a, "--obs2", b]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 def test_compute_quasi_entropy_defaults_to_identity_operand(matrix_files, capsys):
     rc = cli.main(
         [
@@ -315,6 +340,23 @@ def test_verify_negative_trials_exit_4_without_report(tmp_path, capsys):
     rc = cli.main(["verify", "wyd-consistency", "--trials", "-3", "--report", str(report)])
     assert rc == 4
     assert capsys.readouterr().err == "error: trials must be nonnegative, got -3\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--tol", "margin1e-8"], "tolerance override must look like margin=1e-8, got 'margin1e-8'"),
+        (["--tol", "residual=x"], "invalid tolerance value in 'residual=x'"),
+        (["--tol", "residual=nan"], "tolerance 'residual' must be a real number or infinite, got nan"),
+        (["--dim", "2,x"], "invalid dimension list '2,x'"),
+    ],
+)
+def test_verify_malformed_tolerance_or_dimension_exit_4_without_report(tmp_path, args, message, capsys):
+    report = tmp_path / "report.json"
+    rc = cli.main(["verify", "all", "--trials", "1", *args, "--report", str(report)])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
 
 

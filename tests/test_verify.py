@@ -137,6 +137,18 @@ def test_mixed_second_derivative_requires_traceless(qubit_state):
         vf.mixed_second_derivative(fn.power_kernel(2.0), qubit_state, np.eye(2), np.eye(2))
 
 
+def test_state_shaped_operands_are_refused_at_another_shape(qubit_state, flip):
+    wide = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)"):
+        vf.center_observable(qubit_state, wide)
+    for A, B in ((wide, flip), (flip, wide)):
+        with pytest.raises(InvariantViolation, match="^perturbation shape does not match the state$"):
+            vf.mixed_second_derivative(fn.power_kernel(2.0), qubit_state, A, B)
+    for gram in (vf.cov_gram, vf.skew_gram):
+        with pytest.raises(InvariantViolation, match="^observable dimension does not match the state$"):
+            gram(fn.sld(), qubit_state, [flip, wide])
+
+
 def test_mixed_second_derivative_rejects_positivity_breaking_steps():
     # a step of 0.5 pushes the state past singularity and must be dropped,
     # leaving a single usable step that gets refined for extrapolation
@@ -512,6 +524,39 @@ def test_scalar_case_of_det_bound_on_probe_grid():
         assert np.min(lhs - rhs) >= -1e-10
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [(4, "at most 3 independent centered observables exist, got m=4"), (0, "m must be positive, got m=0")],
+)
+def test_draw_observables_refuses_a_count_outside_one_to_n_squared_less_one(m, message):
+    rng = np.random.default_rng(3)
+    with pytest.raises(DomainError) as exc:
+        vf._draw_observables(2, m, rng)
+    assert str(exc.value) == message
+    assert rng.random() == np.random.default_rng(3).random()
+
+
+def test_orthonormal_sequence_gives_up_after_a_hundred_candidates_per_observable(monkeypatch):
+    D = vf.random_density(3, 0.1, 0)
+    seen = []
+
+    def collapsing(D, A):
+        seen.append(A)
+        return np.zeros_like(A)
+
+    monkeypatch.setattr(vf, "center_observable", collapsing)
+    rng = np.random.default_rng(4)
+    raw = vf._draw_observables(3, 2, rng)
+    with pytest.raises(VerificationError, match="could not orthonormalize"):
+        vf._orthonormal_sequence(D, 2, raw, rng)
+    # the two raw candidates, then 198 drawn from the generator
+    assert len(seen) == 200
+    ref = np.random.default_rng(4)
+    for _ in range(200):
+        linalg.draw_ginibre(ref, (3, 3))
+    assert rng.random() == ref.random()
+
+
 def test_orthonormal_centered_observables_properties():
     rng = np.random.default_rng(14)
     D = vf.random_density(4, 0.04, rng)
@@ -615,6 +660,49 @@ def test_run_suite_unknown_name():
         vf.run_suite("nope", trials=1)
 
 
+_TOLERANCE_REFUSAL = "tolerance '%s' must be a real number or infinite"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -1}, "suite seed must be nonnegative, got -1"),
+        ({"seed": 3.9}, "suite seed must be an integer, got 3.9"),
+        ({"seed": True}, "suite seed must be an integer, got True"),
+        ({"trials": 2.7}, "trials must be an integer, got 2.7"),
+        ({"trials": -3}, "trials must be nonnegative, got -3"),
+        ({"dims": (2.5,)}, "dims must be positive integers, got (2.5,)"),
+        ({"dims": "23"}, "dims must be positive integers, got '23'"),
+        ({"dims": (math.nan,)}, "dims must be positive integers, got (nan,)"),
+        ({"dims": ()}, "dims must be positive integers, got ()"),
+        ({"dims": 3}, "dims must be positive integers, got 3"),
+        ({"tolerances": {"residual": math.nan}}, f"{_TOLERANCE_REFUSAL % 'residual'}, got nan"),
+        ({"tolerances": {"residual": "x"}}, f"{_TOLERANCE_REFUSAL % 'residual'}, got 'x'"),
+        ({"tolerances": {"margin": None}}, f"{_TOLERANCE_REFUSAL % 'margin'}, got None"),
+    ],
+)
+def test_run_suite_refuses_malformed_arguments_before_drawing(kwargs, message, monkeypatch):
+    row = vf._SUITES["wyd-consistency"]
+
+    def draw(rng, dims):
+        raise AssertionError("nothing may be drawn for a malformed argument")
+
+    monkeypatch.setitem(vf._SUITES, "wyd-consistency", row._replace(draw=draw))
+    with pytest.raises(DomainError) as exc:
+        vf.run_suite("wyd-consistency", **{"trials": 2, **kwargs})
+    assert str(exc.value) == message
+
+
+def test_run_suite_takes_numpy_integers_and_infinite_tolerances():
+    wide = {"margin": math.inf, "residual": -math.inf}
+    a = vf.run_suite(
+        "wyd-consistency", trials=np.int64(3), seed=np.int64(3), dims=np.array([2, 3]), tolerances=wide
+    )
+    b = vf.run_suite("wyd-consistency", trials=3, seed=3, dims=(2, 3), tolerances=wide)
+    assert json.dumps(a.to_dict() | {"elapsed": 0}) == json.dumps(b.to_dict() | {"elapsed": 0})
+    assert [f["seed"] for f in a.failures] == ["3:0", "3:1", "3:2"]
+
+
 def test_run_suite_zero_trials_passes():
     rep = vf.run_suite("skew-identity", trials=0)
     assert rep.passed and rep.trials == 0
@@ -672,10 +760,8 @@ def test_pick_draws_the_stream_of_choice():
         assert a.random() == b.random()
 
 
-@pytest.mark.parametrize(
-    "name", ["hessian", "lemma-commuting", "lemma-cross", "monotonicity", "concavity", "oracle-equivalence"]
-)
-def test_suites_digest_once_per_trial(name, monkeypatch):
+@pytest.mark.parametrize("name", vf.SUITE_NAMES)
+def test_suites_digest_only_failing_trials(name, monkeypatch):
     calls = []
     original = qt.digest_inputs
 
@@ -685,8 +771,12 @@ def test_suites_digest_once_per_trial(name, monkeypatch):
 
     monkeypatch.setattr(qt, "digest_inputs", counted)
     monkeypatch.setattr(vf, "digest_inputs", counted)
-    vf.run_suite(name, trials=3, seed=0, dims=(2, 3))
-    assert len(calls) == 3
+    assert vf.run_suite(name, trials=3, seed=0, dims=(2, 3)).passed
+    assert calls == []
+    # with both bounds at -inf every trial fails, and each is digested once
+    every = {"margin": -math.inf, "residual": -math.inf}
+    rep = vf.run_suite(name, trials=3, seed=0, dims=(2, 3), tolerances=every)
+    assert len(rep.failures) == len(calls) == 3
 
 
 def test_trial_report_failure_invariant():
@@ -1225,7 +1315,7 @@ def test_a_hessian_trial_whose_trace_identity_fails_is_recorded_alone(monkeypatc
     # one dimension: every trial shares the broken trial's group
     seed, trials, dims, broken = 6, 12, (3,), 4
     clean = _trial_records("hessian", trials=trials, seed=seed, dims=dims)
-    key, (_, raw, _, _) = vf._draw_hessian(_trial_rng(seed, broken), dims)
+    key, (_, raw, _, _) = vf._SUITES["hessian"].draw(_trial_rng(seed, broken), dims)
     target = linalg.state(vf._densities(raw, vf._fd_floor(key))).matrix
     original = qt.fisher
 
@@ -1301,15 +1391,11 @@ def test_a_nan_margin_or_residual_fails_its_trial(monkeypatch, field):
     summaries = []
     for broken in (0, 5, 9):
         # one trial of the single group returns NaN, first, inside or last
-        digest = clean_records[f"2:{broken}"]["digest"]
-
-        def poisoned(key, trials, _digest=digest):
-            out = []
-            for m, r, d in row.evaluate(key, trials):
-                if d == _digest:
-                    m, r = (math.nan, r) if field == "margin" else (m, math.nan)
-                out.append((m, r, d))
-            return out
+        def poisoned(key, trials, _broken=broken):
+            margins, residuals, parts = row.evaluate(key, trials)
+            values = np.array(margins if field == "margin" else residuals)
+            values[_broken] = math.nan
+            return (values, residuals, parts) if field == "margin" else (margins, values, parts)
 
         monkeypatch.setitem(vf._SUITES, name, row._replace(evaluate=poisoned))
         rep = vf.run_suite(name, trials=10, seed=2, dims=(2,))
