@@ -11,8 +11,7 @@ shape ``(..., n, n)``, treat the leading axes as a batch of independent
 matrices (broadcast against each other where two are combined) and
 validate and decompose the whole batch with one ``np.linalg.eigh`` call.
 A 2-D input is a batch of none and behaves as a single matrix.  Validation
-raises on the first rejected member; :func:`screened_state` instead
-returns the per-matrix mask of the same checks.  :func:`relmod_grid`, the
+raises on the first rejected member.  :func:`relmod_grid`, the
 one place kernels are evaluated, also takes a tuple of kernels, one per
 member of the leading axis, so a stack may pair each member with its own
 kernel.  Such a tuple is evaluated with one call per group of members:
@@ -104,21 +103,6 @@ def _matrix_max(A: np.ndarray):
     return float(A.max()) if A.ndim == 2 else A.max(axis=(-2, -1))
 
 
-def _hermitian_mask(M: np.ndarray):
-    """Symmetrized stack and per-matrix ``(passes, max asymmetry, allowance)``.
-
-    Python scalars for one matrix.  A member with a non-finite entry fails
-    with a non-finite allowance and is zeroed, before any arithmetic warns.
-    """
-    allowed = HERMITIAN_TOL * (1.0 + _matrix_max(np.abs(M)))
-    finite = allowed < np.inf  # false when an entry is infinite or NaN (or its modulus overflows)
-    if not _all(finite):
-        M = np.where(np.expand_dims(finite, (-2, -1)), M, 0.0)
-    Mh = dagger(M)
-    dev = _matrix_max(np.abs(M - Mh))
-    return (M + Mh) / 2, finite & (dev <= allowed), dev, allowed
-
-
 def as_hermitian(M) -> np.ndarray:
     """Validate Hermiticity up to roundoff and return the symmetrized matrix.
 
@@ -127,7 +111,15 @@ def as_hermitian(M) -> np.ndarray:
     entry, raises.  Accepts a ``(..., n, n)`` stack; a single matrix is
     decided on Python floats, with the same checks and messages.
     """
-    H, ok, dev, allowed = _hermitian_mask(_square(M, "Hermitian matrix"))
+    M = _square(M, "Hermitian matrix")
+    allowed = HERMITIAN_TOL * (1.0 + _matrix_max(np.abs(M)))
+    finite = allowed < np.inf  # false when an entry is infinite or NaN (or its modulus overflows)
+    if not _all(finite):
+        # zeroed before any arithmetic warns; the member is refused below
+        M = np.where(np.expand_dims(finite, (-2, -1)), M, 0.0)
+    Mh = dagger(M)
+    dev = _matrix_max(np.abs(M - Mh))
+    ok = finite & (dev <= allowed)
     if not _all(ok):
         dev, allowed = _first_rejected(ok, dev, allowed)
         if not allowed < np.inf:
@@ -135,20 +127,16 @@ def as_hermitian(M) -> np.ndarray:
         raise InvariantViolation(
             f"matrix is not Hermitian: max asymmetry {dev:.3e} exceeds {allowed:.3e}"
         )
-    return H
+    return (M + Mh) / 2
 
 
-def _density_mask(H: np.ndarray, wmin) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix ``(passes, trace)`` of the unit-trace and eigenvalue-floor checks (scalars for one matrix)."""
+def _check_density(H: np.ndarray, wmin) -> None:
+    """Refuse the first matrix that fails the unit-trace or eigenvalue-floor check (one matrix: on floats)."""
     tr = H.trace(axis1=-2, axis2=-1).real
     if H.ndim == 2:
         tr, wmin = float(tr), float(wmin)
     # comparisons with NaN are false, so NaN entries fail the checks
-    return (abs(tr - 1.0) <= DENSITY_TRACE_TOL) & (wmin >= DENSITY_EIG_FLOOR), tr
-
-
-def _check_density(H: np.ndarray, wmin) -> None:
-    ok, tr = _density_mask(H, wmin)
+    ok = (abs(tr - 1.0) <= DENSITY_TRACE_TOL) & (wmin >= DENSITY_EIG_FLOOR)
     if _all(ok):
         return
     tr, wmin = _first_rejected(ok, tr, wmin)
@@ -264,20 +252,6 @@ def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
     if isinstance(second[0], BaseException):
         raise second[0]
     return first, second[0]
-
-
-def screened_state(D) -> tuple[State, np.ndarray]:
-    """Decompose a stack of candidate densities without raising on rejected members.
-
-    Returns the State of the whole stack and the per-matrix mask of the
-    members :func:`state` accepts.  A member with a non-finite entry is
-    decomposed as the zero matrix instead, so the State's entries are
-    meaningful only where the mask is true.
-    """
-    H, herm, _, _ = _hermitian_mask(_square(D, "Hermitian matrix"))
-    w, U = _eigh(H, "state")
-    ok, _ = _density_mask(H, w[..., 0])
-    return State(w, U, H), herm & ok
 
 
 def eig_hermitian(H) -> SpectralDecomposition:
@@ -493,8 +467,8 @@ def commutator(A, B) -> np.ndarray:
 
 
 def require_dimension(n) -> None:
-    """Refuse, with ``DomainError``, a matrix dimension that is not an integer of at least 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """Refuse, with ``DomainError``, a matrix dimension that is not an integer of at least 1 (``bool`` included)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"dimension must be at least 1 and an integer, got {n!r}")
 
 

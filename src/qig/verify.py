@@ -3,10 +3,13 @@
 The mixed second derivative of the quasi-entropy along state perturbations
 is estimated by a central stencil with Richardson extrapolation across a
 step schedule, and computed exactly by :func:`exact_mixed_derivative`, the
-Daleckii-Krein double sum over the state's eigenbasis.  The derivative
-identities (commuting directions, cross directions, the quadratic
-commutator identity) are each the gap between the two; the Hessian form of
-skew information compares its estimate with ``f(0)`` times the metric.
+Daleckii-Krein double sum over the state's eigenbasis.  The schedule's
+steps are fractions of each state's smallest eigenvalue, so every stencil
+point is a density by construction and the truncation error does not grow
+with the dimension.  The derivative identities (commuting directions,
+cross directions, the quadratic commutator identity) are each the gap
+between the two; the Hessian form of skew information compares its
+estimate with ``f(0)`` times the metric.
 Determinant uncertainty margins and all sampling suites live here too; the
 probe suites' pass thresholds are the constants of :mod:`~qig.functions`.
 
@@ -52,6 +55,7 @@ from . import channels, functions, linalg, quantities
 from .errors import DomainError, InvariantViolation, VerificationError
 from .quantities import _each, _real, digest_inputs
 
+#: smallest absolute finite-difference step, ``lambda_min * c``, that a member may take
 MIN_STEP = 1e-5
 #: Gram-Schmidt replaces a candidate observable of at most this norm after centering and projection
 MIN_CANDIDATE_NORM = 1e-6
@@ -59,9 +63,16 @@ MIN_CANDIDATE_NORM = 1e-6
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Strictly decreasing finite-difference increments, none below 1e-5."""
+    """Strictly decreasing step fractions ``c_k`` of each state's smallest eigenvalue.
 
-    steps: tuple[float, ...] = (1e-2, 1e-3)
+    A state D takes the steps ``h_k = c_k lambda_min(D)``.  The first
+    fraction is at most 0.5, so every stencil point ``D +- h_k A`` along a
+    unit direction (operator norm at most 1) keeps a smallest eigenvalue of
+    at least ``lambda_min(D) / 2``.  The last is at least :data:`MIN_STEP`,
+    below which no density has a usable step.
+    """
+
+    steps: tuple[float, ...] = (0.03, 0.003)
 
     def __post_init__(self):
         if not self.steps:
@@ -71,6 +82,8 @@ class StepSchedule:
             raise InvariantViolation("steps must be positive")
         if not all(a > b for a, b in zip(self.steps, self.steps[1:])):
             raise InvariantViolation("steps must be strictly decreasing")
+        if not self.steps[0] <= 0.5:
+            raise InvariantViolation("the first step must be at most 0.5 of the smallest eigenvalue")
         if not self.steps[-1] >= MIN_STEP:
             raise InvariantViolation(f"smallest step must be at least {MIN_STEP:g}")
 
@@ -198,20 +211,22 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     normalized to unit Hilbert-Schmidt norm internally and the result
     rescaled, so tolerances are scale-free).  Returns the value and an
     error estimate, the gap between the last two extrapolation levels.
-    Steps that push a perturbed state's smallest eigenvalue below 1e-9, or
-    out of the densities, are rejected; a single usable step is halved once
-    to get a second, and if that falls below 1e-5 or none is usable, raises.
+    The steps are the schedule's fractions of D's smallest eigenvalue, so
+    every stencil point is a density with at least half of it; a state
+    whose smallest step ``lambda_min c_S`` falls below :data:`MIN_STEP`
+    (``lambda_min < MIN_STEP / c_S``, 3.3e-3 for the default schedule)
+    raises ``VerificationError``.
 
     D, A and B may be equal-shape ``(..., n, n)`` stacks, with F one kernel
     or a tuple of one kernel per member (in C order); the values and
-    estimates are then arrays over the leading axes.  The ``4 S`` points of
-    every member's ``S``-step schedule are validated and decomposed as one
-    stack, and the members are grouped by their usable steps: the four
-    corners of every step of a group are paired in one call.  A member
-    with a zero direction gets ``(0, 0)``.  Each member's value equals its
-    2-D call's.
+    estimates are then arrays over the leading axes, each member on its
+    own steps.  The ``4 S`` points of every member are validated and
+    decomposed as one stack, and the four corners of every step of every
+    member are paired in one call.  A member with a zero direction gets
+    ``(0, 0)`` and takes no step.  Each member's value equals its 2-D
+    call's.
     """
-    D = linalg.as_density(D)
+    D = linalg.state(D)
     A = linalg.as_hermitian(A)
     B = linalg.as_hermitian(B)
     for M in (A, B):
@@ -221,49 +236,30 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
             raise InvariantViolation("perturbations must be traceless")
     sched = schedule if schedule is not None else StepSchedule()
     batch, n = D.shape[:-2], D.shape[-1]
-    D, A, B = (M.reshape(-1, n, n) for M in (D, A, B))
+    Dm, A, B = (M.reshape(-1, n, n) for M in (D.matrix, A, B))
     na, nb = _norms(A), _norms(B)
-    nonzero = (na != 0.0) & (nb != 0.0)
-    eye = np.eye(n)
-
-    def unit(M: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        M = M - (M.trace(axis1=-2, axis2=-1).real / n)[:, None, None] * eye
-        return M / np.where(nonzero, nrm, 1.0)[:, None, None]
-
-    An, Bn = unit(A, na), unit(B, nb)
-
-    def points(hs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``D + t M`` of the members ``rows`` as ``[member, step, direction (An, Bn), sign (+h, -h)]``."""
-        t = np.stack([hs, -hs], axis=-1)
-        dirs = np.stack([An[rows], Bn[rows]], axis=1)
-        return D[rows, None, None, None] + t[:, None, :, None, None] * dirs[:, None, :, None]
-
-    def stencil(hs: np.ndarray, pts: linalg.State, rows: np.ndarray) -> np.ndarray:
-        # g[r, k, a, b] = S_F(first point a, second point b) of member r at step k
-        F_rows = tuple(F[i] for i in rows) if isinstance(F, tuple) else F
-        g = quantities.quasi_entropy(F_rows, None, pts[:, :, 0, :, None], pts[:, :, 1, None, :])
-        return (g[..., 0, 0] - g[..., 0, 1] - g[..., 1, 0] + g[..., 1, 1]) / (4.0 * hs * hs)
-
-    value, err = np.zeros(len(D)), np.zeros(len(D))
-    steps = np.asarray(sched.steps)
-    live = np.flatnonzero(nonzero)
-    pts, ok = linalg.screened_state(points(steps, live))
-    keep = (ok & (pts.eigenvalues[..., 0] >= 1e-9)).all(axis=(2, 3))
-    if not keep.any(axis=1).all():
-        raise VerificationError("no finite-difference step keeps the states positive definite")
-    for mask in dict.fromkeys(map(tuple, keep.tolist())):
-        sel = (keep == mask).all(axis=1)
-        rows, hs = live[sel], steps[list(mask)]
-        group = pts if sel.all() and all(mask) else pts[np.ix_(sel, mask)]
-        values = stencil(hs, group, rows)
-        if len(hs) < 2:
-            h = hs / 2.0
-            if h[0] < MIN_STEP:
-                raise VerificationError("step schedule exhausted before extrapolation")
-            hs = np.append(hs, h)
-            values = np.append(values, stencil(h, linalg.state(points(h, rows)), rows), axis=1)
-        v, e = _neville(hs * hs, values.T)
-        value[rows], err[rows] = v * na[rows] * nb[rows], e * na[rows] * nb[rows]
+    live = np.flatnonzero((na != 0.0) & (nb != 0.0))
+    # the unit directions [member, direction (A, B)] and steps [member, step] of the live members
+    dirs = np.stack([A[live], B[live]], axis=1)
+    dirs -= (dirs.trace(axis1=-2, axis2=-1).real / n)[..., None, None] * np.eye(n)
+    dirs /= np.stack([na[live], nb[live]], axis=1)[..., None, None]
+    hs = D.eigenvalues.reshape(-1, n)[live, :1] * np.asarray(sched.steps)
+    short = hs[:, -1] < MIN_STEP
+    if short.any():
+        raise VerificationError(
+            f"step schedule exhausted before extrapolation: smallest step "
+            f"{_first(hs[:, -1], short):.3e} is below {MIN_STEP:g}"
+        )
+    # D + t M as [member, step, direction, sign (+h, -h)], every one a density by construction
+    t = np.stack([hs, -hs], axis=-1)
+    pts = linalg.state(Dm[live, None, None, None] + t[:, :, None, :, None, None] * dirs[:, None, :, None])
+    # g[r, k, a, b] = S_F(first point a, second point b) of member r at step k
+    F_live = tuple(F[i] for i in live) if isinstance(F, tuple) else F
+    g = quantities.quasi_entropy(F_live, None, pts[:, :, 0, :, None], pts[:, :, 1, None, :])
+    stencil = (g[..., 0, 0] - g[..., 0, 1] - g[..., 1, 0] + g[..., 1, 1]) / (4.0 * hs * hs)
+    v, e = _neville((hs * hs).T, stencil.T)
+    value, err = np.zeros(len(Dm)), np.zeros(len(Dm))
+    value[live], err[live] = v * na[live] * nb[live], e * na[live] * nb[live]
     if not batch:
         return float(value[0]), float(err[0])
     return value.reshape(batch), err.reshape(batch)
@@ -329,22 +325,6 @@ def lemma_commuting_residual(F, D, A, B, schedule: StepSchedule | None = None):
     for M in (A, B):
         _require_commuting(D.matrix, M)
     return _fd_defect(F, D, A, B, schedule)
-
-
-def lemma_cross_residual(F, D, A, X, schedule: StepSchedule | None = None):
-    """``|FD - exact|`` along a direction A commuting with D and ``1j[D,X]``; the exact value is zero."""
-    D = linalg.state(D)
-    A = linalg.as_hermitian(A)
-    _require_commuting(D.matrix, A)
-    B = quantities.commutator_direction(D, linalg.as_hermitian(X))
-    return _fd_defect(F, D, A, B, schedule)
-
-
-def lemma_quadratic_residual(F, D, X, schedule: StepSchedule | None = None):
-    """``|FD - exact|`` along ``(1j[D,X], 1j[D,X])``; exact: ``2 F(1) Tr D X^2 - 2 S_F^X(D, D)``."""
-    D = linalg.state(D)
-    B = quantities.commutator_direction(D, linalg.as_hermitian(X))
-    return _fd_defect(F, D, B, B, schedule)
 
 
 def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):

@@ -91,7 +91,8 @@ def test_criterion_7_derivative_lemmas():
         F = (fn.power_kernel(2.0), fn.power_kernel(0.5), fn.neglog_kernel(), fn.sld())[i % 4]
         D = vf.random_density(n, min(0.2, 0.8 / n), rng)
         X = vf.random_hermitian(n, rng)
-        worst_quad = max(worst_quad, vf.lemma_quadratic_residual(F, D, X))
+        B = qt.commutator_direction(D, X)
+        worst_quad = max(worst_quad, vf._fd_defect(F, D, B, B, None))
     ok = (
         rep_comm.passed and rep_comm.max_residual <= 1e-6
         and rep_cross.passed and rep_cross.max_residual <= 1e-6

@@ -232,7 +232,7 @@ def test_check_operator_monotone_passes_transformed_extremal():
     assert rep.passed, rep
 
 
-@pytest.mark.parametrize("dim", [0, -1, 2.5])
+@pytest.mark.parametrize("dim", [0, -1, 2.5, True, np.True_])
 def test_check_operator_monotone_rejects_a_dimension_below_one(dim, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may be drawn for an invalid dimension")

@@ -82,17 +82,6 @@ def test_stack_with_one_bad_member_is_rejected_like_the_member(bad):
         with pytest.raises(InvariantViolation) as got:
             validate(Ds)
         assert str(got.value) == str(single.value)
-    _, ok = linalg.screened_state(Ds)
-    assert ok.tolist() == [True, False, True]
-
-
-def test_screened_state_accepts_what_state_accepts():
-    Ds = _densities(4, 3)
-    screened, ok = linalg.screened_state(Ds)
-    s = linalg.state(Ds)
-    assert ok.all()
-    assert np.array_equal(screened.eigenvectors, s.eigenvectors)
-    assert np.array_equal(screened.matrix, s.matrix)
 
 
 def test_only_a_stack_of_states_is_indexed():

@@ -38,7 +38,7 @@ def test_random_density_floor_domain(monkeypatch):
         vf.random_density(4, 0.3, 0)
     with pytest.raises(DomainError):
         vf.random_density(4, 0.0, 0)
-    for n in (0, -2, 2.5):
+    for n in (0, -2, 2.5, True):
         with pytest.raises(DomainError, match="dimension must be at least 1"):
             vf.random_density(n)
 
@@ -51,6 +51,13 @@ def test_step_schedule_validation():
         vf.StepSchedule((1e-2, 1e-6))
     with pytest.raises(InvariantViolation):
         vf.StepSchedule(())
+
+
+@pytest.mark.parametrize("steps", [(0.6, 1e-2), (0.5 + 1e-12,), (1.0, 0.4)])
+def test_step_schedule_refuses_a_first_fraction_above_one_half(steps):
+    with pytest.raises(InvariantViolation, match="at most 0.5"):
+        vf.StepSchedule(steps)
+    vf.StepSchedule((0.5,) + steps[1:])
 
 
 @pytest.mark.parametrize("steps", [(math.nan,), (1e-2, math.nan), (math.nan, 1e-3)])
@@ -149,43 +156,63 @@ def test_state_shaped_operands_are_refused_at_another_shape(qubit_state, flip):
             gram(fn.sld(), qubit_state, [flip, wide])
 
 
-def test_mixed_second_derivative_rejects_positivity_breaking_steps():
-    # a step of 0.5 pushes the state past singularity and must be dropped,
-    # leaving a single usable step that gets refined for extrapolation
-    D = np.diag([0.6, 0.2, 0.2]).astype(complex)
+def test_every_stencil_point_keeps_half_the_smallest_eigenvalue(monkeypatch):
+    # a near-degenerate small pair, directions that move one small eigenvalue by
+    # sqrt(2/3) h (the most a unit traceless direction can at n = 3), random ones,
+    # and the largest first fraction the schedule admits
+    rng = np.random.default_rng(4)
+    D = np.stack(
+        [np.diag([0.6, 0.2, 0.2]), np.diag([0.98, 0.01 + 1e-9, 0.01 - 1e-9])]
+        + [np.asarray(vf.random_density(3, 0.01, rng)) for _ in range(4)]
+    ).astype(complex)
+    S = linalg.state(D)
+    down = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+    A = np.stack([down, down] + [vf.random_hermitian(3, rng) for _ in range(4)])
+    A -= np.trace(A, axis1=1, axis2=2).real[:, None, None] * np.eye(3) / 3
+    B = np.stack([-down, down] + [vf.random_hermitian(3, rng) for _ in range(4)])
+    B -= np.trace(B, axis1=1, axis2=2).real[:, None, None] * np.eye(3) / 3
+    # the stacks of stencil points mixed_second_derivative validates, [member, step, direction, sign, n, n]
+    seen = []
+    original = linalg.state
+
+    def recording(D, *args, **kwargs):
+        if not isinstance(D, linalg.State) and np.ndim(D) == 6:
+            seen.append(D)
+        return original(D, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "state", recording)
+    sched = vf.StepSchedule((0.5, 0.05))
+    value, _ = vf.mixed_second_derivative(fn.power_kernel(2.0), S, A, B, sched)
+    (pts,) = seen
+    assert pts.shape == (6, 2, 2, 2, 3, 3)
+    w_min = np.linalg.eigvalsh(pts)[..., 0].reshape(6, -1).min(axis=1)
+    assert np.all(w_min >= S.eigenvalues[:, 0] / 2)
+    exact = vf.exact_mixed_derivative(fn.power_kernel(2.0), S, A, B)
+    assert_allclose(value, exact, rtol=1e-3)  # the coarse schedule leaves a truncation error of ~3e-4
+
+
+def test_mixed_second_derivative_refuses_a_smallest_step_below_min_step():
+    # the default's last fraction is 0.003: lambda_min 3e-3 gives a 9e-6 step, 4e-3 one of 1.2e-5
     A = np.diag([1.0, -0.5, -0.5]).astype(complex)
-    A /= np.linalg.norm(A)
-    val, _ = vf.mixed_second_derivative(
-        fn.power_kernel(2.0), D, A, A, vf.StepSchedule((0.5, 1e-2))
-    )
-    exact = -2.0 * np.trace(np.linalg.inv(D) @ A @ A).real
-    assert val == pytest.approx(exact, abs=1e-5)
-
-
-def test_mixed_second_derivative_rejects_steps_grazing_the_floor():
-    # the first step leaves a smallest eigenvalue of 5e-10: a valid density,
-    # but below the 1e-9 the stencil needs, so only the second step is used
-    D = np.diag([0.6, 0.2, 0.2]).astype(complex)
-    A = np.diag([1.0, -0.5, -0.5]).astype(complex)
-    A /= np.linalg.norm(A)
-    h = 2.0 * np.sqrt(1.5) * (0.2 - 5e-10)
-    assert 1e-10 < np.linalg.eigvalsh(D + h * A)[0] < 1e-9
-    val, _ = vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A, vf.StepSchedule((h, 1e-2)))
-    exact = -2.0 * np.trace(np.linalg.inv(D) @ A @ A).real
-    assert val == pytest.approx(exact, abs=1e-5)
-
-
-def test_mixed_second_derivative_schedule_exhausted():
-    # smallest eigenvalue sits at the density floor, so every legal step breaks it
-    D = np.diag([1.0 - 2e-9, 1e-9, 1e-9]).astype(complex)
-    A = np.diag([1.0, -0.5, -0.5]).astype(complex)
-    with pytest.raises(VerificationError):
-        vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A)
+    for w in (1e-9, 1e-4, 3e-3):
+        D = np.diag([1.0 - 2 * w, w, w]).astype(complex)
+        with pytest.raises(VerificationError, match=r"exhausted before extrapolation: smallest step .* below 1e-05"):
+            vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A)
+        # a zero direction takes no step, so it is not refused
+        assert vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, np.zeros((3, 3))) == (0.0, 0.0)
+    D = np.diag([1.0 - 8e-3, 4e-3, 4e-3]).astype(complex)
+    val, _ = vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A)
+    assert val == pytest.approx(vf.exact_mixed_derivative(fn.power_kernel(2.0), D, A, A), rel=1e-6)
+    # a coarser schedule admits the state the default refuses
+    D = np.diag([1.0 - 2e-3, 1e-3, 1e-3]).astype(complex)
+    val, _ = vf.mixed_second_derivative(fn.power_kernel(2.0), D, A, A, vf.StepSchedule((0.5, 0.05)))
+    assert val == pytest.approx(vf.exact_mixed_derivative(fn.power_kernel(2.0), D, A, A), rel=1e-4)
 
 
 def test_mixed_second_derivative_decomposes_the_schedule_in_one_call(eig_calls):
     # all 4 points of both default steps go through one eigh; the value equals
-    # the stencil written out with 8 quasi-entropy calls, bit for bit
+    # the stencil written out with 8 quasi-entropy calls, bit for bit, at the
+    # steps the schedule's fractions of the smallest eigenvalue give
     F = fn.power_kernel(0.5)
     D = vf.random_density(3, 0.2, 5)
     rng = np.random.default_rng(6)
@@ -207,7 +234,10 @@ def test_mixed_second_derivative_decomposes_the_schedule_in_one_call(eig_calls):
 
         return (g(h, h) - g(h, -h) - g(-h, h) + g(-h, -h)) / (4.0 * h * h)
 
-    (h1, h2), (s1, s2) = vf.StepSchedule().steps, (stencil(1e-2), stencil(1e-3))
+    w_min = D.eigenvalues[0]
+    assert 0.2 - 1e-12 <= w_min
+    h1, h2 = (w_min * c for c in vf.StepSchedule().steps)
+    s1, s2 = stencil(h1), stencil(h2)
     x1, x2 = h1 * h1, h2 * h2
     expected = (x2 * s1 - x1 * s2) / (x2 - x1)
     assert val == float(expected * na * nb)
@@ -279,32 +309,37 @@ def test_lemma_commuting_requires_commuting(qubit_state, flip):
         vf.lemma_commuting_residual(fn.power_kernel(2.0), qubit_state, flip, flip)
 
 
-def test_lemma_cross_residual_trivial_and_random(qubit_state, flip):
+def _cross_defect(F, D, A, X):
+    """``|FD - exact|`` along A and ``1j[D, X]``, the defect the lemma-cross suite measures."""
+    return vf._fd_defect(F, D, A, qt.commutator_direction(D, X), None)
+
+
+def test_cross_defect_trivial_and_random(qubit_state, flip):
     A = np.diag([1.0, -1.0]).astype(complex)
     commuting_X = np.diag([0.3, -0.3]).astype(complex)
-    assert vf.lemma_cross_residual(fn.power_kernel(2.0), qubit_state, A, commuting_X) <= 1e-12
+    assert _cross_defect(fn.power_kernel(2.0), qubit_state, A, commuting_X) <= 1e-12
     rng = np.random.default_rng(6)
     D = vf.random_density(2, 0.2, rng)
     dec = linalg.eig_hermitian(D)
     a = np.array([1.0, -1.0])
     A = (dec.eigenvectors * a) @ dec.eigenvectors.conj().T
     X = vf.random_hermitian(2, rng)
-    assert vf.lemma_cross_residual(fn.power_kernel(3.0), D, A, X) <= 1e-6
+    assert _cross_defect(fn.power_kernel(3.0), D, A, X) <= 1e-6
     D4 = vf.random_density(4, 0.15, rng)
     dec4 = linalg.eig_hermitian(D4)
     a4 = rng.standard_normal(4)
     a4 -= a4.mean()
     A4 = (dec4.eigenvectors * a4) @ dec4.eigenvectors.conj().T
     X4 = vf.random_hermitian(4, rng)
-    assert vf.lemma_cross_residual(fn.sld(), D4, A4, X4) <= 1e-6
+    assert _cross_defect(fn.sld(), D4, A4, X4) <= 1e-6
 
 
-def test_lemma_quadratic_residual_random():
+def test_quadratic_defect_random():
     rng = np.random.default_rng(7)
     for F in (fn.power_kernel(2.0), fn.neglog_kernel(), fn.sld()):
         D = vf.random_density(3, 0.2, rng)
-        X = vf.random_hermitian(3, rng)
-        assert vf.lemma_quadratic_residual(F, D, X) <= 1e-6
+        B = qt.commutator_direction(D, vf.random_hermitian(3, rng))
+        assert vf._fd_defect(F, D, B, B, None) <= 1e-6
 
 
 def test_hessian_vs_skew_golden_qubit(qubit_state, flip):
@@ -405,7 +440,7 @@ def test_exact_mixed_derivative_refuses_a_kernel_without_second_derivative(qubit
     with pytest.raises(DomainError, match="no second derivative"):
         vf.exact_mixed_derivative(bare, qubit_state, flip, flip)
     with pytest.raises(DomainError, match="no second derivative"):
-        vf.lemma_quadratic_residual(bare, qubit_state, flip)
+        vf._fd_defect(bare, qubit_state, flip, flip, None)
 
 
 def test_cov_gram_single_observable(qubit_state, flip):
@@ -693,6 +728,12 @@ def test_run_suite_refuses_malformed_arguments_before_drawing(kwargs, message, m
     assert str(exc.value) == message
 
 
+def test_run_suite_refuses_bool_dimensions():
+    # bool is an int subclass; True would otherwise run the suite at n = 1
+    with pytest.raises(DomainError, match=r"^dims must be positive integers, got \(True,\)$"):
+        vf.run_suite("renyi-limit", trials=2, dims=(True,))
+
+
 def test_run_suite_takes_numpy_integers_and_infinite_tolerances():
     wide = {"margin": math.inf, "residual": -math.inf}
     a = vf.run_suite(
@@ -924,7 +965,8 @@ def _lemma_cross_by_trial(rng, dims):
     n, F, D = _smooth_trial(rng, dims)
     A = _commuting_by_hand(D, rng)
     X = vf.random_hermitian(n, rng)
-    r = max(vf.lemma_cross_residual(F, D, A, X), vf.lemma_quadratic_residual(F, D, X))
+    B = qt.commutator_direction(D, X)
+    r = max(_cross_defect(F, D, A, X), vf._fd_defect(F, D, B, B, None))
     return r, qt.digest_inputs(F.name, D, A, X)
 
 
@@ -1254,12 +1296,13 @@ def test_a_raising_trial_fails_alone_in_the_batched_sampling_suites(monkeypatch,
 
 
 def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member(monkeypatch):
-    # member 2 sits near the density floor, so the schedule's first step breaks it
-    # and the halved second step stands in; member 3 has a zero direction
+    # member 2 sits just above the smallest eigenvalue the default schedule admits
+    # (its last step is 1.2e-5), so the members' steps differ 50-fold; member 3 has
+    # a zero direction
     rng = np.random.default_rng(12)
     D = np.stack(
         [np.asarray(vf.random_density(3, 0.2, rng)) for _ in range(2)]
-        + [np.diag([0.96, 0.02, 0.02]).astype(complex), np.asarray(vf.random_density(3, 0.2, rng))]
+        + [np.diag([0.992, 0.004, 0.004]).astype(complex), np.asarray(vf.random_density(3, 0.2, rng))]
     )
     S = linalg.state(D)
     A = np.stack([vf.random_hermitian(3, rng) for _ in range(4)])
@@ -1267,7 +1310,6 @@ def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member
     B = qt.commutator_direction(S, np.stack([vf.random_hermitian(3, rng) for _ in range(4)]))
     B[3] = 0.0
     kernels = (fn.power_kernel(0.5), fn.neglog_kernel(), fn.covariance_kernel(fn.wyd(0.3)), fn.sld())
-    sched = vf.StepSchedule((0.05, 1e-2))
     calls = []
     original = vf.mixed_second_derivative
 
@@ -1278,17 +1320,21 @@ def test_stacked_mixed_second_derivative_equals_the_two_d_calls_member_by_member
     monkeypatch.setattr(vf, "mixed_second_derivative", counted)
     for F in (kernels, kernels[0]):
         calls.clear()
-        value, err = vf.mixed_second_derivative(F, S, A, B, sched)
+        value, err = vf.mixed_second_derivative(F, S, A, B)
         assert value.shape == err.shape == (4,)
-        # one stacked call: member 2's halved step and member 3's zero direction stay inside it
+        # one stacked call: member 2's small steps and member 3's zero direction stay inside it
         assert calls == [(4, 3, 3)]
         for j in range(4):
             Fj = F[j] if isinstance(F, tuple) else F
-            assert (value[j], err[j]) == original(Fj, S[j], A[j], B[j], sched)
+            assert (value[j], err[j]) == original(Fj, S[j], A[j], B[j])
     assert (value[3], err[3]) == (0.0, 0.0)
-    # member 2's first step is unusable: with 1.5e-5 as its second, the halved step is too small
-    with pytest.raises(VerificationError, match="exhausted"):
-        original(kernels[2], S[2], A[2], B[2], vf.StepSchedule((0.05, 1.5e-5)))
+    exact = vf.exact_mixed_derivative(kernels[0], S[:3], A[:3], B[:3])
+    assert_allclose(value[:3], exact, rtol=1e-6)
+    # a member below that eigenvalue makes the stacked call refuse, as its 2-D call does
+    D[2] = np.diag([0.994, 0.003, 0.003])
+    for operands in ((D, A, B), (D[2], A[2], B[2])):
+        with pytest.raises(VerificationError, match="exhausted"):
+            original(kernels[2], *operands)
 
 
 def test_stacked_identities_equal_the_two_d_calls_member_by_member():
@@ -1299,13 +1345,15 @@ def test_stacked_identities_equal_the_two_d_calls_member_by_member():
     F = (fn.power_kernel(2.0), fn.neglog_kernel(), fn.sld())
     f = (fn.wyd(0.4), fn.extremal_metric(0.3), fn.sld())
     commuting = vf.lemma_commuting_residual(F, S, A, B)
-    cross = vf.lemma_cross_residual(F, S, A, X)
-    quadratic = vf.lemma_quadratic_residual(F, S, X)
+    C = qt.commutator_direction(S, X)
+    cross = _cross_defect(F, S, A, X)
+    quadratic = vf._fd_defect(F, S, C, C, None)
     hessian = vf.hessian_vs_skew(f, S, X)
     for j in range(3):
         assert commuting[j] == vf.lemma_commuting_residual(F[j], S[j], A[j], B[j])
-        assert cross[j] == vf.lemma_cross_residual(F[j], S[j], A[j], X[j])
-        assert quadratic[j] == vf.lemma_quadratic_residual(F[j], S[j], X[j])
+        assert cross[j] == _cross_defect(F[j], S[j], A[j], X[j])
+        Cj = qt.commutator_direction(S[j], X[j])
+        assert quadratic[j] == vf._fd_defect(F[j], S[j], Cj, Cj, None)
         assert tuple(h[j] for h in hessian) == vf.hessian_vs_skew(f[j], S[j], X[j])
     with pytest.raises(InvariantViolation, match="commute"):
         vf.lemma_commuting_residual(F, S, A, np.stack([A[0], A[1], X[2]]))
