@@ -21,6 +21,13 @@ density and observable:
   sequential ``linalg.state`` calls.  The ratio per n is the measurement
   behind ``PAIR_THREAD_DIM``: below 1 the thread wins.
 
+A ``harness`` section times the per-trial generators of one acceptance
+pass's trial count (the sum of ``verify._SUITES`` trials, 2,320): seconds
+per trial to build every trial's generator, both as ``verify.run_suite``
+does (one ``verify._trial_seed_words`` call, then ``PCG64`` from each row)
+and as ``np.random.default_rng(np.random.SeedSequence([seed, i]))``, which
+draws the same streams.
+
 Each time is the median over 7 timings of one call, where a timing runs
 the call enough times to last at least 20 ms; the ratio is the median
 over 25 rounds that time the two calls back to back.  BLAS runs on one
@@ -137,6 +144,25 @@ def layer_times(n: int, seed: int) -> dict:
     }
 
 
+def harness_times(seed: int) -> dict:
+    trials = sum(row.trials for row in verify._SUITES.values())
+
+    def seed_words():
+        words, seed_words = verify._trial_seed_words(seed, trials), verify._seed_words_type()
+        for i in range(trials):
+            np.random.Generator(np.random.PCG64(seed_words(words[i])))
+
+    def seed_sequence():
+        for i in range(trials):
+            np.random.default_rng(np.random.SeedSequence([seed, i]))
+
+    return {
+        "trials": trials,
+        "trial_generator_seed_words_s": _per_call(seed_words) / trials,
+        "trial_generator_seed_sequence_s": _per_call(seed_sequence) / trials,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -150,8 +176,9 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio)",
+        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio; harness: per trial)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
+        "harness": harness_times(args.seed),
     }
     json.dump(out, sys.stdout, indent=1)
     print()

@@ -14,17 +14,22 @@ Determinant uncertainty margins and all sampling suites live here too; the
 probe suites' pass thresholds are the constants of :mod:`~qig.functions`.
 
 Suites are deterministic in ``(seed, trials, dims)``: every trial derives
-its generator from the suite seed and the trial index.  :func:`run_suite`
-draws every trial first, then groups the drawn trials by shape key:
-``monotonicity`` ``(n_in, n_out, k)``, ``det-uncertainty`` ``(n, m)``, one
-group for all trials of ``standardness`` and ``scalar-gibi``, and ``n``
-for the other nine suites.  Each trial keeps its own kernel (a group's
-tuple of kernels is evaluated with one call per kernel family, see
-:func:`~qig.linalg.relmod_grid`).  Trials draw only random numbers, the
-raw Ginibre arrays, commuting-direction coefficients and kernel parameters
-in stream order; a group builds its densities, unit operands, observables
-and channel isometries from those arrays as stacks, then validates,
-decomposes and pairs them at once, one state ``eigh`` per group.
+its generator from the suite seed and the trial index.  Trial i draws the
+``PCG64`` stream that ``np.random.SeedSequence([seed, i])`` seeds:
+:func:`_trial_seed_words` runs numpy's seed hash for all trials at once,
+and each trial's generator is seeded from its row when it is drawn.  A
+trial index is one 32-bit entropy word, so a suite runs at most ``2**32``
+trials.  :func:`run_suite` draws every trial first, then groups the drawn
+trials by shape key: ``monotonicity`` ``(n_in, n_out, k)``,
+``det-uncertainty`` ``(n, m)``, one group for all trials of
+``standardness`` and ``scalar-gibi``, and ``n`` for the other nine suites.
+Each trial keeps its own kernel (a group's tuple of kernels is evaluated
+with one call per kernel family, see :func:`~qig.linalg.relmod_grid`).
+Trials draw only random numbers, the raw Ginibre arrays,
+commuting-direction coefficients and kernel parameters in stream order; a
+group builds its densities, unit operands, observables and channel
+isometries from those arrays as stacks, then validates, decomposes and
+pairs them at once, one state ``eigh`` per group.
 :func:`_orthonormal_group` makes the centered observables of ``hessian``,
 ``skew-identity`` (one each) and ``det-uncertainty`` (m each): a stacked
 Gram-Schmidt in draw order, rerun sequentially for a member that meets a
@@ -46,7 +51,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -919,6 +924,72 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# numpy's SeedSequence hash constants (NEP 19), on 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 16, 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _trial_seed_words(seed: int, trials: int) -> np.ndarray:
+    """``(trials, 4)`` uint64; row i is ``np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)``.
+
+    numpy's ``mix_entropy`` and ``generate_state`` run on uint32 arrays over
+    the trial axis.  The entropy is the seed's little-endian 32-bit words
+    (one word for 0), then i's one word, so ``trials`` is at most ``2**32``.
+    Values stay arrays: uint32 scalar arithmetic warns on overflow.
+    """
+    seed = int(seed)
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    entropy = [np.full(trials, seed >> s & _MASK32, np.uint32) for s in shifts]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    entropy += [np.zeros(trials, np.uint32)] * (_POOL_SIZE - len(entropy))
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
+    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    hash_b, state = _INIT_B, []
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b
+        state.append((value ^ value >> _XSHIFT).astype(np.uint64))
+    return np.stack(state[0::2], axis=1) | np.stack(state[1::2], axis=1) << 32
+
+
+@cache
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` one row of :func:`_trial_seed_words`.
+
+    Made on first use: subclassing at import would load ``numpy.random``,
+    which ``import numpy`` leaves lazy, into every ``import qig``.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise InvariantViolation(f"only generate_state(4, uint64) is served, got {n_words}, {dtype}")
+            return self.words
+
+    return SeedWords
+
 
 _TRIAL_ERRORS = (VerificationError, InvariantViolation)
 
@@ -957,12 +1028,12 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     ``tolerances`` may override the per-suite defaults with keys
     ``margin`` and/or ``residual``.  Before drawing, refuses with
     ``DomainError`` a seed or trial count that is not a nonnegative integer
-    (``int`` or ``np.integer``), dims that are not a nonempty sequence of
-    positive integers, and a NaN or non-numeric tolerance.  A trial fails
-    when its margin drops below ``-margin_tolerance`` or its residual
-    exceeds the residual tolerance; failures record the derived trial seed,
-    an input digest (taken for failing trials only), and the offending
-    value.  A trial that raises ``VerificationError`` or
+    (``int`` or ``np.integer``), more than ``2**32`` trials, dims that are
+    not a nonempty sequence of positive integers, and a NaN or non-numeric
+    tolerance.  A trial fails when its margin drops below
+    ``-margin_tolerance`` or its residual exceeds the residual tolerance;
+    failures record the derived trial seed, an input digest (taken for
+    failing trials only), and the offending value.  A trial that raises ``VerificationError`` or
     ``InvariantViolation`` is a failure recording its seed, the exception
     class (``error``) and its message; the remaining trials still run.
     Every trial is drawn before any is evaluated, and trials are evaluated
@@ -978,6 +1049,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
             raise DomainError(f"{what} must be an integer, got {value!r}")
         if value < 0:
             raise DomainError(f"{what} must be nonnegative, got {value!r}")
+    if trials > 2**32:
+        raise DomainError(f"trials must be at most 2**32 (one 32-bit seed word per index), got {trials!r}")
     tol = {"margin": suite.margin_tol, "residual": suite.residual_tol}
     if tolerances:
         for key, value in tolerances.items():
@@ -1000,8 +1073,9 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     start = time.perf_counter()
     outcomes: list = [None] * trials
     groups: dict = {}
+    words, seed_words = _trial_seed_words(seed, trials), _seed_words_type()
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        rng = np.random.Generator(np.random.PCG64(seed_words(words[i])))
         try:
             key, inputs = suite.draw(rng, dims)
         except _TRIAL_ERRORS as exc:

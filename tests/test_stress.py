@@ -1,10 +1,14 @@
-"""Stress gate of the finite-difference suites.
+"""Stress gates: suites at ten times their acceptance trial count, dims 2..8.
 
 The three suites that check the Hessian identity against the stencil of
 ``verify.mixed_second_derivative`` run at ten times their acceptance trial
 count, on every dimension from 2 to 8, for three seeds, with their own
 tolerances.  Steps that do not scale with the state's smallest eigenvalue
 fail ``lemma-commuting`` here.
+
+``test_every_suite_passes_the_stress_profile`` runs all 13 suites the same
+way.  It is marked ``stress`` and left out of the default run (a few seconds
+per seed); run it with ``python -m pytest -m stress tests/test_stress.py``.
 """
 
 import pytest
@@ -24,3 +28,21 @@ def test_finite_difference_suite_passes_the_stress_profile(name, seed):
     assert rep.trials == trials
     assert rep.failures == []
     assert rep.max_residual <= vf._SUITES[name].residual_tol
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("seed", STRESS_SEEDS)
+def test_every_suite_passes_the_stress_profile(seed):
+    failing = {}
+    for name, row in vf._SUITES.items():
+        rep = vf.run_suite(
+            name,
+            trials=STRESS_FACTOR * row.trials,
+            seed=seed,
+            dims=STRESS_DIMS,
+            tolerances={"margin": row.margin_tol, "residual": row.residual_tol},
+        )
+        assert rep.trials == STRESS_FACTOR * row.trials
+        if rep.failures:
+            failing[name] = rep.failures[:3]
+    assert failing == {}

@@ -1,5 +1,9 @@
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -890,7 +894,80 @@ def _trial_records(name, **kwargs) -> dict:
 
 
 def _trial_rng(seed: int, i: int) -> np.random.Generator:
+    # numpy's own SeedSequence: the independent oracle of run_suite's trial generators
     return np.random.default_rng(np.random.SeedSequence([seed, i]))
+
+
+def _helper_rng(seed: int, i: int) -> np.random.Generator:
+    words = vf._trial_seed_words(seed, i + 1)
+    return np.random.Generator(np.random.PCG64(vf._seed_words_type()(words[i])))
+
+
+# the last two seeds take more entropy words than numpy's pool of 4
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "seed", [0, 1, 17, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**160 + 7, np.uint64(2**63 + 5)]
+)
+def test_trial_seed_words_equal_numpys_seed_sequence(seed):
+    words = vf._trial_seed_words(seed, 1000)
+    assert words.dtype == np.uint64 and words.shape == (1000, 4)
+    for i in range(1000):
+        expected = np.random.SeedSequence([int(seed), i]).generate_state(4, np.uint64)
+        assert np.array_equal(words[i], expected), i
+
+
+@pytest.mark.filterwarnings("error")
+def test_trial_seed_words_of_zero_trials_is_empty():
+    words = vf._trial_seed_words(17, 0)
+    assert words.shape == (0, 4) and words.dtype == np.uint64
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, i", [(17, 0), (17, 999), (2**160 + 7, 41)])
+def test_trial_generator_draws_the_seed_sequence_stream(seed, i):
+    rng = _helper_rng(seed, i)
+    reference = _trial_rng(seed, i)
+    assert np.array_equal(rng.standard_normal(50), reference.standard_normal(50))
+    clone = copy.deepcopy(rng)
+    expected = reference.standard_normal(20)
+    assert np.array_equal(clone.standard_normal(20), expected)
+    assert np.array_equal(rng.standard_normal(20), expected)
+
+
+@pytest.mark.parametrize("args", [(4,), (8, np.uint32), (2, np.uint64), (4, np.uint32)])
+def test_trial_seed_words_serve_only_pcg64s_request(args):
+    seeds = vf._seed_words_type()(vf._trial_seed_words(3, 1)[0])
+    with pytest.raises(InvariantViolation, match="generate_state"):
+        seeds.generate_state(*args)
+
+
+def test_run_suite_refuses_more_than_two_to_the_32_trials_before_allocating(monkeypatch):
+    def unreachable(seed, trials):
+        raise AssertionError("no seed words may be built for a refused trial count")
+
+    monkeypatch.setattr(vf, "_trial_seed_words", unreachable)
+    with pytest.raises(DomainError, match=r"^trials must be at most 2\*\*32"):
+        vf.run_suite("renyi-limit", trials=2**32 + 1)
+
+
+def test_importing_qig_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; it costs ~13 ms and ~6 MB per process
+    code = "import sys, qig, qig.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", vf.SUITE_NAMES)
+def test_run_suite_never_builds_a_seed_sequence(name, monkeypatch):
+    reference = vf.run_suite(name, trials=3, seed=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suite must seed its trials from _trial_seed_words")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    rep = vf.run_suite(name, trials=3, seed=5)
+    assert json.dumps(rep.to_dict() | {"elapsed": 0}) == json.dumps(reference.to_dict() | {"elapsed": 0})
 
 
 def _concavity_by_trial(rng, dims):
