@@ -28,6 +28,14 @@ does (one ``verify._trial_seed_words`` call, then ``PCG64`` from each row)
 and as ``np.random.default_rng(np.random.SeedSequence([seed, i]))``, which
 draws the same streams.
 
+An ``import`` section times the per-process layer that every ``qig
+compute`` call pays: the wall seconds of fresh processes, as the
+benchmark's cli-compute workload runs them (``PYTHONDONTWRITEBYTECODE=1``,
+so from a checkout without ``__pycache__`` each process compiles qig from
+source), for ``import numpy``, ``import qig``, ``import qig, qig.cli``
+and one ``python -m qig.cli compute umegaki`` on two n = 2 density files.
+Each is the median over 9 processes, the four commands taking turns.
+
 Each time is the median over 7 timings of one call, where a timing runs
 the call enough times to last at least 20 ms; the ratio is the median
 over 25 rounds that time the two calls back to back.  BLAS runs on one
@@ -41,7 +49,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -49,12 +59,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 
-from qig import functions, linalg, quantities, verify  # noqa: E402
+from qig import cli, functions, linalg, quantities, verify  # noqa: E402
 
 DIMS = (2, 4, 8, 16, 32, 48, 64, 256)
 MIN_SECONDS = 0.02
 REPEATS = 7
 RATIO_ROUNDS = 25
+IMPORT_PROCESSES = 9
 
 
 def _mixed_kernels() -> tuple:
@@ -163,6 +174,30 @@ def harness_times(seed: int) -> dict:
     }
 
 
+def import_times(seed: int) -> dict:
+    rng = np.random.default_rng([seed, 2])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))  # the qig imported here
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"d{i}.json") for i in (1, 2)]
+        for path in paths:
+            cli.write_matrix(path, verify.random_density(2, 0.25, rng))
+        commands = {
+            "import_numpy_s": ["-c", "import numpy"],
+            "import_qig_s": ["-c", "import qig"],
+            "import_qig_cli_s": ["-c", "import qig, qig.cli"],
+            "compute_umegaki_n2_s": ["-m", "qig.cli", "compute", "umegaki", "--state", paths[0],
+                                     "--state2", paths[1]],
+        }
+        seconds = {name: [] for name in commands}
+        for _ in range(IMPORT_PROCESSES):
+            for name, args in commands.items():
+                start = time.perf_counter()
+                subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+                seconds[name].append(time.perf_counter() - start)
+    return {name: statistics.median(times) for name, times in seconds.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -176,9 +211,11 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio; harness: per trial)",
+        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio; "
+                "harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
         "harness": harness_times(args.seed),
+        "import": import_times(args.seed),
     }
     json.dump(out, sys.stdout, indent=1)
     print()

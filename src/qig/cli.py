@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, functions, linalg, quantities, verify
+from . import __version__, functions, linalg, quantities
 from .errors import DomainError, FileFormatError, InvariantViolation, VerificationError
 
 _EXIT_CODES = {VerificationError: 1, FileFormatError: 2, InvariantViolation: 3, DomainError: 4}
@@ -81,6 +81,15 @@ def format_value(v: complex) -> str:
     return f"{v.real:.12g}{v.imag:+.12g}j"
 
 
+def _suite(name: str) -> str:
+    """A suite name or ``all``, checked once ``qig verify`` has loaded the harness."""
+    from . import verify
+    choices = (*verify.SUITE_NAMES, "all")
+    if name not in choices:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})")
+    return name
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qig",
@@ -104,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--p", type=float, help="exponent for wyd")
 
     ver = sub.add_parser("verify", help="run a property suite and emit a report")
-    ver.add_argument("suite", choices=(*verify.SUITE_NAMES, "all"))
+    ver.add_argument("suite", type=_suite, help="a suite that qig list names, or all")
     ver.add_argument("--trials", type=int, help="trials per suite (default: each suite's own)")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--dim", help="dimension, or comma list like 2,3,4 (default: each suite's own)")
@@ -224,6 +233,7 @@ def _markdown_report(payload: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     tol = _parse_tolerances(args.tol)
     dims = _parse_dims(args.dim)
@@ -256,6 +266,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_list() -> int:
+    from . import verify
     for heading, kernels, gap in (("standard functions:", False, " "), ("kernels:", True, "  ")):
         print(heading)
         for name, spec in functions.SPECS.items():

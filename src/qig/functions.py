@@ -63,6 +63,11 @@ class ScalarFunctionSpec:
         with np.errstate(all="ignore"):
             return self.fn(x)
 
+    @functools.cached_property
+    def kernel_keys(self) -> tuple:
+        """``linalg._kernel_keys(self.fn)``, computed on first use once per spec."""
+        return linalg._kernel_keys(self.fn)
+
 
 _PROBE_GRID = np.sort(np.append(np.geomspace(1e-3, 1e3, 60), 1.0))
 _PROBE_GRID.flags.writeable = False

@@ -368,7 +368,7 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     groups: dict = {}
     for i, f in enumerate(F):
         fn = getattr(f, "fn", f)
-        exact, family = _kernel_keys(fn)
+        exact, family = getattr(f, "kernel_keys", None) or _kernel_keys(fn)  # a spec's are cached
         # an exact group computes one function, a family group stacks its parameters
         idx, fns = groups.setdefault((family is None, exact if family is None else family), ([], []))
         idx.append(i)

@@ -27,8 +27,6 @@ built by :func:`commutator_direction`.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from . import linalg
@@ -40,6 +38,7 @@ _NEGLOG = neglog_kernel()
 
 def digest_inputs(*parts) -> str:
     """Short stable hash of arrays, states (as their matrix) and parameters, for reports."""
+    import hashlib  # on first use: only the harness's reports need it
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, linalg.State):

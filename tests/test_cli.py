@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from qig import cli, verify
 from qig.errors import DomainError, VerificationError
 from qig.verify import SUITE_NAMES
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -282,10 +285,13 @@ def test_verify_all_zero_trials(capsys):
     assert all(s["failures"] == [] for s in payload["suites"])
 
 
-def test_verify_unknown_suite_is_usage_error():
+def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qig verify")
+    assert "qig verify: error: argument suite: invalid choice: 'bogus' (choose from 'standardness'," in err
 
 
 def test_verify_tolerance_override_failure_exit_1(capsys):
@@ -400,6 +406,7 @@ def test_list_output(capsys):
     for name in SUITE_NAMES:
         assert name in out
     assert len(SUITE_NAMES) == 13
+    assert out == (DATA / "list_output.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("kernel", ["neglog", "power:0.5", "power:2", "identity"])

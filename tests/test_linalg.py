@@ -638,3 +638,19 @@ def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeyp
             assert outcome == _pair_outcome(sequential, D1, D2), (k1, k2)
             assert outcome[0] == ("accepted" if k1 == k2 == "good" else "raised")
             assert threading.active_count() == threads
+
+
+def test_a_specs_kernel_keys_are_computed_once(monkeypatch):
+    kernels = (fn.wyd(0.3), fn.wyd(0.6), fn.sld(), fn.wyd(0.3))
+    calls = []
+    original = linalg._kernel_keys
+    monkeypatch.setattr(linalg, "_kernel_keys", lambda f: calls.append(f) or original(f))
+    x = _ratio_grids(len(kernels), 3, np.random.default_rng(6))
+    first = linalg._kernel_grid(kernels, x)
+    assert len(calls) == len(kernels)
+    assert _bits(linalg._kernel_grid(kernels, x)) == _bits(first)
+    assert len(calls) == len(kernels)
+    assert [f.kernel_keys for f in kernels] == [original(f.fn) for f in kernels]
+    # a bare function or partial has no cache: its keys are computed on every grouping
+    linalg._kernel_grid(tuple(f.fn for f in kernels), x)
+    assert len(calls) == 2 * len(kernels)

@@ -1,9 +1,6 @@
 import copy
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -948,14 +945,6 @@ def test_run_suite_refuses_more_than_two_to_the_32_trials_before_allocating(monk
     monkeypatch.setattr(vf, "_trial_seed_words", unreachable)
     with pytest.raises(DomainError, match=r"^trials must be at most 2\*\*32"):
         vf.run_suite("renyi-limit", trials=2**32 + 1)
-
-
-def test_importing_qig_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random lazily; it costs ~13 ms and ~6 MB per process
-    code = "import sys, qig, qig.cli; print('numpy.random' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("name", vf.SUITE_NAMES)
