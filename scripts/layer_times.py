@@ -19,7 +19,11 @@ density and observable:
   ``linalg.PAIR_THREAD_DIM`` on), and, as a ratio, its time with the pair
   decomposed concurrently at every n over that of the same call after two
   sequential ``linalg.state`` calls.  The ratio per n is the measurement
-  behind ``PAIR_THREAD_DIM``: below 1 the thread wins.
+  behind ``PAIR_THREAD_DIM``: below 1 the thread wins.  These calls start
+  with ``linalg.state``'s memo emptied, so that every one decomposes both
+  arrays;
+- ``linalg.state`` and ``quantities.fisher`` (``wyd:0.3``) of a remembered
+  array, which is validated but not decomposed again.
 
 A ``harness`` section times the per-trial generators of one acceptance
 pass's trial count (the sum of ``verify._SUITES`` trials, 2,320): seconds
@@ -105,14 +109,24 @@ def _per_call(fn) -> float:
     return statistics.median(_timing(fn, number) for _ in range(REPEATS))
 
 
+def _cold(fn):
+    """fn with ``linalg.state``'s memo emptied before each call, so that it decomposes every array."""
+
+    def call():
+        linalg._forget_states()
+        return fn()
+
+    return call
+
+
 def _threaded_ratio(D1, D2) -> float:
     """``umegaki`` of two arrays decomposed as a threaded pair at any n, over two sequential ``state`` calls.
 
     The median over ``RATIO_ROUNDS`` rounds that time the two back to back,
     which keeps a drift in machine speed out of the ratio.
     """
-    threaded = lambda: quantities.umegaki(D1, D2)
-    sequential = lambda: quantities.umegaki(linalg.state(D1), linalg.state(D2))
+    threaded = _cold(lambda: quantities.umegaki(D1, D2))
+    sequential = _cold(lambda: quantities.umegaki(linalg.state(D1), linalg.state(D2)))
     crossover, linalg.PAIR_THREAD_DIM = linalg.PAIR_THREAD_DIM, 1
     try:
         number = _number(sequential)
@@ -150,8 +164,10 @@ def layer_times(n: int, seed: int) -> dict:
         "contraction_s": _per_call(contraction),
         "umegaki_states_s": _per_call(lambda: quantities.umegaki(s1, s2)),
         "skew_info_state_s": _per_call(lambda: quantities.skew_info(one, s1, A)),
-        "umegaki_arrays_s": _per_call(lambda: quantities.umegaki(D, D2)),
+        "umegaki_arrays_s": _per_call(_cold(lambda: quantities.umegaki(D, D2))),
         "umegaki_arrays_threaded_over_sequential": _threaded_ratio(D, D2),
+        "state_remembered_s": _per_call(lambda: linalg.state(D)),
+        "fisher_remembered_s": _per_call(lambda: quantities.fisher(one, D, A, A)),
     }
 
 

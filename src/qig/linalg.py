@@ -22,6 +22,12 @@ their parameters stacked.  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
+:func:`state` remembers the last two single densities it accepted, keyed
+by the bytes of the validated matrix and within :data:`STATE_MEMO_BYTES`:
+an array with those bytes is validated as Hermitian again and answered with
+the remembered, read-only State, with no ``eigh``.  Stacks and States are
+never remembered.
+
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
 its densities through :func:`state_pair`.  From dimension
@@ -37,7 +43,8 @@ into Haar isometries in one ``np.linalg.qr`` call.  Every member equals
 the 2-D call bit for bit.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs.
+function of its inputs; the memo of :func:`state` changes what a call
+costs, never the values it returns.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ HERMITIAN_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIG_FLOOR = 1e-10
 DENSE_DIM_LIMIT = 32
+#: :func:`relmod_dense` builds a stack's superoperators in chunks of members that
+#: take at most this many bytes together (four at n = 32, a whole group at n <= 5)
+DENSE_CHUNK_BYTES = 64 * 2**20
 #: from this dimension on, :func:`state_pair` decomposes its two densities
 #: concurrently; below it, starting a thread costs more than the overlap saves
 #: (``umegaki_arrays_threaded_over_sequential`` of ``scripts/layer_times.py``,
@@ -63,6 +73,12 @@ PAIR_THREAD_DIM = 48
 #: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`state_pair`
 #: overlaps its decompositions only when all of them are "1"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: :func:`state` remembers its last two single densities while their matrices
+#: and eigenvectors take at most this many bytes together (two at n = 512)
+STATE_MEMO_BYTES = 16 * 2**20
+_REMEMBERED = 2
+_remembered: list = []  # (bytes of the validated matrix, its State), the oldest first
+_remembered_lock = threading.Lock()
 #: exponents that numpy applies by sqrt, square, copy or reciprocal when the
 #: exponent is a scalar; as elements of an exponent array they go through pow
 _FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
@@ -204,14 +220,58 @@ def _eigh(H: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
+def _find_state(bits: bytes):
+    """The remembered State of ``bits``, made the most recent, or None (the caller holds the lock)."""
+    for i, entry in enumerate(_remembered):
+        if entry[0] == bits:
+            _remembered.append(_remembered.pop(i))
+            return entry[1]
+    return None
+
+
+def _forget_states() -> None:
+    """Empty :func:`state`'s memo, so that the next call of each density decomposes it."""
+    with _remembered_lock:
+        _remembered.clear()
+
+
 def state(D, label: str = "state") -> State:
-    """Validate a density or a stack like :func:`as_density`, keeping the eigendecomposition."""
+    """Validate a density or a stack like :func:`as_density`, keeping the eigendecomposition.
+
+    A single density is remembered: the last two that this function accepted
+    are kept, keyed by the bytes of the validated matrix, as long as their
+    matrices and eigenvectors take at most :data:`STATE_MEMO_BYTES`
+    together.  A matrix with the same bytes is validated as Hermitian and
+    finite again, and then answered with the remembered State, whose arrays
+    are those ``np.linalg.eigh`` gave for these bytes and are read-only.
+    Stacks, States and refused densities are never remembered.
+    """
     if isinstance(D, State):
         return D
     H = as_hermitian(D)
+    bits = H.tobytes() if H.ndim == 2 and 2 * H.nbytes <= STATE_MEMO_BYTES else None
+    if bits is not None:
+        with _remembered_lock:
+            found = _find_state(bits)
+        if found is not None:
+            return found
     w, U = _eigh(H, label)
     _check_density(H, w[..., 0])
-    return State(w, U, H)
+    if bits is None:
+        return State(w, U, H)
+    w.flags.writeable = U.flags.writeable = False
+    new = State(w, U, np.frombuffer(bits, H.dtype).reshape(H.shape))  # read-only, on the key's bytes
+    with _remembered_lock:
+        found = _find_state(bits)  # decomposed meanwhile on another thread
+        if found is not None:
+            return found
+        while _remembered and (
+            len(_remembered) == _REMEMBERED
+            or 2 * sum(len(b) for b, _ in _remembered) + 2 * len(bits) > STATE_MEMO_BYTES
+        ):
+            _remembered.pop(0)
+        _remembered.append((bits, new))
+    return new
 
 
 def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
@@ -345,6 +405,14 @@ def _stacked(fns, shape: tuple):
     return functools.partial(fns[0].func, **params)
 
 
+def _check_kernels(F, shape: tuple, core: int) -> None:
+    """Refuse a tuple of kernels that is not one per member of the leading axis of a grid of ``shape``."""
+    if isinstance(F, tuple) and (len(shape) <= core or len(F) != shape[0]):
+        raise InvariantViolation(
+            f"{len(F)} kernels do not match the leading axis of a grid of shape {shape}"
+        )
+
+
 def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel.
 
@@ -361,10 +429,7 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     evaluate = eval_scalar if evaluate is None else evaluate
     if not isinstance(F, tuple):
         return evaluate(F, x)
-    if x.ndim <= core or len(F) != len(x):
-        raise InvariantViolation(
-            f"{len(F)} kernels do not match the leading axis of a grid of shape {x.shape}"
-        )
+    _check_kernels(F, x.shape, core)
     groups: dict = {}
     for i, f in enumerate(F):
         fn = getattr(f, "fn", f)
@@ -433,7 +498,9 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
     one big ``n^2 x n^2`` eigendecomposition instead of the structured
     double sum, and the resulting matrix acts on the column-stacked A.
     Equal-shape stacks of states and operands are decomposed in one call,
-    with F one kernel or a tuple of one per member.
+    with F one kernel or a tuple of one per member, in chunks of members
+    whose superoperators take at most :data:`DENSE_CHUNK_BYTES` together;
+    each member's value is that of its own 2-D call.
     """
     s1 = state(D1, "first density")
     D2 = as_density(D2)
@@ -446,16 +513,25 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
             f"dense superoperator is limited to dimension {DENSE_DIM_LIMIT}, got {n}"
         )
     D1_inv_t = apply_matrix_function(lambda x: 1.0 / x, s1).swapaxes(-1, -2)
-    # the Kronecker product D1^{-T} (x) D2 of each member
-    delta = (D1_inv_t[..., :, None, :, None] * D2[..., None, :, None, :]).reshape(
-        D2.shape[:-2] + (n * n, n * n)
-    )
-    delta = (delta + dagger(delta)) / 2
-    w, V = np.linalg.eigh(delta)
-    vals = _kernel_grid(F, w, core=1)
-    a = A.swapaxes(-1, -2).reshape(A.shape[:-2] + (-1,))
-    b = (((V * vals[..., None, :]) @ dagger(V)) @ a[..., None])[..., 0]
-    return b.reshape(b.shape[:-1] + (n, n)).swapaxes(-1, -2)
+    lead = D2.shape[:-2]
+    _check_kernels(F, lead + (n * n,), core=1)
+    m = int(np.prod(lead))
+    if isinstance(F, tuple):  # one kernel per member of the flattened leading axes
+        F = tuple(f for f in F for _ in range(m // len(F)))
+    D1_inv_t, D2, A = (M.reshape(m, n, n) for M in (D1_inv_t, D2, A))
+    chunk = max(1, DENSE_CHUNK_BYTES // (16 * n**4))  # members of complex n^2 x n^2 matrices
+    out = np.empty((m, n, n), complex)
+    for i in range(0, m, chunk):
+        part = slice(i, i + chunk)
+        # the Kronecker product D1^{-T} (x) D2 of each member
+        delta = (D1_inv_t[part, :, None, :, None] * D2[part, None, :, None, :]).reshape(-1, n * n, n * n)
+        delta = (delta + dagger(delta)) / 2
+        w, V = np.linalg.eigh(delta)
+        vals = _kernel_grid(F[part] if isinstance(F, tuple) else F, w, core=1)
+        a = A[part].swapaxes(-1, -2).reshape(-1, n * n)
+        b = (((V * vals[..., None, :]) @ dagger(V)) @ a[..., None])[..., 0]
+        out[part] = b.reshape(-1, n, n).swapaxes(-1, -2)
+    return out.reshape(lead + (n, n))
 
 
 def commutator(A, B) -> np.ndarray:

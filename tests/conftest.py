@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qig import linalg
+
 
 @pytest.fixture
 def qubit_state():
@@ -16,7 +18,12 @@ def flip():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Counts of ``np.linalg.eigh`` / ``eigvalsh`` calls made during the test."""
+    """Counts of ``np.linalg.eigh`` / ``eigvalsh`` calls made during the test.
+
+    ``linalg.state``'s memo starts empty, so no density remembered by an
+    earlier test saves a decomposition here.
+    """
+    linalg._forget_states()
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         original = getattr(np.linalg, name)

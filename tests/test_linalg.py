@@ -293,6 +293,30 @@ def test_relmod_dense_matches_structured():
         assert_allclose(linalg.relmod_apply(np.sqrt, D1, D2, A), dense, atol=1e-10)
 
 
+@pytest.mark.parametrize("members", [1, 2])
+def test_relmod_dense_in_chunks_equals_the_unchunked_call_bit_for_bit(members, monkeypatch):
+    n, rng = 3, np.random.default_rng(12)
+    D1 = _densities(6, n)
+    D1, D2 = D1.reshape(2, 3, n, n), D1[::-1].reshape(2, 3, n, n)
+    A = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    one, per_row, bad = fn.power_kernel(0.3), (fn.wyd(0.3), fn.sld()), (fn.sld(),) * 3
+    cases = [(one, D1, D2, A), (one, D1[0], D2[0], A[0]), (per_row, D1, D2, A), (one, D1[1, 2], D2[1, 2], A[1, 2])]
+    whole = [linalg.relmod_dense(*case) for case in cases]
+    with pytest.raises(InvariantViolation, match="^3 kernels do not match") as unchunked:
+        linalg.relmod_dense(bad, D1, D2, A)
+    superoperators, original = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: superoperators.append(H.shape) or original(H))
+    monkeypatch.setattr(linalg, "DENSE_CHUNK_BYTES", members * 16 * n**4)  # room for `members` members
+    for case, expected in zip(cases, whole):
+        out = linalg.relmod_dense(*case)
+        assert out.shape == expected.shape and out.tobytes() == np.ascontiguousarray(expected).tobytes()
+    with pytest.raises(InvariantViolation, match="^3 kernels do not match") as chunked:
+        linalg.relmod_dense(bad, D1, D2, A)
+    assert str(chunked.value) == str(unchunked.value)
+    chunks = lambda m: [(min(members, m - i), n * n, n * n) for i in range(0, m, members)]
+    assert [s for s in superoperators if s[-1] == n * n] == chunks(6) + chunks(3) + chunks(6) + chunks(1)
+
+
 def test_relmod_dense_dimension_guard():
     D = np.eye(33) / 33
     with pytest.raises(InvariantViolation, match="limited to dimension 32"):
@@ -614,6 +638,7 @@ def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeyp
     for name in linalg.BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(name, "1")
     inputs = _pair_inputs(n)
+    linalg._forget_states()  # random_density decomposed "stuck" before eigh fails on it
     original = np.linalg.eigh
 
     def eigh(H):

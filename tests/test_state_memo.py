@@ -1,0 +1,201 @@
+"""``linalg.state`` remembers the last two single densities it accepted."""
+
+import threading
+
+import numpy as np
+import pytest
+
+from qig import functions as fn, linalg, quantities as qt
+from qig.errors import InvariantViolation
+from qig.verify import random_hermitian
+
+
+def _densities(n: int, k: int, seed: int) -> list:
+    """k density arrays, drawn without a decomposition, and an empty memo."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = G @ G.conj().T
+        out.append(0.5 * rho / np.trace(rho).real + 0.5 * np.eye(n) / n)
+    linalg._forget_states()
+    return out
+
+
+def _state_bits(s: linalg.State) -> tuple:
+    return s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), s.matrix.tobytes()
+
+
+def test_a_repeated_density_is_not_decomposed_again_and_a_third_evicts_the_one_used_longest_ago(eig_calls):
+    D1, D2, D3 = _densities(4, 3, 1)
+    s1 = linalg.state(D1)
+    assert eig_calls["eigh"] == 1
+    assert linalg.state(D1.copy()) is s1 and eig_calls["eigh"] == 1
+    s2 = linalg.state(D2)
+    assert linalg.state(D2) is s2 and linalg.state(D1) is s1 and eig_calls["eigh"] == 2
+    linalg.state(D3)  # D2 was used longest ago
+    assert eig_calls["eigh"] == 3
+    assert linalg.state(D1) is s1 and eig_calls["eigh"] == 3
+    again = linalg.state(D2)
+    assert again is not s2 and _state_bits(again) == _state_bits(s2) and eig_calls["eigh"] == 4
+
+
+def test_inputs_that_differ_only_in_the_sign_of_a_zero_miss(eig_calls):
+    D = np.diag([0.75, 0.25]).astype(complex)
+    signed = D.copy()
+    signed[0, 1] = complex(0.0, -0.0)  # the validated matrix keeps the imaginary -0.0
+    assert np.array_equal(linalg.as_hermitian(D), linalg.as_hermitian(signed))
+    assert linalg.as_hermitian(D).tobytes() != linalg.as_hermitian(signed).tobytes()
+    s, t = linalg.state(D), linalg.state(signed)
+    assert s is not t and eig_calls["eigh"] == 2
+    assert s.matrix.tobytes() == linalg.as_hermitian(D).tobytes()
+    assert t.matrix.tobytes() == linalg.as_hermitian(signed).tobytes()
+
+
+def test_an_array_changed_in_place_misses(eig_calls):
+    (D,) = _densities(3, 1, 2)
+    original = D.copy()
+    s = linalg.state(D)
+    D[0, 1] += 1e-3
+    D[1, 0] += 1e-3
+    t = linalg.state(D)
+    assert t is not s and eig_calls["eigh"] == 2
+    assert t.matrix.tobytes() == linalg.as_hermitian(D).tobytes()
+    assert s.matrix.tobytes() == linalg.as_hermitian(original).tobytes()
+
+
+def _outcome(D) -> tuple:
+    try:
+        linalg.state(D)
+    except Exception as exc:  # noqa: BLE001  (the refusal itself is compared)
+        return type(exc), str(exc)
+    return ("accepted",)
+
+
+def test_a_refused_density_raises_the_same_message_every_time(monkeypatch):
+    (good,) = _densities(3, 1, 3)
+    asymmetric = good.copy()
+    asymmetric[0, 1] += 1e-3
+    refused = {
+        "off-trace": 1.1 * good,
+        "below-floor": np.diag([1e-11, 0.5, 0.5 - 1e-11]),
+        "asymmetric": asymmetric,
+        "nan": np.where(np.eye(3) > 0, np.nan, good),
+    }
+    for D in refused.values():
+        first = _outcome(D)
+        assert first[0] is InvariantViolation
+        assert [_outcome(D) for _ in range(3)] == [first] * 3
+    assert linalg._remembered == []
+
+    def eigh(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for D in (good, refused["off-trace"], refused["below-floor"]):
+        outcomes = [_outcome(D) for _ in range(3)]
+        assert outcomes == [(np.linalg.LinAlgError, "eigendecomposition did not converge for state with shape (3, 3)")] * 3
+    assert linalg._remembered == []
+
+
+def test_remembered_arrays_refuse_writes():
+    (D,) = _densities(3, 1, 4)
+    s = linalg.state(D)
+    for a in (s.eigenvalues, s.eigenvectors, s.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert D.flags.writeable and linalg.state(D) is s
+
+
+def test_a_repeated_stack_is_decomposed_each_time_and_a_state_passes_through(eig_calls):
+    stack = np.stack(_densities(3, 4, 5))
+    s, t = linalg.state(stack), linalg.state(stack)
+    assert s is not t and eig_calls["eigh"] == 2 and linalg._remembered == []
+    assert s.matrix.flags.writeable and _state_bits(s) == _state_bits(t)
+    assert linalg.state(s) is s and linalg.state(s[1]).matrix.base is not None
+    assert eig_calls["eigh"] == 2 and linalg._remembered == []
+
+
+def test_a_density_over_the_byte_cap_is_not_kept(monkeypatch, eig_calls):
+    D1, D2 = _densities(3, 2, 6)
+    one = 2 * D1.nbytes  # the matrix and eigenvectors of one n = 3 state
+    monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one - 1)
+    s, t = linalg.state(D1), linalg.state(D1)
+    assert s is not t and eig_calls["eigh"] == 2 and linalg._remembered == []
+    assert s.matrix.flags.writeable and _state_bits(s) == _state_bits(t)
+    monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one)  # room for one state only
+    s1 = linalg.state(D1)
+    s2 = linalg.state(D2)
+    assert linalg.state(D2) is s2 and eig_calls["eigh"] == 4
+    assert linalg.state(D1) is not s1 and eig_calls["eigh"] == 5
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_warm_and_cold_calls_give_the_same_bits(n, monkeypatch, eig_calls):
+    # BLAS pinned to one thread: from PAIR_THREAD_DIM on, two arrays are decomposed as a threaded pair
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    D1, D2 = _densities(n, 2, 7 + n)
+    rng = np.random.default_rng(n)
+    X = np.asarray(random_hermitian(n, rng))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    F, f = fn.power_kernel(0.3), fn.wyd(0.3)
+    calls = [
+        lambda: qt.quasi_entropy(F, A, D1, D2),
+        lambda: linalg.relmod_apply(F, D1, D2, A),
+        lambda: qt.gen_cov(fn.sld(), D1, X, A),
+        lambda: qt.fisher(fn.kubo_mori(), D1, X, A),
+        lambda: qt.skew_info(f, D1, X),
+        lambda: qt.umegaki(D1, D2),
+        lambda: qt.renyi(-0.4, D1, D2),
+        lambda: qt.wyd_direct(0.3, D1, X),
+    ]
+    for call in calls:
+        linalg._forget_states()
+        cold = np.asarray(call()).tobytes()
+        decomposed = eig_calls["eigh"]
+        assert np.asarray(call()).tobytes() == cold
+        assert eig_calls["eigh"] == decomposed
+
+
+def test_two_threads_alternating_over_three_densities_get_bit_identical_states():
+    densities = _densities(8, 3, 8)
+    expected = [_state_bits(linalg.state(D)) for D in densities]
+    linalg._forget_states()
+    start, seen = threading.Barrier(2), [[], []]
+
+    def run(k: int):
+        start.wait()
+        for i in range(150):
+            j = (i + k) % 3
+            seen[k].append((j, _state_bits(linalg.state(densities[j]))))
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert all(bits == expected[j] for calls in seen for j, bits in calls)
+    assert len(seen[0]) == len(seen[1]) == 150 and len(linalg._remembered) == 2
+
+
+def test_bits_decomposed_on_two_threads_at_once_are_remembered_once(monkeypatch):
+    (D,) = _densities(3, 1, 9)
+    both_in_eigh, original = threading.Barrier(2, timeout=10), np.linalg.eigh
+
+    def eigh(H):
+        both_in_eigh.wait()  # each thread has missed before either remembers
+        return original(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    out = [None, None]
+
+    def run(k: int):
+        out[k] = linalg.state(D.copy())
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert out[0] is out[1] and len(linalg._remembered) == 1
