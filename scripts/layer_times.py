@@ -4,7 +4,10 @@
 For each n in {2, 4, 8, 16, 32, 48, 64, 256} it times, on a seeded random
 density and observable:
 
-- validation: ``linalg.as_hermitian`` and ``linalg.as_density``;
+- validation: ``linalg.as_hermitian``, and ``linalg.as_density`` (which is
+  ``linalg.state(D).matrix``) of an array seen for the first time, with
+  ``linalg.state``'s memo emptied before each call so that every one
+  decomposes it;
 - ``np.linalg.eigh`` of the density;
 - kernel evaluation on the ratio grid ``w_i / w_j``: one kernel
   (``wyd:0.3``), and a tuple of 8 kernels from mixed families on a stack
@@ -22,8 +25,9 @@ density and observable:
   behind ``PAIR_THREAD_DIM``: below 1 the thread wins.  These calls start
   with ``linalg.state``'s memo emptied, so that every one decomposes both
   arrays;
-- ``linalg.state`` and ``quantities.fisher`` (``wyd:0.3``) of a remembered
-  array, which is validated but not decomposed again.
+- ``linalg.state``, ``linalg.as_density`` and ``quantities.fisher``
+  (``wyd:0.3``) of a remembered array, which is validated as Hermitian but
+  not decomposed again.
 
 A ``harness`` section times the per-trial generators of one acceptance
 pass's trial count (the sum of ``verify._SUITES`` trials, 2,320): seconds
@@ -156,7 +160,7 @@ def layer_times(n: int, seed: int) -> dict:
 
     return {
         "as_hermitian_s": _per_call(lambda: linalg.as_hermitian(D)),
-        "as_density_s": _per_call(lambda: linalg.as_density(D)),
+        "as_density_s": _per_call(_cold(lambda: linalg.as_density(D))),
         "eigh_s": _per_call(lambda: np.linalg.eigh(D)),
         "kernel_one_s": _per_call(lambda: linalg._kernel_grid(one, x)),
         "kernel_tuple8_grouped_s": _per_call(lambda: linalg._kernel_grid(kernels, x8)),
@@ -167,6 +171,7 @@ def layer_times(n: int, seed: int) -> dict:
         "umegaki_arrays_s": _per_call(_cold(lambda: quantities.umegaki(D, D2))),
         "umegaki_arrays_threaded_over_sequential": _threaded_ratio(D, D2),
         "state_remembered_s": _per_call(lambda: linalg.state(D)),
+        "as_density_remembered_s": _per_call(lambda: linalg.as_density(D)),
         "fisher_remembered_s": _per_call(lambda: quantities.fisher(one, D, A, A)),
     }
 

@@ -22,9 +22,10 @@ their parameters stacked.  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
-:func:`state` remembers the last two single densities it accepted, keyed
-by the bytes of the validated matrix and within :data:`STATE_MEMO_BYTES`:
-an array with those bytes is validated as Hermitian again and answered with
+:func:`state` validates every density (:func:`as_density` is its matrix)
+and remembers the last two single densities it accepted, keyed by the
+bytes of the validated matrix and within :data:`STATE_MEMO_BYTES`: an
+array with those bytes is validated as Hermitian again and answered with
 the remembered, read-only State, with no ``eigh``.  Stacks and States are
 never remembered.
 
@@ -165,16 +166,8 @@ def _check_density(H: np.ndarray, wmin) -> None:
 
 
 def as_density(M) -> np.ndarray:
-    """Validate a density matrix (or a stack): Hermitian, unit trace, invertible.
-
-    The smallest eigenvalue must be at least 1e-10; no automatic
-    regularization happens here, rank-deficient input is an error.
-    """
-    if isinstance(M, State):
-        return M.matrix
-    H = as_hermitian(M)
-    _check_density(H, np.linalg.eigvalsh(H)[..., 0])
-    return H
+    """``state(M).matrix``: a density or a stack validated (and remembered) by :func:`state`."""
+    return state(M).matrix
 
 
 @dataclass(frozen=True)
@@ -236,8 +229,11 @@ def _forget_states() -> None:
 
 
 def state(D, label: str = "state") -> State:
-    """Validate a density or a stack like :func:`as_density`, keeping the eigendecomposition.
+    """Validate a density or a stack, keeping the eigendecomposition.
 
+    A density is Hermitian with unit trace and no eigenvalue below
+    :data:`DENSITY_EIG_FLOOR` (rank-deficient input is an error, never
+    regularized); a stack is refused at its first rejected member.
     A single density is remembered: the last two that this function accepted
     are kept, keyed by the bytes of the validated matrix, as long as their
     matrices and eigenvectors take at most :data:`STATE_MEMO_BYTES`
@@ -472,6 +468,15 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
     return W, [U2h @ V if A is None else U2h @ A @ V for A in operands]
 
 
+def _relmod_operands(D1, D2, A) -> tuple[State, State, np.ndarray]:
+    """The validated states and operand of :func:`relmod_apply` and :func:`relmod_dense`."""
+    s1, s2 = state_pair(D1, D2, "first density", "second density")
+    _same_dim(s1, s2)
+    A = _square(A, "operand")
+    _same_dim(A, s1)
+    return s1, s2, A
+
+
 def relmod_apply(F, D1, D2, A) -> np.ndarray:
     """Apply the scalar function F of the relative modular map of (D1, D2) to A.
 
@@ -481,10 +486,7 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     ``D2 A D1^{-1}``.  Takes equal-shape stacks of states and operands, with
     F one kernel or a tuple of one per member, like :func:`relmod_grid`.
     """
-    s1, s2 = state_pair(D1, D2, "first density", "second density")
-    _same_dim(s1, s2)
-    A = _square(A, "operand")
-    _same_dim(A, s1)
+    s1, s2, A = _relmod_operands(D1, D2, A)
     W, (M,) = relmod_grid(F, s1, s2, A)
     return s2.eigenvectors @ (W * M) @ dagger(s1.eigenvectors)
 
@@ -502,23 +504,19 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
     whose superoperators take at most :data:`DENSE_CHUNK_BYTES` together;
     each member's value is that of its own 2-D call.
     """
-    s1 = state(D1, "first density")
-    D2 = as_density(D2)
-    _same_dim(s1, D2)
-    A = _square(A, "operand")
-    _same_dim(A, s1)
+    s1, s2, A = _relmod_operands(D1, D2, A)
     n = s1.shape[-1]
     if n > DENSE_DIM_LIMIT:
         raise InvariantViolation(
             f"dense superoperator is limited to dimension {DENSE_DIM_LIMIT}, got {n}"
         )
     D1_inv_t = apply_matrix_function(lambda x: 1.0 / x, s1).swapaxes(-1, -2)
-    lead = D2.shape[:-2]
+    lead = s1.shape[:-2]
     _check_kernels(F, lead + (n * n,), core=1)
     m = int(np.prod(lead))
     if isinstance(F, tuple):  # one kernel per member of the flattened leading axes
         F = tuple(f for f in F for _ in range(m // len(F)))
-    D1_inv_t, D2, A = (M.reshape(m, n, n) for M in (D1_inv_t, D2, A))
+    D1_inv_t, D2, A = (M.reshape(m, n, n) for M in (D1_inv_t, s2.matrix, A))
     chunk = max(1, DENSE_CHUNK_BYTES // (16 * n**4))  # members of complex n^2 x n^2 matrices
     out = np.empty((m, n, n), complex)
     for i in range(0, m, chunk):

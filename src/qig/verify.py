@@ -196,9 +196,7 @@ def center_observable(D, A) -> np.ndarray:
     Takes a stack of states with an equal-shape stack of observables too.
     """
     D = linalg.as_density(D)
-    A = linalg.as_hermitian(A)
-    if A.shape != D.shape:
-        raise InvariantViolation(f"observable shape {A.shape} does not match state {D.shape}")
+    A = quantities._observable(A, D)
     means = (D @ A).trace(axis1=-2, axis2=-1).real
     return A - means[..., None, None] * np.eye(D.shape[-1])
 
@@ -242,6 +240,7 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     sched = schedule if schedule is not None else StepSchedule()
     batch, n = D.shape[:-2], D.shape[-1]
     Dm, A, B = (M.reshape(-1, n, n) for M in (D.matrix, A, B))
+    linalg._check_kernels(F, Dm.shape, core=2)  # one kernel per member, in C order
     na, nb = _norms(A), _norms(B)
     live = np.flatnonzero((na != 0.0) & (nb != 0.0))
     # the unit directions [member, direction (A, B)] and steps [member, step] of the live members
@@ -349,7 +348,7 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     if np.any(f0 == 0.0):
         raise DomainError("the Hessian identity needs f(0) != 0")
     D = linalg.state(D)
-    X = linalg.as_hermitian(X)
+    X = quantities._observable(X, D)
     quantities._require_centered(D, X)
     ft = _each(functions.covariance_kernel, f)
     B = quantities.commutator_direction(D, X)

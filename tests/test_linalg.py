@@ -317,6 +317,24 @@ def test_relmod_dense_in_chunks_equals_the_unchunked_call_bit_for_bit(members, m
     assert [s for s in superoperators if s[-1] == n * n] == chunks(6) + chunks(3) + chunks(6) + chunks(1)
 
 
+@pytest.mark.parametrize("kind", ["non-hermitian", "nan", "off-trace", "below-floor", "other-dimension"])
+def test_relmod_dense_refuses_a_bad_second_density_as_relmod_apply_does(kind):
+    D = np.asarray(random_density(3, 0.05, 13))
+    bad = {
+        "non-hermitian": D + np.triu(np.full((3, 3), 1e-3), 1),
+        "nan": np.where(np.eye(3) == 1, np.nan, D),
+        "off-trace": 1.1 * D,
+        "below-floor": np.diag([1.0 - 2e-11, 1e-11, 1e-11]),
+        "other-dimension": np.eye(2) / 2,
+    }[kind]
+    refusals = []
+    for relmod in (linalg.relmod_apply, linalg.relmod_dense):
+        with pytest.raises(InvariantViolation) as raised:
+            relmod(fn.sld(), D, bad, np.eye(3))
+        refusals.append(str(raised.value))
+    assert refusals[0] == refusals[1]
+
+
 def test_relmod_dense_dimension_guard():
     D = np.eye(33) / 33
     with pytest.raises(InvariantViolation, match="limited to dimension 32"):

@@ -199,3 +199,19 @@ def test_bits_decomposed_on_two_threads_at_once_are_remembered_once(monkeypatch)
     for w in workers:
         w.join()
     assert out[0] is out[1] and len(linalg._remembered) == 1
+
+
+def test_as_density_of_a_remembered_density_makes_no_decomposition(eig_calls):
+    (D,) = _densities(4, 1, 20)
+    s = linalg.state(D)
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+    out = linalg.as_density(D.copy())
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+    assert out.tobytes() == s.matrix.tobytes()
+
+
+def test_a_density_validated_by_as_density_is_remembered_by_state(eig_calls):
+    (D,) = _densities(4, 1, 21)
+    M = linalg.as_density(D)
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+    assert linalg.state(D).matrix is M and eig_calls == {"eigh": 1, "eigvalsh": 0}

@@ -157,6 +157,23 @@ def test_state_shaped_operands_are_refused_at_another_shape(qubit_state, flip):
             gram(fn.sld(), qubit_state, [flip, wide])
 
 
+def test_hessian_vs_skew_refuses_an_observable_of_another_shape(qubit_state):
+    wide = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)"):
+        vf.hessian_vs_skew(fn.sld(), qubit_state, wide)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["2-D", "stack"])
+def test_mixed_second_derivative_refuses_a_kernel_tuple_of_another_length(batch, extra):
+    rng, count = np.random.default_rng(62), math.prod(batch)
+    D = np.stack([np.asarray(vf.random_density(3, 0.2, rng)) for _ in range(count)]).reshape(batch + (3, 3))
+    A = _traceless_stack(count, 3, rng).reshape(batch + (3, 3))
+    grid = rf"\({count}, 3, 3\)"
+    with pytest.raises(InvariantViolation, match=rf"^{count + extra} kernels do not match .* of shape {grid}$"):
+        vf.mixed_second_derivative((fn.sld(),) * (count + extra), D, A, A)
+
+
 def test_every_stencil_point_keeps_half_the_smallest_eigenvalue(monkeypatch):
     # a near-degenerate small pair, directions that move one small eigenvalue by
     # sqrt(2/3) h (the most a unit traceless direction can at n = 3), random ones,
