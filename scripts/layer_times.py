@@ -26,8 +26,14 @@ density and observable:
   with ``linalg.state``'s memo emptied, so that every one decomposes both
   arrays;
 - ``linalg.state``, ``linalg.as_density`` and ``quantities.fisher``
-  (``wyd:0.3``) of a remembered array, which is validated as Hermitian but
-  not decomposed again.
+  (``wyd:0.3``) of a remembered array, which is found by one bytes compare
+  and neither validated nor decomposed again.
+
+A ``memo`` section times ``linalg.state``'s memo at n in {64, 128, 256}:
+``state_once_seen_s``, ``linalg.state`` over three arrays in rotation, so
+that every call misses the two-entry memo (n = 64 and 256), and
+``umegaki_remembered_pair_s``, ``quantities.umegaki`` of two remembered
+arrays, which ``linalg.state_pair`` answers without starting a thread.
 
 A ``harness`` section times the per-trial generators of one acceptance
 pass's trial count (the sum of ``verify._SUITES`` trials, 2,320): seconds
@@ -53,6 +59,7 @@ thread, as in the benchmark.
 """
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -70,6 +77,8 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 from qig import cli, functions, linalg, quantities, verify  # noqa: E402
 
 DIMS = (2, 4, 8, 16, 32, 48, 64, 256)
+MEMO_DIMS = (64, 128, 256)
+ONCE_SEEN_DIMS = (64, 256)
 MIN_SECONDS = 0.02
 REPEATS = 7
 RATIO_ROUNDS = 25
@@ -176,6 +185,18 @@ def layer_times(n: int, seed: int) -> dict:
     }
 
 
+def memo_times(n: int, seed: int) -> dict:
+    rng = np.random.default_rng([seed, n])
+    D1, D2, D3 = (np.asarray(verify.random_density(n, 0.5 / n, rng)) for _ in range(3))
+    out = {}
+    if n in ONCE_SEEN_DIMS:
+        rotation = itertools.cycle((D1, D2, D3))
+        out["state_once_seen_s"] = _per_call(lambda: linalg.state(next(rotation)))
+    linalg.state(D1), linalg.state(D2)
+    out["umegaki_remembered_pair_s"] = _per_call(lambda: quantities.umegaki(D1, D2))
+    return out
+
+
 def harness_times(seed: int) -> dict:
     trials = sum(row.trials for row in verify._SUITES.values())
 
@@ -235,6 +256,7 @@ def main(argv=None) -> int:
         "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio; "
                 "harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
+        "memo": {str(n): memo_times(n, args.seed) for n in MEMO_DIMS},
         "harness": harness_times(args.seed),
         "import": import_times(args.seed),
     }

@@ -23,19 +23,19 @@ their parameters stacked.  :func:`relmod_apply`, the dense oracle
 take equal-shape stacks.
 
 :func:`state` validates every density (:func:`as_density` is its matrix)
-and remembers the last two single densities it accepted, keyed by the
-bytes of the validated matrix and within :data:`STATE_MEMO_BYTES`: an
-array with those bytes is validated as Hermitian again and answered with
-the remembered, read-only State, with no ``eigh``.  Stacks and States are
-never remembered.
+and remembers the last two 2-D arrays it accepted, keyed by the caller's
+dtype, shape and bytes and within :data:`STATE_MEMO_BYTES`: an array with
+that key costs one bytes compare and gets the remembered, read-only State,
+with no validation and no ``eigh``.  Stacks, States and inputs that are
+not ``np.ndarray`` are never remembered.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
 its densities through :func:`state_pair`.  From dimension
-:data:`PAIR_THREAD_DIM` on, and when the environment pins BLAS to one
-thread, it decomposes the two concurrently, D2 on a thread that is joined
-before the call returns or raises; the values, exceptions and messages are
-those of two sequential :func:`state` calls.
+:data:`PAIR_THREAD_DIM` on, when the environment pins BLAS to one thread
+and neither density is remembered, it decomposes the two concurrently, D2
+on a thread that is joined before the call returns or raises; the values,
+exceptions and messages are those of two sequential :func:`state` calls.
 
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
 call and with a tuple of functions as :func:`relmod_grid`, and so does :func:`phase_fixed_qr`: it turns a stack of Ginibre
@@ -74,11 +74,11 @@ PAIR_THREAD_DIM = 48
 #: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`state_pair`
 #: overlaps its decompositions only when all of them are "1"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: :func:`state` remembers its last two single densities while their matrices
-#: and eigenvectors take at most this many bytes together (two at n = 512)
+#: :func:`state` remembers its last two single densities while their keys, eigenvectors
+#: and unshared matrices take at most this many bytes together (two at n = 512)
 STATE_MEMO_BYTES = 16 * 2**20
 _REMEMBERED = 2
-_remembered: list = []  # (bytes of the validated matrix, its State), the oldest first
+_remembered: list = []  # (key, State, bytes counted), the oldest first; key: see _memo_key
 _remembered_lock = threading.Lock()
 #: exponents that numpy applies by sqrt, square, copy or reciprocal when the
 #: exponent is a scalar; as elements of an exponent array they go through pow
@@ -213,10 +213,16 @@ def _eigh(H: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _find_state(bits: bytes):
-    """The remembered State of ``bits``, made the most recent, or None (the caller holds the lock)."""
+def _memo_key(D):
+    """``(dtype, shape, bytes)`` of a 2-D numeric ndarray whose key and eigenvectors fit the memo, or None."""
+    ok = type(D) is np.ndarray and D.ndim == 2 and D.dtype.kind in "biufc"
+    return (D.dtype, D.shape, D.tobytes()) if ok and D.nbytes + 16 * D.size <= STATE_MEMO_BYTES else None
+
+
+def _find_state(key: tuple):
+    """The remembered State of ``key`` (None for None), made the most recent; the caller holds the lock."""
     for i, entry in enumerate(_remembered):
-        if entry[0] == bits:
+        if entry[0] == key:
             _remembered.append(_remembered.pop(i))
             return entry[1]
     return None
@@ -228,60 +234,69 @@ def _forget_states() -> None:
         _remembered.clear()
 
 
+def _decompose(D, label: str, key) -> State:
+    """Validate and decompose D; remember the State under ``key`` (None: never) if the entry fits."""
+    H = as_hermitian(D)
+    w, U = _eigh(H, label)
+    _check_density(H, w[..., 0])
+    if key is None:
+        return State(w, U, H)
+    bits = H.tobytes() if key[0] == H.dtype else None
+    shared = bits == key[2]  # validation left the caller's bytes unchanged: the matrix is a view of the key
+    if shared:
+        # keep this copy, not the lookup's: keeping one made before validation tripled a miss's page faults
+        key, H = (key[0], key[1], bits), np.frombuffer(bits, H.dtype).reshape(H.shape)
+    size = len(key[2]) + U.nbytes + (0 if shared else H.nbytes)
+    if size > STATE_MEMO_BYTES:
+        return State(w, U, H)
+    w.flags.writeable = U.flags.writeable = H.flags.writeable = False
+    new = State(w, U, H)
+    with _remembered_lock:
+        found = _find_state(key)  # decomposed meanwhile on another thread
+        if found is not None:
+            return found
+        while _remembered and (
+            len(_remembered) == _REMEMBERED or sum(e[2] for e in _remembered) + size > STATE_MEMO_BYTES
+        ):
+            _remembered.pop(0)
+        _remembered.append((key, new, size))
+    return new
+
+
 def state(D, label: str = "state") -> State:
     """Validate a density or a stack, keeping the eigendecomposition.
 
     A density is Hermitian with unit trace and no eigenvalue below
     :data:`DENSITY_EIG_FLOOR` (rank-deficient input is an error, never
     regularized); a stack is refused at its first rejected member.
-    A single density is remembered: the last two that this function accepted
-    are kept, keyed by the bytes of the validated matrix, as long as their
-    matrices and eigenvectors take at most :data:`STATE_MEMO_BYTES`
-    together.  A matrix with the same bytes is validated as Hermitian and
-    finite again, and then answered with the remembered State, whose arrays
-    are those ``np.linalg.eigh`` gave for these bytes and are read-only.
-    Stacks, States and refused densities are never remembered.
+    The last two 2-D numeric ``np.ndarray`` densities accepted are
+    remembered, keyed by dtype, shape and C-order bytes, while each entry's
+    key, eigenvectors and validated matrix (unless it shares the key's bytes,
+    as for an exactly Hermitian complex128 array) fit in
+    :data:`STATE_MEMO_BYTES`.  An array with the same key costs one bytes
+    compare and gets the remembered, read-only State: no validation, no
+    ``eigh``.  Stacks, States, other inputs and refused densities are never kept.
     """
     if isinstance(D, State):
         return D
-    H = as_hermitian(D)
-    bits = H.tobytes() if H.ndim == 2 and 2 * H.nbytes <= STATE_MEMO_BYTES else None
-    if bits is not None:
-        with _remembered_lock:
-            found = _find_state(bits)
-        if found is not None:
-            return found
-    w, U = _eigh(H, label)
-    _check_density(H, w[..., 0])
-    if bits is None:
-        return State(w, U, H)
-    w.flags.writeable = U.flags.writeable = False
-    new = State(w, U, np.frombuffer(bits, H.dtype).reshape(H.shape))  # read-only, on the key's bytes
+    key = _memo_key(D)
     with _remembered_lock:
-        found = _find_state(bits)  # decomposed meanwhile on another thread
-        if found is not None:
-            return found
-        while _remembered and (
-            len(_remembered) == _REMEMBERED
-            or 2 * sum(len(b) for b, _ in _remembered) + 2 * len(bits) > STATE_MEMO_BYTES
-        ):
-            _remembered.pop(0)
-        _remembered.append((bits, new))
-    return new
+        found = _find_state(key)
+    return found if found is not None else _decompose(D, label, key)
 
 
 def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
     """``(state(D1, label1), state(D2, label2))``: the same States, exceptions and messages.
 
     When D1 is an array of dimension :data:`PAIR_THREAD_DIM` or more, D2 is
-    not a State and the environment pins BLAS to one thread (every one of
-    :data:`BLAS_THREAD_VARIABLES` set to ``"1"``), ``state(D2, label2)`` runs
-    on a thread of its own while ``state(D1, label1)`` runs on the caller's
-    (numpy releases the GIL inside LAPACK).  The thread is joined before
-    anything is returned or raised, and D1's exception, if any, is raised
-    before D2's, as two sequential calls would.  Otherwise the two calls run
-    in turn: with a multi-threaded BLAS the two decompositions compete with
-    BLAS's own threads and the overlap loses.
+    not a State, neither is remembered by :func:`state` (both are looked up
+    first) and the environment pins BLAS to one thread (every one of
+    :data:`BLAS_THREAD_VARIABLES` set to ``"1"``), D2 is decomposed on a
+    thread of its own while D1 is on the caller's (numpy releases the GIL
+    inside LAPACK).  The thread is joined before anything is returned or
+    raised, and D1's exception, if any, is raised before D2's, as two
+    sequential calls would.  Otherwise the two run in turn: a remembered
+    density leaves nothing to overlap, and a multi-threaded BLAS loses it.
     """
     if (
         isinstance(D2, State)
@@ -291,18 +306,23 @@ def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
         or any(os.environ.get(name) != "1" for name in BLAS_THREAD_VARIABLES)
     ):
         return state(D1, label1), state(D2, label2)
+    k1, k2 = _memo_key(D1), _memo_key(D2)
+    with _remembered_lock:
+        s1, s2 = _find_state(k1), _find_state(k2)
+    if s1 is not None or s2 is not None:
+        return s1 or _decompose(D1, label1, k1), s2 or _decompose(D2, label2, k2)
     second = []
 
     def decompose_second():
         try:
-            second.append(state(D2, label2))
+            second.append(_decompose(D2, label2, k2))
         except BaseException as exc:  # raised on the caller's thread after D1's outcome
             second.append(exc)
 
     worker = threading.Thread(target=decompose_second)
     worker.start()
     try:
-        first = state(D1, label1)
+        first = _decompose(D1, label1, k1)
     finally:
         worker.join()
     if isinstance(second[0], BaseException):

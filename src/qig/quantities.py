@@ -4,9 +4,9 @@ Every quantity is evaluated as a double sum over the eigenbasis of the
 state(s); the dense superoperator route exists only as a test oracle.
 Every density, :func:`sym_cov`'s too, is validated by
 :func:`~qig.linalg.state`.  A density given as a :class:`~qig.linalg.State`
-is neither validated nor decomposed again; one of the last two single
-density arrays that :func:`~qig.linalg.state` accepted is validated as
-Hermitian again but not decomposed (stacks are decomposed on every call).
+is neither validated nor decomposed again, nor is one of the last two 2-D
+density arrays that :func:`~qig.linalg.state` accepted, recognized by its
+dtype, shape and bytes (stacks are decomposed on every call).
 :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two

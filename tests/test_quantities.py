@@ -643,9 +643,25 @@ def test_two_state_quantities_of_arrays_equal_two_sequential_state_calls_bit_for
     ):
         assert _bytes(arrays()) == _bytes(states())
         assert threading.active_count() == threads
-    # from the crossover on, each call on two arrays decomposed D2 on one thread of its own
-    assert len(started) == (4 if n >= linalg.PAIR_THREAD_DIM else 0)
-    assert not any(t.is_alive() for t in started)
+    # both arrays were remembered by the state calls above, so no call starts a thread
+    assert started == []
+
+
+@pytest.mark.parametrize("n", [linalg.PAIR_THREAD_DIM, 64])
+def test_a_pair_of_unseen_arrays_is_decomposed_on_one_thread_and_a_remembered_one_in_turn(n, monkeypatch):
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    rng = np.random.default_rng(190 + n)
+    D1, D2 = (np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(2))
+    expected = _bytes(qt.umegaki(linalg.state(D1), linalg.state(D2)))
+    linalg._forget_states()
+    started = _record_threads(monkeypatch)
+    assert _bytes(qt.umegaki(D1, D2)) == expected and len(started) == 1
+    assert not started[0].is_alive()
+    assert _bytes(qt.umegaki(D1, D2)) == expected and len(started) == 1
+    linalg._forget_states()
+    linalg.state(D2)  # only the second is remembered
+    assert _bytes(qt.umegaki(D1, D2)) == expected and len(started) == 1
 
 
 @pytest.mark.parametrize("threads", [None, "2", "0", ""])

@@ -26,6 +26,14 @@ def _state_bits(s: linalg.State) -> tuple:
     return s.eigenvalues.tobytes(), s.eigenvectors.tobytes(), s.matrix.tobytes()
 
 
+@pytest.fixture
+def hermitian_calls(monkeypatch) -> list:
+    """The shapes of the matrices that ``linalg.as_hermitian`` validates during the test."""
+    calls, original = [], linalg.as_hermitian
+    monkeypatch.setattr(linalg, "as_hermitian", lambda M: calls.append(np.shape(M)) or original(M))
+    return calls
+
+
 def test_a_repeated_density_is_not_decomposed_again_and_a_third_evicts_the_one_used_longest_ago(eig_calls):
     D1, D2, D3 = _densities(4, 3, 1)
     s1 = linalg.state(D1)
@@ -52,14 +60,14 @@ def test_inputs_that_differ_only_in_the_sign_of_a_zero_miss(eig_calls):
     assert t.matrix.tobytes() == linalg.as_hermitian(signed).tobytes()
 
 
-def test_an_array_changed_in_place_misses(eig_calls):
+def test_an_array_changed_in_place_misses(eig_calls, hermitian_calls):
     (D,) = _densities(3, 1, 2)
     original = D.copy()
     s = linalg.state(D)
     D[0, 1] += 1e-3
     D[1, 0] += 1e-3
     t = linalg.state(D)
-    assert t is not s and eig_calls["eigh"] == 2
+    assert t is not s and eig_calls["eigh"] == 2 and hermitian_calls == [D.shape] * 2
     assert t.matrix.tobytes() == linalg.as_hermitian(D).tobytes()
     assert s.matrix.tobytes() == linalg.as_hermitian(original).tobytes()
 
@@ -72,7 +80,7 @@ def _outcome(D) -> tuple:
     return ("accepted",)
 
 
-def test_a_refused_density_raises_the_same_message_every_time(monkeypatch):
+def test_a_refused_density_raises_the_same_message_every_time(monkeypatch, hermitian_calls):
     (good,) = _densities(3, 1, 3)
     asymmetric = good.copy()
     asymmetric[0, 1] += 1e-3
@@ -86,7 +94,7 @@ def test_a_refused_density_raises_the_same_message_every_time(monkeypatch):
         first = _outcome(D)
         assert first[0] is InvariantViolation
         assert [_outcome(D) for _ in range(3)] == [first] * 3
-    assert linalg._remembered == []
+    assert linalg._remembered == [] and hermitian_calls == [(3, 3)] * 4 * len(refused)  # validated every time
 
     def eigh(H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -117,8 +125,9 @@ def test_a_repeated_stack_is_decomposed_each_time_and_a_state_passes_through(eig
 
 
 def test_a_density_over_the_byte_cap_is_not_kept(monkeypatch, eig_calls):
-    D1, D2 = _densities(3, 2, 6)
-    one = 2 * D1.nbytes  # the matrix and eigenvectors of one n = 3 state
+    # exactly Hermitian: the remembered matrix is a view of the key, so it costs nothing more
+    D1, D2 = (np.array(linalg.as_hermitian(D)) for D in _densities(3, 2, 6))
+    one = 2 * D1.nbytes  # the key and the eigenvectors of one n = 3 state
     monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one - 1)
     s, t = linalg.state(D1), linalg.state(D1)
     assert s is not t and eig_calls["eigh"] == 2 and linalg._remembered == []
@@ -215,3 +224,55 @@ def test_a_density_validated_by_as_density_is_remembered_by_state(eig_calls):
     M = linalg.as_density(D)
     assert eig_calls == {"eigh": 1, "eigvalsh": 0}
     assert linalg.state(D).matrix is M and eig_calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_a_hit_neither_validates_nor_decomposes(eig_calls, hermitian_calls):
+    (D,) = _densities(4, 1, 22)
+    s = linalg.state(D)
+    assert eig_calls["eigh"] == 1 and hermitian_calls == [(4, 4)]
+    assert linalg.state(D) is s and linalg.state(D.copy()) is s and linalg.as_density(D) is s.matrix
+    assert eig_calls["eigh"] == 1 and hermitian_calls == [(4, 4)]
+
+
+def test_an_exactly_hermitian_complex_array_shares_its_bytes_and_another_keeps_its_validated_matrix_too():
+    (D,) = _densities(3, 1, 23)
+    exact = np.array(linalg.as_hermitian(D))  # validation leaves its bytes unchanged
+    s, t = linalg.state(exact), linalg.state(D)
+    assert [size for _, _, size in linalg._remembered] == [2 * D.nbytes, 3 * D.nbytes]
+    assert s.matrix.tobytes() == exact.tobytes() and not s.matrix.flags.writeable
+    assert t.matrix.tobytes() == linalg.as_hermitian(D).tobytes() and not t.matrix.flags.writeable
+
+
+def test_a_real_array_and_its_complex_cast_are_two_entries_with_the_same_bits(eig_calls, hermitian_calls):
+    real = np.diag([0.5, 0.3, 0.2]) + 0.05 * (np.ones((3, 3)) - np.eye(3))
+    cast = real.astype(complex)
+    s, t = linalg.state(real), linalg.state(cast)
+    assert s is not t and eig_calls["eigh"] == 2 and len(linalg._remembered) == 2
+    assert _state_bits(s) == _state_bits(t)
+    assert linalg.state(real) is s and linalg.state(cast) is t and eig_calls["eigh"] == 2
+    assert hermitian_calls == [(3, 3)] * 2
+
+
+def test_fortran_ordered_and_strided_arrays_with_the_same_values_give_the_same_state(eig_calls):
+    (D,) = _densities(5, 1, 24)
+    padded = np.zeros((10, 10), dtype=complex)
+    padded[::2, ::2] = D
+    strided = padded[::2, ::2]
+    assert not strided.flags.c_contiguous and np.asfortranarray(D).flags.f_contiguous
+    cold = []
+    for A in (D, np.asfortranarray(D), strided):
+        linalg._forget_states()
+        cold.append(_state_bits(linalg.state(A)))
+    assert cold == [cold[0]] * 3 and eig_calls["eigh"] == 3
+    s = linalg.state(strided)  # remembered by the last cold call
+    assert linalg.state(D) is s and linalg.state(np.asfortranarray(D)) is s and eig_calls["eigh"] == 3
+
+
+def test_a_list_is_validated_every_time_and_never_remembered(eig_calls, hermitian_calls):
+    (D,) = _densities(3, 1, 25)
+    first = linalg.state(D.tolist())
+    again = linalg.state(D.tolist())
+    assert again is not first and _state_bits(again) == _state_bits(first)
+    assert eig_calls["eigh"] == 2 and hermitian_calls == [(3, 3)] * 2 and linalg._remembered == []
+    assert first.matrix.flags.writeable
+    assert _state_bits(linalg.state(D)) == _state_bits(first)
