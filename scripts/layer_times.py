@@ -27,13 +27,20 @@ density and observable:
   arrays;
 - ``linalg.state``, ``linalg.as_density`` and ``quantities.fisher``
   (``wyd:0.3``) of a remembered array, which is found by one bytes compare
-  and neither validated nor decomposed again.
+  and neither validated nor decomposed again (nor, for ``fisher``, is its
+  operand rotated again: ``linalg.relmod_grid`` remembers the rotation).
 
-A ``memo`` section times ``linalg.state``'s memo at n in {64, 128, 256}:
-``state_once_seen_s``, ``linalg.state`` over three arrays in rotation, so
-that every call misses the two-entry memo (n = 64 and 256), and
-``umegaki_remembered_pair_s``, ``quantities.umegaki`` of two remembered
-arrays, which ``linalg.state_pair`` answers without starting a thread.
+A ``memo`` section times the memos of ``linalg.state`` and
+``linalg.relmod_grid`` at n in {64, 128, 256}: ``state_once_seen_s``,
+``linalg.state`` over three arrays in rotation, so that every call misses
+the two-entry memo (n = 64 and 256); ``umegaki_remembered_pair_s``,
+``quantities.umegaki`` of two remembered arrays, which
+``linalg.state_pair`` answers without starting a thread; and
+``fisher_after_gen_cov_s``, ``quantities.fisher`` (``wyd:0.3``) of a
+remembered density and two operands that ``quantities.gen_cov`` (``sld``)
+rotated before it (n = 64 and 256).  Each n = 256 row runs in a process of
+its own (``--memo-row NAME --dim 256``), because in one process a row at
+that size depends on the heap that the rows before it left.
 
 A ``harness`` section times the per-trial generators of one acceptance
 pass's trial count (the sum of ``verify._SUITES`` trials, 2,320): seconds
@@ -78,7 +85,12 @@ from qig import cli, functions, linalg, quantities, verify  # noqa: E402
 
 DIMS = (2, 4, 8, 16, 32, 48, 64, 256)
 MEMO_DIMS = (64, 128, 256)
-ONCE_SEEN_DIMS = (64, 256)
+MEMO_ROW_DIMS = {
+    "state_once_seen_s": (64, 256),
+    "umegaki_remembered_pair_s": MEMO_DIMS,
+    "fisher_after_gen_cov_s": (64, 256),
+}
+FRESH_PROCESS_DIMS = (256,)
 MIN_SECONDS = 0.02
 REPEATS = 7
 RATIO_ROUNDS = 25
@@ -185,16 +197,33 @@ def layer_times(n: int, seed: int) -> dict:
     }
 
 
-def memo_times(n: int, seed: int) -> dict:
+def memo_row(name: str, n: int, seed: int) -> float:
+    """Seconds per call of the memo row ``name`` at dimension n."""
     rng = np.random.default_rng([seed, n])
     D1, D2, D3 = (np.asarray(verify.random_density(n, 0.5 / n, rng)) for _ in range(3))
-    out = {}
-    if n in ONCE_SEEN_DIMS:
+    if name == "state_once_seen_s":
         rotation = itertools.cycle((D1, D2, D3))
-        out["state_once_seen_s"] = _per_call(lambda: linalg.state(next(rotation)))
+        return _per_call(lambda: linalg.state(next(rotation)))
     linalg.state(D1), linalg.state(D2)
-    out["umegaki_remembered_pair_s"] = _per_call(lambda: quantities.umegaki(D1, D2))
-    return out
+    if name == "umegaki_remembered_pair_s":
+        return _per_call(lambda: quantities.umegaki(D1, D2))
+    X = np.asarray(verify.random_hermitian(n, rng))
+    A = X + 1j * np.asarray(verify.random_hermitian(n, rng))
+    quantities.gen_cov(functions.sld(), D1, X, A)
+    return _per_call(lambda: quantities.fisher(functions.wyd(0.3), D1, X, A))
+
+
+def _fresh_memo_row(name: str, n: int, seed: int) -> float:
+    """:func:`memo_row` in a process of its own."""
+    args = ["--seed", str(seed), "--memo-row", name, "--dim", str(n)]
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), *args], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)
+
+
+def memo_times(n: int, seed: int) -> dict:
+    row = _fresh_memo_row if n in FRESH_PROCESS_DIMS else memo_row
+    return {name: row(name, n, seed) for name, dims in MEMO_ROW_DIMS.items() if n in dims}
 
 
 def harness_times(seed: int) -> dict:
@@ -243,7 +272,13 @@ def import_times(seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--memo-row", choices=sorted(MEMO_ROW_DIMS),
+                        help="print only this memo row's seconds per call at --dim")
+    parser.add_argument("--dim", type=int, default=256)
     args = parser.parse_args(argv)
+    if args.memo_row:
+        print(json.dumps(memo_row(args.memo_row, args.dim, args.seed)))
+        return 0
     out = {
         "command": "python3 scripts/layer_times.py " + " ".join(sys.argv[1:] if argv is None else argv),
         "environment": {

@@ -14,11 +14,12 @@ A 2-D input is a batch of none and behaves as a single matrix.  Validation
 raises on the first rejected member.  :func:`relmod_grid`, the
 one place kernels are evaluated, also takes a tuple of kernels, one per
 member of the leading axis, so a stack may pair each member with its own
-kernel.  Such a tuple is evaluated with one call per group of members:
-repeats of one function share a call, and the members of one parametric
-family (``wyd``, ``extremal``, Hansen mixtures of one atom count,
-covariance kernels of one family, ``x^alpha``, ...) share a call with
-their parameters stacked.  :func:`relmod_apply`, the dense oracle
+kernel (a stack given with a tuple has one leading axis, see
+:func:`_check_kernels`).  Such a tuple is evaluated with one call per
+group of members: repeats of one function share a call, and the members
+of one parametric family (``wyd``, ``extremal``, Hansen mixtures of one
+atom count, covariance kernels of one family, ``x^alpha``, ...) share a
+call with their parameters stacked.  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
@@ -27,7 +28,8 @@ and remembers the last two 2-D arrays it accepted, keyed by the caller's
 dtype, shape and bytes and within :data:`STATE_MEMO_BYTES`: an array with
 that key costs one bytes compare and gets the remembered, read-only State,
 with no validation and no ``eigh``.  Stacks, States and inputs that are
-not ``np.ndarray`` are never remembered.
+not ``np.ndarray`` are never remembered, and nor are the rotations that
+:func:`relmod_grid` remembers once either of their States leaves.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
@@ -44,8 +46,8 @@ into Haar isometries in one ``np.linalg.qr`` call.  Every member equals
 the 2-D call bit for bit.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs; the memo of :func:`state` changes what a call
-costs, never the values it returns.
+function of its inputs; the memos of :func:`state` and :func:`relmod_grid`
+change what a call costs, never the values it returns.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 STATE_MEMO_BYTES = 16 * 2**20
 _REMEMBERED = 2
 _remembered: list = []  # (key, State, bytes counted), the oldest first; key: see _memo_key
+_rotated: list = []  # (s1, s2, key, U2* A V, bytes counted), the oldest first; see _rotation
 _remembered_lock = threading.Lock()
 #: exponents that numpy applies by sqrt, square, copy or reciprocal when the
 #: exponent is a scalar; as elements of an exponent array they go through pow
@@ -229,13 +232,17 @@ def _find_state(key: tuple):
 
 
 def _forget_states() -> None:
-    """Empty :func:`state`'s memo, so that the next call of each density decomposes it."""
+    """Empty :func:`state`'s memo and the rotations tied to it, so that the next call decomposes every density."""
     with _remembered_lock:
         _remembered.clear()
+        _rotated.clear()
 
 
 def _decompose(D, label: str, key) -> State:
     """Validate and decompose D; remember the State under ``key`` (None: never) if the entry fits."""
+    if key is not None and _rotated:  # the rotations of the States it may drop are not held through eigh
+        with _remembered_lock:
+            _rotated.clear()
     H = as_hermitian(D)
     w, U = _eigh(H, label)
     _check_density(H, w[..., 0])
@@ -260,6 +267,7 @@ def _decompose(D, label: str, key) -> State:
         ):
             _remembered.pop(0)
         _remembered.append((key, new, size))
+        _rotated.clear()  # made meanwhile on another thread, perhaps with the State just dropped
     return new
 
 
@@ -422,30 +430,31 @@ def _stacked(fns, shape: tuple):
 
 
 def _check_kernels(F, shape: tuple, core: int) -> None:
-    """Refuse a tuple of kernels that is not one per member of the leading axis of a grid of ``shape``."""
-    if isinstance(F, tuple) and (len(shape) <= core or len(F) != shape[0]):
+    """Refuse a tuple of kernels unless a grid of ``shape`` (``core`` axes a member) has one leading axis of one member per kernel."""
+    if isinstance(F, tuple) and (len(shape) != core + 1 or len(F) != shape[0]):
         raise InvariantViolation(
-            f"{len(F)} kernels do not match the leading axis of a grid of shape {shape}"
+            f"{len(F)} kernels do not match the one leading axis of a grid of shape {shape}"
         )
 
 
 def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel.
 
-    ``core`` is the number of trailing axes of one member's grid, and
-    ``evaluate(fn, x)`` evaluates one function, :func:`eval_scalar` by
-    default.  A tuple takes one call per group of members: members whose
-    kernels compute the same values share a call with the scalar
-    parameters, and members of one parametric family (see
-    :class:`~qig.functions.ScalarFunctionSpec`) share a call with their
-    parameters stacked as ``(m, 1, ...)`` arrays (see
-    :func:`_kernel_keys`).  Each member's grid equals its own kernel's call
-    bit for bit.
+    ``core`` is the least number of trailing axes of one member's grid
+    (axes between the first and those belong to the member, as the Gram
+    and stencil axes of :mod:`qig.verify`), and ``evaluate(fn, x)``
+    evaluates one function, :func:`eval_scalar` by default.  A tuple takes
+    one call per group of members: members whose kernels compute the same
+    values share a call with the scalar parameters, and members of one
+    parametric family (see :class:`~qig.functions.ScalarFunctionSpec`)
+    share a call with their parameters stacked as ``(m, 1, ...)`` arrays
+    (see :func:`_kernel_keys`).  Each member's grid equals its own kernel's
+    call bit for bit.
     """
     evaluate = eval_scalar if evaluate is None else evaluate
     if not isinstance(F, tuple):
         return evaluate(F, x)
-    _check_kernels(F, x.shape, core)
+    _check_kernels(F, x.shape, max(core, x.ndim - 1))
     groups: dict = {}
     for i, f in enumerate(F):
         fn = getattr(f, "fn", f)
@@ -473,27 +482,69 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     return out
 
 
+def _rotate(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarray:
+    """The matmuls of a rotation: ``U2* A V``, or ``U2* V`` for A None."""
+    U2h = dagger(s2.eigenvectors)
+    return U2h @ s1.eigenvectors if A is None else U2h @ A @ s1.eigenvectors
+
+
+def _rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarray:
+    """``U2* A V``, remembered as :func:`relmod_grid` says."""
+    if type(A) is not np.ndarray or A.ndim != 2:
+        return _rotate(s1, s2, A)
+    key = None
+    for r in _rotated:  # entries are immutable: reading them needs no lock
+        if r[0] is s1 and r[1] is s2:
+            key = key or (A.dtype, A.shape, A.strides, A.tobytes())
+            if r[2] == key:
+                return r[3]
+    M = _rotate(s1, s2, A)
+    key = key or (A.dtype, A.shape, A.strides, A.tobytes())  # strides: BLAS may round another layout otherwise
+    size = len(key[3]) + M.nbytes
+    with _remembered_lock:
+        held = {id(entry[1]) for entry in _remembered}
+        if size > STATE_MEMO_BYTES or id(s1) not in held or id(s2) not in held:
+            return M
+        while _rotated and (len(_rotated) == _REMEMBERED or sum(r[4] for r in _rotated) + size > STATE_MEMO_BYTES):
+            _rotated.pop(0)
+        M.setflags(write=False)
+        _rotated.append((s1, s2, key, M, size))
+    return M
+
+
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
     """Kernel grid and rotated operands shared by every spectral double sum.
 
     With spectral data ``(lam, V)`` of ``s1`` and ``(mu, U)`` of ``s2``
     returns ``W_ij = F(mu_i / lam_j)`` and ``[U* A V for A in operands]``.
     An operand None is the identity, rotated as ``U* V`` (bit for bit
-    ``U* I V``).  Stacked states and operands broadcast over their leading
-    axes.  F is one kernel, or a tuple of kernels with one per member of the
-    grid's leading axis; each member's grid then equals that kernel's own.
+    ``U* I V``), and two operands that are one object are rotated once.
+    Stacked states and operands broadcast over their leading axes.  F is
+    one kernel, or a tuple of kernels with one per member of the grid's
+    first axis; each member's grid then equals that kernel's own.
+
+    The last two rotations of 2-D ``np.ndarray`` operands by States that
+    :func:`state` remembers are kept (within :data:`STATE_MEMO_BYTES`, until
+    it decomposes another density), keyed by the States' identity and the
+    operand's dtype, shape, strides and C-order bytes: a repeat costs one
+    bytes compare and gets the same read-only array.
     """
     W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
-    U2h, V = dagger(s2.eigenvectors), s1.eigenvectors
-    return W, [U2h @ V if A is None else U2h @ A @ V for A in operands]
+    if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the comprehension cost 1 % of their rate at n <= 16
+        return W, [_rotate(s1, s2, None)]
+    if len(operands) == 2 and operands[1] is operands[0]:
+        M = _rotation(s1, s2, operands[0])
+        return W, [M, M]
+    return W, [_rotate(s1, s2, A) if A is None else _rotation(s1, s2, A) for A in operands]
 
 
-def _relmod_operands(D1, D2, A) -> tuple[State, State, np.ndarray]:
-    """The validated states and operand of :func:`relmod_apply` and :func:`relmod_dense`."""
+def _relmod_operands(F, D1, D2, A) -> tuple[State, State, np.ndarray]:
+    """The validated states and operand of :func:`relmod_apply` and :func:`relmod_dense`, and F checked against them."""
     s1, s2 = state_pair(D1, D2, "first density", "second density")
     _same_dim(s1, s2)
     A = _square(A, "operand")
     _same_dim(A, s1)
+    _check_kernels(F, s1.shape, core=2)
     return s1, s2, A
 
 
@@ -504,9 +555,9 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     ``D1 = sum_j lam_j v_j v_j*`` the result is
     ``sum_ij F(mu_i / lam_j) <u_i, A v_j> u_i v_j*``.  F = identity recovers
     ``D2 A D1^{-1}``.  Takes equal-shape stacks of states and operands, with
-    F one kernel or a tuple of one per member, like :func:`relmod_grid`.
+    F one kernel or, on a ``(T, n, n)`` stack, a tuple of one per member.
     """
-    s1, s2, A = _relmod_operands(D1, D2, A)
+    s1, s2, A = _relmod_operands(F, D1, D2, A)
     W, (M,) = relmod_grid(F, s1, s2, A)
     return s2.eigenvectors @ (W * M) @ dagger(s1.eigenvectors)
 
@@ -520,11 +571,12 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
     one big ``n^2 x n^2`` eigendecomposition instead of the structured
     double sum, and the resulting matrix acts on the column-stacked A.
     Equal-shape stacks of states and operands are decomposed in one call,
-    with F one kernel or a tuple of one per member, in chunks of members
+    with F one kernel (or, on a ``(T, n, n)`` stack, a tuple of one per
+    member), in chunks of members
     whose superoperators take at most :data:`DENSE_CHUNK_BYTES` together;
     each member's value is that of its own 2-D call.
     """
-    s1, s2, A = _relmod_operands(D1, D2, A)
+    s1, s2, A = _relmod_operands(F, D1, D2, A)
     n = s1.shape[-1]
     if n > DENSE_DIM_LIMIT:
         raise InvariantViolation(
@@ -532,10 +584,7 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
         )
     D1_inv_t = apply_matrix_function(lambda x: 1.0 / x, s1).swapaxes(-1, -2)
     lead = s1.shape[:-2]
-    _check_kernels(F, lead + (n * n,), core=1)
     m = int(np.prod(lead))
-    if isinstance(F, tuple):  # one kernel per member of the flattened leading axes
-        F = tuple(f for f in F for _ in range(m // len(F)))
     D1_inv_t, D2, A = (M.reshape(m, n, n) for M in (D1_inv_t, s2.matrix, A))
     chunk = max(1, DENSE_CHUNK_BYTES // (16 * n**4))  # members of complex n^2 x n^2 matrices
     out = np.empty((m, n, n), complex)

@@ -221,9 +221,9 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     raises ``VerificationError``.
 
     D, A and B may be equal-shape ``(..., n, n)`` stacks, with F one kernel
-    or a tuple of one kernel per member (in C order); the values and
-    estimates are then arrays over the leading axes, each member on its
-    own steps.  The ``4 S`` points of every member are validated and
+    or, on a ``(T, n, n)`` stack, a tuple of one kernel per member; the
+    values and estimates are then arrays over the leading axes, each member
+    on its own steps.  The ``4 S`` points of every member are validated and
     decomposed as one stack, and the four corners of every step of every
     member are paired in one call.  A member with a zero direction gets
     ``(0, 0)`` and takes no step.  Each member's value equals its 2-D
@@ -237,10 +237,10 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
             raise InvariantViolation("perturbation shape does not match the state")
         if (abs(M.trace(axis1=-2, axis2=-1).real) > 1e-10).any():
             raise InvariantViolation("perturbations must be traceless")
+    linalg._check_kernels(F, D.shape, core=2)
     sched = schedule if schedule is not None else StepSchedule()
     batch, n = D.shape[:-2], D.shape[-1]
     Dm, A, B = (M.reshape(-1, n, n) for M in (D.matrix, A, B))
-    linalg._check_kernels(F, Dm.shape, core=2)  # one kernel per member, in C order
     na, nb = _norms(A), _norms(B)
     live = np.flatnonzero((na != 0.0) & (nb != 0.0))
     # the unit directions [member, direction (A, B)] and steps [member, step] of the live members
@@ -304,6 +304,7 @@ def exact_mixed_derivative(F, D, A, B):
     """
     D = linalg.state(D)
     A, B = (quantities._observable(M, D) for M in (A, B))
+    linalg._check_kernels(F, D.shape, core=2)
     W, (At, Bt) = linalg.relmod_grid(_each(functions.hessian_kernel, F), D, D, A, B)
     return _real((np.conj(At) * Bt * (W / D.eigenvalues[..., None, :])).sum(axis=(-2, -1)).real)
 
@@ -325,7 +326,7 @@ def lemma_commuting_residual(F, D, A, B, schedule: StepSchedule | None = None):
     array of its members' values.
     """
     D = linalg.state(D)
-    A, B = (linalg.as_hermitian(M) for M in (A, B))
+    A, B = (quantities._observable(M, D) for M in (A, B))
     for M in (A, B):
         _require_commuting(D.matrix, M)
     return _fd_defect(F, D, A, B, schedule)

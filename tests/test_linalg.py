@@ -299,11 +299,14 @@ def test_relmod_dense_in_chunks_equals_the_unchunked_call_bit_for_bit(members, m
     D1 = _densities(6, n)
     D1, D2 = D1.reshape(2, 3, n, n), D1[::-1].reshape(2, 3, n, n)
     A = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
-    one, per_row, bad = fn.power_kernel(0.3), (fn.wyd(0.3), fn.sld()), (fn.sld(),) * 3
-    cases = [(one, D1, D2, A), (one, D1[0], D2[0], A[0]), (per_row, D1, D2, A), (one, D1[1, 2], D2[1, 2], A[1, 2])]
+    one, per_member, bad = fn.power_kernel(0.3), (fn.wyd(0.3),) * 3 + (fn.sld(),) * 3, (fn.sld(),) * 3
+    flat = (M.reshape(6, n, n) for M in (D1, D2, A))
+    cases = [(one, D1, D2, A), (one, D1[0], D2[0], A[0]), (per_member, *flat), (one, D1[1, 2], D2[1, 2], A[1, 2])]
     whole = [linalg.relmod_dense(*case) for case in cases]
     with pytest.raises(InvariantViolation, match="^3 kernels do not match") as unchunked:
         linalg.relmod_dense(bad, D1, D2, A)
+    with pytest.raises(InvariantViolation, match=r"^2 kernels do not match the one leading axis of a grid of shape \(2, 3, 3, 3\)$"):
+        linalg.relmod_dense(per_member[2:4], D1, D2, A)  # a tuple takes one leading axis only
     superoperators, original = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda H: superoperators.append(H.shape) or original(H))
     monkeypatch.setattr(linalg, "DENSE_CHUNK_BYTES", members * 16 * n**4)  # room for `members` members

@@ -276,3 +276,183 @@ def test_a_list_is_validated_every_time_and_never_remembered(eig_calls, hermitia
     assert eig_calls["eigh"] == 2 and hermitian_calls == [(3, 3)] * 2 and linalg._remembered == []
     assert first.matrix.flags.writeable
     assert _state_bits(linalg.state(D)) == _state_bits(first)
+
+
+# ``relmod_grid`` remembers the rotation ``U2* A V`` of a single operand while both States are remembered
+
+
+@pytest.fixture
+def rotations(monkeypatch) -> list:
+    """One entry per rotation computed (its two matmuls) during the test, with ``state``'s memo emptied first."""
+    linalg._forget_states()
+    calls, original = [], linalg._rotate
+    monkeypatch.setattr(linalg, "_rotate", lambda s1, s2, A: calls.append(np.shape(A)) or original(s1, s2, A))
+    return calls
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_a_remembered_rotation_gives_the_cold_bits_and_makes_no_matmul(n, rotations):
+    D1, D2 = _densities(n, 2, 30 + n)
+    rng = np.random.default_rng(n)
+    X = np.asarray(random_hermitian(n, rng))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    F, f = fn.power_kernel(0.3), fn.wyd(0.3)
+    chains = {
+        # gen_cov rotates X and A by D1; fisher and skew_info find both
+        2: [lambda: qt.gen_cov(fn.sld(), D1, X, A), lambda: qt.fisher(f, D1, X, A), lambda: qt.skew_info(f, D1, X)],
+        # quasi_entropy rotates A by (D2, D1); relmod_apply finds it
+        1: [lambda: qt.quasi_entropy(F, A, D1, D2), lambda: linalg.relmod_apply(F, D1, D2, A)],
+    }
+    for rotated, chain in chains.items():
+        cold = []
+        for call in chain:
+            linalg._forget_states()
+            cold.append(_bits(call()))
+        linalg._forget_states()
+        del rotations[:]
+        assert [_bits(call()) for call in chain] == cold
+        assert len(rotations) == rotated
+        assert [_bits(call()) for call in chain] == cold and len(rotations) == rotated
+
+
+def test_an_operand_changed_in_place_or_in_the_sign_of_a_zero_misses(rotations):
+    (D,) = _densities(3, 1, 40)
+    A = np.array([[0.5, 0.0, 0.1j], [0.2, 0.3, 0.0], [0.0, 0.4, 0.1]], dtype=complex)
+    f = fn.sld()
+    first = qt.fisher(f, D, A, A)
+    assert len(rotations) == 1 and qt.fisher(f, D, A, A) == first and len(rotations) == 1
+    A[0, 0] += 1e-3
+    changed = _bits(qt.fisher(f, D, A, A))
+    assert len(rotations) == 2
+    signed = A.copy()
+    signed[0, 1] = complex(-0.0, 0.0)
+    assert np.array_equal(signed, A) and signed.tobytes() != A.tobytes()
+    qt.fisher(f, D, signed, signed)
+    assert len(rotations) == 3
+    assert [r[2][3] for r in linalg._rotated] == [A.tobytes(), signed.tobytes()]
+    linalg._forget_states()
+    assert _bits(qt.fisher(f, D, A, A)) == changed
+
+
+def test_stacks_unheld_states_and_lists_are_never_kept(rotations):
+    densities = _densities(3, 3, 41)
+    stack = np.stack(densities)
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    f = fn.sld()
+    first = qt.fisher(f, stack, X, X[::-1].copy())
+    assert _bits(qt.fisher(f, stack, X, X[::-1].copy())) == _bits(first)
+    assert len(rotations) == 4 and linalg._rotated == []
+    s = linalg.state(densities[0])
+    unheld = linalg.State(s.eigenvalues, s.eigenvectors, s.matrix)  # equal to a remembered State, but not it
+    for _ in range(2):
+        linalg.relmod_grid(f, unheld, unheld, X[0])
+        linalg.relmod_grid(f, s, linalg.state(stack), X[0])
+        linalg.relmod_grid(f, s, s, X[0].tolist())
+    assert len(rotations) == 4 + 2 * 3 and linalg._rotated == []
+
+
+def test_an_operand_of_another_layout_is_an_entry_of_its_own(rotations):
+    (D,) = _densities(4, 1, 46)
+    rng = np.random.default_rng(46)
+    C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    padded = np.zeros((4, 8), dtype=complex)
+    padded[:, ::2] = C
+    layouts = {"C": C, "F": np.asfortranarray(C), "strided": padded[:, ::2]}
+    f, cold = fn.sld(), {}
+    for name, A in layouts.items():
+        linalg._forget_states()
+        s = linalg.state(D)
+        cold[name] = linalg.relmod_grid(f, s, s, A)[1][0].tobytes()
+    linalg._forget_states()
+    s = linalg.state(D)
+    del rotations[:]
+    _, (c,) = linalg.relmod_grid(f, s, s, C)
+    _, (fo,) = linalg.relmod_grid(f, s, s, layouts["F"])  # the same bytes in C order, other strides: a miss
+    assert len(rotations) == 2 and c.tobytes() == cold["C"] and fo.tobytes() == cold["F"]
+    assert linalg.relmod_grid(f, s, s, C.copy())[1][0] is c
+    assert linalg.relmod_grid(f, s, s, np.asfortranarray(C.copy()))[1][0] is fo and len(rotations) == 2
+    _, (st,) = linalg.relmod_grid(f, s, s, layouts["strided"])
+    assert len(rotations) == 3 and st.tobytes() == cold["strided"]
+    assert linalg.relmod_grid(f, s, s, padded.copy()[:, ::2])[1][0] is st and len(rotations) == 3
+
+
+def test_a_rotation_lives_while_state_remembers_both_of_its_states(rotations):
+    D1, D2, D3 = _densities(3, 3, 42)
+    A = np.random.default_rng(42).standard_normal((3, 3)) + 0j
+    F = fn.power_kernel(0.5)
+    qt.quasi_entropy(F, A, D1, D2)
+    assert len(rotations) == 1 and len(linalg._rotated) == 1
+    linalg.state(D2), linalg.state(D1)  # found: nothing leaves the memo
+    linalg.relmod_apply(F, D1, D2, A)
+    assert len(rotations) == 1 and len(linalg._rotated) == 1
+    linalg.state(D3)  # D2 leaves the memo, and its rotation with it
+    assert linalg._rotated == []
+    linalg.relmod_apply(F, D1, D2, A)  # D2 decomposed again: a new State, rotated anew
+    assert len(rotations) == 2 and len(linalg._rotated) == 1
+    linalg._forget_states()
+    assert linalg._remembered == [] and linalg._rotated == []
+
+
+def test_remembered_rotations_refuse_writes(rotations):
+    (D,) = _densities(3, 1, 43)
+    s = linalg.state(D)
+    X = np.asarray(random_hermitian(3, np.random.default_rng(43)))
+    _, (first,) = linalg.relmod_grid(fn.sld(), s, s, X)
+    _, (again,) = linalg.relmod_grid(fn.wyd(0.3), s, s, X.copy())
+    assert again is first and len(rotations) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0] = 0.0
+    assert X.flags.writeable
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2-D", "stack"])
+def test_one_operand_given_twice_is_rotated_once(stacked, rotations):
+    densities = _densities(4, 3, 44)
+    rng = np.random.default_rng(44)
+    D = np.stack(densities) if stacked else densities[0]
+    X = rng.standard_normal(np.shape(D)) + 1j * rng.standard_normal(np.shape(D))
+    s, f = linalg.state(D), fn.sld()
+    _, (At, Bt) = linalg.relmod_grid(f, s, s, X, X)
+    assert At is Bt and len(rotations) == 1
+    linalg._forget_states()
+    _, (Ac, Bc) = linalg.relmod_grid(f, linalg.state(D), linalg.state(D), X, X.copy())
+    assert Ac.tobytes() == At.tobytes() and Bc.tobytes() == Bt.tobytes()
+    assert _bits(qt.gen_cov(f, s, X, X)) == _bits(qt.gen_cov(f, linalg.state(D), X, X.copy()))
+
+
+def test_two_threads_alternating_over_three_pairs_get_bit_identical_results():
+    densities = _densities(8, 3, 45)
+    rng = np.random.default_rng(45)
+    operands = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(3)]
+    f, F = fn.wyd(0.3), fn.power_kernel(0.4)
+
+    def values(j: int) -> tuple:
+        D, A = densities[j], operands[j]
+        nxt = densities[(j + 1) % 3]
+        return _bits(qt.fisher(f, D, A, A)), _bits(qt.quasi_entropy(F, A, D, nxt)), _bits(linalg.relmod_apply(F, D, nxt, A))
+
+    expected = []
+    for j in range(3):
+        linalg._forget_states()
+        expected.append(values(j))
+    linalg._forget_states()
+    start, seen = threading.Barrier(2), [[], []]
+
+    def run(k: int):
+        start.wait()
+        for i in range(120):
+            j = (i + k) % 3
+            seen[k].append((j, values(j)))
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert all(bits == expected[j] for calls in seen for j, bits in calls)
+    assert len(seen[0]) == len(seen[1]) == 120

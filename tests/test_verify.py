@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,9 @@ def test_state_shaped_operands_are_refused_at_another_shape(qubit_state, flip):
     for gram in (vf.cov_gram, vf.skew_gram):
         with pytest.raises(InvariantViolation, match="^observable dimension does not match the state$"):
             gram(fn.sld(), qubit_state, [flip, wide])
+    for A, B in ((wide, flip), (flip, wide)):
+        with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)"):
+            vf.lemma_commuting_residual(fn.power_kernel(2.0), qubit_state, A, B)
 
 
 def test_hessian_vs_skew_refuses_an_observable_of_another_shape(qubit_state):
@@ -169,9 +173,27 @@ def test_mixed_second_derivative_refuses_a_kernel_tuple_of_another_length(batch,
     rng, count = np.random.default_rng(62), math.prod(batch)
     D = np.stack([np.asarray(vf.random_density(3, 0.2, rng)) for _ in range(count)]).reshape(batch + (3, 3))
     A = _traceless_stack(count, 3, rng).reshape(batch + (3, 3))
-    grid = rf"\({count}, 3, 3\)"
+    grid = re.escape(str(batch + (3, 3)))
     with pytest.raises(InvariantViolation, match=rf"^{count + extra} kernels do not match .* of shape {grid}$"):
         vf.mixed_second_derivative((fn.sld(),) * (count + extra), D, A, A)
+
+
+@pytest.mark.parametrize("count", [6, 2], ids=["flattened", "first-axis"])
+def test_a_kernel_tuple_on_a_stack_with_two_leading_axes_is_refused_with_one_message(count):
+    rng = np.random.default_rng(63)
+    w = rng.uniform(0.2, 1.0, (2, 3, 3))
+    D = np.einsum("...i,ij->...ij", w / w.sum(axis=-1, keepdims=True), np.eye(3)).astype(complex)
+    A = np.broadcast_to(np.diag([1.0, -1.0, 0.0]), D.shape).astype(complex)  # commutes with D
+    X = np.broadcast_to(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), D.shape).astype(complex)  # Tr D X = 0
+    refusal = rf"^{count} kernels do not match the one leading axis of a grid of shape \(2, 3, 3, 3\)$"
+    calls = [
+        lambda: vf.lemma_commuting_residual((fn.power_kernel(2.0),) * count, D, A, A),
+        lambda: vf._fd_defect((fn.power_kernel(2.0),) * count, D, A, A, None),
+        lambda: vf.hessian_vs_skew((fn.sld(),) * count, D, X),
+    ]
+    for call in calls:
+        with pytest.raises(InvariantViolation, match=refusal):
+            call()
 
 
 def test_every_stencil_point_keeps_half_the_smallest_eigenvalue(monkeypatch):
