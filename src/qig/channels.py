@@ -146,11 +146,11 @@ def monotonicity_margin(F, A, D1, D2, ch: KrausChannel) -> float:
     A lives on the channel output space.  Kernels without the monotone
     flag are refused; channel outputs that lose invertibility raise, so a
     sampling harness can resample.  A float for 2-D input, an array over
-    the leading axes of a stacked channel, states and operand.
+    the leading axes of a stacked channel, states and operand.  D2 must
+    have D1's n (:func:`~qig.linalg.state_pair`).
     """
     _require_monotone_kernel(F)
-    D1 = linalg.state(D1)
-    D2 = linalg.state(D2)
+    D1, D2 = linalg.state_pair(D1, D2)
     E = linalg.state(apply_state(ch, np.stack(np.broadcast_arrays(D1.matrix, D2.matrix))))
     lhs = quantities.quasi_entropy(F, A, E[0], E[1])
     rhs = quantities.quasi_entropy(F, apply_dual(ch, A), D1, D2)
@@ -164,13 +164,15 @@ def concavity_margin(F, A, pair_a, pair_b, lam: float) -> float:
       - lam S_F^A(a1, a2) - (1-lam) S_F^A(b1, b2)``; nonnegative under the
     same kernel hypotheses as :func:`monotonicity_margin`.  With stacked
     states lam may be an array over their leading axes, one weight each.
+    A density of ``pair_b`` must have the n of its counterpart in ``pair_a``,
+    and ``a2`` that of ``a1`` (second densities, :func:`~qig.linalg.state_pair`).
     """
     _require_monotone_kernel(F)
     weights = np.asarray(lam, dtype=float)
     if not ((0.0 <= weights) & (weights <= 1.0)).all():
         raise DomainError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    a1, a2 = (linalg.state(M) for M in pair_a)
-    b1, b2 = (linalg.state(M) for M in pair_b)
+    a1, b1 = linalg.state_pair(pair_a[0], pair_b[0])
+    a2, b2 = linalg.state_pair(pair_a[1], pair_b[1])
     w = weights[..., None, None]
     mix1 = w * a1.matrix + (1.0 - w) * b1.matrix
     mix2 = w * a2.matrix + (1.0 - w) * b2.matrix

@@ -19,7 +19,18 @@ from . import __version__, functions, linalg, quantities
 from .errors import DomainError, FileFormatError, InvariantViolation, VerificationError
 
 _EXIT_CODES = {VerificationError: 1, FileFormatError: 2, InvariantViolation: 3, DomainError: 4}
-_QUANTITIES = ("quasi-entropy", "umegaki", "renyi", "cov", "gen-cov", "fisher", "skew", "wyd")
+#: ``qig compute``: each quantity's function in :mod:`qig.quantities` (looked up on each call) and
+#: the flag of each of its parameters, in the order the flags are read (see :func:`_read_flag`)
+_COMPUTE = {
+    "quasi-entropy": ("quasi_entropy", {"F": "kernel", "D1": "state", "D2": "state2", "A": "obs?"}),
+    "umegaki": ("umegaki", {"D1": "state", "D2": "state2"}),
+    "renyi": ("renyi", {"alpha": "alpha", "D1": "state", "D2": "state2"}),
+    "cov": ("sym_cov", {"D": "state", "A": "obs", "B": "obs2"}),
+    "gen-cov": ("gen_cov", {"f": "fn", "D": "state", "A": "obs", "B": "obs2"}),
+    "fisher": ("fisher", {"f": "fn", "D": "state", "A": "obs", "B": "obs2"}),
+    "skew": ("skew_info", {"f": "fn", "D": "state", "X": "observable"}),
+    "wyd": ("wyd_direct", {"p": "p", "D": "state", "X": "observable"}),
+}
 
 
 def read_matrix(path: str, kind: str = "complex") -> np.ndarray | linalg.State:
@@ -102,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute a single quantity from matrix files")
-    comp.add_argument("quantity", choices=_QUANTITIES)
+    comp.add_argument("quantity", choices=tuple(_COMPUTE))
     comp.add_argument("--state", help="density matrix file (D or D1)")
     comp.add_argument("--state2", help="second density matrix file (D2)")
     comp.add_argument("--obs", help="observable / operand matrix file")
@@ -137,52 +148,26 @@ def _require(parser: argparse.ArgumentParser, value, flag: str):
     return value
 
 
+def _read_flag(parser: argparse.ArgumentParser, args, flag: str, read: dict):
+    """A flag's value: ``obs?`` is None and ``obs2`` the value of ``obs`` when not given; other flags are required."""
+    if flag == "obs?":
+        return read_matrix(args.obs) if args.obs else None
+    if flag == "obs2":
+        return read_matrix(args.obs2) if args.obs2 else read["obs"]
+    name = "obs" if flag == "observable" else flag  # an observable is the --obs file read as Hermitian
+    value = _require(parser, getattr(args, name), f"--{name}")
+    if flag in ("fn", "kernel"):
+        return functions.parse_function_spec(value, allow_kernels=flag == "kernel")
+    kind = {"state": "density", "state2": "density", "obs": "complex", "observable": "hermitian"}.get(flag)
+    return value if kind is None else read_matrix(value, kind)  # --alpha and --p as given
+
+
 def _cmd_compute(args, parser) -> int:
-    q = args.quantity
-    if q == "umegaki":
-        d1 = read_matrix(_require(parser, args.state, "--state"), "density")
-        d2 = read_matrix(_require(parser, args.state2, "--state2"), "density")
-        value = quantities.umegaki(d1, d2)
-    elif q == "renyi":
-        alpha = _require(parser, args.alpha, "--alpha")
-        d1 = read_matrix(_require(parser, args.state, "--state"), "density")
-        d2 = read_matrix(_require(parser, args.state2, "--state2"), "density")
-        value = quantities.renyi(alpha, d1, d2)
-    elif q == "quasi-entropy":
-        F = functions.parse_function_spec(
-            _require(parser, args.kernel, "--kernel"), allow_kernels=True
-        )
-        d1 = read_matrix(_require(parser, args.state, "--state"), "density")
-        d2 = read_matrix(_require(parser, args.state2, "--state2"), "density")
-        A = read_matrix(args.obs) if args.obs else None
-        value = quantities.quasi_entropy(F, A, d1, d2)
-    elif q == "cov":
-        d = read_matrix(_require(parser, args.state, "--state"), "density")
-        A = read_matrix(_require(parser, args.obs, "--obs"))
-        B = read_matrix(args.obs2) if args.obs2 else A
-        value = quantities.sym_cov(d, A, B)
-    elif q == "gen-cov":
-        f = functions.parse_function_spec(_require(parser, args.fn, "--fn"))
-        d = read_matrix(_require(parser, args.state, "--state"), "density")
-        A = read_matrix(_require(parser, args.obs, "--obs"))
-        B = read_matrix(args.obs2) if args.obs2 else A
-        value = quantities.gen_cov(f, d, A, B)
-    elif q == "fisher":
-        f = functions.parse_function_spec(_require(parser, args.fn, "--fn"))
-        d = read_matrix(_require(parser, args.state, "--state"), "density")
-        A = read_matrix(_require(parser, args.obs, "--obs"))
-        B = read_matrix(args.obs2) if args.obs2 else A
-        value = quantities.fisher(f, d, A, B)
-    elif q == "skew":
-        f = functions.parse_function_spec(_require(parser, args.fn, "--fn"))
-        d = read_matrix(_require(parser, args.state, "--state"), "density")
-        X = read_matrix(_require(parser, args.obs, "--obs"), "hermitian")
-        value = quantities.skew_info(f, d, X)
-    else:  # wyd
-        p = _require(parser, args.p, "--p")
-        d = read_matrix(_require(parser, args.state, "--state"), "density")
-        X = read_matrix(_require(parser, args.obs, "--obs"), "hermitian")
-        value = quantities.wyd_direct(p, d, X)
+    function, flags = _COMPUTE[args.quantity]
+    read = {}
+    for flag in flags.values():
+        read[flag] = _read_flag(parser, args, flag, read)
+    value = getattr(quantities, function)(**{param: read[flag] for param, flag in flags.items()})
     print(format_value(value))
     return 0
 

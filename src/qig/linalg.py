@@ -37,13 +37,20 @@ its densities through :func:`state_pair`.  From dimension
 :data:`PAIR_THREAD_DIM` on, when the environment pins BLAS to one thread
 and neither density is remembered, it decomposes the two concurrently, D2
 on a thread that is joined before the call returns or raises; the values,
-exceptions and messages are those of two sequential :func:`state` calls.
+exceptions and messages are those of :func:`state_pair`'s calls in turn.
+
+Operands meet their state through one shape rule, :func:`_require_shape`,
+checked before anything else about them, with one message, ``"<what>
+shape <shape> does not match state <shape>"``: an operand (:func:`_operand`)
+and a second density (:func:`state_pair`) by their last two axes, an
+observable, direction or perturbation (:func:`_observable`) by its whole shape.
 
 :func:`apply_matrix_function` takes stacks too, through that one ``eigh``
-call and with a tuple of functions as :func:`relmod_grid`, and so does :func:`phase_fixed_qr`: it turns a stack of Ginibre
-matrices (built by :func:`ginibre` from raw :func:`draw_ginibre` draws)
-into Haar isometries in one ``np.linalg.qr`` call.  Every member equals
-the 2-D call bit for bit.
+call, and a tuple of functions as :func:`relmod_grid` takes a tuple of
+kernels.  :func:`phase_fixed_qr` takes stacks as well: it turns a stack of
+Ginibre matrices (built by :func:`ginibre` from raw :func:`draw_ginibre`
+draws) into Haar isometries in one ``np.linalg.qr`` call.  Every member
+equals the 2-D call bit for bit.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs; the memos of :func:`state` and :func:`relmod_grid`
@@ -95,11 +102,6 @@ def _square(M, what: str = "matrix") -> np.ndarray:
     if M.shape[-1] == 0:
         raise InvariantViolation(f"{what} must have a nonzero dimension, got shape {M.shape}")
     return M
-
-
-def _same_dim(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape != B.shape:
-        raise InvariantViolation(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
@@ -293,49 +295,74 @@ def state(D, label: str = "state") -> State:
     return found if found is not None else _decompose(D, label, key)
 
 
-def state_pair(D1, D2, label1: str, label2: str) -> tuple[State, State]:
-    """``(state(D1, label1), state(D2, label2))``: the same States, exceptions and messages.
+def state_pair(D1, D2) -> tuple[State, State]:
+    """``(state(D1), state(D2))`` for a second density D2 of D1's dimension.
 
-    When D1 is an array of dimension :data:`PAIR_THREAD_DIM` or more, D2 is
-    not a State, neither is remembered by :func:`state` (both are looked up
-    first) and the environment pins BLAS to one thread (every one of
-    :data:`BLAS_THREAD_VARIABLES` set to ``"1"``), D2 is decomposed on a
-    thread of its own while D1 is on the caller's (numpy releases the GIL
-    inside LAPACK).  The thread is joined before anything is returned or
-    raised, and D1's exception, if any, is raised before D2's, as two
-    sequential calls would.  Otherwise the two run in turn: a remembered
-    density leaves nothing to overlap, and a multi-threaded BLAS loses it.
+    D1 is validated first, then D2 is refused unless its last two axes are
+    D1's (:func:`_require_shape`; stacks broadcast over the leading axes),
+    and only then validated: the States, exceptions and messages of
+    ``state(D1, "first state")``, that rule and ``state(D2, "second state")``
+    in turn.  When D1 is an array of dimension :data:`PAIR_THREAD_DIM` or
+    more, D2 an array with D1's last two axes, neither is remembered by
+    :func:`state` (both are looked up first) and the environment pins BLAS
+    to one thread (every one of :data:`BLAS_THREAD_VARIABLES` set to
+    ``"1"``), D2 is decomposed on a thread of its own while D1 is on the
+    caller's (numpy releases the GIL inside LAPACK).  The thread is joined
+    before anything is returned or raised, and D1's exception, if any, is
+    raised before D2's.  Otherwise the two run in turn: a remembered density
+    leaves nothing to overlap, and a multi-threaded BLAS loses it.
     """
     if (
-        isinstance(D2, State)
-        or not isinstance(D1, np.ndarray)
+        not isinstance(D1, np.ndarray)
+        or not isinstance(D2, np.ndarray)
         or D1.ndim < 2
         or D1.shape[-1] < PAIR_THREAD_DIM
+        or D2.shape[-2:] != D1.shape[-2:]
         or any(os.environ.get(name) != "1" for name in BLAS_THREAD_VARIABLES)
     ):
-        return state(D1, label1), state(D2, label2)
+        s1 = state(D1, "first state")
+        _require_shape("second state", D2.shape if isinstance(D2, (np.ndarray, State)) else np.shape(D2), s1)
+        return s1, state(D2, "second state")
     k1, k2 = _memo_key(D1), _memo_key(D2)
     with _remembered_lock:
         s1, s2 = _find_state(k1), _find_state(k2)
     if s1 is not None or s2 is not None:
-        return s1 or _decompose(D1, label1, k1), s2 or _decompose(D2, label2, k2)
+        return s1 or _decompose(D1, "first state", k1), s2 or _decompose(D2, "second state", k2)
     second = []
 
     def decompose_second():
         try:
-            second.append(_decompose(D2, label2, k2))
+            second.append(_decompose(D2, "second state", k2))
         except BaseException as exc:  # raised on the caller's thread after D1's outcome
             second.append(exc)
 
     worker = threading.Thread(target=decompose_second)
     worker.start()
     try:
-        first = _decompose(D1, label1, k1)
+        first = _decompose(D1, "first state", k1)
     finally:
         worker.join()
     if isinstance(second[0], BaseException):
         raise second[0]
     return first, second[0]
+
+
+def _require_shape(what: str, shape: tuple, s, exact: bool = False) -> None:
+    """The one shape rule of operands: refuse ``shape`` unless its last two axes are those of the state ``s``, or with ``exact`` its whole shape is s's."""
+    if (shape != s.shape) if exact else (shape[-2:] != s.shape[-2:]):
+        raise InvariantViolation(f"{what} shape {shape} does not match state {s.shape}")
+
+
+def _operand(A, s, what: str = "operand", exact: bool = False) -> np.ndarray:
+    """A as a complex array, refused first by :func:`_require_shape` against the state ``s``."""
+    A = np.asarray(A, dtype=complex)
+    _require_shape(what, A.shape, s, exact)
+    return A
+
+
+def _observable(X, s, what: str = "observable") -> np.ndarray:
+    """X of exactly the state ``s``'s shape (an observable, direction or perturbation), validated by :func:`as_hermitian`."""
+    return as_hermitian(_operand(X, s, what, exact=True))
 
 
 def eig_hermitian(H) -> SpectralDecomposition:
@@ -540,10 +567,9 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
 
 def _relmod_operands(F, D1, D2, A) -> tuple[State, State, np.ndarray]:
     """The validated states and operand of :func:`relmod_apply` and :func:`relmod_dense`, and F checked against them."""
-    s1, s2 = state_pair(D1, D2, "first density", "second density")
-    _same_dim(s1, s2)
-    A = _square(A, "operand")
-    _same_dim(A, s1)
+    s1, s2 = state_pair(D1, D2)
+    _require_shape("second state", s2.shape, s1, exact=True)  # relmod_dense reshapes the stacks
+    A = _operand(A, s1, exact=True)
     _check_kernels(F, s1.shape, core=2)
     return s1, s2, A
 
@@ -605,7 +631,8 @@ def commutator(A, B) -> np.ndarray:
     """``AB - BA`` (of each member of equal-shape stacks); 1j times it is Hermitian for Hermitian A, B."""
     A = _square(A)
     B = _square(B)
-    _same_dim(A, B)
+    if A.shape != B.shape:
+        raise InvariantViolation(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B - B @ A
 
 

@@ -13,12 +13,14 @@ operand's rotation ``U* A U`` is not repeated for the same 2-D arguments
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two
 axes only; :func:`skew_info`, :func:`skew_identity_residual` and
-:func:`wyd_direct` take equal-shape stacks of states and observables.  A
-single matrix gives a scalar, a stack the array of its members' values,
-each equal bit for bit to the 2-D call.  The kernel may be a tuple with
-one kernel per member of the leading axis (see
-:func:`~qig.linalg.relmod_grid`), and :func:`wyd_direct`'s exponent an
-array with one per member.  :func:`umegaki` and :func:`renyi` are
+:func:`wyd_direct` take equal-shape stacks of states and observables.
+Operands (``A``, ``B``) and second densities must match the state's last
+two axes, observables ``X`` its whole shape (the one shape rule and
+message of :mod:`qig.linalg`).  A single matrix gives a scalar, a stack
+the array of its members' values, each equal bit for bit to the 2-D call.
+The kernel may be a tuple with one kernel per member of the leading axis
+(see :func:`~qig.linalg.relmod_grid`), and :func:`wyd_direct`'s exponent
+an array with one per member.  :func:`umegaki` and :func:`renyi` are
 quasi-entropies of the identity operand and take stacks of states too.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
@@ -54,29 +56,6 @@ def digest_inputs(*parts) -> str:
         else:
             h.update(repr(p).encode())
     return h.hexdigest()[:12]
-
-
-def _operand(A, like, what: str = "operand") -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.shape[-2:] != like.shape[-2:]:
-        raise InvariantViolation(
-            f"{what} shape {A.shape} does not match state shape {like.shape}"
-        )
-    return A
-
-
-def _states(D1, D2) -> tuple[linalg.State, linalg.State]:
-    s1, s2 = linalg.state_pair(D1, D2, "first state", "second state")
-    if s1.shape[-1] != s2.shape[-1]:
-        raise InvariantViolation(f"state dimensions differ: {s1.shape} vs {s2.shape}")
-    return s1, s2
-
-
-def _observable(X, s: linalg.State) -> np.ndarray:
-    X = linalg.as_hermitian(X)
-    if X.shape != s.shape:
-        raise InvariantViolation(f"observable shape {X.shape} does not match state {s.shape}")
-    return X
 
 
 def _require_standard(f, what: str) -> None:
@@ -145,8 +124,8 @@ def quasi_entropy(F, A, D1, D2) -> np.ndarray:
     ``A = None`` is the one spelling of the identity operand: the values of
     ``A = I`` bit for bit, with no identity matrix built or multiplied.
     """
-    s1, s2 = _states(D1, D2)
-    A = None if A is None else _operand(A, s1)
+    s1, s2 = linalg.state_pair(D1, D2)
+    A = None if A is None else linalg._operand(A, s1)
     W, (M,) = linalg.relmod_grid(F, s1, s2, A)
     return (W * (np.abs(M) ** 2) * s1.eigenvalues[..., None, :]).sum(axis=(-2, -1))
 
@@ -169,8 +148,8 @@ def renyi(alpha: float, D1, D2):
 def sym_cov(D, A, B):
     """Symmetrized covariance ``Tr(D(A*B + BA*))/2 - (Tr DA*)(Tr DB)``."""
     D = linalg.as_density(D)
-    A = _operand(A, D, "first observable")
-    B = _operand(B, D, "second observable")
+    A = linalg._operand(A, D, "first observable")
+    B = linalg._operand(B, D, "second observable")
     Ah = linalg.dagger(A)
     quad = 0.5 * (D @ (Ah @ B + B @ Ah)).trace(axis1=-2, axis2=-1)
     means = _product((D @ Ah).trace(axis1=-2, axis2=-1), (D @ B).trace(axis1=-2, axis2=-1))
@@ -187,8 +166,8 @@ def gen_cov(f, D, A, B):
     """
     _require_standard(f, "generalized covariance")
     s = linalg.state(D)
-    A = _operand(A, s, "first observable")
-    B = _operand(B, s, "second observable")
+    A = linalg._operand(A, s, "first observable")
+    B = linalg._operand(B, s, "second observable")
     W, (At, Bt) = linalg.relmod_grid(f, s, s, A, B)
     w = s.eigenvalues
     quad = (np.conj(At) * Bt * (w[..., None, :] * W)).sum(axis=(-2, -1))
@@ -206,8 +185,8 @@ def fisher(f, D, A, B):
     """
     _require_standard(f, "the quantum Fisher information")
     s = linalg.state(D)
-    A = _operand(A, s, "first direction")
-    B = _operand(B, s, "second direction")
+    A = linalg._operand(A, s, "first direction")
+    B = linalg._operand(B, s, "second direction")
     W, (At, Bt) = linalg.relmod_grid(f, s, s, A, B)
     denom = _metric_denominator(s.eigenvalues, W)
     return _scalar((np.conj(At) * Bt / denom).sum(axis=(-2, -1)))
@@ -222,7 +201,7 @@ def skew_info(f, D, X):
     """
     _require_standard(f, "skew information")
     s = linalg.state(D)
-    X = _observable(X, s)
+    X = linalg._observable(X, s)
     W, (Xt,) = linalg.relmod_grid(f, s, s, X)
     w = s.eigenvalues
     denom = _metric_denominator(w, W)
@@ -244,7 +223,7 @@ def wyd_direct(p, D, X):
     if e.ndim > 1 and e.shape[:-1] != np.shape(D)[:-2]:
         raise DomainError(f"exponents of shape {e.shape[:-1]} do not match stack shape {np.shape(D)[:-2]}")
     s = linalg.state(D)
-    X = _observable(X, s)
+    X = linalg._observable(X, s)
     Dp = linalg.apply_matrix_function(lambda x: x ** e, s)
     Dq = linalg.apply_matrix_function(lambda x: x ** (1.0 - e), s)
     Cp = linalg.commutator(Dp, X)
@@ -262,7 +241,7 @@ def skew_identity_residual(f, D, X):
     which vanishes in exact arithmetic.
     """
     s = linalg.state(D)
-    X = _observable(X, s)
+    X = linalg._observable(X, s)
     _require_centered(s, X)
     f0 = _at_zero(f)
     if np.any(f0 == 0.0):

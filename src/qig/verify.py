@@ -196,7 +196,7 @@ def center_observable(D, A) -> np.ndarray:
     Takes a stack of states with an equal-shape stack of observables too.
     """
     D = linalg.as_density(D)
-    A = quantities._observable(A, D)
+    A = linalg._observable(A, D)
     means = (D @ A).trace(axis1=-2, axis2=-1).real
     return A - means[..., None, None] * np.eye(D.shape[-1])
 
@@ -230,11 +230,9 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     call's.
     """
     D = linalg.state(D)
-    A = linalg.as_hermitian(A)
-    B = linalg.as_hermitian(B)
+    A = linalg._observable(A, D, "first perturbation")
+    B = linalg._observable(B, D, "second perturbation")
     for M in (A, B):
-        if M.shape != D.shape:
-            raise InvariantViolation("perturbation shape does not match the state")
         if (abs(M.trace(axis1=-2, axis2=-1).real) > 1e-10).any():
             raise InvariantViolation("perturbations must be traceless")
     linalg._check_kernels(F, D.shape, core=2)
@@ -303,7 +301,8 @@ def exact_mixed_derivative(F, D, A, B):
     kernel tuples as :func:`mixed_second_derivative` does.
     """
     D = linalg.state(D)
-    A, B = (quantities._observable(M, D) for M in (A, B))
+    A = linalg._observable(A, D, "first direction")
+    B = linalg._observable(B, D, "second direction")
     linalg._check_kernels(F, D.shape, core=2)
     W, (At, Bt) = linalg.relmod_grid(_each(functions.hessian_kernel, F), D, D, A, B)
     return _real((np.conj(At) * Bt * (W / D.eigenvalues[..., None, :])).sum(axis=(-2, -1)).real)
@@ -326,7 +325,8 @@ def lemma_commuting_residual(F, D, A, B, schedule: StepSchedule | None = None):
     array of its members' values.
     """
     D = linalg.state(D)
-    A, B = (quantities._observable(M, D) for M in (A, B))
+    A = linalg._observable(A, D, "first direction")
+    B = linalg._observable(B, D, "second direction")
     for M in (A, B):
         _require_commuting(D.matrix, M)
     return _fd_defect(F, D, A, B, schedule)
@@ -349,7 +349,7 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     if np.any(f0 == 0.0):
         raise DomainError("the Hessian identity needs f(0) != 0")
     D = linalg.state(D)
-    X = quantities._observable(X, D)
+    X = linalg._observable(X, D)
     quantities._require_centered(D, X)
     ft = _each(functions.covariance_kernel, f)
     B = quantities.commutator_direction(D, X)
@@ -374,11 +374,9 @@ def _gram_operands(D, observables) -> tuple[linalg.State, np.ndarray, np.ndarray
     and ``B_b`` one before it.
     """
     D = linalg.state(D)
-    if D.matrix.ndim > 2:
-        observables = np.moveaxis(observables, -3, 0)
-    obs = [np.asarray(A, dtype=complex) for A in observables]
-    if any(A.shape != D.shape for A in obs):
-        raise InvariantViolation("observable dimension does not match the state")
+    if D.matrix.ndim > 2:  # the m axis first; an array of fewer axes is one member, refused below
+        observables = np.moveaxis(observables, -3, 0) if np.ndim(observables) > 2 else [observables]
+    obs = [linalg._operand(A, D, "observable", exact=True) for A in observables]
     obs = linalg.as_hermitian(np.moveaxis(np.reshape(obs, (len(obs),) + D.shape), 0, -3))
     parts = ((D.eigenvalues, 1), (D.eigenvectors, 2), (D.matrix, 2))
     Dx = linalg.State(*(np.expand_dims(a, (-core - 2, -core - 1)) for a, core in parts))

@@ -342,8 +342,6 @@ def test_relmod_dense_dimension_guard():
     D = np.eye(33) / 33
     with pytest.raises(InvariantViolation, match="limited to dimension 32"):
         linalg.relmod_dense(lambda x: x, D, D, np.eye(33))
-    with pytest.raises(InvariantViolation, match="dimension mismatch"):
-        linalg.relmod_dense(lambda x: x, D[:2, :2] * 16.5, D[:2, :2] * 16.5, np.eye(3))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5))
@@ -654,6 +652,13 @@ def _pair_outcome(call, D1, D2):
     return "accepted", np.asarray(out).tobytes()
 
 
+def _pair_in_turn(D1, D2):
+    """What ``state_pair`` does in turn: validate D1, check D2's shape against it, validate D2."""
+    s1 = linalg.state(D1, "first state")
+    linalg._require_shape("second state", np.shape(D2), s1)
+    return s1, linalg.state(D2, "second state")
+
+
 @pytest.mark.parametrize("n", [3, linalg.PAIR_THREAD_DIM])
 def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeypatch):
     for name in linalg.BLAS_THREAD_VARIABLES:
@@ -670,12 +675,9 @@ def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeyp
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     F, A = fn.power_kernel(0.5), np.eye(n)
     calls = [
-        (lambda D1, D2: linalg.state_pair(D1, D2, "first", "second"),
-         lambda D1, D2: (linalg.state(D1, "first"), linalg.state(D2, "second"))),
-        (lambda D1, D2: linalg.relmod_apply(F, D1, D2, A),
-         lambda D1, D2: linalg.relmod_apply(F, linalg.state(D1, "first density"), linalg.state(D2, "second density"), A)),
-        (quantities.umegaki,
-         lambda D1, D2: quantities.umegaki(linalg.state(D1, "first state"), linalg.state(D2, "second state"))),
+        (linalg.state_pair, _pair_in_turn),
+        (lambda D1, D2: linalg.relmod_apply(F, D1, D2, A), lambda D1, D2: linalg.relmod_apply(F, *_pair_in_turn(D1, D2), A)),
+        (quantities.umegaki, lambda D1, D2: quantities.umegaki(*_pair_in_turn(D1, D2))),
     ]
     threads = threading.active_count()
     for (k1, D1), (k2, D2) in itertools.product(inputs.items(), repeat=2):

@@ -389,25 +389,6 @@ def test_commutator_direction_is_the_hermitian_part_of_i_commutator(qubit_state,
     assert np.array_equal(B, B.conj().T)
 
 
-def test_operands_states_and_observables_of_another_shape_are_refused(qubit_state, flip):
-    wide = np.zeros((3, 3), dtype=complex)
-    with pytest.raises(InvariantViolation, match=r"^operand shape \(3, 3\) does not match state shape \(2, 2\)$"):
-        qt.quasi_entropy(fn.power_kernel(0.5), wide, qubit_state, qubit_state)
-    with pytest.raises(InvariantViolation, match=r"^first observable shape \(3, 3\) does not match"):
-        qt.gen_cov(fn.sld(), qubit_state, wide, flip)
-    with pytest.raises(InvariantViolation, match=r"^second direction shape \(3, 3\) does not match"):
-        qt.fisher(fn.sld(), qubit_state, flip, wide)
-    with pytest.raises(InvariantViolation, match=r"^state dimensions differ: \(2, 2\) vs \(3, 3\)$"):
-        qt.umegaki(qubit_state, np.eye(3) / 3)
-    for quantity in (
-        lambda X: qt.skew_info(fn.sld(), qubit_state, X),
-        lambda X: qt.wyd_direct(0.5, qubit_state, X),
-        lambda X: qt.skew_identity_residual(fn.sld(), qubit_state, X),
-    ):
-        with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)$"):
-            quantity(wide)
-
-
 def test_center_observable_values(qubit_state):
     out = center_observable(qubit_state, np.diag([1.0, 0.0]))
     assert_allclose(out, np.diag([0.25, -0.75]), atol=1e-14)

@@ -146,21 +146,6 @@ def test_mixed_second_derivative_requires_traceless(qubit_state):
         vf.mixed_second_derivative(fn.power_kernel(2.0), qubit_state, np.eye(2), np.eye(2))
 
 
-def test_state_shaped_operands_are_refused_at_another_shape(qubit_state, flip):
-    wide = np.zeros((3, 3), dtype=complex)
-    with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)"):
-        vf.center_observable(qubit_state, wide)
-    for A, B in ((wide, flip), (flip, wide)):
-        with pytest.raises(InvariantViolation, match="^perturbation shape does not match the state$"):
-            vf.mixed_second_derivative(fn.power_kernel(2.0), qubit_state, A, B)
-    for gram in (vf.cov_gram, vf.skew_gram):
-        with pytest.raises(InvariantViolation, match="^observable dimension does not match the state$"):
-            gram(fn.sld(), qubit_state, [flip, wide])
-    for A, B in ((wide, flip), (flip, wide)):
-        with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)"):
-            vf.lemma_commuting_residual(fn.power_kernel(2.0), qubit_state, A, B)
-
-
 def test_hessian_vs_skew_refuses_an_observable_of_another_shape(qubit_state):
     wide = np.zeros((3, 3), dtype=complex)
     with pytest.raises(InvariantViolation, match=r"^observable shape \(3, 3\) does not match state \(2, 2\)"):
