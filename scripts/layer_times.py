@@ -38,9 +38,20 @@ the two-entry memo (n = 64 and 256); ``umegaki_remembered_pair_s``,
 ``linalg.state_pair`` answers without starting a thread; and
 ``fisher_after_gen_cov_s``, ``quantities.fisher`` (``wyd:0.3``) of a
 remembered density and two operands that ``quantities.gen_cov`` (``sld``)
-rotated before it (n = 64 and 256).  Each n = 256 row runs in a process of
-its own (``--memo-row NAME --dim 256``), because in one process a row at
-that size depends on the heap that the rows before it left.
+rotated before it (n = 64 and 256).
+
+A ``products`` section gives, at n in {48, 64, 96, 128, 256}, the ratios
+behind ``linalg.PRODUCT_THREAD_DIM``: the time of a call with its two
+independent product chains overlapped on a thread (the crossover set to 1)
+over that of the same call with the two in turn, for
+``quantities.gen_cov`` (``sld``) rotating two operands it has not seen
+(its State is not remembered, so no rotation is kept),
+``quantities.sym_cov`` and ``quantities.wyd_direct`` (p = 0.3).  Below 1
+the thread wins.
+
+Each row at n >= 128 of the ``memo`` and ``products`` sections runs in a
+process of its own (``--row NAME --dim N``), because in one process a row
+at that size depends on the heap that the rows before it left.
 
 A ``harness`` section times the per-trial generators of one acceptance
 pass's trial count (the sum of ``verify._SUITES`` trials, 2,320): seconds
@@ -58,7 +69,7 @@ and one ``python -m qig.cli compute umegaki`` on two n = 2 density files.
 Each is the median over 9 processes, the four commands taking turns.
 
 Each time is the median over 7 timings of one call, where a timing runs
-the call enough times to last at least 20 ms; the ratio is the median
+the call enough times to last at least 20 ms; a ratio is the median
 over 25 rounds that time the two calls back to back.  BLAS runs on one
 thread, as in the benchmark.
 
@@ -90,7 +101,13 @@ MEMO_ROW_DIMS = {
     "umegaki_remembered_pair_s": MEMO_DIMS,
     "fisher_after_gen_cov_s": (64, 256),
 }
-FRESH_PROCESS_DIMS = (256,)
+PRODUCT_DIMS = (48, 64, 96, 128, 256)
+PRODUCT_ROWS = (
+    "gen_cov_overlapped_over_in_turn",
+    "sym_cov_overlapped_over_in_turn",
+    "wyd_direct_overlapped_over_in_turn",
+)
+FRESH_PROCESS_DIMS = (128, 256)
 MIN_SECONDS = 0.02
 REPEATS = 7
 RATIO_ROUNDS = 25
@@ -144,22 +161,37 @@ def _cold(fn):
     return call
 
 
-def _threaded_ratio(D1, D2) -> float:
-    """``umegaki`` of two arrays decomposed as a threaded pair at any n, over two sequential ``state`` calls.
+def _ratio(first, second) -> float:
+    """first's time over second's: the median over ``RATIO_ROUNDS`` rounds that time the two back to back.
 
-    The median over ``RATIO_ROUNDS`` rounds that time the two back to back,
-    which keeps a drift in machine speed out of the ratio.
+    Timing them back to back keeps a drift in machine speed out of the ratio.
     """
+    number = _number(second)
+    return statistics.median(_timing(first, number) / _timing(second, number) for _ in range(RATIO_ROUNDS))
+
+
+def _threaded_ratio(D1, D2) -> float:
+    """``umegaki`` of two arrays decomposed as a threaded pair at any n, over two sequential ``state`` calls."""
     threaded = _cold(lambda: quantities.umegaki(D1, D2))
     sequential = _cold(lambda: quantities.umegaki(linalg.state(D1), linalg.state(D2)))
     crossover, linalg.PAIR_THREAD_DIM = linalg.PAIR_THREAD_DIM, 1
     try:
-        number = _number(sequential)
-        return statistics.median(
-            _timing(threaded, number) / _timing(sequential, number) for _ in range(RATIO_ROUNDS)
-        )
+        return _ratio(threaded, sequential)
     finally:
         linalg.PAIR_THREAD_DIM = crossover
+
+
+def _at_crossover(fn, crossover: int):
+    """fn run with ``linalg.PRODUCT_THREAD_DIM`` set to ``crossover``."""
+
+    def call():
+        saved, linalg.PRODUCT_THREAD_DIM = linalg.PRODUCT_THREAD_DIM, crossover
+        try:
+            return fn()
+        finally:
+            linalg.PRODUCT_THREAD_DIM = saved
+
+    return call
 
 
 def layer_times(n: int, seed: int) -> dict:
@@ -213,16 +245,37 @@ def memo_row(name: str, n: int, seed: int) -> float:
     return _per_call(lambda: quantities.fisher(functions.wyd(0.3), D1, X, A))
 
 
-def _fresh_memo_row(name: str, n: int, seed: int) -> float:
-    """:func:`memo_row` in a process of its own."""
-    args = ["--seed", str(seed), "--memo-row", name, "--dim", str(n)]
+def product_row(name: str, n: int, seed: int) -> float:
+    """The ratio of the products row ``name`` at dimension n: overlapped over in turn."""
+    rng = np.random.default_rng([seed, n])
+    s = linalg.state(np.asarray(verify.random_density(n, 0.5 / n, rng)))
+    linalg._forget_states()  # s is not remembered, so gen_cov rotates both operands on every call
+    X = np.asarray(verify.random_hermitian(n, rng))
+    A = X + 1j * np.asarray(verify.random_hermitian(n, rng))
+    call = {
+        "gen_cov_overlapped_over_in_turn": lambda: quantities.gen_cov(functions.sld(), s, X, A),
+        "sym_cov_overlapped_over_in_turn": lambda: quantities.sym_cov(s, X, A),
+        "wyd_direct_overlapped_over_in_turn": lambda: quantities.wyd_direct(0.3, s, X),
+    }[name]
+    return _ratio(_at_crossover(call, 1), _at_crossover(call, n + 1))
+
+
+def row_here(name: str, n: int, seed: int) -> float:
+    """The ``memo`` or ``products`` row ``name`` at dimension n, in this process."""
+    return (product_row if name in PRODUCT_ROWS else memo_row)(name, n, seed)
+
+
+def row(name: str, n: int, seed: int) -> float:
+    """:func:`row_here`, in a process of its own at the dimensions ``FRESH_PROCESS_DIMS``."""
+    if n not in FRESH_PROCESS_DIMS:
+        return row_here(name, n, seed)
+    args = ["--seed", str(seed), "--row", name, "--dim", str(n)]
     out = subprocess.run([sys.executable, os.path.abspath(__file__), *args], check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out)
 
 
 def memo_times(n: int, seed: int) -> dict:
-    row = _fresh_memo_row if n in FRESH_PROCESS_DIMS else memo_row
     return {name: row(name, n, seed) for name, dims in MEMO_ROW_DIMS.items() if n in dims}
 
 
@@ -272,12 +325,12 @@ def import_times(seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--memo-row", choices=sorted(MEMO_ROW_DIMS),
-                        help="print only this memo row's seconds per call at --dim")
+    parser.add_argument("--row", choices=sorted(MEMO_ROW_DIMS) + sorted(PRODUCT_ROWS),
+                        help="print only this memo or products row at --dim, in this process")
     parser.add_argument("--dim", type=int, default=256)
     args = parser.parse_args(argv)
-    if args.memo_row:
-        print(json.dumps(memo_row(args.memo_row, args.dim, args.seed)))
+    if args.row:
+        print(json.dumps(row_here(args.row, args.dim, args.seed)))
         return 0
     out = {
         "command": "python3 scripts/layer_times.py " + " ".join(sys.argv[1:] if argv is None else argv),
@@ -288,10 +341,11 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential: a ratio; "
-                "harness: per trial; import: per process)",
+        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential and products: "
+                "ratios; harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
         "memo": {str(n): memo_times(n, args.seed) for n in MEMO_DIMS},
+        "products": {str(n): {name: row(name, n, args.seed) for name in PRODUCT_ROWS} for n in PRODUCT_DIMS},
         "harness": harness_times(args.seed),
         "import": import_times(args.seed),
     }

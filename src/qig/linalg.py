@@ -33,11 +33,15 @@ not ``np.ndarray`` are never remembered, and nor are the rotations that
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
-its densities through :func:`state_pair`.  From dimension
-:data:`PAIR_THREAD_DIM` on, when the environment pins BLAS to one thread
-and neither density is remembered, it decomposes the two concurrently, D2
-on a thread that is joined before the call returns or raises; the values,
-exceptions and messages are those of :func:`state_pair`'s calls in turn.
+its densities through :func:`state_pair`.  When the environment pins BLAS
+to one thread, one call at large n runs two independent pieces of work
+concurrently through one helper, :func:`_both`, the second on a thread
+that is joined before the call returns or raises: :func:`state_pair`'s two
+densities from dimension :data:`PAIR_THREAD_DIM` on, when neither is
+remembered, and from :data:`PRODUCT_THREAD_DIM` on the rotations of two
+distinct operands that :func:`relmod_grid` does not remember, and the two
+product chains of ``wyd_direct`` and ``sym_cov`` in :mod:`qig.quantities`.
+The values, exceptions and messages are those of the two in turn.
 
 Operands meet their state through one shape rule, :func:`_require_shape`,
 checked before anything else about them, with one message, ``"<what>
@@ -80,8 +84,14 @@ DENSE_CHUNK_BYTES = 64 * 2**20
 #: (``umegaki_arrays_threaded_over_sequential`` of ``scripts/layer_times.py``,
 #: with BLAS on one thread)
 PAIR_THREAD_DIM = 48
-#: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`state_pair`
-#: overlaps its decompositions only when all of them are "1"
+#: from this dimension on, :func:`relmod_grid` rotates two operands it has not
+#: seen concurrently, and :mod:`qig.quantities` runs the two product chains of
+#: ``wyd_direct`` and ``sym_cov`` concurrently; below it, the thread costs more
+#: than the overlap of its matmuls saves (the ``*_overlapped_over_in_turn``
+#: rows of ``scripts/layer_times.py``, with BLAS on one thread)
+PRODUCT_THREAD_DIM = 128
+#: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`_both`
+#: overlaps two pieces of work only when all of them are "1"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: :func:`state` remembers its last two single densities while their keys, eigenvectors
 #: and unshared matrices take at most this many bytes together (two at n = 512)
@@ -96,7 +106,10 @@ _FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
 
 
 def _square(M, what: str = "matrix") -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+    try:
+        M = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged, or not numeric
+        raise InvariantViolation(f"{what} is not a numeric array") from exc
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvariantViolation(f"{what} must be square, got shape {M.shape}")
     if M.shape[-1] == 0:
@@ -295,6 +308,44 @@ def state(D, label: str = "state") -> State:
     return found if found is not None else _decompose(D, label, key)
 
 
+def _blas_pinned() -> bool:
+    """Whether the environment pins BLAS to one thread: every one of :data:`BLAS_THREAD_VARIABLES` is ``"1"``."""
+    return all(os.environ.get(name) == "1" for name in BLAS_THREAD_VARIABLES)
+
+
+def _both(first, second, n: int, crossover: int) -> tuple:
+    """``(first(), second())`` of two independent thunks; from dimension ``crossover`` on, the second runs on a thread.
+
+    The two overlap only when n, the caller's matrix dimension, is at least
+    ``crossover`` and :func:`_blas_pinned` holds; otherwise they run in turn
+    on the caller's thread.  Below the crossover starting a thread costs
+    more than the overlap saves, and a multi-threaded BLAS already uses the
+    cores.  The thread is started per call (numpy releases the GIL inside
+    BLAS and LAPACK, so the two overlap there) and joined before anything
+    is returned or raised, and ``first``'s exception, if any, is raised
+    before ``second``'s.
+    """
+    if n < crossover or not _blas_pinned():
+        return first(), second()
+    out = []
+
+    def run_second():
+        try:
+            out.append(second())
+        except BaseException as exc:  # raised on the caller's thread after first's outcome
+            out.append(exc)
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return result, out[0]
+
+
 def state_pair(D1, D2) -> tuple[State, State]:
     """``(state(D1), state(D2))`` for a second density D2 of D1's dimension.
 
@@ -306,45 +357,35 @@ def state_pair(D1, D2) -> tuple[State, State]:
     more, D2 an array with D1's last two axes, neither is remembered by
     :func:`state` (both are looked up first) and the environment pins BLAS
     to one thread (every one of :data:`BLAS_THREAD_VARIABLES` set to
-    ``"1"``), D2 is decomposed on a thread of its own while D1 is on the
-    caller's (numpy releases the GIL inside LAPACK).  The thread is joined
-    before anything is returned or raised, and D1's exception, if any, is
-    raised before D2's.  Otherwise the two run in turn: a remembered density
-    leaves nothing to overlap, and a multi-threaded BLAS loses it.
+    ``"1"``), D2 is decomposed concurrently with D1 (:func:`_both`).
+    Otherwise the two run in turn: a remembered density leaves nothing to
+    overlap, and a multi-threaded BLAS loses it.
     """
-    if (
-        not isinstance(D1, np.ndarray)
-        or not isinstance(D2, np.ndarray)
-        or D1.ndim < 2
-        or D1.shape[-1] < PAIR_THREAD_DIM
-        or D2.shape[-2:] != D1.shape[-2:]
-        or any(os.environ.get(name) != "1" for name in BLAS_THREAD_VARIABLES)
+    if not (
+        isinstance(D1, np.ndarray)
+        and isinstance(D2, np.ndarray)
+        and D1.ndim >= 2
+        and D1.shape[-1] >= PAIR_THREAD_DIM
+        and D2.shape[-2:] == D1.shape[-2:]
+        and _blas_pinned()
     ):
         s1 = state(D1, "first state")
-        _require_shape("second state", D2.shape if isinstance(D2, (np.ndarray, State)) else np.shape(D2), s1)
+        if isinstance(D2, (np.ndarray, State)):
+            _require_shape("second state", D2.shape, s1)
+        else:  # read as an operand, so that a ragged or non-numeric D2 is refused as one
+            _operand(D2, s1, "second state")
         return s1, state(D2, "second state")
     k1, k2 = _memo_key(D1), _memo_key(D2)
     with _remembered_lock:
         s1, s2 = _find_state(k1), _find_state(k2)
     if s1 is not None or s2 is not None:
         return s1 or _decompose(D1, "first state", k1), s2 or _decompose(D2, "second state", k2)
-    second = []
-
-    def decompose_second():
-        try:
-            second.append(_decompose(D2, "second state", k2))
-        except BaseException as exc:  # raised on the caller's thread after D1's outcome
-            second.append(exc)
-
-    worker = threading.Thread(target=decompose_second)
-    worker.start()
-    try:
-        first = _decompose(D1, "first state", k1)
-    finally:
-        worker.join()
-    if isinstance(second[0], BaseException):
-        raise second[0]
-    return first, second[0]
+    return _both(
+        lambda: _decompose(D1, "first state", k1),
+        lambda: _decompose(D2, "second state", k2),
+        D1.shape[-1],
+        PAIR_THREAD_DIM,
+    )
 
 
 def _require_shape(what: str, shape: tuple, s, exact: bool = False) -> None:
@@ -355,7 +396,10 @@ def _require_shape(what: str, shape: tuple, s, exact: bool = False) -> None:
 
 def _operand(A, s, what: str = "operand", exact: bool = False) -> np.ndarray:
     """A as a complex array, refused first by :func:`_require_shape` against the state ``s``."""
-    A = np.asarray(A, dtype=complex)
+    try:
+        A = np.asarray(A, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged, or not numeric
+        raise InvariantViolation(f"{what} is not a numeric array") from exc
     _require_shape(what, A.shape, s, exact)
     return A
 
@@ -515,28 +559,59 @@ def _rotate(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarr
     return U2h @ s1.eigenvectors if A is None else U2h @ A @ s1.eigenvectors
 
 
-def _rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarray:
-    """``U2* A V``, remembered as :func:`relmod_grid` says."""
-    if type(A) is not np.ndarray or A.ndim != 2:
-        return _rotate(s1, s2, A)
+def _rotation_key(A: np.ndarray) -> tuple:
+    """A 2-D operand's key: dtype, shape, strides (BLAS may round another layout otherwise) and C-order bytes."""
+    return A.dtype, A.shape, A.strides, A.tobytes()
+
+
+def _find_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> tuple:
+    """``(key, M)``: the remembered rotation M of A by s1 and s2, or None; key is A's if it was built, else None."""
     key = None
-    for r in _rotated:  # entries are immutable: reading them needs no lock
-        if r[0] is s1 and r[1] is s2:
-            key = key or (A.dtype, A.shape, A.strides, A.tobytes())
-            if r[2] == key:
-                return r[3]
-    M = _rotate(s1, s2, A)
-    key = key or (A.dtype, A.shape, A.strides, A.tobytes())  # strides: BLAS may round another layout otherwise
-    size = len(key[3]) + M.nbytes
+    if type(A) is np.ndarray and A.ndim == 2:
+        for r in _rotated:  # entries are immutable: reading them needs no lock
+            if r[0] is s1 and r[1] is s2:
+                key = key or _rotation_key(A)
+                if r[2] == key:
+                    return key, r[3]
+    return key, None
+
+
+def _keep_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A, key, M: np.ndarray) -> np.ndarray:
+    """M, the rotation of A, kept under A's ``key`` (built here if None) as :func:`relmod_grid` says."""
+    if type(A) is not np.ndarray or A.ndim != 2:
+        return M
     with _remembered_lock:
-        held = {id(entry[1]) for entry in _remembered}
-        if size > STATE_MEMO_BYTES or id(s1) not in held or id(s2) not in held:
+        held1 = held2 = False
+        for entry in _remembered:
+            held1, held2 = held1 or entry[1] is s1, held2 or entry[1] is s2
+        if not (held1 and held2):
+            return M
+        key = key or _rotation_key(A)
+        size = len(key[3]) + M.nbytes
+        if size > STATE_MEMO_BYTES:
             return M
         while _rotated and (len(_rotated) == _REMEMBERED or sum(r[4] for r in _rotated) + size > STATE_MEMO_BYTES):
             _rotated.pop(0)
         M.setflags(write=False)
         _rotated.append((s1, s2, key, M, size))
     return M
+
+
+def _rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarray:
+    """``U2* A V``, remembered as :func:`relmod_grid` says."""
+    key, M = _find_rotation(s1, s2, A)
+    return M if M is not None else _keep_rotation(s1, s2, A, key, _rotate(s1, s2, A))
+
+
+def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, A, B) -> list:
+    """``[_rotation(s1, s2, A), _rotation(s1, s2, B)]``, the two rotated concurrently (:func:`_both`) when neither is remembered."""
+    (ka, Ma), (kb, Mb) = _find_rotation(s1, s2, A), _find_rotation(s1, s2, B)
+    if Ma is None and Mb is None:
+        n = s1.eigenvectors.shape[-1]
+        Ma, Mb = _both(lambda: _rotate(s1, s2, A), lambda: _rotate(s1, s2, B), n, PRODUCT_THREAD_DIM)
+        return [_keep_rotation(s1, s2, A, ka, Ma), _keep_rotation(s1, s2, B, kb, Mb)]
+    return [Ma if Ma is not None else _keep_rotation(s1, s2, A, ka, _rotate(s1, s2, A)),
+            Mb if Mb is not None else _keep_rotation(s1, s2, B, kb, _rotate(s1, s2, B))]
 
 
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
@@ -554,14 +629,19 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
     :func:`state` remembers are kept (within :data:`STATE_MEMO_BYTES`, until
     it decomposes another density), keyed by the States' identity and the
     operand's dtype, shape, strides and C-order bytes: a repeat costs one
-    bytes compare and gets the same read-only array.
+    bytes compare and gets the same read-only array.  Two operands that are
+    distinct objects, neither of them remembered, are rotated concurrently
+    from dimension :data:`PRODUCT_THREAD_DIM` on when BLAS is pinned to one
+    thread (:func:`_both`), with the bits of the two in turn.
     """
     W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
     if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the comprehension cost 1 % of their rate at n <= 16
         return W, [_rotate(s1, s2, None)]
-    if len(operands) == 2 and operands[1] is operands[0]:
-        M = _rotation(s1, s2, operands[0])
-        return W, [M, M]
+    if len(operands) == 2:
+        if operands[1] is operands[0]:
+            M = _rotation(s1, s2, operands[0])
+            return W, [M, M]
+        return W, _rotations(s1, s2, *operands)
     return W, [_rotate(s1, s2, A) if A is None else _rotation(s1, s2, A) for A in operands]
 
 

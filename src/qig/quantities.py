@@ -146,13 +146,22 @@ def renyi(alpha: float, D1, D2):
 
 
 def sym_cov(D, A, B):
-    """Symmetrized covariance ``Tr(D(A*B + BA*))/2 - (Tr DA*)(Tr DB)``."""
+    """Symmetrized covariance ``Tr(D(A*B + BA*))/2 - (Tr DA*)(Tr DB)``.
+
+    From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM` on, with BLAS
+    pinned to one thread, the quadratic term and the two means are computed
+    concurrently (:func:`~qig.linalg._both`), with the bits of the two in turn.
+    """
     D = linalg.as_density(D)
     A = linalg._operand(A, D, "first observable")
     B = linalg._operand(B, D, "second observable")
     Ah = linalg.dagger(A)
-    quad = 0.5 * (D @ (Ah @ B + B @ Ah)).trace(axis1=-2, axis2=-1)
-    means = _product((D @ Ah).trace(axis1=-2, axis2=-1), (D @ B).trace(axis1=-2, axis2=-1))
+    quad, means = linalg._both(
+        lambda: 0.5 * (D @ (Ah @ B + B @ Ah)).trace(axis1=-2, axis2=-1),
+        lambda: _product((D @ Ah).trace(axis1=-2, axis2=-1), (D @ B).trace(axis1=-2, axis2=-1)),
+        D.shape[-1],
+        linalg.PRODUCT_THREAD_DIM,
+    )
     return _scalar(quad - means)
 
 
@@ -216,6 +225,9 @@ def wyd_direct(p, D, X):
     exponent per member; a member's value then equals the 2-D call's,
     except that a per-member exponent of exactly 0.5 may differ in the last
     bit (numpy's power is a square root only for one exponent for the call).
+    From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM` on, with BLAS
+    pinned to one thread, the two commutators are computed concurrently
+    (:func:`~qig.linalg._both`), with the bits of the two in turn.
     """
     e = np.asarray(p, dtype=float)[..., None]
     if not all(0.0 < v < 1.0 for v in e.ravel().tolist()):  # NaN fails too
@@ -224,10 +236,12 @@ def wyd_direct(p, D, X):
         raise DomainError(f"exponents of shape {e.shape[:-1]} do not match stack shape {np.shape(D)[:-2]}")
     s = linalg.state(D)
     X = linalg._observable(X, s)
-    Dp = linalg.apply_matrix_function(lambda x: x ** e, s)
-    Dq = linalg.apply_matrix_function(lambda x: x ** (1.0 - e), s)
-    Cp = linalg.commutator(Dp, X)
-    Cq = linalg.commutator(Dq, X)
+    Cp, Cq = linalg._both(
+        lambda: linalg.commutator(linalg.apply_matrix_function(lambda x: x ** e, s), X),
+        lambda: linalg.commutator(linalg.apply_matrix_function(lambda x: x ** (1.0 - e), s), X),
+        s.shape[-1],
+        linalg.PRODUCT_THREAD_DIM,
+    )
     return _real(-0.5 * (Cp @ Cq).trace(axis1=-2, axis2=-1).real)
 
 

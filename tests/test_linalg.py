@@ -653,9 +653,9 @@ def _pair_outcome(call, D1, D2):
 
 
 def _pair_in_turn(D1, D2):
-    """What ``state_pair`` does in turn: validate D1, check D2's shape against it, validate D2."""
+    """What ``state_pair`` does in turn: validate D1, check D2 against it as an operand, validate D2."""
     s1 = linalg.state(D1, "first state")
-    linalg._require_shape("second state", np.shape(D2), s1)
+    linalg._operand(D2, s1, "second state")
     return s1, linalg.state(D2, "second state")
 
 
@@ -685,6 +685,8 @@ def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeyp
             outcome = _pair_outcome(call, D1, D2)
             assert outcome == _pair_outcome(sequential, D1, D2), (k1, k2)
             assert outcome[0] == ("accepted" if k1 == k2 == "good" else "raised")
+            # a ragged or text density is refused as one, not with numpy's conversion error
+            assert outcome[0] == "accepted" or outcome[1] in (InvariantViolation, np.linalg.LinAlgError), (k1, k2)
             assert threading.active_count() == threads
 
 

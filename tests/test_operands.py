@@ -6,6 +6,8 @@ shape with ``InvariantViolation("<what> shape <shape> does not match state
 <shape>")`` before anything else about the argument is checked: on a 2-D
 state and on a stack, for an argument of another n and for a 1-D argument,
 and where the whole shape must match, for a stack against a 2-D state.
+An argument numpy cannot read as a complex array (ragged, or not numeric)
+is refused with ``InvariantViolation("<what> is not a numeric array")``.
 """
 
 import re
@@ -99,6 +101,24 @@ _PARAMS = [
     for kind, D in _STATES.items()
     for variant, X in _refused(rule, D).items()
 ]
+
+
+_RAGGED = [[1.0, 0.0], [0.0]]
+
+
+@pytest.mark.parametrize(
+    "call, what, X",
+    [pytest.param(call, what, _RAGGED, id=name) for name, what, _, call in _CASES]
+    + [
+        pytest.param(lambda D, X: linalg.state(X), "Hermitian matrix", _RAGGED, id="state"),
+        pytest.param(lambda D, X: linalg.state(X), "Hermitian matrix", "x", id="state-text"),
+        pytest.param(lambda D, X: linalg.as_hermitian(X), "Hermitian matrix", [[object(), 1], [1, 0]],
+                     id="as_hermitian-object"),
+    ],
+)
+def test_a_ragged_or_non_numeric_argument_is_refused_as_not_a_numeric_array(call, what, X):
+    with pytest.raises(InvariantViolation, match=rf"^{what} is not a numeric array$"):
+        call(_STATES["2-D"], X)
 
 
 @pytest.mark.parametrize("call, what, D, X", _PARAMS)

@@ -646,7 +646,7 @@ def test_a_pair_of_unseen_arrays_is_decomposed_on_one_thread_and_a_remembered_on
 
 
 @pytest.mark.parametrize("threads", [None, "2", "0", ""])
-def test_two_states_are_decomposed_in_turn_unless_every_blas_variable_pins_one_thread(threads, monkeypatch):
+def test_nothing_runs_on_a_thread_unless_every_blas_variable_pins_one_thread(threads, monkeypatch):
     for name in linalg.BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(name, "1")
     # one variable that is unset or not "1" leaves BLAS free to run threads of its own
@@ -658,4 +658,81 @@ def test_two_states_are_decomposed_in_turn_unless_every_blas_variable_pins_one_t
     rng = np.random.default_rng(7)
     D1, D2 = (np.asarray(random_density(64, 0.5 / 64, rng)) for _ in range(2))
     assert _bytes(qt.umegaki(D1, D2)) == _bytes(qt.umegaki(linalg.state(D1), linalg.state(D2)))
+    # the products of one call at the crossover: two unseen operands, sym_cov, wyd_direct
+    n = linalg.PRODUCT_THREAD_DIM
+    D, X = np.asarray(random_density(n, 0.5 / n, rng)), np.asarray(random_hermitian(n, rng))
+    qt.gen_cov(fn.sld(), D, X, 1j * X)
+    qt.sym_cov(D, X, 1j * X)
+    qt.wyd_direct(0.3, D, X)
     assert started == []
+
+
+def _product_calls(n: int, seed: int) -> list:
+    """``(name, call, threads it starts from the crossover on)`` for every call site of overlapped products.
+
+    In this order on one density: gen_cov rotates two operands it has not
+    seen, fisher finds both rotations, finds one of two and rotates the
+    other in turn, and rotates two operands it has not seen.
+    """
+    rng = np.random.default_rng(seed)
+    D, X = np.asarray(random_density(n, 0.5 / n, rng)), np.asarray(random_hermitian(n, rng))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = fn.wyd(0.3)
+    return [
+        ("gen_cov", lambda: qt.gen_cov(fn.sld(), D, X, A), 1),
+        ("fisher remembered", lambda: qt.fisher(f, D, X, A), 0),
+        ("fisher one remembered", lambda: qt.fisher(f, D, A, 2.0 * X), 0),
+        ("fisher unseen", lambda: qt.fisher(f, D, A.conj(), 3.0 * X), 1),
+        ("sym_cov", lambda: qt.sym_cov(D, X, A), 1),
+        ("wyd_direct", lambda: qt.wyd_direct(0.3, D, X), 1),
+    ]
+
+
+@pytest.mark.parametrize("n", [linalg.PRODUCT_THREAD_DIM - 1, linalg.PRODUCT_THREAD_DIM, 256])
+def test_products_overlapped_from_the_crossover_equal_the_products_in_turn_bit_for_bit(n, monkeypatch):
+    monkeypatch.setenv(linalg.BLAS_THREAD_VARIABLES[0], "2")  # in turn at any n
+    linalg._forget_states()
+    in_turn = [_bytes(call()) for _, call, _ in _product_calls(n, 290 + n)]
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    linalg._forget_states()
+    started = _record_threads(monkeypatch)
+    threads = threading.active_count()
+    for (name, call, overlapped), expected in zip(_product_calls(n, 290 + n), in_turn):
+        before = len(started)
+        assert _bytes(call()) == expected, name
+        assert len(started) - before == (overlapped if n >= linalg.PRODUCT_THREAD_DIM else 0), name
+        assert threading.active_count() == threads and not any(t.is_alive() for t in started)
+
+
+def _raising_on(sides: set, original):
+    """original, raising ``RuntimeError(side)`` instead on the threads of ``sides`` ("caller", "worker")."""
+
+    def call(*args):
+        side = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+        if side in sides:
+            raise RuntimeError(side)
+        return original(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("sides", [{"caller"}, {"worker"}, {"caller", "worker"}], ids=["caller", "worker", "both"])
+def test_a_raising_branch_raises_the_callers_exception_first_and_joins_its_thread(sides, monkeypatch):
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    started = _record_threads(monkeypatch)
+    threads = threading.active_count()
+    expected = "caller" if "caller" in sides else "worker"
+    with pytest.raises(RuntimeError, match=f"^{expected}$"):
+        linalg._both(_raising_on(sides, lambda: 1), _raising_on(sides, lambda: 2), 1, 1)
+    calls = {name: call for name, call, _ in _product_calls(linalg.PRODUCT_THREAD_DIM, 390)}
+    # gen_cov rotates the second operand on the worker, wyd_direct builds the second commutator there
+    for name, call in (("_rotate", calls["gen_cov"]), ("commutator", calls["wyd_direct"])):
+        linalg._forget_states()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, name, _raising_on(sides, getattr(linalg, name)))
+            with pytest.raises(RuntimeError, match=f"^{expected}$"):
+                call()
+    assert len(started) == 3 and threading.active_count() == threads
+    assert not any(t.is_alive() for t in started)
