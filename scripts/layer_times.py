@@ -12,7 +12,10 @@ density and observable:
 - kernel evaluation on the ratio grid ``w_i / w_j``: one kernel
   (``wyd:0.3``), and a tuple of 8 kernels from mixed families on a stack
   of 8 grids, both grouped (``linalg._kernel_grid``, one call per family)
-  and member by member (one ``eval_scalar`` call each);
+  and member by member (one ``eval_scalar`` call each); and a tuple of 17
+  Hessian kernels of the four bases of ``lemma-commuting``'s pool, on a
+  stack of 17 grids, with the 17 specs built afresh in every call, as the
+  harness builds its kernels in every trial (``kernel_tuple17_fresh_s``);
 - the eigenbasis contraction ``sum_ij W_ij |(U* A U)_ij|^2 w_j``;
 - two whole quantities on validated states (``linalg.State``), where only
   per-call work is left: ``quantities.umegaki`` of two states (the
@@ -128,6 +131,13 @@ def _mixed_kernels() -> tuple:
     )
 
 
+def _fresh_hessian_kernels() -> tuple:
+    """17 new Hessian kernels of the bases ``power:2``, ``power:0.5``, ``neglog`` and ``sld`` in turn."""
+    bases = (lambda: functions.power_kernel(2.0), lambda: functions.power_kernel(0.5),
+             functions.neglog_kernel, functions.sld)
+    return tuple(functions.hessian_kernel(bases[i % 4]()) for i in range(17))
+
+
 def _timing(fn, number: int) -> float:
     """Seconds per call of fn over ``number`` calls in a row."""
     start = time.perf_counter()
@@ -204,6 +214,7 @@ def layer_times(n: int, seed: int) -> dict:
     x = w[:, None] / w[None, :]
     kernels = _mixed_kernels()
     x8 = np.stack([x] * len(kernels))
+    x17 = np.stack([x] * 17)
     W = linalg.eval_scalar(functions.wyd(0.3), x)
     one = functions.wyd(0.3)
 
@@ -218,6 +229,7 @@ def layer_times(n: int, seed: int) -> dict:
         "kernel_one_s": _per_call(lambda: linalg._kernel_grid(one, x)),
         "kernel_tuple8_grouped_s": _per_call(lambda: linalg._kernel_grid(kernels, x8)),
         "kernel_tuple8_per_member_s": _per_call(lambda: [linalg.eval_scalar(f, x) for f in kernels]),
+        "kernel_tuple17_fresh_s": _per_call(lambda: linalg._kernel_grid(_fresh_hessian_kernels(), x17)),
         "contraction_s": _per_call(contraction),
         "umegaki_states_s": _per_call(lambda: quantities.umegaki(s1, s2)),
         "skew_info_state_s": _per_call(lambda: quantities.skew_info(one, s1, A)),

@@ -32,6 +32,10 @@ from .errors import DomainError, FileFormatError, InvariantViolation
 #: half-width of the window around x = 1 where removable singularities are
 #: evaluated by a second-order expansion instead of the raw formula
 _SERIES_WINDOW = 1e-4
+#: exponent values that numpy applies by sqrt, square, copy or reciprocal when
+#: the exponent is a scalar; as elements of an exponent array they go through
+#: pow, so a family key holds such a value and its members keep their scalar
+_FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,14 @@ class ScalarFunctionSpec:
     A parametric constructor's ``fn`` is ``functools.partial(family,
     **params)`` of a module-level family function that is vectorized in
     its parameters: called with ``(m, 1, ...)`` parameter arrays it
-    evaluates m members at once, each element as its scalar call does
-    (``linalg._kernel_grid`` groups kernels so; see :func:`_family`).
+    evaluates m members at once, each element as its scalar call does.
+    The constructor declares which specs may share such a call in
+    ``family``, a plain tuple: the family function, then each exponent's
+    value where it is one of :data:`_FAST_EXPONENTS` and None otherwise
+    (a Hansen mixture's atom count; a covariance or Hessian kernel's
+    base's key, or the base's ``fn`` when the base has none).
+    ``linalg._kernel_grid`` groups a tuple of kernels by ``family``; a
+    spec without one (None) and a bare callable group by identity alone.
     ``fn`` leaves floating-point errors to its caller, which ignores them.
     """
 
@@ -58,15 +68,11 @@ class ScalarFunctionSpec:
     second_derivative_at_one: float | None = None
     claims_standard: bool = False
     claims_operator_monotone: bool = False
+    family: tuple | None = None
 
     def __call__(self, x):
         with np.errstate(all="ignore"):
             return self.fn(x)
-
-    @functools.cached_property
-    def kernel_keys(self) -> tuple:
-        """``linalg._kernel_keys(self.fn)``, computed on first use once per spec."""
-        return linalg._kernel_keys(self.fn)
 
 
 _PROBE_GRID = np.sort(np.append(np.geomspace(1e-3, 1e3, 60), 1.0))
@@ -86,11 +92,6 @@ def _with_series(direct, series, x):
     return np.where(near, series(t), direct(np.where(near, 2.0, x)))[()]
 
 
-def _family(*exponents: str):
-    """Declare a kernel family and the names of its exponent parameters (read by ``linalg._kernel_keys``)."""
-    return lambda func: setattr(func, "exponents", exponents) or func
-
-
 def _sld(x):
     return (1.0 + x) / 2.0
 
@@ -103,7 +104,6 @@ def _log_mean(x):
     return _with_series(lambda s: (s - 1.0) / np.log(s), lambda t: 1.0 + t / 2.0 - t * t / 12.0, x)
 
 
-@_family("p")
 def _wyd(x, p, c0, c2):
     return _with_series(
         lambda s: c0 * (s - 1.0) ** 2 / ((s ** p - 1.0) * (s ** (1.0 - p) - 1.0)),
@@ -112,17 +112,14 @@ def _wyd(x, p, c0, c2):
     )
 
 
-@_family()
 def _extremal_kernel(x, lam):
     return 0.5 * (1.0 + lam) * (1.0 / (x + lam) + 1.0 / (1.0 + x * lam))
 
 
-@_family()
 def _extremal_metric(x, lam, scale):
     return 2.0 * (x + lam) * (1.0 + x * lam) / (scale * (1.0 + x))
 
 
-@_family()
 def _hansen(x, atoms, weights):
     """``1 / sum_k w_k g_{a_k}(x)`` over the charged atoms, summed in order."""
     acc = weights[0] * _extremal_kernel(x, atoms[0])
@@ -131,12 +128,10 @@ def _hansen(x, atoms, weights):
     return 1.0 / acc
 
 
-@_family()
 def _covariance(x, f0, base):
     return 0.5 * ((x + 1.0) - (x - 1.0) ** 2 * f0 / base(x))
 
 
-@_family()
 def _hessian(x, base, d2):
     return _with_series(
         lambda r: -(r * base(1.0 / r) + base(r) - (r + 1.0) * base(1.0)) / (r - 1.0) ** 2,
@@ -145,7 +140,6 @@ def _hessian(x, base, d2):
     )
 
 
-@_family("alpha")
 def _power(x, alpha):
     return x ** alpha
 
@@ -154,7 +148,6 @@ def _neglog(x):
     return -np.log(x)
 
 
-@_family("alpha")
 def _renyi(x, alpha, c):
     return (1.0 - x ** alpha) / c
 
@@ -204,7 +197,8 @@ def wyd(p: float) -> ScalarFunctionSpec:
         raise DomainError(f"wyd parameter must lie inside (0, 1), got {p!r}")
     c0 = p * (1.0 - p)
     fn = functools.partial(_wyd, p=p, c0=c0, c2=(p - p * p - 1.0) / 12.0)
-    return ScalarFunctionSpec(f"wyd:{p:g}", fn, c0, -(p * p - p + 1.0) / 6.0, True, True)
+    family = (_wyd, p if p in _FAST_EXPONENTS else None)
+    return ScalarFunctionSpec(f"wyd:{p:g}", fn, c0, -(p * p - p + 1.0) / 6.0, True, True, family)
 
 
 def extremal_kernel(lam: float) -> Callable:
@@ -230,7 +224,7 @@ def extremal_metric(lam: float) -> ScalarFunctionSpec:
     scale = (1.0 + lam) ** 2
     fn = functools.partial(_extremal_metric, lam=lam, scale=scale)
     d2 = -((1.0 - lam) ** 2) / (2.0 * scale)
-    return ScalarFunctionSpec(f"extremal:{lam:g}", fn, 2.0 * lam / scale, d2, True, True)
+    return ScalarFunctionSpec(f"extremal:{lam:g}", fn, 2.0 * lam / scale, d2, True, True, (_extremal_metric,))
 
 
 @dataclass(frozen=True)
@@ -281,7 +275,7 @@ def hansen_mixture(measure: DiscreteMeasure) -> ScalarFunctionSpec:
         f0 = 1.0 / sum(w * (1.0 + a) ** 2 / (2.0 * a) for a, w in charged)
     d2 = sum(-w * (1.0 - a) ** 2 / (2.0 * (1.0 + a) ** 2) for a, w in charged)
     label = ",".join(f"{a:g}:{w:g}" for a, w in zip(measure.atoms, measure.weights))
-    return ScalarFunctionSpec(f"hansen[{label}]", fn, f0, d2, True, True)
+    return ScalarFunctionSpec(f"hansen[{label}]", fn, f0, d2, True, True, (_hansen, len(atoms)))
 
 
 def covariance_kernel(f: ScalarFunctionSpec) -> ScalarFunctionSpec:
@@ -301,7 +295,7 @@ def covariance_kernel(f: ScalarFunctionSpec) -> ScalarFunctionSpec:
     if f0 == 0.0:
         return ScalarFunctionSpec(name, _sld, 0.5, 0.0, True, True)
     fn = functools.partial(_covariance, f0=f0, base=f.fn)
-    return ScalarFunctionSpec(name, fn, 0.0, -f0, True, True)
+    return ScalarFunctionSpec(name, fn, 0.0, -f0, True, True, (_covariance, f.family or f.fn))
 
 
 def hessian_kernel(F: ScalarFunctionSpec) -> ScalarFunctionSpec:
@@ -317,7 +311,7 @@ def hessian_kernel(F: ScalarFunctionSpec) -> ScalarFunctionSpec:
     """
     d2 = second_derivative_at_one(F)
     fn = functools.partial(_hessian, base=F.fn, d2=d2)
-    return ScalarFunctionSpec(f"hessian[{F.name}]", fn, math.nan)
+    return ScalarFunctionSpec(f"hessian[{F.name}]", fn, math.nan, family=(_hessian, F.family or F.fn))
 
 
 def power_kernel(alpha: float) -> ScalarFunctionSpec:
@@ -331,6 +325,7 @@ def power_kernel(alpha: float) -> ScalarFunctionSpec:
         second_derivative_at_one=alpha * (alpha - 1.0),
         claims_standard=False,
         claims_operator_monotone=0.0 < alpha <= 1.0,
+        family=(_power, alpha if alpha in _FAST_EXPONENTS else None),
     )
 
 
@@ -354,6 +349,7 @@ def renyi_kernel(alpha: float) -> ScalarFunctionSpec:
         second_derivative_at_one=1.0,
         claims_standard=False,
         claims_operator_monotone=False,
+        family=(_renyi, alpha if alpha in _FAST_EXPONENTS else None),
     )
 
 

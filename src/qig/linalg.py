@@ -16,10 +16,12 @@ one place kernels are evaluated, also takes a tuple of kernels, one per
 member of the leading axis, so a stack may pair each member with its own
 kernel (a stack given with a tuple has one leading axis, see
 :func:`_check_kernels`).  Such a tuple is evaluated with one call per
-group of members: repeats of one function share a call, and the members
-of one parametric family (``wyd``, ``extremal``, Hansen mixtures of one
-atom count, covariance kernels of one family, ``x^alpha``, ...) share a
-call with their parameters stacked.  :func:`relmod_apply`, the dense oracle
+group of members.  Only specs stack: the members of one family that a
+constructor in :mod:`qig.functions` declares (``wyd``, ``extremal``,
+Hansen mixtures of one atom count, covariance and Hessian kernels of one
+family, ``x^alpha``, ...) share a call with the parameters in which they
+differ stacked, and any other function shares a call only with repeats of
+itself (see :func:`_kernel_grid`).  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
@@ -100,9 +102,6 @@ _REMEMBERED = 2
 _remembered: list = []  # (key, State, bytes counted), the oldest first; key: see _memo_key
 _rotated: list = []  # (s1, s2, key, U2* A V, bytes counted), the oldest first; see _rotation
 _remembered_lock = threading.Lock()
-#: exponents that numpy applies by sqrt, square, copy or reciprocal when the
-#: exponent is a scalar; as elements of an exponent array they go through pow
-_FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
 
 
 def _square(M, what: str = "matrix") -> np.ndarray:
@@ -450,53 +449,24 @@ def apply_matrix_function(h, H) -> np.ndarray:
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-def _kernel_keys(fn) -> tuple:
-    """``(exact, family)`` group keys of a kernel function.
-
-    Functions with equal exact keys compute the same values: the same
-    object, or partials of one function with equal parameters.  A
-    ``functools.partial`` whose keyword parameters are floats, tuples of
-    floats, functions or such partials also has a family key, shared by
-    every partial of the same function with the same parameter names,
-    tuple lengths and functions.  It is None for any other function, and
-    for an exponent (``functions._family``; any float if undeclared) at one
-    of numpy's scalar-exponent fast paths, which keeps its scalar.
-    """
-    if not isinstance(fn, functools.partial) or fn.args:
-        return id(fn), None
-    exponents = getattr(fn.func, "exponents", None)
-    exact, family, stackable = [fn.func], [fn.func], True
-    for name, v in fn.keywords.items():
-        floats = v if isinstance(v, tuple) else (v,)
-        if all(isinstance(a, float) for a in floats):
-            f = len(v) if isinstance(v, tuple) else None
-            if exponents is None or name in exponents:
-                stackable = stackable and not any(a in _FAST_EXPONENTS for a in floats)
-        elif isinstance(v, functools.partial):
-            v, f = _kernel_keys(v)
-            stackable = stackable and f is not None
-        elif callable(v):
-            f = v
-        else:
-            return id(fn), None
-        exact.append((name, v))
-        family.append((name, f))
-    return tuple(exact), (tuple(family) if stackable else None)
-
-
 def _stacked(fns, shape: tuple):
-    """One partial of the family of ``fns`` with every parameter stacked to ``shape``, in member order."""
+    """One partial of the family of ``fns``, each parameter in which they differ stacked to ``shape``.
+
+    The stack is in member order.  A parameter they share, such as an
+    exponent that their family key holds, stays as it is; partials among
+    the parameters are stacked in turn.
+    """
     params = {}
     for name, v in fns[0].keywords.items():
         vals = [f.keywords[name] for f in fns]
-        if isinstance(v, functools.partial):
+        if all(u == v for u in vals):
+            params[name] = v
+        elif isinstance(v, functools.partial):
             params[name] = _stacked(vals, shape)
         elif isinstance(v, tuple):
             params[name] = tuple(np.array(c).reshape(shape) for c in zip(*vals))
-        elif isinstance(v, float):
+        else:
             params[name] = np.array(vals).reshape(shape)
-        else:  # a function parameter, the same object for the whole family
-            params[name] = v
     return functools.partial(fns[0].func, **params)
 
 
@@ -515,12 +485,13 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     (axes between the first and those belong to the member, as the Gram
     and stencil axes of :mod:`qig.verify`), and ``evaluate(fn, x)``
     evaluates one function, :func:`eval_scalar` by default.  A tuple takes
-    one call per group of members: members whose kernels compute the same
-    values share a call with the scalar parameters, and members of one
-    parametric family (see :class:`~qig.functions.ScalarFunctionSpec`)
-    share a call with their parameters stacked as ``(m, 1, ...)`` arrays
-    (see :func:`_kernel_keys`).  Each member's grid equals its own kernel's
-    call bit for bit.
+    one call per group of members.  Specs group by the ``family`` key their
+    constructor declares (see :class:`~qig.functions.ScalarFunctionSpec`),
+    and a spec without one, or a bare callable, by its function's
+    identity.  A group of one function object is one call of it; any
+    other group is one call of :func:`_stacked`, with the parameters in
+    which its members differ stacked as ``(m, 1, ...)`` arrays.  Each
+    member's grid equals its own kernel's call bit for bit.
     """
     evaluate = eval_scalar if evaluate is None else evaluate
     if not isinstance(F, tuple):
@@ -529,24 +500,22 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     groups: dict = {}
     for i, f in enumerate(F):
         fn = getattr(f, "fn", f)
-        exact, family = getattr(f, "kernel_keys", None) or _kernel_keys(fn)  # a spec's are cached
-        # an exact group computes one function, a family group stacks its parameters
-        idx, fns = groups.setdefault((family is None, exact if family is None else family), ([], []))
+        idx, fns = groups.setdefault(getattr(f, "family", None) or id(fn), ([], []))
         idx.append(i)
         fns.append(fn)
 
-    def group_function(key: tuple, fns: list):
-        if key[0] or len(fns) == 1:
+    def group_function(fns: list):
+        if all(f is fns[0] for f in fns):
             return fns[0]
         return _stacked(fns, (len(fns),) + (1,) * (x.ndim - 1))
 
     if len(groups) == 1:
-        key, (_, fns) = groups.popitem()
-        return evaluate(group_function(key, fns), x)
+        _, fns = groups.popitem()[1]
+        return evaluate(group_function(fns), x)
     parts = []
-    for key, (idx, fns) in groups.items():
+    for idx, fns in groups.values():
         idx = idx[0] if len(idx) == 1 else idx  # a lone member's grid is a view, as in its own call
-        parts.append((idx, evaluate(group_function(key, fns), x[idx])))
+        parts.append((idx, evaluate(group_function(fns), x[idx])))
     out = np.empty(x.shape, np.result_type(*(vals for _, vals in parts)))
     for idx, vals in parts:
         out[idx] = vals

@@ -388,13 +388,19 @@ def test_relmod_grid_with_a_kernel_per_member_equals_each_kernels_grid(n):
         linalg.relmod_grid(kernels, s1[0], s2[0])
 
 
+def _hansen_atoms(k: int, seed):
+    """A Hansen mixture of k atoms drawn from the seed (or from a generator, which advances)."""
+    rng = np.random.default_rng(seed)
+    atoms = tuple(float(a) for a in rng.uniform(0.05, 1.0, size=k))
+    return fn.hansen_mixture(fn.DiscreteMeasure(atoms, tuple(float(w) for w in rng.dirichlet(np.ones(k)))))
+
+
 def _catalog_kernels():
     """Every catalog family, the scalar-exponent fast paths and repeats, for the grouped grids."""
     rng = np.random.default_rng(21)
 
     def hansen(k):
-        atoms = tuple(float(a) for a in rng.uniform(0.05, 1.0, size=k))
-        return fn.hansen_mixture(fn.DiscreteMeasure(atoms, tuple(float(w) for w in rng.dirichlet(np.ones(k)))))
+        return _hansen_atoms(k, rng)
 
     return (
         fn.sld(), fn.harmonic(), fn.kubo_mori(), fn.wyd(0.5), fn.wyd(0.3), fn.wyd(0.71),
@@ -557,6 +563,14 @@ def test_relmod_grid_spells_the_identity_operand_none():
         assert W.tobytes() == W_eye.tobytes() and M.tobytes() == M_eye.tobytes()
 
 
+def _exponents(h) -> list:
+    """The exponents (``p``, ``alpha``) of a called partial and of the partials among its parameters."""
+    if not isinstance(h, functools.partial):
+        return []
+    own = [v for name, v in h.keywords.items() if name in ("p", "alpha")]
+    return own + [e for v in h.keywords.values() for e in _exponents(v)]
+
+
 def test_multiplicative_and_function_parameters_stack_and_exponents_keep_fast_scalars(monkeypatch):
     kernels = (
         fn.covariance_kernel(fn.sld()),  # f0 = 0.5 and the function base=_sld
@@ -572,6 +586,14 @@ def test_multiplicative_and_function_parameters_stack_and_exponents_keep_fast_sc
         fn.power_kernel(0.3),
         fn.hansen_mixture(fn.DiscreteMeasure((0.2, 0.7), (0.5, 0.5))),
         fn.hansen_mixture(fn.DiscreteMeasure((0.4, 0.9), (0.25, 0.75))),
+        fn.wyd(0.5),  # built apart from the first: one call with the scalar p
+        _hansen_atoms(3, 1), _hansen_atoms(4, 2), _hansen_atoms(3, 3), _hansen_atoms(4, 4),
+        fn.covariance_kernel(fn.wyd(0.5)), fn.covariance_kernel(fn.wyd(0.5)),
+        fn.hessian_kernel(fn.power_kernel(0.5)), fn.hessian_kernel(fn.power_kernel(0.5)),
+        fn.renyi_kernel(0.2), fn.renyi_kernel(-0.4),
+        # a bare partial and a hand-made spec group by identity: one call each
+        fn.extremal_kernel(0.4), fn.extremal_kernel(0.6),
+        fn.ScalarFunctionSpec("hand-made", functools.partial(fn._power, alpha=0.3), 0.0),
     )
     x = _ratio_grids(len(kernels), 4, np.random.default_rng(11))
     calls = []
@@ -584,39 +606,57 @@ def test_multiplicative_and_function_parameters_stack_and_exponents_keep_fast_sc
     monkeypatch.setattr(linalg, "eval_scalar", counted)
     W = linalg._kernel_grid(kernels, x)
     for j, f in enumerate(kernels):
-        assert _bits(W[j]) == _bits(original(f, x[j])), f.name
-    # cov[sld], the Dirac mixtures, the extremal pair and the two-atom mixtures are one call each
-    assert sorted(size for _, size in calls) == [1, 1, 1, 1, 1, 2, 2, 2, 2]
-    # exponents at numpy's fast values keep their scalar: each is its own kernel's call
-    lone = [h for h, size in calls if size == 1]
-    for f in (fn.wyd(0.5), fn.power_kernel(0.5), fn.power_kernel(2.0)):
-        assert any(h.func is f.fn.func and h.keywords == f.fn.keywords for h in lone), f.name
+        assert _bits(W[j]) == _bits(original(f, x[j])), getattr(f, "name", f)
+    # pairs: cov[sld], the Dirac mixtures, wyd:0.5, the extremal metrics, the mixtures of 2, 3
+    # and 4 atoms, cov[wyd:0.5], hessian[power:0.5] and the renyi kernels; every other one alone
+    assert sorted(size for _, size in calls) == [1] * 7 + [2] * 10
+    # exponents at numpy's fast values keep their scalar, also inside a base; others stack
+    exponents = [e for h, _ in calls for e in _exponents(h)]
+    assert sorted(e for e in exponents if np.ndim(e) == 0 and e in fn._FAST_EXPONENTS) == [0.5] * 4 + [2.0]
+    assert not any(np.isin(e, fn._FAST_EXPONENTS).any() for e in exponents if np.ndim(e))
+    assert sum(np.ndim(e) > 0 for e in exponents) == 1  # the renyi pair's alpha
 
 
-@fn._family("q")
-def _declared(x, q, k):
-    return k * x ** q
-
-
-def _undeclared(x, q, k):
-    return k * x ** q
-
-
-def test_only_declared_exponents_keep_fast_scalars_and_undeclared_families_keep_every_one():
-    keys = linalg._kernel_keys
-    assert keys(functools.partial(_declared, q=0.5, k=1.5))[1] is None
-    assert keys(functools.partial(_declared, q=0.3, k=0.5))[1] is not None
-    # without a declaration any float parameter may be an exponent
-    assert keys(functools.partial(_undeclared, q=0.3, k=0.5))[1] is None
-    assert keys(functools.partial(_undeclared, q=0.3, k=1.5))[1] is not None
-    catalog = (fn._wyd, fn._extremal_kernel, fn._extremal_metric, fn._hansen, fn._covariance, fn._power, fn._renyi)
-    assert [f.exponents for f in catalog] == [("p",), (), (), (), (), ("alpha",), ("alpha",)]
-    # the stacked family call equals each member's own call bit for bit
-    kernels = tuple(functools.partial(_declared, q=q, k=k) for q, k in ((0.3, 0.5), (0.7, 1.0), (1.5, 2.0)))
-    x = _ratio_grids(len(kernels), 4, np.random.default_rng(5))
-    W = linalg._kernel_grid(kernels, x)
-    for j, f in enumerate(kernels):
-        assert _bits(W[j]) == _bits(linalg.eval_scalar(f, x[j]))
+def test_catalog_constructors_give_equal_family_keys_exactly_to_members_that_may_stack():
+    same = [
+        (fn.wyd(0.3), fn.wyd(0.7)),
+        (fn.wyd(0.5), fn.wyd(0.5)),
+        (fn.extremal_metric(0.2), fn.extremal_metric(1.0)),
+        (_hansen_atoms(3, 1), _hansen_atoms(3, 2)),
+        (fn.covariance_kernel(fn.wyd(0.3)), fn.covariance_kernel(fn.wyd(0.6))),
+        (fn.covariance_kernel(fn.wyd(0.5)), fn.covariance_kernel(fn.wyd(0.5))),
+        (fn.covariance_kernel(fn.extremal_metric(0.3)), fn.covariance_kernel(fn.extremal_metric(0.8))),
+        (fn.covariance_kernel(fn.sld()), fn.covariance_kernel(fn.sld())),
+        (fn.hessian_kernel(fn.power_kernel(0.3)), fn.hessian_kernel(fn.power_kernel(0.7))),
+        (fn.hessian_kernel(fn.neglog_kernel()), fn.hessian_kernel(fn.neglog_kernel())),
+        (fn.hessian_kernel(_hansen_atoms(2, 1)), fn.hessian_kernel(_hansen_atoms(2, 2))),
+        (fn.power_kernel(0.3), fn.power_kernel(1.5)),
+        (fn.power_kernel(2.0), fn.power_kernel(2.0)),
+        (fn.renyi_kernel(0.2), fn.renyi_kernel(-0.4)),
+    ]
+    different = [
+        (fn.wyd(0.5), fn.wyd(0.3)),  # a fast exponent keeps its scalar
+        (fn.power_kernel(0.5), fn.power_kernel(2.0)),
+        (fn.power_kernel(1.0), fn.power_kernel(0.3)),
+        (fn.renyi_kernel(0.5), fn.renyi_kernel(0.4)),
+        (_hansen_atoms(3, 1), _hansen_atoms(4, 1)),  # the atom count
+        (_hansen_atoms(1, 1), _hansen_atoms(2, 1)),
+        (fn.covariance_kernel(fn.wyd(0.5)), fn.covariance_kernel(fn.wyd(0.3))),
+        (fn.covariance_kernel(fn.wyd(0.3)), fn.covariance_kernel(fn.extremal_metric(0.3))),
+        (fn.covariance_kernel(fn.sld()), fn.hessian_kernel(fn.sld())),
+        (fn.hessian_kernel(fn.power_kernel(0.5)), fn.hessian_kernel(fn.power_kernel(0.3))),
+        (fn.hessian_kernel(fn.neglog_kernel()), fn.hessian_kernel(fn.sld())),
+        (fn.wyd(0.3), fn.power_kernel(0.3)),
+        (fn.power_kernel(0.3), fn.renyi_kernel(0.3)),
+    ]
+    for a, b in same:
+        assert type(a.family) is tuple and a.family == b.family and hash(a.family) == hash(b.family), a.name
+    for a, b in different:
+        assert a.family != b.family, (a.name, b.name)
+    # functions without parameters, cov[f] of f(0) = 0 and hand-made specs declare none
+    for f in (fn.sld(), fn.harmonic(), fn.kubo_mori(), fn.neglog_kernel(), fn.covariance_kernel(fn.harmonic()),
+              fn.ScalarFunctionSpec("hand-made", functools.partial(fn._power, alpha=0.3), 0.0)):
+        assert f.family is None, f.name
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
@@ -688,19 +728,3 @@ def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeyp
             # a ragged or text density is refused as one, not with numpy's conversion error
             assert outcome[0] == "accepted" or outcome[1] in (InvariantViolation, np.linalg.LinAlgError), (k1, k2)
             assert threading.active_count() == threads
-
-
-def test_a_specs_kernel_keys_are_computed_once(monkeypatch):
-    kernels = (fn.wyd(0.3), fn.wyd(0.6), fn.sld(), fn.wyd(0.3))
-    calls = []
-    original = linalg._kernel_keys
-    monkeypatch.setattr(linalg, "_kernel_keys", lambda f: calls.append(f) or original(f))
-    x = _ratio_grids(len(kernels), 3, np.random.default_rng(6))
-    first = linalg._kernel_grid(kernels, x)
-    assert len(calls) == len(kernels)
-    assert _bits(linalg._kernel_grid(kernels, x)) == _bits(first)
-    assert len(calls) == len(kernels)
-    assert [f.kernel_keys for f in kernels] == [original(f.fn) for f in kernels]
-    # a bare function or partial has no cache: its keys are computed on every grouping
-    linalg._kernel_grid(tuple(f.fn for f in kernels), x)
-    assert len(calls) == 2 * len(kernels)
