@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import threading
@@ -658,6 +659,56 @@ def test_catalog_constructors_give_equal_family_keys_exactly_to_members_that_may
               fn.ScalarFunctionSpec("hand-made", functools.partial(fn._power, alpha=0.3), 0.0)):
         assert f.family is None, f.name
 
+
+
+def _counted_grid(kernels, x, monkeypatch) -> tuple:
+    """``_kernel_grid(kernels, x)`` and the functions of its eval_scalar calls with each call's member count."""
+    calls = []
+    original = linalg.eval_scalar
+
+    def counted(h, points):
+        calls.append((h, len(points) if np.ndim(points) == x.ndim else 1))
+        return original(h, points)
+
+    monkeypatch.setattr(linalg, "eval_scalar", counted)
+    W = linalg._kernel_grid(kernels, x)
+    monkeypatch.setattr(linalg, "eval_scalar", original)
+    for j, f in enumerate(kernels):
+        assert _bits(W[j]) == _bits(original(f, x[j])), getattr(f, "name", f)
+    return W, calls
+
+
+def test_bare_callables_and_hand_made_specs_group_by_their_functions_identity(monkeypatch):
+    shared = functools.partial(fn._power, alpha=0.3)
+    twin = functools.partial(fn._power, alpha=0.3)  # equal but another object
+    kernels = (
+        shared, twin, shared,
+        fn.ScalarFunctionSpec("hand-made", shared, 0.0),
+        fn.ScalarFunctionSpec("hand-made", functools.partial(fn._power, alpha=0.7), 0.0),
+        fn.sld().fn, fn.sld(),
+    )
+    x = _ratio_grids(len(kernels), 4, np.random.default_rng(8))
+    _, calls = _counted_grid(kernels, x, monkeypatch)
+    # one object is one call of that object itself, never a stacked partial
+    assert sorted(size for _, size in calls) == [1, 1, 2, 3]
+    assert [h for h, size in calls if size == 3] == [shared]
+    assert [h for h, size in calls if size == 2] == [fn.sld().fn]
+    assert sum(h is twin for h, _ in calls) == 1
+
+
+def test_grouping_reads_only_the_family_key_a_spec_declares(monkeypatch):
+    base = fn.wyd(0.3)
+    other = fn.wyd(0.7)
+    # a hand-made spec of the family stacks with it once it declares the key
+    declared = fn.ScalarFunctionSpec("hand-made wyd", other.fn, other.value_at_zero, family=base.family)
+    undeclared = fn.ScalarFunctionSpec("hand-made wyd", other.fn, other.value_at_zero)
+    x = _ratio_grids(3, 4, np.random.default_rng(9))
+    _, calls = _counted_grid((base, declared, undeclared), x, monkeypatch)
+    assert sorted(size for _, size in calls) == [1, 2]
+    (stacked,) = [h for h, size in calls if size == 2]
+    assert stacked.func is fn._wyd and np.shape(stacked.keywords["p"]) == (2, 1, 1)
+    # the key is a field the constructor sets once; a copy of the spec keeps it
+    assert dataclasses.replace(base, name="renamed").family is base.family
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
 @pytest.mark.parametrize("check", [linalg.as_hermitian, linalg.as_density, linalg.state])
