@@ -31,7 +31,11 @@ density and observable:
 - ``linalg.state``, ``linalg.as_density`` and ``quantities.fisher``
   (``wyd:0.3``) of a remembered array, which is found by one bytes compare
   and neither validated nor decomposed again (nor, for ``fisher``, is its
-  operand rotated again: ``linalg.relmod_grid`` remembers the rotation).
+  operand rotated again: ``linalg.relmod_grid`` remembers the rotation);
+- the miss path of both memos, ``gen_cov_cold_s``: ``quantities.gen_cov``
+  (``sld``) of an array and two distinct operands, with the memos emptied
+  before each call, so that every call decomposes the array, rotates both
+  operands and keeps the State and both rotations.
 
 A ``memo`` section times the memos of ``linalg.state`` and
 ``linalg.relmod_grid`` at n in {64, 128, 256}: ``state_once_seen_s``,
@@ -162,7 +166,7 @@ def _per_call(fn) -> float:
 
 
 def _cold(fn):
-    """fn with ``linalg.state``'s memo emptied before each call, so that it decomposes every array."""
+    """fn with ``linalg``'s memos emptied before each call, so that it decomposes every array and rotates every operand."""
 
     def call():
         linalg._forget_states()
@@ -210,6 +214,7 @@ def layer_times(n: int, seed: int) -> dict:
     A = verify.random_hermitian(n, rng)
     s1, s2 = linalg.state(D), verify.random_density(n, 0.5 / n, rng)
     D2 = np.asarray(s2)
+    B = np.asarray(verify.random_hermitian(n, rng))
     w, U = np.linalg.eigh(D)
     x = w[:, None] / w[None, :]
     kernels = _mixed_kernels()
@@ -238,6 +243,7 @@ def layer_times(n: int, seed: int) -> dict:
         "state_remembered_s": _per_call(lambda: linalg.state(D)),
         "as_density_remembered_s": _per_call(lambda: linalg.as_density(D)),
         "fisher_remembered_s": _per_call(lambda: quantities.fisher(one, D, A, A)),
+        "gen_cov_cold_s": _per_call(_cold(lambda: quantities.gen_cov(functions.sld(), D, A, B))),
     }
 
 

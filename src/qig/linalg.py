@@ -25,13 +25,9 @@ itself (see :func:`_kernel_grid`).  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
-:func:`state` validates every density (:func:`as_density` is its matrix)
-and remembers the last two 2-D arrays it accepted, keyed by the caller's
-dtype, shape and bytes and within :data:`STATE_MEMO_BYTES`: an array with
-that key costs one bytes compare and gets the remembered, read-only State,
-with no validation and no ``eigh``.  Stacks, States and inputs that are
-not ``np.ndarray`` are never remembered, and nor are the rotations that
-:func:`relmod_grid` remembers once either of their States leaves.
+:func:`state` validates every density (:func:`as_density` is its matrix).
+It remembers the States of its last two 2-D arrays, and :func:`relmod_grid`
+the last two rotations of 2-D operands by them, as :class:`_Memo` says.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
@@ -39,10 +35,11 @@ its densities through :func:`state_pair`.  When the environment pins BLAS
 to one thread, one call at large n runs two independent pieces of work
 concurrently through one helper, :func:`_both`, the second on a thread
 that is joined before the call returns or raises: :func:`state_pair`'s two
-densities from dimension :data:`PAIR_THREAD_DIM` on, when neither is
-remembered, and from :data:`PRODUCT_THREAD_DIM` on the rotations of two
-distinct operands that :func:`relmod_grid` does not remember, and the two
-product chains of ``wyd_direct`` and ``sym_cov`` in :mod:`qig.quantities`.
+densities from dimension :data:`PAIR_THREAD_DIM` on and, from
+:data:`PRODUCT_THREAD_DIM` on, the rotations of two distinct operands of
+:func:`relmod_grid`, in both cases when neither is remembered (see
+:class:`_Memo`), and the two product chains of ``wyd_direct`` and
+``sym_cov`` in :mod:`qig.quantities`.
 The values, exceptions and messages are those of the two in turn.
 
 Operands meet their state through one shape rule, :func:`_require_shape`,
@@ -95,13 +92,60 @@ PRODUCT_THREAD_DIM = 128
 #: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`_both`
 #: overlaps two pieces of work only when all of them are "1"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: :func:`state` remembers its last two single densities while their keys, eigenvectors
-#: and unshared matrices take at most this many bytes together (two at n = 512)
+#: the bytes that the entries of each memo (see :class:`_Memo`) take at most together
+#: (two remembered densities at n = 512)
 STATE_MEMO_BYTES = 16 * 2**20
 _REMEMBERED = 2
-_remembered: list = []  # (key, State, bytes counted), the oldest first; key: see _memo_key
-_rotated: list = []  # (s1, s2, key, U2* A V, bytes counted), the oldest first; see _rotation
-_remembered_lock = threading.Lock()
+
+
+class _Memo:
+    """The last two entries ``(key, value, bytes counted)`` of a memo, oldest first: the rules of both memos.
+
+    :func:`state` remembers States, and :func:`relmod_grid` rotations by
+    them, of 2-D ``np.ndarray`` inputs only; a value is a function of its
+    key, so a hit has a miss's bits.  :meth:`keep` drops the oldest entries
+    until the new one makes at most two within :data:`STATE_MEMO_BYTES`
+    (one over that alone is not kept) and makes its arrays read-only.  A
+    State found becomes the newest; a rotation hit takes no lock, one scan
+    and one bytes compare.  A rotation is kept only while :func:`state`
+    holds both of its States: it is kept with both held, and a density
+    decomposed to be remembered drops every rotation before its ``eigh``
+    and again once kept (in case one was kept meanwhile on another thread).
+    ``_memo_lock`` guards keep, clear and a State's find, never an ``eigh``
+    or matmul.
+    """
+
+    def __init__(self):
+        self.entries: list = []
+
+    def find(self, key, newest: bool = False):
+        """The value kept under ``key`` (None if none); with ``newest``, under the lock, its entry becomes the newest."""
+        for entry in self.entries:
+            if entry[0] == key:
+                if newest and entry is not self.entries[-1]:
+                    self.entries.remove(entry)  # found by identity: no entry before it has its key
+                    self.entries.append(entry)
+                return entry[1]
+        return None
+
+    def keep(self, key, value, size: int, *arrays: np.ndarray) -> None:
+        """Keep ``value``, whose ``arrays`` become read-only, under ``key`` if its ``size`` in bytes fits."""
+        if size > STATE_MEMO_BYTES:
+            return
+        entries = self.entries
+        while entries and (len(entries) == _REMEMBERED or sum(e[2] for e in entries) + size > STATE_MEMO_BYTES):
+            entries.pop(0)
+        for a in arrays:
+            a.setflags(write=False)
+        entries.append((key, value, size))
+
+    def clear(self) -> None:
+        self.entries.clear()
+
+
+_state_memo = _Memo()  # keys: see _memo_key
+_rotation_memo = _Memo()  # keys: see _rotation_key
+_memo_lock = threading.Lock()
 
 
 def _square(M, what: str = "matrix") -> np.ndarray:
@@ -187,15 +231,15 @@ def as_density(M) -> np.ndarray:
     return state(M).matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending eigenvalues with a matching orthonormal eigenbasis."""
+    """Ascending eigenvalues with a matching orthonormal eigenbasis; compared and hashed by identity."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State(SpectralDecomposition):
     """Validated density matrix with its eigendecomposition, built by :func:`state`.
 
@@ -236,27 +280,18 @@ def _memo_key(D):
     return (D.dtype, D.shape, D.tobytes()) if ok and D.nbytes + 16 * D.size <= STATE_MEMO_BYTES else None
 
 
-def _find_state(key: tuple):
-    """The remembered State of ``key`` (None for None), made the most recent; the caller holds the lock."""
-    for i, entry in enumerate(_remembered):
-        if entry[0] == key:
-            _remembered.append(_remembered.pop(i))
-            return entry[1]
-    return None
-
-
 def _forget_states() -> None:
-    """Empty :func:`state`'s memo and the rotations tied to it, so that the next call decomposes every density."""
-    with _remembered_lock:
-        _remembered.clear()
-        _rotated.clear()
+    """Empty both memos, so that the next call decomposes every density and rotates every operand."""
+    with _memo_lock:
+        _state_memo.clear()
+        _rotation_memo.clear()
 
 
 def _decompose(D, label: str, key) -> State:
-    """Validate and decompose D; remember the State under ``key`` (None: never) if the entry fits."""
-    if key is not None and _rotated:  # the rotations of the States it may drop are not held through eigh
-        with _remembered_lock:
-            _rotated.clear()
+    """Validate and decompose D; remember the State under ``key`` (None: never) as :class:`_Memo` says."""
+    if key is not None and _rotation_memo.entries:
+        with _memo_lock:
+            _rotation_memo.clear()
     H = as_hermitian(D)
     w, U = _eigh(H, label)
     _check_density(H, w[..., 0])
@@ -267,21 +302,13 @@ def _decompose(D, label: str, key) -> State:
     if shared:
         # keep this copy, not the lookup's: keeping one made before validation tripled a miss's page faults
         key, H = (key[0], key[1], bits), np.frombuffer(bits, H.dtype).reshape(H.shape)
-    size = len(key[2]) + U.nbytes + (0 if shared else H.nbytes)
-    if size > STATE_MEMO_BYTES:
-        return State(w, U, H)
-    w.flags.writeable = U.flags.writeable = H.flags.writeable = False
     new = State(w, U, H)
-    with _remembered_lock:
-        found = _find_state(key)  # decomposed meanwhile on another thread
+    with _memo_lock:
+        found = _state_memo.find(key, newest=True)  # decomposed meanwhile on another thread
         if found is not None:
             return found
-        while _remembered and (
-            len(_remembered) == _REMEMBERED or sum(e[2] for e in _remembered) + size > STATE_MEMO_BYTES
-        ):
-            _remembered.pop(0)
-        _remembered.append((key, new, size))
-        _rotated.clear()  # made meanwhile on another thread, perhaps with the State just dropped
+        _state_memo.keep(key, new, len(key[2]) + U.nbytes + (0 if shared else H.nbytes), w, U, H)
+        _rotation_memo.clear()
     return new
 
 
@@ -291,19 +318,16 @@ def state(D, label: str = "state") -> State:
     A density is Hermitian with unit trace and no eigenvalue below
     :data:`DENSITY_EIG_FLOOR` (rank-deficient input is an error, never
     regularized); a stack is refused at its first rejected member.
-    The last two 2-D numeric ``np.ndarray`` densities accepted are
-    remembered, keyed by dtype, shape and C-order bytes, while each entry's
-    key, eigenvectors and validated matrix (unless it shares the key's bytes,
-    as for an exactly Hermitian complex128 array) fit in
-    :data:`STATE_MEMO_BYTES`.  An array with the same key costs one bytes
-    compare and gets the remembered, read-only State: no validation, no
-    ``eigh``.  Stacks, States, other inputs and refused densities are never kept.
+    A 2-D numeric ``np.ndarray`` density's State is remembered as
+    :class:`_Memo` says, keyed by dtype, shape and C-order bytes, counting
+    the key, eigenvectors and validated matrix (unless it shares the key's
+    bytes, as an exactly Hermitian complex128 array does).
     """
     if isinstance(D, State):
         return D
     key = _memo_key(D)
-    with _remembered_lock:
-        found = _find_state(key)
+    with _memo_lock:
+        found = _state_memo.find(key, newest=True)
     return found if found is not None else _decompose(D, label, key)
 
 
@@ -375,8 +399,8 @@ def state_pair(D1, D2) -> tuple[State, State]:
             _operand(D2, s1, "second state")
         return s1, state(D2, "second state")
     k1, k2 = _memo_key(D1), _memo_key(D2)
-    with _remembered_lock:
-        s1, s2 = _find_state(k1), _find_state(k2)
+    with _memo_lock:
+        s1, s2 = _state_memo.find(k1, newest=True), _state_memo.find(k2, newest=True)
     if s1 is not None or s2 is not None:
         return s1 or _decompose(D1, "first state", k1), s2 or _decompose(D2, "second state", k2)
     return _both(
@@ -528,59 +552,41 @@ def _rotate(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarr
     return U2h @ s1.eigenvectors if A is None else U2h @ A @ s1.eigenvectors
 
 
-def _rotation_key(A: np.ndarray) -> tuple:
-    """A 2-D operand's key: dtype, shape, strides (BLAS may round another layout otherwise) and C-order bytes."""
-    return A.dtype, A.shape, A.strides, A.tobytes()
+def _rotation_key(s1: SpectralDecomposition, s2: SpectralDecomposition, A: np.ndarray) -> tuple:
+    """s1, s2 and the 2-D A's dtype, shape, strides (BLAS may round another layout otherwise) and C-order bytes."""
+    return s1, s2, A.dtype, A.shape, A.strides, A.tobytes()
 
 
-def _find_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> tuple:
-    """``(key, M)``: the remembered rotation M of A by s1 and s2, or None; key is A's if it was built, else None."""
-    key = None
-    if type(A) is np.ndarray and A.ndim == 2:
-        for r in _rotated:  # entries are immutable: reading them needs no lock
-            if r[0] is s1 and r[1] is s2:
-                key = key or _rotation_key(A)
-                if r[2] == key:
-                    return key, r[3]
-    return key, None
-
-
-def _keep_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A, key, M: np.ndarray) -> np.ndarray:
-    """M, the rotation of A, kept under A's ``key`` (built here if None) as :func:`relmod_grid` says."""
-    if type(A) is not np.ndarray or A.ndim != 2:
-        return M
-    with _remembered_lock:
-        held1 = held2 = False
-        for entry in _remembered:
-            held1, held2 = held1 or entry[1] is s1, held2 or entry[1] is s2
-        if not (held1 and held2):
-            return M
-        key = key or _rotation_key(A)
-        size = len(key[3]) + M.nbytes
-        if size > STATE_MEMO_BYTES:
-            return M
-        while _rotated and (len(_rotated) == _REMEMBERED or sum(r[4] for r in _rotated) + size > STATE_MEMO_BYTES):
-            _rotated.pop(0)
-        M.setflags(write=False)
-        _rotated.append((s1, s2, key, M, size))
-    return M
-
-
-def _rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarray:
-    """``U2* A V``, remembered as :func:`relmod_grid` says."""
-    key, M = _find_rotation(s1, s2, A)
-    return M if M is not None else _keep_rotation(s1, s2, A, key, _rotate(s1, s2, A))
-
-
-def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, A, B) -> list:
-    """``[_rotation(s1, s2, A), _rotation(s1, s2, B)]``, the two rotated concurrently (:func:`_both`) when neither is remembered."""
-    (ka, Ma), (kb, Mb) = _find_rotation(s1, s2, A), _find_rotation(s1, s2, B)
-    if Ma is None and Mb is None:
+def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: tuple) -> list:
+    """``[U2* A V for A in operands]`` as :func:`relmod_grid` says, remembered as :class:`_Memo` says."""
+    if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the loop cost 4 % of their rate at n = 4
+        return [_rotate(s1, s2, None)]
+    if len(operands) == 2 and operands[1] is operands[0]:
+        return _rotations(s1, s2, operands[:1]) * 2
+    out, new = [], []
+    for A in operands:
+        keyed = type(A) is np.ndarray and A.ndim == 2
+        M = _rotation_memo.find(_rotation_key(s1, s2, A)) if keyed and _rotation_memo.entries else None
+        if M is None:
+            new.append((len(out), A, keyed))
+        out.append(M)
+    if not new:
+        return out
+    if len(new) == 2:
+        (i, A, _), (j, B, _) = new
         n = s1.eigenvectors.shape[-1]
-        Ma, Mb = _both(lambda: _rotate(s1, s2, A), lambda: _rotate(s1, s2, B), n, PRODUCT_THREAD_DIM)
-        return [_keep_rotation(s1, s2, A, ka, Ma), _keep_rotation(s1, s2, B, kb, Mb)]
-    return [Ma if Ma is not None else _keep_rotation(s1, s2, A, ka, _rotate(s1, s2, A)),
-            Mb if Mb is not None else _keep_rotation(s1, s2, B, kb, _rotate(s1, s2, B))]
+        out[i], out[j] = _both(lambda: _rotate(s1, s2, A), lambda: _rotate(s1, s2, B), n, PRODUCT_THREAD_DIM)
+    else:
+        for i, A, _ in new:
+            out[i] = _rotate(s1, s2, A)
+    for i, A, keyed in new:
+        if keyed:
+            with _memo_lock:
+                held = [entry[1] for entry in _state_memo.entries]
+                if s1 in held and s2 in held:
+                    key = _rotation_key(s1, s2, A)  # built again: a key held through the matmuls raised peak memory
+                    _rotation_memo.keep(key, out[i], len(key[5]) + out[i].nbytes, out[i])
+    return out
 
 
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
@@ -594,24 +600,14 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
     one kernel, or a tuple of kernels with one per member of the grid's
     first axis; each member's grid then equals that kernel's own.
 
-    The last two rotations of 2-D ``np.ndarray`` operands by States that
-    :func:`state` remembers are kept (within :data:`STATE_MEMO_BYTES`, until
-    it decomposes another density), keyed by the States' identity and the
-    operand's dtype, shape, strides and C-order bytes: a repeat costs one
-    bytes compare and gets the same read-only array.  Two operands that are
-    distinct objects, neither of them remembered, are rotated concurrently
-    from dimension :data:`PRODUCT_THREAD_DIM` on when BLAS is pinned to one
-    thread (:func:`_both`), with the bits of the two in turn.
+    A 2-D ``np.ndarray`` operand's rotation by States that :func:`state`
+    holds is remembered as :class:`_Memo` says, keyed by the two States (by
+    identity) and the operand's dtype, shape, strides and C-order bytes.
+    Two operands that it does not remember are rotated concurrently from
+    :data:`PRODUCT_THREAD_DIM` on when BLAS is pinned (:func:`_both`).
     """
     W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
-    if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the comprehension cost 1 % of their rate at n <= 16
-        return W, [_rotate(s1, s2, None)]
-    if len(operands) == 2:
-        if operands[1] is operands[0]:
-            M = _rotation(s1, s2, operands[0])
-            return W, [M, M]
-        return W, _rotations(s1, s2, *operands)
-    return W, [_rotate(s1, s2, A) if A is None else _rotation(s1, s2, A) for A in operands]
+    return W, _rotations(s1, s2, operands)
 
 
 def _relmod_operands(F, D1, D2, A) -> tuple[State, State, np.ndarray]:

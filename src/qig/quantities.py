@@ -4,11 +4,11 @@ Every quantity is evaluated as a double sum over the eigenbasis of the
 state(s); the dense superoperator route exists only as a test oracle.
 Every density, :func:`sym_cov`'s too, is validated by
 :func:`~qig.linalg.state`.  A density given as a :class:`~qig.linalg.State`
-is neither validated nor decomposed again, nor is one of the last two 2-D
-density arrays that :func:`~qig.linalg.state` accepted, recognized by its
-dtype, shape and bytes (stacks are decomposed on every call), and an
-operand's rotation ``U* A U`` is not repeated for the same 2-D arguments
-(:func:`~qig.linalg.relmod_grid` remembers it, read-only, bit for bit).
+is neither validated nor decomposed again, nor is a 2-D density array
+that :func:`~qig.linalg.state` remembers, and an operand whose rotation
+``U* A U`` :func:`~qig.linalg.relmod_grid` remembers is not rotated again
+(bit for bit, by the rules of ``qig.linalg._Memo``; stacks are decomposed
+on every call).
 :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two

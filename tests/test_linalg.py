@@ -139,6 +139,15 @@ def test_state_reads_as_a_fresh_copy_of_its_matrix():
     assert s.__array__(copy=False) is s.matrix
 
 
+def test_states_and_decompositions_compare_and_hash_by_identity():
+    s, t = linalg.state(np.asarray(random_density(3, 0.05, 5))), linalg.state(np.asarray(random_density(3, 0.05, 6)))
+    same = linalg.State(s.eigenvalues, s.eigenvectors, s.matrix)  # equal fields, another object
+    assert (s == t) is False and (s != t) is True and (s == same) is False and s == s
+    assert s not in [t, same] and s in [t, s] and len({s, t, same, s}) == 3
+    dec = linalg.eig_hermitian(np.eye(2))
+    assert dec != linalg.SpectralDecomposition(dec.eigenvalues, dec.eigenvectors) and dec in {dec}
+
+
 def test_eig_identity():
     dec = linalg.eig_hermitian(np.eye(2))
     assert_allclose(dec.eigenvalues, [1.0, 1.0])

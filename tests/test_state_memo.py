@@ -1,5 +1,6 @@
 """``linalg.state`` remembers the last two single densities it accepted."""
 
+import sys
 import threading
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_a_refused_density_raises_the_same_message_every_time(monkeypatch, hermi
         first = _outcome(D)
         assert first[0] is InvariantViolation
         assert [_outcome(D) for _ in range(3)] == [first] * 3
-    assert linalg._remembered == [] and hermitian_calls == [(3, 3)] * 4 * len(refused)  # validated every time
+    assert linalg._state_memo.entries == [] and hermitian_calls == [(3, 3)] * 4 * len(refused)  # validated every time
 
     def eigh(H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -103,7 +104,7 @@ def test_a_refused_density_raises_the_same_message_every_time(monkeypatch, hermi
     for D in (good, refused["off-trace"], refused["below-floor"]):
         outcomes = [_outcome(D) for _ in range(3)]
         assert outcomes == [(np.linalg.LinAlgError, "eigendecomposition did not converge for state with shape (3, 3)")] * 3
-    assert linalg._remembered == []
+    assert linalg._state_memo.entries == []
 
 
 def test_remembered_arrays_refuse_writes():
@@ -118,10 +119,10 @@ def test_remembered_arrays_refuse_writes():
 def test_a_repeated_stack_is_decomposed_each_time_and_a_state_passes_through(eig_calls):
     stack = np.stack(_densities(3, 4, 5))
     s, t = linalg.state(stack), linalg.state(stack)
-    assert s is not t and eig_calls["eigh"] == 2 and linalg._remembered == []
+    assert s is not t and eig_calls["eigh"] == 2 and linalg._state_memo.entries == []
     assert s.matrix.flags.writeable and _state_bits(s) == _state_bits(t)
     assert linalg.state(s) is s and linalg.state(s[1]).matrix.base is not None
-    assert eig_calls["eigh"] == 2 and linalg._remembered == []
+    assert eig_calls["eigh"] == 2 and linalg._state_memo.entries == []
 
 
 def test_a_density_over_the_byte_cap_is_not_kept(monkeypatch, eig_calls):
@@ -130,7 +131,7 @@ def test_a_density_over_the_byte_cap_is_not_kept(monkeypatch, eig_calls):
     one = 2 * D1.nbytes  # the key and the eigenvectors of one n = 3 state
     monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one - 1)
     s, t = linalg.state(D1), linalg.state(D1)
-    assert s is not t and eig_calls["eigh"] == 2 and linalg._remembered == []
+    assert s is not t and eig_calls["eigh"] == 2 and linalg._state_memo.entries == []
     assert s.matrix.flags.writeable and _state_bits(s) == _state_bits(t)
     monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one)  # room for one state only
     s1 = linalg.state(D1)
@@ -185,7 +186,7 @@ def test_two_threads_alternating_over_three_densities_get_bit_identical_states()
     for w in workers:
         w.join()
     assert all(bits == expected[j] for calls in seen for j, bits in calls)
-    assert len(seen[0]) == len(seen[1]) == 150 and len(linalg._remembered) == 2
+    assert len(seen[0]) == len(seen[1]) == 150 and len(linalg._state_memo.entries) == 2
 
 
 def test_bits_decomposed_on_two_threads_at_once_are_remembered_once(monkeypatch):
@@ -207,7 +208,7 @@ def test_bits_decomposed_on_two_threads_at_once_are_remembered_once(monkeypatch)
         w.start()
     for w in workers:
         w.join()
-    assert out[0] is out[1] and len(linalg._remembered) == 1
+    assert out[0] is out[1] and len(linalg._state_memo.entries) == 1
 
 
 def test_as_density_of_a_remembered_density_makes_no_decomposition(eig_calls):
@@ -238,7 +239,7 @@ def test_an_exactly_hermitian_complex_array_shares_its_bytes_and_another_keeps_i
     (D,) = _densities(3, 1, 23)
     exact = np.array(linalg.as_hermitian(D))  # validation leaves its bytes unchanged
     s, t = linalg.state(exact), linalg.state(D)
-    assert [size for _, _, size in linalg._remembered] == [2 * D.nbytes, 3 * D.nbytes]
+    assert [size for _, _, size in linalg._state_memo.entries] == [2 * D.nbytes, 3 * D.nbytes]
     assert s.matrix.tobytes() == exact.tobytes() and not s.matrix.flags.writeable
     assert t.matrix.tobytes() == linalg.as_hermitian(D).tobytes() and not t.matrix.flags.writeable
 
@@ -247,7 +248,7 @@ def test_a_real_array_and_its_complex_cast_are_two_entries_with_the_same_bits(ei
     real = np.diag([0.5, 0.3, 0.2]) + 0.05 * (np.ones((3, 3)) - np.eye(3))
     cast = real.astype(complex)
     s, t = linalg.state(real), linalg.state(cast)
-    assert s is not t and eig_calls["eigh"] == 2 and len(linalg._remembered) == 2
+    assert s is not t and eig_calls["eigh"] == 2 and len(linalg._state_memo.entries) == 2
     assert _state_bits(s) == _state_bits(t)
     assert linalg.state(real) is s and linalg.state(cast) is t and eig_calls["eigh"] == 2
     assert hermitian_calls == [(3, 3)] * 2
@@ -273,7 +274,7 @@ def test_a_list_is_validated_every_time_and_never_remembered(eig_calls, hermitia
     first = linalg.state(D.tolist())
     again = linalg.state(D.tolist())
     assert again is not first and _state_bits(again) == _state_bits(first)
-    assert eig_calls["eigh"] == 2 and hermitian_calls == [(3, 3)] * 2 and linalg._remembered == []
+    assert eig_calls["eigh"] == 2 and hermitian_calls == [(3, 3)] * 2 and linalg._state_memo.entries == []
     assert first.matrix.flags.writeable
     assert _state_bits(linalg.state(D)) == _state_bits(first)
 
@@ -333,7 +334,7 @@ def test_an_operand_changed_in_place_or_in_the_sign_of_a_zero_misses(rotations):
     assert np.array_equal(signed, A) and signed.tobytes() != A.tobytes()
     qt.fisher(f, D, signed, signed)
     assert len(rotations) == 3
-    assert [r[2][3] for r in linalg._rotated] == [A.tobytes(), signed.tobytes()]
+    assert [key[5] for key, _, _ in linalg._rotation_memo.entries] == [A.tobytes(), signed.tobytes()]
     linalg._forget_states()
     assert _bits(qt.fisher(f, D, A, A)) == changed
 
@@ -346,14 +347,14 @@ def test_stacks_unheld_states_and_lists_are_never_kept(rotations):
     f = fn.sld()
     first = qt.fisher(f, stack, X, X[::-1].copy())
     assert _bits(qt.fisher(f, stack, X, X[::-1].copy())) == _bits(first)
-    assert len(rotations) == 4 and linalg._rotated == []
+    assert len(rotations) == 4 and linalg._rotation_memo.entries == []
     s = linalg.state(densities[0])
     unheld = linalg.State(s.eigenvalues, s.eigenvectors, s.matrix)  # equal to a remembered State, but not it
     for _ in range(2):
         linalg.relmod_grid(f, unheld, unheld, X[0])
         linalg.relmod_grid(f, s, linalg.state(stack), X[0])
         linalg.relmod_grid(f, s, s, X[0].tolist())
-    assert len(rotations) == 4 + 2 * 3 and linalg._rotated == []
+    assert len(rotations) == 4 + 2 * 3 and linalg._rotation_memo.entries == []
 
 
 def test_an_operand_of_another_layout_is_an_entry_of_its_own(rotations):
@@ -386,16 +387,86 @@ def test_a_rotation_lives_while_state_remembers_both_of_its_states(rotations):
     A = np.random.default_rng(42).standard_normal((3, 3)) + 0j
     F = fn.power_kernel(0.5)
     qt.quasi_entropy(F, A, D1, D2)
-    assert len(rotations) == 1 and len(linalg._rotated) == 1
+    assert len(rotations) == 1 and len(linalg._rotation_memo.entries) == 1
     linalg.state(D2), linalg.state(D1)  # found: nothing leaves the memo
     linalg.relmod_apply(F, D1, D2, A)
-    assert len(rotations) == 1 and len(linalg._rotated) == 1
+    assert len(rotations) == 1 and len(linalg._rotation_memo.entries) == 1
     linalg.state(D3)  # D2 leaves the memo, and its rotation with it
-    assert linalg._rotated == []
+    assert linalg._rotation_memo.entries == []
     linalg.relmod_apply(F, D1, D2, A)  # D2 decomposed again: a new State, rotated anew
-    assert len(rotations) == 2 and len(linalg._rotated) == 1
+    assert len(rotations) == 2 and len(linalg._rotation_memo.entries) == 1
     linalg._forget_states()
-    assert linalg._remembered == [] and linalg._rotated == []
+    assert linalg._state_memo.entries == [] and linalg._rotation_memo.entries == []
+
+
+def test_a_rotation_whose_state_leaves_the_memo_while_it_is_rotated_is_not_kept(monkeypatch):
+    D1, D2, D3 = _densities(3, 3, 47)
+    A = np.random.default_rng(47).standard_normal((3, 3)) + 0j
+    s1, s2 = linalg.state(D1), linalg.state(D2)
+    original = linalg._rotate
+
+    def rotate(s1, s2, A):
+        linalg.state(D3)  # D1, used longest ago, leaves the memo; D2 stays
+        return original(s1, s2, A)
+
+    monkeypatch.setattr(linalg, "_rotate", rotate)
+    _, (M,) = linalg.relmod_grid(fn.sld(), s1, s2, A)
+    held = [entry[1] for entry in linalg._state_memo.entries]
+    assert s1 not in held and s2 in held
+    assert linalg._rotation_memo.entries == [] and M.flags.writeable
+    monkeypatch.setattr(linalg, "_rotate", original)
+    assert linalg.relmod_grid(fn.sld(), s1, s2, A)[1][0].tobytes() == M.tobytes()
+
+
+def test_a_density_decomposed_to_be_remembered_holds_no_rotation_through_its_eigh(monkeypatch):
+    D1, D2 = _densities(3, 2, 49)
+    A = np.random.default_rng(49).standard_normal((3, 3)) + 0j
+    s = linalg.state(D1)
+    linalg.relmod_grid(fn.sld(), s, s, A)
+    assert len(linalg._rotation_memo.entries) == 1
+    held, original = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: held.append(len(linalg._rotation_memo.entries)) or original(H))
+    linalg.state(D2.tolist())  # never remembered: the rotation stays
+    assert held == [1] and len(linalg._rotation_memo.entries) == 1
+    with pytest.raises(InvariantViolation, match="unit trace"):
+        linalg.state(1.1 * D2)  # refused after its eigh, which held no rotation
+    assert held == [1, 0] and linalg._rotation_memo.entries == []
+
+
+def test_a_rotation_kept_during_an_eigh_leaves_with_the_state_that_eigh_drops(monkeypatch):
+    D1, D2, D3 = _densities(3, 3, 51)
+    A = np.random.default_rng(51).standard_normal((3, 3)) + 0j
+    s1, _ = linalg.state(D1), linalg.state(D2)
+    kept, original = [], np.linalg.eigh
+
+    def eigh(H):  # what another thread may do while this one decomposes D3
+        linalg.relmod_grid(fn.sld(), s1, s1, A)
+        kept.append(len(linalg._rotation_memo.entries))
+        return original(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    linalg.state(D3)  # D1, used longest ago, leaves the memo
+    assert kept == [1] and s1 not in [entry[1] for entry in linalg._state_memo.entries]
+    assert linalg._rotation_memo.entries == []
+
+
+def test_a_rotation_over_the_byte_cap_is_not_kept(monkeypatch, rotations):
+    (D,) = _densities(3, 1, 48)
+    rng = np.random.default_rng(48)
+    X, Y = (np.asarray(random_hermitian(3, rng)) for _ in range(2))
+    s = linalg.state(D)  # kept under the default cap, and held whatever the cap becomes
+    one = 2 * X.nbytes  # the key's bytes and the rotation of one n = 3 complex operand
+    monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one - 1)
+    _, (M,) = linalg.relmod_grid(fn.sld(), s, s, X)
+    _, (again,) = linalg.relmod_grid(fn.sld(), s, s, X)
+    assert again is not M and len(rotations) == 2 and linalg._rotation_memo.entries == []
+    assert M.flags.writeable and again.tobytes() == M.tobytes()
+    monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", one)  # room for one rotation only
+    _, (Mx,) = linalg.relmod_grid(fn.sld(), s, s, X)
+    _, (My,) = linalg.relmod_grid(fn.sld(), s, s, Y)
+    assert [size for _, _, size in linalg._rotation_memo.entries] == [one] and len(rotations) == 4
+    assert linalg.relmod_grid(fn.sld(), s, s, Y)[1][0] is My and len(rotations) == 4
+    assert linalg.relmod_grid(fn.sld(), s, s, X)[1][0] is not Mx and len(rotations) == 5
 
 
 def test_remembered_rotations_refuse_writes(rotations):
@@ -456,3 +527,43 @@ def test_two_threads_alternating_over_three_pairs_get_bit_identical_results():
         w.join()
     assert all(bits == expected[j] for calls in seen for j, bits in calls)
     assert len(seen[0]) == len(seen[1]) == 120
+
+
+def test_three_threads_with_a_short_switch_interval_keep_only_rotations_of_held_states():
+    densities = _densities(4, 3, 50)
+    rng = np.random.default_rng(50)
+    operands = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+    f = fn.sld()
+
+    def value(j: int) -> bytes:
+        return _bits(qt.gen_cov(f, densities[j], operands[j], operands[(j + 1) % 3]))
+
+    expected = []
+    for j in range(3):
+        linalg._forget_states()
+        expected.append(value(j))
+    linalg._forget_states()
+    start, wrong, unheld = threading.Barrier(3), [], []
+
+    def run(k: int):
+        start.wait()
+        for i in range(150):
+            j = (i + k) % 3
+            if value(j) != expected[j]:
+                wrong.append(j)
+            with linalg._memo_lock:  # the lifetime rule holds whenever the lock is free
+                held = [entry[1] for entry in linalg._state_memo.entries]
+                unheld.extend(key for key, _, _ in linalg._rotation_memo.entries if key[0] not in held or key[1] not in held)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(3)]  # more threads than cores
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == [] and unheld == []
