@@ -52,9 +52,10 @@ behind ``linalg.PRODUCT_THREAD_DIM``: the time of a call with its two
 independent product chains overlapped on a thread (the crossover set to 1)
 over that of the same call with the two in turn, for
 ``quantities.gen_cov`` (``sld``) rotating two operands it has not seen
-(its State is not remembered, so no rotation is kept),
-``quantities.sym_cov`` and ``quantities.wyd_direct`` (p = 0.3).  Below 1
-the thread wins.
+(its State is not remembered, so no rotation is kept) and
+``quantities.wyd_direct`` (p = 0.3).  Below 1 the thread wins.  Its
+``sym_cov_s`` row is the time of one ``quantities.sym_cov`` call on that
+State, whose two matmuls always run in turn.
 
 Each row at n >= 128 of the ``memo`` and ``products`` sections runs in a
 process of its own (``--row NAME --dim N``), because in one process a row
@@ -111,8 +112,8 @@ MEMO_ROW_DIMS = {
 PRODUCT_DIMS = (48, 64, 96, 128, 256)
 PRODUCT_ROWS = (
     "gen_cov_overlapped_over_in_turn",
-    "sym_cov_overlapped_over_in_turn",
     "wyd_direct_overlapped_over_in_turn",
+    "sym_cov_s",
 )
 FRESH_PROCESS_DIMS = (128, 256)
 MIN_SECONDS = 0.02
@@ -264,15 +265,16 @@ def memo_row(name: str, n: int, seed: int) -> float:
 
 
 def product_row(name: str, n: int, seed: int) -> float:
-    """The ratio of the products row ``name`` at dimension n: overlapped over in turn."""
+    """The products row ``name`` at dimension n: overlapped over in turn, or ``sym_cov_s``'s seconds per call."""
     rng = np.random.default_rng([seed, n])
     s = linalg.state(np.asarray(verify.random_density(n, 0.5 / n, rng)))
     linalg._forget_states()  # s is not remembered, so gen_cov rotates both operands on every call
     X = np.asarray(verify.random_hermitian(n, rng))
     A = X + 1j * np.asarray(verify.random_hermitian(n, rng))
+    if name == "sym_cov_s":
+        return _per_call(lambda: quantities.sym_cov(s, X, A))
     call = {
         "gen_cov_overlapped_over_in_turn": lambda: quantities.gen_cov(functions.sld(), s, X, A),
-        "sym_cov_overlapped_over_in_turn": lambda: quantities.sym_cov(s, X, A),
         "wyd_direct_overlapped_over_in_turn": lambda: quantities.wyd_direct(0.3, s, X),
     }[name]
     return _ratio(_at_crossover(call, 1), _at_crossover(call, n + 1))
@@ -359,8 +361,8 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential and products: "
-                "ratios; harness: per trial; import: per process)",
+        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential and products "
+                "other than sym_cov_s: ratios; harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
         "memo": {str(n): memo_times(n, args.seed) for n in MEMO_DIMS},
         "products": {str(n): {name: row(name, n, args.seed) for name in PRODUCT_ROWS} for n in PRODUCT_DIMS},

@@ -38,8 +38,8 @@ that is joined before the call returns or raises: :func:`state_pair`'s two
 densities from dimension :data:`PAIR_THREAD_DIM` on and, from
 :data:`PRODUCT_THREAD_DIM` on, the rotations of two distinct operands of
 :func:`relmod_grid`, in both cases when neither is remembered (see
-:class:`_Memo`), and the two product chains of ``wyd_direct`` and
-``sym_cov`` in :mod:`qig.quantities`.
+:class:`_Memo`), and the two commutators of ``wyd_direct`` in
+:mod:`qig.quantities`.
 The values, exceptions and messages are those of the two in turn.
 
 Operands meet their state through one shape rule, :func:`_require_shape`,
@@ -84,10 +84,10 @@ DENSE_CHUNK_BYTES = 64 * 2**20
 #: with BLAS on one thread)
 PAIR_THREAD_DIM = 48
 #: from this dimension on, :func:`relmod_grid` rotates two operands it has not
-#: seen concurrently, and :mod:`qig.quantities` runs the two product chains of
-#: ``wyd_direct`` and ``sym_cov`` concurrently; below it, the thread costs more
-#: than the overlap of its matmuls saves (the ``*_overlapped_over_in_turn``
-#: rows of ``scripts/layer_times.py``, with BLAS on one thread)
+#: seen concurrently, and :mod:`qig.quantities` builds the two commutators of
+#: ``wyd_direct`` concurrently; below it, the thread costs more than the
+#: overlap of its matmuls saves (the ``*_overlapped_over_in_turn`` rows of
+#: ``scripts/layer_times.py``, with BLAS on one thread)
 PRODUCT_THREAD_DIM = 128
 #: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`_both`
 #: overlaps two pieces of work only when all of them are "1"

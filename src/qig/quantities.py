@@ -65,9 +65,14 @@ def _require_standard(f, what: str) -> None:
             raise DomainError(f"{what} needs a standard kernel")
 
 
+def _trace_of_product(X, Y):
+    """``Tr XY`` over the last two axes without forming ``XY``: ``sum_ij X_ij Y_ji``."""
+    return (X * Y.swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+
 def _require_centered(s: linalg.State, X: np.ndarray) -> None:
     """Refuse an observable, or any member of a stack, with ``Tr D X != 0``."""
-    if (np.abs(np.trace(s.matrix @ X, axis1=-2, axis2=-1)) > 1e-10).any():
+    if (np.abs(_trace_of_product(s.matrix, X)) > 1e-10).any():
         raise InvariantViolation("observable must be centered: Tr(D X) = 0")
 
 
@@ -148,21 +153,17 @@ def renyi(alpha: float, D1, D2):
 def sym_cov(D, A, B):
     """Symmetrized covariance ``Tr(D(A*B + BA*))/2 - (Tr DA*)(Tr DB)``.
 
-    From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM` on, with BLAS
-    pinned to one thread, the quadratic term and the two means are computed
-    concurrently (:func:`~qig.linalg._both`), with the bits of the two in turn.
+    Two matmuls, ``P = D A*`` and ``Q = D B``: the quadratic term is
+    ``(Tr PB + Tr QA*)/2`` and the means are ``Tr P`` and ``Tr Q``, each
+    trace of a product taken as the elementwise sum ``Tr XY = sum_ij X_ij Y_ji``.
     """
     D = linalg.as_density(D)
     A = linalg._operand(A, D, "first observable")
     B = linalg._operand(B, D, "second observable")
     Ah = linalg.dagger(A)
-    quad, means = linalg._both(
-        lambda: 0.5 * (D @ (Ah @ B + B @ Ah)).trace(axis1=-2, axis2=-1),
-        lambda: _product((D @ Ah).trace(axis1=-2, axis2=-1), (D @ B).trace(axis1=-2, axis2=-1)),
-        D.shape[-1],
-        linalg.PRODUCT_THREAD_DIM,
-    )
-    return _scalar(quad - means)
+    P, Q = D @ Ah, D @ B
+    quad = 0.5 * (_trace_of_product(P, B) + _trace_of_product(Q, Ah))
+    return _scalar(quad - _product(P.trace(axis1=-2, axis2=-1), Q.trace(axis1=-2, axis2=-1)))
 
 
 def gen_cov(f, D, A, B):
@@ -227,7 +228,8 @@ def wyd_direct(p, D, X):
     bit (numpy's power is a square root only for one exponent for the call).
     From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM` on, with BLAS
     pinned to one thread, the two commutators are computed concurrently
-    (:func:`~qig.linalg._both`), with the bits of the two in turn.
+    (:func:`~qig.linalg._both`), with the bits of the two in turn; the trace
+    of their product is an elementwise sum, with no product formed.
     """
     e = np.asarray(p, dtype=float)[..., None]
     if not all(0.0 < v < 1.0 for v in e.ravel().tolist()):  # NaN fails too
@@ -242,7 +244,7 @@ def wyd_direct(p, D, X):
         s.shape[-1],
         linalg.PRODUCT_THREAD_DIM,
     )
-    return _real(-0.5 * (Cp @ Cq).trace(axis1=-2, axis2=-1).real)
+    return _real(-0.5 * _trace_of_product(Cp, Cq).real)
 
 
 def skew_identity_residual(f, D, X):

@@ -814,7 +814,7 @@ def _evaluate_oracle_equivalence(n, trials):
     a = np.array(alphas)[:, None]
     D2a = linalg.apply_matrix_function(lambda x: x ** a, D2)
     D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - a), D1)
-    d = q - (linalg.dagger(A) @ D2a @ A @ D1b).trace(axis1=-2, axis2=-1)
+    d = q - quantities._trace_of_product(linalg.dagger(A) @ D2a @ A, D1b)
     r2 = np.hypot(d.real, d.imag)
     return None, np.maximum(r1, r2), (_names(Fs), alphas, D1.matrix, D2.matrix, A)
 

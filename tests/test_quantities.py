@@ -456,7 +456,8 @@ def _two_d_sums(F, f, s1, s2, A, B):
     quad = np.sum(np.conj(At) * Bt * (w[None, :] * Wf))
     cov = quad - np.sum(w * np.conj(np.diagonal(At))) * np.sum(w * np.diagonal(Bt))
     D, Ah = s1.matrix, A.conj().T
-    sym = 0.5 * np.trace(D @ (Ah @ B + B @ Ah)) - np.trace(D @ Ah) * np.trace(D @ B)
+    P, Q = D @ Ah, D @ B
+    sym = 0.5 * (np.sum(P * B.T) + np.sum(Q * Ah.T)) - np.trace(P) * np.trace(Q)
     metric = np.sum(np.conj(At) * Bt / (w[None, :] * Wf))
     return complex(quasi), complex(cov), complex(sym), complex(metric)
 
@@ -658,11 +659,10 @@ def test_nothing_runs_on_a_thread_unless_every_blas_variable_pins_one_thread(thr
     rng = np.random.default_rng(7)
     D1, D2 = (np.asarray(random_density(64, 0.5 / 64, rng)) for _ in range(2))
     assert _bytes(qt.umegaki(D1, D2)) == _bytes(qt.umegaki(linalg.state(D1), linalg.state(D2)))
-    # the products of one call at the crossover: two unseen operands, sym_cov, wyd_direct
+    # the products of one call at the crossover: two unseen operands, wyd_direct's commutators
     n = linalg.PRODUCT_THREAD_DIM
     D, X = np.asarray(random_density(n, 0.5 / n, rng)), np.asarray(random_hermitian(n, rng))
     qt.gen_cov(fn.sld(), D, X, 1j * X)
-    qt.sym_cov(D, X, 1j * X)
     qt.wyd_direct(0.3, D, X)
     assert started == []
 
@@ -672,7 +672,8 @@ def _product_calls(n: int, seed: int) -> list:
 
     In this order on one density: gen_cov rotates two operands it has not
     seen, fisher finds both rotations, finds one of two and rotates the
-    other in turn, and rotates two operands it has not seen.
+    other in turn, and rotates two operands it has not seen; sym_cov's two
+    matmuls run in turn.
     """
     rng = np.random.default_rng(seed)
     D, X = np.asarray(random_density(n, 0.5 / n, rng)), np.asarray(random_hermitian(n, rng))
@@ -683,7 +684,7 @@ def _product_calls(n: int, seed: int) -> list:
         ("fisher remembered", lambda: qt.fisher(f, D, X, A), 0),
         ("fisher one remembered", lambda: qt.fisher(f, D, A, 2.0 * X), 0),
         ("fisher unseen", lambda: qt.fisher(f, D, A.conj(), 3.0 * X), 1),
-        ("sym_cov", lambda: qt.sym_cov(D, X, A), 1),
+        ("sym_cov", lambda: qt.sym_cov(D, X, A), 0),
         ("wyd_direct", lambda: qt.wyd_direct(0.3, D, X), 1),
     ]
 
@@ -703,6 +704,46 @@ def test_products_overlapped_from_the_crossover_equal_the_products_in_turn_bit_f
         assert _bytes(call()) == expected, name
         assert len(started) - before == (overlapped if n >= linalg.PRODUCT_THREAD_DIM else 0), name
         assert threading.active_count() == threads and not any(t.is_alive() for t in started)
+
+
+def _sym_cov_products(D, A, B):
+    """sym_cov as the products it once formed: ``D(A*B + BA*)``, ``DA*`` and ``DB``, then their traces."""
+    Ah = linalg.dagger(A)
+    quad = 0.5 * (D @ (Ah @ B + B @ Ah)).trace(axis1=-2, axis2=-1)
+    return quad - qt._product((D @ Ah).trace(axis1=-2, axis2=-1), (D @ B).trace(axis1=-2, axis2=-1))
+
+
+def _wyd_direct_products(p, D, X):
+    """wyd_direct with the product of its two commutators formed before its trace."""
+    Cp = linalg.commutator(linalg.apply_matrix_function(lambda x: x ** p, D), X)
+    Cq = linalg.commutator(linalg.apply_matrix_function(lambda x: x ** (1.0 - p), D), X)
+    return -0.5 * (Cp @ Cq).trace(axis1=-2, axis2=-1).real
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 256])
+def test_trace_forms_agree_with_the_explicit_products_and_stacks_with_their_members(n):
+    rng = np.random.default_rng(330 + n)
+    D = np.stack([np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(3)])
+    X = np.stack([random_hermitian(n, rng) for _ in range(3)])
+    A = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    sym, wyd = qt.sym_cov(D, A, X), qt.wyd_direct(0.3, D, X)
+    assert_allclose(sym, _sym_cov_products(D, A, X), rtol=1e-14, atol=0)
+    assert_allclose(wyd, _wyd_direct_products(0.3, D, X), rtol=1e-14, atol=0)
+    for j in range(3):
+        assert sym[j] == qt.sym_cov(D[j], A[j], X[j]) and wyd[j] == qt.wyd_direct(0.3, D[j], X[j])
+
+
+@pytest.mark.parametrize("n", [2, 64, linalg.PRODUCT_THREAD_DIM, 256])
+def test_sym_cov_starts_no_thread_even_with_blas_pinned(n, monkeypatch):
+    for name in linalg.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    started = _record_threads(monkeypatch)
+    rng = np.random.default_rng(370 + n)
+    D = np.asarray(random_density(n, 0.5 / n, rng))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    qt.sym_cov(D, A, random_hermitian(n, rng))
+    qt.sym_cov(np.stack([D, D]), A, A)
+    assert started == []
 
 
 def _raising_on(sides: set, original):
