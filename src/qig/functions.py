@@ -32,10 +32,10 @@ from .errors import DomainError, FileFormatError, InvariantViolation
 #: half-width of the window around x = 1 where removable singularities are
 #: evaluated by a second-order expansion instead of the raw formula
 _SERIES_WINDOW = 1e-4
-#: exponent values that numpy applies by sqrt, square, copy or reciprocal when
-#: the exponent is a scalar; as elements of an exponent array they go through
-#: pow, so a family key holds such a value and its members keep their scalar
-_FAST_EXPONENTS = (0.5, 1.0, 2.0, -1.0)
+#: exponents the constructors accept that numpy applies by sqrt, copy or square
+#: when the exponent is a scalar; in an exponent array they go through pow, so a
+#: family key holds such a value and its members keep their scalar
+_FAST_EXPONENTS = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,19 @@ shape ``(..., n, n)``, treat the leading axes as a batch of independent
 matrices (broadcast against each other where two are combined) and
 validate and decompose the whole batch with one ``np.linalg.eigh`` call.
 A 2-D input is a batch of none and behaves as a single matrix.  Validation
-raises on the first rejected member.  :func:`relmod_grid`, the
-one place kernels are evaluated, also takes a tuple of kernels, one per
-member of the leading axis, so a stack may pair each member with its own
-kernel (a stack given with a tuple has one leading axis, see
-:func:`_check_kernels`).  Such a tuple is evaluated with one call per
-group of members.  Only specs stack: the members of one family that a
-constructor in :mod:`qig.functions` declares (``wyd``, ``extremal``,
-Hansen mixtures of one atom count, covariance and Hessian kernels of one
-family, ``x^alpha``, ...) share a call with the parameters in which they
-differ stacked, and any other function shares a call only with repeats of
-itself (see :func:`_kernel_grid`).  :func:`relmod_apply`, the dense oracle
+raises on the first rejected member.
+
+Every function that takes a kernel takes a tuple of kernels by one rule
+(:func:`_check_kernels`): the tuple pairs with the first axis of the state
+stack, and every other axis of the grid belongs to that member; any other
+tuple is refused with one message.  :func:`relmod_grid`, the one place
+kernels are evaluated, evaluates a tuple with one call per group of
+members.  Only specs stack: the members of one family that a constructor
+in :mod:`qig.functions` declares (``wyd``, ``extremal``, Hansen mixtures
+of one atom count, covariance and Hessian kernels of one family,
+``x^alpha``, ...) share a call with the parameters in which they differ
+stacked, and any other function shares a call only with repeats of itself
+(see :func:`_kernel_grid`).  :func:`relmod_apply`, the dense oracle
 :func:`relmod_dense` (same arguments, same result) and :func:`commutator`
 take equal-shape stacks.
 
@@ -463,7 +465,7 @@ def eval_scalar(h, x) -> np.ndarray:
 def apply_matrix_function(h, H) -> np.ndarray:
     """``U diag(h(w)) U*`` for the spectral data ``(w, U)`` of Hermitian ``H`` (or a stack).
 
-    h may be a tuple of functions, one per member of the stack's leading
+    h may be a tuple of functions, one per member of the stack's first
     axis, evaluated as :func:`relmod_grid` evaluates a tuple of kernels.
     """
     dec = eig_hermitian(H)
@@ -495,19 +497,17 @@ def _stacked(fns, shape: tuple):
 
 
 def _check_kernels(F, shape: tuple, core: int) -> None:
-    """Refuse a tuple of kernels unless a grid of ``shape`` (``core`` axes a member) has one leading axis of one member per kernel."""
-    if isinstance(F, tuple) and (len(shape) != core + 1 or len(F) != shape[0]):
-        raise InvariantViolation(
-            f"{len(F)} kernels do not match the one leading axis of a grid of shape {shape}"
-        )
+    """Refuse a tuple of kernels unless the grid ``shape`` (``core`` axes a matrix) has one per member of its first axis."""
+    if isinstance(F, tuple) and (len(shape) <= core or len(F) != shape[0]):
+        raise InvariantViolation(f"{len(F)} kernels do not match the first axis of a grid of shape {shape}")
 
 
 def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
-    """``F(x)``, or with a tuple of kernels each member of x's leading axis by its own kernel.
+    """``F(x)``, or with a tuple of kernels each member of x's first axis by its own kernel.
 
-    ``core`` is the least number of trailing axes of one member's grid
-    (axes between the first and those belong to the member, as the Gram
-    and stencil axes of :mod:`qig.verify`), and ``evaluate(fn, x)``
+    ``core`` is the number of trailing axes of one matrix's grid (axes
+    between the first and those belong to the member, as the stencil axes
+    of :mod:`qig.verify`), and ``evaluate(fn, x)``
     evaluates one function, :func:`eval_scalar` by default.  A tuple takes
     one call per group of members.  Specs group by the ``family`` key their
     constructor declares (see :class:`~qig.functions.ScalarFunctionSpec`),
@@ -520,7 +520,7 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     evaluate = eval_scalar if evaluate is None else evaluate
     if not isinstance(F, tuple):
         return evaluate(F, x)
-    _check_kernels(F, x.shape, max(core, x.ndim - 1))
+    _check_kernels(F, x.shape, core)
     groups: dict = {}
     for i, f in enumerate(F):
         fn = getattr(f, "fn", f)
@@ -540,7 +540,7 @@ def _kernel_grid(F, x: np.ndarray, core: int = 2, evaluate=None) -> np.ndarray:
     for idx, fns in groups.values():
         idx = idx[0] if len(idx) == 1 else idx  # a lone member's grid is a view, as in its own call
         parts.append((idx, evaluate(group_function(fns), x[idx])))
-    out = np.empty(x.shape, np.result_type(*(vals for _, vals in parts)))
+    out = np.empty(x.shape, np.result_type(*(vals for _, vals in parts)) if parts else float)
     for idx, vals in parts:
         out[idx] = vals
     return out
@@ -626,7 +626,7 @@ def relmod_apply(F, D1, D2, A) -> np.ndarray:
     ``D1 = sum_j lam_j v_j v_j*`` the result is
     ``sum_ij F(mu_i / lam_j) <u_i, A v_j> u_i v_j*``.  F = identity recovers
     ``D2 A D1^{-1}``.  Takes equal-shape stacks of states and operands, with
-    F one kernel or, on a ``(T, n, n)`` stack, a tuple of one per member.
+    F one kernel or a tuple of one per member of the first axis.
     """
     s1, s2, A = _relmod_operands(F, D1, D2, A)
     W, (M,) = relmod_grid(F, s1, s2, A)
@@ -642,10 +642,10 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
     one big ``n^2 x n^2`` eigendecomposition instead of the structured
     double sum, and the resulting matrix acts on the column-stacked A.
     Equal-shape stacks of states and operands are decomposed in one call,
-    with F one kernel (or, on a ``(T, n, n)`` stack, a tuple of one per
-    member), in chunks of members
-    whose superoperators take at most :data:`DENSE_CHUNK_BYTES` together;
-    each member's value is that of its own 2-D call.
+    with F one kernel or a tuple of one per member of the first axis, in
+    chunks of members whose superoperators take at most
+    :data:`DENSE_CHUNK_BYTES` together; each member's value is that of its
+    own 2-D call.
     """
     s1, s2, A = _relmod_operands(F, D1, D2, A)
     n = s1.shape[-1]
@@ -657,6 +657,7 @@ def relmod_dense(F, D1, D2, A) -> np.ndarray:
     lead = s1.shape[:-2]
     m = int(np.prod(lead))
     D1_inv_t, D2, A = (M.reshape(m, n, n) for M in (D1_inv_t, s2.matrix, A))
+    F = tuple(F[i * len(F) // m] for i in range(m)) if isinstance(F, tuple) else F  # each member, its row's kernel
     chunk = max(1, DENSE_CHUNK_BYTES // (16 * n**4))  # members of complex n^2 x n^2 matrices
     out = np.empty((m, n, n), complex)
     for i in range(0, m, chunk):

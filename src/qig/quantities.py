@@ -18,10 +18,10 @@ Operands (``A``, ``B``) and second densities must match the state's last
 two axes, observables ``X`` its whole shape (the one shape rule and
 message of :mod:`qig.linalg`).  A single matrix gives a scalar, a stack
 the array of its members' values, each equal bit for bit to the 2-D call.
-The kernel may be a tuple with one kernel per member of the leading axis
-(see :func:`~qig.linalg.relmod_grid`), and :func:`wyd_direct`'s exponent
-an array with one per member.  :func:`umegaki` and :func:`renyi` are
-quasi-entropies of the identity operand and take stacks of states too.
+A kernel, and :func:`wyd_direct`'s exponent, may be a tuple of one per
+member of the stack's first axis (the one rule of :mod:`qig.linalg`).
+:func:`umegaki` and :func:`renyi` are quasi-entropies of the identity
+operand and take stacks of states too.
 Quantities that are real in exact arithmetic keep their full complex value
 where the signature allows it, so imaginary leakage stays visible as a
 cheap numerical diagnostic instead of being discarded; the quasi-entropy
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, InvariantViolation
-from .functions import covariance_kernel, neglog_kernel, renyi_kernel
+from .functions import covariance_kernel, neglog_kernel, power_kernel, renyi_kernel
 
 _NEGLOG = neglog_kernel()
 
@@ -84,7 +84,7 @@ def commutator_direction(D, X) -> np.ndarray:
 
 def _metric_denominator(w: np.ndarray, W: np.ndarray) -> np.ndarray:
     denom = w[..., None, :] * W
-    if float(denom.min()) <= 0.0:
+    if float(denom.min(initial=np.inf)) <= 0.0:  # an empty stack has no ratio
         raise DomainError("singular metric: the kernel vanishes on a spectrum ratio")
     return denom
 
@@ -114,9 +114,11 @@ def _each(get, F):
     return tuple(get(f) for f in F) if isinstance(F, tuple) else get(F)
 
 
-def _at_zero(f):
-    """``f(0)`` of one kernel, the array of the members' ``f(0)`` for a per-member tuple."""
-    return np.array([g.value_at_zero for g in f]) if isinstance(f, tuple) else f.value_at_zero
+def _at_zero(f, ndim: int):
+    """``f(0)`` of one kernel; of a per-member tuple, shaped to scale an array of ``ndim`` axes along its first."""
+    if not isinstance(f, tuple):
+        return f.value_at_zero
+    return np.array([g.value_at_zero for g in f]).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def quasi_entropy(F, A, D1, D2) -> np.ndarray:
@@ -216,31 +218,33 @@ def skew_info(f, D, X):
     w = s.eigenvalues
     denom = _metric_denominator(w, W)
     num = (w[..., :, None] - w[..., None, :]) ** 2
-    return _real(0.5 * _at_zero(f) * (num / denom * np.abs(Xt) ** 2).sum(axis=(-2, -1)))
+    return _real(0.5 * _at_zero(f, w.ndim - 1) * (num / denom * np.abs(Xt) ** 2).sum(axis=(-2, -1)))
 
 
 def wyd_direct(p, D, X):
     """Commutator form ``-Tr [D^p, X][D^{1-p}, X] / 2`` for p in (0, 1).
 
-    For stacked states and observables p may also be an array with one
-    exponent per member; a member's value then equals the 2-D call's,
-    except that a per-member exponent of exactly 0.5 may differ in the last
-    bit (numpy's power is a square root only for one exponent for the call).
-    From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM` on, with BLAS
-    pinned to one thread, the two commutators are computed concurrently
-    (:func:`~qig.linalg._both`), with the bits of the two in turn; the trace
-    of their product is an elementwise sum, with no product formed.
+    For stacked states and observables p may also be a tuple of one
+    exponent per member, evaluated as tuples of
+    :func:`~qig.functions.power_kernel` specs; a member's value then equals
+    the 2-D call's.  From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM`
+    on, with BLAS pinned to one thread, the two commutators are computed
+    concurrently (:func:`~qig.linalg._both`), with the bits of the two in
+    turn; the trace of their product is an elementwise sum, with no product
+    formed.
     """
-    e = np.asarray(p, dtype=float)[..., None]
-    if not all(0.0 < v < 1.0 for v in e.ravel().tolist()):  # NaN fails too
-        raise DomainError(f"p must lie inside (0, 1), got {p!r}")
-    if e.ndim > 1 and e.shape[:-1] != np.shape(D)[:-2]:
-        raise DomainError(f"exponents of shape {e.shape[:-1]} do not match stack shape {np.shape(D)[:-2]}")
+    ps = p if isinstance(p, tuple) else (p,)
+    if not all(np.ndim(v) == 0 and 0.0 < v < 1.0 for v in ps):  # NaN fails too
+        raise DomainError(f"p must lie inside (0, 1), one number or a tuple of one per member, got {p!r}")
+    if isinstance(p, tuple):
+        hp, hq = tuple(map(power_kernel, p)), tuple(power_kernel(1.0 - v) for v in p)
+    else:
+        hp, hq = (lambda x: x ** p), (lambda x: x ** (1.0 - p))
     s = linalg.state(D)
     X = linalg._observable(X, s)
     Cp, Cq = linalg._both(
-        lambda: linalg.commutator(linalg.apply_matrix_function(lambda x: x ** e, s), X),
-        lambda: linalg.commutator(linalg.apply_matrix_function(lambda x: x ** (1.0 - e), s), X),
+        lambda: linalg.commutator(linalg.apply_matrix_function(hp, s), X),
+        lambda: linalg.commutator(linalg.apply_matrix_function(hq, s), X),
         s.shape[-1],
         linalg.PRODUCT_THREAD_DIM,
     )
@@ -259,7 +263,7 @@ def skew_identity_residual(f, D, X):
     s = linalg.state(D)
     X = linalg._observable(X, s)
     _require_centered(s, X)
-    f0 = _at_zero(f)
+    f0 = _at_zero(f, X.ndim - 2)
     if np.any(f0 == 0.0):
         raise DomainError("the identity needs f(0) != 0")
     B = commutator_direction(s, X)

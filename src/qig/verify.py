@@ -23,8 +23,8 @@ trials.  :func:`run_suite` draws every trial first, then groups the drawn
 trials by shape key: ``monotonicity`` ``(n_in, n_out, k)``,
 ``det-uncertainty`` ``(n, m)``, one group for all trials of
 ``standardness`` and ``scalar-gibi``, and ``n`` for the other nine suites.
-Each trial keeps its own kernel (a group's tuple of kernels is evaluated
-with one call per kernel family, see :func:`~qig.linalg.relmod_grid`).
+Each trial keeps its own kernel: a group's kernel tuple pairs with the first
+axis of its state stack (the one rule of :mod:`qig.linalg`).
 Trials draw only random numbers, the raw Ginibre arrays,
 commuting-direction coefficients and kernel parameters in stream order; a
 group builds its densities, unit operands, observables and channel
@@ -221,13 +221,12 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     raises ``VerificationError``.
 
     D, A and B may be equal-shape ``(..., n, n)`` stacks, with F one kernel
-    or, on a ``(T, n, n)`` stack, a tuple of one kernel per member; the
-    values and estimates are then arrays over the leading axes, each member
-    on its own steps.  The ``4 S`` points of every member are validated and
-    decomposed as one stack, and the four corners of every step of every
-    member are paired in one call.  A member with a zero direction gets
-    ``(0, 0)`` and takes no step.  Each member's value equals its 2-D
-    call's.
+    or a tuple of one per member of the first axis; the values and
+    estimates are then arrays over the leading axes, each member on its own
+    steps.  The ``4 S`` points of every member are validated and decomposed
+    as one stack, and the four corners of every step of every member are
+    paired in one call.  A member with a zero direction gets ``(0, 0)`` and
+    takes no step.  Each member's value equals its 2-D call's.
     """
     D = linalg.state(D)
     A = linalg._observable(A, D, "first perturbation")
@@ -256,7 +255,7 @@ def mixed_second_derivative(F, D, A, B, schedule: StepSchedule | None = None):
     t = np.stack([hs, -hs], axis=-1)
     pts = linalg.state(Dm[live, None, None, None] + t[:, :, None, :, None, None] * dirs[:, None, :, None])
     # g[r, k, a, b] = S_F(first point a, second point b) of member r at step k
-    F_live = tuple(F[i] for i in live) if isinstance(F, tuple) else F
+    F_live = tuple(F[i * len(F) // len(Dm)] for i in live) if isinstance(F, tuple) else F  # each row's kernel
     g = quantities.quasi_entropy(F_live, None, pts[:, :, 0, :, None], pts[:, :, 1, None, :])
     stencil = (g[..., 0, 0] - g[..., 0, 1] - g[..., 1, 0] + g[..., 1, 1]) / (4.0 * hs * hs)
     v, e = _neville((hs * hs).T, stencil.T)
@@ -303,7 +302,6 @@ def exact_mixed_derivative(F, D, A, B):
     D = linalg.state(D)
     A = linalg._observable(A, D, "first direction")
     B = linalg._observable(B, D, "second direction")
-    linalg._check_kernels(F, D.shape, core=2)
     W, (At, Bt) = linalg.relmod_grid(_each(functions.hessian_kernel, F), D, D, A, B)
     return _real((np.conj(At) * Bt * (W / D.eigenvalues[..., None, :])).sum(axis=(-2, -1)).real)
 
@@ -345,10 +343,10 @@ def hessian_vs_skew(f, D, X, schedule: StepSchedule | None = None):
     member, give arrays; a member that fails that check makes the call raise.
     """
     quantities._require_standard(f, "the Hessian identity")
-    f0 = quantities._at_zero(f)
+    D = linalg.state(D)
+    f0 = quantities._at_zero(f, D.matrix.ndim - 2)
     if np.any(f0 == 0.0):
         raise DomainError("the Hessian identity needs f(0) != 0")
-    D = linalg.state(D)
     X = linalg._observable(X, D)
     quantities._require_centered(D, X)
     ft = _each(functions.covariance_kernel, f)
@@ -369,20 +367,17 @@ def _gram_operands(D, observables) -> tuple[linalg.State, np.ndarray, np.ndarray
     """The state and the observables ``(A_a, B_b)`` of every Gram entry, validated, centered and broadcast.
 
     One state takes a sequence of m observables; a stack of states takes a
-    ``(..., m, n, n)`` array with the same leading axes.  The state gets two
-    unit axes before each member's matrix, ``A_a`` one after the ``m`` axis
-    and ``B_b`` one before it.
+    ``(..., m, n, n)`` array with the same leading axes.  ``A_a`` comes as
+    ``(m, 1, ...)`` and ``B_b`` as ``(1, m, ...)``, ahead of the state's
+    axes; the callers move the ``(m, m)`` axes last.
     """
     D = linalg.state(D)
     if D.matrix.ndim > 2:  # the m axis first; an array of fewer axes is one member, refused below
         observables = np.moveaxis(observables, -3, 0) if np.ndim(observables) > 2 else [observables]
     obs = [linalg._operand(A, D, "observable", exact=True) for A in observables]
-    obs = linalg.as_hermitian(np.moveaxis(np.reshape(obs, (len(obs),) + D.shape), 0, -3))
-    parts = ((D.eigenvalues, 1), (D.eigenvectors, 2), (D.matrix, 2))
-    Dx = linalg.State(*(np.expand_dims(a, (-core - 2, -core - 1)) for a, core in parts))
-    A = obs[..., :, None, :, :]
-    quantities._require_centered(Dx, A)
-    return Dx, A, obs[..., None, :, :, :]
+    obs = linalg.as_hermitian(np.reshape(obs, (len(obs),) + D.shape))
+    quantities._require_centered(D, obs)
+    return D, obs[:, None], obs[None]
 
 
 def cov_gram(g, D, observables) -> np.ndarray:
@@ -390,9 +385,9 @@ def cov_gram(g, D, observables) -> np.ndarray:
 
     A stack of states with a ``(..., m, n, n)`` stack of observables gives
     the ``(..., m, m)`` stack of Gram matrices; g may then be a tuple of one
-    kernel per member.
+    kernel per member of the first axis.
     """
-    G = quantities.gen_cov(g, *_gram_operands(D, observables))
+    G = np.moveaxis(quantities.gen_cov(g, *_gram_operands(D, observables)), (0, 1), (-2, -1))
     return (G + linalg.dagger(G)) / 2
 
 
@@ -404,7 +399,7 @@ def skew_gram(f, D, observables) -> np.ndarray:
     """
     ft = _each(functions.covariance_kernel, f)
     D, A, B = _gram_operands(D, observables)
-    G = quantities.sym_cov(D, A, B) - quantities.gen_cov(ft, D, A, B)
+    G = np.moveaxis(quantities.sym_cov(D, A, B) - quantities.gen_cov(ft, D, A, B), (0, 1), (-2, -1))
     return (G + linalg.dagger(G)) / 2
 
 
@@ -415,9 +410,8 @@ def _gram_determinants(f, g, D, observables) -> tuple:
     D = linalg.state(D)
     C = cov_gram(g, D, observables)
     S = skew_gram(f, D, observables)
-    f0, g0 = quantities._at_zero(f), quantities._at_zero(g)
-    scaled = (np.asarray(f0 * g0)[..., None, None] * S, np.asarray(2.0 * g0)[..., None, None] * S)
-    return tuple(_real(np.linalg.det(M).real) for M in (C, *scaled))
+    f0, g0 = (quantities._at_zero(h, S.ndim) for h in (f, g))  # along the first axis of the Gram stack
+    return tuple(_real(np.linalg.det(M).real) for M in (C, f0 * g0 * S, 2.0 * g0 * S))
 
 
 def _draw_observables(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -810,10 +804,10 @@ def _evaluate_oracle_equivalence(n, trials):
     A = _unit_operands(np.stack(raw_A))
     gap = linalg.relmod_apply(Fs, D1, D2, A) - linalg.relmod_dense(Fs, D1, D2, A)
     r1 = np.abs(gap).max(axis=(-2, -1))
-    q = quantities.quasi_entropy(tuple(functions.power_kernel(a) for a in alphas), A, D1, D2)
-    a = np.array(alphas)[:, None]
-    D2a = linalg.apply_matrix_function(lambda x: x ** a, D2)
-    D1b = linalg.apply_matrix_function(lambda x: x ** (1.0 - a), D1)
+    powers = tuple(map(functions.power_kernel, alphas))
+    q = quantities.quasi_entropy(powers, A, D1, D2)
+    D2a = linalg.apply_matrix_function(powers, D2)
+    D1b = linalg.apply_matrix_function(tuple(functions.power_kernel(1.0 - a) for a in alphas), D1)
     d = q - quantities._trace_of_product(linalg.dagger(A) @ D2a @ A, D1b)
     r2 = np.hypot(d.real, d.imag)
     return None, np.maximum(r1, r2), (_names(Fs), alphas, D1.matrix, D2.matrix, A)
@@ -831,7 +825,7 @@ def _evaluate_wyd_consistency(n, trials):
     D = _group_states(raw_D, min(0.03, 0.5 / n))
     X = _hermitians(np.stack(raw_X))
     skew = quantities.skew_info(tuple(functions.wyd(p) for p in ps), D, X)
-    return None, np.abs(skew - quantities.wyd_direct(np.array(ps), D, X)), (ps, D.matrix, X)
+    return None, np.abs(skew - quantities.wyd_direct(ps, D, X)), (ps, D.matrix, X)
 
 
 def _draw_renyi_limit(rng, dims):

@@ -46,19 +46,23 @@ _DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize(
-    "golden, trials",
-    [("quick_seed17.json", ["--trials", "10"]), ("acceptance_seed17.json", [])],
-    ids=["quick", "acceptance"],
+    "golden, seed, trials",
+    [
+        ("quick_seed17.json", "17", ["--trials", "10"]),
+        ("acceptance_seed17.json", "17", []),
+        ("quick_seed3.json", "3", ["--trials", "10"]),
+    ],
+    ids=["quick", "acceptance", "quick-seed3"],
 )
-def test_quick_verification_report_matches_the_golden_file(tmp_path, golden, trials):
+def test_quick_verification_report_matches_the_golden_file(tmp_path, golden, seed, trials):
     # The golden files hold the last bits of every margin and residual, so they are
     # pinned to the numpy / OpenBLAS build they were written with (numpy 2.4,
     # OpenBLAS 0.3.31, x86-64); regenerate one from the "seed" and "suites" keys of
     #   qig verify all --trials 10 --seed 17 --report quick.json
-    # (no --trials for the acceptance-scale file) on a commit whose reports are
-    # known good before comparing another build.
+    # (the file's own seed; no --trials for the acceptance-scale file) on a commit
+    # whose reports are known good before comparing another build.
     full = tmp_path / "full.json"
-    assert cli.main(["verify", "all", *trials, "--seed", "17", "--report", str(full)]) == 0
+    assert cli.main(["verify", "all", *trials, "--seed", seed, "--report", str(full)]) == 0
     payload = json.loads(full.read_text())
     quick = _write(tmp_path / "quick.json", {key: payload[key] for key in ("seed", "suites")})
     assert compare_reports.main([str(_DATA / golden), quick]) == 0

@@ -506,7 +506,7 @@ def test_stacked_skew_quantities_and_relmod_maps_equal_the_two_d_calls_member_by
     A = np.stack([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)])
     f = (fn.wyd(0.3), fn.sld(), fn.hansen_mixture(fn.DiscreteMeasure((0.2, 0.7), (0.6, 0.4))))
     F = (fn.power_kernel(0.3), fn.neglog_kernel(), fn.sld())
-    p = np.array([0.2, 0.45, 0.85])
+    p = (0.2, 0.45, 0.85)
     skew, shared = qt.skew_info(f, s1, X), qt.skew_info(f[0], s1, X)
     residual = qt.skew_identity_residual(f, s1, Xc)
     wyd, wyd_shared = qt.wyd_direct(p, s1, X), qt.wyd_direct(0.3, s1, X)
@@ -518,12 +518,12 @@ def test_stacked_skew_quantities_and_relmod_maps_equal_the_two_d_calls_member_by
         assert skew[j] == qt.skew_info(f[j], s1[j], X[j])
         assert shared[j] == qt.skew_info(f[0], s1[j], X[j])
         assert residual[j] == qt.skew_identity_residual(f[j], s1[j], Xc[j])
-        assert wyd[j] == qt.wyd_direct(float(p[j]), s1[j], X[j])
+        assert wyd[j] == qt.wyd_direct(p[j], s1[j], X[j])
         assert wyd_shared[j] == qt.wyd_direct(0.3, s1[j], X[j])
         assert np.array_equal(mapped[j], linalg.relmod_apply(F[j], s1[j], s2[j], A[j]))
         assert np.array_equal(oracle[j], linalg.relmod_dense(F[j], s1[j], s2[j], A[j]))
     with pytest.raises(DomainError, match="p must lie inside"):
-        qt.wyd_direct(np.array([0.3, 1.0, 0.5]), s1, X)
+        qt.wyd_direct((0.3, 1.0, 0.5), s1, X)
     with pytest.raises(DomainError, match="f\\(0\\) != 0"):
         qt.skew_identity_residual((f[0], fn.harmonic(), f[2]), s1, Xc)
 
@@ -538,7 +538,7 @@ def test_wyd_direct_takes_every_spelling_of_a_scalar_exponent_alike(n):
         for spelling in (p, np.float64(p), np.array(p)):
             assert qt.wyd_direct(spelling, s, X).tolist() == two_d
             assert qt.wyd_direct(spelling, s[0], X[0]) == two_d[0]
-    for bad in (np.nan, np.array([0.5, np.nan, 0.5])):
+    for bad in (np.nan, (0.5, np.nan, 0.5), np.array([0.3, 0.4, 0.6])):  # an array is not a tuple of exponents
         with pytest.raises(DomainError, match="p must lie inside"):
             qt.wyd_direct(bad, s, X)
 
@@ -577,20 +577,6 @@ def test_identity_operand_none_equals_the_identity_matrix_bit_for_bit(n):
         g = qt.quasi_entropy(F, None, first, second)
         assert g.shape == (3, 2, 2, 2)
         assert _bytes(g) == _bytes(qt.quasi_entropy(F, eye, first, second))
-
-
-def test_wyd_direct_refuses_an_exponent_array_that_does_not_match_the_stack():
-    rng = np.random.default_rng(31)
-    D, X = random_density(3, 0.1, rng), random_hermitian(3, rng)
-    with pytest.raises(DomainError, match=r"exponents of shape \(1,\) do not match stack shape \(\)"):
-        qt.wyd_direct(np.array([0.5]), D, X)
-    s = linalg.state(np.stack([np.asarray(random_density(3, 0.1, rng)) for _ in range(2)]))
-    Xs = np.stack([random_hermitian(3, rng) for _ in range(2)])
-    with pytest.raises(DomainError, match=r"exponents of shape \(3,\) do not match stack shape \(2,\)"):
-        qt.wyd_direct(np.array([0.3, 0.4, 0.6]), s, Xs)
-    with pytest.raises(DomainError, match="do not match"):
-        qt.wyd_direct(np.array([[0.3, 0.4]]), s, Xs)
-    assert qt.wyd_direct(np.array([0.3, 0.4]), s, Xs).shape == (2,)
 
 
 def _record_threads(monkeypatch) -> list:

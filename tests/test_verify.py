@@ -163,24 +163,6 @@ def test_mixed_second_derivative_refuses_a_kernel_tuple_of_another_length(batch,
         vf.mixed_second_derivative((fn.sld(),) * (count + extra), D, A, A)
 
 
-@pytest.mark.parametrize("count", [6, 2], ids=["flattened", "first-axis"])
-def test_a_kernel_tuple_on_a_stack_with_two_leading_axes_is_refused_with_one_message(count):
-    rng = np.random.default_rng(63)
-    w = rng.uniform(0.2, 1.0, (2, 3, 3))
-    D = np.einsum("...i,ij->...ij", w / w.sum(axis=-1, keepdims=True), np.eye(3)).astype(complex)
-    A = np.broadcast_to(np.diag([1.0, -1.0, 0.0]), D.shape).astype(complex)  # commutes with D
-    X = np.broadcast_to(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), D.shape).astype(complex)  # Tr D X = 0
-    refusal = rf"^{count} kernels do not match the one leading axis of a grid of shape \(2, 3, 3, 3\)$"
-    calls = [
-        lambda: vf.lemma_commuting_residual((fn.power_kernel(2.0),) * count, D, A, A),
-        lambda: vf._fd_defect((fn.power_kernel(2.0),) * count, D, A, A, None),
-        lambda: vf.hessian_vs_skew((fn.sld(),) * count, D, X),
-    ]
-    for call in calls:
-        with pytest.raises(InvariantViolation, match=refusal):
-            call()
-
-
 def test_every_stencil_point_keeps_half_the_smallest_eigenvalue(monkeypatch):
     # a near-degenerate small pair, directions that move one small eigenvalue by
     # sqrt(2/3) h (the most a unit traceless direction can at n = 3), random ones,
