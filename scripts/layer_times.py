@@ -42,10 +42,14 @@ A ``memo`` section times the memos of ``linalg.state`` and
 ``linalg.state`` over three arrays in rotation, so that every call misses
 the two-entry memo (n = 64 and 256); ``umegaki_remembered_pair_s``,
 ``quantities.umegaki`` of two remembered arrays, which
-``linalg.state_pair`` answers without starting a thread; and
+``linalg.state_pair`` answers without starting a thread (and whose
+identity rotation ``linalg.relmod_grid`` remembers);
 ``fisher_after_gen_cov_s``, ``quantities.fisher`` (``wyd:0.3``) of a
 remembered density and two operands that ``quantities.gen_cov`` (``sld``)
-rotated before it (n = 64 and 256).
+rotated before it (n = 64 and 256); and ``renyi_after_umegaki_s``,
+``quantities.renyi`` (a = 0.5) of a remembered pair whose identity
+rotation ``quantities.umegaki`` left, so that it rotates nothing
+(n = 64 and 256).
 
 A ``products`` section gives, at n in {48, 64, 96, 128, 256}, the ratios
 behind ``linalg.PRODUCT_THREAD_DIM``: the time of a call with its two
@@ -53,9 +57,12 @@ independent product chains overlapped on a thread (the crossover set to 1)
 over that of the same call with the two in turn, for
 ``quantities.gen_cov`` (``sld``) rotating two operands it has not seen
 (its State is not remembered, so no rotation is kept) and
-``quantities.wyd_direct`` (p = 0.3).  Below 1 the thread wins.  Its
-``sym_cov_s`` row is the time of one ``quantities.sym_cov`` call on that
-State, whose two matmuls always run in turn.
+``quantities.wyd_direct`` (p = 0.3), whose two sides are a matrix power
+and one product each.  Below 1 the thread wins.  Its ``sym_cov_s`` and
+``wyd_direct_s`` rows are the times of one ``quantities.sym_cov`` call on
+that State, whose two matmuls always run in turn, and of one
+``quantities.wyd_direct`` (p = 0.3) call, overlapped from
+``linalg.PRODUCT_THREAD_DIM`` on.
 
 Each row at n >= 128 of the ``memo`` and ``products`` sections runs in a
 process of its own (``--row NAME --dim N``), because in one process a row
@@ -108,12 +115,14 @@ MEMO_ROW_DIMS = {
     "state_once_seen_s": (64, 256),
     "umegaki_remembered_pair_s": MEMO_DIMS,
     "fisher_after_gen_cov_s": (64, 256),
+    "renyi_after_umegaki_s": (64, 256),
 }
 PRODUCT_DIMS = (48, 64, 96, 128, 256)
 PRODUCT_ROWS = (
     "gen_cov_overlapped_over_in_turn",
     "wyd_direct_overlapped_over_in_turn",
     "sym_cov_s",
+    "wyd_direct_s",
 )
 FRESH_PROCESS_DIMS = (128, 256)
 MIN_SECONDS = 0.02
@@ -258,6 +267,9 @@ def memo_row(name: str, n: int, seed: int) -> float:
     linalg.state(D1), linalg.state(D2)
     if name == "umegaki_remembered_pair_s":
         return _per_call(lambda: quantities.umegaki(D1, D2))
+    if name == "renyi_after_umegaki_s":
+        quantities.umegaki(D1, D2)
+        return _per_call(lambda: quantities.renyi(0.5, D1, D2))
     X = np.asarray(verify.random_hermitian(n, rng))
     A = X + 1j * np.asarray(verify.random_hermitian(n, rng))
     quantities.gen_cov(functions.sld(), D1, X, A)
@@ -265,7 +277,7 @@ def memo_row(name: str, n: int, seed: int) -> float:
 
 
 def product_row(name: str, n: int, seed: int) -> float:
-    """The products row ``name`` at dimension n: overlapped over in turn, or ``sym_cov_s``'s seconds per call."""
+    """The products row ``name`` at dimension n: overlapped over in turn, or seconds per call (``*_s``)."""
     rng = np.random.default_rng([seed, n])
     s = linalg.state(np.asarray(verify.random_density(n, 0.5 / n, rng)))
     linalg._forget_states()  # s is not remembered, so gen_cov rotates both operands on every call
@@ -273,6 +285,8 @@ def product_row(name: str, n: int, seed: int) -> float:
     A = X + 1j * np.asarray(verify.random_hermitian(n, rng))
     if name == "sym_cov_s":
         return _per_call(lambda: quantities.sym_cov(s, X, A))
+    if name == "wyd_direct_s":
+        return _per_call(lambda: quantities.wyd_direct(0.3, s, X))
     call = {
         "gen_cov_overlapped_over_in_turn": lambda: quantities.gen_cov(functions.sld(), s, X, A),
         "wyd_direct_overlapped_over_in_turn": lambda: quantities.wyd_direct(0.3, s, X),
@@ -361,8 +375,8 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential and products "
-                "other than sym_cov_s: ratios; harness: per trial; import: per process)",
+        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential and the products "
+                "rows named *_over_in_turn: ratios; harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
         "memo": {str(n): memo_times(n, args.seed) for n in MEMO_DIMS},
         "products": {str(n): {name: row(name, n, args.seed) for name in PRODUCT_ROWS} for n in PRODUCT_DIMS},

@@ -545,9 +545,10 @@ def check_operator_monotone(f, seed=0, trials: int = 40, dim: int = 3) -> Monoto
     ]
     if not stacked:
         return MonotonicityReport(loewner[0], pick[0], pick[0] is None, passed[0])
-    skipped = np.array([pm is None for pm in pick])
-    margins = np.array([math.nan if pm is None else pm for pm in pick])
-    return MonotonicityReport(np.array(loewner), margins, skipped, np.array(passed))
+    # dtypes given: an empty tuple's fields are empty bool and float arrays, as check_standard's are
+    skipped = np.array([pm is None for pm in pick], dtype=bool)
+    margins = np.array([math.nan if pm is None else pm for pm in pick], dtype=float)
+    return MonotonicityReport(np.array(loewner, dtype=float), margins, skipped, np.array(passed, dtype=bool))
 
 
 @dataclass(frozen=True)

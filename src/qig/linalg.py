@@ -29,7 +29,8 @@ take equal-shape stacks.
 
 :func:`state` validates every density (:func:`as_density` is its matrix).
 It remembers the States of its last two 2-D arrays, and :func:`relmod_grid`
-the last two rotations of 2-D operands by them, as :class:`_Memo` says.
+the last two rotations by them of 2-D operands or of the identity, as
+:class:`_Memo` says.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
@@ -40,8 +41,8 @@ that is joined before the call returns or raises: :func:`state_pair`'s two
 densities from dimension :data:`PAIR_THREAD_DIM` on and, from
 :data:`PRODUCT_THREAD_DIM` on, the rotations of two distinct operands of
 :func:`relmod_grid`, in both cases when neither is remembered (see
-:class:`_Memo`), and the two commutators of ``wyd_direct`` in
-:mod:`qig.quantities`.
+:class:`_Memo`), and the two sides of ``wyd_direct`` in
+:mod:`qig.quantities` (a matrix power and one product each).
 The values, exceptions and messages are those of the two in turn.
 
 Operands meet their state through one shape rule, :func:`_require_shape`,
@@ -86,10 +87,11 @@ DENSE_CHUNK_BYTES = 64 * 2**20
 #: with BLAS on one thread)
 PAIR_THREAD_DIM = 48
 #: from this dimension on, :func:`relmod_grid` rotates two operands it has not
-#: seen concurrently, and :mod:`qig.quantities` builds the two commutators of
-#: ``wyd_direct`` concurrently; below it, the thread costs more than the
-#: overlap of its matmuls saves (the ``*_overlapped_over_in_turn`` rows of
-#: ``scripts/layer_times.py``, with BLAS on one thread)
+#: seen concurrently, and :mod:`qig.quantities` takes the two sides of
+#: ``wyd_direct`` (a matrix power and one product each) concurrently; below it,
+#: the thread costs more than the overlap of its matmuls saves (the
+#: ``*_overlapped_over_in_turn`` rows of ``scripts/layer_times.py``, with BLAS
+#: on one thread: ``wyd_direct``'s is about 1 at n = 96 and about 0.8 at 128)
 PRODUCT_THREAD_DIM = 128
 #: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`_both`
 #: overlaps two pieces of work only when all of them are "1"
@@ -104,12 +106,14 @@ class _Memo:
     """The last two entries ``(key, value, bytes counted)`` of a memo, oldest first: the rules of both memos.
 
     :func:`state` remembers States, and :func:`relmod_grid` rotations by
-    them, of 2-D ``np.ndarray`` inputs only; a value is a function of its
-    key, so a hit has a miss's bits.  :meth:`keep` drops the oldest entries
-    until the new one makes at most two within :data:`STATE_MEMO_BYTES`
-    (one over that alone is not kept) and makes its arrays read-only.  A
-    State found becomes the newest; a rotation hit takes no lock, one scan
-    and one bytes compare.  A rotation is kept only while :func:`state`
+    them, of 2-D ``np.ndarray`` inputs only (and the identity operand's
+    rotation ``U2* V`` of a 2-D pair, keyed by its two States alone); a
+    value is a function of its key, so a hit has a miss's bits.
+    :meth:`keep` drops the oldest entries until the new one makes at most
+    two within :data:`STATE_MEMO_BYTES` (one over that alone is not kept)
+    and makes its arrays read-only.  A State found becomes the newest; a
+    rotation hit takes no lock, one scan and one bytes compare (none for
+    the identity).  A rotation is kept only while :func:`state`
     holds both of its States: it is kept with both held, and a density
     decomposed to be remembered drops every rotation before its ``eigh``
     and again once kept (in case one was kept meanwhile on another thread).
@@ -552,20 +556,41 @@ def _rotate(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarr
     return U2h @ s1.eigenvectors if A is None else U2h @ A @ s1.eigenvectors
 
 
-def _rotation_key(s1: SpectralDecomposition, s2: SpectralDecomposition, A: np.ndarray) -> tuple:
-    """s1, s2 and the 2-D A's dtype, shape, strides (BLAS may round another layout otherwise) and C-order bytes."""
-    return s1, s2, A.dtype, A.shape, A.strides, A.tobytes()
+def _rotation_key(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> tuple:
+    """s1 and s2, then a 2-D A's dtype, shape, strides (BLAS may round another layout otherwise) and C-order bytes.
+
+    The identity (A None) adds nothing to the two States.
+    """
+    return (s1, s2) if A is None else (s1, s2, A.dtype, A.shape, A.strides, A.tobytes())
+
+
+def _keep_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A, M: np.ndarray) -> None:
+    """Keep M, the 2-D rotation of A (None: the identity) by s1 and s2, if :func:`state` holds both States."""
+    with _memo_lock:
+        held = [entry[1] for entry in _state_memo.entries]
+        if s1 in held and s2 in held:
+            key = _rotation_key(s1, s2, A)  # built again: a key held through the matmuls raised peak memory
+            _rotation_memo.keep(key, M, M.nbytes + (0 if A is None else len(key[5])), M)
 
 
 def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: tuple) -> list:
-    """``[U2* A V for A in operands]`` as :func:`relmod_grid` says, remembered as :class:`_Memo` says."""
-    if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the loop cost 4 % of their rate at n = 4
-        return [_rotate(s1, s2, None)]
+    """``[U2* A V for A in operands]`` as :func:`relmod_grid` says, remembered as :class:`_Memo` says.
+
+    A rotation of more than two axes belongs to a stack, whose States
+    :func:`state` never holds, and is not offered to the memo.
+    """
+    if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the loop below cost 3 % of their rate at n = 4
+        M = _rotation_memo.find(_rotation_key(s1, s2, None)) if _rotation_memo.entries else None
+        if M is None:
+            M = _rotate(s1, s2, None)
+            if M.ndim == 2:
+                _keep_rotation(s1, s2, None, M)
+        return [M]
     if len(operands) == 2 and operands[1] is operands[0]:
         return _rotations(s1, s2, operands[:1]) * 2
     out, new = [], []
     for A in operands:
-        keyed = type(A) is np.ndarray and A.ndim == 2
+        keyed = A is None or type(A) is np.ndarray and A.ndim == 2
         M = _rotation_memo.find(_rotation_key(s1, s2, A)) if keyed and _rotation_memo.entries else None
         if M is None:
             new.append((len(out), A, keyed))
@@ -580,12 +605,8 @@ def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: t
         for i, A, _ in new:
             out[i] = _rotate(s1, s2, A)
     for i, A, keyed in new:
-        if keyed:
-            with _memo_lock:
-                held = [entry[1] for entry in _state_memo.entries]
-                if s1 in held and s2 in held:
-                    key = _rotation_key(s1, s2, A)  # built again: a key held through the matmuls raised peak memory
-                    _rotation_memo.keep(key, out[i], len(key[5]) + out[i].nbytes, out[i])
+        if keyed and out[i].ndim == 2:
+            _keep_rotation(s1, s2, A, out[i])
     return out
 
 
@@ -602,7 +623,9 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
 
     A 2-D ``np.ndarray`` operand's rotation by States that :func:`state`
     holds is remembered as :class:`_Memo` says, keyed by the two States (by
-    identity) and the operand's dtype, shape, strides and C-order bytes.
+    identity) and the operand's dtype, shape, strides and C-order bytes, and
+    so is the identity's, keyed by the two States alone: ``renyi`` after
+    ``umegaki`` on one pair rotates nothing.
     Two operands that it does not remember are rotated concurrently from
     :data:`PRODUCT_THREAD_DIM` on when BLAS is pinned (:func:`_both`).
     """

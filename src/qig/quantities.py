@@ -6,9 +6,10 @@ Every density, :func:`sym_cov`'s too, is validated by
 :func:`~qig.linalg.state`.  A density given as a :class:`~qig.linalg.State`
 is neither validated nor decomposed again, nor is a 2-D density array
 that :func:`~qig.linalg.state` remembers, and an operand whose rotation
-``U* A U`` :func:`~qig.linalg.relmod_grid` remembers is not rotated again
-(bit for bit, by the rules of ``qig.linalg._Memo``; stacks are decomposed
-on every call).
+``U* A U`` :func:`~qig.linalg.relmod_grid` remembers is not rotated again,
+nor is the identity operand of a remembered pair (:func:`renyi` after
+:func:`umegaki`; bit for bit, by the rules of ``qig.linalg._Memo``; stacks
+are decomposed on every call).
 :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two
@@ -227,11 +228,13 @@ def wyd_direct(p, D, X):
     For stacked states and observables p may also be a tuple of one
     exponent per member, evaluated as tuples of
     :func:`~qig.functions.power_kernel` specs; a member's value then equals
-    the 2-D call's.  From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM`
-    on, with BLAS pinned to one thread, the two commutators are computed
-    concurrently (:func:`~qig.linalg._both`), with the bits of the two in
-    turn; the trace of their product is an elementwise sum, with no product
-    formed.
+    the 2-D call's.  Each commutator takes one product: for Hermitian
+    ``A = D^p`` and X, ``XA = (AX)*``, so ``[A, X] = P - P*`` with
+    ``P = AX``.  From dimension :data:`~qig.linalg.PRODUCT_THREAD_DIM` on,
+    with BLAS pinned to one thread, the two sides (matrix power and
+    product) are computed concurrently (:func:`~qig.linalg._both`), with
+    the bits of the two in turn; the trace of the commutators' product is
+    an elementwise sum, with no product formed.
     """
     ps = p if isinstance(p, tuple) else (p,)
     if not all(np.ndim(v) == 0 and 0.0 < v < 1.0 for v in ps):  # NaN fails too
@@ -242,11 +245,14 @@ def wyd_direct(p, D, X):
         hp, hq = (lambda x: x ** p), (lambda x: x ** (1.0 - p))
     s = linalg.state(D)
     X = linalg._observable(X, s)
+
+    def commutator_with_x(h):
+        P = linalg.apply_matrix_function(h, s) @ X
+        P -= linalg.dagger(P)  # in place: dagger(P) is a new array, so no third n x n one is needed
+        return P
+
     Cp, Cq = linalg._both(
-        lambda: linalg.commutator(linalg.apply_matrix_function(hp, s), X),
-        lambda: linalg.commutator(linalg.apply_matrix_function(hq, s), X),
-        s.shape[-1],
-        linalg.PRODUCT_THREAD_DIM,
+        lambda: commutator_with_x(hp), lambda: commutator_with_x(hq), s.shape[-1], linalg.PRODUCT_THREAD_DIM
     )
     return _real(-0.5 * _trace_of_product(Cp, Cq).real)
 

@@ -51,8 +51,9 @@ _DATA = Path(__file__).resolve().parent / "data"
         ("quick_seed17.json", "17", ["--trials", "10"]),
         ("acceptance_seed17.json", "17", []),
         ("quick_seed3.json", "3", ["--trials", "10"]),
+        ("acceptance_seed11.json", "11", []),
     ],
-    ids=["quick", "acceptance", "quick-seed3"],
+    ids=["quick", "acceptance", "quick-seed3", "acceptance-seed11"],
 )
 def test_quick_verification_report_matches_the_golden_file(tmp_path, golden, seed, trials):
     # The golden files hold the last bits of every margin and residual, so they are

@@ -95,6 +95,15 @@ def test_a_tuple_with_a_two_d_state_is_refused_with_the_one_message(kernels, cal
 _EMPTY = np.empty((0, 2, 2), complex)
 
 
+def _probe_fields() -> np.ndarray:
+    """Every field of the three probe checks of empty tuples, refused unless flags are bool and margins float."""
+    reports = (fn.check_standard(()), fn.scalar_inequality_check((), ()), fn.check_operator_monotone((), seed=()))
+    fields = {(type(r).__name__, name): v for r in reports for name, v in vars(r).items()}
+    flags = ("passed", "pick_skipped")
+    assert {k: v.dtype for k, v in fields.items()} == {k: np.dtype(bool if k[1] in flags else float) for k in fields}
+    return np.concatenate(list(fields.values()))
+
+
 @pytest.mark.parametrize(
     "call, shape",
     [
@@ -113,6 +122,7 @@ _EMPTY = np.empty((0, 2, 2), complex)
         pytest.param(lambda E: fn.scalar_inequality_check((), ()).min_margin, (0,), id="scalar_inequality_check-tuple"),
         pytest.param(lambda E: fn.check_operator_monotone((), seed=()).loewner_margin, (0,),
                      id="check_operator_monotone-tuple"),
+        pytest.param(lambda E: _probe_fields(), (0,), id="probe-check-dtypes"),
     ],
 )
 def test_a_stack_with_no_members_gives_an_empty_result(call, shape):

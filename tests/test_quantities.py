@@ -645,7 +645,7 @@ def test_nothing_runs_on_a_thread_unless_every_blas_variable_pins_one_thread(thr
     rng = np.random.default_rng(7)
     D1, D2 = (np.asarray(random_density(64, 0.5 / 64, rng)) for _ in range(2))
     assert _bytes(qt.umegaki(D1, D2)) == _bytes(qt.umegaki(linalg.state(D1), linalg.state(D2)))
-    # the products of one call at the crossover: two unseen operands, wyd_direct's commutators
+    # the products of one call at the crossover: two unseen operands, wyd_direct's two sides
     n = linalg.PRODUCT_THREAD_DIM
     D, X = np.asarray(random_density(n, 0.5 / n, rng)), np.asarray(random_hermitian(n, rng))
     qt.gen_cov(fn.sld(), D, X, 1j * X)
@@ -659,7 +659,8 @@ def _product_calls(n: int, seed: int) -> list:
     In this order on one density: gen_cov rotates two operands it has not
     seen, fisher finds both rotations, finds one of two and rotates the
     other in turn, and rotates two operands it has not seen; sym_cov's two
-    matmuls run in turn.
+    matmuls run in turn; wyd_direct takes its two sides (a matrix power
+    and its product with X) on two threads.
     """
     rng = np.random.default_rng(seed)
     D, X = np.asarray(random_density(n, 0.5 / n, rng)), np.asarray(random_hermitian(n, rng))
@@ -700,10 +701,10 @@ def _sym_cov_products(D, A, B):
 
 
 def _wyd_direct_products(p, D, X):
-    """wyd_direct with the product of its two commutators formed before its trace."""
-    Cp = linalg.commutator(linalg.apply_matrix_function(lambda x: x ** p, D), X)
-    Cq = linalg.commutator(linalg.apply_matrix_function(lambda x: x ** (1.0 - p), D), X)
-    return -0.5 * (Cp @ Cq).trace(axis1=-2, axis2=-1).real
+    """wyd_direct as ``-Tr (AX - XA)(BX - XB) / 2`` with ``A = D^p``, ``B = D^{1-p}``: two products per commutator, and theirs."""
+    A = linalg.apply_matrix_function(lambda x: x ** p, D)
+    B = linalg.apply_matrix_function(lambda x: x ** (1.0 - p), D)
+    return -0.5 * ((A @ X - X @ A) @ (B @ X - X @ B)).trace(axis1=-2, axis2=-1).real
 
 
 @pytest.mark.parametrize("n", [2, 5, 64, 256])
@@ -717,6 +718,11 @@ def test_trace_forms_agree_with_the_explicit_products_and_stacks_with_their_memb
     assert_allclose(wyd, _wyd_direct_products(0.3, D, X), rtol=1e-14, atol=0)
     for j in range(3):
         assert sym[j] == qt.sym_cov(D[j], A[j], X[j]) and wyd[j] == qt.wyd_direct(0.3, D[j], X[j])
+    ps = (0.3, 0.55, 0.8)
+    per_member = qt.wyd_direct(ps, D, X)
+    for j, p in enumerate(ps):
+        assert_allclose(per_member[j], _wyd_direct_products(p, D[j], X[j]), rtol=1e-14, atol=0)
+        assert per_member[j] == qt.wyd_direct(p, D[j], X[j])
 
 
 @pytest.mark.parametrize("n", [2, 64, linalg.PRODUCT_THREAD_DIM, 256])
@@ -754,8 +760,8 @@ def test_a_raising_branch_raises_the_callers_exception_first_and_joins_its_threa
     with pytest.raises(RuntimeError, match=f"^{expected}$"):
         linalg._both(_raising_on(sides, lambda: 1), _raising_on(sides, lambda: 2), 1, 1)
     calls = {name: call for name, call, _ in _product_calls(linalg.PRODUCT_THREAD_DIM, 390)}
-    # gen_cov rotates the second operand on the worker, wyd_direct builds the second commutator there
-    for name, call in (("_rotate", calls["gen_cov"]), ("commutator", calls["wyd_direct"])):
+    # gen_cov rotates the second operand on the worker, wyd_direct takes its second matrix power there
+    for name, call in (("_rotate", calls["gen_cov"]), ("apply_matrix_function", calls["wyd_direct"])):
         linalg._forget_states()
         with monkeypatch.context() as patch:
             patch.setattr(linalg, name, _raising_on(sides, getattr(linalg, name)))

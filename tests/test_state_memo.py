@@ -399,6 +399,58 @@ def test_a_rotation_lives_while_state_remembers_both_of_its_states(rotations):
     assert linalg._state_memo.entries == [] and linalg._rotation_memo.entries == []
 
 
+@pytest.mark.parametrize("n", [4, 64])
+def test_renyi_after_umegaki_finds_the_identity_rotation_with_the_cold_bits(n, rotations):
+    D1, D2 = _densities(n, 2, 60 + n)
+    chain = [lambda: qt.umegaki(D1, D2), lambda: qt.renyi(-0.4, D1, D2), lambda: qt.renyi(0.7, D1, D2),
+             lambda: qt.quasi_entropy(fn.power_kernel(0.3), None, D1, D2)]
+    cold = []
+    for call in chain:
+        linalg._forget_states()
+        cold.append(_bits(call()))
+    linalg._forget_states()
+    del rotations[:]
+    assert [_bits(call()) for call in chain] == cold and rotations == [()]
+    s1, s2 = linalg.state(D1), linalg.state(D2)
+    # keyed by the two States alone, and counting only the rotation's bytes
+    assert [(key, size) for key, _, size in linalg._rotation_memo.entries] == [((s1, s2), 16 * n * n)]
+    kept = linalg._rotation_memo.entries[0][1]
+    assert linalg.relmod_grid(fn.sld(), s1, s2, None, D1)[1][0] is kept and rotations == [(), (n, n)]
+    qt.umegaki(D2, D1)  # the other order is another rotation
+    assert rotations == [(), (n, n), ()] and len(linalg._rotation_memo.entries) == 2
+
+
+def test_an_identity_rotation_lives_while_state_remembers_both_of_its_states(rotations):
+    D1, D2, D3 = _densities(3, 3, 62)
+    first = qt.umegaki(D1, D2)
+    assert rotations == [()] and len(linalg._rotation_memo.entries) == 1
+    linalg.state(D2), linalg.state(D1)  # found: nothing leaves the memo
+    qt.renyi(0.5, D1, D2)
+    assert rotations == [()]
+    with pytest.raises(ValueError, match="read-only"):
+        linalg._rotation_memo.entries[0][1][0, 0] = 0.0
+    linalg.state(D3)  # D2 leaves the memo, and the identity rotation with it
+    assert linalg._rotation_memo.entries == []
+    assert qt.umegaki(D1, D2) == first and rotations == [(), ()] and len(linalg._rotation_memo.entries) == 1
+    linalg.state(D3)  # now D1, used longest ago, leaves, and the rotation with it
+    assert linalg._rotation_memo.entries == []
+
+
+def test_identity_rotations_of_stacks_and_unheld_states_are_never_kept(rotations):
+    densities = _densities(3, 3, 63)
+    stack = np.stack(densities)
+    first = qt.umegaki(stack, stack[::-1].copy())
+    assert _bits(qt.umegaki(stack, stack[::-1].copy())) == _bits(first)
+    assert rotations == [(), ()] and linalg._rotation_memo.entries == []
+    s = linalg.state(densities[0])
+    unheld = linalg.State(s.eigenvalues, s.eigenvectors, s.matrix)  # equal to a remembered State, but not it
+    for _ in range(2):
+        qt.umegaki(unheld, s)
+        qt.umegaki(s, linalg.state(stack))
+        qt.renyi(0.5, linalg.state(stack), s)
+    assert len(rotations) == 2 + 2 * 3 and linalg._rotation_memo.entries == []
+
+
 def test_a_rotation_whose_state_leaves_the_memo_while_it_is_rotated_is_not_kept(monkeypatch):
     D1, D2, D3 = _densities(3, 3, 47)
     A = np.random.default_rng(47).standard_normal((3, 3)) + 0j
