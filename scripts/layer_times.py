@@ -39,8 +39,10 @@ density and observable:
 
 A ``memo`` section times the memos of ``linalg.state`` and
 ``linalg.relmod_grid`` at n in {64, 128, 256}: ``state_once_seen_s``,
-``linalg.state`` over three arrays in rotation, so that every call misses
-the two-entry memo (n = 64 and 256); ``umegaki_remembered_pair_s``,
+``linalg.state`` of an array with the memos emptied before each call, so
+that every call validates and decomposes it (n = 64 and 256);
+``state_cycle8_s``, ``linalg.state`` over eight arrays in rotation, which
+the memo's working set holds (n = 64 and 256); ``umegaki_remembered_pair_s``,
 ``quantities.umegaki`` of two remembered arrays, which
 ``linalg.state_pair`` answers without starting a thread (and whose
 identity rotation ``linalg.relmod_grid`` remembers);
@@ -113,6 +115,7 @@ DIMS = (2, 4, 8, 16, 32, 48, 64, 256)
 MEMO_DIMS = (64, 128, 256)
 MEMO_ROW_DIMS = {
     "state_once_seen_s": (64, 256),
+    "state_cycle8_s": (64, 256),
     "umegaki_remembered_pair_s": MEMO_DIMS,
     "fisher_after_gen_cov_s": (64, 256),
     "renyi_after_umegaki_s": (64, 256),
@@ -262,7 +265,9 @@ def memo_row(name: str, n: int, seed: int) -> float:
     rng = np.random.default_rng([seed, n])
     D1, D2, D3 = (np.asarray(verify.random_density(n, 0.5 / n, rng)) for _ in range(3))
     if name == "state_once_seen_s":
-        rotation = itertools.cycle((D1, D2, D3))
+        return _per_call(_cold(lambda: linalg.state(D1)))
+    if name == "state_cycle8_s":
+        rotation = itertools.cycle([D1, D2, D3, *(np.asarray(verify.random_density(n, 0.5 / n, rng)) for _ in range(5))])
         return _per_call(lambda: linalg.state(next(rotation)))
     linalg.state(D1), linalg.state(D2)
     if name == "umegaki_remembered_pair_s":

@@ -28,9 +28,10 @@ stacked, and any other function shares a call only with repeats of itself
 take equal-shape stacks.
 
 :func:`state` validates every density (:func:`as_density` is its matrix).
-It remembers the States of its last two 2-D arrays, and :func:`relmod_grid`
-the last two rotations by them of 2-D operands or of the identity, as
-:class:`_Memo` says.
+It remembers the States of a working set of up to 128 2-D arrays, the one
+used longest ago leaving first, and :func:`relmod_grid` the last two
+rotations by them of 2-D operands or of the identity, as :class:`_Memo`
+says: a run of calls over a few densities decomposes each once.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
@@ -68,6 +69,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,56 +99,97 @@ PRODUCT_THREAD_DIM = 128
 #: overlaps two pieces of work only when all of them are "1"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: the bytes that the entries of each memo (see :class:`_Memo`) take at most together
-#: (two remembered densities at n = 512)
+#: (eight shared States at n = 256, where it binds before the count does)
 STATE_MEMO_BYTES = 16 * 2**20
-_REMEMBERED = 2
+_REMEMBERED = 128  # States of state's memo at most: functools.lru_cache's default maxsize
+_ROTATIONS_REMEMBERED = 2  # rotations of relmod_grid's memo at most: ~2 MiB each at n = 256
+_HASHED_BYTES = 64  # of a key's bytes, the first this many are hashed: 4 complex entries
+
+
+def _hashed(key: tuple) -> int:
+    """The hash by which :class:`_Memo` indexes ``key``: that of the first :data:`_HASHED_BYTES` of its bytes, its last item.
+
+    A full hash of the bytes of an n = 256 density costs seven times the
+    compare that a hit makes anyway.
+    """
+    return hash(key[-1][:_HASHED_BYTES])
 
 
 class _Memo:
-    """The last two entries ``(key, value, bytes counted)`` of a memo, oldest first: the rules of both memos.
+    """The entries ``(key, value, bytes counted)`` of a memo, oldest first: the rules of both memos.
 
     :func:`state` remembers States, and :func:`relmod_grid` rotations by
     them, of 2-D ``np.ndarray`` inputs only (and the identity operand's
     rotation ``U2* V`` of a 2-D pair, keyed by its two States alone); a
     value is a function of its key, so a hit has a miss's bits.
     :meth:`keep` drops the oldest entries until the new one makes at most
-    two within :data:`STATE_MEMO_BYTES` (one over that alone is not kept)
-    and makes its arrays read-only.  A State found becomes the newest; a
-    rotation hit takes no lock, one scan and one bytes compare (none for
-    the identity).  A rotation is kept only while :func:`state`
-    holds both of its States: it is kept with both held, and a density
-    decomposed to be remembered drops every rotation before its ``eigh``
-    and again once kept (in case one was kept meanwhile on another thread).
-    ``_memo_lock`` guards keep, clear and a State's find, never an ``eigh``
-    or matmul.
+    ``most`` (:data:`_REMEMBERED` States, :data:`_ROTATIONS_REMEMBERED`
+    rotations) within :data:`STATE_MEMO_BYTES` (one over that alone is not
+    kept, nor a key already present) and makes its arrays read-only.  A key
+    is a tuple whose last item is bytes; an index by :func:`_hashed` finds
+    its entry with one bytes compare, and an entry, known by its value's
+    identity, becomes the newest or is dropped as the oldest in constant
+    time.  A State found becomes the newest.  A hit takes no lock: it reads
+    entries that are never changed and moves one with one call, so at
+    worst it finds a value that another thread drops at that moment.
+    A rotation is kept only while :func:`state` holds both of its States:
+    it is kept with both held, and a density decomposed to be remembered
+    drops every rotation before its ``eigh`` and again once kept (in case
+    one was kept meanwhile on another thread).  ``_memo_lock`` guards keep
+    and clear, with the find before a keep, never an ``eigh`` or matmul.
     """
 
     def __init__(self):
-        self.entries: list = []
+        self.index: dict = {}  # _hashed(key) -> the entries of such keys
+        self.order: OrderedDict = OrderedDict()  # id(value) -> its entry, oldest first
+        self.bytes = 0
 
-    def find(self, key, newest: bool = False):
-        """The value kept under ``key`` (None if none); with ``newest``, under the lock, its entry becomes the newest."""
-        for entry in self.entries:
+    @property
+    def entries(self) -> list:
+        """Every ``(key, value, bytes counted)``, oldest first."""
+        return list(self.order.values())
+
+    def find(self, key: tuple, newest: bool = False):
+        """The value kept under ``key`` (None if none); with ``newest`` its entry becomes the newest."""
+        for entry in self.index.get(_hashed(key), ()):
             if entry[0] == key:
-                if newest and entry is not self.entries[-1]:
-                    self.entries.remove(entry)  # found by identity: no entry before it has its key
-                    self.entries.append(entry)
+                if newest:
+                    try:
+                        self.order.move_to_end(id(entry[1]))
+                    except KeyError:  # dropped on another thread since it was found: a hit all the same
+                        pass
                 return entry[1]
         return None
 
-    def keep(self, key, value, size: int, *arrays: np.ndarray) -> None:
-        """Keep ``value``, whose ``arrays`` become read-only, under ``key`` if its ``size`` in bytes fits."""
-        if size > STATE_MEMO_BYTES:
+    def holds(self, value) -> bool:
+        """Whether ``value`` itself is the value of an entry (a live object's id is no other live object's)."""
+        return id(value) in self.order
+
+    def keep(self, key: tuple, value, size: int, most: int, *arrays: np.ndarray) -> None:
+        """Keep ``value``, whose ``arrays`` become read-only, under a new ``key`` if its ``size`` in bytes fits."""
+        if size > STATE_MEMO_BYTES or self.find(key) is not None:
             return
-        entries = self.entries
-        while entries and (len(entries) == _REMEMBERED or sum(e[2] for e in entries) + size > STATE_MEMO_BYTES):
-            entries.pop(0)
+        order = self.order
+        while order and (len(order) >= most or self.bytes + size > STATE_MEMO_BYTES):
+            old = order.popitem(last=False)[1]
+            h = _hashed(old[0])
+            rest = [entry for entry in self.index[h] if entry is not old]
+            if rest:  # replaced, never emptied in place: a find without the lock reads the bucket it got
+                self.index[h] = rest
+            else:
+                del self.index[h]
+            self.bytes -= old[2]
         for a in arrays:
             a.setflags(write=False)
-        entries.append((key, value, size))
+        entry = (key, value, size)
+        self.index.setdefault(_hashed(key), []).append(entry)
+        order[id(value)] = entry
+        self.bytes += size
 
     def clear(self) -> None:
-        self.entries.clear()
+        self.index.clear()
+        self.order.clear()
+        self.bytes = 0
 
 
 _state_memo = _Memo()  # keys: see _memo_key
@@ -295,7 +338,7 @@ def _forget_states() -> None:
 
 def _decompose(D, label: str, key) -> State:
     """Validate and decompose D; remember the State under ``key`` (None: never) as :class:`_Memo` says."""
-    if key is not None and _rotation_memo.entries:
+    if key is not None and _rotation_memo.index:
         with _memo_lock:
             _rotation_memo.clear()
     H = as_hermitian(D)
@@ -313,7 +356,7 @@ def _decompose(D, label: str, key) -> State:
         found = _state_memo.find(key, newest=True)  # decomposed meanwhile on another thread
         if found is not None:
             return found
-        _state_memo.keep(key, new, len(key[2]) + U.nbytes + (0 if shared else H.nbytes), w, U, H)
+        _state_memo.keep(key, new, len(key[2]) + U.nbytes + (0 if shared else H.nbytes), _REMEMBERED, w, U, H)
         _rotation_memo.clear()
     return new
 
@@ -325,15 +368,16 @@ def state(D, label: str = "state") -> State:
     :data:`DENSITY_EIG_FLOOR` (rank-deficient input is an error, never
     regularized); a stack is refused at its first rejected member.
     A 2-D numeric ``np.ndarray`` density's State is remembered as
-    :class:`_Memo` says, keyed by dtype, shape and C-order bytes, counting
-    the key, eigenvectors and validated matrix (unless it shares the key's
-    bytes, as an exactly Hermitian complex128 array does).
+    :class:`_Memo` says, among up to :data:`_REMEMBERED` others within
+    :data:`STATE_MEMO_BYTES`, keyed by dtype, shape and C-order bytes,
+    counting the key, eigenvectors and validated matrix (unless it shares
+    the key's bytes, as an exactly Hermitian complex128 array does).  Any
+    other input is validated and decomposed with no lookup and no lock.
     """
     if isinstance(D, State):
         return D
     key = _memo_key(D)
-    with _memo_lock:
-        found = _state_memo.find(key, newest=True)
+    found = None if key is None else _state_memo.find(key, newest=True)  # None: never kept, so not looked up
     return found if found is not None else _decompose(D, label, key)
 
 
@@ -405,8 +449,8 @@ def state_pair(D1, D2) -> tuple[State, State]:
             _operand(D2, s1, "second state")
         return s1, state(D2, "second state")
     k1, k2 = _memo_key(D1), _memo_key(D2)
-    with _memo_lock:
-        s1, s2 = _state_memo.find(k1, newest=True), _state_memo.find(k2, newest=True)
+    s1 = None if k1 is None else _state_memo.find(k1, newest=True)  # stacks and subclasses: never looked up
+    s2 = None if k2 is None else _state_memo.find(k2, newest=True)
     if s1 is not None or s2 is not None:
         return s1 or _decompose(D1, "first state", k1), s2 or _decompose(D2, "second state", k2)
     return _both(
@@ -559,18 +603,17 @@ def _rotate(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> np.ndarr
 def _rotation_key(s1: SpectralDecomposition, s2: SpectralDecomposition, A) -> tuple:
     """s1 and s2, then a 2-D A's dtype, shape, strides (BLAS may round another layout otherwise) and C-order bytes.
 
-    The identity (A None) adds nothing to the two States.
+    The identity (A None) adds no bytes to the two States.
     """
-    return (s1, s2) if A is None else (s1, s2, A.dtype, A.shape, A.strides, A.tobytes())
+    return (s1, s2, b"") if A is None else (s1, s2, A.dtype, A.shape, A.strides, A.tobytes())
 
 
 def _keep_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A, M: np.ndarray) -> None:
     """Keep M, the 2-D rotation of A (None: the identity) by s1 and s2, if :func:`state` holds both States."""
     with _memo_lock:
-        held = [entry[1] for entry in _state_memo.entries]
-        if s1 in held and s2 in held:
+        if _state_memo.holds(s1) and _state_memo.holds(s2):
             key = _rotation_key(s1, s2, A)  # built again: a key held through the matmuls raised peak memory
-            _rotation_memo.keep(key, M, M.nbytes + (0 if A is None else len(key[5])), M)
+            _rotation_memo.keep(key, M, M.nbytes + len(key[-1]), _ROTATIONS_REMEMBERED, M)
 
 
 def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: tuple) -> list:
@@ -580,7 +623,7 @@ def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: t
     :func:`state` never holds, and is not offered to the memo.
     """
     if len(operands) == 1 and operands[0] is None:  # umegaki, renyi: the loop below cost 3 % of their rate at n = 4
-        M = _rotation_memo.find(_rotation_key(s1, s2, None)) if _rotation_memo.entries else None
+        M = _rotation_memo.find(_rotation_key(s1, s2, None)) if _rotation_memo.index else None
         if M is None:
             M = _rotate(s1, s2, None)
             if M.ndim == 2:
@@ -591,7 +634,7 @@ def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: t
     out, new = [], []
     for A in operands:
         keyed = A is None or type(A) is np.ndarray and A.ndim == 2
-        M = _rotation_memo.find(_rotation_key(s1, s2, A)) if keyed and _rotation_memo.entries else None
+        M = _rotation_memo.find(_rotation_key(s1, s2, A)) if keyed and _rotation_memo.index else None
         if M is None:
             new.append((len(out), A, keyed))
         out.append(M)

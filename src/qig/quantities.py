@@ -5,11 +5,12 @@ state(s); the dense superoperator route exists only as a test oracle.
 Every density, :func:`sym_cov`'s too, is validated by
 :func:`~qig.linalg.state`.  A density given as a :class:`~qig.linalg.State`
 is neither validated nor decomposed again, nor is a 2-D density array
-that :func:`~qig.linalg.state` remembers, and an operand whose rotation
-``U* A U`` :func:`~qig.linalg.relmod_grid` remembers is not rotated again,
-nor is the identity operand of a remembered pair (:func:`renyi` after
-:func:`umegaki`; bit for bit, by the rules of ``qig.linalg._Memo``; stacks
-are decomposed on every call).
+that :func:`~qig.linalg.state` remembers (a working set of up to 128, so
+quantities interleaved over a few densities decompose each once), and an
+operand whose rotation ``U* A U`` :func:`~qig.linalg.relmod_grid`
+remembers is not rotated again, nor is the identity operand of a
+remembered pair (:func:`renyi` after :func:`umegaki`; bit for bit, by the
+rules of ``qig.linalg._Memo``; stacks are decomposed on every call).
 :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two

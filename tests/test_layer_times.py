@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "layer_times.py"
-TIME_ROWS = ("state_once_seen_s", "umegaki_remembered_pair_s", "fisher_after_gen_cov_s", "renyi_after_umegaki_s",
-             "sym_cov_s", "wyd_direct_s")
+TIME_ROWS = ("state_once_seen_s", "state_cycle8_s", "umegaki_remembered_pair_s", "fisher_after_gen_cov_s",
+             "renyi_after_umegaki_s", "sym_cov_s", "wyd_direct_s")
 
 
 def test_each_time_row_prints_one_positive_time_at_n_4():

@@ -1,4 +1,4 @@
-"""``linalg.state`` remembers the last two single densities it accepted."""
+"""``linalg.state`` remembers a working set of the single densities it accepted, and ``relmod_grid`` two rotations by them."""
 
 import sys
 import threading
@@ -35,7 +35,13 @@ def hermitian_calls(monkeypatch) -> list:
     return calls
 
 
-def test_a_repeated_density_is_not_decomposed_again_and_a_third_evicts_the_one_used_longest_ago(eig_calls):
+@pytest.fixture
+def two_states(monkeypatch):
+    """``linalg.state``'s memo holds two States at most, so that a third density evicts one."""
+    monkeypatch.setattr(linalg, "_REMEMBERED", 2)
+
+
+def test_a_repeated_density_is_not_decomposed_again_and_a_third_evicts_the_one_used_longest_ago(two_states, eig_calls):
     D1, D2, D3 = _densities(4, 3, 1)
     s1 = linalg.state(D1)
     assert eig_calls["eigh"] == 1
@@ -168,7 +174,7 @@ def test_warm_and_cold_calls_give_the_same_bits(n, monkeypatch, eig_calls):
         assert eig_calls["eigh"] == decomposed
 
 
-def test_two_threads_alternating_over_three_densities_get_bit_identical_states():
+def test_two_threads_alternating_over_three_densities_get_bit_identical_states(two_states):
     densities = _densities(8, 3, 8)
     expected = [_state_bits(linalg.state(D)) for D in densities]
     linalg._forget_states()
@@ -187,6 +193,71 @@ def test_two_threads_alternating_over_three_densities_get_bit_identical_states()
         w.join()
     assert all(bits == expected[j] for calls in seen for j, bits in calls)
     assert len(seen[0]) == len(seen[1]) == 150 and len(linalg._state_memo.entries) == 2
+
+
+def _consistent(memo) -> bool:
+    """The memo's index and order hold the same entries, within the count, and its byte total is theirs."""
+    entries = memo.entries
+    indexed = [entry for bucket in memo.index.values() for entry in bucket]
+    return (
+        len(entries) <= linalg._REMEMBERED
+        and sorted(map(id, entries)) == sorted(map(id, indexed))
+        and all(linalg._hashed(entry[0]) == h for h, bucket in memo.index.items() for entry in bucket)
+        and memo.bytes == sum(size for _, _, size in entries)
+    )
+
+
+@pytest.mark.parametrize("count", [None, 4], ids=["default-count", "count-4"])
+def test_three_threads_with_a_short_switch_interval_over_six_densities_get_bit_identical_states(count, monkeypatch):
+    if count is not None:  # fewer than the densities: threads evict while others find without the lock
+        monkeypatch.setattr(linalg, "_REMEMBERED", count)
+    densities = _densities(8, 6, 10)
+    expected = [_state_bits(linalg.state(D)) for D in densities]
+    linalg._forget_states()
+    start, wrong, broken, done = threading.Barrier(3), [], [], []
+
+    def run(k: int):
+        start.wait()
+        for i in range(150):
+            j = (i + 2 * k) % 6
+            if _state_bits(linalg.state(densities[j])) != expected[j]:
+                wrong.append(j)
+            with linalg._memo_lock:
+                if not _consistent(linalg._state_memo):
+                    broken.append(i)
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(3)]  # more threads than cores
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and sorted(done) == [0, 1, 2]
+    assert wrong == [] and broken == [] and _consistent(linalg._state_memo)
+    assert len(linalg._state_memo.entries) == (6 if count is None else count)
+
+
+def test_a_state_dropped_by_another_thread_as_it_is_found_is_a_hit_all_the_same(eig_calls):
+    (D,) = _densities(3, 1, 11)
+    s = linalg.state(D)
+
+    class Order(type(linalg._state_memo.order)):
+        def move_to_end(self, key, last=True):
+            linalg._forget_states()  # what another thread may do between the lookup and the move
+            return super().move_to_end(key, last)
+
+    memo = linalg._state_memo
+    original, memo.order = memo.order, Order(memo.order)
+    try:
+        assert linalg.state(D) is s and eig_calls["eigh"] == 1 and memo.entries == []
+    finally:
+        memo.order = original
+        linalg._forget_states()
 
 
 def test_bits_decomposed_on_two_threads_at_once_are_remembered_once(monkeypatch):
@@ -277,6 +348,79 @@ def test_a_list_is_validated_every_time_and_never_remembered(eig_calls, hermitia
     assert eig_calls["eigh"] == 2 and hermitian_calls == [(3, 3)] * 2 and linalg._state_memo.entries == []
     assert first.matrix.flags.writeable
     assert _state_bits(linalg.state(D)) == _state_bits(first)
+
+
+def test_two_sweeps_over_eight_densities_decompose_each_once_with_the_cold_bits(eig_calls):
+    densities = _densities(64, 8, 26)
+    first = [linalg.state(D) for D in densities]
+    assert eig_calls["eigh"] == 8 and len(linalg._state_memo.entries) == 8
+    again = [linalg.state(D.copy()) for D in densities]
+    assert all(t is s for s, t in zip(first, again)) and eig_calls["eigh"] == 8
+    for s in again:
+        assert not any(a.flags.writeable for a in (s.eigenvalues, s.eigenvectors, s.matrix))
+    for D, s in zip(densities, first):
+        linalg._forget_states()
+        assert _state_bits(linalg.state(D)) == _state_bits(s)
+
+
+def test_the_count_binds_for_small_densities_and_evicts_the_one_used_longest_ago(eig_calls):
+    densities = _densities(2, linalg._REMEMBERED + 1, 27)
+    states = [linalg.state(D) for D in densities[:-1]]
+    assert linalg.state(densities[0]) is states[0]  # now the newest; densities[1] was used longest ago
+    linalg.state(densities[-1])
+    assert len(linalg._state_memo.entries) == linalg._REMEMBERED and eig_calls["eigh"] == linalg._REMEMBERED + 1
+    assert linalg.state(densities[0]) is states[0] and linalg.state(densities[2]) is states[2]
+    assert eig_calls["eigh"] == linalg._REMEMBERED + 1
+    assert linalg.state(densities[1]) is not states[1] and eig_calls["eigh"] == linalg._REMEMBERED + 2
+
+
+def test_the_byte_cap_still_evicts_the_one_used_longest_ago(monkeypatch, eig_calls):
+    D1, D2, D3, D4 = (np.array(linalg.as_hermitian(D)) for D in _densities(3, 4, 28))
+    monkeypatch.setattr(linalg, "STATE_MEMO_BYTES", 3 * 2 * D1.nbytes)  # room for three shared states
+    s1, s2, s3 = linalg.state(D1), linalg.state(D2), linalg.state(D3)
+    assert linalg.state(D1) is s1 and eig_calls["eigh"] == 3  # D2 is now the one used longest ago
+    linalg.state(D4)
+    assert [size for _, _, size in linalg._state_memo.entries] == [2 * D1.nbytes] * 3
+    assert linalg._state_memo.bytes == 3 * 2 * D1.nbytes
+    assert linalg.state(D1) is s1 and linalg.state(D3) is s3 and eig_calls["eigh"] == 4
+    assert linalg.state(D2) is not s2 and eig_calls["eigh"] == 5
+
+
+def test_two_densities_with_the_same_hashed_prefix_are_two_entries_and_never_a_false_hit(eig_calls):
+    (D1,) = _densities(64, 1, 29)
+    D2 = D1.copy()
+    D2[2, 3] += 1e-3  # the first row, and so the hashed prefix of the bytes, is unchanged
+    D2[3, 2] += 1e-3
+    k1, k2 = linalg._memo_key(D1), linalg._memo_key(D2)
+    assert D1.shape[1] * D1.itemsize > linalg._HASHED_BYTES and linalg._hashed(k1) == linalg._hashed(k2) and k1 != k2
+    s1, s2 = linalg.state(D1), linalg.state(D2)
+    assert s1 is not s2 and eig_calls["eigh"] == 2 and len(linalg._state_memo.entries) == 2
+    assert s1.matrix.tobytes() == linalg.as_hermitian(D1).tobytes()
+    assert s2.matrix.tobytes() == linalg.as_hermitian(D2).tobytes()
+    assert linalg.state(D1.copy()) is s1 and linalg.state(D2.copy()) is s2 and eig_calls["eigh"] == 2
+
+
+def test_stacks_lists_and_hits_take_no_lock(monkeypatch, eig_calls):
+    taken = []
+
+    class Lock:
+        def __enter__(self):
+            taken.append(1)
+
+        def __exit__(self, *exc):
+            return False
+
+    small, large = np.stack(_densities(3, 2, 31)), np.stack(_densities(linalg.PAIR_THREAD_DIM, 2, 32))
+    monkeypatch.setattr(linalg, "_memo_lock", Lock())
+    for name in linalg.BLAS_THREAD_VARIABLES:  # state_pair's threaded path looks its arrays up too
+        monkeypatch.setenv(name, "1")
+    linalg.state(small), linalg.state(small[0].tolist()), linalg.state_pair(small, small[::-1])
+    linalg.state_pair(large, large[::-1])
+    assert eig_calls["eigh"] == 6 and taken == []
+    s, t = linalg.state(small[0]), linalg.state(large[0])
+    assert taken == [1, 1]  # the two keeps
+    assert linalg.state(small[0].copy()) is s and linalg.state_pair(small[0], small[0].copy()) == (s, s)
+    assert linalg.state_pair(large[0], large[0].copy()) == (t, t) and eig_calls["eigh"] == 8 and taken == [1, 1]
 
 
 # ``relmod_grid`` remembers the rotation ``U2* A V`` of a single operand while both States are remembered
@@ -382,7 +526,7 @@ def test_an_operand_of_another_layout_is_an_entry_of_its_own(rotations):
     assert linalg.relmod_grid(f, s, s, padded.copy()[:, ::2])[1][0] is st and len(rotations) == 3
 
 
-def test_a_rotation_lives_while_state_remembers_both_of_its_states(rotations):
+def test_a_rotation_lives_while_state_remembers_both_of_its_states(two_states, rotations):
     D1, D2, D3 = _densities(3, 3, 42)
     A = np.random.default_rng(42).standard_normal((3, 3)) + 0j
     F = fn.power_kernel(0.5)
@@ -413,14 +557,14 @@ def test_renyi_after_umegaki_finds_the_identity_rotation_with_the_cold_bits(n, r
     assert [_bits(call()) for call in chain] == cold and rotations == [()]
     s1, s2 = linalg.state(D1), linalg.state(D2)
     # keyed by the two States alone, and counting only the rotation's bytes
-    assert [(key, size) for key, _, size in linalg._rotation_memo.entries] == [((s1, s2), 16 * n * n)]
+    assert [(key, size) for key, _, size in linalg._rotation_memo.entries] == [((s1, s2, b""), 16 * n * n)]
     kept = linalg._rotation_memo.entries[0][1]
     assert linalg.relmod_grid(fn.sld(), s1, s2, None, D1)[1][0] is kept and rotations == [(), (n, n)]
     qt.umegaki(D2, D1)  # the other order is another rotation
     assert rotations == [(), (n, n), ()] and len(linalg._rotation_memo.entries) == 2
 
 
-def test_an_identity_rotation_lives_while_state_remembers_both_of_its_states(rotations):
+def test_an_identity_rotation_lives_while_state_remembers_both_of_its_states(two_states, rotations):
     D1, D2, D3 = _densities(3, 3, 62)
     first = qt.umegaki(D1, D2)
     assert rotations == [()] and len(linalg._rotation_memo.entries) == 1
@@ -451,7 +595,7 @@ def test_identity_rotations_of_stacks_and_unheld_states_are_never_kept(rotations
     assert len(rotations) == 2 + 2 * 3 and linalg._rotation_memo.entries == []
 
 
-def test_a_rotation_whose_state_leaves_the_memo_while_it_is_rotated_is_not_kept(monkeypatch):
+def test_a_rotation_whose_state_leaves_the_memo_while_it_is_rotated_is_not_kept(two_states, monkeypatch):
     D1, D2, D3 = _densities(3, 3, 47)
     A = np.random.default_rng(47).standard_normal((3, 3)) + 0j
     s1, s2 = linalg.state(D1), linalg.state(D2)
@@ -485,7 +629,7 @@ def test_a_density_decomposed_to_be_remembered_holds_no_rotation_through_its_eig
     assert held == [1, 0] and linalg._rotation_memo.entries == []
 
 
-def test_a_rotation_kept_during_an_eigh_leaves_with_the_state_that_eigh_drops(monkeypatch):
+def test_a_rotation_kept_during_an_eigh_leaves_with_the_state_that_eigh_drops(two_states, monkeypatch):
     D1, D2, D3 = _densities(3, 3, 51)
     A = np.random.default_rng(51).standard_normal((3, 3)) + 0j
     s1, _ = linalg.state(D1), linalg.state(D2)
