@@ -21,13 +21,8 @@ density and observable:
   per-call work is left: ``quantities.umegaki`` of two states (the
   identity operand) and ``quantities.skew_info`` with ``wyd:0.3``;
 - ``quantities.umegaki`` of two arrays, which validates and decomposes
-  them as a pair (``linalg.state_pair``; concurrently from
-  ``linalg.PAIR_THREAD_DIM`` on), and, as a ratio, its time with the pair
-  decomposed concurrently at every n over that of the same call after two
-  sequential ``linalg.state`` calls.  The ratio per n is the measurement
-  behind ``PAIR_THREAD_DIM``: below 1 the thread wins.  These calls start
-  with ``linalg.state``'s memo emptied, so that every one decomposes both
-  arrays;
+  them as a pair (``linalg.state_pair``, in turn), with ``linalg.state``'s
+  memo emptied before each call, so that every one decomposes both arrays;
 - ``linalg.state``, ``linalg.as_density`` and ``quantities.fisher``
   (``wyd:0.3``) of a remembered array, which is found by one bytes compare
   and neither validated nor decomposed again (nor, for ``fisher``, is its
@@ -44,8 +39,8 @@ that every call validates and decomposes it (n = 64 and 256);
 ``state_cycle8_s``, ``linalg.state`` over eight arrays in rotation, which
 the memo's working set holds (n = 64 and 256); ``umegaki_remembered_pair_s``,
 ``quantities.umegaki`` of two remembered arrays, which
-``linalg.state_pair`` answers without starting a thread (and whose
-identity rotation ``linalg.relmod_grid`` remembers);
+``linalg.state_pair`` answers with neither validation nor ``eigh`` (and
+whose identity rotation ``linalg.relmod_grid`` remembers);
 ``fisher_after_gen_cov_s``, ``quantities.fisher`` (``wyd:0.3``) of a
 remembered density and two operands that ``quantities.gen_cov`` (``sld``)
 rotated before it (n = 64 and 256); and ``renyi_after_umegaki_s``,
@@ -197,17 +192,6 @@ def _ratio(first, second) -> float:
     return statistics.median(_timing(first, number) / _timing(second, number) for _ in range(RATIO_ROUNDS))
 
 
-def _threaded_ratio(D1, D2) -> float:
-    """``umegaki`` of two arrays decomposed as a threaded pair at any n, over two sequential ``state`` calls."""
-    threaded = _cold(lambda: quantities.umegaki(D1, D2))
-    sequential = _cold(lambda: quantities.umegaki(linalg.state(D1), linalg.state(D2)))
-    crossover, linalg.PAIR_THREAD_DIM = linalg.PAIR_THREAD_DIM, 1
-    try:
-        return _ratio(threaded, sequential)
-    finally:
-        linalg.PAIR_THREAD_DIM = crossover
-
-
 def _at_crossover(fn, crossover: int):
     """fn run with ``linalg.PRODUCT_THREAD_DIM`` set to ``crossover``."""
 
@@ -252,7 +236,6 @@ def layer_times(n: int, seed: int) -> dict:
         "umegaki_states_s": _per_call(lambda: quantities.umegaki(s1, s2)),
         "skew_info_state_s": _per_call(lambda: quantities.skew_info(one, s1, A)),
         "umegaki_arrays_s": _per_call(_cold(lambda: quantities.umegaki(D, D2))),
-        "umegaki_arrays_threaded_over_sequential": _threaded_ratio(D, D2),
         "state_remembered_s": _per_call(lambda: linalg.state(D)),
         "as_density_remembered_s": _per_call(lambda: linalg.as_density(D)),
         "fisher_remembered_s": _per_call(lambda: quantities.fisher(one, D, A, A)),
@@ -380,8 +363,8 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (umegaki_arrays_threaded_over_sequential and the products "
-                "rows named *_over_in_turn: ratios; harness: per trial; import: per process)",
+        "unit": "seconds per call, median (the products rows named *_over_in_turn: ratios; "
+                "harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
         "memo": {str(n): memo_times(n, args.seed) for n in MEMO_DIMS},
         "products": {str(n): {name: row(name, n, args.seed) for name in PRODUCT_ROWS} for n in PRODUCT_DIMS},

@@ -67,9 +67,15 @@ class KrausChannel:
 def draw_channel(n_in: int, n_out: int, kraus_count: int, rng: np.random.Generator) -> np.ndarray:
     """Raw draw of the Ginibre matrix :func:`random_channel` builds its channel from.
 
-    See :func:`~qig.linalg.draw_ginibre`; raises before drawing when
+    See :func:`~qig.linalg.draw_ginibre`.  Raises before drawing: with
+    ``DomainError`` when a dimension or ``kraus_count`` is not an integer of
+    at least 1 (``bool`` included), and with ``InvariantViolation`` when
     ``kraus_count * n_out < n_in``.
     """
+    linalg.require_dimension(n_in)
+    linalg.require_dimension(n_out)
+    if isinstance(kraus_count, bool) or not isinstance(kraus_count, (int, np.integer)) or kraus_count < 1:
+        raise DomainError(f"Kraus count must be at least 1 and an integer, got {kraus_count!r}")
     if kraus_count * n_out < n_in:
         raise InvariantViolation(
             f"infeasible dimensions: {kraus_count} Kraus operators with output "

@@ -35,13 +35,12 @@ says: a run of calls over a few densities decomposes each once.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
-its densities through :func:`state_pair`.  When the environment pins BLAS
-to one thread, one call at large n runs two independent pieces of work
-concurrently through one helper, :func:`_both`, the second on a thread
-that is joined before the call returns or raises: :func:`state_pair`'s two
-densities from dimension :data:`PAIR_THREAD_DIM` on and, from
-:data:`PRODUCT_THREAD_DIM` on, the rotations of two distinct operands of
-:func:`relmod_grid`, in both cases when neither is remembered (see
+its densities through :func:`state_pair`, in turn on the caller's thread.
+When the environment pins BLAS to one thread, one call at large n runs
+two independent products concurrently through one helper, :func:`_both`,
+the second on a thread that is joined before the call returns or raises:
+from :data:`PRODUCT_THREAD_DIM` on, the rotations of two distinct
+operands of :func:`relmod_grid` when neither is remembered (see
 :class:`_Memo`), and the two sides of ``wyd_direct`` in
 :mod:`qig.quantities` (a matrix power and one product each).
 The values, exceptions and messages are those of the two in turn.
@@ -83,11 +82,6 @@ DENSE_DIM_LIMIT = 32
 #: :func:`relmod_dense` builds a stack's superoperators in chunks of members that
 #: take at most this many bytes together (four at n = 32, a whole group at n <= 5)
 DENSE_CHUNK_BYTES = 64 * 2**20
-#: from this dimension on, :func:`state_pair` decomposes its two densities
-#: concurrently; below it, starting a thread costs more than the overlap saves
-#: (``umegaki_arrays_threaded_over_sequential`` of ``scripts/layer_times.py``,
-#: with BLAS on one thread)
-PAIR_THREAD_DIM = 48
 #: from this dimension on, :func:`relmod_grid` rotates two operands it has not
 #: seen concurrently, and :mod:`qig.quantities` takes the two sides of
 #: ``wyd_direct`` (a matrix power and one product each) concurrently; below it,
@@ -386,19 +380,19 @@ def _blas_pinned() -> bool:
     return all(os.environ.get(name) == "1" for name in BLAS_THREAD_VARIABLES)
 
 
-def _both(first, second, n: int, crossover: int) -> tuple:
-    """``(first(), second())`` of two independent thunks; from dimension ``crossover`` on, the second runs on a thread.
+def _both(first, second, n: int) -> tuple:
+    """``(first(), second())`` of two independent thunks; from dimension :data:`PRODUCT_THREAD_DIM` on, the second runs on a thread.
 
     The two overlap only when n, the caller's matrix dimension, is at least
-    ``crossover`` and :func:`_blas_pinned` holds; otherwise they run in turn
-    on the caller's thread.  Below the crossover starting a thread costs
-    more than the overlap saves, and a multi-threaded BLAS already uses the
-    cores.  The thread is started per call (numpy releases the GIL inside
-    BLAS and LAPACK, so the two overlap there) and joined before anything
-    is returned or raised, and ``first``'s exception, if any, is raised
-    before ``second``'s.
+    :data:`PRODUCT_THREAD_DIM` and :func:`_blas_pinned` holds; otherwise
+    they run in turn on the caller's thread.  Below the crossover starting a
+    thread costs more than the overlap saves, and a multi-threaded BLAS
+    already uses the cores.  The thread is started per call (numpy releases
+    the GIL inside BLAS, so the two overlap there) and joined before
+    anything is returned or raised, and ``first``'s exception, if any, is
+    raised before ``second``'s.
     """
-    if n < crossover or not _blas_pinned():
+    if n < PRODUCT_THREAD_DIM or not _blas_pinned():
         return first(), second()
     out = []
 
@@ -426,39 +420,14 @@ def state_pair(D1, D2) -> tuple[State, State]:
     D1's (:func:`_require_shape`; stacks broadcast over the leading axes),
     and only then validated: the States, exceptions and messages of
     ``state(D1, "first state")``, that rule and ``state(D2, "second state")``
-    in turn.  When D1 is an array of dimension :data:`PAIR_THREAD_DIM` or
-    more, D2 an array with D1's last two axes, neither is remembered by
-    :func:`state` (both are looked up first) and the environment pins BLAS
-    to one thread (every one of :data:`BLAS_THREAD_VARIABLES` set to
-    ``"1"``), D2 is decomposed concurrently with D1 (:func:`_both`).
-    Otherwise the two run in turn: a remembered density leaves nothing to
-    overlap, and a multi-threaded BLAS loses it.
+    in turn, all on the caller's thread.
     """
-    if not (
-        isinstance(D1, np.ndarray)
-        and isinstance(D2, np.ndarray)
-        and D1.ndim >= 2
-        and D1.shape[-1] >= PAIR_THREAD_DIM
-        and D2.shape[-2:] == D1.shape[-2:]
-        and _blas_pinned()
-    ):
-        s1 = state(D1, "first state")
-        if isinstance(D2, (np.ndarray, State)):
-            _require_shape("second state", D2.shape, s1)
-        else:  # read as an operand, so that a ragged or non-numeric D2 is refused as one
-            _operand(D2, s1, "second state")
-        return s1, state(D2, "second state")
-    k1, k2 = _memo_key(D1), _memo_key(D2)
-    s1 = None if k1 is None else _state_memo.find(k1, newest=True)  # stacks and subclasses: never looked up
-    s2 = None if k2 is None else _state_memo.find(k2, newest=True)
-    if s1 is not None or s2 is not None:
-        return s1 or _decompose(D1, "first state", k1), s2 or _decompose(D2, "second state", k2)
-    return _both(
-        lambda: _decompose(D1, "first state", k1),
-        lambda: _decompose(D2, "second state", k2),
-        D1.shape[-1],
-        PAIR_THREAD_DIM,
-    )
+    s1 = state(D1, "first state")
+    if isinstance(D2, (np.ndarray, State)):
+        _require_shape("second state", D2.shape, s1)
+    else:  # read as an operand, so that a ragged or non-numeric D2 is refused as one
+        _operand(D2, s1, "second state")
+    return s1, state(D2, "second state")
 
 
 def _require_shape(what: str, shape: tuple, s, exact: bool = False) -> None:
@@ -643,7 +612,7 @@ def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: t
     if len(new) == 2:
         (i, A, _), (j, B, _) = new
         n = s1.eigenvectors.shape[-1]
-        out[i], out[j] = _both(lambda: _rotate(s1, s2, A), lambda: _rotate(s1, s2, B), n, PRODUCT_THREAD_DIM)
+        out[i], out[j] = _both(lambda: _rotate(s1, s2, A), lambda: _rotate(s1, s2, B), n)
     else:
         for i, A, _ in new:
             out[i] = _rotate(s1, s2, A)

@@ -252,9 +252,7 @@ def wyd_direct(p, D, X):
         P -= linalg.dagger(P)  # in place: dagger(P) is a new array, so no third n x n one is needed
         return P
 
-    Cp, Cq = linalg._both(
-        lambda: commutator_with_x(hp), lambda: commutator_with_x(hq), s.shape[-1], linalg.PRODUCT_THREAD_DIM
-    )
+    Cp, Cq = linalg._both(lambda: commutator_with_x(hp), lambda: commutator_with_x(hq), s.shape[-1])
     return _real(-0.5 * _trace_of_product(Cp, Cq).real)
 
 

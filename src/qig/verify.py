@@ -1021,8 +1021,8 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
     ``margin`` and/or ``residual``.  Before drawing, refuses with
     ``DomainError`` a seed or trial count that is not a nonnegative integer
     (``int`` or ``np.integer``), more than ``2**32`` trials, dims that are
-    not a nonempty sequence of positive integers, and a NaN or non-numeric
-    tolerance.  A trial fails when its margin drops below
+    not a nonempty sequence of positive integers, and a NaN, ``bool`` or
+    non-numeric tolerance.  A trial fails when its margin drops below
     ``-margin_tolerance`` or its residual exceeds the residual tolerance;
     failures record the derived trial seed, an input digest (taken for
     failing trials only), and the offending value.  A trial that raises ``VerificationError`` or
@@ -1048,7 +1048,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0, dims=None, to
         for key, value in tolerances.items():
             if key not in ("margin", "residual"):
                 raise DomainError(f"unknown tolerance {key!r}")
-            if not isinstance(value, numbers.Real) or math.isnan(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
                 raise DomainError(f"tolerance {key!r} must be a real number or infinite, got {value!r}")
             tol[key] = float(value)
     dims = suite.dims if dims is None else dims

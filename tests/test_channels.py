@@ -76,6 +76,26 @@ def test_random_channel_infeasible_dimensions():
         ch.random_channel(5, 2, 2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "n_in, n_out, kraus_count, message",
+    [
+        (-1, 2, 1, "dimension must be at least 1 and an integer, got -1"),
+        (2, 0, 1, "dimension must be at least 1 and an integer, got 0"),
+        (2.0, 2, 1, "dimension must be at least 1 and an integer, got 2.0"),
+        (2, True, 1, "dimension must be at least 1 and an integer, got True"),
+        (2, 2, 1.5, "Kraus count must be at least 1 and an integer, got 1.5"),
+        (2, 2, 0, "Kraus count must be at least 1 and an integer, got 0"),
+        (2, 2, True, "Kraus count must be at least 1 and an integer, got True"),
+    ],
+)
+def test_random_channel_refuses_a_non_integer_or_non_positive_size_before_drawing(n_in, n_out, kraus_count, message):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ch.random_channel(n_in, n_out, kraus_count, seed=rng)
+    assert rng.bit_generator.state == before
+
+
 def test_depolarizing_kraus_set_sends_everything_to_maximally_mixed():
     c = ch.KrausChannel(tuple(s / 2.0 for s in _PAULI))
     rng = np.random.default_rng(7)

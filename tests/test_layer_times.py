@@ -13,7 +13,7 @@ TIME_ROWS = ("state_once_seen_s", "state_cycle8_s", "umegaki_remembered_pair_s",
 
 def test_each_time_row_prints_one_positive_time_at_n_4():
     # one process per row, run side by side: the script pins BLAS to one thread when it is imported,
-    # which in this process would switch on the thread paths of linalg._both for the tests after it
+    # which in this process would let linalg._both start its product threads in the tests after it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     runs = {
         row: subprocess.Popen([sys.executable, str(SCRIPT), "--row", row, "--dim", "4"], env=env,

@@ -758,7 +758,7 @@ def _pair_in_turn(D1, D2):
     return s1, linalg.state(D2, "second state")
 
 
-@pytest.mark.parametrize("n", [3, linalg.PAIR_THREAD_DIM])
+@pytest.mark.parametrize("n", [3, 48])
 def test_a_rejected_pair_raises_what_two_sequential_state_calls_raise(n, monkeypatch):
     for name in linalg.BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(name, "1")

@@ -592,7 +592,7 @@ def _record_threads(monkeypatch) -> list:
     return started
 
 
-@pytest.mark.parametrize("n", [linalg.PAIR_THREAD_DIM - 1, linalg.PAIR_THREAD_DIM, 64, 256])
+@pytest.mark.parametrize("n", [47, 48, 64, 256])
 def test_two_state_quantities_of_arrays_equal_two_sequential_state_calls_bit_for_bit(n, monkeypatch):
     for name in linalg.BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(name, "1")
@@ -600,36 +600,21 @@ def test_two_state_quantities_of_arrays_equal_two_sequential_state_calls_bit_for
     rng = np.random.default_rng(90 + n)
     D1, D2 = (np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(2))
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    s1, s2 = linalg.state(D1, "first state"), linalg.state(D2, "second state")
     F = fn.power_kernel(0.5)
     threads = threading.active_count()
-    for arrays, states in (
-        (lambda: qt.quasi_entropy(F, A, D1, D2), lambda: qt.quasi_entropy(F, A, s1, s2)),
-        (lambda: qt.umegaki(D1, D2), lambda: qt.umegaki(s1, s2)),
-        (lambda: qt.renyi(-0.4, D1, D2), lambda: qt.renyi(-0.4, s1, s2)),
-        (lambda: linalg.relmod_apply(F, D1, D2, A), lambda: linalg.relmod_apply(F, s1, s2, A)),
+    for quantity in (
+        lambda D1, D2: qt.quasi_entropy(F, A, D1, D2),
+        qt.umegaki,
+        lambda D1, D2: qt.renyi(-0.4, D1, D2),
+        lambda D1, D2: linalg.relmod_apply(F, D1, D2, A),
     ):
-        assert _bytes(arrays()) == _bytes(states())
+        linalg._forget_states()
+        expected = _bytes(quantity(linalg.state(D1, "first state"), linalg.state(D2, "second state")))
+        linalg._forget_states()  # the arrays are unseen: the call decomposes both
+        assert _bytes(quantity(D1, D2)) == expected
         assert threading.active_count() == threads
-    # both arrays were remembered by the state calls above, so no call starts a thread
+    # the pair is decomposed in turn on the caller's thread, and one operand has nothing to overlap
     assert started == []
-
-
-@pytest.mark.parametrize("n", [linalg.PAIR_THREAD_DIM, 64])
-def test_a_pair_of_unseen_arrays_is_decomposed_on_one_thread_and_a_remembered_one_in_turn(n, monkeypatch):
-    for name in linalg.BLAS_THREAD_VARIABLES:
-        monkeypatch.setenv(name, "1")
-    rng = np.random.default_rng(190 + n)
-    D1, D2 = (np.asarray(random_density(n, 0.5 / n, rng)) for _ in range(2))
-    expected = _bytes(qt.umegaki(linalg.state(D1), linalg.state(D2)))
-    linalg._forget_states()
-    started = _record_threads(monkeypatch)
-    assert _bytes(qt.umegaki(D1, D2)) == expected and len(started) == 1
-    assert not started[0].is_alive()
-    assert _bytes(qt.umegaki(D1, D2)) == expected and len(started) == 1
-    linalg._forget_states()
-    linalg.state(D2)  # only the second is remembered
-    assert _bytes(qt.umegaki(D1, D2)) == expected and len(started) == 1
 
 
 @pytest.mark.parametrize("threads", [None, "2", "0", ""])
@@ -758,7 +743,9 @@ def test_a_raising_branch_raises_the_callers_exception_first_and_joins_its_threa
     threads = threading.active_count()
     expected = "caller" if "caller" in sides else "worker"
     with pytest.raises(RuntimeError, match=f"^{expected}$"):
-        linalg._both(_raising_on(sides, lambda: 1), _raising_on(sides, lambda: 2), 1, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "PRODUCT_THREAD_DIM", 1)
+            linalg._both(_raising_on(sides, lambda: 1), _raising_on(sides, lambda: 2), 1)
     calls = {name: call for name, call, _ in _product_calls(linalg.PRODUCT_THREAD_DIM, 390)}
     # gen_cov rotates the second operand on the worker, wyd_direct takes its second matrix power there
     for name, call in (("_rotate", calls["gen_cov"]), ("apply_matrix_function", calls["wyd_direct"])):

@@ -148,7 +148,7 @@ def test_a_density_over_the_byte_cap_is_not_kept(monkeypatch, eig_calls):
 
 @pytest.mark.parametrize("n", [2, 16, 64])
 def test_warm_and_cold_calls_give_the_same_bits(n, monkeypatch, eig_calls):
-    # BLAS pinned to one thread: from PAIR_THREAD_DIM on, two arrays are decomposed as a threaded pair
+    # BLAS pinned to one thread, the setting in which _both may overlap products
     for name in linalg.BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(name, "1")
     D1, D2 = _densities(n, 2, 7 + n)
@@ -410,9 +410,9 @@ def test_stacks_lists_and_hits_take_no_lock(monkeypatch, eig_calls):
         def __exit__(self, *exc):
             return False
 
-    small, large = np.stack(_densities(3, 2, 31)), np.stack(_densities(linalg.PAIR_THREAD_DIM, 2, 32))
+    small, large = np.stack(_densities(3, 2, 31)), np.stack(_densities(48, 2, 32))
     monkeypatch.setattr(linalg, "_memo_lock", Lock())
-    for name in linalg.BLAS_THREAD_VARIABLES:  # state_pair's threaded path looks its arrays up too
+    for name in linalg.BLAS_THREAD_VARIABLES:  # a pinned process takes the same paths
         monkeypatch.setenv(name, "1")
     linalg.state(small), linalg.state(small[0].tolist()), linalg.state_pair(small, small[::-1])
     linalg.state_pair(large, large[::-1])

@@ -721,6 +721,7 @@ _TOLERANCE_REFUSAL = "tolerance '%s' must be a real number or infinite"
         ({"tolerances": {"residual": math.nan}}, f"{_TOLERANCE_REFUSAL % 'residual'}, got nan"),
         ({"tolerances": {"residual": "x"}}, f"{_TOLERANCE_REFUSAL % 'residual'}, got 'x'"),
         ({"tolerances": {"margin": None}}, f"{_TOLERANCE_REFUSAL % 'margin'}, got None"),
+        ({"tolerances": {"margin": True}}, f"{_TOLERANCE_REFUSAL % 'margin'}, got True"),
     ],
 )
 def test_run_suite_refuses_malformed_arguments_before_drawing(kwargs, message, monkeypatch):
