@@ -33,7 +33,7 @@ density and observable:
   operands and keeps the State and both rotations.
 
 A ``memo`` section times the memos of ``linalg.state`` and
-``linalg.relmod_grid`` at n in {64, 128, 256}: ``state_once_seen_s``,
+``linalg.relmod_grid`` at n in {4, 16, 64, 128, 256}: ``state_once_seen_s``,
 ``linalg.state`` of an array with the memos emptied before each call, so
 that every call validates and decomposes it (n = 64 and 256);
 ``state_cycle8_s``, ``linalg.state`` over eight arrays in rotation, which
@@ -43,10 +43,15 @@ the memo's working set holds (n = 64 and 256); ``umegaki_remembered_pair_s``,
 whose identity rotation ``linalg.relmod_grid`` remembers);
 ``fisher_after_gen_cov_s``, ``quantities.fisher`` (``wyd:0.3``) of a
 remembered density and two operands that ``quantities.gen_cov`` (``sld``)
-rotated before it (n = 64 and 256); and ``renyi_after_umegaki_s``,
-``quantities.renyi`` (a = 0.5) of a remembered pair whose identity
-rotation ``quantities.umegaki`` left, so that it rotates nothing
-(n = 64 and 256).
+rotated before it, with ``wyd(0.3)`` built anew in every call, whose grid
+``linalg.relmod_grid`` finds by the kernel's value after the first
+(n = 64 and 256); ``renyi_after_umegaki_s``, ``quantities.renyi``
+(a = 0.5) of a remembered pair whose identity rotation
+``quantities.umegaki`` left, so that it rotates nothing (n = 64 and 256);
+and ``fisher_grid_remembered_over_cold``, a ratio: that ``fisher`` call
+with its kernel grid remembered over the same call with only the grid
+memo emptied before it, so that it evaluates the kernel and finds the
+State and both rotations (n = 4, 16 and 64, in one process).
 
 A ``products`` section gives, at n in {48, 64, 96, 128, 256}, the ratios
 behind ``linalg.PRODUCT_THREAD_DIM``: the time of a call with its two
@@ -107,13 +112,14 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 from qig import cli, functions, linalg, quantities, verify  # noqa: E402
 
 DIMS = (2, 4, 8, 16, 32, 48, 64, 256)
-MEMO_DIMS = (64, 128, 256)
+MEMO_DIMS = (4, 16, 64, 128, 256)
 MEMO_ROW_DIMS = {
     "state_once_seen_s": (64, 256),
     "state_cycle8_s": (64, 256),
     "umegaki_remembered_pair_s": MEMO_DIMS,
     "fisher_after_gen_cov_s": (64, 256),
     "renyi_after_umegaki_s": (64, 256),
+    "fisher_grid_remembered_over_cold": (4, 16, 64),
 }
 PRODUCT_DIMS = (48, 64, 96, 128, 256)
 PRODUCT_ROWS = (
@@ -183,6 +189,17 @@ def _cold(fn):
     return call
 
 
+def _grid_cold(fn):
+    """fn with only ``linalg.relmod_grid``'s grid memo emptied before each call, so that it evaluates every kernel."""
+
+    def call():
+        with linalg._memo_lock:
+            linalg._grid_memo.clear()
+        return fn()
+
+    return call
+
+
 def _ratio(first, second) -> float:
     """first's time over second's: the median over ``RATIO_ROUNDS`` rounds that time the two back to back.
 
@@ -244,7 +261,7 @@ def layer_times(n: int, seed: int) -> dict:
 
 
 def memo_row(name: str, n: int, seed: int) -> float:
-    """Seconds per call of the memo row ``name`` at dimension n."""
+    """Seconds per call of the memo row ``name`` at dimension n (``*_over_cold``: a ratio)."""
     rng = np.random.default_rng([seed, n])
     D1, D2, D3 = (np.asarray(verify.random_density(n, 0.5 / n, rng)) for _ in range(3))
     if name == "state_once_seen_s":
@@ -261,7 +278,13 @@ def memo_row(name: str, n: int, seed: int) -> float:
     X = np.asarray(verify.random_hermitian(n, rng))
     A = X + 1j * np.asarray(verify.random_hermitian(n, rng))
     quantities.gen_cov(functions.sld(), D1, X, A)
-    return _per_call(lambda: quantities.fisher(functions.wyd(0.3), D1, X, A))
+
+    def fisher():
+        return quantities.fisher(functions.wyd(0.3), D1, X, A)
+
+    if name == "fisher_grid_remembered_over_cold":
+        return _ratio(fisher, _grid_cold(fisher))
+    return _per_call(fisher)
 
 
 def product_row(name: str, n: int, seed: int) -> float:
@@ -363,7 +386,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": 1,
         },
-        "unit": "seconds per call, median (the products rows named *_over_in_turn: ratios; "
+        "unit": "seconds per call, median (the rows named *_over_*: ratios; "
                 "harness: per trial; import: per process)",
         "dims": {str(n): layer_times(n, args.seed) for n in DIMS},
         "memo": {str(n): memo_times(n, args.seed) for n in MEMO_DIMS},

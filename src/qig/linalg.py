@@ -30,8 +30,11 @@ take equal-shape stacks.
 :func:`state` validates every density (:func:`as_density` is its matrix).
 It remembers the States of a working set of up to 128 2-D arrays, the one
 used longest ago leaving first, and :func:`relmod_grid` the last two
-rotations by them of 2-D operands or of the identity, as :class:`_Memo`
-says: a run of calls over a few densities decomposes each once.
+rotations by them of 2-D operands or of the identity, and the kernel grids
+by them of single kernels, keyed by the kernel's value, within
+:data:`GRID_MEMO_BYTES`, as :class:`_Memo` says: a run of calls over a few
+densities decomposes each once, and a call that repeats a kernel on a
+remembered pair evaluates no kernel.
 
 Every two-state quantity (:func:`relmod_apply` here, and the
 quasi-entropies, Umegaki and Renyi divergences) validates and decomposes
@@ -59,14 +62,17 @@ draws) into Haar isometries in one ``np.linalg.qr`` call.  Every member
 equals the 2-D call bit for bit.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs; the memos of :func:`state` and :func:`relmod_grid`
-change what a call costs, never the values it returns.
+function of its inputs (a kernel's ``fn`` too); the memos of :func:`state`
+and :func:`relmod_grid` change what a call costs, never the values it
+returns.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -92,9 +98,17 @@ PRODUCT_THREAD_DIM = 128
 #: the thread-count variables of OpenBLAS, OpenMP and MKL; :func:`_both`
 #: overlaps two pieces of work only when all of them are "1"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: the bytes that the entries of each memo (see :class:`_Memo`) take at most together
-#: (eight shared States at n = 256, where it binds before the count does)
+#: the bytes that the entries of the State memo and of the rotation memo (see
+#: :class:`_Memo`) each take at most together (eight shared States at n = 256,
+#: where it binds before the count does)
 STATE_MEMO_BYTES = 16 * 2**20
+#: the bytes that :func:`relmod_grid`'s remembered kernel grids take at most
+#: together, each counted as its grid's bytes and 1 KiB for its key and index (so
+#: at most 1024 grids); a ``quantities-small`` pass cycles through up to 256 grids
+#: at n <= 16 (about 0.25 MiB counted), and one n = 256 grid (0.5 MiB) fits, where
+#: a budget of :data:`STATE_MEMO_BYTES` raised ``quantities-large`` ``peak_rss_mb``
+#: by 11 % (83.8 to 93 MB)
+GRID_MEMO_BYTES = 2**20
 _REMEMBERED = 128  # States of state's memo at most: functools.lru_cache's default maxsize
 _ROTATIONS_REMEMBERED = 2  # rotations of relmod_grid's memo at most: ~2 MiB each at n = 256
 _HASHED_BYTES = 64  # of a key's bytes, the first this many are hashed: 4 complex entries
@@ -110,27 +124,31 @@ def _hashed(key: tuple) -> int:
 
 
 class _Memo:
-    """The entries ``(key, value, bytes counted)`` of a memo, oldest first: the rules of both memos.
+    """The entries ``(key, value, bytes counted)`` of a memo, oldest first: the rules of the three memos.
 
-    :func:`state` remembers States, and :func:`relmod_grid` rotations by
-    them, of 2-D ``np.ndarray`` inputs only (and the identity operand's
-    rotation ``U2* V`` of a 2-D pair, keyed by its two States alone); a
-    value is a function of its key, so a hit has a miss's bits.
-    :meth:`keep` drops the oldest entries until the new one makes at most
-    ``most`` (:data:`_REMEMBERED` States, :data:`_ROTATIONS_REMEMBERED`
-    rotations) within :data:`STATE_MEMO_BYTES` (one over that alone is not
-    kept, nor a key already present) and makes its arrays read-only.  A key
-    is a tuple whose last item is bytes; an index by :func:`_hashed` finds
-    its entry with one bytes compare, and an entry, known by its value's
-    identity, becomes the newest or is dropped as the oldest in constant
-    time.  A State found becomes the newest.  A hit takes no lock: it reads
-    entries that are never changed and moves one with one call, so at
-    worst it finds a value that another thread drops at that moment.
-    A rotation is kept only while :func:`state` holds both of its States:
-    it is kept with both held, and a density decomposed to be remembered
-    drops every rotation before its ``eigh`` and again once kept (in case
-    one was kept meanwhile on another thread).  ``_memo_lock`` guards keep
-    and clear, with the find before a keep, never an ``eigh`` or matmul.
+    :func:`state` remembers States, and :func:`relmod_grid` rotations and
+    kernel grids by them, of 2-D ``np.ndarray`` inputs only (and the
+    identity operand's rotation ``U2* V`` of a 2-D pair, keyed by its two
+    States alone; and the grid of one kernel with ``.fn`` by two States,
+    keyed by them and the kernel's value, see :func:`_grid_key`); a value is
+    a function of its key, so a hit has a miss's bits.  :meth:`keep` drops
+    the oldest entries until the new one makes at most ``most``
+    (:data:`_REMEMBERED` States, :data:`_ROTATIONS_REMEMBERED` rotations,
+    grids bounded by their bytes alone) within ``budget`` bytes
+    (:data:`STATE_MEMO_BYTES`, :data:`GRID_MEMO_BYTES` for grids; one over
+    that alone is not kept, nor a key already present) and makes its arrays
+    read-only.  A key is a tuple whose last item is bytes; an index by
+    :func:`_hashed` finds its entry with one bytes compare, and an entry,
+    known by its value's identity, becomes the newest or is dropped as the
+    oldest in constant time.  A State found becomes the newest.  A hit takes
+    no lock: it reads entries that are never changed and moves one with one
+    call, so at worst it finds a value that another thread drops at that
+    moment.  A rotation or grid is kept only while :func:`state` holds both
+    of its States: it is kept with both held, and a density decomposed to
+    be remembered drops every rotation and grid before its ``eigh`` and
+    again once kept (in case one was kept meanwhile on another thread).
+    ``_memo_lock`` guards keep and clear, with the find before a keep, never
+    an ``eigh``, matmul or kernel evaluation.
     """
 
     def __init__(self):
@@ -159,12 +177,12 @@ class _Memo:
         """Whether ``value`` itself is the value of an entry (a live object's id is no other live object's)."""
         return id(value) in self.order
 
-    def keep(self, key: tuple, value, size: int, most: int, *arrays: np.ndarray) -> None:
-        """Keep ``value``, whose ``arrays`` become read-only, under a new ``key`` if its ``size`` in bytes fits."""
-        if size > STATE_MEMO_BYTES or self.find(key) is not None:
+    def keep(self, key: tuple, value, size: int, budget: int, *arrays: np.ndarray, most=math.inf) -> None:
+        """Keep ``value``, whose ``arrays`` become read-only, under a new ``key`` if its ``size`` in bytes fits ``budget``."""
+        if size > budget or self.find(key) is not None:
             return
         order = self.order
-        while order and (len(order) >= most or self.bytes + size > STATE_MEMO_BYTES):
+        while order and (len(order) >= most or self.bytes + size > budget):
             old = order.popitem(last=False)[1]
             h = _hashed(old[0])
             rest = [entry for entry in self.index[h] if entry is not old]
@@ -188,6 +206,7 @@ class _Memo:
 
 _state_memo = _Memo()  # keys: see _memo_key
 _rotation_memo = _Memo()  # keys: see _rotation_key
+_grid_memo = _Memo()  # keys: see _grid_key
 _memo_lock = threading.Lock()
 
 
@@ -228,23 +247,30 @@ def as_hermitian(M) -> np.ndarray:
     """Validate Hermiticity up to roundoff and return the symmetrized matrix.
 
     Asymmetry within ``1e-12 * (1 + max|entry|)`` is absorbed by averaging
-    with the conjugate transpose; anything larger, and any non-finite
-    entry, raises.  Accepts a ``(..., n, n)`` stack; a single matrix is
-    decided on Python floats, with the same checks and messages.
+    with the conjugate transpose; anything larger, any non-finite entry,
+    and any entry whose modulus exceeds half the largest float (where the
+    sum ``M + M*`` may overflow), raises.  Accepts a ``(..., n, n)`` stack;
+    a single matrix is decided on Python floats, with the same checks and
+    messages.
     """
     M = _square(M, "Hermitian matrix")
-    allowed = HERMITIAN_TOL * (1.0 + _matrix_max(np.abs(M)))
-    finite = allowed < np.inf  # false when an entry is infinite or NaN (or its modulus overflows)
-    if not _all(finite):
+    top = _matrix_max(np.abs(M))
+    fits = top <= sys.float_info.max / 2  # false when an entry is infinite, NaN or too large (or its modulus overflows)
+    if not _all(fits):
         # zeroed before any arithmetic warns; the member is refused below
-        M = np.where(np.expand_dims(finite, (-2, -1)), M, 0.0)
+        M = np.where(np.expand_dims(fits, (-2, -1)), M, 0.0)
+    allowed = HERMITIAN_TOL * (1.0 + top)
     Mh = dagger(M)
     dev = _matrix_max(np.abs(M - Mh))
-    ok = finite & (dev <= allowed)
+    ok = fits & (dev <= allowed)
     if not _all(ok):
-        dev, allowed = _first_rejected(ok, dev, allowed)
-        if not allowed < np.inf:
+        top, dev, allowed = _first_rejected(ok, top, dev, allowed)
+        if not top < np.inf:
             raise InvariantViolation("matrix has non-finite entries")
+        if not top <= sys.float_info.max / 2:
+            raise InvariantViolation(
+                f"matrix entries are too large: max modulus {top:.3e} exceeds {sys.float_info.max / 2:.3e}"
+            )
         raise InvariantViolation(
             f"matrix is not Hermitian: max asymmetry {dev:.3e} exceeds {allowed:.3e}"
         )
@@ -324,17 +350,23 @@ def _memo_key(D):
 
 
 def _forget_states() -> None:
-    """Empty both memos, so that the next call decomposes every density and rotates every operand."""
+    """Empty every memo, so that the next call decomposes every density, rotates every operand and evaluates every kernel."""
     with _memo_lock:
         _state_memo.clear()
-        _rotation_memo.clear()
+        _forget_pairs()
+
+
+def _forget_pairs() -> None:
+    """Drop every rotation and grid (their States may leave :func:`state`'s memo); the caller holds ``_memo_lock``."""
+    _rotation_memo.clear()
+    _grid_memo.clear()
 
 
 def _decompose(D, label: str, key) -> State:
     """Validate and decompose D; remember the State under ``key`` (None: never) as :class:`_Memo` says."""
-    if key is not None and _rotation_memo.index:
+    if key is not None and (_rotation_memo.index or _grid_memo.index):
         with _memo_lock:
-            _rotation_memo.clear()
+            _forget_pairs()
     H = as_hermitian(D)
     w, U = _eigh(H, label)
     _check_density(H, w[..., 0])
@@ -350,8 +382,9 @@ def _decompose(D, label: str, key) -> State:
         found = _state_memo.find(key, newest=True)  # decomposed meanwhile on another thread
         if found is not None:
             return found
-        _state_memo.keep(key, new, len(key[2]) + U.nbytes + (0 if shared else H.nbytes), _REMEMBERED, w, U, H)
-        _rotation_memo.clear()
+        size = len(key[2]) + U.nbytes + (0 if shared else H.nbytes)
+        _state_memo.keep(key, new, size, STATE_MEMO_BYTES, w, U, H, most=_REMEMBERED)
+        _forget_pairs()
     return new
 
 
@@ -582,7 +615,7 @@ def _keep_rotation(s1: SpectralDecomposition, s2: SpectralDecomposition, A, M: n
     with _memo_lock:
         if _state_memo.holds(s1) and _state_memo.holds(s2):
             key = _rotation_key(s1, s2, A)  # built again: a key held through the matmuls raised peak memory
-            _rotation_memo.keep(key, M, M.nbytes + len(key[-1]), _ROTATIONS_REMEMBERED, M)
+            _rotation_memo.keep(key, M, M.nbytes + len(key[-1]), STATE_MEMO_BYTES, M, most=_ROTATIONS_REMEMBERED)
 
 
 def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: tuple) -> list:
@@ -622,6 +655,52 @@ def _rotations(s1: SpectralDecomposition, s2: SpectralDecomposition, operands: t
     return out
 
 
+def _kernel_value(v):
+    """A kernel's function as a value that compares by its parameters, not by its identity.
+
+    A ``functools.partial`` is its function, positional and keyword values
+    (partials and tuples among them read in turn); a zero float also
+    carries its sign, since ``-0.0 == 0.0`` but a kernel may round the two
+    apart; anything else is itself.
+    """
+    t = type(v)
+    if t is float:
+        return v if v else (t, v, math.copysign(1.0, v))
+    if t is functools.partial:
+        args = _kernel_value(v.args) if v.args else ()
+        return (v.func, args, tuple([(k, _kernel_value(u)) for k, u in v.keywords.items()]))
+    if t is tuple:
+        return tuple([_kernel_value(u) for u in v])
+    return v
+
+
+def _grid_key(F, s1: SpectralDecomposition, s2: SpectralDecomposition):
+    """``(s1, s2, value, bytes of its hash)`` for one kernel with ``.fn`` by two States that :func:`state` holds, else None.
+
+    The value is :func:`_kernel_value` of ``F.fn``, so that ``renyi(a)``'s
+    kernel, built anew in every call, or ``wyd(p)`` built twice, is found;
+    a held State is 2-D, so tuples, stacks, unheld States and bare
+    callables get no key, nor does a kernel with an unhashable parameter
+    (an array).
+    """
+    fn = getattr(F, "fn", None)
+    if fn is None or not (_state_memo.holds(s1) and _state_memo.holds(s2)):
+        return None
+    value = _kernel_value(fn)
+    try:
+        h = hash((s1, s2, value))
+    except TypeError:
+        return None
+    return (s1, s2, value, h.to_bytes(8, "little", signed=True))
+
+
+def _keep_grid(key: tuple, W: np.ndarray) -> None:
+    """Keep W, the grid of ``key``'s kernel and States, if :func:`state` holds both States."""
+    with _memo_lock:
+        if _state_memo.holds(key[0]) and _state_memo.holds(key[1]):
+            _grid_memo.keep(key, W, W.nbytes + 1024, GRID_MEMO_BYTES, W)  # 1 KiB: the key, index and headers
+
+
 def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operands):
     """Kernel grid and rotated operands shared by every spectral double sum.
 
@@ -640,8 +719,20 @@ def relmod_grid(F, s1: SpectralDecomposition, s2: SpectralDecomposition, *operan
     ``umegaki`` on one pair rotates nothing.
     Two operands that it does not remember are rotated concurrently from
     :data:`PRODUCT_THREAD_DIM` on when BLAS is pinned (:func:`_both`).
+
+    The grid of one kernel with ``.fn`` by States that :func:`state` holds
+    is remembered too, keyed by the two States and the kernel's value
+    (:func:`_grid_key`), within :data:`GRID_MEMO_BYTES`: a repeated call
+    evaluates no kernel, and its grid, the array that the cold call
+    returned, is read-only.  Tuples of kernels, stacks and bare callables
+    are evaluated on every call.
     """
-    W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
+    key = _grid_key(F, s1, s2)
+    W = _grid_memo.find(key) if key is not None and _grid_memo.index else None
+    if W is None:
+        W = _kernel_grid(F, s2.eigenvalues[..., :, None] / s1.eigenvalues[..., None, :])
+        if key is not None:
+            _keep_grid(key, W)
     return W, _rotations(s1, s2, operands)
 
 

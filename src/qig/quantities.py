@@ -9,8 +9,13 @@ that :func:`~qig.linalg.state` remembers (a working set of up to 128, so
 quantities interleaved over a few densities decompose each once), and an
 operand whose rotation ``U* A U`` :func:`~qig.linalg.relmod_grid`
 remembers is not rotated again, nor is the identity operand of a
-remembered pair (:func:`renyi` after :func:`umegaki`; bit for bit, by the
-rules of ``qig.linalg._Memo``; stacks are decomposed on every call).
+remembered pair (:func:`renyi` after :func:`umegaki`), nor is a kernel
+evaluated again on the grid of a remembered pair (:func:`gen_cov`,
+:func:`fisher` and :func:`skew_info` of one kernel and density share one
+grid; a kernel is known by its value, so :func:`renyi`, which builds its
+kernel in every call, finds it too).  All bit for bit, by the rules of
+``qig.linalg._Memo``; stacks are decomposed, and their kernels evaluated,
+on every call.
 :func:`quasi_entropy`, :func:`gen_cov`, :func:`fisher`
 and :func:`sym_cov` also take ``(..., n, n)`` stacks of states and
 operands, broadcast over their leading axes, and reduce over the last two

@@ -142,16 +142,19 @@ def random_density(n: int, floor: float = 0.01, seed=0) -> linalg.State:
     return linalg.state(_densities(_draw_density(n, np.random.default_rng(seed)), floor))
 
 
-def _draw_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw draw of the Ginibre square :func:`random_density` builds from.
+def _draw_density(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Raw draw of the Ginibre square :func:`random_density` builds from, or a ``(count, 2, n, n)`` stack of count.
 
-    See :func:`~qig.linalg.draw_ginibre`; for ``n = 1`` draws nothing and
-    returns zeros.  The density floor enters only when :func:`_densities`
-    builds the density, so a suite states its floor once, in its evaluator.
+    See :func:`~qig.linalg.draw_ginibre`; ``count`` draws take one
+    ``standard_normal`` call, the stream of count draws in turn.  For
+    ``n = 1`` draws nothing and returns zeros.  The density floor enters
+    only when :func:`_densities` builds the density, so a suite states its
+    floor once, in its evaluator.
     """
+    shape = (2, n, n) if count is None else (count, 2, n, n)
     if n == 1:
-        return np.zeros((2, 1, 1))
-    return linalg.draw_ginibre(rng, (n, n))
+        return np.zeros(shape)
+    return rng.standard_normal(shape)
 
 
 def _densities(raw: np.ndarray, floor: float) -> np.ndarray:
@@ -415,7 +418,7 @@ def _gram_determinants(f, g, D, observables) -> tuple:
 
 
 def _draw_observables(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw Ginibre draws ``(m, 2, n, n)`` of m candidate observables.
+    """Raw Ginibre draws ``(m, 2, n, n)`` of m candidate observables, in one ``standard_normal`` call.
 
     Refuses dimension 1, where every centered observable is zero, and more
     than ``n^2 - 1`` observables.
@@ -426,7 +429,7 @@ def _draw_observables(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         raise DomainError(f"at most {n * n - 1} independent centered observables exist, got m={m}")
     if m < 1:
         raise DomainError(f"m must be positive, got m={m}")
-    return np.stack([linalg.draw_ginibre(rng, (n, n)) for _ in range(m)])
+    return rng.standard_normal((m, 2, n, n))
 
 
 def _orthogonalized(D, H: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
@@ -677,14 +680,19 @@ def _evaluate_lemma_cross(n, trials):
 
 
 class _MonotonicityDraw(NamedTuple):
-    """One drawn monotonicity trial: raw operand, channel and densities, generator, kernel exponent."""
+    """One drawn monotonicity trial: raw operand, channel and densities ``(2, 2, n, n)``, generator, kernel exponent."""
 
     A: np.ndarray
     channel: np.ndarray
-    D1: np.ndarray
-    D2: np.ndarray
+    D: np.ndarray
     rng: np.random.Generator
     alpha: float
+
+
+def _power_kernels(alphas) -> tuple:
+    """The kernels ``x^alpha`` of a group's exponents: one spec per distinct exponent, shared by its trials."""
+    specs = {a: functions.power_kernel(a) for a in set(alphas)}
+    return tuple(specs[a] for a in alphas)
 
 
 def _margin_floor(n: int) -> float:
@@ -695,8 +703,7 @@ def _margin_floor(n: int) -> float:
 def _draw_attempt(A, rng, n_in: int, n_out: int, k: int, alpha: float) -> _MonotonicityDraw:
     """One sampling attempt of a monotonicity trial: a raw channel and two raw densities."""
     raw = channels.draw_channel(n_in, n_out, k, rng)
-    D1, D2 = (_draw_density(n_in, rng) for _ in range(2))
-    return _MonotonicityDraw(A, raw, D1, D2, rng, alpha)
+    return _MonotonicityDraw(A, raw, _draw_density(n_in, rng, 2), rng, alpha)
 
 
 def _draw_monotonicity(rng, dims):
@@ -720,10 +727,10 @@ def _evaluate_monotonicity(key, trials):
     stopped, for at most 40 attempts in all.
     """
     n_in, n_out, k = key
-    F = tuple(functions.power_kernel(c.alpha) for c in trials)
+    F = _power_kernels([c.alpha for c in trials])
     A = _unit_operands(np.stack([c.A for c in trials]))
     for _ in range(40):
-        raw = np.stack([[c.D1 for c in trials], [c.D2 for c in trials]])
+        raw = np.stack([c.D for c in trials], axis=1)
         D = linalg.state(_densities(raw, _margin_floor(n_in)))
         ch = channels.isometry_channel(np.stack([c.channel for c in trials]), k)
         try:
@@ -743,13 +750,13 @@ def _draw_concavity(rng, dims):
     alpha = _pick(rng, _ALPHAS)
     lam = _pick(rng, _MIX_WEIGHTS)
     A = linalg.draw_ginibre(rng, (n, n))
-    return n, (lam, A, np.stack([_draw_density(n, rng) for _ in range(4)]), alpha)
+    return n, (lam, A, _draw_density(n, rng, 4), alpha)
 
 
 def _evaluate_concavity(n, trials):
     """Margins of one dimension group, one kernel per trial; its ``4 m`` densities are validated together."""
     lams, raw_operands, raw_densities, alphas = zip(*trials)
-    Fs = tuple(functions.power_kernel(a) for a in alphas)
+    Fs = _power_kernels(alphas)
     A = _unit_operands(np.stack(raw_operands))
     S = linalg.state(_densities(np.stack(raw_densities, axis=1), _margin_floor(n)))
     margins = channels.concavity_margin(Fs, A, (S[0], S[1]), (S[2], S[3]), np.array(lams))
@@ -787,7 +794,7 @@ def _evaluate_det_uncertainty(key, trials):
 def _draw_oracle_equivalence(rng, dims):
     n = _dim(rng, dims)
     F = _pick(rng, _ORACLE_POOL)(rng)
-    D = [_draw_density(n, rng) for _ in range(2)]
+    D = _draw_density(n, rng, 2)
     A = linalg.draw_ginibre(rng, (n, n))
     return n, (F, D, A, float(rng.uniform(0.1, 0.9)))
 
@@ -830,7 +837,7 @@ def _evaluate_wyd_consistency(n, trials):
 
 def _draw_renyi_limit(rng, dims):
     n = _dim(rng, dims)
-    return n, np.stack([_draw_density(n, rng) for _ in range(2)])
+    return n, _draw_density(n, rng, 2)
 
 
 def _log_squared(x):

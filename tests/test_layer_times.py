@@ -1,4 +1,4 @@
-"""``scripts/layer_times.py`` runs: each row of its ``memo`` section, ``sym_cov_s`` and ``wyd_direct_s`` print one positive time."""
+"""``scripts/layer_times.py`` runs: each time row of its ``memo`` section, ``sym_cov_s`` and ``wyd_direct_s`` print one positive time, and its grid ratio a positive ratio."""
 
 import json
 import os
@@ -9,6 +9,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "layer_times.py"
 TIME_ROWS = ("state_once_seen_s", "state_cycle8_s", "umegaki_remembered_pair_s", "fisher_after_gen_cov_s",
              "renyi_after_umegaki_s", "sym_cov_s", "wyd_direct_s")
+RATIO_ROWS = ("fisher_grid_remembered_over_cold",)
 
 
 def test_each_time_row_prints_one_positive_time_at_n_4():
@@ -18,7 +19,7 @@ def test_each_time_row_prints_one_positive_time_at_n_4():
     runs = {
         row: subprocess.Popen([sys.executable, str(SCRIPT), "--row", row, "--dim", "4"], env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for row in TIME_ROWS
+        for row in TIME_ROWS + RATIO_ROWS
     }
     for row, run in runs.items():
         out, err = run.communicate(timeout=60)

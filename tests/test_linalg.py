@@ -44,6 +44,30 @@ def test_as_hermitian_names_non_finite_entries_without_warning(bad):
                 linalg.as_hermitian(given)
 
 
+@pytest.mark.parametrize(
+    "M",
+    [np.diag([1e308, 1.0]), np.diag([-1e308, 1.0]), np.array([[1.0, 1e308j], [-1e308j, 1.0]]),
+     np.array([[1.0, 7e307 + 7e307j], [7e307 - 7e307j, 1.0]])],
+    ids=["diagonal", "negative", "off-diagonal", "modulus"],
+)
+def test_as_hermitian_refuses_entries_whose_sum_with_the_adjoint_may_overflow_without_warning(M):
+    stack = np.stack([np.eye(2), M, np.eye(2)]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for given in (M, stack):
+            with pytest.raises(InvariantViolation, match=r"^matrix entries are too large: max modulus \S+ exceeds 8\.988e\+307$"):
+                linalg.as_hermitian(given)
+            with pytest.raises(InvariantViolation, match="too large"):  # not "unit trace, got inf"
+                linalg.state(given)
+
+
+def test_as_hermitian_keeps_the_largest_entries_it_accepts():
+    half = np.finfo(float).max / 2
+    M = np.array([[half, 0.0], [0.0, -half]])
+    assert np.array_equal(linalg.as_hermitian(M), M.astype(complex))
+    assert np.array_equal(linalg.as_hermitian(np.stack([M, np.eye(2)])), np.stack([M, np.eye(2)]).astype(complex))
+
+
 def _densities(k: int, n: int) -> np.ndarray:
     return np.stack([np.asarray(random_density(n, 0.5 / n, seed)) for seed in range(k)])
 

@@ -1,5 +1,7 @@
-"""``linalg.state`` remembers a working set of the single densities it accepted, and ``relmod_grid`` two rotations by them."""
+"""``linalg.state`` remembers a working set of the single densities it accepted, and ``relmod_grid`` two rotations and a byte budget of kernel grids by them."""
 
+import dataclasses
+import functools
 import sys
 import threading
 
@@ -763,3 +765,213 @@ def test_three_threads_with_a_short_switch_interval_keep_only_rotations_of_held_
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert wrong == [] and unheld == []
+
+
+# ``relmod_grid`` remembers the grid ``F(mu_i / lam_j)`` of one kernel, by its value, while both States are remembered
+
+
+@pytest.fixture
+def grids(monkeypatch) -> list:
+    """The shape of each kernel grid evaluated during the test, with every memo emptied first."""
+    linalg._forget_states()
+    calls, original = [], linalg._kernel_grid
+    monkeypatch.setattr(linalg, "_kernel_grid", lambda F, x, *rest: calls.append(x.shape) or original(F, x, *rest))
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_a_remembered_grid_gives_the_cold_bits_evaluates_no_kernel_and_refuses_writes(n, grids):
+    D1, D2 = _densities(n, 2, 70 + n)
+    rng = np.random.default_rng(70 + n)
+    X = np.asarray(random_hermitian(n, rng))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # gen_cov, fisher and skew_info of one kernel and density share a grid, and so do the two of one pair
+    chain = [lambda: qt.gen_cov(fn.wyd(0.3), D1, X, A), lambda: qt.fisher(fn.wyd(0.3), D1, X, A),
+             lambda: qt.skew_info(fn.wyd(0.3), D1, X), lambda: qt.quasi_entropy(fn.power_kernel(0.3), A, D1, D2),
+             lambda: linalg.relmod_apply(fn.power_kernel(0.3), D1, D2, A)]
+    cold = []
+    for call in chain:
+        linalg._forget_states()
+        cold.append(_bits(call()))
+    linalg._forget_states()
+    linalg.state(D1), linalg.state(D2)  # a density decomposed to be remembered drops every grid
+    del grids[:]
+    assert [_bits(call()) for call in chain] == cold and len(grids) == 2
+    assert [_bits(call()) for call in chain] == cold and len(grids) == 2
+    s = linalg.state(D1)
+    W, _ = linalg.relmod_grid(fn.wyd(0.3), s, s)
+    assert len(grids) == 2 and [entry[1] for entry in linalg._grid_memo.entries][0] is W
+    linalg._forget_states()
+    s = linalg.state(D1)
+    cold_W, _ = linalg.relmod_grid(fn.wyd(0.3), s, s)
+    assert cold_W.tobytes() == W.tobytes() and [size for _, _, size in linalg._grid_memo.entries] == [8 * n * n + 1024]
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] = 0.0
+
+
+def test_kernels_built_anew_find_their_grid_by_value_and_another_parameter_misses(grids):
+    D1, D2 = _densities(4, 2, 71)
+    cold = {}
+    for a in (0.5, 0.7):
+        linalg._forget_states()
+        cold[a] = qt.renyi(a, D1, D2)
+    linalg._forget_states()
+    del grids[:]
+    assert qt.renyi(0.5, D1, D2) == cold[0.5] and qt.renyi(0.5, D1, D2) == cold[0.5] and len(grids) == 1
+    assert qt.renyi(0.7, D1, D2) == cold[0.7] and len(grids) == 2  # renyi_kernel(a) is built in every call
+    assert qt.renyi(0.5, D1, D2) == cold[0.5] and len(grids) == 2
+    s = linalg.state(D1)
+    first, _ = linalg.relmod_grid(fn.wyd(0.3), s, s)
+    assert linalg.relmod_grid(fn.wyd(0.3), s, s)[0] is first and len(grids) == 3
+    other, _ = linalg.relmod_grid(fn.wyd(0.4), s, s)
+    assert other.tobytes() != first.tobytes() and len(grids) == 4
+    h = linalg.relmod_grid(fn.hessian_kernel(fn.wyd(0.3)), s, s)[0]  # a partial among the parameters
+    assert linalg.relmod_grid(fn.hessian_kernel(fn.wyd(0.3)), s, s)[0] is h and len(grids) == 5
+    linalg.relmod_grid(fn.hessian_kernel(fn.wyd(0.4)), s, s)
+    linalg.relmod_grid(fn.covariance_kernel(fn.wyd(0.3)), s, s)
+    assert len(grids) == 7 and len(linalg._grid_memo.entries) == 7
+
+
+def test_a_zero_parameter_of_either_sign_is_a_grid_of_its_own(grids):
+    (D,) = _densities(3, 1, 78)
+    s = linalg.state(D)
+    F = fn.extremal_metric(1.0)  # F''(1) is -0.0: its Hessian kernel is 0.0 at ratio 1, and -0.0 with F''(1) = 0.0
+    signed = fn.hessian_kernel(dataclasses.replace(F, second_derivative_at_one=0.0))
+    W, _ = linalg.relmod_grid(fn.hessian_kernel(F), s, s)
+    Ws, _ = linalg.relmod_grid(signed, s, s)
+    assert np.array_equal(W, Ws) and W.tobytes() != Ws.tobytes() and len(grids) == 2
+    assert linalg.relmod_grid(signed, s, s)[0] is Ws and len(grids) == 2
+
+
+def test_tuples_stacks_unheld_states_bare_callables_and_arrays_are_never_kept(grids):
+    densities = _densities(3, 3, 72)
+    stack = np.stack(densities[:2])
+    rng = np.random.default_rng(72)
+    X = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    f, g = fn.wyd(0.3), fn.sld()
+    for _ in range(2):
+        qt.fisher((f, g), stack, X, X)
+        qt.fisher(f, stack, X, X)
+    assert len(grids) == 4 and linalg._grid_memo.entries == []
+    s = linalg.state(densities[0])
+    unheld = linalg.State(s.eigenvalues, s.eigenvectors, s.matrix)  # equal to a remembered State, but not it
+    listed = linalg.state(densities[2].tolist())  # never remembered
+    array_parameter = fn.ScalarFunctionSpec("scaled", functools.partial(np.multiply, np.array(2.0)), 1.0)
+    del grids[:]
+    for _ in range(2):
+        linalg.relmod_grid(f, unheld, unheld)
+        linalg.relmod_grid(f, s, unheld)
+        linalg.relmod_grid(f, listed, listed)
+        linalg.relmod_grid(f.fn, s, s)
+        linalg.relmod_grid(lambda x: x, s, s)
+        linalg.relmod_grid(array_parameter, s, s)
+    assert len(grids) == 2 * 6 and linalg._grid_memo.entries == []
+
+
+def test_a_grid_lives_while_state_remembers_both_of_its_states(two_states, grids, monkeypatch):
+    D1, D2, D3 = _densities(3, 3, 73)
+    F = fn.power_kernel(0.5)
+    qt.quasi_entropy(F, None, D1, D2)
+    assert len(grids) == 1 and len(linalg._grid_memo.entries) == 1
+    linalg.state(D2), linalg.state(D1)  # found: nothing leaves the memo
+    qt.quasi_entropy(F, None, D1, D2)
+    assert len(grids) == 1
+    held, original = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: held.append(len(linalg._grid_memo.entries)) or original(H))
+    linalg.state(D3.tolist())  # never remembered: the grid stays
+    assert held == [1] and len(linalg._grid_memo.entries) == 1
+    linalg.state(D3)  # D2 leaves the memo, and the grid with it, before the eigh
+    assert held == [1, 0] and linalg._grid_memo.entries == []
+    qt.quasi_entropy(F, None, D1, D3)
+    assert len(grids) == 2 and len(linalg._grid_memo.entries) == 1
+    linalg._forget_states()
+    assert linalg._grid_memo.entries == []
+
+
+def test_a_grid_whose_state_leaves_the_memo_while_it_is_evaluated_is_not_kept(two_states, monkeypatch):
+    D1, D2, D3 = _densities(3, 3, 76)
+    s1, s2 = linalg.state(D1), linalg.state(D2)
+    original = linalg._kernel_grid
+
+    def kernel_grid(F, x, *rest):
+        linalg.state(D3)  # D1, used longest ago, leaves the memo; D2 stays
+        return original(F, x, *rest)
+
+    monkeypatch.setattr(linalg, "_kernel_grid", kernel_grid)
+    W, _ = linalg.relmod_grid(fn.wyd(0.3), s1, s2)
+    held = [entry[1] for entry in linalg._state_memo.entries]
+    assert s1 not in held and s2 in held
+    assert linalg._grid_memo.entries == [] and W.flags.writeable
+
+
+def test_a_grid_kept_during_an_eigh_leaves_with_the_state_that_eigh_drops(two_states, monkeypatch):
+    D1, D2, D3 = _densities(3, 3, 77)
+    s1, _ = linalg.state(D1), linalg.state(D2)
+    kept, original = [], np.linalg.eigh
+
+    def eigh(H):  # what another thread may do while this one decomposes D3
+        linalg.relmod_grid(fn.wyd(0.3), s1, s1)
+        kept.append(len(linalg._grid_memo.entries))
+        return original(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    linalg.state(D3)  # D1, used longest ago, leaves the memo
+    assert kept == [1] and s1 not in [entry[1] for entry in linalg._state_memo.entries]
+    assert linalg._grid_memo.entries == []
+
+
+def test_a_grid_over_the_budget_is_not_kept_and_a_new_one_evicts_the_oldest(monkeypatch, grids):
+    (D,) = _densities(3, 1, 74)
+    s = linalg.state(D)
+    one = 8 * 3 * 3 + 1024  # an n = 3 grid and its fixed overhead
+    monkeypatch.setattr(linalg, "GRID_MEMO_BYTES", one - 1)
+    W, _ = linalg.relmod_grid(fn.wyd(0.3), s, s)
+    again, _ = linalg.relmod_grid(fn.wyd(0.3), s, s)
+    assert again is not W and len(grids) == 2 and linalg._grid_memo.entries == [] and W.flags.writeable
+    monkeypatch.setattr(linalg, "GRID_MEMO_BYTES", 2 * one)  # room for two grids
+    kept = {p: linalg.relmod_grid(fn.wyd(p), s, s)[0] for p in (0.3, 0.4, 0.5)}
+    assert [entry[1] for entry in linalg._grid_memo.entries] == [kept[0.4], kept[0.5]]
+    assert linalg._grid_memo.bytes == 2 * one and len(grids) == 5
+    assert linalg.relmod_grid(fn.wyd(0.5), s, s)[0] is kept[0.5] and len(grids) == 5
+    first = linalg.relmod_grid(fn.wyd(0.3), s, s)[0]
+    assert first is not kept[0.3] and first.tobytes() == kept[0.3].tobytes() and len(grids) == 6
+
+
+def test_threads_alternating_over_pairs_and_parameters_get_the_cold_grids():
+    densities = _densities(4, 3, 75)
+    params = (0.2, 0.3, 0.6)
+
+    def grids(j: int) -> tuple:
+        s1, s2 = linalg.state(densities[j]), linalg.state(densities[(j + 1) % 3])
+        return tuple(linalg.relmod_grid(kernel, s1, s2)[0].tobytes()
+                     for p in params for kernel in (fn.wyd(p), fn.renyi_kernel(p)))
+
+    expected = []
+    for j in range(3):
+        linalg._forget_states()
+        expected.append(grids(j))
+    linalg._forget_states()
+    start, wrong, unheld = threading.Barrier(3), [], []
+
+    def run(k: int):
+        start.wait()
+        for i in range(100):
+            j = (i + k) % 3
+            if grids(j) != expected[j]:
+                wrong.append(j)
+            with linalg._memo_lock:  # the lifetime rule holds whenever the lock is free
+                held = [entry[1] for entry in linalg._state_memo.entries]
+                unheld.extend(key for key, _, _ in linalg._grid_memo.entries if key[0] not in held or key[1] not in held)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == [] and unheld == [] and len(linalg._grid_memo.entries) == 3 * 2 * len(params)

@@ -102,6 +102,25 @@ def test_draws_build_the_per_matrix_values_and_leave_the_generator_there(n):
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_count_of_raw_draws_is_the_stream_of_that_many_draws_in_turn(n):
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    many = vf._draw_density(n, rng, 4)
+    assert many.shape == (4, 2, n, n)
+    assert np.array_equal(many, np.stack([vf._draw_density(n, ref) for _ in range(4)]))
+    assert rng.random() == ref.random()  # at n = 1 neither drew anything
+    m = 2 * n  # observables need n >= 2
+    assert np.array_equal(vf._draw_observables(m, 3, rng), np.stack([linalg.draw_ginibre(ref, (m, m)) for _ in range(3)]))
+    assert rng.random() == ref.random()
+
+
+def test_a_groups_power_kernels_are_one_spec_per_distinct_exponent():
+    alphas = [0.25, 0.5, 0.25, 0.75, 0.5]
+    F = vf._power_kernels(alphas)
+    assert F[0] is F[2] and F[1] is F[4] and len({id(f) for f in F}) == 3
+    assert [(f.name, f.fn.keywords) for f in F] == [(fn.power_kernel(a).name, {"alpha": a}) for a in alphas]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_stacked_builders_equal_the_one_draw_builders(n):
     rng = np.random.default_rng(n)
